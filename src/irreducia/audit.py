@@ -31,6 +31,8 @@ from .criteria import (
     Conclusion,
     ConclusionKind,
     CriterionOutcome,
+    PolyFacts,
+    conclusion_holds,
     constant_term_criterion,
     dominant_coefficient,
     eisenstein_generalized,
@@ -124,31 +126,21 @@ class AuditResult:
         return lines
 
 
-def cor1_best_j(f: Polynomial) -> int | None:
+def cor1_best_j(f: Polynomial | PolyFacts) -> int | None:
     """Largest j for which the dominance inequality with b = |a_m| and
     delta = 1/|a_m| holds (audit predicate for the subsumption check):
 
         |a_j| > |a_{j+1}/a_m| + sum_{i<j} |a_i||a_m|^(j-i)
                 + sum_{i>j+1} |a_i| |a_m|^-(i-j),
 
-    evaluated with both sides scaled by |a_m|^(m-j).
+    which is the dominant-coefficient inequality at the single divisor
+    b = |a_m|, evaluated with both sides scaled by |a_m|^(m-j).
     """
-    m = f.degree
-    if m < 2:
+    facts = PolyFacts.of(f)
+    if facts.degree < 2:
         return None
-    mags = [abs(c) for c in f.coeffs]
-    am = mags[m]
-    for j in range(m - 1, -1, -1):
-        if mags[j] == 0:
-            continue
-        scale = am ** (m - j)
-        lhs = mags[j] * scale
-        rhs = mags[j + 1] * am ** (m - j - 1)
-        rhs += sum(mags[i] * am ** (j - i) for i in range(j)) * scale
-        rhs += sum(mags[i] * am ** (m - i) for i in range(j + 2, m + 1))
-        if lhs > rhs:
-            return j
-    return None
+    hit = facts.first_dominant((facts.mags[-1],))
+    return None if hit is None else hit[0]
 
 
 def _is_vacuous(conclusion: Conclusion, degree: int) -> bool:
@@ -161,34 +153,24 @@ def _is_vacuous(conclusion: Conclusion, degree: int) -> bool:
     return False
 
 
-def _conclusion_holds(
-    outcome: CriterionOutcome, count: int, min_degree: int | None
-) -> bool:
-    kind = outcome.conclusion.kind
-    if kind is ConclusionKind.IRREDUCIBLE:
-        return count == 1
-    if kind is ConclusionKind.AT_MOST_FACTORS:
-        return count <= outcome.conclusion.bound
-    if kind is ConclusionKind.FACTOR_DEGREE_BOUND:
-        return count == 1 or (min_degree is not None and min_degree <= outcome.conclusion.bound)
-    return True
+def _symbolic_disk_radii(f: Polynomial | PolyFacts) -> list[int]:
+    """Radii d from every (p, d) pair the two disk criteria would try, over
+    the primes of both a_0 and a_m, kept when the exact certificate fires.
 
-
-def _symbolic_disk_radii(f: Polynomial) -> list[int]:
-    """Radii d from every (p, d) pair the two disk criteria would try, kept
-    when the exact certificate fires."""
-    radii = []
-    for source in (f.constant_term, f.leading_coefficient):
-        if abs(source) < 2:
-            continue
-        for p in numtheory.primes_dividing(source):
-            d = abs(source) // p ** numtheory.valuation(p, source)
-            cert = rootloc.certify_outside_disk(
-                f, d, rootloc.CertificateMode.SYMBOLIC_SUFFICIENT
-            )
-            if cert.certified:
-                radii.append(d)
-    return radii
+    The symbolic test is monotone in d (a certificate at d holds at every
+    smaller radius), so candidates are tested from the largest down and the
+    first one certified settles the rest."""
+    facts = PolyFacts.of(f)
+    candidates = [
+        abs(source) // p**k
+        for source in (facts.coeffs[0], facts.coeffs[-1])
+        if abs(source) >= 2
+        for p, k in facts.factors(source)
+    ]
+    for d in sorted(set(candidates), reverse=True):
+        if facts.certificate(d, rootloc.CertificateMode.SYMBOLIC_SUFFICIENT).certified:
+            return [r for r in candidates if r <= d]
+    return []
 
 
 @dataclass(frozen=True)
@@ -204,8 +186,9 @@ class AuditOptions:
 def audit_one(f: Polynomial, options: AuditOptions, result: AuditResult) -> None:
     """Audit a single primitive polynomial with nonzero constant term."""
     result.total += 1
-    m = f.degree
-    outcomes = [fn(f) for fn in CRITERIA.values()]
+    facts = PolyFacts(f)
+    m = facts.degree
+    outcomes = [fn(facts) for fn in CRITERIA.values()]
 
     to_check: list[CriterionOutcome] = []
     for outcome in outcomes:
@@ -234,10 +217,9 @@ def audit_one(f: Polynomial, options: AuditOptions, result: AuditResult) -> None
         else:
             result.oracle_calls += 1
             count = fact.nonconstant_factor_count()
-            min_degree = fact.min_factor_degree()
             for outcome in to_check:
                 stats = result.stats(outcome.criterion)
-                if _conclusion_holds(outcome, count, min_degree):
+                if conclusion_holds(outcome.conclusion, fact):
                     stats.sound += 1
                 elif len(stats.violations) < _VIOLATION_CAP:
                     stats.violations.append(
@@ -246,7 +228,7 @@ def audit_one(f: Polynomial, options: AuditOptions, result: AuditResult) -> None
                     )
 
     if options.check_cor1:
-        j = cor1_best_j(f)
+        j = cor1_best_j(facts)
         if j is not None:
             result.cor1_checked += 1
             dom = next(o for o in outcomes if o.criterion == "dominant_coefficient")
@@ -260,7 +242,7 @@ def audit_one(f: Polynomial, options: AuditOptions, result: AuditResult) -> None
                     result.cor1_violations.append((f.coeffs, j, dom_bound))
 
     if options.check_rootloc:
-        radii = _symbolic_disk_radii(f)
+        radii = _symbolic_disk_radii(facts)
         if radii:
             result.rootloc_checked += 1
             try:

@@ -382,9 +382,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_poly_values(argv: list[str]) -> list[str]:
+    """Join `--poly -z^2+1` into `--poly=-z^2+1`: argparse would take a
+    separate value with a leading minus for an option."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--poly" and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] = f"--poly={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_poly_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except (PolyParseError, ValueError, corpus.FamilyConditionError,

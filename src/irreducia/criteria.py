@@ -1,11 +1,14 @@
 """Irreducibility and factor-count criteria with automatic witness search.
 
-Each criterion takes a primitive polynomial, searches the finite witness
-space its hypothesis allows (primes dividing a single coefficient, divisors
-of the leading coefficient, coefficient indices), and returns a structured
-outcome carrying the witnesses found. Every inequality is evaluated in exact
-integer arithmetic; the two disk-based criteria additionally consume a root
-location certificate and propagate whether it was exact or numeric.
+Every criterion has the signature (f, mode): f is a primitive polynomial
+or the PolyFacts record built from one, and mode is the root-location
+certificate mode, which only the two disk criteria read. Each searches the
+finite witness space its hypothesis allows (primes dividing a single
+coefficient, divisors of the leading coefficient, coefficient indices), and
+returns a structured outcome carrying the witnesses found. Every inequality
+is evaluated in exact integer arithmetic; the two disk-based criteria
+additionally consume a root location certificate and propagate whether it
+was exact or numeric.
 
 Conclusion kinds:
   Irreducible          -- the polynomial has exactly one irreducible factor.
@@ -20,6 +23,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
 from . import numtheory, oracle, rootloc
 from .poly import Polynomial, is_primitive, normalize, rational_roots
@@ -91,45 +95,152 @@ def _no_conclusion(name: str) -> CriterionOutcome:
     return CriterionOutcome(name, applicable=False, witnesses={}, conclusion=Conclusion.none())
 
 
-def _require_criterion_input(f: Polynomial, *, min_degree: int = 1) -> None:
-    if f.is_zero():
-        raise ValueError("zero polynomial: no criterion applies")
-    if not is_primitive(f):
-        raise ValueError("normalize first: input is not primitive")
-    if f.degree < min_degree:
-        raise ValueError(f"criterion needs degree >= {min_degree}")
+def _lower_sum(mags: list[int], j: int, t: int) -> int:
+    """sum_{i<j} |a_i| t^(j-i) by Horner's rule."""
+    acc = 0
+    for a in mags[:j]:
+        acc = (acc + a) * t
+    return acc
 
 
-def _has_rational_root(f: Polynomial) -> bool:
-    if f.constant_term == 0:
-        return True  # root at 0
-    return bool(rational_roots(f))
+class PolyFacts:
+    """Coefficient facts about one primitive polynomial of degree >= 1,
+    shared by every criterion and by the audit's cross-checks.
+
+    The input is validated once on construction. Everything else is worked
+    out on first use and kept, so a fact no caller asks for is never
+    computed: in particular a coefficient is factorized only when a witness
+    search reaches it. A factorization that hits the factorization limit is
+    remembered too, and asking again raises the same error without
+    spending the budget a second time.
+    """
+
+    __slots__ = ("poly", "coeffs", "degree", "mags",
+                 "_factors", "_divisors", "_low", "_rational_root", "_certs")
+
+    def __init__(self, f: Polynomial):
+        if f.is_zero():
+            raise ValueError("zero polynomial: no criterion applies")
+        if not is_primitive(f):
+            raise ValueError("normalize first: input is not primitive")
+        if f.degree < 1:
+            raise ValueError("criterion needs degree >= 1")
+        self.poly = f
+        self.coeffs = f.coeffs
+        self.degree = f.degree
+        self.mags = [abs(c) for c in f.coeffs]
+        self._factors: dict = {}
+        self._divisors: list[int] | None = None
+        self._low: list[int] | None = None
+        self._rational_root: bool | None = None
+        self._certs: dict = {}
+
+    @classmethod
+    def of(cls, f: "Polynomial | PolyFacts") -> "PolyFacts":
+        return f if isinstance(f, PolyFacts) else cls(f)
+
+    def factors(self, n: int) -> tuple[tuple[int, int], ...]:
+        """(prime, exponent) pairs of |n|, n nonzero, ascending by prime."""
+        n = abs(n)
+        known = self._factors.get(n)
+        if known is None:
+            try:
+                known = numtheory.factorize(n).factors
+            except numtheory.FactorizationLimitError as exc:
+                known = exc
+            self._factors[n] = known
+        if isinstance(known, numtheory.FactorizationLimitError):
+            raise known
+        return known
+
+    @property
+    def leading_divisors(self) -> list[int]:
+        """Positive divisors of a_m, ascending."""
+        if self._divisors is None:
+            self._divisors = numtheory.positive_divisors(self.coeffs[-1])
+        return self._divisors
+
+    @property
+    def low(self) -> list[int]:
+        """low[j] = sum_{i<j} |a_i| |a_m|^(j-i) for j = 0..m, by Horner's
+        rule in j."""
+        if self._low is None:
+            am = self.mags[-1]
+            low = [0]
+            for a in self.mags[:-1]:
+                low.append((low[-1] + a) * am)
+            self._low = low
+        return self._low
+
+    def has_rational_root(self) -> bool:
+        if self._rational_root is None:
+            if self.coeffs[0] == 0:
+                self._rational_root = True  # root at 0
+            else:
+                # the scan factorizes both ends; go through the record so a
+                # factorization that already failed is not attempted again
+                self.factors(self.coeffs[0])
+                self.factors(self.coeffs[-1])
+                self._rational_root = bool(rational_roots(self.poly))
+        return self._rational_root
+
+    def certificate(self, d: int, mode: CertificateMode) -> rootloc.RootLocationCertificate:
+        """Disk-exclusion certificate at radius d, one per (d, mode)."""
+        key = (d, mode)
+        cert = self._certs.get(key)
+        if cert is None:
+            cert = self._certs[key] = rootloc.certify_outside_disk(self.poly, d, mode)
+        return cert
+
+    def first_dominant(self, bases: Sequence[int]) -> tuple[int, int] | None:
+        """First (j, b), with j falling from m-1 and b taken in the given
+        order, for which the dominance inequality
+
+            |a_j| b^(m-j) > low[j] b^(m-j) + sum_{i>j} |a_i| b^(m-i)
+
+        holds. The sum over i > j is kept per base as j falls."""
+        mags, low, m = self.mags, self.low, self.degree
+        highs = [0] * len(bases)
+        scales = [1] * len(bases)  # b^(m-j-1) before the update at j
+        for j in range(m - 1, -1, -1):
+            above = mags[j + 1]
+            for k, b in enumerate(bases):
+                highs[k] += above * scales[k]
+                scales[k] *= b
+            excess = mags[j] - low[j]
+            if excess > 0:  # otherwise the left side cannot beat high >= |a_m|
+                for k, b in enumerate(bases):
+                    if excess * scales[k] > highs[k]:
+                        return j, b
+        return None
 
 
 # ---------------------------------------------------------------------------
 # coefficient-divisibility criteria
 
 
-def weintraub_check(f: Polynomial) -> CriterionOutcome:
+def weintraub_check(
+    f: Polynomial | PolyFacts, mode: CertificateMode = CertificateMode.SYMBOLIC_SUFFICIENT
+) -> CriterionOutcome:
     """Eisenstein-style dichotomy from a prime dividing every non-leading
     coefficient: with k0 the lowest index whose coefficient misses p^2, any
     factorization has a factor of degree <= k0. k0 = 0 is irreducibility;
     k0 = 1 upgrades to irreducibility when there is no rational root."""
     name = "weintraub"
-    _require_criterion_input(f)
-    m = f.degree
-    lower_gcd = math.gcd(*f.coeffs[:m]) if m >= 1 else 0
+    facts = PolyFacts.of(f)
+    c, m = facts.coeffs, facts.degree
+    lower_gcd = math.gcd(*c[:m])
     if lower_gcd <= 1:
         return _no_conclusion(name)
     best: CriterionOutcome | None = None
-    for p in numtheory.primes_dividing(lower_gcd):
-        if f.coeffs[m] % p == 0:
+    for p, _ in facts.factors(lower_gcd):
+        if c[m] % p == 0:
             continue
         p2 = p * p
-        k0 = next((k for k in range(m) if f.coeffs[k] % p2 != 0), None)
+        k0 = next((k for k in range(m) if c[k] % p2 != 0), None)
         if k0 is None:
             continue
-        if k0 == 0 or (k0 == 1 and not _has_rational_root(f)):
+        if k0 == 0 or (k0 == 1 and not facts.has_rational_root()):
             conclusion = Conclusion.irreducible()
         else:
             conclusion = Conclusion.factor_degree(k0)
@@ -139,27 +250,28 @@ def weintraub_check(f: Polynomial) -> CriterionOutcome:
     return best if best is not None else _no_conclusion(name)
 
 
-def eisenstein_generalized(f: Polynomial) -> CriterionOutcome:
+def eisenstein_generalized(
+    f: Polynomial | PolyFacts, mode: CertificateMode = CertificateMode.SYMBOLIC_SUFFICIENT
+) -> CriterionOutcome:
     """Prime-power prefix criterion: p^k exactly divides a_0, p^k divides all
     coefficients below index j, p misses a_j, and gcd(k, j) = 1. j = m gives
     irreducibility; j = m-1 does too when no rational root exists; otherwise
     any nontrivial factorization has a factor of degree <= m - j."""
     name = "eisenstein_generalized"
-    _require_criterion_input(f)
-    if f.constant_term == 0:
+    facts = PolyFacts.of(f)
+    c, m = facts.coeffs, facts.degree
+    if c[0] == 0:
         raise ValueError("normalize first: constant term is zero")
-    m = f.degree
     best: CriterionOutcome | None = None
-    for p in numtheory.primes_dividing(f.constant_term):
-        k = numtheory.valuation(p, f.constant_term)
+    for p, k in facts.factors(c[0]):
         pk = p**k
         prefix = 0
-        while prefix <= m and f.coeffs[prefix] % pk == 0:
+        while prefix <= m and c[prefix] % pk == 0:
             prefix += 1
         for j in range(min(prefix, m), 0, -1):
-            if f.coeffs[j] % p == 0 or math.gcd(k, j) != 1:
+            if c[j] % p == 0 or math.gcd(k, j) != 1:
                 continue
-            if j == m or (j == m - 1 and not _has_rational_root(f)):
+            if j == m or (j == m - 1 and not facts.has_rational_root()):
                 conclusion = Conclusion.irreducible()
             else:
                 conclusion = Conclusion.factor_degree(m - j)
@@ -175,27 +287,26 @@ def eisenstein_generalized(f: Polynomial) -> CriterionOutcome:
 
 
 def constant_term_criterion(
-    f: Polynomial, mode: CertificateMode = CertificateMode.SYMBOLIC_SUFFICIENT
+    f: Polynomial | PolyFacts, mode: CertificateMode = CertificateMode.SYMBOLIC_SUFFICIENT
 ) -> CriterionOutcome:
     """Constant-term decomposition a_0 = +-p^k d with p missing d, all roots
     certified outside |z| <= d, and j the lowest index with p missing a_j:
     at most min(k, j) irreducible factors."""
     name = "constant_term"
-    _require_criterion_input(f)
-    a0 = f.constant_term
+    facts = PolyFacts.of(f)
+    c, m = facts.coeffs, facts.degree
+    a0 = c[0]
     if a0 == 0:
         raise ValueError("normalize first: constant term is zero")
     if abs(a0) == 1:
         return _no_conclusion(name)
-    m = f.degree
     best: CriterionOutcome | None = None
-    for p in numtheory.primes_dividing(a0):
-        k = numtheory.valuation(p, a0)
+    for p, k in facts.factors(a0):
         d = abs(a0) // p**k
-        cert = rootloc.certify_outside_disk(f, d, mode)
+        cert = facts.certificate(d, mode)
         if not cert.certified:
             continue
-        j = next(j for j in range(1, m + 1) if f.coeffs[j] % p != 0)
+        j = next(j for j in range(1, m + 1) if c[j] % p != 0)
         candidate = CriterionOutcome(
             name,
             True,
@@ -209,30 +320,29 @@ def constant_term_criterion(
 
 
 def leading_coeff_criterion(
-    f: Polynomial, mode: CertificateMode = CertificateMode.SYMBOLIC_SUFFICIENT
+    f: Polynomial | PolyFacts, mode: CertificateMode = CertificateMode.SYMBOLIC_SUFFICIENT
 ) -> CriterionOutcome:
     """Mirror of the constant-term criterion on a_m = +-p^k d, with the extra
     size condition |a_0 / q| <= |a_m| for q the smallest prime divisor of
     a_0; j is the lowest index with p missing a_{m-j}."""
     name = "leading_coeff"
-    _require_criterion_input(f)
-    a0, am = f.constant_term, f.leading_coefficient
+    facts = PolyFacts.of(f)
+    c, m = facts.coeffs, facts.degree
+    a0, am = c[0], c[m]
     if a0 == 0:
         raise ValueError("normalize first: constant term is zero")
     if abs(am) == 1 or abs(a0) == 1:
         return _no_conclusion(name)
-    q = numtheory.smallest_prime_divisor(a0)
+    q = facts.factors(a0)[0][0]
     if abs(a0) > q * abs(am):  # |a0/q| <= |am| as an exact comparison
         return _no_conclusion(name)
-    m = f.degree
     best: CriterionOutcome | None = None
-    for p in numtheory.primes_dividing(am):
-        k = numtheory.valuation(p, am)
+    for p, k in facts.factors(am):
         d = abs(am) // p**k
-        cert = rootloc.certify_outside_disk(f, d, mode)
+        cert = facts.certificate(d, mode)
         if not cert.certified:
             continue
-        j = next(j for j in range(1, m + 1) if f.coeffs[m - j] % p != 0)
+        j = next(j for j in range(1, m + 1) if c[m - j] % p != 0)
         candidate = CriterionOutcome(
             name,
             True,
@@ -249,7 +359,9 @@ def leading_coeff_criterion(
 # dominant-coefficient criteria
 
 
-def dominant_coefficient(f: Polynomial) -> CriterionOutcome:
+def dominant_coefficient(
+    f: Polynomial | PolyFacts, mode: CertificateMode = CertificateMode.SYMBOLIC_SUFFICIENT
+) -> CriterionOutcome:
     """One coefficient dominating the rest forces a root split and hence a
     factor-count bound: if for a positive divisor b of a_m and delta = 1/b
 
@@ -259,50 +371,42 @@ def dominant_coefficient(f: Polynomial) -> CriterionOutcome:
     The right side grows with delta, so testing delta = 1/b is exhaustive
     over [1/b, 1]. Evaluated with both sides scaled by b^(m-j)."""
     name = "dominant_coefficient"
-    _require_criterion_input(f)
-    if f.constant_term == 0:
+    facts = PolyFacts.of(f)
+    if facts.coeffs[0] == 0:
         raise ValueError("normalize first: constant term is zero")
-    m = f.degree
+    m = facts.degree
     if m < 2:
         return _no_conclusion(name)
-    mags = [abs(c) for c in f.coeffs]
-    am = mags[m]
-    for j in range(m - 1, -1, -1):
-        if mags[j] == 0:
-            continue
-        low = sum(mags[i] * am ** (j - i) for i in range(j))
-        for b in numtheory.positive_divisors(am):
-            scale = b ** (m - j)
-            high = sum(mags[i] * b ** (m - i) for i in range(j + 1, m + 1))
-            if mags[j] * scale > low * scale + high:
-                return CriterionOutcome(
-                    name,
-                    True,
-                    {"b": b, "delta": Fraction(1, b), "j": j},
-                    Conclusion.at_most(m - j),
-                )
-    return _no_conclusion(name)
+    hit = facts.first_dominant(facts.leading_divisors)
+    if hit is None:
+        return _no_conclusion(name)
+    j, b = hit
+    return CriterionOutcome(
+        name, True, {"b": b, "delta": Fraction(1, b), "j": j}, Conclusion.at_most(m - j)
+    )
 
 
-def perron_nonmonic(f: Polynomial) -> CriterionOutcome:
+def perron_nonmonic(
+    f: Polynomial | PolyFacts, mode: CertificateMode = CertificateMode.SYMBOLIC_SUFFICIENT
+) -> CriterionOutcome:
     """Non-monic Perron test: |a_{m-1}| > 1 + sum_{i<=m-2} |a_i| |a_m|^(m-1-i)
     forces irreducibility (all but one root of the rescaled monic polynomial
     fall inside the unit disk)."""
     name = "perron_nonmonic"
-    _require_criterion_input(f)
-    if f.constant_term == 0:
+    facts = PolyFacts.of(f)
+    if facts.coeffs[0] == 0:
         raise ValueError("normalize first: constant term is zero")
-    m = f.degree
+    m = facts.degree
     if m < 2:
         return _no_conclusion(name)
-    am = abs(f.leading_coefficient)
-    rhs = 1 + sum(abs(f.coeffs[i]) * am ** (m - 1 - i) for i in range(m - 1))
-    if abs(f.coeffs[m - 1]) > rhs:
+    if facts.mags[m - 1] > 1 + facts.low[m - 1]:
         return CriterionOutcome(name, True, {}, Conclusion.irreducible())
     return _no_conclusion(name)
 
 
-def middle_prime_power_check(f: Polynomial) -> CriterionOutcome:
+def middle_prime_power_check(
+    f: Polynomial | PolyFacts, mode: CertificateMode = CertificateMode.SYMBOLIC_SUFFICIENT
+) -> CriterionOutcome:
     """A large prime power p^N inside the coefficient of z^j (1 <= j <= m-1)
     dominating a weighted sum of the others bounds the factor count by m - j.
 
@@ -312,29 +416,28 @@ def middle_prime_power_check(f: Polynomial) -> CriterionOutcome:
         p^N |a_j| > |a_m a_(j-1)| p^(2s)
                     + sum_{i=2..j} |a_m^i a_(j-i)| p^(is)
                     + sum_{i=j+1..m} |a_i| / |a_m|^(i-j).
+
+    The first two terms together are sum_{i<j} |coeff(z^i)| t^(j-i) with
+    t = |a_m| p^s, which is low[j] when s = 0 and never less.
     """
     name = "middle_prime_power"
-    _require_criterion_input(f)
-    m = f.degree
-    if m < 2 or f.constant_term == 0:
+    facts = PolyFacts.of(f)
+    c, mags, m = facts.coeffs, facts.mags, facts.degree
+    if m < 2 or c[0] == 0:
         return _no_conclusion(name)
-    c = f.coeffs
-    am = abs(c[m])
+    low, am = facts.low, mags[m]
+    high, scale = 0, 1  # sum_{i>j} |a_i| |a_m|^(m-i) and |a_m|^(m-j), kept as j falls
     for j in range(m - 1, 0, -1):
+        high += mags[j + 1] * scale
+        scale *= am
         if c[j] == 0 or c[j - 1] == 0:
             continue
-        scale = am ** (m - j)
-        high = sum(abs(c[i]) * am ** (m - i) for i in range(j + 1, m + 1))
-        for p in numtheory.primes_dividing(c[j]):
-            n_exp = numtheory.valuation(p, c[j])
+        if (mags[j] - low[j]) * scale <= high:
+            continue  # fails for every prime: their lower sums are >= low[j]
+        for p, n_exp in facts.factors(c[j]):
             s_exp = numtheory.valuation(p, c[j - 1])
-            reduced_prev = abs(c[j - 1]) // p**s_exp
-            rhs = am * reduced_prev * p ** (2 * s_exp) * scale
-            rhs += sum(
-                am**i * abs(c[j - i]) * p ** (i * s_exp) * scale for i in range(2, j + 1)
-            )
-            rhs += high
-            if abs(c[j]) * scale > rhs:
+            lower = low[j] if s_exp == 0 else _lower_sum(mags, j, am * p**s_exp)
+            if (mags[j] - lower) * scale > high:
                 return CriterionOutcome(
                     name,
                     True,
@@ -356,8 +459,6 @@ CRITERIA = {
     "perron_nonmonic": perron_nonmonic,
     "weintraub": weintraub_check,
 }
-
-_MODE_AWARE = {"constant_term", "leading_coeff"}
 
 
 class SoundnessError(RuntimeError):
@@ -392,22 +493,22 @@ class AnalysisReport:
     warnings: tuple[str, ...] = field(default=())
 
 
-def _oracle_consistent(
-    outcome: CriterionOutcome, result: oracle.FactorizationResult, z_power: int
+def conclusion_holds(
+    conclusion: Conclusion, result: oracle.FactorizationResult, z_power: int = 0
 ) -> bool:
-    """Does the oracle factorization of the full input support the conclusion
-    reached about the primitive part?"""
-    prim_count = result.nonconstant_factor_count() - z_power
-    kind = outcome.conclusion.kind
+    """Does the oracle factorization of z^z_power times a primitive
+    polynomial support the conclusion reached about that polynomial?"""
+    count = result.nonconstant_factor_count() - z_power
+    kind = conclusion.kind
     if kind is ConclusionKind.IRREDUCIBLE:
-        return prim_count == 1
+        return count == 1
     if kind is ConclusionKind.AT_MOST_FACTORS:
-        return prim_count <= outcome.conclusion.bound
+        return count <= conclusion.bound
     if kind is ConclusionKind.FACTOR_DEGREE_BOUND:
-        if prim_count <= 1:
+        if count <= 1:
             return True
         degs = [g.degree for g, _ in result.factors if g.degree >= 1 and g.constant_term != 0]
-        return bool(degs) and min(degs) <= outcome.conclusion.bound
+        return bool(degs) and min(degs) <= conclusion.bound
     return True
 
 
@@ -435,12 +536,13 @@ def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisR
     if prim.degree == 0:
         warnings.append("primitive part is constant; criteria skipped")
     else:
+        facts = PolyFacts(prim)
         for name in config.criteria:
-            fn = CRITERIA[name]
-            if name in _MODE_AWARE:
-                outcomes.append(fn(prim, config.root_mode))
-            else:
-                outcomes.append(fn(prim))
+            try:
+                outcomes.append(CRITERIA[name](facts, config.root_mode))
+            except numtheory.FactorizationLimitError as exc:
+                outcomes.append(_no_conclusion(name))
+                warnings.append(f"{name}: no conclusion: {exc}")
         if prim.degree == 1:
             outcomes.append(
                 CriterionOutcome("degree_one", True, {}, Conclusion.irreducible())
@@ -471,7 +573,7 @@ def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisR
                 raise
             warnings.append(f"oracle skipped: {exc}")
         if oracle_result is not None and strongest is not None:
-            if not _oracle_consistent(strongest, oracle_result, norm.z_power):
+            if not conclusion_holds(strongest.conclusion, oracle_result, norm.z_power):
                 raise SoundnessError(
                     f"criterion {strongest.criterion} concluded "
                     f"{strongest.conclusion.kind.value}"

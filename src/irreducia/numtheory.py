@@ -4,7 +4,8 @@ divisor enumeration.
 These back the witness searches of the criteria: every candidate prime comes
 from the factorization of a single coefficient, so inputs stay at desk scale.
 Trial division handles everything up to 10^12; larger survivors go through
-Miller-Rabin plus Pollard rho with a bounded retry budget.
+Miller-Rabin plus Pollard rho under a total iteration budget, so every call
+returns or raises FactorizationLimitError in bounded time.
 """
 
 from __future__ import annotations
@@ -15,10 +16,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 _TRIAL_LIMIT = 10**6
-_RHO_RETRIES = 32
 
-# factorize() refuses to grind on composites past this size; coefficients in
-# practice are tiny and the audit corpus guarantees it.
+# Brent iterations one factorization may spend across all its rho attempts
+# (about 0.5 s on a 2 GHz core). Splitting a composite below DEFAULT_FACTOR_BOUND that
+# survives trial division takes about 1.25 * sqrt(p) <= 10^5 iterations for
+# its smaller prime p < 2^32; a larger one may run out and raise.
+_RHO_STEPS = 1 << 20
+
+# Integers below this bound factor well within the rho budget; past it a
+# composite with two large prime factors may raise. Coefficients in practice are
+# tiny and the audit corpus guarantees it.
 DEFAULT_FACTOR_BOUND = 2**64
 
 
@@ -71,34 +78,43 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int, rng: random.Random) -> int | None:
-    """One Brent-cycle attempt at a nontrivial factor of odd composite n."""
+def _pollard_rho(n: int, rng: random.Random, steps: int) -> tuple[int | None, int]:
+    """One Brent-cycle attempt at a nontrivial factor of odd composite n,
+    giving up once it has spent `steps` iterations. Returns the factor
+    (None on failure) and the iterations spent."""
     if n % 2 == 0:
-        return 2
+        return 2, 0
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
     m = 128
     g = r = q = 1
     x = ys = y
+    spent = 0
     while g == 1:
         x = y
         for _ in range(r):
             y = (y * y + c) % n
+        spent += r
         k = 0
         while k < r and g == 1:
+            if spent >= steps:
+                return None, spent
             ys = y
-            for _ in range(min(m, r - k)):
+            batch = min(m, r - k)
+            for _ in range(batch):
                 y = (y * y + c) % n
                 q = q * abs(x - y) % n
             g = math.gcd(q, n)
+            spent += batch
             k += m
         r *= 2
     if g == n:
+        # the batch overshot: step again one by one (at most m steps)
         g = 1
         while g == 1:
             ys = (ys * ys + c) % n
             g = math.gcd(abs(x - ys), n)
-    return g if g != n else None
+    return (g if g != n else None), spent
 
 
 @lru_cache(maxsize=1 << 16)
@@ -125,20 +141,20 @@ def _factor_positive(n: int) -> tuple[tuple[int, int], ...]:
         else:
             rng = random.Random(n)
             stack = [n]
-            budget = _RHO_RETRIES
+            steps = _RHO_STEPS
             while stack:
                 m = stack.pop()
                 if is_prime(m):
                     powers[m] = powers.get(m, 0) + 1
                     continue
                 g = None
-                while g is None and budget > 0:
-                    budget -= 1
-                    g = _pollard_rho(m, rng)
+                while g is None and steps > 0:
+                    g, spent = _pollard_rho(m, rng, steps)
+                    steps -= spent
                 if g is None:
                     raise FactorizationLimitError(
-                        f"factorization limit reached on {m} "
-                        f"(input above {DEFAULT_FACTOR_BOUND})"
+                        f"factorization limit reached on {m}: no factor within "
+                        f"{_RHO_STEPS} Pollard rho steps"
                     )
                 stack.extend((g, m // g))
     return tuple(sorted(powers.items()))

@@ -42,10 +42,6 @@ class FactorizationResult:
     def nonconstant_factor_count(self) -> int:
         return sum(mult for g, mult in self.factors if g.degree >= 1)
 
-    def min_factor_degree(self) -> int | None:
-        degs = [g.degree for g, _ in self.factors if g.degree >= 1]
-        return min(degs) if degs else None
-
 
 class _Budget:
     __slots__ = ("remaining",)
@@ -78,10 +74,15 @@ def _signed_divisors(v: int) -> list[int]:
 
 def _expand_newton(nodes: list[int], coeffs: list[int]) -> Polynomial:
     """Polynomial from Newton form sum c_k * prod_{t<k} (z - x_t)."""
-    out = Polynomial([coeffs[-1]])
+    out = [coeffs[-1]]
     for k in range(len(coeffs) - 2, -1, -1):
-        out = out * Polynomial([-nodes[k], 1]) + Polynomial([coeffs[k]])
-    return out
+        # out <- out * (z - x_k) + c_k, lowest degree first
+        x = nodes[k]
+        out.insert(0, 0)
+        for i in range(len(out) - 1):
+            out[i] -= x * out[i + 1]
+        out[0] += coeffs[k]
+    return Polynomial(out)
 
 
 def _kronecker_search(h: Polynomial, budget: _Budget) -> Polynomial | None:

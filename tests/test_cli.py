@@ -110,6 +110,16 @@ class TestExitCodes:
         assert main(["analyze", "--poly", "z^4-1"]) == EXIT_NO_CONCLUSION
         assert "3 irreducible factors" in capsys.readouterr().out
 
+    def test_poly_with_leading_minus(self, capsys):
+        # 1 - z^2 = (1-z)(1+z): no criterion concludes, so exit 3, not 2
+        assert main(["analyze", "--poly", "-z^2+1", "--format", "json"]) == EXIT_NO_CONCLUSION
+        out = json.loads(capsys.readouterr().out)
+        assert out["input"]["coeffs"] == ["1", "0", "-1"]
+        assert main(["analyze", "--poly", "-z^3-4z-4"]) == EXIT_OK
+        assert "strongest: Irreducible" in capsys.readouterr().out
+        assert main(["factor", "--poly", "-1,0,1"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("(z-1)(z+1)")
+
     def test_analyze_empty_input(self, capsys):
         assert main(["analyze", "--poly", ""]) == EXIT_ERROR
         assert "error" in capsys.readouterr().err

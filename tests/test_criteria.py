@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from irreducia import oracle
+from irreducia import numtheory, oracle
 from irreducia.corpus import gen_exhaustive, gen_random
 from irreducia.criteria import (
     AnalyzeConfig,
@@ -374,16 +374,40 @@ class TestAnalyze:
             ranks = [o.rank() for o in report.outcomes if o.conclusion.fired()]
             assert report.strongest.rank() == min(ranks)
 
+    def test_factorization_limit_is_no_conclusion(self, monkeypatch):
+        # a_0 = (2^61 - 1)(2^59 - 55) resists a shortened rho budget; the
+        # criteria that need its primes report NoConclusion and say why
+        monkeypatch.setattr(numtheory, "_RHO_STEPS", 1000)
+        report = analyze(P((2**61 - 1) * (2**59 - 55), 1, 1), AnalyzeConfig(oracle="off"))
+        by_name = {o.criterion: o for o in report.outcomes}
+        limited = ("constant_term", "eisenstein_generalized")
+        for name in limited:
+            assert not by_name[name].applicable
+            assert by_name[name].conclusion.kind is NONE
+        assert [w.split(":")[0] for w in report.warnings] == list(limited)
+        assert all("factorization limit" in w for w in report.warnings)
+        assert by_name["dominant_coefficient"].conclusion == Conclusion.at_most(2)
+
     def test_oracle_consistency_predicate(self):
-        from irreducia.criteria import CriterionOutcome, _oracle_consistent
+        from irreducia.criteria import conclusion_holds
 
         split = oracle.factor(P(-1, 0, 1))  # (z-1)(z+1)
-        irr = CriterionOutcome("x", True, {}, Conclusion.irreducible())
-        two = CriterionOutcome("x", True, {}, Conclusion.at_most(2))
-        fdb1 = CriterionOutcome("x", True, {}, Conclusion.factor_degree(1))
-        assert not _oracle_consistent(irr, split, 0)
-        assert _oracle_consistent(two, split, 0)
-        assert _oracle_consistent(fdb1, split, 0)  # linear factor witnesses it
+        irr = Conclusion.irreducible()
+        two = Conclusion.at_most(2)
+        fdb1 = Conclusion.factor_degree(1)
+        assert not conclusion_holds(irr, split, 0)
+        assert conclusion_holds(two, split, 0)
+        assert conclusion_holds(fdb1, split, 0)  # linear factor witnesses it
 
         whole = oracle.factor(P(1, 0, 1) * P(2, 1, 3))  # two quadratics
-        assert not _oracle_consistent(fdb1, whole, 0)
+        assert not conclusion_holds(fdb1, whole, 0)
+
+        # the audit's case: a degree-2 factor within a bound of 2, the z
+        # factors of the full input left out of both count and degrees
+        mixed = oracle.factor(P(1, 0, 1) * P(1, 1, 0, 1))  # quadratic * cubic
+        assert conclusion_holds(Conclusion.factor_degree(2), mixed)
+        assert not conclusion_holds(Conclusion.factor_degree(1), mixed)
+        shifted = oracle.factor(P(0, 0, 1, 0, 1) * P(1, 1, 0, 1))
+        assert conclusion_holds(Conclusion.factor_degree(2), shifted, 2)
+        assert not conclusion_holds(Conclusion.factor_degree(1), shifted, 2)
+        assert conclusion_holds(Conclusion.at_most(2), shifted, 2)

@@ -1,10 +1,13 @@
 """Prime decompositions, valuations, divisor enumeration."""
 
 import random
+import time
 
 import pytest
 
 from irreducia.numtheory import (
+    DEFAULT_FACTOR_BOUND,
+    FactorizationLimitError,
     factorize,
     is_prime,
     positive_divisors,
@@ -97,3 +100,28 @@ def test_is_prime_small():
 def test_primes_dividing():
     assert primes_dividing(60) == [2, 3, 5]
     assert primes_dividing(-7) == [7]
+
+
+def _prime_near(bits, rng):
+    while True:
+        n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if is_prime(n):
+            return n
+
+
+def test_semiprimes_below_the_factor_bound_split():
+    # two ~2^32 primes: the hardest composites below 2^64 for Pollard rho
+    rng = random.Random(32)
+    for _ in range(12):
+        p, q = sorted((_prime_near(32, rng), _prime_near(32, rng)))
+        assert p * q < DEFAULT_FACTOR_BOUND
+        assert factorize(p * q).factors == (((p, 2),) if p == q else ((p, 1), (q, 1)))
+
+
+def test_large_semiprime_hits_the_rho_budget_quickly():
+    rng = random.Random(121)
+    n = _prime_near(61, rng) * _prime_near(60, rng)
+    start = time.perf_counter()
+    with pytest.raises(FactorizationLimitError, match="factorization limit"):
+        factorize(n)
+    assert time.perf_counter() - start < 2.0

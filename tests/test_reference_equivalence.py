@@ -1,0 +1,195 @@
+"""The criteria and audit predicates that read a shared PolyFacts record
+against direct-sum reference implementations of the same inequalities.
+
+The references below recompute every sum, power and factorization from
+the polynomial for each (j, b) or (j, p) pair; the library keeps running
+sums and memoised facts instead. Outcomes, witnesses and radius sets must
+agree exactly.
+"""
+
+import math
+from collections import Counter
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from irreducia import audit, numtheory, rootloc
+from irreducia.corpus import gen_exhaustive, gen_random
+from irreducia.criteria import (
+    CRITERIA,
+    Conclusion,
+    CriterionOutcome,
+    PolyFacts,
+    dominant_coefficient,
+    middle_prime_power_check,
+    perron_nonmonic,
+)
+from irreducia.poly import Polynomial
+
+
+def _no_conclusion(name):
+    return CriterionOutcome(name, applicable=False, witnesses={}, conclusion=Conclusion.none())
+
+
+def ref_dominant_coefficient(f):
+    name = "dominant_coefficient"
+    m = f.degree
+    if m < 2:
+        return _no_conclusion(name)
+    mags = [abs(c) for c in f.coeffs]
+    am = mags[m]
+    for j in range(m - 1, -1, -1):
+        if mags[j] == 0:
+            continue
+        low = sum(mags[i] * am ** (j - i) for i in range(j))
+        for b in numtheory.positive_divisors(am):
+            scale = b ** (m - j)
+            high = sum(mags[i] * b ** (m - i) for i in range(j + 1, m + 1))
+            if mags[j] * scale > low * scale + high:
+                return CriterionOutcome(
+                    name, True, {"b": b, "delta": Fraction(1, b), "j": j},
+                    Conclusion.at_most(m - j),
+                )
+    return _no_conclusion(name)
+
+
+def ref_perron_nonmonic(f):
+    name = "perron_nonmonic"
+    m = f.degree
+    if m < 2:
+        return _no_conclusion(name)
+    am = abs(f.leading_coefficient)
+    rhs = 1 + sum(abs(f.coeffs[i]) * am ** (m - 1 - i) for i in range(m - 1))
+    if abs(f.coeffs[m - 1]) > rhs:
+        return CriterionOutcome(name, True, {}, Conclusion.irreducible())
+    return _no_conclusion(name)
+
+
+def ref_middle_prime_power_check(f):
+    name = "middle_prime_power"
+    m = f.degree
+    if m < 2 or f.constant_term == 0:
+        return _no_conclusion(name)
+    c = f.coeffs
+    am = abs(c[m])
+    for j in range(m - 1, 0, -1):
+        if c[j] == 0 or c[j - 1] == 0:
+            continue
+        scale = am ** (m - j)
+        high = sum(abs(c[i]) * am ** (m - i) for i in range(j + 1, m + 1))
+        for p in numtheory.primes_dividing(c[j]):
+            n_exp = numtheory.valuation(p, c[j])
+            s_exp = numtheory.valuation(p, c[j - 1])
+            reduced_prev = abs(c[j - 1]) // p**s_exp
+            rhs = am * reduced_prev * p ** (2 * s_exp) * scale
+            rhs += sum(
+                am**i * abs(c[j - i]) * p ** (i * s_exp) * scale for i in range(2, j + 1)
+            )
+            rhs += high
+            if abs(c[j]) * scale > rhs:
+                return CriterionOutcome(
+                    name, True, {"p": p, "j": j, "N": n_exp, "s": s_exp},
+                    Conclusion.at_most(m - j),
+                )
+    return _no_conclusion(name)
+
+
+def ref_cor1_best_j(f):
+    m = f.degree
+    if m < 2:
+        return None
+    mags = [abs(c) for c in f.coeffs]
+    am = mags[m]
+    for j in range(m - 1, -1, -1):
+        if mags[j] == 0:
+            continue
+        scale = am ** (m - j)
+        lhs = mags[j] * scale
+        rhs = mags[j + 1] * am ** (m - j - 1)
+        rhs += sum(mags[i] * am ** (j - i) for i in range(j)) * scale
+        rhs += sum(mags[i] * am ** (m - i) for i in range(j + 2, m + 1))
+        if lhs > rhs:
+            return j
+    return None
+
+
+def ref_symbolic_disk_radii(f):
+    radii = []
+    for source in (f.constant_term, f.leading_coefficient):
+        if abs(source) < 2:
+            continue
+        for p in numtheory.primes_dividing(source):
+            d = abs(source) // p ** numtheory.valuation(p, source)
+            cert = rootloc.certify_outside_disk(
+                f, d, rootloc.CertificateMode.SYMBOLIC_SUFFICIENT
+            )
+            if cert.certified:
+                radii.append(d)
+    return radii
+
+
+REFERENCES = {
+    "dominant_coefficient": ref_dominant_coefficient,
+    "middle_prime_power": ref_middle_prime_power_check,
+    "perron_nonmonic": ref_perron_nonmonic,
+}
+
+# Small magnitudes make the dominance inequalities fire; large ones give
+# many primes and divisors.
+_coefficient = st.one_of(st.integers(-6, 6), st.integers(-10**6, 10**6))
+
+
+@st.composite
+def primitive_polys(draw):
+    coeffs = draw(st.lists(_coefficient, min_size=2, max_size=13))
+    coeffs[0] = coeffs[0] or 1
+    coeffs[-1] = coeffs[-1] or 1
+    g = math.gcd(*coeffs)
+    return Polynomial([c // g for c in coeffs])
+
+
+@settings(max_examples=300, deadline=None)
+@given(primitive_polys())
+def test_facts_criteria_match_direct_sums(f):
+    facts = PolyFacts(f)
+    for name, reference in REFERENCES.items():
+        expected = reference(f)
+        assert CRITERIA[name](f) == expected  # own record
+        assert CRITERIA[name](facts) == expected  # shared record
+    assert audit.cor1_best_j(facts) == ref_cor1_best_j(f)
+    assert sorted(audit._symbolic_disk_radii(facts)) == sorted(ref_symbolic_disk_radii(f))
+
+
+def test_references_fire_on_known_instances():
+    # the property above would pass vacuously if the references never fired
+    assert ref_dominant_coefficient(Polynomial([1, 3, 9, 1])) == dominant_coefficient(
+        Polynomial([1, 3, 9, 1])
+    )
+    assert ref_perron_nonmonic(Polynomial([3, 10, 2])).conclusion.fired()
+    assert perron_nonmonic(Polynomial([3, 10, 2])).conclusion.fired()
+    mpp = ref_middle_prime_power_check(Polynomial([1, 1, 16, 1]))
+    assert mpp.conclusion.fired()
+    assert middle_prime_power_check(Polynomial([1, 1, 16, 1])) == mpp
+    # p^s > 1 in the coefficient below: 3 + 4z + 96z^2 + z^3, s = 2 at p = 2
+    f = Polynomial([3, 4, 96, 1])
+    assert ref_middle_prime_power_check(f).witnesses["s"] == 2
+    assert middle_prime_power_check(f) == ref_middle_prime_power_check(f)
+    assert ref_cor1_best_j(Polynomial([1, 1, 10, 1])) == 2
+
+
+def test_audit_one_certifies_each_radius_once(monkeypatch):
+    calls: Counter = Counter()
+    certify = rootloc.certify_outside_disk
+
+    def counting(f, d, mode=rootloc.CertificateMode.SYMBOLIC_SUFFICIENT, **kwargs):
+        calls[(f.coeffs, d, mode)] += 1
+        return certify(f, d, mode, **kwargs)
+
+    monkeypatch.setattr(rootloc, "certify_outside_disk", counting)
+    corpus = list(gen_exhaustive(3, 4))[::5] + gen_random(300, 6, 60, seed=11)
+    result = audit.AuditResult()
+    for f in corpus:
+        audit.audit_one(f, audit.AuditOptions(), result)
+    assert result.rootloc_checked > 0
+    assert calls and max(calls.values()) == 1
