@@ -17,7 +17,6 @@ Three optional cross-checks ride along on the same sweep:
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -246,7 +245,7 @@ def audit_one(f: Polynomial, options: AuditOptions, result: AuditResult) -> None
         if radii:
             result.rootloc_checked += 1
             try:
-                roots = rootloc.numeric_roots(f)
+                roots = facts.roots()
             except rootloc.NonConvergenceError as exc:
                 if len(result.nonconvergences) < _VIOLATION_CAP:
                     result.nonconvergences.append((f.coeffs, exc.best_residual))
@@ -295,6 +294,8 @@ def audit_corpus(
         for f in polys:
             audit_one(f, options, result)
     else:
+        import multiprocessing  # only a parallel audit needs it
+
         tasks = ((chunk, options) for chunk in _chunks(polys, chunk_size))
         with multiprocessing.Pool(jobs) as pool:
             for partial in pool.imap_unordered(_audit_chunk, tasks):

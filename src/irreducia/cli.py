@@ -2,7 +2,9 @@
 factor inputs, generate corpora, and drive audits.
 
 Exit codes: 0 for any conclusion (and clean audits), 1 for input errors,
-2 for audit soundness violations, 3 when every criterion is inconclusive.
+2 for audit soundness violations, 3 when every criterion is inconclusive,
+4 when `analyze` finds its strongest conclusion contradicted by the
+factorization oracle (a soundness error: a bug, never an input problem).
 The JSON report is the stable machine contract ("schema": "irreducia/1");
 big integers are serialized as decimal strings.
 """
@@ -14,8 +16,7 @@ import json
 import re
 import sys
 
-from . import audit as audit_mod
-from . import corpus, oracle
+from . import corpus, criteria, oracle
 from .criteria import (
     CRITERIA,
     AnalysisReport,
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VIOLATIONS = 2
 EXIT_NO_CONCLUSION = 3
+EXIT_SOUNDNESS = 4
 
 
 class PolyParseError(ValueError):
@@ -200,8 +202,6 @@ def _parse_sign(text: str) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from .criteria import analyze
-
     f = parse_poly(args.poly)
     if args.criteria == "all":
         names = tuple(CRITERIA)
@@ -220,7 +220,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         oracle=args.oracle,
         max_oracle_degree=args.max_oracle_degree,
     )
-    report = analyze(f, config)
+    report = criteria.analyze(f, config)
     if args.format == "json":
         print(report_to_json(report))
     else:
@@ -251,6 +251,8 @@ def cmd_factor(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    from . import audit as audit_mod  # loaded only here: it pulls in multiprocessing
+
     violations = 0
     if args.families:
         names = [tok.strip().upper() for tok in args.families.split(",") if tok.strip()]
@@ -403,6 +405,9 @@ def main(argv: list[str] | None = None) -> int:
             oracle.OracleLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except criteria.SoundnessError as exc:
+        print(f"error: soundness: {exc}", file=sys.stderr)
+        return EXIT_SOUNDNESS
 
 
 if __name__ == "__main__":

@@ -112,11 +112,12 @@ class PolyFacts:
     computed: in particular a coefficient is factorized only when a witness
     search reaches it. A factorization that hits the factorization limit is
     remembered too, and asking again raises the same error without
-    spending the budget a second time.
+    spending the budget a second time; so is a root iteration that did not
+    converge.
     """
 
-    __slots__ = ("poly", "coeffs", "degree", "mags",
-                 "_factors", "_divisors", "_low", "_rational_root", "_certs")
+    __slots__ = ("poly", "coeffs", "degree", "mags", "_factors", "_divisors",
+                 "_low", "_rational_root", "_roots", "_certs")
 
     def __init__(self, f: Polynomial):
         if f.is_zero():
@@ -133,6 +134,7 @@ class PolyFacts:
         self._divisors: list[int] | None = None
         self._low: list[int] | None = None
         self._rational_root: bool | None = None
+        self._roots: list[complex] | rootloc.NonConvergenceError | None = None
         self._certs: dict = {}
 
     @classmethod
@@ -184,12 +186,27 @@ class PolyFacts:
                 self._rational_root = bool(rational_roots(self.poly))
         return self._rational_root
 
+    def roots(self) -> list[complex]:
+        """All complex roots from one numeric root iteration."""
+        if self._roots is None:
+            try:
+                self._roots = rootloc.numeric_roots(self.poly)
+            except rootloc.NonConvergenceError as exc:
+                self._roots = exc
+        if isinstance(self._roots, rootloc.NonConvergenceError):
+            raise self._roots
+        return self._roots
+
     def certificate(self, d: int, mode: CertificateMode) -> rootloc.RootLocationCertificate:
-        """Disk-exclusion certificate at radius d, one per (d, mode)."""
+        """Disk-exclusion certificate at radius d, one per (d, mode); every
+        numeric one reads the same roots."""
         key = (d, mode)
         cert = self._certs.get(key)
         if cert is None:
-            cert = self._certs[key] = rootloc.certify_outside_disk(self.poly, d, mode)
+            roots = self.roots() if mode is CertificateMode.NUMERIC_HEURISTIC else None
+            cert = self._certs[key] = rootloc.certify_outside_disk(
+                self.poly, d, mode, roots=roots
+            )
         return cert
 
     def first_dominant(self, bases: Sequence[int]) -> tuple[int, int] | None:
@@ -540,7 +557,7 @@ def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisR
         for name in config.criteria:
             try:
                 outcomes.append(CRITERIA[name](facts, config.root_mode))
-            except numtheory.FactorizationLimitError as exc:
+            except (numtheory.FactorizationLimitError, rootloc.NonConvergenceError) as exc:
                 outcomes.append(_no_conclusion(name))
                 warnings.append(f"{name}: no conclusion: {exc}")
         if prim.degree == 1:

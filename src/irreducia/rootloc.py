@@ -11,11 +11,13 @@ not a proof, so consumers flag it.
 
 from __future__ import annotations
 
+import cmath
 import enum
+import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import Callable
 
 from .poly import Polynomial
 
@@ -68,8 +70,12 @@ def certify_outside_disk(
     *,
     margin: float = DEFAULT_MARGIN,
     tolerance: float = DEFAULT_TOLERANCE,
+    roots: list[complex] | None = None,
 ) -> RootLocationCertificate:
-    """Certify that every complex zero of f has modulus greater than d."""
+    """Certify that every complex zero of f has modulus greater than d.
+
+    In numeric mode, roots (all roots of f, from numeric_roots) spares
+    computing them again for each radius."""
     if f.is_zero():
         raise ValueError("zero polynomial")
     if f.constant_term == 0:
@@ -99,7 +105,8 @@ def certify_outside_disk(
     if f.degree == 0:
         return RootLocationCertificate(radius=d, mode=mode, certified=True,
                                        detail={"moduli": [], "margin": margin})
-    roots = numeric_roots(f, tolerance=tolerance)
+    if roots is None:
+        roots = numeric_roots(f, tolerance=tolerance)
     moduli = sorted(abs(r) for r in roots)
     certified = moduli[0] > float(d) * (1.0 + margin)
     return RootLocationCertificate(
@@ -123,50 +130,77 @@ def numeric_roots(
     m = f.degree
     if m < 1:
         raise ValueError("need degree >= 1 for root finding")
-    monic = np.array([c / f.leading_coefficient for c in f.coeffs], dtype=complex)
-    highest_first = monic[::-1]
+    lead = f.leading_coefficient
+    highest_first = [complex(c / lead) for c in reversed(f.coeffs)]
 
-    def residual(z: np.ndarray) -> float:
-        vals = np.abs(np.polyval(highest_first, z))
-        scale = np.maximum(1.0, np.abs(z)) ** m
-        return float(np.max(vals / scale))
+    def value(r: complex) -> complex:
+        acc = 0j
+        for c in highest_first:
+            acc = acc * r + c
+        return acc
 
-    radius = 1.0 + float(max(abs(c) for c in monic[:-1]))  # Cauchy root bound
-    rng = np.random.default_rng(0x5EED)
-    best = np.zeros(m, dtype=complex)
-    best_res = float("inf")
+    def residual(z: list[complex]) -> float:
+        vals = [abs(value(r)) / max(1.0, abs(r)) ** m for r in z]
+        return max(vals) if sum(vals) < math.inf else math.inf  # inf or nan: diverged
+
+    radius = 1.0 + max(abs(c) for c in highest_first[1:])  # Cauchy root bound
+    start = [
+        cmath.rect(radius ** ((k + 1) / m), 2.0 * math.pi * k / m + 0.4) for k in range(m)
+    ]
+    rng = None  # seeded on the first restart; most calls converge without one
+    best_res = math.inf
     for attempt in range(restarts):
-        angles = 2.0 * np.pi * np.arange(m) / m + 0.4
-        z = radius ** ((np.arange(m) + 1.0) / m) * np.exp(1j * angles)
+        z = start
         if attempt:
-            z = z * (1.0 + 0.2 * attempt) + (
-                rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            ) * 0.1 * radius
-        prev_step = float("inf")
-        stagnant = 0
-        for _ in range(max_iterations):
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, 1.0)
-            denom = np.prod(diff, axis=1)
-            update = np.polyval(highest_first, z) / denom
-            z = z - update
-            step = float(np.max(np.abs(update)))
-            if step < 1e-15 * max(1.0, float(np.max(np.abs(z)))):
-                break
-            if step >= prev_step:
-                stagnant += 1
-                if stagnant > 20:
-                    break
-            else:
-                stagnant = 0
-            prev_step = step
-        res = residual(z)
-        if res < best_res:
-            best_res = res
-            best = z
+            rng = rng or random.Random(0x5EED)
+            re_part = [rng.gauss(0.0, 1.0) for _ in range(m)]
+            im_part = [rng.gauss(0.0, 1.0) for _ in range(m)]
+            z = [
+                r * (1.0 + 0.2 * attempt) + complex(x, y) * 0.1 * radius
+                for r, x, y in zip(z, re_part, im_part)
+            ]
+        try:
+            z = _weierstrass(z, value, max_iterations)
+            res = residual(z)
+        except (ZeroDivisionError, OverflowError):  # coincident or escaping iterates
+            continue
+        best_res = min(best_res, res)
         if res <= tolerance:
-            return [complex(r) for r in z]
+            return z
     raise NonConvergenceError(best_res)
+
+
+def _weierstrass(
+    z: list[complex], value: Callable[[complex], complex], max_iterations: int
+) -> list[complex]:
+    """Jacobi-style Weierstrass steps from z until the step is negligible or
+    has not shrunk for more than 20 steps in a row."""
+    prev_step = math.inf
+    stagnant = 0
+    for _ in range(max_iterations):
+        update = []
+        for i, r in enumerate(z):
+            denom = 1.0
+            for s in z[:i]:
+                denom *= r - s
+            for s in z[i + 1:]:
+                denom *= r - s
+            update.append(value(r) / denom)
+        z = [r - u for r, u in zip(z, update)]
+        sizes = [abs(u) for u in update]
+        if not sum(sizes) < math.inf:  # an inf or nan step: the attempt diverged
+            break
+        step = max(sizes)
+        if step < 1e-15 * max(1.0, max(abs(r) for r in z)):
+            break
+        if step >= prev_step:
+            stagnant += 1
+            if stagnant > 20:
+                break
+        else:
+            stagnant = 0
+        prev_step = step
+    return z
 
 
 def partition_roots(f: Polynomial, roots: list[complex] | None = None) -> RootPartition:

@@ -1,6 +1,10 @@
 """CLI surface: polynomial parsing, report schema, subcommands, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -10,6 +14,7 @@ from irreducia.cli import (
     EXIT_ERROR,
     EXIT_NO_CONCLUSION,
     EXIT_OK,
+    EXIT_SOUNDNESS,
     PolyParseError,
     main,
     parse_poly,
@@ -19,7 +24,8 @@ from irreducia.cli import (
     report_to_dict,
     report_to_json,
 )
-from irreducia.criteria import AnalyzeConfig, analyze
+from irreducia import criteria
+from irreducia.criteria import AnalyzeConfig, Conclusion, CriterionOutcome, analyze
 from irreducia.oracle import factor
 from irreducia.poly import Polynomial
 
@@ -136,6 +142,19 @@ class TestExitCodes:
         out = json.loads(capsys.readouterr().out)
         assert [o["criterion"] for o in out["outcomes"]] == ["perron_nonmonic"]
 
+    def test_analyze_soundness_error(self, capsys, monkeypatch):
+        # a criterion that calls z^2 - 1 = (z-1)(z+1) irreducible must end
+        # in its own exit code, never in a conclusion or an input error
+        def lying(f, mode=None):
+            return CriterionOutcome("perron_nonmonic", True, {}, Conclusion.irreducible())
+
+        monkeypatch.setitem(criteria.CRITERIA, "perron_nonmonic", lying)
+        code = main(["analyze", "--poly", "z^2-1", "--oracle", "on"])
+        assert code == EXIT_SOUNDNESS
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: soundness: criterion perron_nonmonic")
+        assert captured.out == ""
+
     def test_factor_output(self, capsys):
         assert main(["factor", "--poly", "6z^2+5z+1"]) == EXIT_OK
         assert "(2z+1)(3z+1)" in capsys.readouterr().out
@@ -179,3 +198,36 @@ class TestExitCodes:
         first = capsys.readouterr().out
         main(["gen", "--random", "--count", "3", "--seed", "9"])
         assert capsys.readouterr().out == first
+
+
+class TestColdImports:
+    """The analyze path loads neither numpy nor multiprocessing."""
+
+    SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+    def _imported(self, *args: str) -> set[str]:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [self.SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", *args],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode in (EXIT_OK, EXIT_NO_CONCLUSION), proc.stderr
+        # one "import time: self | cumulative | name" line per module loaded
+        return {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:") and line.count("|") == 2
+        }
+
+    def test_import_package(self):
+        loaded = self._imported("-c", "import irreducia")
+        assert "irreducia.rootloc" in loaded
+        assert "numpy" not in loaded
+        assert "multiprocessing" not in loaded
+
+    def test_analyze_command(self):
+        loaded = self._imported("-m", "irreducia", "analyze", "--poly", "z^2+1")
+        assert "irreducia.cli" in loaded
+        assert "numpy" not in loaded
+        assert "multiprocessing" not in loaded

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from irreducia import numtheory, oracle
+from irreducia import numtheory, oracle, rootloc
 from irreducia.corpus import gen_exhaustive, gen_random
 from irreducia.criteria import (
     AnalyzeConfig,
@@ -387,6 +387,45 @@ class TestAnalyze:
         assert [w.split(":")[0] for w in report.warnings] == list(limited)
         assert all("factorization limit" in w for w in report.warnings)
         assert by_name["dominant_coefficient"].conclusion == Conclusion.at_most(2)
+
+    def test_numeric_mode_finds_roots_once(self, monkeypatch):
+        # the constant-term criterion certifies radii 15, 10 and 6 of
+        # 30 + z + z^2 + z^3 + 6z^4; one root set answers all three
+        calls = []
+        real = rootloc.numeric_roots
+
+        def counting(f, *args, **kwargs):
+            calls.append(f)
+            return real(f, *args, **kwargs)
+
+        monkeypatch.setattr(rootloc, "numeric_roots", counting)
+        config = AnalyzeConfig(oracle="off", root_mode=CertificateMode.NUMERIC_HEURISTIC)
+        analyze(P(30, 1, 1, 1, 6), config)
+        assert calls == [P(30, 1, 1, 1, 6)]
+
+    def test_nonconvergence_is_no_conclusion(self, monkeypatch):
+        # both disk criteria need numeric certificates of 6 + z + 6z^2, at
+        # radii 3 and 2 each; the iteration is attempted once and each
+        # criterion reports NoConclusion with a warning
+        calls = []
+
+        def failing(f, *args, **kwargs):
+            calls.append(f)
+            raise rootloc.NonConvergenceError(0.5)
+
+        monkeypatch.setattr(rootloc, "numeric_roots", failing)
+        report = analyze(
+            P(6, 1, 6), AnalyzeConfig(oracle="off", root_mode=CertificateMode.NUMERIC_HEURISTIC)
+        )
+        assert len(calls) == 1
+        by_name = {o.criterion: o for o in report.outcomes}
+        for name in ("constant_term", "leading_coeff"):
+            assert not by_name[name].applicable
+            assert by_name[name].conclusion.kind is NONE
+        assert list(report.warnings) == [
+            f"{name}: no conclusion: root iteration did not converge (best residual 5.000e-01)"
+            for name in ("constant_term", "leading_coeff")
+        ]
 
     def test_oracle_consistency_predicate(self):
         from irreducia.criteria import conclusion_holds

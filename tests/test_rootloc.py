@@ -4,11 +4,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from irreducia.corpus import gen_exhaustive
 from irreducia.poly import Polynomial
 from irreducia.rootloc import (
     CertificateMode,
+    NonConvergenceError,
     RootPartition,
     certify_outside_disk,
     numeric_roots,
@@ -69,6 +72,11 @@ class TestNumericRoots:
         with pytest.raises(ValueError):
             numeric_roots(Polynomial([3]))
 
+    def test_float_overflow_is_nonconvergence(self):
+        # roots of modulus 1e100: max(1, |r|)^2 leaves the float range
+        with pytest.raises(NonConvergenceError):
+            numeric_roots(Polynomial([10**200, 0, 1]))
+
     def test_repeated_roots(self):
         roots = numeric_roots(Polynomial([1, 2, 1]))  # (z+1)^2
         assert all(abs(r + 1) < 1e-5 for r in roots)
@@ -81,6 +89,46 @@ class TestNumericRoots:
             prod = math.prod(abs(r) for r in roots)
             expect = abs(f.constant_term / f.leading_coefficient)
             assert abs(prod - expect) <= 1e-6 * max(1.0, expect), f
+
+
+def _well_separated(roots, gap=1e-3) -> bool:
+    """Simple roots, with every pair apart by more than gap relative to
+    the larger modulus, so their moduli are well conditioned."""
+    return all(
+        abs(r - s) > gap * max(1.0, abs(r), abs(s))
+        for i, r in enumerate(roots)
+        for s in roots[i + 1:]
+    )
+
+
+@st.composite
+def _polys_with_nonzero_ends(draw):
+    coeffs = draw(st.lists(st.integers(-1000, 1000), min_size=2, max_size=13))
+    assume(coeffs[0] != 0 and coeffs[-1] != 0)
+    return Polynomial(coeffs)
+
+
+class TestNumericRootsReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_polys_with_nonzero_ends())
+    def test_moduli_match_numpy(self, f):
+        np = pytest.importorskip("numpy")
+        reference = [complex(r) for r in np.roots(f.coeffs[::-1])]
+        assume(_well_separated(reference))
+        moduli = sorted(abs(r) for r in numeric_roots(f))
+        expected = sorted(abs(r) for r in reference)
+        assert len(moduli) == f.degree
+        for got, want in zip(moduli, expected):
+            assert got == pytest.approx(want, rel=1e-6)
+        product = math.prod(moduli)
+        assert product == pytest.approx(abs(f.constant_term / f.leading_coefficient), rel=1e-6)
+
+    def test_deterministic(self):
+        # the last input converges only after a randomly perturbed restart
+        for f in (Polynomial([1, 2, 1]), Polynomial([30, 1, 1, 1, 6]),
+                  Polynomial([-7, 3, 0, 0, 11, 0, 0, 0, 5, -2, 1]),
+                  Polynomial([-1, 1, 10**12, 100, 1])):
+            assert numeric_roots(f) == numeric_roots(f)
 
 
 class TestNumericCertificate:
