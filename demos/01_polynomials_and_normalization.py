@@ -1,5 +1,5 @@
 """Tour of the exact polynomial layer: construction, arithmetic,
-normalization, rational roots, and the leading-divisor rescaling.
+normalization and rational roots.
 
 Run:  python3 demos/01_polynomials_and_normalization.py
 """
@@ -12,7 +12,6 @@ from irreducia import (
     divmod_exact,
     normalize,
     rational_roots,
-    scale_transform,
 )
 
 # Coefficients are stored lowest power first: [4, 4, 0, 1] is 4 + 4z + z^3.
@@ -46,9 +45,3 @@ print("  content of primitive part:", content(n.primitive_part))
 h = Polynomial([1, 5, 6])
 print("\nrational roots of 6z^2+5z+1:", sorted(rational_roots(h)))
 print("evaluate at -1/2:", h.evaluate(Fraction(-1, 2)))
-
-# scale_transform maps f(z) to b^(m-1) f(z/b) for a divisor b of the
-# leading coefficient; it keeps the irreducible factor count, which lets
-# non-monic inputs ride on monic arguments.
-p = Polynomial([3, 10, 2])
-print("\nscale_transform(2z^2+10z+3, b=2) =", scale_transform(p, 2), "(monic now)")

@@ -1,6 +1,5 @@
 """Root-location certificates: the exact sufficient inequality versus the
-numeric root check, and how a certified root partition bounds the number of
-irreducible factors.
+numeric root check.
 
 Run:  python3 demos/03_root_location.py
 """
@@ -10,8 +9,6 @@ from irreducia import (
     Polynomial,
     certify_outside_disk,
     numeric_roots,
-    partition_roots,
-    root_partition_bound,
 )
 
 f = Polynomial([75, 1, 1])
@@ -31,11 +28,3 @@ print("\nnumeric moduli:", sorted(round(abs(r), 4) for r in roots))
 for d in (8, 9):
     cert = certify_outside_disk(f, d, CertificateMode.NUMERIC_HEURISTIC)
     print(f"numeric  d={d}: certified={cert.certified} (margin {cert.detail['margin']})")
-
-# A complete split of the roots across |z| < 1/|a_m| and |z| > 1 bounds the
-# irreducible factor count by the outer count: a factor whose roots all sit
-# in the small disk would need |g(0)| < 1, impossible over the integers.
-g = Polynomial([1, 5, 1])
-part = partition_roots(g)
-print(f"\n1 + 5z + z^2: inner={part.inner} outer={part.outer} "
-      f"-> at most {root_partition_bound(part)} irreducible factor(s)")

@@ -7,24 +7,24 @@ counts fired / sound / inconclusive outcomes.
 Run:  python3 demos/05_families_and_audit.py
 """
 
-from irreducia import FamilySpec, analyze, gen_family
+from irreducia import analyze, gen_family
 from irreducia.audit import audit_exhaustive
 
-SPECS = [
-    FamilySpec("P1", {"p": 2, "m": 3, "n": 2, "sign": 1}),
-    FamilySpec("P2", {"p": 5, "k": 1, "d": 1, "m": 2, "tail": [1, 1]}),
-    FamilySpec("P3", {"p": 5, "k": 1, "d": 1, "m": 2, "a0": 11, "middle": [1]}),
-    FamilySpec("P4", {"a": 3, "b": 1, "m": 3, "j": 2}),
+MEMBERS = [
+    ("P1", {"p": 2, "m": 3, "n": 2, "sign": 1}),
+    ("P2", {"p": 5, "k": 1, "d": 1, "m": 2, "tail": [1, 1]}),
+    ("P3", {"p": 5, "k": 1, "d": 1, "m": 2, "a0": 11, "middle": [1]}),
+    ("P4", {"a": 3, "b": 1, "m": 3, "j": 2}),
 ]
 
-for spec in SPECS:
-    f = gen_family(spec)
+for name, params in MEMBERS:
+    f = gen_family(name, params)
     report = analyze(f)
     strongest = report.strongest
     kind = strongest.conclusion.kind.value
     if strongest.conclusion.bound is not None:
         kind += f"({strongest.conclusion.bound})"
-    print(f"{spec.family}{str(spec.params):48s} -> {f}")
+    print(f"{name}{str(params):48s} -> {f}")
     print(f"    strongest: {kind} via {strongest.criterion}, "
           f"oracle count {report.oracle_result.nonconstant_factor_count()}")
 

@@ -42,6 +42,7 @@ from .poly import Polynomial
 
 ROOT_MARGIN = 1e-6
 _VIOLATION_CAP = 50
+_CHUNK_SIZE = 4096  # polynomials per task sent to a worker in a parallel audit
 
 
 @dataclass
@@ -282,7 +283,6 @@ def audit_corpus(
     polys: Iterable[Polynomial],
     options: AuditOptions = AuditOptions(),
     jobs: int = 1,
-    chunk_size: int = 4096,
 ) -> AuditResult:
     """Audit an iterable of primitive polynomials, optionally in parallel.
 
@@ -296,7 +296,7 @@ def audit_corpus(
     else:
         import multiprocessing  # only a parallel audit needs it
 
-        tasks = ((chunk, options) for chunk in _chunks(polys, chunk_size))
+        tasks = ((chunk, options) for chunk in _chunks(polys, _CHUNK_SIZE))
         with multiprocessing.Pool(jobs) as pool:
             for partial in pool.imap_unordered(_audit_chunk, tasks):
                 result.merge(partial)

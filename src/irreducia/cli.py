@@ -1,5 +1,5 @@
-"""Command-line front end: parse polynomials, run analyses, emit reports,
-factor inputs, generate corpora, and drive audits.
+"""Command-line front end: run analyses, emit reports, factor inputs,
+generate corpora, and drive audits. Polynomials are read by poly.parse_poly.
 
 Exit codes: 0 for any conclusion (and clean audits), 1 for input errors,
 2 for audit soundness violations, 3 when every criterion is inconclusive,
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 from . import corpus, criteria, oracle
@@ -24,7 +23,7 @@ from .criteria import (
     Conclusion,
     CriterionOutcome,
 )
-from .poly import Polynomial
+from .poly import Polynomial, PolyParseError, parse_poly
 from .rootloc import CertificateMode
 
 SCHEMA = "irreducia/1"
@@ -34,52 +33,6 @@ EXIT_ERROR = 1
 EXIT_VIOLATIONS = 2
 EXIT_NO_CONCLUSION = 3
 EXIT_SOUNDNESS = 4
-
-
-class PolyParseError(ValueError):
-    pass
-
-
-_TERM = re.compile(r"([+-]?)(\d*)(z(?:\^(\d+))?)?$")
-_CHUNK = re.compile(r"[+-]?[^+-]+")
-
-
-def parse_poly(text: str) -> Polynomial:
-    """Parse either comma-separated lowest-first coefficients ("4,4,0,1") or
-    a sparse expression ("z^3 + 4z + 4"); duplicate powers are summed."""
-    s = text.strip()
-    if not s:
-        raise PolyParseError("empty polynomial")
-    if "," in s:
-        try:
-            return Polynomial(int(tok.strip()) for tok in s.split(","))
-        except ValueError as exc:
-            raise PolyParseError(f"bad coefficient list {text!r}: {exc}") from exc
-    compact = s.replace(" ", "").replace("*", "")
-    chunks = _CHUNK.findall(compact)
-    if "".join(chunks) != compact:
-        raise PolyParseError(f"malformed polynomial {text!r}")
-    coeffs: dict[int, int] = {}
-    for chunk in chunks:
-        match = _TERM.match(chunk)
-        if not match or (not match.group(2) and not match.group(3)):
-            raise PolyParseError(f"malformed term {chunk!r} in {text!r}")
-        sign = -1 if match.group(1) == "-" else 1
-        coeff = int(match.group(2)) if match.group(2) else 1
-        if match.group(3):
-            power = int(match.group(4)) if match.group(4) else 1
-        else:
-            power = 0
-        coeffs[power] = coeffs.get(power, 0) + sign * coeff
-    out = [0] * (max(coeffs) + 1)
-    for power, value in coeffs.items():
-        out[power] = value
-    return Polynomial(out)
-
-
-def render_poly(f: Polynomial) -> str:
-    """Canonical sparse form; parse_poly(render_poly(f)) == f."""
-    return f.to_sparse_string()
 
 
 def render_coeff_list(f: Polynomial) -> str:
@@ -117,6 +70,16 @@ def _outcome_to_dict(outcome: CriterionOutcome) -> dict:
     }
 
 
+def _factorization_to_dict(result: oracle.FactorizationResult) -> dict:
+    return {
+        "content": str(result.content),
+        "factors": [
+            {"coeffs": [str(c) for c in g.coeffs], "multiplicity": mult}
+            for g, mult in result.factors
+        ],
+    }
+
+
 def report_to_dict(report: AnalysisReport) -> dict:
     if report.strongest is not None:
         strongest = {
@@ -143,13 +106,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
         "strongest": strongest,
     }
     if report.oracle_result is not None:
-        out["oracle"] = {
-            "content": str(report.oracle_result.content),
-            "factors": [
-                {"coeffs": [str(c) for c in g.coeffs], "multiplicity": mult}
-                for g, mult in report.oracle_result.factors
-            ],
-        }
+        out["oracle"] = _factorization_to_dict(report.oracle_result)
     out["warnings"] = list(report.warnings)
     return out
 
@@ -162,7 +119,7 @@ def _report_text_lines(report: AnalysisReport) -> list[str]:
     lines = [
         f"input: {report.input_text}  [coeffs {render_coeff_list(report.input)}]",
         f"normalization: content {report.content}, zPower {report.z_power}, "
-        f"primitive part {render_poly(report.primitive_part)}",
+        f"primitive part {report.primitive_part.to_sparse_string()}",
     ]
     for o in report.outcomes:
         witness = ", ".join(f"{k}={v}" for k, v in o.witnesses.items())
@@ -201,6 +158,19 @@ def _parse_sign(text: str) -> int:
     raise PolyParseError(f"bad sign {text!r} (use + or -)")
 
 
+def _parse_int_list(text: str) -> list[int]:
+    return [int(t) for t in text.split(",")]
+
+
+# gen --family options that argparse leaves as text, by family parameter name
+_GEN_CONVERTERS = {
+    "sign": _parse_sign,
+    "signs": lambda text: [_parse_sign(ch) for ch in text],
+    "tail": _parse_int_list,
+    "middle": _parse_int_list,
+}
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     f = parse_poly(args.poly)
     if args.criteria == "all":
@@ -234,14 +204,8 @@ def cmd_factor(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = {
             "schema": SCHEMA,
-            "input": {"text": render_poly(f), "coeffs": [str(c) for c in f.coeffs]},
-            "oracle": {
-                "content": str(result.content),
-                "factors": [
-                    {"coeffs": [str(c) for c in g.coeffs], "multiplicity": mult}
-                    for g, mult in result.factors
-                ],
-            },
+            "input": {"text": f.to_sparse_string(), "coeffs": [str(c) for c in f.coeffs]},
+            "oracle": _factorization_to_dict(result),
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -288,29 +252,15 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.family:
         name = args.family.upper()
-        params: dict = {}
-        if name == "P1":
-            params = {"p": args.p, "m": args.m, "n": args.n,
-                      "sign": _parse_sign(args.sign)}
-        elif name == "P2":
-            params = {"p": args.p, "k": args.k, "d": args.d, "m": args.m,
-                      "tail": [int(t) for t in args.tail.split(",")],
-                      "sign": _parse_sign(args.sign)}
-        elif name == "P3":
-            params = {"p": args.p, "k": args.k, "d": args.d, "m": args.m,
-                      "a0": args.a0,
-                      "middle": [int(t) for t in args.middle.split(",")] if args.middle else [],
-                      "sign": _parse_sign(args.sign)}
-        elif name == "P4":
-            params = {"a": args.a, "b": args.b, "m": args.m, "j": args.j}
-        else:
+        if name not in corpus.FAMILIES:
             raise PolyParseError(f"unknown family {args.family!r}")
-        missing = [k for k, v in params.items() if v is None]
-        if name == "P4" and args.signs:
-            params["signs"] = [_parse_sign(ch) for ch in args.signs]
-        if missing:
+        _, names = corpus.FAMILIES[name]
+        given = {key: getattr(args, key) for key in names if getattr(args, key) is not None}
+        missing = [key for key in names if key not in given and key != "signs"]
+        if missing:  # P4 alone may leave its signs out: they default to all +
             raise PolyParseError(f"family {name} needs --{', --'.join(missing)}")
-        f = corpus.gen_family(corpus.FamilySpec(family=name, params=params))
+        params = {key: _GEN_CONVERTERS.get(key, int)(value) for key, value in given.items()}
+        f = corpus.gen_family(name, params)
         print(render_coeff_list(f))
     elif args.exhaustive:
         for f in corpus.gen_exhaustive(args.max_degree, args.coeff_bound):

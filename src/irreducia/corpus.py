@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import numtheory
@@ -20,14 +19,6 @@ from .poly import Polynomial, is_primitive
 
 class FamilyConditionError(ValueError):
     """A family parameter set violates one of its side conditions."""
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Named family plus its integer parameters (see gen_family)."""
-
-    family: str
-    params: dict
 
 
 def _check(condition: bool, message: str) -> None:
@@ -155,27 +146,27 @@ def p4_display_forms_agree(a: int, b: int, m: int, j: int) -> bool:
     return (lhs > rhs) == (lhs > truncated)
 
 
-_GENERATORS = {
+# Each family's generator and the names of its parameters.
+FAMILIES = {
     "P1": (gen_p1, ("p", "m", "n", "sign")),
     "P2": (gen_p2, ("p", "k", "d", "m", "tail", "sign")),
     "P3": (gen_p3, ("p", "k", "d", "m", "a0", "middle", "sign")),
     "P4": (gen_p4, ("a", "b", "m", "j", "signs")),
 }
 
-FAMILIES = tuple(_GENERATORS)
 
-
-def gen_family(spec: FamilySpec) -> Polynomial:
-    """Build a family member from a FamilySpec, validating all conditions."""
-    if spec.family not in _GENERATORS:
-        raise FamilyConditionError(f"unknown family {spec.family!r}")
-    fn, names = _GENERATORS[spec.family]
-    unknown = set(spec.params) - set(names)
+def gen_family(name: str, params: dict) -> Polynomial:
+    """Build a member of family `name` from its parameters, validating all
+    conditions."""
+    if name not in FAMILIES:
+        raise FamilyConditionError(f"unknown family {name!r}")
+    fn, names = FAMILIES[name]
+    unknown = set(params) - set(names)
     if unknown:
         raise FamilyConditionError(
-            f"unknown parameters for {spec.family}: {', '.join(sorted(unknown))}"
+            f"unknown parameters for {name}: {', '.join(sorted(unknown))}"
         )
-    return fn(**spec.params)
+    return fn(**params)
 
 
 def gen_exhaustive(max_degree: int, coeff_bound: int) -> Iterator[Polynomial]:

@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import numtheory, oracle, rootloc
+from .oracle import DEFAULT_MAX_DEGREE
 from .poly import Polynomial, is_primitive, normalize, rational_roots
 from .rootloc import CertificateMode
 
@@ -482,19 +483,12 @@ class SoundnessError(RuntimeError):
     """A criterion conclusion contradicted the factorization oracle."""
 
 
-_ORACLE_DEGREE = oracle.DEFAULT_MAX_DEGREE
-_ORACLE_COEFFS = oracle.DEFAULT_COEFF_BOUND
-_ORACLE_STEPS = oracle.DEFAULT_STEP_BUDGET
-
-
 @dataclass(frozen=True)
 class AnalyzeConfig:
     criteria: tuple[str, ...] = tuple(CRITERIA)
     root_mode: CertificateMode = CertificateMode.SYMBOLIC_SUFFICIENT
     oracle: str = "auto"  # on | off | auto
-    max_oracle_degree: int = _ORACLE_DEGREE
-    oracle_coeff_bound: int = _ORACLE_COEFFS
-    oracle_step_budget: int = _ORACLE_STEPS
+    max_oracle_degree: int = DEFAULT_MAX_DEGREE  # the field `oracle` hides the module here
 
 
 @dataclass(frozen=True)
@@ -579,12 +573,7 @@ def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisR
     ):
         max_degree = f.degree if config.oracle == "on" else config.max_oracle_degree
         try:
-            oracle_result = oracle.factor(
-                f,
-                max_degree=max_degree,
-                coeff_bound=config.oracle_coeff_bound,
-                step_budget=config.oracle_step_budget,
-            )
+            oracle_result = oracle.factor(f, max_degree=max_degree)
         except oracle.OracleLimitError as exc:
             if config.oracle == "on":
                 raise

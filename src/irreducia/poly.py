@@ -3,12 +3,16 @@
 A polynomial is a dense, lowest-degree-first tuple of arbitrary-precision
 integers: Polynomial([4, 4, 0, 1]) is 4 + 4z + z^3. The zero polynomial is
 the empty tuple. All values are immutable and every operation is pure.
+
+parse_poly reads the text format (a coefficient list or a sparse expression);
+Polynomial.to_sparse_string writes it back.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -146,6 +150,61 @@ ZERO = Polynomial()
 ONE = Polynomial([1])
 Z = Polynomial([0, 1])
 
+# Highest power of z that parse_poly accepts. The dense list it builds is
+# sized by the highest power named, so this caps the memory one input can ask
+# for; symbolic analyze with the oracle off stays well under a second here.
+MAX_INPUT_DEGREE = 1000
+
+
+class PolyParseError(ValueError):
+    pass
+
+
+_TERM = re.compile(r"([+-]?)(\d*)(z(?:\^(\d+))?)?$")
+_CHUNK = re.compile(r"[+-]?[^+-]+")
+
+
+def _check_degree(power: int) -> None:
+    if power > MAX_INPUT_DEGREE:
+        raise PolyParseError(f"degree {power} above the maximum {MAX_INPUT_DEGREE}")
+
+
+def parse_poly(text: str) -> Polynomial:
+    """Parse either comma-separated lowest-first coefficients ("4,4,0,1") or
+    a sparse expression ("z^3 + 4z + 4"); duplicate powers are summed.
+    parse_poly(f.to_sparse_string()) == f."""
+    s = text.strip()
+    if not s:
+        raise PolyParseError("empty polynomial")
+    if "," in s:
+        tokens = s.split(",")
+        _check_degree(len(tokens) - 1)
+        try:
+            return Polynomial(int(tok.strip()) for tok in tokens)
+        except ValueError as exc:
+            raise PolyParseError(f"bad coefficient list {text!r}: {exc}") from exc
+    compact = s.replace(" ", "").replace("*", "")
+    chunks = _CHUNK.findall(compact)
+    if "".join(chunks) != compact:
+        raise PolyParseError(f"malformed polynomial {text!r}")
+    coeffs: dict[int, int] = {}
+    for chunk in chunks:
+        match = _TERM.match(chunk)
+        if not match or (not match.group(2) and not match.group(3)):
+            raise PolyParseError(f"malformed term {chunk!r} in {text!r}")
+        sign = -1 if match.group(1) == "-" else 1
+        coeff = int(match.group(2)) if match.group(2) else 1
+        if match.group(3):
+            power = int(match.group(4)) if match.group(4) else 1
+        else:
+            power = 0
+        _check_degree(power)
+        coeffs[power] = coeffs.get(power, 0) + sign * coeff
+    out = [0] * (max(coeffs) + 1)
+    for power, value in coeffs.items():
+        out[power] = value
+    return Polynomial(out)
+
 
 @dataclass(frozen=True)
 class NormalizedInput:
@@ -182,22 +241,6 @@ def normalize(f: Polynomial) -> NormalizedInput:
     return NormalizedInput(original=f, content=c, z_power=t, primitive_part=prim)
 
 
-def add(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f + g
-
-
-def sub(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f - g
-
-
-def mul(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f * g
-
-
-def evaluate(f: Polynomial, x):
-    return f.evaluate(x)
-
-
 def divmod_exact(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial, bool]:
     """Integer polynomial division with an exactness flag.
 
@@ -230,24 +273,6 @@ def divides_exactly(g: Polynomial, f: Polynomial) -> Polynomial | None:
     """Quotient f/g when g divides f over the integers, else None."""
     q, _, exact = divmod_exact(f, g)
     return q if exact else None
-
-
-def scale_transform(f: Polynomial, b: int) -> Polynomial:
-    """Map f(z) to b**(m-1) * f(z/b) for a positive divisor b of the leading
-    coefficient. The result has integer coefficients a_i * b**(m-1-i) and the
-    same number of irreducible integer factors as f."""
-    if f.is_zero() or f.constant_term == 0:
-        raise ValueError("scale transform requires a nonzero constant term")
-    if not is_primitive(f):
-        raise ValueError("scale transform requires a primitive polynomial")
-    m = f.degree
-    if b < 1 or abs(f.leading_coefficient) % b != 0:
-        raise ValueError(f"invalid divisor: {b} does not divide the leading coefficient")
-    if m == 0:
-        return f
-    out = [a * b ** (m - 1 - i) for i, a in enumerate(f.coeffs[:-1])]
-    out.append(f.leading_coefficient // b)
-    return Polynomial(out)
 
 
 def rational_roots(f: Polynomial) -> set[Fraction]:

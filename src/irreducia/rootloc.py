@@ -1,5 +1,5 @@
 """Root-location certificates: prove all complex zeros avoid a closed disk
-|z| <= d, and turn certified root partitions into factor-count bounds.
+|z| <= d.
 
 Two modes. The symbolic mode checks the sufficient coefficient inequality
 |a_0| > sum_{i>=1} |a_i| d^i in exact arithmetic: on |z| <= d that forces
@@ -21,8 +21,10 @@ from typing import Callable
 
 from .poly import Polynomial
 
-DEFAULT_MARGIN = 1e-3
-DEFAULT_TOLERANCE = 1e-10
+MARGIN = 1e-3  # numeric mode: relative gap each root modulus must keep from d
+TOLERANCE = 1e-10  # scaled residual at which the root iteration has converged
+MAX_ITERATIONS = 400  # Weierstrass steps per attempt
+RESTARTS = 6  # attempts, the first from the unperturbed start
 
 
 class CertificateMode(enum.Enum):
@@ -51,25 +53,11 @@ class RootLocationCertificate:
         return self.mode is CertificateMode.SYMBOLIC_SUFFICIENT
 
 
-@dataclass(frozen=True)
-class RootPartition:
-    """Counts of roots inside |z| < 1/|a_m| and outside |z| > 1."""
-
-    inner: int
-    outer: int
-    degree: int
-
-    def is_complete(self) -> bool:
-        return self.inner + self.outer == self.degree
-
-
 def certify_outside_disk(
     f: Polynomial,
     d,
     mode: CertificateMode = CertificateMode.SYMBOLIC_SUFFICIENT,
     *,
-    margin: float = DEFAULT_MARGIN,
-    tolerance: float = DEFAULT_TOLERANCE,
     roots: list[complex] | None = None,
 ) -> RootLocationCertificate:
     """Certify that every complex zero of f has modulus greater than d.
@@ -104,34 +92,33 @@ def certify_outside_disk(
 
     if f.degree == 0:
         return RootLocationCertificate(radius=d, mode=mode, certified=True,
-                                       detail={"moduli": [], "margin": margin})
+                                       detail={"moduli": [], "margin": MARGIN})
     if roots is None:
-        roots = numeric_roots(f, tolerance=tolerance)
+        roots = numeric_roots(f)
     moduli = sorted(abs(r) for r in roots)
-    certified = moduli[0] > float(d) * (1.0 + margin)
+    certified = moduli[0] > float(d) * (1.0 + MARGIN)
     return RootLocationCertificate(
         radius=d, mode=mode, certified=certified,
-        detail={"moduli": moduli, "margin": margin},
+        detail={"moduli": moduli, "margin": MARGIN},
     )
 
 
-def numeric_roots(
-    f: Polynomial,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = 400,
-    restarts: int = 6,
-) -> list[complex]:
+def numeric_roots(f: Polynomial) -> list[complex]:
     """All complex roots by simultaneous (Weierstrass) iteration.
 
     Converged when the scaled residual max |f(r)| / (|a_m| max(1,|r|)^m)
-    drops below tolerance; stagnating attempts restart from perturbed
-    initial points. Raises NonConvergenceError after the retry budget.
+    drops below TOLERANCE; stagnating attempts restart from perturbed
+    initial points. Raises NonConvergenceError after the retry budget, or at
+    once when a coefficient ratio a_i / a_m is beyond the float range.
     """
     m = f.degree
     if m < 1:
         raise ValueError("need degree >= 1 for root finding")
     lead = f.leading_coefficient
-    highest_first = [complex(c / lead) for c in reversed(f.coeffs)]
+    try:
+        highest_first = [complex(c / lead) for c in reversed(f.coeffs)]
+    except OverflowError:
+        raise NonConvergenceError(math.inf) from None
 
     def value(r: complex) -> complex:
         acc = 0j
@@ -149,7 +136,7 @@ def numeric_roots(
     ]
     rng = None  # seeded on the first restart; most calls converge without one
     best_res = math.inf
-    for attempt in range(restarts):
+    for attempt in range(RESTARTS):
         z = start
         if attempt:
             rng = rng or random.Random(0x5EED)
@@ -160,24 +147,22 @@ def numeric_roots(
                 for r, x, y in zip(z, re_part, im_part)
             ]
         try:
-            z = _weierstrass(z, value, max_iterations)
+            z = _weierstrass(z, value)
             res = residual(z)
         except (ZeroDivisionError, OverflowError):  # coincident or escaping iterates
             continue
         best_res = min(best_res, res)
-        if res <= tolerance:
+        if res <= TOLERANCE:
             return z
     raise NonConvergenceError(best_res)
 
 
-def _weierstrass(
-    z: list[complex], value: Callable[[complex], complex], max_iterations: int
-) -> list[complex]:
+def _weierstrass(z: list[complex], value: Callable[[complex], complex]) -> list[complex]:
     """Jacobi-style Weierstrass steps from z until the step is negligible or
     has not shrunk for more than 20 steps in a row."""
     prev_step = math.inf
     stagnant = 0
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         update = []
         for i, r in enumerate(z):
             denom = 1.0
@@ -201,33 +186,3 @@ def _weierstrass(
             stagnant = 0
         prev_step = step
     return z
-
-
-def partition_roots(f: Polynomial, roots: list[complex] | None = None) -> RootPartition:
-    """Count roots inside |z| < 1/|a_m| and outside |z| > 1.
-
-    Roots landing in the closed gap between the two circles leave the
-    partition incomplete.
-    """
-    if f.degree < 1:
-        raise ValueError("need degree >= 1")
-    if roots is None:
-        roots = numeric_roots(f)
-    cut = 1.0 / abs(f.leading_coefficient)
-    inner = sum(1 for r in roots if abs(r) < cut)
-    outer = sum(1 for r in roots if abs(r) > 1.0)
-    return RootPartition(inner=inner, outer=outer, degree=f.degree)
-
-
-def root_partition_bound(partition: RootPartition) -> int:
-    """Factor-count bound from a complete inner/outer root partition.
-
-    With j roots strictly inside |z| < 1/|a_m| and the remaining m - j
-    strictly outside |z| > 1, the polynomial splits into at most m - j
-    irreducible integer factors: any candidate factor whose roots all sit in
-    the small disk would have |g(0)| = |lead(g)| * prod |roots| < 1, which is
-    impossible for a nonconstant integer factor.
-    """
-    if not partition.is_complete():
-        raise ValueError("incomplete root partition")
-    return partition.outer

@@ -15,19 +15,16 @@ from irreducia.cli import (
     EXIT_NO_CONCLUSION,
     EXIT_OK,
     EXIT_SOUNDNESS,
-    PolyParseError,
     main,
-    parse_poly,
     render_coeff_list,
     render_factorization,
-    render_poly,
     report_to_dict,
     report_to_json,
 )
-from irreducia import criteria
+from irreducia import corpus, criteria
 from irreducia.criteria import AnalyzeConfig, Conclusion, CriterionOutcome, analyze
 from irreducia.oracle import factor
-from irreducia.poly import Polynomial
+from irreducia.poly import MAX_INPUT_DEGREE, Polynomial, PolyParseError, parse_poly
 
 
 class TestParsePoly:
@@ -59,10 +56,19 @@ class TestParsePoly:
             with pytest.raises(PolyParseError):
                 parse_poly(bad)
 
+    def test_degree_above_maximum_rejected(self):
+        top = MAX_INPUT_DEGREE
+        assert parse_poly(f"z^{top} + 1").degree == top
+        assert parse_poly(",".join(["1"] * (top + 1))).degree == top
+        for text in (f"z^{top + 1} + 1", f"1 + z^{top + 1} - z^{top + 1}",
+                     ",".join(["1"] * (top + 2)), "z^1000000000"):
+            with pytest.raises(PolyParseError, match="above the maximum"):
+                parse_poly(text)
+
     @given(st.lists(st.integers(-99, 99), min_size=1, max_size=8))
     def test_render_parse_round_trip(self, coeffs):
         f = Polynomial(coeffs)
-        assert parse_poly(render_poly(f)) == f
+        assert parse_poly(f.to_sparse_string()) == f
         if not f.is_zero():
             assert parse_poly(render_coeff_list(f)) == f
 
@@ -130,6 +136,22 @@ class TestExitCodes:
         assert main(["analyze", "--poly", ""]) == EXIT_ERROR
         assert "error" in capsys.readouterr().err
 
+    def test_analyze_degree_above_maximum(self, capsys):
+        assert main(["analyze", "--poly", "z^1000000000"]) == EXIT_ERROR
+        assert "above the maximum" in capsys.readouterr().err
+
+    def test_analyze_numeric_float_overflow(self, capsys):
+        # a_0 / a_m = 10^400 has no float value: the disk criteria that need
+        # roots give no conclusion and say why, with no traceback
+        code = main(["analyze", "--poly", "1" + "0" * 400 + ",1,1",
+                     "--root-mode", "numeric", "--oracle", "off", "--format", "json"])
+        assert code in (EXIT_OK, EXIT_NO_CONCLUSION)
+        out = json.loads(capsys.readouterr().out)
+        outcomes = {o["criterion"]: o["conclusion"]["kind"] for o in out["outcomes"]}
+        assert outcomes["constant_term"] == "NoConclusion"
+        assert "constant_term: no conclusion: root iteration did not converge " \
+               "(best residual inf)" in out["warnings"]
+
     def test_analyze_unknown_criterion(self, capsys):
         assert main(["analyze", "--poly", "z+1", "--criteria", "bogus"]) == EXIT_ERROR
 
@@ -187,6 +209,37 @@ class TestExitCodes:
         assert code == EXIT_ERROR
         assert "dominance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, name, params", [
+        (["--family", "P1", "--p", "3", "--m", "4", "--n", "3", "--sign", "-"],
+         "P1", {"p": 3, "m": 4, "n": 3, "sign": -1}),
+        (["--family", "P2", "--p", "5", "--k", "2", "--d", "2", "--m", "2",
+          "--tail", "1,1", "--sign", "-"],
+         "P2", {"p": 5, "k": 2, "d": 2, "m": 2, "tail": [1, 1], "sign": -1}),
+        (["--family", "p3", "--p", "5", "--k", "1", "--d", "1", "--m", "2",
+          "--a0", "11", "--middle", "1"],
+         "P3", {"p": 5, "k": 1, "d": 1, "m": 2, "a0": 11, "middle": [1], "sign": 1}),
+        (["--family", "P4", "--a", "5", "--b", "1", "--m", "4", "--j", "2"],
+         "P4", {"a": 5, "b": 1, "m": 4, "j": 2}),
+        (["--family", "P4", "--a", "5", "--b", "1", "--m", "4", "--j", "2", "--signs=-+-"],
+         "P4", {"a": 5, "b": 1, "m": 4, "j": 2, "signs": [-1, 1, -1]}),
+    ])
+    def test_gen_family_matches_corpus(self, capsys, argv, name, params):
+        assert main(["gen", *argv]) == EXIT_OK
+        expected = render_coeff_list(corpus.gen_family(name, params))
+        assert capsys.readouterr().out.strip() == expected
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--family", "P3", "--p", "5", "--k", "1", "--d", "1", "--m", "2", "--a0", "11"],
+         "family P3 needs --middle"),
+        (["--family", "P1", "--p", "2", "--m", "3", "--n", "2", "--sign", "x"],
+         "bad sign 'x'"),
+        (["--family", "P1", "--p", "2", "--m", "3"], "family P1 needs --n"),
+        (["--family", "P9"], "unknown family 'P9'"),
+    ])
+    def test_gen_family_input_errors(self, capsys, argv, message):
+        assert main(["gen", *argv]) == EXIT_ERROR
+        assert message in capsys.readouterr().err
+
     def test_gen_exhaustive(self, capsys):
         code = main(["gen", "--exhaustive", "--max-degree", "1", "--coeff-bound", "1"])
         assert code == EXIT_OK
@@ -201,7 +254,8 @@ class TestExitCodes:
 
 
 class TestColdImports:
-    """The analyze path loads neither numpy nor multiprocessing."""
+    """The analyze path loads neither numpy nor multiprocessing, and the
+    package alone does not load the command line."""
 
     SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -225,6 +279,8 @@ class TestColdImports:
         assert "irreducia.rootloc" in loaded
         assert "numpy" not in loaded
         assert "multiprocessing" not in loaded
+        assert "irreducia.cli" not in loaded
+        assert "argparse" not in loaded
 
     def test_analyze_command(self):
         loaded = self._imported("-m", "irreducia", "analyze", "--poly", "z^2+1")

@@ -6,7 +6,6 @@ import pytest
 
 from irreducia.corpus import (
     FamilyConditionError,
-    FamilySpec,
     gen_dominant_second,
     gen_exhaustive,
     gen_family,
@@ -102,16 +101,15 @@ class TestP4:
 
 class TestGenFamily:
     def test_dispatch(self):
-        spec = FamilySpec("P1", {"p": 2, "m": 3, "n": 2, "sign": 1})
-        assert gen_family(spec) == Polynomial([4, 4, 0, 1])
+        assert gen_family("P1", {"p": 2, "m": 3, "n": 2, "sign": 1}) == Polynomial([4, 4, 0, 1])
 
     def test_unknown_family(self):
         with pytest.raises(FamilyConditionError, match="unknown family"):
-            gen_family(FamilySpec("P9", {}))
+            gen_family("P9", {})
 
     def test_unknown_parameter(self):
         with pytest.raises(FamilyConditionError, match="unknown parameters"):
-            gen_family(FamilySpec("P1", {"p": 2, "m": 3, "n": 2, "weird": 1}))
+            gen_family("P1", {"p": 2, "m": 3, "n": 2, "weird": 1})
 
 
 class TestExhaustive:

@@ -1,4 +1,4 @@
-"""Exact polynomial arithmetic, normalization, scaling, rational roots."""
+"""Exact polynomial arithmetic, normalization, rational roots."""
 
 from fractions import Fraction
 
@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from irreducia import oracle
 from irreducia.corpus import gen_exhaustive
 from irreducia.poly import (
     Polynomial,
@@ -16,7 +15,6 @@ from irreducia.poly import (
     is_primitive,
     normalize,
     rational_roots,
-    scale_transform,
 )
 
 
@@ -149,45 +147,6 @@ class TestMulDiv:
         q, r, exact = divmod_exact(f * g, g)
         assert exact and q == f and r.is_zero()
         assert divides_exactly(g, f * g) == f
-
-
-class TestScaleTransform:
-    def test_leading_divisor_instance(self):
-        # b = |a_m| turns 3 + 10z + 2z^2 into the monic 6 + 10z + z^2
-        assert scale_transform(Polynomial([3, 10, 2]), 2) == Polynomial([6, 10, 1])
-
-    def test_identity_at_one(self):
-        f = Polynomial([7, -3, 0, 5])
-        assert scale_transform(f, 1) == f
-
-    def test_coefficient_pattern(self):
-        # a_i * b^(m-1-i): (1*2, 1*1, 4/2)
-        assert scale_transform(Polynomial([1, 1, 4]), 2) == Polynomial([2, 1, 2])
-
-    def test_result_need_not_be_primitive(self):
-        g = scale_transform(Polynomial([1, 2, 4]), 2)
-        assert g == Polynomial([2, 2, 2])
-        assert content(g) == 2
-
-    def test_invalid_divisor(self):
-        with pytest.raises(ValueError, match="invalid divisor"):
-            scale_transform(Polynomial([1, 1, 4]), 3)
-
-    def test_non_primitive_rejected(self):
-        with pytest.raises(ValueError, match="primitive"):
-            scale_transform(Polynomial([2, 2, 4]), 2)
-
-    def test_factor_count_preserved(self):
-        # the transform keeps the irreducible factor count of the primitive part
-        from irreducia.numtheory import positive_divisors
-
-        for f in gen_exhaustive(3, 3):
-            if f.constant_term == 0:
-                continue
-            base = oracle.count_irreducible_factors(f)
-            for b in positive_divisors(f.leading_coefficient):
-                g = normalize(scale_transform(f, b)).primitive_part
-                assert oracle.count_irreducible_factors(g) == base, (f, b)
 
 
 class TestRationalRoots:

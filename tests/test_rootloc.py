@@ -1,4 +1,4 @@
-"""Disk-exclusion certificates, numeric roots, root-partition bounds."""
+"""Disk-exclusion certificates and numeric roots."""
 
 import math
 from fractions import Fraction
@@ -12,11 +12,8 @@ from irreducia.poly import Polynomial
 from irreducia.rootloc import (
     CertificateMode,
     NonConvergenceError,
-    RootPartition,
     certify_outside_disk,
     numeric_roots,
-    partition_roots,
-    root_partition_bound,
 )
 
 SYM = CertificateMode.SYMBOLIC_SUFFICIENT
@@ -76,6 +73,12 @@ class TestNumericRoots:
         # roots of modulus 1e100: max(1, |r|)^2 leaves the float range
         with pytest.raises(NonConvergenceError):
             numeric_roots(Polynomial([10**200, 0, 1]))
+
+    def test_coefficient_ratio_beyond_float_range_is_nonconvergence(self):
+        # a_0 / a_m = 10^400 has no float value
+        with pytest.raises(NonConvergenceError) as info:
+            numeric_roots(Polynomial([10**400, 1, 1]))
+        assert info.value.best_residual == math.inf
 
     def test_repeated_roots(self):
         roots = numeric_roots(Polynomial([1, 2, 1]))  # (z+1)^2
@@ -142,23 +145,6 @@ class TestNumericCertificate:
         # exact moduli 2: not certified for d=2 with a positive margin
         cert = certify_outside_disk(Polynomial([-4, 0, 1]), 2, NUM)
         assert not cert.certified
-
-
-class TestPartition:
-    def test_partition_bounds(self):
-        assert root_partition_bound(RootPartition(inner=2, outer=1, degree=3)) == 1
-        assert root_partition_bound(RootPartition(inner=0, outer=4, degree=4)) == 4
-        assert root_partition_bound(RootPartition(inner=3, outer=1, degree=4)) == 1
-
-    def test_incomplete_rejected(self):
-        with pytest.raises(ValueError, match="incomplete"):
-            root_partition_bound(RootPartition(inner=1, outer=1, degree=3))
-
-    def test_partition_from_roots(self):
-        # 1 + 5z + z^2 has one root inside |z| < 1 and one outside
-        part = partition_roots(Polynomial([1, 5, 1]))
-        assert (part.inner, part.outer, part.degree) == (1, 1, 2)
-        assert root_partition_bound(part) == 1
 
 
 class TestSymbolicSoundness:
