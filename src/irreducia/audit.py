@@ -178,9 +178,6 @@ class AuditOptions:
     check_soundness: bool = True
     check_cor1: bool = True
     check_rootloc: bool = True
-    oracle_max_degree: int = oracle.DEFAULT_MAX_DEGREE
-    oracle_coeff_bound: int = oracle.DEFAULT_COEFF_BOUND
-    oracle_step_budget: int = oracle.DEFAULT_STEP_BUDGET
 
 
 def audit_one(f: Polynomial, options: AuditOptions, result: AuditResult) -> None:
@@ -204,12 +201,7 @@ def audit_one(f: Polynomial, options: AuditOptions, result: AuditResult) -> None
 
     if to_check:
         try:
-            fact = oracle.factor(
-                f,
-                max_degree=options.oracle_max_degree,
-                coeff_bound=options.oracle_coeff_bound,
-                step_budget=options.oracle_step_budget,
-            )
+            fact = oracle.factor(f)
         except oracle.OracleLimitError:
             result.oracle_skipped += 1
             for outcome in to_check:

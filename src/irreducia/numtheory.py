@@ -3,9 +3,11 @@ divisor enumeration.
 
 These back the witness searches of the criteria: every candidate prime comes
 from the factorization of a single coefficient, so inputs stay at desk scale.
-Trial division handles everything up to 10^12; larger survivors go through
-Miller-Rabin plus Pollard rho under a total iteration budget, so every call
-returns or raises FactorizationLimitError in bounded time.
+Trial division strips the small primes: those up to 10^3 while the cofactor
+is below DEFAULT_FACTOR_BOUND, up to 10^6 while it is not. A survivor that
+trial division has not proved prime goes through Miller-Rabin plus Pollard
+rho under a total iteration budget, so every call returns or raises
+FactorizationLimitError in bounded time.
 """
 
 from __future__ import annotations
@@ -15,12 +17,19 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
+# Trial-division limits. Below DEFAULT_FACTOR_BOUND, Miller-Rabin and rho
+# finish a cofactor faster than dividing on to 10^6 (a prime near 10^12:
+# 0.2 ms against 55 ms, Python 3.11 on a 2-vCPU VM). Above it the large limit
+# stays, so that a huge power of a prime above 10^3 (say 1009**1400) is
+# stripped by division, not handed to rho at thousands of digits.
+_SMALL_TRIAL_LIMIT = 10**3
 _TRIAL_LIMIT = 10**6
 
 # Brent iterations one factorization may spend across all its rho attempts
-# (about 0.5 s on a 2 GHz core). Splitting a composite below DEFAULT_FACTOR_BOUND that
-# survives trial division takes about 1.25 * sqrt(p) <= 10^5 iterations for
-# its smaller prime p < 2^32; a larger one may run out and raise.
+# (about 0.5 s on a 2 GHz core). Splitting a composite below
+# DEFAULT_FACTOR_BOUND takes about 1.25 * sqrt(p) <= 10^5 iterations for its
+# smaller prime p < 2^32, whatever the trial-division limit left to rho; a
+# larger composite may run out and raise.
 _RHO_STEPS = 1 << 20
 
 # Integers below this bound factor well within the rho budget; past it a
@@ -128,7 +137,9 @@ def _factor_positive(n: int) -> tuple[tuple[int, int], ...]:
             powers[p] = powers.get(p, 0) + 1
             n //= p
     d = 5
-    while d <= _TRIAL_LIMIT and d * d <= n:
+    while d * d <= n and d <= (
+        _SMALL_TRIAL_LIMIT if n < DEFAULT_FACTOR_BOUND else _TRIAL_LIMIT
+    ):
         for step in (0, 2):  # 6k-1, 6k+1 wheel
             q = d + step
             while n % q == 0:
@@ -136,7 +147,8 @@ def _factor_positive(n: int) -> tuple[tuple[int, int], ...]:
                 n //= q
         d += 6
     if n > 1:
-        if n <= _TRIAL_LIMIT**2 or is_prime(n):
+        # no prime below d is left, so a cofactor below d^2 is prime
+        if n < d * d or is_prime(n):
             powers[n] = powers.get(n, 0) + 1
         else:
             rng = random.Random(n)

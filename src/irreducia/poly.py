@@ -275,9 +275,18 @@ def divides_exactly(g: Polynomial, f: Polynomial) -> Polynomial | None:
     return q if exact else None
 
 
+def _divides(d: int, n: int) -> bool:
+    return n == 0 if d == 0 else n % d == 0
+
+
 def rational_roots(f: Polynomial) -> set[Fraction]:
     """All rational roots p/q in lowest terms, via the divisor candidate scan
-    (p | constant term, q | leading coefficient) with exact verification."""
+    (p | constant term, q | leading coefficient) with exact verification.
+
+    A root p/q makes the primitive qz - p divide f over the integers (Gauss's
+    lemma), so q - p divides f(1) and q + p divides f(-1); candidates that
+    fail either test are skipped before f(p/q) is evaluated.
+    """
     if f.is_zero():
         raise ValueError("zero polynomial")
     if f.constant_term == 0:
@@ -285,6 +294,8 @@ def rational_roots(f: Polynomial) -> set[Fraction]:
     if f.degree == 0:
         return set()
     m = f.degree
+    at_one = sum(f.coeffs)
+    at_minus_one = sum(f.coeffs[0::2]) - sum(f.coeffs[1::2])
     roots: set[Fraction] = set()
     for q in numtheory.positive_divisors(f.leading_coefficient):
         qpow = [q**e for e in range(m + 1)]
@@ -292,6 +303,8 @@ def rational_roots(f: Polynomial) -> set[Fraction]:
             if math.gcd(p_abs, q) != 1:
                 continue
             for p in (p_abs, -p_abs):
+                if not (_divides(q - p, at_one) and _divides(q + p, at_minus_one)):
+                    continue
                 # sum a_i p^i q^(m-i) == 0 <=> f(p/q) == 0
                 acc = 0
                 pk = 1

@@ -8,6 +8,7 @@ import pytest
 from irreducia.numtheory import (
     DEFAULT_FACTOR_BOUND,
     FactorizationLimitError,
+    _factor_positive,
     factorize,
     is_prime,
     positive_divisors,
@@ -46,8 +47,54 @@ def test_factorize_reconstruction_random_large():
 
 
 def test_factorize_beyond_trial_division():
-    n = 1000003 * 1000033  # both prime, above the trial-division cutoff
+    # both prime and above 10^3, where trial division stops below 2^64:
+    # Miller-Rabin finds n composite and Pollard rho splits it
+    n = 1000003 * 1000033
     assert factorize(n).factors == ((1000003, 1), (1000033, 1))
+
+
+def _prime_in(lo, hi, rng):
+    while True:
+        n = rng.randrange(lo, hi) | 1
+        if is_prime(n):
+            return n
+
+
+def test_primes_near_10_12_and_semiprimes_factor_quickly():
+    # trial division up to the square root spends about 55 ms on each of these
+    rng = random.Random(50)
+    expected = {}
+    for _ in range(25):
+        p = _prime_in(10**12 - 10**9, 10**12, rng)
+        expected[p] = ((p, 1),)
+    for _ in range(25):
+        p, q = sorted(_prime_in(10**6 - 10**5, 10**6 + 10**5, rng) for _ in range(2))
+        expected[p * q] = ((p, 2),) if p == q else ((p, 1), (q, 1))
+    _factor_positive.cache_clear()
+    start = time.perf_counter()
+    found = {n: factorize(n).factors for n in expected}
+    elapsed = time.perf_counter() - start
+    assert found == expected
+    assert elapsed < 1.0
+
+
+def test_products_of_primes_just_above_the_small_limit():
+    # the smallest composites that trial division below 2^64 leaves whole
+    primes = [p for p in range(1000, 1200) if is_prime(p)]
+    for i, p in enumerate(primes):
+        assert factorize(p**3).factors == ((p, 3),)
+        for q in primes[i + 1:]:
+            assert factorize(p * q).factors == ((p, 1), (q, 1))
+            assert factorize(p * p * q).factors == ((p, 2), (q, 1))
+
+
+def test_huge_power_of_a_prime_above_the_small_limit():
+    # above 2^64 trial division goes on to 10^6, so rho never sees 4,206 digits
+    n = 1009**1400
+    _factor_positive.cache_clear()
+    start = time.perf_counter()
+    assert factorize(n).factors == ((1009, 1400),)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_valuation_examples():

@@ -1,13 +1,20 @@
-"""The criteria and audit predicates that read a shared PolyFacts record
-against direct-sum reference implementations of the same inequalities.
+"""Library routines against slower reference implementations that must
+give exactly the same results.
 
-The references below recompute every sum, power and factorization from
-the polynomial for each (j, b) or (j, p) pair; the library keeps running
-sums and memoised facts instead. Outcomes, witnesses and radius sets must
-agree exactly.
+- The criteria and audit predicates that read a shared PolyFacts record,
+  against direct sums that recompute every sum, power and factorization
+  from the polynomial for each (j, b) or (j, p) pair; the library keeps
+  running sums and memoised facts instead. Outcomes, witnesses and radius
+  sets must agree.
+- `numtheory._factor_positive`, which hands a cofactor below 2^64 to
+  Miller-Rabin and Pollard rho after trial division to 10^3, against the
+  trial-division loop to 10^6 that it replaced.
+- `poly.rational_roots`, which skips candidates p/q unless q - p divides
+  f(1) and q + p divides f(-1), against the unfiltered candidate scan.
 """
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -25,7 +32,7 @@ from irreducia.criteria import (
     middle_prime_power_check,
     perron_nonmonic,
 )
-from irreducia.poly import Polynomial
+from irreducia.poly import Polynomial, rational_roots
 
 
 def _no_conclusion(name):
@@ -193,3 +200,117 @@ def test_audit_one_certifies_each_radius_once(monkeypatch):
         audit.audit_one(f, audit.AuditOptions(), result)
     assert result.rootloc_checked > 0
     assert calls and max(calls.values()) == 1
+
+
+def ref_factor_positive(n):
+    """Trial division by 2, 3 and 6k+-1 up to 10^6, then Miller-Rabin and
+    Pollard rho on a survivor above 10^12."""
+    if n == 1:
+        return ()
+    powers = {}
+    for p in (2, 3):
+        while n % p == 0:
+            powers[p] = powers.get(p, 0) + 1
+            n //= p
+    d = 5
+    while d <= 10**6 and d * d <= n:
+        for q in (d, d + 2):
+            while n % q == 0:
+                powers[q] = powers.get(q, 0) + 1
+                n //= q
+        d += 6
+    if n > 1:
+        if n <= 10**12 or numtheory.is_prime(n):
+            powers[n] = powers.get(n, 0) + 1
+        else:
+            rng = random.Random(n)
+            stack = [n]
+            while stack:
+                m = stack.pop()
+                if numtheory.is_prime(m):
+                    powers[m] = powers.get(m, 0) + 1
+                    continue
+                g = None
+                while g is None:
+                    g, _ = numtheory._pollard_rho(m, rng, numtheory._RHO_STEPS)
+                stack.extend((g, m // g))
+    return tuple(sorted(powers.items()))
+
+
+def _next_prime(n):
+    while not numtheory.is_prime(n):
+        n += 1
+    return n
+
+
+# prime powers that trial division to 10^3 leaves to rho: primes between
+# 10^3 and 10^6, and at most two primes near 2^32, the hardest factors of a
+# composite below 2^64 (more of those may exhaust the rho budget above 2^64,
+# where raising is allowed)
+_mid_prime_power = st.tuples(st.integers(10**3, 10**6).map(_next_prime), st.integers(1, 3))
+_big_prime = st.integers(2**32 - 2**20, 2**32 + 2**20).map(_next_prime)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**12))
+def test_factorization_matches_trial_division(n):
+    assert numtheory._factor_positive(n) == ref_factor_positive(n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(_mid_prime_power, max_size=3),
+    st.lists(_big_prime, max_size=2),
+)
+def test_factorization_of_prime_power_products(mid_prime_powers, big_primes):
+    expected = Counter(big_primes)
+    for p, e in mid_prime_powers:
+        expected[p] += e
+    n = math.prod(p**e for p, e in expected.items())
+    factors = numtheory._factor_positive(n)
+    assert factors == tuple(sorted(expected.items()))
+    assert factors == ref_factor_positive(n)
+
+
+def ref_rational_roots(f):
+    """Every candidate p/q (p | a_0, q | a_m, lowest terms) tested by exact
+    evaluation."""
+    m = f.degree
+    roots = set()
+    for q in numtheory.positive_divisors(f.leading_coefficient):
+        for p_abs in numtheory.positive_divisors(f.constant_term):
+            if math.gcd(p_abs, q) != 1:
+                continue
+            for p in (p_abs, -p_abs):
+                if sum(a * p**i * q ** (m - i) for i, a in enumerate(f.coeffs)) == 0:
+                    roots.add(Fraction(p, q))
+    return roots
+
+
+@st.composite
+def polys_with_rational_roots(draw):
+    """A random integer polynomial times up to three linear factors qz - p,
+    with nonzero constant term; p = +-q gives the roots +-1."""
+    coeffs = draw(st.lists(st.integers(-10**4, 10**4), min_size=1, max_size=6))
+    coeffs[0] = coeffs[0] or 1
+    coeffs[-1] = coeffs[-1] or 1
+    f = Polynomial(coeffs)
+    for _ in range(draw(st.integers(0, 3))):
+        p = draw(st.integers(-12, 12).filter(bool))
+        q = draw(st.integers(1, 12))
+        f = f * Polynomial([-p, q])
+    return f
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys_with_rational_roots())
+def test_rational_roots_match_unfiltered_scan(f):
+    assert rational_roots(f) == ref_rational_roots(f)
+
+
+def test_rational_root_references_find_roots():
+    # the property above would pass vacuously if no drawn input had a root
+    f = Polynomial([-1, 1]) * Polynomial([1, 1]) * Polynomial([3, 2]) * Polynomial([5, 0, 7])
+    expected = {Fraction(1), Fraction(-1), Fraction(-3, 2)}
+    assert ref_rational_roots(f) == expected
+    assert rational_roots(f) == expected
