@@ -134,12 +134,13 @@ def cor1_best_j(f: Polynomial | PolyFacts) -> int | None:
                 + sum_{i>j+1} |a_i| |a_m|^-(i-j),
 
     which is the dominant-coefficient inequality at the single divisor
-    b = |a_m|, evaluated with both sides scaled by |a_m|^(m-j).
+    b = |a_m|. It holds at some divisor of a_m exactly when it holds at
+    |a_m|, so this is the index of `PolyFacts.dominant()`.
     """
     facts = PolyFacts.of(f)
     if facts.degree < 2:
         return None
-    hit = facts.first_dominant((facts.mags[-1],))
+    hit = facts.dominant()
     return None if hit is None else hit[0]
 
 

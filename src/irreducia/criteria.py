@@ -23,7 +23,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from types import MappingProxyType
 
 from . import numtheory, oracle, rootloc
 from .oracle import DEFAULT_MAX_DEGREE
@@ -93,7 +93,9 @@ class CriterionOutcome:
 
 
 def _no_conclusion(name: str) -> CriterionOutcome:
-    return CriterionOutcome(name, applicable=False, witnesses={}, conclusion=Conclusion.none())
+    """The NoConclusion outcome of a criterion: one object per criterion,
+    built with CRITERIA and shared by every call, with read-only witnesses."""
+    return _NO_CONCLUSIONS[name]
 
 
 def _lower_sum(mags: list[int], j: int, t: int) -> int:
@@ -114,11 +116,13 @@ class PolyFacts:
     search reaches it. A factorization that hits the factorization limit is
     remembered too, and asking again raises the same error without
     spending the budget a second time; so is a root iteration that did not
-    converge.
+    converge. The dominance index and divisor of `dominant()`, which both
+    the dominant-coefficient criterion and the audit's unit-divisor check
+    read, are found once.
     """
 
     __slots__ = ("poly", "coeffs", "degree", "mags", "_factors", "_divisors",
-                 "_low", "_rational_root", "_roots", "_certs")
+                 "_low", "_dominant", "_rational_root", "_roots", "_certs")
 
     def __init__(self, f: Polynomial):
         if f.is_zero():
@@ -134,6 +138,7 @@ class PolyFacts:
         self._factors: dict = {}
         self._divisors: list[int] | None = None
         self._low: list[int] | None = None
+        self._dominant: tuple[int, int] | None | bool = False  # False: not yet found
         self._rational_root: bool | None = None
         self._roots: list[complex] | rootloc.NonConvergenceError | None = None
         self._certs: dict = {}
@@ -210,27 +215,36 @@ class PolyFacts:
             )
         return cert
 
-    def first_dominant(self, bases: Sequence[int]) -> tuple[int, int] | None:
-        """First (j, b), with j falling from m-1 and b taken in the given
-        order, for which the dominance inequality
+    def dominant(self) -> tuple[int, int] | None:
+        """(j, b) with j the largest index and b the smallest positive
+        divisor of a_m for which the dominance inequality
 
             |a_j| b^(m-j) > low[j] b^(m-j) + sum_{i>j} |a_i| b^(m-i)
 
-        holds. The sum over i > j is kept per base as j falls."""
-        mags, low, m = self.mags, self.low, self.degree
-        highs = [0] * len(bases)
-        scales = [1] * len(bases)  # b^(m-j-1) before the update at j
-        for j in range(m - 1, -1, -1):
-            above = mags[j + 1]
-            for k, b in enumerate(bases):
-                highs[k] += above * scales[k]
-                scales[k] *= b
-            excess = mags[j] - low[j]
-            if excess > 0:  # otherwise the left side cannot beat high >= |a_m|
-                for k, b in enumerate(bases):
-                    if excess * scales[k] > highs[k]:
-                        return j, b
-        return None
+        holds, or None. Divided by b^(m-j), the right side falls as b
+        grows, so j is the first index, falling from m-1, at which it holds
+        for b = |a_m|; one running sum finds it. The divisors of a_m are
+        then scanned at that j only, and only then is a_m factorized."""
+        if self._dominant is False:
+            hit = None
+            mags, low, m = self.mags, self.low, self.degree
+            am = mags[m]
+            high, scale = 0, 1  # sum_{i>j} |a_i| |a_m|^(m-i) and |a_m|^(m-j), kept as j falls
+            for j in range(m - 1, -1, -1):
+                high += mags[j + 1] * scale
+                scale *= am
+                excess = mags[j] - low[j]
+                if excess > 0 and excess * scale > high:
+                    for b in self.leading_divisors:  # ends by b = |a_m| at the latest
+                        rhs = 0
+                        for a in mags[j + 1:]:
+                            rhs = rhs * b + a
+                        if excess * b ** (m - j) > rhs:
+                            hit = (j, b)
+                            break
+                    break
+            self._dominant = hit
+        return self._dominant
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +409,7 @@ def dominant_coefficient(
     m = facts.degree
     if m < 2:
         return _no_conclusion(name)
-    hit = facts.first_dominant(facts.leading_divisors)
+    hit = facts.dominant()
     if hit is None:
         return _no_conclusion(name)
     j, b = hit
@@ -476,6 +490,13 @@ CRITERIA = {
     "middle_prime_power": middle_prime_power_check,
     "perron_nonmonic": perron_nonmonic,
     "weintraub": weintraub_check,
+}
+
+_NO_CONCLUSIONS = {
+    name: CriterionOutcome(
+        name, applicable=False, witnesses=MappingProxyType({}), conclusion=Conclusion.none()
+    )
+    for name in CRITERIA
 }
 
 

@@ -6,7 +6,8 @@ from the factorization of a single coefficient, so inputs stay at desk scale.
 Trial division strips the small primes: those up to 10^3 while the cofactor
 is below DEFAULT_FACTOR_BOUND, up to 10^6 while it is not. A survivor that
 trial division has not proved prime goes through Miller-Rabin plus Pollard
-rho under a total iteration budget, so every call returns or raises
+rho under an iteration budget (one per cofactor below DEFAULT_FACTOR_BOUND,
+one shared by the larger ones), so every call returns or raises
 FactorizationLimitError in bounded time.
 """
 
@@ -25,11 +26,12 @@ from functools import lru_cache
 _SMALL_TRIAL_LIMIT = 10**3
 _TRIAL_LIMIT = 10**6
 
-# Brent iterations one factorization may spend across all its rho attempts
-# (about 0.5 s on a 2 GHz core). Splitting a composite below
-# DEFAULT_FACTOR_BOUND takes about 1.25 * sqrt(p) <= 10^5 iterations for its
-# smaller prime p < 2^32, whatever the trial-division limit left to rho; a
-# larger composite may run out and raise.
+# Brent iterations (about 0.5 s on a 2 GHz core) for the rho attempts on
+# each cofactor below DEFAULT_FACTOR_BOUND, and for those on all cofactors
+# at or above it together. Splitting a composite below the bound takes
+# about 1.25 * sqrt(p) <= 10^5 iterations for its smaller prime p < 2^32,
+# whatever the trial-division limit left to rho; a larger composite may run
+# out and raise.
 _RHO_STEPS = 1 << 20
 
 # Integers below this bound factor well within the rho budget; past it a
@@ -153,16 +155,19 @@ def _factor_positive(n: int) -> tuple[tuple[int, int], ...]:
         else:
             rng = random.Random(n)
             stack = [n]
-            steps = _RHO_STEPS
+            shared = _RHO_STEPS  # for the splits of cofactors above the bound
             while stack:
                 m = stack.pop()
                 if is_prime(m):
                     powers[m] = powers.get(m, 0) + 1
                     continue
+                steps = _RHO_STEPS if m < DEFAULT_FACTOR_BOUND else shared
                 g = None
                 while g is None and steps > 0:
                     g, spent = _pollard_rho(m, rng, steps)
                     steps -= spent
+                if m >= DEFAULT_FACTOR_BOUND:
+                    shared = steps
                 if g is None:
                     raise FactorizationLimitError(
                         f"factorization limit reached on {m}: no factor within "
@@ -178,11 +183,6 @@ def factorize(n: int) -> PrimePowerDecomposition:
         raise ValueError("zero has no prime factorization")
     sign = 1 if n > 0 else -1
     return PrimePowerDecomposition(n=n, sign=sign, factors=_factor_positive(abs(n)))
-
-
-def primes_dividing(n: int) -> list[int]:
-    """Distinct primes dividing |n|, ascending. n must be nonzero."""
-    return [p for p, _ in factorize(n).factors]
 
 
 def valuation(p: int, n: int) -> int:

@@ -4,11 +4,19 @@ This is the ground truth the criteria are audited against, so it avoids all
 probabilistic machinery: content and z-power extraction, rational-root
 stripping, then Kronecker's method (interpolate candidate factors through
 divisor tuples of the polynomial's values at small integer points and test
-exact divisibility). Adequate for degree <= 8 with small coefficients.
+exact divisibility). For a factor of degree e the polynomial is evaluated
+at the first e + 7 points of 0, 1, -1, 2, -2, ..., and the e + 1 points
+whose values have the fewest divisors become the interpolation nodes. A
+candidate reaches the exact division only if its leading coefficient
+divides the polynomial's and its value at each of the six spare points is
+nonzero and divides the polynomial's value there; both tests are exact,
+since the polynomial has no rational roots by then. Adequate for degree
+<= 8 with coefficients up to 10^8.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import numtheory
@@ -67,11 +75,6 @@ def _sample_points(count: int) -> list[int]:
     return pts[:count]
 
 
-def _signed_divisors(v: int) -> list[int]:
-    divs = numtheory.positive_divisors(v)
-    return [d for pos in divs for d in (pos, -pos)]
-
-
 def _expand_newton(nodes: list[int], coeffs: list[int]) -> Polynomial:
     """Polynomial from Newton form sum c_k * prod_{t<k} (z - x_t)."""
     out = [coeffs[-1]]
@@ -85,26 +88,53 @@ def _expand_newton(nodes: list[int], coeffs: list[int]) -> Polynomial:
     return Polynomial(out)
 
 
+# Sample points beyond the e + 1 nodes a degree-e search needs: the nodes
+# are the points whose values have the fewest divisors, and the rest filter
+# candidates before the exact division.
+_SPARE_POINTS = 6
+
+
 def _kronecker_search(h: Polynomial, budget: _Budget) -> Polynomial | None:
     """Smallest-degree proper factor of h, or None.
 
     Requires h primitive with positive leading coefficient, no rational
-    roots, and degree >= 2. Candidate factors of degree e are interpolated
-    through divisor tuples of h's values at e+1 sample points; branches die
-    as soon as a Newton divided difference turns non-integral (divided
-    differences of an integer polynomial at integer nodes are integers).
+    roots, and degree >= 2. For each degree e, h is evaluated at the first
+    e + 1 + _SPARE_POINTS sample points, and the e + 1 points whose values
+    have the fewest divisors become the nodes. Candidate factors of degree e
+    are interpolated through divisor tuples of h's values at the nodes;
+    branches die as soon as a Newton divided difference turns non-integral
+    (divided differences of an integer polynomial at integer nodes are
+    integers). A complete candidate g reaches the exact division only if
+    lc(g) divides lc(h) and, at every spare point x, g(x) is nonzero and
+    divides h(x); a true factor passes both tests.
     """
     m = h.degree
+    lead = h.leading_coefficient
+    # the pool of sample points, kept across e: values (nonzero, as h has
+    # no rational roots), their divisor counts and, once a point is a node,
+    # its signed divisors
+    points: list[int] = []
+    values: list[int] = []
+    counts: list[int] = []
+    signed: dict[int, list[int]] = {}
     for e in range(2, m // 2 + 1):
-        raw_points = _sample_points(e + 1)
-        values = [h.evaluate(x) for x in raw_points]
         try:
-            choice_lists = [_signed_divisors(v) for v in values]
+            for x in _sample_points(e + 1 + _SPARE_POINTS)[len(points):]:
+                points.append(x)
+                values.append(h.evaluate(x))
+                counts.append(math.prod(k + 1 for _, k in numtheory.factorize(values[-1]).factors))
+            # fewest divisors first; ties keep the sample order
+            order = sorted(range(len(points)), key=counts.__getitem__)
+            for i in order[: e + 1]:
+                if i not in signed:
+                    signed[i] = [
+                        d for pos in numtheory.positive_divisors(values[i]) for d in (pos, -pos)
+                    ]
         except FactorizationLimitError as exc:
             raise OracleLimitError(f"oracle limit: {exc}") from exc
-        order = sorted(range(e + 1), key=lambda i: len(choice_lists[i]))
-        nodes = [raw_points[i] for i in order]
-        choices = [choice_lists[i] for i in order]
+        nodes = [points[i] for i in order[: e + 1]]
+        choices = [signed[i] for i in order[: e + 1]]
+        spares = [(points[i], values[i]) for i in order[e + 1:]]
         # +-g both divide, so fix the sign at the first node.
         choices[0] = [d for d in choices[0] if d > 0]
 
@@ -131,15 +161,22 @@ def _kronecker_search(h: Polynomial, budget: _Budget) -> Polynomial | None:
                 if depth < e:
                     stack.append((depth + 1, new_trail, newton + [new_trail[-1]]))
                     continue
-                if new_trail[-1] == 0:
+                top = new_trail[-1]  # lc(g)
+                if top == 0:
                     continue  # degree < e: covered by an earlier e
-                g = _expand_newton(nodes, newton + [new_trail[-1]])
-                if g.degree != e:
+                if lead % top:
                     continue
-                if divides_exactly(g, h) is not None:
-                    if g.leading_coefficient < 0:
-                        g = -g
-                    return g
+                coeffs = newton + [top]
+                for x, v in spares:
+                    gx = top  # g(x) from the Newton form by Horner's rule
+                    for k in range(e - 1, -1, -1):
+                        gx = gx * (x - nodes[k]) + coeffs[k]
+                    if gx == 0 or v % gx:
+                        break
+                else:
+                    g = _expand_newton(nodes, coeffs)
+                    if divides_exactly(g, h) is not None:
+                        return g if top > 0 else -g
     return None
 
 

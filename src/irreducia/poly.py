@@ -112,12 +112,6 @@ class Polynomial:
             out = out * x + c
         return out
 
-    def shift_up(self, t: int) -> Polynomial:
-        """Multiply by z^t."""
-        if self.is_zero():
-            return self
-        return Polynomial((0,) * t + self.coeffs)
-
     # -- display ------------------------------------------------------------
 
     def to_sparse_string(self) -> str:
@@ -211,7 +205,6 @@ class NormalizedInput:
     """f = content * z**z_power * primitive_part, with the primitive part
     having gcd-1 coefficients and nonzero constant and leading terms."""
 
-    original: Polynomial
     content: int
     z_power: int
     primitive_part: Polynomial
@@ -238,7 +231,7 @@ def normalize(f: Polynomial) -> NormalizedInput:
     while f.coeffs[t] == 0:
         t += 1
     prim = Polynomial([a // c for a in f.coeffs[t:]])
-    return NormalizedInput(original=f, content=c, z_power=t, primitive_part=prim)
+    return NormalizedInput(content=c, z_power=t, primitive_part=prim)
 
 
 def divmod_exact(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial, bool]:

@@ -388,6 +388,17 @@ class TestAnalyze:
         assert all("factorization limit" in w for w in report.warnings)
         assert by_name["dominant_coefficient"].conclusion == Conclusion.at_most(2)
 
+    def test_no_conclusion_is_shared_and_read_only(self):
+        first = perron_nonmonic(P(1, 1, 1))
+        assert first.conclusion.kind is NONE
+        assert perron_nonmonic(P(2, 1, 3)) is first
+        report = analyze(P(1, 1, 1), AnalyzeConfig(oracle="off"))
+        assert next(o for o in report.outcomes if o.criterion == "perron_nonmonic") is first
+        assert first.witnesses == {}
+        with pytest.raises(TypeError):
+            first.witnesses["p"] = 2
+        assert weintraub_check(P(1, 1, 1)) is not first
+
     def test_numeric_mode_finds_roots_once(self, monkeypatch):
         # the constant-term criterion certifies radii 15, 10 and 6 of
         # 30 + z + z^2 + z^3 + 6z^4; one root set answers all three

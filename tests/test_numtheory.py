@@ -12,7 +12,6 @@ from irreducia.numtheory import (
     factorize,
     is_prime,
     positive_divisors,
-    primes_dividing,
     smallest_prime_divisor,
     valuation,
 )
@@ -144,11 +143,6 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes)
 
 
-def test_primes_dividing():
-    assert primes_dividing(60) == [2, 3, 5]
-    assert primes_dividing(-7) == [7]
-
-
 def _prime_near(bits, rng):
     while True:
         n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
@@ -172,3 +166,12 @@ def test_large_semiprime_hits_the_rho_budget_quickly():
     with pytest.raises(FactorizationLimitError, match="factorization limit"):
         factorize(n)
     assert time.perf_counter() - start < 2.0
+
+
+def test_each_cofactor_below_the_factor_bound_gets_its_own_rho_budget():
+    # 288 bits of primes near 2^32: every split is cheap, but together the
+    # splits cost more than one budget (p^2 below 2^64 alone takes ~0.4 of
+    # it after the larger cofactors have taken ~0.8)
+    p, q = 4294766087, 4294187803
+    _factor_positive.cache_clear()
+    assert factorize(p**6 * q**3).factors == ((q, 3), (p, 6))

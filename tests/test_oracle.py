@@ -1,10 +1,12 @@
 """Kronecker factorization oracle: factor, count, verify."""
 
 import dataclasses
+import time
 
 import pytest
 
 from irreducia.corpus import gen_random
+from irreducia.criteria import AnalyzeConfig, analyze
 from irreducia.oracle import (
     FactorizationResult,
     OracleLimitError,
@@ -78,6 +80,16 @@ class TestFactor:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             factor(Polynomial())
+
+    def test_degree_8_search_picks_nodes_with_few_divisors(self):
+        # this input's values at the first nine sample points have so many
+        # divisors that a search with those points as nodes exhausts the
+        # 10^7-step budget (about 45 s); the pool offers points with fewer
+        f = P(99792000, 43046721, -99999999, 720720, 720720, -67108864, -720720, 67108864, 1)
+        start = time.perf_counter()
+        report = analyze(f, AnalyzeConfig(oracle="on"))
+        assert time.perf_counter() - start < 5.0
+        assert report.oracle_result.factors == ((f, 1),)
 
 
 class TestCount:

@@ -94,7 +94,7 @@ class TestContentNormalize:
         ] + list(gen_exhaustive(3, 2))
         for f in sample:
             n = normalize(f)
-            rebuilt = Polynomial([n.content]) * n.primitive_part.shift_up(n.z_power)
+            rebuilt = Polynomial([0] * n.z_power + [n.content]) * n.primitive_part
             assert rebuilt == f
             assert is_primitive(n.primitive_part)
             assert n.primitive_part.constant_term != 0

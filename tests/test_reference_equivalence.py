@@ -11,6 +11,10 @@ give exactly the same results.
   trial-division loop to 10^6 that it replaced.
 - `poly.rational_roots`, which skips candidates p/q unless q - p divides
   f(1) and q + p divides f(-1), against the unfiltered candidate scan.
+- `oracle.factor`, whose Kronecker search takes its nodes from a wider pool
+  of sample points and filters candidates at the spare points, against the
+  same factorization with the search that always used the first e + 1
+  sample points.
 """
 
 import math
@@ -18,10 +22,11 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irreducia import audit, numtheory, rootloc
+from irreducia import audit, numtheory, oracle, rootloc
 from irreducia.corpus import gen_exhaustive, gen_random
 from irreducia.criteria import (
     CRITERIA,
@@ -32,7 +37,7 @@ from irreducia.criteria import (
     middle_prime_power_check,
     perron_nonmonic,
 )
-from irreducia.poly import Polynomial, rational_roots
+from irreducia.poly import Polynomial, divides_exactly, rational_roots
 
 
 def _no_conclusion(name):
@@ -85,7 +90,7 @@ def ref_middle_prime_power_check(f):
             continue
         scale = am ** (m - j)
         high = sum(abs(c[i]) * am ** (m - i) for i in range(j + 1, m + 1))
-        for p in numtheory.primes_dividing(c[j]):
+        for p, _ in numtheory.factorize(c[j]).factors:
             n_exp = numtheory.valuation(p, c[j])
             s_exp = numtheory.valuation(p, c[j - 1])
             reduced_prev = abs(c[j - 1]) // p**s_exp
@@ -126,7 +131,7 @@ def ref_symbolic_disk_radii(f):
     for source in (f.constant_term, f.leading_coefficient):
         if abs(source) < 2:
             continue
-        for p in numtheory.primes_dividing(source):
+        for p, _ in numtheory.factorize(source).factors:
             d = abs(source) // p ** numtheory.valuation(p, source)
             cert = rootloc.certify_outside_disk(
                 f, d, rootloc.CertificateMode.SYMBOLIC_SUFFICIENT
@@ -314,3 +319,89 @@ def test_rational_root_references_find_roots():
     expected = {Fraction(1), Fraction(-1), Fraction(-3, 2)}
     assert ref_rational_roots(f) == expected
     assert rational_roots(f) == expected
+
+
+def ref_kronecker_search(h, budget):
+    """Kronecker's search with the first e + 1 sample points as nodes, taken
+    in order of their values' divisor counts, and the exact division as the
+    only test of a complete candidate."""
+    m = h.degree
+    for e in range(2, m // 2 + 1):
+        raw_points = oracle._sample_points(e + 1)
+        values = [h.evaluate(x) for x in raw_points]
+        try:
+            choice_lists = [
+                [d for pos in numtheory.positive_divisors(v) for d in (pos, -pos)]
+                for v in values
+            ]
+        except numtheory.FactorizationLimitError as exc:
+            raise oracle.OracleLimitError(f"oracle limit: {exc}") from exc
+        order = sorted(range(e + 1), key=lambda i: len(choice_lists[i]))
+        nodes = [raw_points[i] for i in order]
+        choices = [choice_lists[i] for i in order]
+        choices[0] = [d for d in choices[0] if d > 0]
+        stack = [(0, [], [])]
+        while stack:
+            depth, trail, newton = stack.pop()
+            for d in choices[depth]:
+                budget.spend()
+                new_trail = [d]
+                ok = True
+                for k in range(1, depth + 1):
+                    step, rem = divmod(
+                        new_trail[k - 1] - trail[k - 1], nodes[depth] - nodes[depth - k]
+                    )
+                    if rem:
+                        ok = False
+                        break
+                    new_trail.append(step)
+                if not ok:
+                    continue
+                if depth < e:
+                    stack.append((depth + 1, new_trail, newton + [new_trail[-1]]))
+                    continue
+                if new_trail[-1] == 0:
+                    continue
+                g = oracle._expand_newton(nodes, newton + [new_trail[-1]])
+                if g.degree == e and divides_exactly(g, h) is not None:
+                    return g if g.leading_coefficient > 0 else -g
+    return None
+
+
+@st.composite
+def products_up_to_degree_8(draw):
+    """Up to four factors of degree 1-4 with |c| <= 5, total degree 2-8."""
+    f = Polynomial([draw(st.integers(1, 3)) * draw(st.sampled_from((1, -1)))])
+    for _ in range(draw(st.integers(1, 4))):
+        room = 8 - f.degree
+        if room < 1:
+            break
+        k = draw(st.integers(1, min(4, room)))
+        coeffs = draw(st.lists(st.integers(-5, 5), min_size=k + 1, max_size=k + 1))
+        coeffs[-1] = coeffs[-1] or 1
+        f = f * Polynomial(coeffs)
+    return f
+
+
+@settings(max_examples=150, deadline=None)
+@given(products_up_to_degree_8())
+def test_factor_matches_reference_kronecker_search(f):
+    expected = oracle.factor(f)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_kronecker_search", ref_kronecker_search)
+        assert oracle.factor(f) == expected
+
+
+def test_reference_kronecker_search_splits_products():
+    # the property above would pass vacuously if no search found a factor
+    f = Polynomial([1, 1, 1]) * Polynomial([2, 0, 1, 1]) * Polynomial([3, -1, 0, 2])
+    budget = oracle._Budget(oracle.DEFAULT_STEP_BUDGET)
+    assert ref_kronecker_search(f, budget) == Polynomial([1, 1, 1])
+    assert oracle._kronecker_search(f, budget) == Polynomial([1, 1, 1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_kronecker_search", ref_kronecker_search)
+        expected = oracle.factor(f)
+    assert [g for g, _ in expected.factors] == [
+        Polynomial([1, 1, 1]), Polynomial([2, 0, 1, 1]), Polynomial([3, -1, 0, 2])
+    ]
+    assert oracle.factor(f) == expected
