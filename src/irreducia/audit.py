@@ -8,11 +8,14 @@ Three optional cross-checks ride along on the same sweep:
                    vacuously sound without an oracle call);
   * cor1        -- wherever the unit-divisor dominance inequality holds, the
                    dominant-coefficient criterion must reach a bound at least
-                   as strong (the inequality is implemented here as an audit
-                   predicate only, not exposed as a criterion);
-  * rootloc     -- wherever a symbolic disk certificate fires during the
-                   constant/leading witness search, every numerically
-                   computed root must clear the disk radius.
+                   as strong. `cor1_best_j` and the criterion read the same
+                   index, `PolyFacts.dominant()`, so this no longer tests the
+                   inequality on its own; it catches a criterion outcome that
+                   does not match that index (a missing or weaker bound).
+                   `ref_cor1_best_j` in the tests is the independent form;
+  * rootloc     -- wherever a symbolic disk certificate fires at a radius the
+                   constant/leading witness search tries, every numerically
+                   computed root must clear the largest such radius.
 """
 
 from __future__ import annotations
@@ -154,24 +157,19 @@ def _is_vacuous(conclusion: Conclusion, degree: int) -> bool:
     return False
 
 
-def _symbolic_disk_radii(f: Polynomial | PolyFacts) -> list[int]:
-    """Radii d from every (p, d) pair the two disk criteria would try, over
-    the primes of both a_0 and a_m, kept when the exact certificate fires.
+def _largest_certified_radius(facts: PolyFacts) -> int | None:
+    """Largest radius d that the two disk criteria would try, over both
+    a_0 and a_m, at which the exact certificate fires; None if there is
+    none.
 
     The symbolic test is monotone in d (a certificate at d holds at every
-    smaller radius), so candidates are tested from the largest down and the
+    smaller radius), so the radii are tested from the largest down and the
     first one certified settles the rest."""
-    facts = PolyFacts.of(f)
-    candidates = [
-        abs(source) // p**k
-        for source in (facts.coeffs[0], facts.coeffs[-1])
-        if abs(source) >= 2
-        for p, k in facts.factors(source)
-    ]
-    for d in sorted(set(candidates), reverse=True):
+    radii = {d for i in (0, facts.degree) for _, _, d in facts.disk_radii(i)}
+    for d in sorted(radii, reverse=True):
         if facts.certificate(d, rootloc.CertificateMode.SYMBOLIC_SUFFICIENT).certified:
-            return [r for r in candidates if r <= d]
-    return []
+            return d
+    return None
 
 
 @dataclass(frozen=True)
@@ -235,8 +233,8 @@ def audit_one(f: Polynomial, options: AuditOptions, result: AuditResult) -> None
                     result.cor1_violations.append((f.coeffs, j, dom_bound))
 
     if options.check_rootloc:
-        radii = _symbolic_disk_radii(facts)
-        if radii:
+        worst = _largest_certified_radius(facts)
+        if worst is not None:
             result.rootloc_checked += 1
             try:
                 roots = facts.roots()
@@ -245,7 +243,6 @@ def audit_one(f: Polynomial, options: AuditOptions, result: AuditResult) -> None
                     result.nonconvergences.append((f.coeffs, exc.best_residual))
             else:
                 min_modulus = min(abs(r) for r in roots)
-                worst = max(radii)
                 if min_modulus <= worst * (1.0 - ROOT_MARGIN):
                     if len(result.rootloc_violations) < _VIOLATION_CAP:
                         result.rootloc_violations.append(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 from . import corpus, criteria, oracle
 from .criteria import (
@@ -239,10 +240,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
             extra = corpus.gen_random(
                 args.random_count, max_degree, coeff_bound, args.seed
             )
-            def chained(base=polys, extra=extra):
-                yield from base
-                yield from extra
-            polys = chained()
+            polys = chain(polys, extra)
         result = audit_mod.audit_corpus(polys, jobs=args.jobs)
         print("\n".join(result.summary_lines()))
         violations += result.violation_count()

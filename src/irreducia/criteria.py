@@ -67,13 +67,10 @@ class Conclusion:
 
     def rank(self) -> tuple[int, int]:
         """Sort key: stronger conclusions first."""
-        order = {
-            ConclusionKind.IRREDUCIBLE: 0,
-            ConclusionKind.AT_MOST_FACTORS: 1,
-            ConclusionKind.FACTOR_DEGREE_BOUND: 2,
-            ConclusionKind.NO_CONCLUSION: 3,
-        }
-        return (order[self.kind], self.bound or 0)
+        return (_KIND_ORDER[self.kind], self.bound or 0)
+
+
+_KIND_ORDER = {kind: i for i, kind in enumerate(ConclusionKind)}  # strongest first
 
 
 EXACT = "exact"
@@ -92,10 +89,14 @@ class CriterionOutcome:
         return (*self.conclusion.rank(), self.criterion)
 
 
-def _no_conclusion(name: str) -> CriterionOutcome:
-    """The NoConclusion outcome of a criterion: one object per criterion,
-    built with CRITERIA and shared by every call, with read-only witnesses."""
-    return _NO_CONCLUSIONS[name]
+def _strongest(name: str, candidates: list[CriterionOutcome]) -> CriterionOutcome:
+    """The first of the strongest candidates, or the criterion's shared
+    NoConclusion when there are none."""
+    if not candidates:
+        return _NO_CONCLUSIONS[name]
+    if len(candidates) == 1:
+        return candidates[0]
+    return min(candidates, key=CriterionOutcome.rank)
 
 
 def _lower_sum(mags: list[int], j: int, t: int) -> int:
@@ -107,8 +108,9 @@ def _lower_sum(mags: list[int], j: int, t: int) -> int:
 
 
 class PolyFacts:
-    """Coefficient facts about one primitive polynomial of degree >= 1,
-    shared by every criterion and by the audit's cross-checks.
+    """Coefficient facts about one primitive polynomial of degree >= 1 with
+    nonzero constant term, shared by every criterion and by the audit's
+    cross-checks.
 
     The input is validated once on construction. Everything else is worked
     out on first use and kept, so a fact no caller asks for is never
@@ -118,11 +120,12 @@ class PolyFacts:
     spending the budget a second time; so is a root iteration that did not
     converge. The dominance index and divisor of `dominant()`, which both
     the dominant-coefficient criterion and the audit's unit-divisor check
-    read, are found once.
+    read, are found once, and so are the disk radii at each end, which both
+    disk criteria and the audit's root-location check read.
     """
 
     __slots__ = ("poly", "coeffs", "degree", "mags", "_factors", "_divisors",
-                 "_low", "_dominant", "_rational_root", "_roots", "_certs")
+                 "_low", "_dominant", "_rational_root", "_roots", "_certs", "_radii")
 
     def __init__(self, f: Polynomial):
         if f.is_zero():
@@ -131,6 +134,8 @@ class PolyFacts:
             raise ValueError("normalize first: input is not primitive")
         if f.degree < 1:
             raise ValueError("criterion needs degree >= 1")
+        if f.coeffs[0] == 0:
+            raise ValueError("normalize first: constant term is zero")
         self.poly = f
         self.coeffs = f.coeffs
         self.degree = f.degree
@@ -142,6 +147,7 @@ class PolyFacts:
         self._rational_root: bool | None = None
         self._roots: list[complex] | rootloc.NonConvergenceError | None = None
         self._certs: dict = {}
+        self._radii: dict = {}
 
     @classmethod
     def of(cls, f: "Polynomial | PolyFacts") -> "PolyFacts":
@@ -182,14 +188,11 @@ class PolyFacts:
 
     def has_rational_root(self) -> bool:
         if self._rational_root is None:
-            if self.coeffs[0] == 0:
-                self._rational_root = True  # root at 0
-            else:
-                # the scan factorizes both ends; go through the record so a
-                # factorization that already failed is not attempted again
-                self.factors(self.coeffs[0])
-                self.factors(self.coeffs[-1])
-                self._rational_root = bool(rational_roots(self.poly))
+            # the scan factorizes both ends; go through the record so a
+            # factorization that already failed is not attempted again
+            self.factors(self.coeffs[0])
+            self.factors(self.coeffs[-1])
+            self._rational_root = bool(rational_roots(self.poly))
         return self._rational_root
 
     def roots(self) -> list[complex]:
@@ -214,6 +217,17 @@ class PolyFacts:
                 self.poly, d, mode, roots=roots
             )
         return cert
+
+    def disk_radii(self, i: int) -> list[tuple[int, int, int]]:
+        """(p, k, d) for each prime power p^k exactly dividing a_i, i in
+        {0, m}, with d = |a_i| / p^k: the radii the disk criteria try. Empty
+        when |a_i| = 1."""
+        radii = self._radii.get(i)
+        if radii is None:
+            a = self.mags[i]
+            radii = [] if a == 1 else [(p, k, a // p**k) for p, k in self.factors(a)]
+            self._radii[i] = radii
+        return radii
 
     def dominant(self) -> tuple[int, int] | None:
         """(j, b) with j the largest index and b the smallest positive
@@ -263,8 +277,8 @@ def weintraub_check(
     c, m = facts.coeffs, facts.degree
     lower_gcd = math.gcd(*c[:m])
     if lower_gcd <= 1:
-        return _no_conclusion(name)
-    best: CriterionOutcome | None = None
+        return _NO_CONCLUSIONS[name]
+    candidates = []
     for p, _ in facts.factors(lower_gcd):
         if c[m] % p == 0:
             continue
@@ -276,10 +290,8 @@ def weintraub_check(
             conclusion = Conclusion.irreducible()
         else:
             conclusion = Conclusion.factor_degree(k0)
-        candidate = CriterionOutcome(name, True, {"p": p, "k0": k0}, conclusion)
-        if best is None or candidate.rank() < best.rank():
-            best = candidate
-    return best if best is not None else _no_conclusion(name)
+        candidates.append(CriterionOutcome(name, True, {"p": p, "k0": k0}, conclusion))
+    return _strongest(name, candidates)
 
 
 def eisenstein_generalized(
@@ -292,9 +304,7 @@ def eisenstein_generalized(
     name = "eisenstein_generalized"
     facts = PolyFacts.of(f)
     c, m = facts.coeffs, facts.degree
-    if c[0] == 0:
-        raise ValueError("normalize first: constant term is zero")
-    best: CriterionOutcome | None = None
+    candidates = []
     for p, k in facts.factors(c[0]):
         pk = p**k
         prefix = 0
@@ -307,15 +317,41 @@ def eisenstein_generalized(
                 conclusion = Conclusion.irreducible()
             else:
                 conclusion = Conclusion.factor_degree(m - j)
-            candidate = CriterionOutcome(name, True, {"p": p, "k": k, "j": j}, conclusion)
-            if best is None or candidate.rank() < best.rank():
-                best = candidate
+            candidates.append(CriterionOutcome(name, True, {"p": p, "k": k, "j": j}, conclusion))
             break  # largest admissible j is the strongest for this prime
-    return best if best is not None else _no_conclusion(name)
+    return _strongest(name, candidates)
 
 
 # ---------------------------------------------------------------------------
 # disk-certificate criteria
+
+
+def _disk_criterion(
+    name: str, facts: PolyFacts, i: int, mode: CertificateMode, q: int | None = None
+) -> CriterionOutcome:
+    """The search both disk criteria share, at the end a_i with i in {0, m}:
+    each a_i = +-p^k d with every root certified outside |z| <= d gives at
+    most min(k, j) irreducible factors, where j counts the steps from i
+    toward the other end up to the first coefficient that p misses."""
+    c, m = facts.coeffs, facts.degree
+    step = 1 if i == 0 else -1
+    candidates = []
+    for p, k, d in facts.disk_radii(i):
+        cert = facts.certificate(d, mode)
+        if not cert.certified:
+            continue
+        j = next(j for j in range(1, m + 1) if c[i + step * j] % p != 0)
+        witnesses = {"p": p, "k": k, "j": j, "d": d}
+        if q is not None:  # last, as the report's witness order has it
+            witnesses["q"] = q
+        candidates.append(CriterionOutcome(
+            name,
+            True,
+            witnesses,
+            Conclusion.at_most(min(k, j)),
+            certificate_mode=EXACT if cert.is_exact() else NUMERIC_CONDITIONAL,
+        ))
+    return _strongest(name, candidates)
 
 
 def constant_term_criterion(
@@ -324,31 +360,7 @@ def constant_term_criterion(
     """Constant-term decomposition a_0 = +-p^k d with p missing d, all roots
     certified outside |z| <= d, and j the lowest index with p missing a_j:
     at most min(k, j) irreducible factors."""
-    name = "constant_term"
-    facts = PolyFacts.of(f)
-    c, m = facts.coeffs, facts.degree
-    a0 = c[0]
-    if a0 == 0:
-        raise ValueError("normalize first: constant term is zero")
-    if abs(a0) == 1:
-        return _no_conclusion(name)
-    best: CriterionOutcome | None = None
-    for p, k in facts.factors(a0):
-        d = abs(a0) // p**k
-        cert = facts.certificate(d, mode)
-        if not cert.certified:
-            continue
-        j = next(j for j in range(1, m + 1) if c[j] % p != 0)
-        candidate = CriterionOutcome(
-            name,
-            True,
-            {"p": p, "k": k, "j": j, "d": d},
-            Conclusion.at_most(min(k, j)),
-            certificate_mode=EXACT if cert.is_exact() else NUMERIC_CONDITIONAL,
-        )
-        if best is None or candidate.rank() < best.rank():
-            best = candidate
-    return best if best is not None else _no_conclusion(name)
+    return _disk_criterion("constant_term", PolyFacts.of(f), 0, mode)
 
 
 def leading_coeff_criterion(
@@ -359,32 +371,13 @@ def leading_coeff_criterion(
     a_0; j is the lowest index with p missing a_{m-j}."""
     name = "leading_coeff"
     facts = PolyFacts.of(f)
-    c, m = facts.coeffs, facts.degree
-    a0, am = c[0], c[m]
-    if a0 == 0:
-        raise ValueError("normalize first: constant term is zero")
-    if abs(am) == 1 or abs(a0) == 1:
-        return _no_conclusion(name)
+    a0, am = facts.mags[0], facts.mags[-1]
+    if am == 1 or a0 == 1:
+        return _NO_CONCLUSIONS[name]
     q = facts.factors(a0)[0][0]
-    if abs(a0) > q * abs(am):  # |a0/q| <= |am| as an exact comparison
-        return _no_conclusion(name)
-    best: CriterionOutcome | None = None
-    for p, k in facts.factors(am):
-        d = abs(am) // p**k
-        cert = facts.certificate(d, mode)
-        if not cert.certified:
-            continue
-        j = next(j for j in range(1, m + 1) if c[m - j] % p != 0)
-        candidate = CriterionOutcome(
-            name,
-            True,
-            {"p": p, "k": k, "j": j, "d": d, "q": q},
-            Conclusion.at_most(min(k, j)),
-            certificate_mode=EXACT if cert.is_exact() else NUMERIC_CONDITIONAL,
-        )
-        if best is None or candidate.rank() < best.rank():
-            best = candidate
-    return best if best is not None else _no_conclusion(name)
+    if a0 > q * am:  # |a0/q| <= |am| as an exact comparison
+        return _NO_CONCLUSIONS[name]
+    return _disk_criterion(name, facts, facts.degree, mode, q)
 
 
 # ---------------------------------------------------------------------------
@@ -404,14 +397,12 @@ def dominant_coefficient(
     over [1/b, 1]. Evaluated with both sides scaled by b^(m-j)."""
     name = "dominant_coefficient"
     facts = PolyFacts.of(f)
-    if facts.coeffs[0] == 0:
-        raise ValueError("normalize first: constant term is zero")
     m = facts.degree
     if m < 2:
-        return _no_conclusion(name)
+        return _NO_CONCLUSIONS[name]
     hit = facts.dominant()
     if hit is None:
-        return _no_conclusion(name)
+        return _NO_CONCLUSIONS[name]
     j, b = hit
     return CriterionOutcome(
         name, True, {"b": b, "delta": Fraction(1, b), "j": j}, Conclusion.at_most(m - j)
@@ -426,14 +417,12 @@ def perron_nonmonic(
     fall inside the unit disk)."""
     name = "perron_nonmonic"
     facts = PolyFacts.of(f)
-    if facts.coeffs[0] == 0:
-        raise ValueError("normalize first: constant term is zero")
     m = facts.degree
     if m < 2:
-        return _no_conclusion(name)
+        return _NO_CONCLUSIONS[name]
     if facts.mags[m - 1] > 1 + facts.low[m - 1]:
         return CriterionOutcome(name, True, {}, Conclusion.irreducible())
-    return _no_conclusion(name)
+    return _NO_CONCLUSIONS[name]
 
 
 def middle_prime_power_check(
@@ -455,8 +444,8 @@ def middle_prime_power_check(
     name = "middle_prime_power"
     facts = PolyFacts.of(f)
     c, mags, m = facts.coeffs, facts.mags, facts.degree
-    if m < 2 or c[0] == 0:
-        return _no_conclusion(name)
+    if m < 2:
+        return _NO_CONCLUSIONS[name]
     low, am = facts.low, mags[m]
     high, scale = 0, 1  # sum_{i>j} |a_i| |a_m|^(m-i) and |a_m|^(m-j), kept as j falls
     for j in range(m - 1, 0, -1):
@@ -476,7 +465,7 @@ def middle_prime_power_check(
                     {"p": p, "j": j, "N": n_exp, "s": s_exp},
                     Conclusion.at_most(m - j),
                 )
-    return _no_conclusion(name)
+    return _NO_CONCLUSIONS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +562,7 @@ def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisR
             try:
                 outcomes.append(CRITERIA[name](facts, config.root_mode))
             except (numtheory.FactorizationLimitError, rootloc.NonConvergenceError) as exc:
-                outcomes.append(_no_conclusion(name))
+                outcomes.append(_NO_CONCLUSIONS[name])
                 warnings.append(f"{name}: no conclusion: {exc}")
         if prim.degree == 1:
             outcomes.append(

@@ -159,7 +159,16 @@ def _factor_positive(n: int) -> tuple[tuple[int, int], ...]:
             while stack:
                 m = stack.pop()
                 if is_prime(m):
-                    powers[m] = powers.get(m, 0) + 1
+                    # take its full power out of every cofactor left, so each
+                    # distinct prime costs one split
+                    e, rest = 1, []
+                    for r in stack:
+                        while r % m == 0:
+                            r //= m
+                            e += 1
+                        if r > 1:
+                            rest.append(r)
+                    powers[m], stack = e, rest
                     continue
                 steps = _RHO_STEPS if m < DEFAULT_FACTOR_BOUND else shared
                 g = None
@@ -173,7 +182,7 @@ def _factor_positive(n: int) -> tuple[tuple[int, int], ...]:
                         f"factorization limit reached on {m}: no factor within "
                         f"{_RHO_STEPS} Pollard rho steps"
                     )
-                stack.extend((g, m // g))
+                stack.extend(sorted((g, m // g), reverse=True))  # the smaller first
     return tuple(sorted(powers.items()))
 
 

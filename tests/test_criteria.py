@@ -256,6 +256,19 @@ class TestInputGuards:
             with pytest.raises(ValueError, match="normalize first"):
                 crit(P(2, 4, 6))
 
+    def test_zero_constant_term_rejected_everywhere(self):
+        for crit in (
+            weintraub_check,
+            eisenstein_generalized,
+            constant_term_criterion,
+            leading_coeff_criterion,
+            dominant_coefficient,
+            perron_nonmonic,
+            middle_prime_power_check,
+        ):
+            with pytest.raises(ValueError, match="normalize first: constant term is zero"):
+                crit(P(0, 2, 1))  # z^2 + 2z
+
     def test_invalid_oracle_mode(self):
         with pytest.raises(ValueError, match="oracle mode"):
             analyze(P(1, 1), AnalyzeConfig(oracle="maybe"))

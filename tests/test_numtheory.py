@@ -175,3 +175,15 @@ def test_each_cofactor_below_the_factor_bound_gets_its_own_rho_budget():
     p, q = 4294766087, 4294187803
     _factor_positive.cache_clear()
     assert factorize(p**6 * q**3).factors == ((q, 3), (p, 6))
+
+
+@pytest.mark.parametrize("e", [4, 5])
+def test_each_prime_above_the_factor_bound_costs_one_rho_split(e):
+    # 384 and 480 bits of two primes near 2^32: once a prime is found its
+    # full power leaves every cofactor, so two splits share the budget above
+    # 2^64 instead of one split per prime factor
+    p, q = 4294766087, 4294187803
+    _factor_positive.cache_clear()
+    start = time.perf_counter()
+    assert factorize(p ** (2 * e) * q**e).factors == ((q, e), (p, 2 * e))
+    assert time.perf_counter() - start < 5.0

@@ -4,8 +4,9 @@ give exactly the same results.
 - The criteria and audit predicates that read a shared PolyFacts record,
   against direct sums that recompute every sum, power and factorization
   from the polynomial for each (j, b) or (j, p) pair; the library keeps
-  running sums and memoised facts instead. Outcomes, witnesses and radius
-  sets must agree.
+  running sums and memoised facts instead; the two disk criteria against
+  the separate searches over a_0 and over a_m that they replaced. Outcomes,
+  witnesses and the audit's largest certified radius must agree.
 - `numtheory._factor_positive`, which hands a cofactor below 2^64 to
   Miller-Rabin and Pollard rho after trial division to 10^3, against the
   trial-division loop to 10^6 that it replaced.
@@ -33,7 +34,9 @@ from irreducia.criteria import (
     Conclusion,
     CriterionOutcome,
     PolyFacts,
+    constant_term_criterion,
     dominant_coefficient,
+    leading_coeff_criterion,
     middle_prime_power_check,
     perron_nonmonic,
 )
@@ -107,6 +110,57 @@ def ref_middle_prime_power_check(f):
     return _no_conclusion(name)
 
 
+def _ref_disk_outcome(name, p, k, j, d, cert, witnesses=()):
+    return CriterionOutcome(
+        name,
+        True,
+        {"p": p, "k": k, "j": j, "d": d, **dict(witnesses)},
+        Conclusion.at_most(min(k, j)),
+        certificate_mode="exact" if cert.is_exact() else "numeric-conditional",
+    )
+
+
+def ref_constant_term_criterion(f):
+    name = "constant_term"
+    c, m = f.coeffs, f.degree
+    a0 = c[0]
+    if abs(a0) == 1:
+        return _no_conclusion(name)
+    best = None
+    for p, k in numtheory.factorize(a0).factors:
+        d = abs(a0) // p**k
+        cert = rootloc.certify_outside_disk(f, d, rootloc.CertificateMode.SYMBOLIC_SUFFICIENT)
+        if not cert.certified:
+            continue
+        j = next(j for j in range(1, m + 1) if c[j] % p != 0)
+        candidate = _ref_disk_outcome(name, p, k, j, d, cert)
+        if best is None or candidate.rank() < best.rank():
+            best = candidate
+    return best if best is not None else _no_conclusion(name)
+
+
+def ref_leading_coeff_criterion(f):
+    name = "leading_coeff"
+    c, m = f.coeffs, f.degree
+    a0, am = c[0], c[m]
+    if abs(am) == 1 or abs(a0) == 1:
+        return _no_conclusion(name)
+    q = numtheory.factorize(a0).factors[0][0]
+    if abs(a0) > q * abs(am):
+        return _no_conclusion(name)
+    best = None
+    for p, k in numtheory.factorize(am).factors:
+        d = abs(am) // p**k
+        cert = rootloc.certify_outside_disk(f, d, rootloc.CertificateMode.SYMBOLIC_SUFFICIENT)
+        if not cert.certified:
+            continue
+        j = next(j for j in range(1, m + 1) if c[m - j] % p != 0)
+        candidate = _ref_disk_outcome(name, p, k, j, d, cert, {"q": q})
+        if best is None or candidate.rank() < best.rank():
+            best = candidate
+    return best if best is not None else _no_conclusion(name)
+
+
 def ref_cor1_best_j(f):
     m = f.degree
     if m < 2:
@@ -142,7 +196,9 @@ def ref_symbolic_disk_radii(f):
 
 
 REFERENCES = {
+    "constant_term": ref_constant_term_criterion,
     "dominant_coefficient": ref_dominant_coefficient,
+    "leading_coeff": ref_leading_coeff_criterion,
     "middle_prime_power": ref_middle_prime_power_check,
     "perron_nonmonic": ref_perron_nonmonic,
 }
@@ -170,7 +226,7 @@ def test_facts_criteria_match_direct_sums(f):
         assert CRITERIA[name](f) == expected  # own record
         assert CRITERIA[name](facts) == expected  # shared record
     assert audit.cor1_best_j(facts) == ref_cor1_best_j(f)
-    assert sorted(audit._symbolic_disk_radii(facts)) == sorted(ref_symbolic_disk_radii(f))
+    assert audit._largest_certified_radius(facts) == max(ref_symbolic_disk_radii(f), default=None)
 
 
 def test_references_fire_on_known_instances():
@@ -188,6 +244,14 @@ def test_references_fire_on_known_instances():
     assert ref_middle_prime_power_check(f).witnesses["s"] == 2
     assert middle_prime_power_check(f) == ref_middle_prime_power_check(f)
     assert ref_cor1_best_j(Polynomial([1, 1, 10, 1])) == 2
+    f = Polynomial([24, 1, 1])  # 8 * 3: d = 8 fails, d = 3 is certified
+    assert ref_constant_term_criterion(f).witnesses == {"p": 2, "k": 3, "j": 1, "d": 3}
+    assert constant_term_criterion(f) == ref_constant_term_criterion(f)
+    f = Polynomial([11, 0, 5])
+    assert ref_leading_coeff_criterion(f).witnesses == {"p": 5, "k": 1, "j": 2, "d": 1, "q": 11}
+    assert leading_coeff_criterion(f) == ref_leading_coeff_criterion(f)
+    assert ref_symbolic_disk_radii(Polynomial([24, 1, 1])) == [3]
+    assert audit._largest_certified_radius(PolyFacts(Polynomial([24, 1, 1]))) == 3
 
 
 def test_audit_one_certifies_each_radius_once(monkeypatch):
