@@ -164,7 +164,10 @@ def _largest_certified_radius(facts: PolyFacts) -> int | None:
 
     The symbolic test is monotone in d (a certificate at d holds at every
     smaller radius), so the radii are tested from the largest down and the
-    first one certified settles the rest."""
+    first one certified settles the rest; and as every radius is at least 1,
+    none is certified when the test at d = 1 fails."""
+    if not facts.unit_disk_certified:
+        return None
     radii = {d for i in (0, facts.degree) for _, _, d in facts.disk_radii(i)}
     for d in sorted(radii, reverse=True):
         if facts.certificate(d, rootloc.CertificateMode.SYMBOLIC_SUFFICIENT).certified:

@@ -1,9 +1,10 @@
 """Command-line front end: run analyses, emit reports, factor inputs,
 generate corpora, and drive audits. Polynomials are read by poly.parse_poly.
 
-Exit codes: 0 for any conclusion (and clean audits), 1 for input errors,
-2 for audit soundness violations, 3 when every criterion is inconclusive,
-4 when `analyze` finds its strongest conclusion contradicted by the
+Exit codes: 0 for any conclusion (and clean audits), 1 for input errors
+and when the reader closes standard output early (as `| head` does; no
+traceback is printed), 2 for audit soundness violations, 3 when every
+criterion is inconclusive, 4 when `analyze` finds its strongest conclusion contradicted by the
 factorization oracle (a soundness error: a bug, never an input problem).
 The JSON report is the stable machine contract ("schema": "irreducia/1");
 big integers are serialized as decimal strings.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import chain
 
@@ -348,7 +350,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_poly_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_ERROR
     except (PolyParseError, ValueError, corpus.FamilyConditionError,
             oracle.OracleLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

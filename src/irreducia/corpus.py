@@ -174,7 +174,9 @@ def gen_exhaustive(max_degree: int, coeff_bound: int) -> Iterator[Polynomial]:
     [1, max_degree], coefficients in [-coeff_bound, coeff_bound], one
     representative per global-sign pair (leading coefficient positive).
     Deterministic order: degree ascending, coefficient tuples lexicographic
-    with the lowest coefficient varying slowest."""
+    with the lowest coefficient varying slowest. Each product tuple already
+    holds ints with a positive last entry, so it becomes a Polynomial as it
+    is."""
     if max_degree < 1:
         raise ValueError(f"invalid bound: max degree must be >= 1, got {max_degree}")
     if coeff_bound < 1:
@@ -183,11 +185,12 @@ def gen_exhaustive(max_degree: int, coeff_bound: int) -> Iterator[Polynomial]:
     nonzero = [c for c in range(-bound, bound + 1) if c != 0]
     full = range(-bound, bound + 1)
     lead = range(1, bound + 1)
+    gcd, make = math.gcd, Polynomial._from_canonical
     for degree in range(1, max_degree + 1):
         ranges = [nonzero] + [full] * (degree - 1) + [lead]
         for tup in itertools.product(*ranges):
-            if math.gcd(*tup) == 1:
-                yield Polynomial(tup)
+            if gcd(*tup) == 1:
+                yield make(tup)
 
 
 def gen_dominant_second(

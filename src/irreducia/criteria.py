@@ -112,20 +112,25 @@ class PolyFacts:
     nonzero constant term, shared by every criterion and by the audit's
     cross-checks.
 
-    The input is validated once on construction. Everything else is worked
-    out on first use and kept, so a fact no caller asks for is never
-    computed: in particular a coefficient is factorized only when a witness
-    search reaches it. A factorization that hits the factorization limit is
-    remembered too, and asking again raises the same error without
-    spending the budget a second time; so is a root iteration that did not
-    converge. The dominance index and divisor of `dominant()`, which both
+    The input is validated once on construction, and the exact disk test at
+    radius 1, |a_0| > sum_{i>=1} |a_i|, is made there too (one sum). Every
+    radius the disk criteria try is an integer d >= 1 and that sum grows
+    with d, so when `unit_disk_certified` is false no symbolic disk
+    certificate can fire and neither end need be factorized for one.
+    Everything else is worked out on first use and kept, so a fact no caller
+    asks for is never computed: in particular a coefficient is factorized
+    only when a witness search reaches it. A factorization that hits the
+    factorization limit is remembered too, and asking again raises the same
+    error without spending the budget a second time; so is a root iteration
+    that did not converge. The dominance index and divisor of `dominant()`, which both
     the dominant-coefficient criterion and the audit's unit-divisor check
     read, are found once, and so are the disk radii at each end, which both
     disk criteria and the audit's root-location check read.
     """
 
-    __slots__ = ("poly", "coeffs", "degree", "mags", "_factors", "_divisors",
-                 "_low", "_dominant", "_rational_root", "_roots", "_certs", "_radii")
+    __slots__ = ("poly", "coeffs", "degree", "mags", "unit_disk_certified", "_factors",
+                 "_divisors", "_low", "_dominant", "_rational_root", "_roots", "_certs",
+                 "_radii")
 
     def __init__(self, f: Polynomial):
         if f.is_zero():
@@ -139,7 +144,8 @@ class PolyFacts:
         self.poly = f
         self.coeffs = f.coeffs
         self.degree = f.degree
-        self.mags = [abs(c) for c in f.coeffs]
+        self.mags = mags = [abs(c) for c in f.coeffs]
+        self.unit_disk_certified = 2 * mags[0] > sum(mags)
         self._factors: dict = {}
         self._divisors: list[int] | None = None
         self._low: list[int] | None = None
@@ -159,7 +165,7 @@ class PolyFacts:
         known = self._factors.get(n)
         if known is None:
             try:
-                known = numtheory.factorize(n).factors
+                known = numtheory.prime_factors(n)
             except numtheory.FactorizationLimitError as exc:
                 known = exc
             self._factors[n] = known
@@ -332,7 +338,11 @@ def _disk_criterion(
     """The search both disk criteria share, at the end a_i with i in {0, m}:
     each a_i = +-p^k d with every root certified outside |z| <= d gives at
     most min(k, j) irreducible factors, where j counts the steps from i
-    toward the other end up to the first coefficient that p misses."""
+    toward the other end up to the first coefficient that p misses. A
+    symbolic search ends at once when the test at d = 1 fails, since every
+    radius is at least 1."""
+    if mode is CertificateMode.SYMBOLIC_SUFFICIENT and not facts.unit_disk_certified:
+        return _NO_CONCLUSIONS[name]
     c, m = facts.coeffs, facts.degree
     step = 1 if i == 0 else -1
     candidates = []
@@ -374,6 +384,8 @@ def leading_coeff_criterion(
     a0, am = facts.mags[0], facts.mags[-1]
     if am == 1 or a0 == 1:
         return _NO_CONCLUSIONS[name]
+    if mode is CertificateMode.SYMBOLIC_SUFFICIENT and not facts.unit_disk_certified:
+        return _NO_CONCLUSIONS[name]  # before a_0 is factorized for q
     q = facts.factors(a0)[0][0]
     if a0 > q * am:  # |a0/q| <= |am| as an exact comparison
         return _NO_CONCLUSIONS[name]

@@ -3,6 +3,9 @@ divisor enumeration.
 
 These back the witness searches of the criteria: every candidate prime comes
 from the factorization of a single coefficient, so inputs stay at desk scale.
+`prime_factors(n)` gives the sorted (prime, exponent) pairs of n >= 1 from an
+lru cache, and is what the criteria and `positive_divisors` read;
+`factorize` wraps it in a signed PrimePowerDecomposition record.
 Trial division strips the small primes: those up to 10^3 while the cofactor
 is below DEFAULT_FACTOR_BOUND, up to 10^6 while it is not. A survivor that
 trial division has not proved prime goes through Miller-Rabin plus Pollard
@@ -129,8 +132,11 @@ def _pollard_rho(n: int, rng: random.Random, steps: int) -> tuple[int | None, in
 
 
 @lru_cache(maxsize=1 << 16)
-def _factor_positive(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 1 as sorted (prime, exponent) pairs."""
+def prime_factors(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of n >= 1 as (prime, exponent) pairs, ascending
+    by prime; () for n = 1. Cached, so callers get the same tuple back."""
+    if n < 1:
+        raise ValueError(f"prime_factors needs n >= 1, got {n}")
     if n == 1:
         return ()
     powers: dict[int, int] = {}
@@ -186,12 +192,16 @@ def _factor_positive(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(powers.items()))
 
 
+# perfbench/workloads.py clears and reads the cache under this older name
+_factor_positive = prime_factors
+
+
 def factorize(n: int) -> PrimePowerDecomposition:
     """Complete prime factorization of a nonzero integer."""
     if n == 0:
         raise ValueError("zero has no prime factorization")
     sign = 1 if n > 0 else -1
-    return PrimePowerDecomposition(n=n, sign=sign, factors=_factor_positive(abs(n)))
+    return PrimePowerDecomposition(n=n, sign=sign, factors=prime_factors(abs(n)))
 
 
 def valuation(p: int, n: int) -> int:
@@ -212,13 +222,13 @@ def smallest_prime_divisor(n: int) -> int:
     """Least prime dividing |n|; requires |n| >= 2."""
     if abs(n) < 2:
         raise ValueError(f"no prime divisor: |{n}| < 2")
-    return _factor_positive(abs(n))[0][0]
+    return prime_factors(abs(n))[0][0]
 
 
 def positive_divisors(n: int) -> list[int]:
     """All positive divisors of |n| in increasing order (n nonzero)."""
     divs = [1]
-    for p, e in factorize(n).factors:
+    for p, e in prime_factors(abs(n)):
         pk = 1
         block = list(divs)
         for _ in range(e):

@@ -122,7 +122,8 @@ def _kronecker_search(h: Polynomial, budget: _Budget) -> Polynomial | None:
             for x in _sample_points(e + 1 + _SPARE_POINTS)[len(points):]:
                 points.append(x)
                 values.append(h.evaluate(x))
-                counts.append(math.prod(k + 1 for _, k in numtheory.factorize(values[-1]).factors))
+                factors = numtheory.prime_factors(abs(values[-1]))
+                counts.append(math.prod(k + 1 for _, k in factors))
             # fewest divisors first; ties keep the sample order
             order = sorted(range(len(points)), key=counts.__getitem__)
             for i in order[: e + 1]:

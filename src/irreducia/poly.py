@@ -32,6 +32,15 @@ class Polynomial:
             cs.pop()
         self.coeffs = tuple(cs)
 
+    @classmethod
+    def _from_canonical(cls, coeffs: tuple[int, ...]) -> Polynomial:
+        """The polynomial with exactly these coefficients, without the
+        checks of __init__. Precondition: coeffs is a tuple of ints whose
+        last entry is nonzero, or the empty tuple."""
+        f = object.__new__(cls)
+        f.coeffs = coeffs
+        return f
+
     # -- basic structure ----------------------------------------------------
 
     @property

@@ -4,9 +4,12 @@
 Two modes. The symbolic mode checks the sufficient coefficient inequality
 |a_0| > sum_{i>=1} |a_i| d^i in exact arithmetic: on |z| <= d that forces
 |f(z)| >= |a_0| - sum |a_i| d^i > 0, so the disk is root-free. It is sound
-but incomplete. The numeric mode approximates all roots simultaneously and
-compares moduli against d with a relative margin; complete in practice but
-not a proof, so consumers flag it.
+but incomplete. Its right side grows with d, so a test that fails at d = 1
+fails at every d >= 1; as every radius the disk criteria try is an integer
+d >= 1, `criteria.PolyFacts` makes the test at d = 1 once and skips the
+symbolic search when it fails. The numeric mode approximates all roots
+simultaneously and compares moduli against d with a relative margin;
+complete in practice but not a proof, so consumers flag it.
 """
 
 from __future__ import annotations

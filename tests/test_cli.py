@@ -287,3 +287,19 @@ class TestColdImports:
         assert "irreducia.cli" in loaded
         assert "numpy" not in loaded
         assert "multiprocessing" not in loaded
+
+
+def test_closed_pipe_exits_without_traceback():
+    # the reader takes one line and closes the pipe, as `| head -1` does
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [TestColdImports.SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "irreducia", "gen", "--exhaustive",
+         "--max-degree", "4", "--coeff-bound", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"-4,1\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == EXIT_ERROR
+    assert b"Traceback" not in err

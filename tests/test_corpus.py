@@ -1,5 +1,6 @@
 """Family generators and audit corpora."""
 
+import itertools
 import math
 
 import pytest
@@ -139,6 +140,25 @@ class TestExhaustive:
                 if math.gcd(a, b) == 1
             ]
         )
+
+    def test_same_stream_as_checked_constructor(self):
+        # the stream skips Polynomial's checks; building each tuple through
+        # them must give the same polynomials in the same order
+        def checked(max_degree, bound):
+            nonzero = [c for c in range(-bound, bound + 1) if c != 0]
+            full = range(-bound, bound + 1)
+            for degree in range(1, max_degree + 1):
+                ranges = [nonzero] + [full] * (degree - 1) + [range(1, bound + 1)]
+                for tup in itertools.product(*ranges):
+                    if math.gcd(*tup) == 1:
+                        yield Polynomial(tup)
+
+        polys = list(gen_exhaustive(3, 4))
+        assert [f.coeffs for f in polys] == [f.coeffs for f in checked(3, 4)]
+        assert all(type(c) is int for f in polys for c in f.coeffs)
+
+    def test_sweep_corpus_size(self):
+        assert sum(1 for _ in gen_exhaustive(5, 5)) == 798_518
 
     def test_invalid_bounds(self):
         with pytest.raises(ValueError, match="invalid bound"):

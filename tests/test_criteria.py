@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from irreducia import numtheory, oracle, rootloc
+from irreducia import audit, numtheory, oracle, rootloc
 from irreducia.corpus import gen_exhaustive, gen_random
 from irreducia.criteria import (
     AnalyzeConfig,
     Conclusion,
     ConclusionKind,
+    PolyFacts,
     analyze,
     constant_term_criterion,
     dominant_coefficient,
@@ -115,6 +116,38 @@ class TestConstantTerm:
         out = constant_term_criterion(P(5, 1, 1), CertificateMode.NUMERIC_HEURISTIC)
         assert out.conclusion.kind is IRR
         assert out.certificate_mode == "numeric-conditional"
+
+    def test_unit_disk_test_is_symbolic_only(self):
+        # (z - 2)^2: the exact test fails at d = 1 (4 > 4 + 1 is false), but
+        # both roots have modulus 2, so numeric mode certifies d = 1
+        f = P(4, -4, 1)
+        assert not PolyFacts(f).unit_disk_certified
+        assert constant_term_criterion(f).conclusion.kind is NONE
+        out = constant_term_criterion(f, CertificateMode.NUMERIC_HEURISTIC)
+        assert out.conclusion == Conclusion.at_most(2)
+        assert out.witnesses == {"p": 2, "k": 2, "j": 2, "d": 1}
+        assert out.certificate_mode == "numeric-conditional"
+
+    def test_failed_unit_disk_test_factors_neither_end(self, monkeypatch):
+        calls = []
+        real = numtheory.prime_factors
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(numtheory, "prime_factors", counting)
+        facts = PolyFacts(P(6, 1, 5))  # 6 > 1 + 5 fails, at equality; 6 <= 2 * 5
+        assert not facts.unit_disk_certified
+        assert constant_term_criterion(facts).conclusion.kind is NONE
+        assert leading_coeff_criterion(facts).conclusion.kind is NONE
+        assert audit._largest_certified_radius(facts) is None
+        assert calls == []
+        facts = PolyFacts(P(30, 5, 1, 20))  # passes at d = 1: both ends are factored
+        assert facts.unit_disk_certified
+        constant_term_criterion(facts)
+        leading_coeff_criterion(facts)
+        assert sorted(calls) == [20, 30]
 
 
 class TestLeadingCoeff:
@@ -400,6 +433,18 @@ class TestAnalyze:
         assert [w.split(":")[0] for w in report.warnings] == list(limited)
         assert all("factorization limit" in w for w in report.warnings)
         assert by_name["dominant_coefficient"].conclusion == Conclusion.at_most(2)
+
+    def test_failed_unit_disk_test_needs_no_factorization(self, monkeypatch):
+        # both ends resist the shortened rho budget, but |a_0| > sum |a_i|
+        # fails, so the disk criteria never factor them and do not warn
+        monkeypatch.setattr(numtheory, "_RHO_STEPS", 1000)
+        big = (2**61 - 1) * (2**59 - 55)
+        report = analyze(P(big, 5, 5, big + 2), AnalyzeConfig(oracle="off"))
+        assert all(not o.conclusion.fired() for o in report.outcomes)
+        assert [w.split(":")[0] for w in report.warnings] == [
+            "dominant_coefficient", "eisenstein_generalized"
+        ]
+        assert all("factorization limit" in w for w in report.warnings)
 
     def test_no_conclusion_is_shared_and_read_only(self):
         first = perron_nonmonic(P(1, 1, 1))

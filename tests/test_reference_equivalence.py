@@ -7,7 +7,7 @@ give exactly the same results.
   running sums and memoised facts instead; the two disk criteria against
   the separate searches over a_0 and over a_m that they replaced. Outcomes,
   witnesses and the audit's largest certified radius must agree.
-- `numtheory._factor_positive`, which hands a cofactor below 2^64 to
+- `numtheory.prime_factors`, which hands a cofactor below 2^64 to
   Miller-Rabin and Pollard rho after trial division to 10^3, against the
   trial-division loop to 10^6 that it replaced.
 - `poly.rational_roots`, which skips candidates p/q unless q - p divides
@@ -217,8 +217,30 @@ def primitive_polys(draw):
     return Polynomial([c // g for c in coeffs])
 
 
+@st.composite
+def dominant_constant_polys(draw):
+    """|a_0| > sum_{i>=1} |a_i|, so the exact disk test at d = 1 passes and
+    the disk criteria search on; half the time a_0 = +-p^k d with
+    p^k d > sum |a_i| d^i, so the radius d is certified too."""
+    tail = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=8))
+    tail[-1] = tail[-1] or draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        p, d = draw(st.sampled_from((2, 3, 5, 7))), draw(st.integers(1, 4))
+        while d % p == 0:
+            d += 1
+        pk = p ** draw(st.integers(1, 3))
+        while pk * d <= sum(abs(a) * d**i for i, a in enumerate(tail, start=1)):
+            pk *= p
+        a0 = pk * d
+    else:
+        a0 = sum(map(abs, tail)) + draw(st.one_of(st.integers(1, 6), st.integers(1, 10**6)))
+    coeffs = [draw(st.sampled_from((1, -1))) * a0, *tail]
+    g = math.gcd(*coeffs)
+    return Polynomial([c // g for c in coeffs])
+
+
 @settings(max_examples=300, deadline=None)
-@given(primitive_polys())
+@given(st.one_of(primitive_polys(), dominant_constant_polys()))
 def test_facts_criteria_match_direct_sums(f):
     facts = PolyFacts(f)
     for name, reference in REFERENCES.items():
@@ -271,7 +293,7 @@ def test_audit_one_certifies_each_radius_once(monkeypatch):
     assert calls and max(calls.values()) == 1
 
 
-def ref_factor_positive(n):
+def ref_prime_factors(n):
     """Trial division by 2, 3 and 6k+-1 up to 10^6, then Miller-Rabin and
     Pollard rho on a survivor above 10^12."""
     if n == 1:
@@ -323,7 +345,7 @@ _big_prime = st.integers(2**32 - 2**20, 2**32 + 2**20).map(_next_prime)
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 10**12))
 def test_factorization_matches_trial_division(n):
-    assert numtheory._factor_positive(n) == ref_factor_positive(n)
+    assert numtheory.prime_factors(n) == ref_prime_factors(n)
 
 
 @settings(max_examples=25, deadline=None)
@@ -336,9 +358,9 @@ def test_factorization_of_prime_power_products(mid_prime_powers, big_primes):
     for p, e in mid_prime_powers:
         expected[p] += e
     n = math.prod(p**e for p, e in expected.items())
-    factors = numtheory._factor_positive(n)
+    factors = numtheory.prime_factors(n)
     assert factors == tuple(sorted(expected.items()))
-    assert factors == ref_factor_positive(n)
+    assert factors == ref_prime_factors(n)
 
 
 def ref_rational_roots(f):
