@@ -197,19 +197,14 @@ def _factor_primitive(h: Polynomial, budget: _Budget) -> dict[Polynomial, int]:
     return out
 
 
-def factor(
-    f: Polynomial,
-    *,
-    max_degree: int = DEFAULT_MAX_DEGREE,
-    coeff_bound: int = DEFAULT_COEFF_BOUND,
-    step_budget: int = DEFAULT_STEP_BUDGET,
-) -> FactorizationResult:
-    """Complete irreducible factorization over the integers."""
+def factor(f: Polynomial, *, max_degree: int = DEFAULT_MAX_DEGREE) -> FactorizationResult:
+    """Complete irreducible factorization over the integers, within
+    DEFAULT_COEFF_BOUND and DEFAULT_STEP_BUDGET."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if f.degree > max_degree:
         raise OracleLimitError(f"oracle limit: degree {f.degree} exceeds {max_degree}")
-    if max(abs(c) for c in f.coeffs) > coeff_bound:
+    if max(abs(c) for c in f.coeffs) > DEFAULT_COEFF_BOUND:
         raise OracleLimitError("oracle limit: coefficient magnitude")
 
     norm = normalize(f)
@@ -217,7 +212,7 @@ def factor(
     cont = sign * norm.content
     prim = norm.primitive_part if sign > 0 else -norm.primitive_part
 
-    budget = _Budget(step_budget)
+    budget = _Budget(DEFAULT_STEP_BUDGET)
     counts: dict[Polynomial, int] = {}
     if norm.z_power:
         counts[Z] = norm.z_power
@@ -250,9 +245,9 @@ def factor(
     return FactorizationResult(content=cont, factors=ordered)
 
 
-def count_irreducible_factors(f: Polynomial, **kwargs) -> int:
+def count_irreducible_factors(f: Polynomial) -> int:
     """Number of irreducible factors with multiplicity (z factors included)."""
-    return factor(f, **kwargs).nonconstant_factor_count()
+    return factor(f).nonconstant_factor_count()
 
 
 def _is_irreducible_fresh(g: Polynomial, budget: _Budget) -> bool:

@@ -8,8 +8,9 @@ but incomplete. Its right side grows with d, so a test that fails at d = 1
 fails at every d >= 1; as every radius the disk criteria try is an integer
 d >= 1, `criteria.PolyFacts` makes the test at d = 1 once and skips the
 symbolic search when it fails. The numeric mode approximates all roots
-simultaneously and compares moduli against d with a relative margin;
-complete in practice but not a proof, so consumers flag it.
+simultaneously (Aberth-Ehrlich iteration from the Newton-polygon starts of
+Bini, Numer. Algorithms 13, 1996) and compares moduli against d with a
+relative margin; complete in practice but not a proof, so consumers flag it.
 """
 
 from __future__ import annotations
@@ -17,17 +18,15 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .poly import Polynomial
 
 MARGIN = 1e-3  # numeric mode: relative gap each root modulus must keep from d
-TOLERANCE = 1e-10  # scaled residual at which the root iteration has converged
-MAX_ITERATIONS = 400  # Weierstrass steps per attempt
-RESTARTS = 6  # attempts, the first from the unperturbed start
+MAX_ITERATIONS = 100  # Aberth sweeps over the roots not yet accepted
+START_ANGLE = 0.7  # radians: keeps starting points off the real axis
 
 
 class CertificateMode(enum.Enum):
@@ -36,7 +35,9 @@ class CertificateMode(enum.Enum):
 
 
 class NonConvergenceError(RuntimeError):
-    """Root iteration missed the residual target within the retry budget."""
+    """Root iteration missed its backward-error target within MAX_ITERATIONS
+    sweeps (best_residual is then the worst root's relative backward error),
+    or could not run in floats (best_residual is inf)."""
 
     def __init__(self, best_residual: float):
         super().__init__(f"root iteration did not converge (best residual {best_residual:.3e})")
@@ -107,85 +108,83 @@ def certify_outside_disk(
 
 
 def numeric_roots(f: Polynomial) -> list[complex]:
-    """All complex roots by simultaneous (Weierstrass) iteration.
-
-    Converged when the scaled residual max |f(r)| / (|a_m| max(1,|r|)^m)
-    drops below TOLERANCE; stagnating attempts restart from perturbed
-    initial points. Raises NonConvergenceError after the retry budget, or at
-    once when a coefficient ratio a_i / a_m is beyond the float range.
-    """
-    m = f.degree
-    if m < 1:
+    """All complex roots of f. A zero low coefficient is an exact root at 0;
+    Aberth-Ehrlich iteration in Gauss-Seidel order finds the other n from
+    Bini's starts. A root is accepted, and no longer updated, once its
+    relative backward error |f(r)| / sum |a_i| |r|^i is at most 4 n eps.
+    Where |r| > 1, f and f' are read off the reversed polynomial at 1/r, so
+    no power of |r| is formed. Raises NonConvergenceError after
+    MAX_ITERATIONS sweeps, or at once when a ratio a_i / a_m is beyond the
+    float range, iterates coincide or a derivative vanishes."""
+    if f.degree < 1:
         raise ValueError("need degree >= 1 for root finding")
-    lead = f.leading_coefficient
+    zeros = next(i for i, c in enumerate(f.coeffs) if c)
+    coeffs = f.coeffs[zeros:]
     try:
-        highest_first = [complex(c / lead) for c in reversed(f.coeffs)]
-    except OverflowError:
+        a = [c / f.leading_coefficient for c in coeffs]  # lowest degree first
+        mags = [abs(c) for c in a]
+        n = len(a) - 1
+        # a ratio that underflowed, or a coefficient sum that overflows
+        if any(c and not x for c, x in zip(coeffs, mags)) or not n * sum(mags) < math.inf:
+            raise NonConvergenceError(math.inf)
+        a_rev, mags_rev = a[::-1], mags[::-1]
+        bound = 4 * n * sys.float_info.epsilon
+        z = _starts(mags)
+        errors = [math.inf] * n
+        live = range(n)
+        for _ in range(MAX_ITERATIONS):
+            still = []
+            for i in live:
+                r = z[i]
+                inside = abs(r) <= 1.0
+                if inside:
+                    v, dv, scale = _horner(a_rev, mags_rev, r)
+                else:  # v = r^-n f(r) = sum a_i y^(n-i) at y = 1/r
+                    y = 1.0 / r
+                    v, dv, scale = _horner(a, mags, y)
+                errors[i] = abs(v) / scale
+                if errors[i] <= bound:
+                    continue
+                still.append(i)
+                ratio = v / dv if inside else r * v / (n * v - y * dv)  # f / f'
+                pull = sum([1.0 / (r - w) for j, w in enumerate(z) if j != i])
+                step = ratio / (1.0 - ratio * pull)
+                if not abs(step) < math.inf:
+                    raise NonConvergenceError(math.inf)
+                z[i] = r - step
+            live = still
+            if not live:
+                return [0j] * zeros + z
+    except (ZeroDivisionError, OverflowError):
         raise NonConvergenceError(math.inf) from None
-
-    def value(r: complex) -> complex:
-        acc = 0j
-        for c in highest_first:
-            acc = acc * r + c
-        return acc
-
-    def residual(z: list[complex]) -> float:
-        vals = [abs(value(r)) / max(1.0, abs(r)) ** m for r in z]
-        return max(vals) if sum(vals) < math.inf else math.inf  # inf or nan: diverged
-
-    radius = 1.0 + max(abs(c) for c in highest_first[1:])  # Cauchy root bound
-    start = [
-        cmath.rect(radius ** ((k + 1) / m), 2.0 * math.pi * k / m + 0.4) for k in range(m)
-    ]
-    rng = None  # seeded on the first restart; most calls converge without one
-    best_res = math.inf
-    for attempt in range(RESTARTS):
-        z = start
-        if attempt:
-            rng = rng or random.Random(0x5EED)
-            re_part = [rng.gauss(0.0, 1.0) for _ in range(m)]
-            im_part = [rng.gauss(0.0, 1.0) for _ in range(m)]
-            z = [
-                r * (1.0 + 0.2 * attempt) + complex(x, y) * 0.1 * radius
-                for r, x, y in zip(z, re_part, im_part)
-            ]
-        try:
-            z = _weierstrass(z, value)
-            res = residual(z)
-        except (ZeroDivisionError, OverflowError):  # coincident or escaping iterates
-            continue
-        best_res = min(best_res, res)
-        if res <= TOLERANCE:
-            return z
-    raise NonConvergenceError(best_res)
+    raise NonConvergenceError(max(errors))
 
 
-def _weierstrass(z: list[complex], value: Callable[[complex], complex]) -> list[complex]:
-    """Jacobi-style Weierstrass steps from z until the step is negligible or
-    has not shrunk for more than 20 steps in a row."""
-    prev_step = math.inf
-    stagnant = 0
-    for _ in range(MAX_ITERATIONS):
-        update = []
-        for i, r in enumerate(z):
-            denom = 1.0
-            for s in z[:i]:
-                denom *= r - s
-            for s in z[i + 1:]:
-                denom *= r - s
-            update.append(value(r) / denom)
-        z = [r - u for r, u in zip(z, update)]
-        sizes = [abs(u) for u in update]
-        if not sum(sizes) < math.inf:  # an inf or nan step: the attempt diverged
-            break
-        step = max(sizes)
-        if step < 1e-15 * max(1.0, max(abs(r) for r in z)):
-            break
-        if step >= prev_step:
-            stagnant += 1
-            if stagnant > 20:
-                break
-        else:
-            stagnant = 0
-        prev_step = step
+def _horner(coeffs: list[float], mags: list[float], x: complex) -> tuple[complex, complex, float]:
+    """p(x), p'(x) and sum |c_k| |x|^k for p with coefficients (and their
+    moduli) listed highest degree first."""
+    v, dv, scale, ax = 0j, 0j, 0.0, abs(x)
+    for c, mc in zip(coeffs, mags):
+        dv = dv * x + v
+        v = v * x + c
+        scale = scale * ax + mc
+    return v, dv, scale
+
+
+def _starts(mags: list[float]) -> list[complex]:
+    """Bini's starts for the roots of sum a_i z^i (a_0 != 0, mags[i] = |a_i|):
+    each edge of the upper convex hull of (i, log|a_i|), from i to k, puts
+    k - i points evenly on the circle of radius (|a_i| / |a_k|)^(1/(k-i))."""
+    n = len(mags) - 1
+    points = [(k, math.log(c)) for k, c in enumerate(mags) if c]
+    z: list[complex] = []
+    i, log_i = points[0]
+    while i < n:
+        # the edge from i ends at the steepest point, the farthest on a tie
+        k, log_k = max((p for p in points if p[0] > i),
+                       key=lambda p: ((p[1] - log_i) / (p[0] - i), p[0]))
+        radius = math.exp((log_i - log_k) / (k - i))
+        z += [cmath.rect(radius, 2.0 * math.pi * (j / (k - i) + i / n) + START_ANGLE)
+              for j in range(k - i)]
+        i, log_i = k, log_k
     return z

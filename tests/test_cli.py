@@ -2,8 +2,10 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -151,6 +153,26 @@ class TestExitCodes:
         assert outcomes["constant_term"] == "NoConclusion"
         assert "constant_term: no conclusion: root iteration did not converge " \
                "(best residual inf)" in out["warnings"]
+
+    def test_analyze_numeric_widely_scaled_quadratic(self, capsys):
+        # roots near -10 and 10^10 + 10: the disk criteria read them without
+        # a root-iteration warning
+        code = main(["analyze", "--poly", "z^2-10000000000z-100000000000",
+                     "--root-mode", "numeric", "--oracle", "off", "--format", "json"])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["warnings"] == []
+
+    def test_analyze_numeric_degree_1000_is_bounded(self, capsys):
+        rng = random.Random(1000)
+        coeffs = [rng.randint(-10, 10) for _ in range(1001)]
+        coeffs[0], coeffs[-1] = coeffs[0] or 1, coeffs[-1] or 1
+        start = time.perf_counter()
+        code = main(["analyze", "--poly", ",".join(map(str, coeffs)),
+                     "--root-mode", "numeric", "--oracle", "off", "--format", "json"])
+        assert time.perf_counter() - start < 10.0
+        assert code in (EXIT_OK, EXIT_NO_CONCLUSION)
+        assert not any("did not converge" in w
+                       for w in json.loads(capsys.readouterr().out)["warnings"])
 
     def test_analyze_unknown_criterion(self, capsys):
         assert main(["analyze", "--poly", "z+1", "--criteria", "bogus"]) == EXIT_ERROR

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from irreducia import oracle
 from irreducia.corpus import gen_random
 from irreducia.criteria import AnalyzeConfig, analyze
 from irreducia.oracle import (
@@ -70,12 +71,13 @@ class TestFactor:
 
     def test_coeff_limit(self):
         with pytest.raises(OracleLimitError, match="coefficient"):
-            factor(P(10**9, 1), coeff_bound=10**8)
+            factor(P(10**9, 1))  # above the 10^8 bound
 
-    def test_step_budget(self):
+    def test_step_budget(self, monkeypatch):
+        monkeypatch.setattr(oracle, "DEFAULT_STEP_BUDGET", 3)
         f = P(1, 1, 0, 1) * P(1, 0, 1, 1) * P(1, 1)
         with pytest.raises(OracleLimitError, match="budget"):
-            factor(f, step_budget=3)
+            factor(f)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Disk-exclusion certificates and numeric roots."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -69,16 +70,48 @@ class TestNumericRoots:
         with pytest.raises(ValueError):
             numeric_roots(Polynomial([3]))
 
-    def test_float_overflow_is_nonconvergence(self):
-        # roots of modulus 1e100: max(1, |r|)^2 leaves the float range
-        with pytest.raises(NonConvergenceError):
-            numeric_roots(Polynomial([10**200, 0, 1]))
+    def test_roots_whose_powers_leave_the_float_range(self):
+        # |r|^2 = 1e200 and the residual's terms are read at 1/r, so the
+        # roots +-10^100 i come out to full precision
+        roots = sorted(numeric_roots(Polynomial([10**200, 0, 1])), key=lambda r: r.imag)
+        for got, want in zip(roots, (-1e100j, 1e100j)):
+            assert abs(got - want) <= 1e-12 * 1e100
 
     def test_coefficient_ratio_beyond_float_range_is_nonconvergence(self):
         # a_0 / a_m = 10^400 has no float value
         with pytest.raises(NonConvergenceError) as info:
             numeric_roots(Polynomial([10**400, 1, 1]))
         assert info.value.best_residual == math.inf
+
+    def test_widely_scaled_cubic(self):
+        # 7z^3 + 10^11 z^2 - 1: two roots near +-3.2e-6, one near -1.4e10
+        f = Polynomial([-1, 0, 10**11, 7])
+        moduli = sorted(abs(r) for r in numeric_roots(f))
+        assert math.prod(moduli) == pytest.approx(1 / 7, rel=1e-12)
+        assert moduli[2] == pytest.approx(10**11 / 7, rel=1e-12)
+
+    def test_dense_degree_100(self):
+        rng = random.Random(100)
+        coeffs = [rng.randint(-10, 10) for _ in range(101)]
+        coeffs[0], coeffs[-1] = coeffs[0] or 1, coeffs[-1] or 1
+        roots = numeric_roots(Polynomial(coeffs))
+        assert len(roots) == 100
+        prod = math.prod(abs(r) for r in roots)
+        assert prod == pytest.approx(abs(coeffs[0] / coeffs[-1]), rel=1e-9)
+
+    def test_zero_low_coefficients_are_exact_roots(self):
+        roots = numeric_roots(Polynomial([0, 0, -4, 0, 1]))
+        assert roots[:2] == [0j, 0j]
+        assert all(abs(abs(r) - 2) < 1e-12 for r in roots[2:])
+
+    def test_coefficients_beyond_float_sums_are_nonconvergence(self):
+        # 10^-400 underflows to 0.0 and would pass for a root at 0; ratios
+        # of 10^308 sum beyond the float range, and an infinite sum would
+        # accept any point as a root
+        for f in (Polynomial([1, 0, 10**400]), Polynomial([-10**308, 10**308, 1])):
+            with pytest.raises(NonConvergenceError) as info:
+                numeric_roots(f)
+            assert info.value.best_residual == math.inf
 
     def test_repeated_roots(self):
         roots = numeric_roots(Polynomial([1, 2, 1]))  # (z+1)^2
@@ -111,6 +144,15 @@ def _polys_with_nonzero_ends(draw):
     return Polynomial(coeffs)
 
 
+@st.composite
+def _widely_scaled_polys(draw):
+    """Degree 2-8, each coefficient 0, +-1 or +-10^k with k <= 12, the
+    two ends nonzero."""
+    nonzero = st.builds(lambda sign, k: sign * 10**k, st.sampled_from([1, -1]), st.integers(0, 12))
+    middle = draw(st.lists(st.one_of(st.just(0), nonzero), min_size=1, max_size=7))
+    return Polynomial([draw(nonzero), *middle, draw(nonzero)])
+
+
 class TestNumericRootsReference:
     @settings(max_examples=300, deadline=None)
     @given(_polys_with_nonzero_ends())
@@ -126,8 +168,23 @@ class TestNumericRootsReference:
         product = math.prod(moduli)
         assert product == pytest.approx(abs(f.constant_term / f.leading_coefficient), rel=1e-6)
 
+    @settings(max_examples=40, deadline=None)
+    @given(_widely_scaled_polys())
+    def test_widely_scaled_moduli_match_mpmath(self, f):
+        # numpy.roots loses digits on this class (on 2,242 seeded sparse
+        # inputs its moduli were off by up to 2.5e-4), so the reference is
+        # mpmath at 30 digits
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            reference = mpmath.polyroots(f.coeffs[::-1], maxsteps=500, extraprec=200)
+            assume(_well_separated([complex(r) for r in reference]))
+            expected = sorted(float(abs(r)) for r in reference)
+        moduli = sorted(abs(r) for r in numeric_roots(f))
+        for got, want in zip(moduli, expected):
+            assert got == pytest.approx(want, rel=1e-10)
+
     def test_deterministic(self):
-        # the last input converges only after a randomly perturbed restart
+        # the last input spans twelve orders of magnitude
         for f in (Polynomial([1, 2, 1]), Polynomial([30, 1, 1, 1, 6]),
                   Polynomial([-7, 3, 0, 0, 11, 0, 0, 0, 5, -2, 1]),
                   Polynomial([-1, 1, 10**12, 100, 1])):
