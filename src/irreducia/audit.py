@@ -16,12 +16,14 @@ Three optional cross-checks ride along on the same sweep:
   * rootloc     -- wherever a symbolic disk certificate fires at a radius the
                    constant/leading witness search tries, every numerically
                    computed root must clear the largest such radius.
+
+`audit_family` replays the constructions P1-P4 over fixed grids; each
+instance is judged against the oracle by the same `conclusion_holds`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator
 
@@ -378,80 +380,44 @@ def p4_grid() -> Iterator[tuple[int, int, int, int, Polynomial]]:
                     yield a, b, m, j, corpus_mod.gen_p4(a, b, m, j)
 
 
-def _oracle_count(f: Polynomial) -> int | None:
-    if f.degree > oracle.DEFAULT_MAX_DEGREE:
-        return None
-    return oracle.count_irreducible_factors(f)
+# Each family lists its parts: (label, grid, criterion, expect), where
+# expect(*params) gives the conclusion the construction guarantees and the
+# witnesses the criterion must report for the grid instance with those params.
+_FAMILY_CHECKS = {
+    "P1": [("P1", p1_grid, eisenstein_generalized,
+            lambda p, m, n, sign: (Conclusion.irreducible(), {"p": p, "k": m - 1, "j": m}))],
+    "P2": [("P2 k=1", p2_grid_k1, constant_term_criterion,
+            lambda *_: (Conclusion.irreducible(), {})),
+           ("P2 k=2", p2_grid_k2, constant_term_criterion,
+            lambda *_: (Conclusion.at_most(2), {}))],
+    "P3": [("P3", p3_grid, leading_coeff_criterion,
+            lambda *_: (Conclusion.irreducible(), {}))],
+    "P4": [("P4", p4_grid, dominant_coefficient,
+            lambda a, b, m, j: (Conclusion.at_most(m - j), {"j": j}))],
+}
 
 
 def audit_family(name: str) -> tuple[int, list]:
-    """Check every grid instance of a family against its stated conclusion
-    and the oracle. Returns (instances checked, violations)."""
-    violations: list = []
-    checked = 0
-
-    if name == "P1":
-        for p, m, n, sign, f in p1_grid():
-            checked += 1
-            out = eisenstein_generalized(f)
-            ok = (
-                out.conclusion.kind is ConclusionKind.IRREDUCIBLE
-                and out.witnesses == {"p": p, "k": m - 1, "j": m}
-            )
-            if ok:
-                count = _oracle_count(f)
-                ok = count is None or count == 1
-            if not ok:
-                violations.append((f.coeffs, "P1", (p, m, n, sign)))
-    elif name == "P2":
-        for p, d, m, tail, sign, f in p2_grid_k1():
-            checked += 1
-            out = constant_term_criterion(f)
-            ok = (
-                out.conclusion.kind is ConclusionKind.IRREDUCIBLE
-                and out.certificate_mode == EXACT
-                and _oracle_count(f) == 1
-            )
-            if not ok:
-                violations.append((f.coeffs, "P2 k=1", (p, d, m, tail, sign)))
-        for p, m, tail, f in p2_grid_k2():
-            checked += 1
-            out = constant_term_criterion(f)
-            ok = (
-                out.conclusion.kind is ConclusionKind.AT_MOST_FACTORS
-                and out.conclusion.bound == 2
-                and out.witnesses["j"] >= 2
-                and _oracle_count(f) <= 2
-            )
-            if not ok:
-                violations.append((f.coeffs, "P2 k=2", (p, m, tail)))
-    elif name == "P3":
-        for p, m, a0, f in p3_grid():
-            checked += 1
-            out = leading_coeff_criterion(f)
-            ok = (
-                out.conclusion.kind is ConclusionKind.IRREDUCIBLE
-                and _oracle_count(f) == 1
-            )
-            if not ok:
-                violations.append((f.coeffs, "P3", (p, m, a0)))
-    elif name == "P4":
-        for a, b, m, j, f in p4_grid():
-            checked += 1
-            out = dominant_coefficient(f)
-            expected = Conclusion.at_most(m - j)
-            display_lhs = Fraction(a**j - b**j + 1)
-            display_rhs = Fraction(b * (a**j - b**j), a - b) + Fraction(1, b ** (m - 1 - j))
-            count = _oracle_count(f)
-            ok = (
-                out.conclusion == expected
-                and out.witnesses["j"] == j
-                and display_lhs > display_rhs
-                and (count is None or count <= m - j)
-            )
-            if not ok:
-                violations.append((f.coeffs, "P4", (a, b, m, j)))
-    else:
+    """Check every grid instance of a family: its criterion must reach the
+    expected conclusion with the expected witnesses and an exact
+    certificate, and the oracle's factorization must support that
+    conclusion (`conclusion_holds`). Returns (instances checked,
+    violations), each violation (coeffs, label, params)."""
+    if name not in _FAMILY_CHECKS:
         raise ValueError(f"unknown family {name!r}")
-
+    checked = 0
+    violations: list = []
+    for label, grid, criterion, expect in _FAMILY_CHECKS[name]:
+        for *params, f in grid():
+            checked += 1
+            conclusion, witnesses = expect(*params)
+            out = criterion(f)
+            ok = (
+                out.conclusion == conclusion
+                and witnesses.items() <= out.witnesses.items()
+                and out.certificate_mode == EXACT
+                and conclusion_holds(conclusion, oracle.factor(f))
+            )
+            if not ok:
+                violations.append((f.coeffs, label, tuple(params)))
     return checked, violations

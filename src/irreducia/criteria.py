@@ -463,9 +463,10 @@ def middle_prime_power_check(
     for j in range(m - 1, 0, -1):
         high += mags[j + 1] * scale
         scale *= am
-        if c[j] == 0 or c[j - 1] == 0:
-            continue
-        if (mags[j] - low[j]) * scale <= high:
+        # excess <= 0 (as when c[j] == 0) fails without the big product,
+        # since high >= |a_m| > 0
+        excess = mags[j] - low[j]
+        if excess <= 0 or c[j - 1] == 0 or excess * scale <= high:
             continue  # fails for every prime: their lower sums are >= low[j]
         for p, n_exp in facts.factors(c[j]):
             s_exp = numtheory.valuation(p, c[j - 1])

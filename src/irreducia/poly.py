@@ -149,8 +149,6 @@ class Polynomial:
         return f"Polynomial('{self.to_sparse_string()}')"
 
 
-ZERO = Polynomial()
-ONE = Polynomial([1])
 Z = Polynomial([0, 1])
 
 # Highest power of z that parse_poly accepts. The dense list it builds is

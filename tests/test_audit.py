@@ -63,3 +63,19 @@ def test_family_audits_clean():
         checked, violations = audit.audit_family(name)
         assert checked > 0
         assert violations == []
+
+
+def test_family_audit_reports_oracle_disagreement(monkeypatch):
+    # the oracle, as the audit reads it, splits one P1 instance in two
+    target = next(f for *_, f in audit.p1_grid())
+    real = audit.oracle.factor
+
+    def disagreeing(f):
+        if f == target:
+            return real(Polynomial([1, 1]) * Polynomial([1, 0, 1]))
+        return real(f)
+
+    monkeypatch.setattr(audit.oracle, "factor", disagreeing)
+    checked, violations = audit.audit_family("P1")
+    assert checked == 90
+    assert violations == [(target.coeffs, "P1", (2, 2, 2, 1))]

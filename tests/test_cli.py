@@ -219,6 +219,15 @@ class TestExitCodes:
         assert main(["audit", "--families", "P4"]) == EXIT_OK
         assert "family P4" in capsys.readouterr().out
 
+    def test_audit_unknown_family(self, capsys):
+        assert main(["audit", "--families", "P9"]) == EXIT_ERROR
+        assert capsys.readouterr().err.strip() == "error: unknown family 'P9'"
+        # the families named before it are still audited and reported
+        assert main(["audit", "--families", "P1,P9"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out.startswith("family P1: 90 instances, 0 violations")
+        assert captured.err.strip() == "error: unknown family 'P9'"
+
     def test_gen_family(self, capsys):
         code = main(["gen", "--family", "P1", "--p", "2", "--m", "3", "--n", "2",
                      "--sign", "+"])

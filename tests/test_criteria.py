@@ -1,5 +1,7 @@
 """Criterion witness searches, conclusions, and the aggregate analysis."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -259,6 +261,20 @@ class TestMiddlePrimePower:
         assert out.conclusion == Conclusion.at_most(2)
         assert out.witnesses["j"] == 1
         assert oracle.count_irreducible_factors(P(1, 25, 1, 1)) <= 2
+
+    def test_dense_big_coefficients_skip_hopeless_indices(self):
+        # at degree 1,000 with 12-digit coefficients almost no index has
+        # |a_j| > low[j]; each such index must be dropped before it is
+        # multiplied by the 12,000-digit |a_m|^(m-j)
+        polys = []
+        for seed in range(3):
+            rng = random.Random(seed)
+            polys.append(P(*(rng.choice((-1, 1)) * rng.randrange(10**11, 10**12)
+                             for _ in range(1001))))
+        start = time.process_time()
+        for f in polys:
+            analyze(f, AnalyzeConfig(oracle="off"))
+        assert time.process_time() - start < 0.3
 
 
 class TestInputGuards:
