@@ -1,7 +1,7 @@
 """Corpus audits: run every criterion against the exact factorization oracle
 and count fired / sound / inconclusive outcomes per criterion.
 
-Three optional cross-checks ride along on the same sweep:
+Three cross-checks ride along on the same sweep:
   * soundness   -- every fired conclusion is compared with the oracle count
                    (bounds that hold for trivial reasons, such as a factor
                    count bound of at least the degree, are tallied as
@@ -177,14 +177,7 @@ def _largest_certified_radius(facts: PolyFacts) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class AuditOptions:
-    check_soundness: bool = True
-    check_cor1: bool = True
-    check_rootloc: bool = True
-
-
-def audit_one(f: Polynomial, options: AuditOptions, result: AuditResult) -> None:
+def audit_one(f: Polynomial, result: AuditResult) -> None:
     """Audit a single primitive polynomial with nonzero constant term."""
     result.total += 1
     facts = PolyFacts(f)
@@ -200,7 +193,7 @@ def audit_one(f: Polynomial, options: AuditOptions, result: AuditResult) -> None
         if _is_vacuous(outcome.conclusion, m):
             stats.vacuous += 1
             stats.sound += 1
-        elif options.check_soundness:
+        else:
             to_check.append(outcome)
 
     if to_check:
@@ -223,43 +216,38 @@ def audit_one(f: Polynomial, options: AuditOptions, result: AuditResult) -> None
                          outcome.conclusion.bound, count)
                     )
 
-    if options.check_cor1:
-        j = cor1_best_j(facts)
-        if j is not None:
-            result.cor1_checked += 1
-            dom = next(o for o in outcomes if o.criterion == "dominant_coefficient")
-            dom_bound = None
-            if dom.conclusion.kind is ConclusionKind.IRREDUCIBLE:
-                dom_bound = 1
-            elif dom.conclusion.kind is ConclusionKind.AT_MOST_FACTORS:
-                dom_bound = dom.conclusion.bound
-            if dom_bound is None or dom_bound > m - j:
-                if len(result.cor1_violations) < _VIOLATION_CAP:
-                    result.cor1_violations.append((f.coeffs, j, dom_bound))
+    j = cor1_best_j(facts)
+    if j is not None:
+        result.cor1_checked += 1
+        dom = next(o for o in outcomes if o.criterion == "dominant_coefficient")
+        dom_bound = None
+        if dom.conclusion.kind is ConclusionKind.IRREDUCIBLE:
+            dom_bound = 1
+        elif dom.conclusion.kind is ConclusionKind.AT_MOST_FACTORS:
+            dom_bound = dom.conclusion.bound
+        if dom_bound is None or dom_bound > m - j:
+            if len(result.cor1_violations) < _VIOLATION_CAP:
+                result.cor1_violations.append((f.coeffs, j, dom_bound))
 
-    if options.check_rootloc:
-        worst = _largest_certified_radius(facts)
-        if worst is not None:
-            result.rootloc_checked += 1
-            try:
-                roots = facts.roots()
-            except rootloc.NonConvergenceError as exc:
-                if len(result.nonconvergences) < _VIOLATION_CAP:
-                    result.nonconvergences.append((f.coeffs, exc.best_residual))
-            else:
-                min_modulus = min(abs(r) for r in roots)
-                if min_modulus <= worst * (1.0 - ROOT_MARGIN):
-                    if len(result.rootloc_violations) < _VIOLATION_CAP:
-                        result.rootloc_violations.append(
-                            (f.coeffs, worst, min_modulus)
-                        )
+    worst = _largest_certified_radius(facts)
+    if worst is not None:
+        result.rootloc_checked += 1
+        try:
+            roots = facts.roots()
+        except rootloc.NonConvergenceError as exc:
+            if len(result.nonconvergences) < _VIOLATION_CAP:
+                result.nonconvergences.append((f.coeffs, exc.best_residual))
+        else:
+            min_modulus = min(abs(r) for r in roots)
+            if min_modulus <= worst * (1.0 - ROOT_MARGIN):
+                if len(result.rootloc_violations) < _VIOLATION_CAP:
+                    result.rootloc_violations.append((f.coeffs, worst, min_modulus))
 
 
-def _audit_chunk(args: tuple) -> AuditResult:
-    chunk, options = args
+def _audit_chunk(chunk: list[tuple[int, ...]]) -> AuditResult:
     result = AuditResult()
     for coeffs in chunk:
-        audit_one(Polynomial(coeffs), options, result)
+        audit_one(Polynomial(coeffs), result)
     return result
 
 
@@ -274,11 +262,7 @@ def _chunks(items: Iterable[Polynomial], size: int) -> Iterator[list[tuple[int, 
         yield block
 
 
-def audit_corpus(
-    polys: Iterable[Polynomial],
-    options: AuditOptions = AuditOptions(),
-    jobs: int = 1,
-) -> AuditResult:
+def audit_corpus(polys: Iterable[Polynomial], jobs: int = 1) -> AuditResult:
     """Audit an iterable of primitive polynomials, optionally in parallel.
 
     Items are pure-function audits, so the merge is deterministic up to the
@@ -287,13 +271,12 @@ def audit_corpus(
     result = AuditResult()
     if jobs <= 1:
         for f in polys:
-            audit_one(f, options, result)
+            audit_one(f, result)
     else:
         import multiprocessing  # only a parallel audit needs it
 
-        tasks = ((chunk, options) for chunk in _chunks(polys, _CHUNK_SIZE))
         with multiprocessing.Pool(jobs) as pool:
-            for partial in pool.imap_unordered(_audit_chunk, tasks):
+            for partial in pool.imap_unordered(_audit_chunk, _chunks(polys, _CHUNK_SIZE)):
                 result.merge(partial)
     for stats in result.criteria.values():
         stats.violations.sort()
@@ -303,14 +286,9 @@ def audit_corpus(
     return result
 
 
-def audit_exhaustive(
-    max_degree: int,
-    coeff_bound: int,
-    options: AuditOptions = AuditOptions(),
-    jobs: int = 1,
-) -> AuditResult:
+def audit_exhaustive(max_degree: int, coeff_bound: int, jobs: int = 1) -> AuditResult:
     """Audit the full sign-deduplicated primitive corpus."""
-    return audit_corpus(gen_exhaustive(max_degree, coeff_bound), options, jobs=jobs)
+    return audit_corpus(gen_exhaustive(max_degree, coeff_bound), jobs=jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -119,18 +119,18 @@ class PolyFacts:
     certificate can fire and neither end need be factorized for one.
     Everything else is worked out on first use and kept, so a fact no caller
     asks for is never computed: in particular a coefficient is factorized
-    only when a witness search reaches it. A factorization that hits the
-    factorization limit is remembered too, and asking again raises the same
-    error without spending the budget a second time; so is a root iteration
-    that did not converge. The dominance index and divisor of `dominant()`, which both
-    the dominant-coefficient criterion and the audit's unit-divisor check
-    read, are found once, and so are the disk radii at each end, which both
-    disk criteria and the audit's root-location check read.
+    only when a witness search reaches it. Factorizations, and the
+    factorization limit failures, are kept in `numtheory`'s one cache, not
+    here. A root iteration that did not converge is remembered, and asking
+    again raises the same error. The dominance index and divisor of
+    `dominant()`, which both the dominant-coefficient criterion and the
+    audit's unit-divisor check read, are found once, and so are the disk
+    radii at each end, which both disk criteria and the audit's
+    root-location check read.
     """
 
-    __slots__ = ("poly", "coeffs", "degree", "mags", "unit_disk_certified", "_factors",
-                 "_divisors", "_low", "_dominant", "_rational_root", "_roots", "_certs",
-                 "_radii")
+    __slots__ = ("poly", "coeffs", "degree", "mags", "unit_disk_certified", "_low",
+                 "_dominant", "_rational_root", "_roots", "_certs", "_radii")
 
     def __init__(self, f: Polynomial):
         if f.is_zero():
@@ -146,8 +146,6 @@ class PolyFacts:
         self.degree = f.degree
         self.mags = mags = [abs(c) for c in f.coeffs]
         self.unit_disk_certified = 2 * mags[0] > sum(mags)
-        self._factors: dict = {}
-        self._divisors: list[int] | None = None
         self._low: list[int] | None = None
         self._dominant: tuple[int, int] | None | bool = False  # False: not yet found
         self._rational_root: bool | None = None
@@ -158,27 +156,6 @@ class PolyFacts:
     @classmethod
     def of(cls, f: "Polynomial | PolyFacts") -> "PolyFacts":
         return f if isinstance(f, PolyFacts) else cls(f)
-
-    def factors(self, n: int) -> tuple[tuple[int, int], ...]:
-        """(prime, exponent) pairs of |n|, n nonzero, ascending by prime."""
-        n = abs(n)
-        known = self._factors.get(n)
-        if known is None:
-            try:
-                known = numtheory.prime_factors(n)
-            except numtheory.FactorizationLimitError as exc:
-                known = exc
-            self._factors[n] = known
-        if isinstance(known, numtheory.FactorizationLimitError):
-            raise known
-        return known
-
-    @property
-    def leading_divisors(self) -> list[int]:
-        """Positive divisors of a_m, ascending."""
-        if self._divisors is None:
-            self._divisors = numtheory.positive_divisors(self.coeffs[-1])
-        return self._divisors
 
     @property
     def low(self) -> list[int]:
@@ -194,10 +171,6 @@ class PolyFacts:
 
     def has_rational_root(self) -> bool:
         if self._rational_root is None:
-            # the scan factorizes both ends; go through the record so a
-            # factorization that already failed is not attempted again
-            self.factors(self.coeffs[0])
-            self.factors(self.coeffs[-1])
             self._rational_root = bool(rational_roots(self.poly))
         return self._rational_root
 
@@ -231,7 +204,7 @@ class PolyFacts:
         radii = self._radii.get(i)
         if radii is None:
             a = self.mags[i]
-            radii = [] if a == 1 else [(p, k, a // p**k) for p, k in self.factors(a)]
+            radii = [(p, k, a // p**k) for p, k in numtheory.prime_factors(a)]
             self._radii[i] = radii
         return radii
 
@@ -255,7 +228,7 @@ class PolyFacts:
                 scale *= am
                 excess = mags[j] - low[j]
                 if excess > 0 and excess * scale > high:
-                    for b in self.leading_divisors:  # ends by b = |a_m| at the latest
+                    for b in numtheory.positive_divisors(am):  # ends by b = |a_m| at the latest
                         rhs = 0
                         for a in mags[j + 1:]:
                             rhs = rhs * b + a
@@ -285,7 +258,7 @@ def weintraub_check(
     if lower_gcd <= 1:
         return _NO_CONCLUSIONS[name]
     candidates = []
-    for p, _ in facts.factors(lower_gcd):
+    for p, _ in numtheory.prime_factors(lower_gcd):
         if c[m] % p == 0:
             continue
         p2 = p * p
@@ -311,7 +284,7 @@ def eisenstein_generalized(
     facts = PolyFacts.of(f)
     c, m = facts.coeffs, facts.degree
     candidates = []
-    for p, k in facts.factors(c[0]):
+    for p, k in numtheory.prime_factors(facts.mags[0]):
         pk = p**k
         prefix = 0
         while prefix <= m and c[prefix] % pk == 0:
@@ -386,7 +359,7 @@ def leading_coeff_criterion(
         return _NO_CONCLUSIONS[name]
     if mode is CertificateMode.SYMBOLIC_SUFFICIENT and not facts.unit_disk_certified:
         return _NO_CONCLUSIONS[name]  # before a_0 is factorized for q
-    q = facts.factors(a0)[0][0]
+    q = numtheory.prime_factors(a0)[0][0]
     if a0 > q * am:  # |a0/q| <= |am| as an exact comparison
         return _NO_CONCLUSIONS[name]
     return _disk_criterion(name, facts, facts.degree, mode, q)
@@ -468,7 +441,7 @@ def middle_prime_power_check(
         excess = mags[j] - low[j]
         if excess <= 0 or c[j - 1] == 0 or excess * scale <= high:
             continue  # fails for every prime: their lower sums are >= low[j]
-        for p, n_exp in facts.factors(c[j]):
+        for p, n_exp in numtheory.prime_factors(mags[j]):
             s_exp = numtheory.valuation(p, c[j - 1])
             lower = low[j] if s_exp == 0 else _lower_sum(mags, j, am * p**s_exp)
             if (mags[j] - lower) * scale > high:

@@ -3,9 +3,13 @@ divisor enumeration.
 
 These back the witness searches of the criteria: every candidate prime comes
 from the factorization of a single coefficient, so inputs stay at desk scale.
-`prime_factors(n)` gives the sorted (prime, exponent) pairs of n >= 1 from an
-lru cache, and is what the criteria and `positive_divisors` read;
-`factorize` wraps it in a signed PrimePowerDecomposition record.
+`prime_factors(n)` gives the sorted (prime, exponent) pairs of n >= 1, and is
+what the criteria and `positive_divisors` read; `factorize` wraps it in a
+signed PrimePowerDecomposition record. Both read one lru cache,
+`_factor_positive`, which is the only memo of factorizations in the package.
+It keeps failures too: rho is seeded by n, so under the fixed budget the
+outcome for each n is a function of n alone, and an integer that resists
+costs one rho budget per process, whoever asks for it.
 Trial division strips the small primes: those up to 10^3 while the cofactor
 is below DEFAULT_FACTOR_BOUND, up to 10^6 while it is not. A survivor that
 trial division has not proved prime goes through Miller-Rabin plus Pollard
@@ -132,11 +136,9 @@ def _pollard_rho(n: int, rng: random.Random, steps: int) -> tuple[int | None, in
 
 
 @lru_cache(maxsize=1 << 16)
-def prime_factors(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 1 as (prime, exponent) pairs, ascending
-    by prime; () for n = 1. Cached, so callers get the same tuple back."""
-    if n < 1:
-        raise ValueError(f"prime_factors needs n >= 1, got {n}")
+def _factor_positive(n: int) -> tuple[tuple[int, int], ...] | str:
+    """The (prime, exponent) pairs of n >= 1, ascending by prime, or the
+    limit message when rho runs out of budget."""
     if n == 1:
         return ()
     powers: dict[int, int] = {}
@@ -184,7 +186,7 @@ def prime_factors(n: int) -> tuple[tuple[int, int], ...]:
                 if m >= DEFAULT_FACTOR_BOUND:
                     shared = steps
                 if g is None:
-                    raise FactorizationLimitError(
+                    return (
                         f"factorization limit reached on {m}: no factor within "
                         f"{_RHO_STEPS} Pollard rho steps"
                     )
@@ -192,8 +194,17 @@ def prime_factors(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(powers.items()))
 
 
-# perfbench/workloads.py clears and reads the cache under this older name
-_factor_positive = prime_factors
+def prime_factors(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of n >= 1 as (prime, exponent) pairs, ascending
+    by prime; () for n = 1. Cached, so callers get the same tuple back;
+    raises FactorizationLimitError, every time it is asked, for an n that
+    resisted rho."""
+    if n < 1:
+        raise ValueError(f"prime_factors needs n >= 1, got {n}")
+    found = _factor_positive(n)
+    if isinstance(found, str):
+        raise FactorizationLimitError(found)
+    return found
 
 
 def factorize(n: int) -> PrimePowerDecomposition:

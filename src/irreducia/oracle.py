@@ -191,7 +191,8 @@ def _factor_primitive(h: Polynomial, budget: _Budget) -> dict[Polynomial, int]:
         return {h: 1}
     q = divides_exactly(g, h)
     assert q is not None
-    out = _factor_primitive(g, budget)
+    # g is a factor of least degree, so it is irreducible
+    out = {g: 1}
     for factor_poly, mult in _factor_primitive(q, budget).items():
         out[factor_poly] = out.get(factor_poly, 0) + mult
     return out

@@ -25,6 +25,17 @@ from irreducia.criteria import (
 from irreducia.poly import Polynomial
 from irreducia.rootloc import CertificateMode
 
+
+@pytest.fixture
+def fresh_factor_cache():
+    """Empty numtheory's factorization cache before and after the test, so
+    what it finds (a failure under a shortened rho budget, say) does not
+    reach other tests, and its counts start from nothing."""
+    numtheory._factor_positive.cache_clear()
+    yield numtheory._factor_positive
+    numtheory._factor_positive.cache_clear()
+
+
 IRR = ConclusionKind.IRREDUCIBLE
 AMF = ConclusionKind.AT_MOST_FACTORS
 FDB = ConclusionKind.FACTOR_DEGREE_BOUND
@@ -130,7 +141,7 @@ class TestConstantTerm:
         assert out.witnesses == {"p": 2, "k": 2, "j": 2, "d": 1}
         assert out.certificate_mode == "numeric-conditional"
 
-    def test_failed_unit_disk_test_factors_neither_end(self, monkeypatch):
+    def test_failed_unit_disk_test_factors_neither_end(self, monkeypatch, fresh_factor_cache):
         calls = []
         real = numtheory.prime_factors
 
@@ -149,7 +160,9 @@ class TestConstantTerm:
         assert facts.unit_disk_certified
         constant_term_criterion(facts)
         leading_coeff_criterion(facts)
-        assert sorted(calls) == [20, 30]
+        # 30 is asked for its radii and again for q; the cache factors it once
+        assert sorted(calls) == [20, 30, 30]
+        assert fresh_factor_cache.cache_info().misses == 2
 
 
 class TestLeadingCoeff:
@@ -436,7 +449,7 @@ class TestAnalyze:
             ranks = [o.rank() for o in report.outcomes if o.conclusion.fired()]
             assert report.strongest.rank() == min(ranks)
 
-    def test_factorization_limit_is_no_conclusion(self, monkeypatch):
+    def test_factorization_limit_is_no_conclusion(self, monkeypatch, fresh_factor_cache):
         # a_0 = (2^61 - 1)(2^59 - 55) resists a shortened rho budget; the
         # criteria that need its primes report NoConclusion and say why
         monkeypatch.setattr(numtheory, "_RHO_STEPS", 1000)
@@ -450,7 +463,7 @@ class TestAnalyze:
         assert all("factorization limit" in w for w in report.warnings)
         assert by_name["dominant_coefficient"].conclusion == Conclusion.at_most(2)
 
-    def test_failed_unit_disk_test_needs_no_factorization(self, monkeypatch):
+    def test_failed_unit_disk_test_needs_no_factorization(self, monkeypatch, fresh_factor_cache):
         # both ends resist the shortened rho budget, but |a_0| > sum |a_i|
         # fails, so the disk criteria never factor them and do not warn
         monkeypatch.setattr(numtheory, "_RHO_STEPS", 1000)
@@ -461,6 +474,33 @@ class TestAnalyze:
             "dominant_coefficient", "eisenstein_generalized"
         ]
         assert all("factorization limit" in w for w in report.warnings)
+
+    def test_resisting_coefficient_costs_one_rho_run_per_process(
+        self, monkeypatch, fresh_factor_cache
+    ):
+        # a_2 = (2^61 - 1)(2^89 - 1) resists rho. dominant_coefficient asks
+        # for its divisors and weintraub (k0 = 1 at p = 2) for a rational
+        # root; both reach the one cache, so rho runs on a_2 once, and a
+        # second analyze reads the failure back without running it again
+        a2 = (2**61 - 1) * (2**89 - 1)
+        calls = []
+        rho = numtheory._pollard_rho
+
+        def counting(n, rng, steps):
+            calls.append(n)
+            return rho(n, rng, steps)
+
+        monkeypatch.setattr(numtheory, "_pollard_rho", counting)
+        f = P(4, 2 * 3**80, a2)
+        first = analyze(f, AnalyzeConfig(oracle="off"))
+        assert calls.count(a2) == 1
+        second = analyze(f, AnalyzeConfig(oracle="off"))
+        assert calls.count(a2) == 1
+        assert [w.split(":")[0] for w in first.warnings] == [
+            "dominant_coefficient", "weintraub"
+        ]
+        assert all("factorization limit" in w for w in first.warnings)
+        assert second.warnings == first.warnings
 
     def test_no_conclusion_is_shared_and_read_only(self):
         first = perron_nonmonic(P(1, 1, 1))

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from irreducia import numtheory
 from irreducia.numtheory import (
     DEFAULT_FACTOR_BOUND,
     FactorizationLimitError,
@@ -72,7 +73,7 @@ def test_primes_near_10_12_and_semiprimes_factor_quickly():
     for _ in range(25):
         p, q = sorted(_prime_in(10**6 - 10**5, 10**6 + 10**5, rng) for _ in range(2))
         expected[p * q] = ((p, 2),) if p == q else ((p, 1), (q, 1))
-    prime_factors.cache_clear()
+    numtheory._factor_positive.cache_clear()
     start = time.perf_counter()
     found = {n: factorize(n).factors for n in expected}
     elapsed = time.perf_counter() - start
@@ -93,7 +94,7 @@ def test_products_of_primes_just_above_the_small_limit():
 def test_huge_power_of_a_prime_above_the_small_limit():
     # above 2^64 trial division goes on to 10^6, so rho never sees 4,206 digits
     n = 1009**1400
-    prime_factors.cache_clear()
+    numtheory._factor_positive.cache_clear()
     start = time.perf_counter()
     assert factorize(n).factors == ((1009, 1400),)
     assert time.perf_counter() - start < 1.0
@@ -176,7 +177,7 @@ def test_each_cofactor_below_the_factor_bound_gets_its_own_rho_budget():
     # splits cost more than one budget (p^2 below 2^64 alone takes ~0.4 of
     # it after the larger cofactors have taken ~0.8)
     p, q = 4294766087, 4294187803
-    prime_factors.cache_clear()
+    numtheory._factor_positive.cache_clear()
     assert factorize(p**6 * q**3).factors == ((q, 3), (p, 6))
 
 
@@ -186,7 +187,7 @@ def test_each_prime_above_the_factor_bound_costs_one_rho_split(e):
     # full power leaves every cofactor, so two splits share the budget above
     # 2^64 instead of one split per prime factor
     p, q = 4294766087, 4294187803
-    prime_factors.cache_clear()
+    numtheory._factor_positive.cache_clear()
     start = time.perf_counter()
     assert factorize(p ** (2 * e) * q**e).factors == ((q, e), (p, 2 * e))
     assert time.perf_counter() - start < 5.0

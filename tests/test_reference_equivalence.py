@@ -288,7 +288,7 @@ def test_audit_one_certifies_each_radius_once(monkeypatch):
     corpus = list(gen_exhaustive(3, 4))[::5] + gen_random(300, 6, 60, seed=11)
     result = audit.AuditResult()
     for f in corpus:
-        audit.audit_one(f, audit.AuditOptions(), result)
+        audit.audit_one(f, result)
     assert result.rootloc_checked > 0
     assert calls and max(calls.values()) == 1
 
