@@ -15,7 +15,9 @@ Three cross-checks ride along on the same sweep:
                    `ref_cor1_best_j` in the tests is the independent form;
   * rootloc     -- wherever a symbolic disk certificate fires at a radius the
                    constant/leading witness search tries, every numerically
-                   computed root must clear the largest such radius.
+                   computed root must clear the largest such radius, read
+                   from `PolyFacts.certified_radius` at both ends, the
+                   search the disk criteria make.
 
 `audit_family` replays the constructions P1-P4 over fixed grids; each
 instance is judged against the oracle by the same `conclusion_holds`.
@@ -23,6 +25,7 @@ instance is judged against the oracle by the same `conclusion_holds`.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Iterator
@@ -32,6 +35,7 @@ from . import numtheory, oracle, rootloc
 from .criteria import (
     EXACT,
     CRITERIA,
+    SYMBOLIC,
     Conclusion,
     ConclusionKind,
     CriterionOutcome,
@@ -159,24 +163,6 @@ def _is_vacuous(conclusion: Conclusion, degree: int) -> bool:
     return False
 
 
-def _largest_certified_radius(facts: PolyFacts) -> int | None:
-    """Largest radius d that the two disk criteria would try, over both
-    a_0 and a_m, at which the exact certificate fires; None if there is
-    none.
-
-    The symbolic test is monotone in d (a certificate at d holds at every
-    smaller radius), so the radii are tested from the largest down and the
-    first one certified settles the rest; and as every radius is at least 1,
-    none is certified when the test at d = 1 fails."""
-    if not facts.unit_disk_certified:
-        return None
-    radii = {d for i in (0, facts.degree) for _, _, d in facts.disk_radii(i)}
-    for d in sorted(radii, reverse=True):
-        if facts.certificate(d, rootloc.CertificateMode.SYMBOLIC_SUFFICIENT).certified:
-            return d
-    return None
-
-
 def audit_one(f: Polynomial, result: AuditResult) -> None:
     """Audit a single primitive polynomial with nonzero constant term."""
     result.total += 1
@@ -229,8 +215,8 @@ def audit_one(f: Polynomial, result: AuditResult) -> None:
             if len(result.cor1_violations) < _VIOLATION_CAP:
                 result.cor1_violations.append((f.coeffs, j, dom_bound))
 
-    worst = _largest_certified_radius(facts)
-    if worst is not None:
+    worst = max(facts.certified_radius(0, SYMBOLIC), facts.certified_radius(m, SYMBOLIC))
+    if worst:
         result.rootloc_checked += 1
         try:
             roots = facts.roots()
@@ -263,12 +249,15 @@ def _chunks(items: Iterable[Polynomial], size: int) -> Iterator[list[tuple[int, 
 
 
 def audit_corpus(polys: Iterable[Polynomial], jobs: int = 1) -> AuditResult:
-    """Audit an iterable of primitive polynomials, optionally in parallel.
+    """Audit an iterable of primitive polynomials, optionally in parallel
+    with at most `os.cpu_count()` worker processes, however many jobs are
+    asked for.
 
     Items are pure-function audits, so the merge is deterministic up to the
     (sorted) violation listings regardless of worker scheduling.
     """
     result = AuditResult()
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         for f in polys:
             audit_one(f, result)

@@ -75,6 +75,7 @@ _KIND_ORDER = {kind: i for i, kind in enumerate(ConclusionKind)}  # strongest fi
 
 EXACT = "exact"
 NUMERIC_CONDITIONAL = "numeric-conditional"
+SYMBOLIC = CertificateMode.SYMBOLIC_SUFFICIENT  # read per polynomial; faster than the member
 
 
 @dataclass(frozen=True)
@@ -113,10 +114,8 @@ class PolyFacts:
     cross-checks.
 
     The input is validated once on construction, and the exact disk test at
-    radius 1, |a_0| > sum_{i>=1} |a_i|, is made there too (one sum). Every
-    radius the disk criteria try is an integer d >= 1 and that sum grows
-    with d, so when `unit_disk_certified` is false no symbolic disk
-    certificate can fire and neither end need be factorized for one.
+    radius 1, |a_0| > sum_{i>=1} |a_i|, is made there too (one sum): it is
+    the symbolic certificate at d = 1, where `certified_radius` starts.
     Everything else is worked out on first use and kept, so a fact no caller
     asks for is never computed: in particular a coefficient is factorized
     only when a witness search reaches it. Factorizations, and the
@@ -125,12 +124,12 @@ class PolyFacts:
     again raises the same error. The dominance index and divisor of
     `dominant()`, which both the dominant-coefficient criterion and the
     audit's unit-divisor check read, are found once, and so are the disk
-    radii at each end, which both disk criteria and the audit's
-    root-location check read.
+    radii at each end and the largest certified among them, which both disk
+    criteria and the audit's root-location check read.
     """
 
     __slots__ = ("poly", "coeffs", "degree", "mags", "unit_disk_certified", "_low",
-                 "_dominant", "_rational_root", "_roots", "_certs", "_radii")
+                 "_dominant", "_rational_root", "_roots", "_radii", "_bounds")
 
     def __init__(self, f: Polynomial):
         if f.is_zero():
@@ -150,8 +149,8 @@ class PolyFacts:
         self._dominant: tuple[int, int] | None | bool = False  # False: not yet found
         self._rational_root: bool | None = None
         self._roots: list[complex] | rootloc.NonConvergenceError | None = None
-        self._certs: dict = {}
         self._radii: dict = {}
+        self._bounds: dict = {}  # per mode: [largest radius certified, smallest refused]
 
     @classmethod
     def of(cls, f: "Polynomial | PolyFacts") -> "PolyFacts":
@@ -185,18 +184,6 @@ class PolyFacts:
             raise self._roots
         return self._roots
 
-    def certificate(self, d: int, mode: CertificateMode) -> rootloc.RootLocationCertificate:
-        """Disk-exclusion certificate at radius d, one per (d, mode); every
-        numeric one reads the same roots."""
-        key = (d, mode)
-        cert = self._certs.get(key)
-        if cert is None:
-            roots = self.roots() if mode is CertificateMode.NUMERIC_HEURISTIC else None
-            cert = self._certs[key] = rootloc.certify_outside_disk(
-                self.poly, d, mode, roots=roots
-            )
-        return cert
-
     def disk_radii(self, i: int) -> list[tuple[int, int, int]]:
         """(p, k, d) for each prime power p^k exactly dividing a_i, i in
         {0, m}, with d = |a_i| / p^k: the radii the disk criteria try. Empty
@@ -207,6 +194,32 @@ class PolyFacts:
             radii = [(p, k, a // p**k) for p, k in numtheory.prime_factors(a)]
             self._radii[i] = radii
         return radii
+
+    def certified_radius(self, i: int, mode: CertificateMode) -> int:
+        """The largest disk radius d at a_i, i in {0, m}, at which every root
+        is certified outside |z| <= d in this mode, or 0 if there is none.
+        Both tests are monotone in d (see `rootloc`), so the radii are tried
+        from the largest down, and one at or below the largest certified so
+        far, or at or above the smallest refused so far (at either end), is
+        settled without a certificate. Every radius is an integer >= 1, so
+        the symbolic search starts certified at 1, and stops before a_i is
+        factorized when `unit_disk_certified` is false."""
+        symbolic = mode is SYMBOLIC
+        if symbolic and not self.unit_disk_certified:
+            return 0
+        radii = self.disk_radii(i)
+        roots = self.roots() if radii and not symbolic else None
+        bounds = self._bounds.setdefault(mode, [1 if symbolic else 0, math.inf])
+        for d in sorted((d for _, _, d in radii), reverse=True):
+            if d >= bounds[1]:
+                continue
+            if d <= bounds[0] or rootloc.certify_outside_disk(
+                self.poly, d, mode, roots=roots
+            ).certified:
+                bounds[0] = max(bounds[0], d)
+                return d
+            bounds[1] = d
+        return 0
 
     def dominant(self) -> tuple[int, int] | None:
         """(j, b) with j the largest index and b the smallest positive
@@ -311,17 +324,17 @@ def _disk_criterion(
     """The search both disk criteria share, at the end a_i with i in {0, m}:
     each a_i = +-p^k d with every root certified outside |z| <= d gives at
     most min(k, j) irreducible factors, where j counts the steps from i
-    toward the other end up to the first coefficient that p misses. A
-    symbolic search ends at once when the test at d = 1 fails, since every
-    radius is at least 1."""
-    if mode is CertificateMode.SYMBOLIC_SUFFICIENT and not facts.unit_disk_certified:
+    toward the other end up to the first coefficient that p misses. The
+    certified radii are those up to `PolyFacts.certified_radius`."""
+    limit = facts.certified_radius(i, mode)
+    if not limit:
         return _NO_CONCLUSIONS[name]
     c, m = facts.coeffs, facts.degree
     step = 1 if i == 0 else -1
+    cert_mode = EXACT if mode is SYMBOLIC else NUMERIC_CONDITIONAL
     candidates = []
     for p, k, d in facts.disk_radii(i):
-        cert = facts.certificate(d, mode)
-        if not cert.certified:
+        if d > limit:
             continue
         j = next(j for j in range(1, m + 1) if c[i + step * j] % p != 0)
         witnesses = {"p": p, "k": k, "j": j, "d": d}
@@ -332,7 +345,7 @@ def _disk_criterion(
             True,
             witnesses,
             Conclusion.at_most(min(k, j)),
-            certificate_mode=EXACT if cert.is_exact() else NUMERIC_CONDITIONAL,
+            certificate_mode=cert_mode,
         ))
     return _strongest(name, candidates)
 
@@ -357,7 +370,7 @@ def leading_coeff_criterion(
     a0, am = facts.mags[0], facts.mags[-1]
     if am == 1 or a0 == 1:
         return _NO_CONCLUSIONS[name]
-    if mode is CertificateMode.SYMBOLIC_SUFFICIENT and not facts.unit_disk_certified:
+    if mode is SYMBOLIC and not facts.unit_disk_certified:
         return _NO_CONCLUSIONS[name]  # before a_0 is factorized for q
     q = numtheory.prime_factors(a0)[0][0]
     if a0 > q * am:  # |a0/q| <= |am| as an exact comparison

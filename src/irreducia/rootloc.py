@@ -4,13 +4,13 @@
 Two modes. The symbolic mode checks the sufficient coefficient inequality
 |a_0| > sum_{i>=1} |a_i| d^i in exact arithmetic: on |z| <= d that forces
 |f(z)| >= |a_0| - sum |a_i| d^i > 0, so the disk is root-free. It is sound
-but incomplete. Its right side grows with d, so a test that fails at d = 1
-fails at every d >= 1; as every radius the disk criteria try is an integer
-d >= 1, `criteria.PolyFacts` makes the test at d = 1 once and skips the
-symbolic search when it fails. The numeric mode approximates all roots
-simultaneously (Aberth-Ehrlich iteration from the Newton-polygon starts of
-Bini, Numer. Algorithms 13, 1996) and compares moduli against d with a
-relative margin; complete in practice but not a proof, so consumers flag it.
+but incomplete. The numeric mode approximates all roots simultaneously
+(Aberth-Ehrlich iteration from the Newton-polygon starts of Bini, Numer.
+Algorithms 13, 1996) and compares moduli against d with a relative margin;
+complete in practice but not a proof, so consumers flag it. Both tests are
+monotone in d: one that holds at d holds at every smaller radius. So
+`criteria.PolyFacts.certified_radius` looks for the largest certified radius
+from the top down and certifies no radius twice.
 """
 
 from __future__ import annotations
@@ -78,15 +78,11 @@ def certify_outside_disk(
 
     if mode is CertificateMode.SYMBOLIC_SUFFICIENT:
         lhs = abs(f.constant_term)
-        if d.denominator == 1:
-            # integer radius: pure integer Horner on |a_i|
-            di = d.numerator
-            rhs = 0
-            for a in reversed(f.coeffs[1:]):
-                rhs = rhs * di + abs(a)
-            rhs *= di
-        else:
-            rhs = sum(abs(a) * d**i for i, a in enumerate(f.coeffs) if i > 0)
+        x = d.numerator if d.denominator == 1 else d  # an integer radius stays in integers
+        rhs = 0
+        for a in reversed(f.coeffs[1:]):  # sum_{i>=1} |a_i| x^i by Horner's rule
+            rhs = rhs * x + abs(a)
+        rhs *= x
         return RootLocationCertificate(
             radius=d,
             mode=mode,
@@ -100,7 +96,8 @@ def certify_outside_disk(
     if roots is None:
         roots = numeric_roots(f)
     moduli = sorted(abs(r) for r in roots)
-    certified = moduli[0] > float(d) * (1.0 + MARGIN)
+    # a radius beyond the float range exceeds every root modulus
+    certified = d <= sys.float_info.max and moduli[0] > float(d) * (1.0 + MARGIN)
     return RootLocationCertificate(
         radius=d, mode=mode, certified=certified,
         detail={"moduli": moduli, "margin": MARGIN},

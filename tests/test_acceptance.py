@@ -32,13 +32,16 @@ def exhaustive_result():
 
 def test_criterion_1_exhaustive_soundness(exhaustive_result):
     result = exhaustive_result
-    # frozen from the deterministic enumeration; guards generator regressions
+    # frozen from the deterministic enumeration, as is every count of the
+    # correctness fingerprint these tests pin (ROADMAP)
     expected_total = 798518
     criterion_violations = {
         name: stats.violations for name, stats in result.criteria.items()
     }
     ok = (
         result.total == expected_total
+        and result.oracle_calls == 42964
+        and result.violation_count() == 0
         and all(not v for v in criterion_violations.values())
         and result.oracle_skipped == 0
     )
@@ -104,10 +107,10 @@ def test_criterion_6_unit_divisor_subsumption(exhaustive_result):
     result = exhaustive_result
     middle = result.criteria.get("middle_prime_power")
     ok = (
-        result.cor1_checked > 0
+        result.cor1_checked == 537728
         and not result.cor1_violations
         and middle is not None
-        and middle.fired > 0
+        and middle.fired == 16576
         and not middle.violations
     )
     record(
@@ -120,7 +123,7 @@ def test_criterion_6_unit_divisor_subsumption(exhaustive_result):
 def test_criterion_7_root_location_cross_validation(exhaustive_result):
     result = exhaustive_result
     ok = (
-        result.rootloc_checked > 0
+        result.rootloc_checked == 970
         and not result.rootloc_violations
         and not result.nonconvergences
     )

@@ -1,5 +1,8 @@
 """Audit machinery: soundness sweep, subsumption predicate, parallel merge."""
 
+import multiprocessing
+import os
+
 from irreducia import audit
 from irreducia.corpus import gen_exhaustive
 from irreducia.criteria import ConclusionKind, dominant_coefficient
@@ -26,6 +29,23 @@ def test_parallel_merge_matches_serial():
             other.fired, other.sound, other.vacuous,
         )
         assert stats.violations == other.violations
+
+
+def test_parallel_audit_starts_at_most_one_worker_per_cpu(monkeypatch):
+    real_pool = multiprocessing.Pool
+    sizes = []
+
+    def capped_pool(processes):
+        sizes.append(processes)
+        assert processes <= 2  # before any worker starts
+        return real_pool(processes)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Pool", capped_pool)
+    polys = list(gen_exhaustive(2, 2))
+    parallel = audit.audit_corpus(polys, jobs=5000)
+    assert sizes == [2]
+    assert parallel.total == audit.audit_corpus(polys).total == len(polys)
 
 
 def test_cor1_predicate_matches_dominant_at_unit_divisor():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from irreducia import audit, numtheory, oracle, rootloc
+from irreducia import numtheory, oracle, rootloc
 from irreducia.corpus import gen_exhaustive, gen_random
 from irreducia.criteria import (
     AnalyzeConfig,
@@ -154,7 +154,8 @@ class TestConstantTerm:
         assert not facts.unit_disk_certified
         assert constant_term_criterion(facts).conclusion.kind is NONE
         assert leading_coeff_criterion(facts).conclusion.kind is NONE
-        assert audit._largest_certified_radius(facts) is None
+        assert [facts.certified_radius(i, CertificateMode.SYMBOLIC_SUFFICIENT)
+                for i in (0, 2)] == [0, 0]
         assert calls == []
         facts = PolyFacts(P(30, 5, 1, 20))  # passes at d = 1: both ends are factored
         assert facts.unit_disk_certified
@@ -163,6 +164,19 @@ class TestConstantTerm:
         # 30 is asked for its radii and again for q; the cache factors it once
         assert sorted(calls) == [20, 30, 30]
         assert fresh_factor_cache.cache_info().misses == 2
+
+    def test_unit_radius_needs_no_certificate(self, monkeypatch):
+        # 3 + 2z^3 passes the exact test at d = 1, the only radius at either
+        # end, so both disk criteria fire with no further certificate
+        calls, certify = [], rootloc.certify_outside_disk
+        monkeypatch.setattr(rootloc, "certify_outside_disk",
+                            lambda *a, **k: calls.append(a) or certify(*a, **k))
+        facts = PolyFacts(P(3, 0, 0, 2))
+        assert constant_term_criterion(facts).witnesses == {"p": 3, "k": 1, "j": 3, "d": 1}
+        out = leading_coeff_criterion(facts)
+        assert out.witnesses == {"p": 2, "k": 1, "j": 3, "d": 1, "q": 3}
+        assert out.conclusion.kind is IRR and out.certificate_mode == "exact"
+        assert calls == []
 
 
 class TestLeadingCoeff:

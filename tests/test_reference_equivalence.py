@@ -5,8 +5,9 @@ give exactly the same results.
   against direct sums that recompute every sum, power and factorization
   from the polynomial for each (j, b) or (j, p) pair; the library keeps
   running sums and memoised facts instead; the two disk criteria against
-  the separate searches over a_0 and over a_m that they replaced. Outcomes,
-  witnesses and the audit's largest certified radius must agree.
+  the separate searches over a_0 and over a_m that they replaced, which
+  certify every radius in either root mode. Outcomes, witnesses and the
+  audit's largest certified radius must agree.
 - `numtheory.prime_factors`, which hands a cofactor below 2^64 to
   Miller-Rabin and Pollard rho after trial division to 10^3, against the
   trial-division loop to 10^6 that it replaced.
@@ -31,9 +32,11 @@ from irreducia import audit, numtheory, oracle, rootloc
 from irreducia.corpus import gen_exhaustive, gen_random
 from irreducia.criteria import (
     CRITERIA,
+    AnalyzeConfig,
     Conclusion,
     CriterionOutcome,
     PolyFacts,
+    analyze,
     constant_term_criterion,
     dominant_coefficient,
     leading_coeff_criterion,
@@ -41,6 +44,9 @@ from irreducia.criteria import (
     perron_nonmonic,
 )
 from irreducia.poly import Polynomial, divides_exactly, rational_roots
+
+SYM = rootloc.CertificateMode.SYMBOLIC_SUFFICIENT
+NUM = rootloc.CertificateMode.NUMERIC_HEURISTIC
 
 
 def _no_conclusion(name):
@@ -120,7 +126,7 @@ def _ref_disk_outcome(name, p, k, j, d, cert, witnesses=()):
     )
 
 
-def ref_constant_term_criterion(f):
+def ref_constant_term_criterion(f, mode=SYM):
     name = "constant_term"
     c, m = f.coeffs, f.degree
     a0 = c[0]
@@ -129,7 +135,7 @@ def ref_constant_term_criterion(f):
     best = None
     for p, k in numtheory.factorize(a0).factors:
         d = abs(a0) // p**k
-        cert = rootloc.certify_outside_disk(f, d, rootloc.CertificateMode.SYMBOLIC_SUFFICIENT)
+        cert = rootloc.certify_outside_disk(f, d, mode)
         if not cert.certified:
             continue
         j = next(j for j in range(1, m + 1) if c[j] % p != 0)
@@ -139,7 +145,7 @@ def ref_constant_term_criterion(f):
     return best if best is not None else _no_conclusion(name)
 
 
-def ref_leading_coeff_criterion(f):
+def ref_leading_coeff_criterion(f, mode=SYM):
     name = "leading_coeff"
     c, m = f.coeffs, f.degree
     a0, am = c[0], c[m]
@@ -151,7 +157,7 @@ def ref_leading_coeff_criterion(f):
     best = None
     for p, k in numtheory.factorize(am).factors:
         d = abs(am) // p**k
-        cert = rootloc.certify_outside_disk(f, d, rootloc.CertificateMode.SYMBOLIC_SUFFICIENT)
+        cert = rootloc.certify_outside_disk(f, d, mode)
         if not cert.certified:
             continue
         j = next(j for j in range(1, m + 1) if c[m - j] % p != 0)
@@ -180,6 +186,11 @@ def ref_cor1_best_j(f):
     return None
 
 
+def _audit_radius(facts):
+    """The radius the audit's root-location check reads."""
+    return max(facts.certified_radius(i, SYM) for i in (0, facts.degree))
+
+
 def ref_symbolic_disk_radii(f):
     radii = []
     for source in (f.constant_term, f.leading_coefficient):
@@ -187,9 +198,7 @@ def ref_symbolic_disk_radii(f):
             continue
         for p, _ in numtheory.factorize(source).factors:
             d = abs(source) // p ** numtheory.valuation(p, source)
-            cert = rootloc.certify_outside_disk(
-                f, d, rootloc.CertificateMode.SYMBOLIC_SUFFICIENT
-            )
+            cert = rootloc.certify_outside_disk(f, d, SYM)
             if cert.certified:
                 radii.append(d)
     return radii
@@ -248,7 +257,16 @@ def test_facts_criteria_match_direct_sums(f):
         assert CRITERIA[name](f) == expected  # own record
         assert CRITERIA[name](facts) == expected  # shared record
     assert audit.cor1_best_j(facts) == ref_cor1_best_j(f)
-    assert audit._largest_certified_radius(facts) == max(ref_symbolic_disk_radii(f), default=None)
+    assert _audit_radius(facts) == max(ref_symbolic_disk_radii(f), default=0)
+    # numeric mode: the same search, over every radius the references try
+    for name in ("constant_term", "leading_coeff"):
+        try:
+            expected = REFERENCES[name](f, NUM)
+        except rootloc.NonConvergenceError:
+            with pytest.raises(rootloc.NonConvergenceError):
+                CRITERIA[name](facts, NUM)
+        else:
+            assert CRITERIA[name](facts, NUM) == expected
 
 
 def test_references_fire_on_known_instances():
@@ -273,7 +291,12 @@ def test_references_fire_on_known_instances():
     assert ref_leading_coeff_criterion(f).witnesses == {"p": 5, "k": 1, "j": 2, "d": 1, "q": 11}
     assert leading_coeff_criterion(f) == ref_leading_coeff_criterion(f)
     assert ref_symbolic_disk_radii(Polynomial([24, 1, 1])) == [3]
-    assert audit._largest_certified_radius(PolyFacts(Polynomial([24, 1, 1]))) == 3
+    assert _audit_radius(PolyFacts(Polynomial([24, 1, 1]))) == 3
+    f = Polynomial([4, -4, 1])  # (z - 2)^2: only numeric mode certifies d = 1
+    assert not ref_constant_term_criterion(f).conclusion.fired()
+    out = ref_constant_term_criterion(f, NUM)
+    assert out.witnesses == {"p": 2, "k": 2, "j": 2, "d": 1}
+    assert constant_term_criterion(f, NUM) == out
 
 
 def test_audit_one_certifies_each_radius_once(monkeypatch):
@@ -287,10 +310,13 @@ def test_audit_one_certifies_each_radius_once(monkeypatch):
     monkeypatch.setattr(rootloc, "certify_outside_disk", counting)
     corpus = list(gen_exhaustive(3, 4))[::5] + gen_random(300, 6, 60, seed=11)
     result = audit.AuditResult()
+    numeric = AnalyzeConfig(root_mode=NUM, oracle="off")
     for f in corpus:
         audit.audit_one(f, result)
+        analyze(f, numeric)
     assert result.rootloc_checked > 0
-    assert calls and max(calls.values()) == 1
+    assert {mode for _, _, mode in calls} == {SYM, NUM}
+    assert max(calls.values()) == 1
 
 
 def ref_prime_factors(n):

@@ -203,6 +203,13 @@ class TestNumericCertificate:
         cert = certify_outside_disk(Polynomial([-4, 0, 1]), 2, NUM)
         assert not cert.certified
 
+    def test_radius_beyond_float_range_is_refused(self):
+        # 3*2^1100 + 2^1100 z + (5*2^1100 + 1) z^2 has roots of modulus
+        # about 0.77 and the disk radius 2^1100 at p = 3
+        f = Polynomial([3 * 2**1100, 2**1100, 5 * 2**1100 + 1])
+        assert not certify_outside_disk(f, 2**1100, NUM).certified
+        assert certify_outside_disk(f, Fraction(1, 2), NUM).certified
+
 
 class TestSymbolicSoundness:
     def test_certified_disks_are_root_free(self):
