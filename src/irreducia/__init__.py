@@ -1,125 +1,85 @@
 """Irreducibility criteria and factor-count bounds for univariate integer
 polynomials, with automatic witness search and an exact brute-force
-factorization oracle for desk-scale verification."""
+factorization oracle for desk-scale verification.
 
-from .poly import (
-    NormalizedInput,
-    PolyParseError,
-    Polynomial,
-    content,
-    divmod_exact,
-    divides_exactly,
-    is_primitive,
-    normalize,
-    parse_poly,
-    rational_roots,
-)
-from .numtheory import (
-    FactorizationLimitError,
-    PrimePowerDecomposition,
-    factorize,
-    is_prime,
-    positive_divisors,
-    prime_factors,
-    smallest_prime_divisor,
-    valuation,
-)
-from .rootloc import (
-    CertificateMode,
-    NonConvergenceError,
-    RootLocationCertificate,
-    certify_outside_disk,
-    numeric_roots,
-)
-from .criteria import (
-    CRITERIA,
-    AnalysisReport,
-    AnalyzeConfig,
-    Conclusion,
-    ConclusionKind,
-    CriterionOutcome,
-    SoundnessError,
-    analyze,
-    constant_term_criterion,
-    dominant_coefficient,
-    eisenstein_generalized,
-    leading_coeff_criterion,
-    middle_prime_power_check,
-    perron_nonmonic,
-    weintraub_check,
-)
-from .oracle import (
-    FactorizationResult,
-    OracleLimitError,
-    count_irreducible_factors,
-    factor,
-    verify,
-)
-from .corpus import (
-    FAMILIES,
-    FamilyConditionError,
-    gen_exhaustive,
-    gen_family,
-    gen_p1,
-    gen_p2,
-    gen_p3,
-    gen_p4,
-    gen_random,
-)
+The exports are lazy (PEP 562): `import irreducia` loads no submodule, and
+each name below imports its submodule on first access. The six submodules
+that hold them (`poly`, `numtheory`, `rootloc`, `criteria`, `oracle`,
+`corpus`) resolve as attributes the same way."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisReport",
-    "AnalyzeConfig",
-    "CRITERIA",
-    "CertificateMode",
-    "Conclusion",
-    "ConclusionKind",
-    "CriterionOutcome",
-    "FAMILIES",
-    "FactorizationLimitError",
-    "FactorizationResult",
-    "FamilyConditionError",
-    "NonConvergenceError",
-    "NormalizedInput",
-    "OracleLimitError",
-    "PolyParseError",
-    "Polynomial",
-    "PrimePowerDecomposition",
-    "RootLocationCertificate",
-    "SoundnessError",
-    "analyze",
-    "certify_outside_disk",
-    "constant_term_criterion",
-    "content",
-    "count_irreducible_factors",
-    "divides_exactly",
-    "divmod_exact",
-    "dominant_coefficient",
-    "eisenstein_generalized",
-    "factor",
-    "factorize",
-    "gen_exhaustive",
-    "gen_family",
-    "gen_p1",
-    "gen_p2",
-    "gen_p3",
-    "gen_p4",
-    "gen_random",
-    "is_prime",
-    "is_primitive",
-    "leading_coeff_criterion",
-    "middle_prime_power_check",
-    "normalize",
-    "numeric_roots",
-    "parse_poly",
-    "perron_nonmonic",
-    "positive_divisors",
-    "prime_factors",
-    "rational_roots",
-    "smallest_prime_divisor",
-    "valuation",
-    "verify",
-    "weintraub_check",
-]
+# exported name -> the submodule that defines it
+_EXPORTS = {
+    "AnalysisReport": "criteria",
+    "AnalyzeConfig": "criteria",
+    "CRITERIA": "criteria",
+    "CertificateMode": "rootloc",
+    "Conclusion": "criteria",
+    "ConclusionKind": "criteria",
+    "CriterionOutcome": "criteria",
+    "FAMILIES": "corpus",
+    "FactorizationLimitError": "numtheory",
+    "FactorizationResult": "oracle",
+    "FamilyConditionError": "corpus",
+    "NonConvergenceError": "rootloc",
+    "NormalizedInput": "poly",
+    "OracleLimitError": "oracle",
+    "PolyParseError": "poly",
+    "Polynomial": "poly",
+    "PrimePowerDecomposition": "numtheory",
+    "RootLocationCertificate": "rootloc",
+    "SoundnessError": "criteria",
+    "analyze": "criteria",
+    "certify_outside_disk": "rootloc",
+    "constant_term_criterion": "criteria",
+    "content": "poly",
+    "count_irreducible_factors": "oracle",
+    "divides_exactly": "poly",
+    "divmod_exact": "poly",
+    "dominant_coefficient": "criteria",
+    "eisenstein_generalized": "criteria",
+    "factor": "oracle",
+    "factorize": "numtheory",
+    "gen_exhaustive": "corpus",
+    "gen_family": "corpus",
+    "gen_p1": "corpus",
+    "gen_p2": "corpus",
+    "gen_p3": "corpus",
+    "gen_p4": "corpus",
+    "gen_random": "corpus",
+    "is_prime": "numtheory",
+    "is_primitive": "poly",
+    "leading_coeff_criterion": "criteria",
+    "middle_prime_power_check": "criteria",
+    "normalize": "poly",
+    "numeric_roots": "rootloc",
+    "parse_poly": "poly",
+    "perron_nonmonic": "criteria",
+    "positive_divisors": "numtheory",
+    "prime_factors": "numtheory",
+    "rational_roots": "poly",
+    "smallest_prime_divisor": "numtheory",
+    "valuation": "numtheory",
+    "verify": "oracle",
+    "weintraub_check": "criteria",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _EXPORTS.values():
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS.values()})

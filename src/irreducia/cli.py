@@ -1,8 +1,8 @@
 """Command-line front end: run analyses, emit reports, factor inputs,
 generate corpora, and drive audits. Polynomials are read by poly.parse_poly.
 
-Exit codes: 0 for any conclusion (and clean audits), 1 for input errors
-and when the reader closes standard output early (as `| head` does; no
+Exit codes: 0 for any conclusion (and clean audits), 1 for input and usage
+errors and when the reader closes standard output early (as `| head` does; no
 traceback is printed), 2 for audit soundness violations, 3 when every
 criterion is inconclusive, 4 when `analyze` finds its strongest conclusion contradicted by the
 factorization oracle (a soundness error: a bug, never an input problem).
@@ -18,16 +18,8 @@ import os
 import sys
 from itertools import chain
 
-from . import corpus, criteria, oracle
-from .criteria import (
-    CRITERIA,
-    AnalysisReport,
-    AnalyzeConfig,
-    Conclusion,
-    CriterionOutcome,
-)
+from . import oracle
 from .poly import Polynomial, PolyParseError, parse_poly
-from .rootloc import CertificateMode
 
 SCHEMA = "irreducia/1"
 
@@ -175,9 +167,12 @@ _GEN_CONVERTERS = {
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from . import criteria
+    from .rootloc import CertificateMode
+
     f = parse_poly(args.poly)
     if args.criteria == "all":
-        names = tuple(CRITERIA)
+        names = tuple(criteria.CRITERIA)
     else:
         names = tuple(tok.strip() for tok in args.criteria.split(",") if tok.strip())
         if not names:
@@ -187,13 +182,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if args.root_mode == "symbolic"
         else CertificateMode.NUMERIC_HEURISTIC
     )
-    config = AnalyzeConfig(
+    config = criteria.AnalyzeConfig(
         criteria=names,
         root_mode=mode,
         oracle=args.oracle,
         max_oracle_degree=args.max_oracle_degree,
     )
-    report = criteria.analyze(f, config)
+    try:
+        report = criteria.analyze(f, config)
+    except criteria.SoundnessError as exc:
+        print(f"error: soundness: {exc}", file=sys.stderr)
+        return EXIT_SOUNDNESS
     if args.format == "json":
         print(report_to_json(report))
     else:
@@ -219,6 +218,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     from . import audit as audit_mod  # loaded only here: it pulls in multiprocessing
+    from . import corpus
 
     violations = 0
     if args.families:
@@ -248,6 +248,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from . import corpus
+
     if args.family:
         name = args.family.upper()
         if name not in corpus.FAMILIES:
@@ -283,8 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="run all criteria on one polynomial")
     p.add_argument("--poly", required=True, help='e.g. "z^3+4z+4" or "4,4,0,1"')
     p.add_argument("--format", choices=["json", "text"], default="text")
-    p.add_argument("--criteria", default="all",
-                   help=f"comma list from: {', '.join(CRITERIA)}")
+    p.add_argument("--criteria", default="all", help="comma list of criterion names")
     p.add_argument("--root-mode", choices=["symbolic", "numeric"], default="symbolic")
     p.add_argument("--oracle", choices=["on", "off", "auto"], default="auto")
     p.add_argument("--max-oracle-degree", type=int, default=oracle.DEFAULT_MAX_DEGREE)
@@ -346,7 +347,12 @@ def _attach_poly_values(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_attach_poly_values(sys.argv[1:] if argv is None else argv))
+    try:
+        args = parser.parse_args(_attach_poly_values(sys.argv[1:] if argv is None else argv))
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        if exc.code != 2:
+            raise
+        return EXIT_ERROR  # 2 means audit violations here
     try:
         code = args.fn(args)
         sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
@@ -357,13 +363,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_ERROR
-    except (PolyParseError, ValueError, corpus.FamilyConditionError,
-            oracle.OracleLimitError) as exc:
+    except (PolyParseError, ValueError, oracle.OracleLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except criteria.SoundnessError as exc:
-        print(f"error: soundness: {exc}", file=sys.stderr)
-        return EXIT_SOUNDNESS
 
 
 if __name__ == "__main__":

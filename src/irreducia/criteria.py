@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
+from typing import NamedTuple
 
 from . import numtheory, oracle, rootloc
 from .oracle import DEFAULT_MAX_DEGREE
@@ -38,8 +38,7 @@ class ConclusionKind(enum.Enum):
     NO_CONCLUSION = "NoConclusion"
 
 
-@dataclass(frozen=True)
-class Conclusion:
+class Conclusion(NamedTuple):
     kind: ConclusionKind
     bound: int | None = None
 
@@ -78,8 +77,7 @@ NUMERIC_CONDITIONAL = "numeric-conditional"
 SYMBOLIC = CertificateMode.SYMBOLIC_SUFFICIENT  # read per polynomial; faster than the member
 
 
-@dataclass(frozen=True)
-class CriterionOutcome:
+class CriterionOutcome(NamedTuple):
     criterion: str
     applicable: bool
     witnesses: dict
@@ -492,16 +490,14 @@ class SoundnessError(RuntimeError):
     """A criterion conclusion contradicted the factorization oracle."""
 
 
-@dataclass(frozen=True)
-class AnalyzeConfig:
+class AnalyzeConfig(NamedTuple):
     criteria: tuple[str, ...] = tuple(CRITERIA)
     root_mode: CertificateMode = CertificateMode.SYMBOLIC_SUFFICIENT
     oracle: str = "auto"  # on | off | auto
     max_oracle_degree: int = DEFAULT_MAX_DEGREE  # the field `oracle` hides the module here
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     input: Polynomial
     input_text: str
     content: int
@@ -510,7 +506,7 @@ class AnalysisReport:
     outcomes: tuple[CriterionOutcome, ...]
     strongest: CriterionOutcome | None
     oracle_result: oracle.FactorizationResult | None
-    warnings: tuple[str, ...] = field(default=())
+    warnings: tuple[str, ...] = ()
 
 
 def conclusion_holds(
@@ -539,7 +535,8 @@ def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisR
         raise ValueError("cannot analyze the zero polynomial")
     unknown = [name for name in config.criteria if name not in CRITERIA]
     if unknown:
-        raise ValueError(f"unknown criteria: {', '.join(unknown)}")
+        known = ", ".join(CRITERIA)
+        raise ValueError(f"unknown criteria: {', '.join(unknown)} (known: {known})")
     if config.oracle not in ("on", "off", "auto"):
         raise ValueError(f"oracle mode must be on/off/auto, got {config.oracle!r}")
 

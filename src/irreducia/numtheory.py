@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 # Trial-division limits. Below DEFAULT_FACTOR_BOUND, Miller-Rabin and rho
 # finish a cofactor faster than dividing on to 10^6 (a prime near 10^12:
@@ -51,8 +51,7 @@ class FactorizationLimitError(ValueError):
     """A composite resisted factorization within the configured budget."""
 
 
-@dataclass(frozen=True)
-class PrimePowerDecomposition:
+class PrimePowerDecomposition(NamedTuple):
     """Signed prime factorization: n = sign * prod(p**e)."""
 
     n: int

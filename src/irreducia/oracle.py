@@ -17,7 +17,7 @@ since the polynomial has no rational roots by then. Adequate for degree
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import numtheory
 from .numtheory import FactorizationLimitError
@@ -32,8 +32,7 @@ class OracleLimitError(RuntimeError):
     """Input outside the oracle's degree/coefficient/step limits."""
 
 
-@dataclass(frozen=True)
-class FactorizationResult:
+class FactorizationResult(NamedTuple):
     """content * prod(factor**multiplicity) == input, with primitive
     positive-leading irreducible factors sorted by (degree, coefficients).
     The input's sign lives in the content."""

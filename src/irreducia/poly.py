@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import numtheory
 
@@ -207,8 +207,7 @@ def parse_poly(text: str) -> Polynomial:
     return Polynomial(out)
 
 
-@dataclass(frozen=True)
-class NormalizedInput:
+class NormalizedInput(NamedTuple):
     """f = content * z**z_power * primitive_part, with the primitive part
     having gcd-1 coefficients and nonzero constant and leading terms."""
 

@@ -19,8 +19,8 @@ import cmath
 import enum
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .poly import Polynomial
 
@@ -44,8 +44,7 @@ class NonConvergenceError(RuntimeError):
         self.best_residual = best_residual
 
 
-@dataclass(frozen=True)
-class RootLocationCertificate:
+class RootLocationCertificate(NamedTuple):
     """Outcome of a disk-exclusion check at radius d."""
 
     radius: Fraction

@@ -1,5 +1,6 @@
 """CLI surface: polynomial parsing, report schema, subcommands, exit codes."""
 
+import importlib
 import json
 import os
 import random
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import irreducia
 from irreducia.cli import (
     EXIT_ERROR,
     EXIT_NO_CONCLUSION,
@@ -176,6 +178,27 @@ class TestExitCodes:
 
     def test_analyze_unknown_criterion(self, capsys):
         assert main(["analyze", "--poly", "z+1", "--criteria", "bogus"]) == EXIT_ERROR
+        # the --criteria help does not list the names, so the error does
+        err = capsys.readouterr().err
+        assert "unknown criteria: bogus (known: " in err
+        assert all(name in err for name in criteria.CRITERIA)
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze"],
+        ["analyze", "--poly", "z+1", "--format", "xml"],
+        ["factor", "--poly", "z+1", "--max-degree", "x"],
+        [],
+    ])
+    def test_usage_error_is_input_error(self, capsys, argv):
+        # argparse's own exit code 2 would read as audit violations
+        assert main(argv) == EXIT_ERROR
+        assert "usage: irreducia" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--help"])
+        assert exc.value.code == EXIT_OK
+        assert "--criteria" in capsys.readouterr().out
 
     def test_analyze_criteria_subset(self, capsys):
         code = main([
@@ -284,50 +307,99 @@ class TestExitCodes:
         assert capsys.readouterr().out == first
 
 
+def _src_env() -> dict[str, str]:
+    """The environment for a child interpreter that imports this checkout."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestColdImports:
-    """The analyze path loads neither numpy nor multiprocessing, and the
-    package alone does not load the command line."""
+    """`import irreducia` loads no submodule, and each command loads only
+    the modules it runs: `factor` never loads the criteria, and nothing on
+    the analyze path loads numpy, multiprocessing or dataclasses."""
 
-    SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-    def _imported(self, *args: str) -> set[str]:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [self.SRC, env.get("PYTHONPATH")]))
+    def _loaded(self, *args: str) -> set[str]:
         proc = subprocess.run(
-            [sys.executable, "-X", "importtime", *args],
-            capture_output=True, text=True, env=env, timeout=60,
+            [sys.executable, "-v", *args],
+            capture_output=True, text=True, env=_src_env(), timeout=60,
         )
         assert proc.returncode in (EXIT_OK, EXIT_NO_CONCLUSION), proc.stderr
-        # one "import time: self | cumulative | name" line per module loaded
+        # one "import 'name' # loader" line per module loaded; -X importtime
+        # would miss a submodule loaded by `from . import name`
         return {
-            line.rsplit("|", 1)[1].strip()
+            line.split("'")[1]
             for line in proc.stderr.splitlines()
-            if line.startswith("import time:") and line.count("|") == 2
+            if line.startswith("import '")
         }
 
     def test_import_package(self):
-        loaded = self._imported("-c", "import irreducia")
-        assert "irreducia.rootloc" in loaded
-        assert "numpy" not in loaded
-        assert "multiprocessing" not in loaded
-        assert "irreducia.cli" not in loaded
-        assert "argparse" not in loaded
+        loaded = self._loaded("-c", "import irreducia")
+        assert "irreducia" in loaded
+        assert not {name for name in loaded if name.startswith("irreducia.")}
+        assert not loaded & {"dataclasses", "argparse", "numpy", "multiprocessing"}
+
+    def test_first_access_loads_its_submodule(self):
+        loaded = self._loaded("-c", "import irreducia; irreducia.factor")
+        assert "irreducia.oracle" in loaded
+        assert not loaded & {"irreducia.criteria", "irreducia.rootloc", "irreducia.corpus"}
+
+    def test_factor_command(self):
+        loaded = self._loaded("-m", "irreducia", "factor", "--poly", "z^4-1")
+        assert "irreducia.oracle" in loaded
+        assert not loaded & {
+            "irreducia.criteria", "irreducia.rootloc", "irreducia.corpus", "dataclasses"
+        }
 
     def test_analyze_command(self):
-        loaded = self._imported("-m", "irreducia", "analyze", "--poly", "z^2+1")
-        assert "irreducia.cli" in loaded
-        assert "numpy" not in loaded
-        assert "multiprocessing" not in loaded
+        loaded = self._loaded("-m", "irreducia", "analyze", "--poly", "z^2+1")
+        assert {"irreducia.cli", "irreducia.criteria"} <= loaded
+        assert not loaded & {"irreducia.corpus", "dataclasses", "multiprocessing", "numpy"}
+
+
+class TestLazyExports:
+    SUBMODULES = ("poly", "numtheory", "rootloc", "criteria", "oracle", "corpus")
+
+    def test_names_are_their_submodules_objects(self):
+        assert sorted(irreducia.__all__) == sorted(irreducia._EXPORTS)
+        for name, module in irreducia._EXPORTS.items():
+            assert module in self.SUBMODULES
+            source = importlib.import_module(f"irreducia.{module}")
+            assert getattr(irreducia, name) is getattr(source, name), name
+
+    def test_submodules_resolve_as_attributes(self):
+        # in a fresh interpreter, where no submodule has been imported yet
+        code = ("import irreducia\n"
+                f"print(*(getattr(irreducia, m).__name__ for m in {self.SUBMODULES!r}))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), timeout=60
+        )
+        assert proc.stdout.split() == [f"irreducia.{module}" for module in self.SUBMODULES]
+        assert irreducia.criteria.PolyFacts is criteria.PolyFacts
+
+    def test_dir_lists_all(self):
+        assert {*irreducia.__all__, *self.SUBMODULES} <= set(dir(irreducia))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            irreducia.no_such_name
+
+    def test_star_import_binds_all(self):
+        namespace: dict = {}
+        exec("from irreducia import *", namespace)
+        assert set(irreducia.__all__) <= set(namespace)
+        from irreducia import audit  # not exported: loaded as a submodule
+
+        assert audit.__name__ == "irreducia.audit"
 
 
 def test_closed_pipe_exits_without_traceback():
     # the reader takes one line and closes the pipe, as `| head -1` does
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [TestColdImports.SRC, env.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "irreducia", "gen", "--exhaustive",
          "--max-degree", "4", "--coeff-bound", "4"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(),
     )
     assert proc.stdout.readline() == b"-4,1\n"
     proc.stdout.close()

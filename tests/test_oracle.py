@@ -1,6 +1,5 @@
 """Kronecker factorization oracle: factor, count, verify."""
 
-import dataclasses
 import time
 
 import pytest
@@ -127,12 +126,12 @@ class TestVerify:
 
     def test_wrong_factors_rejected(self):
         good = factor(P(1, 5, 6))
-        bad = dataclasses.replace(good, factors=((P(1, 2), 1), (P(1, 4), 1)))
+        bad = good._replace(factors=((P(1, 2), 1), (P(1, 4), 1)))
         assert not verify(bad, P(1, 5, 6))
 
     def test_smuggled_content_rejected(self):
         good = factor(P(1, 5, 6))
-        bad = dataclasses.replace(good, content=2)
+        bad = good._replace(content=2)
         assert not verify(bad, P(1, 5, 6))
 
     def test_imprimitive_factor_rejected(self):
