@@ -1,5 +1,6 @@
 """The exact brute-force factorization oracle: divisor-tuple interpolation
-(Kronecker's method) on top of content, z-power and rational-root stripping.
+(Kronecker's method, from degree-1 factors up) after content and z-power
+extraction.
 
 Run:  python3 demos/04_factorization_oracle.py
 """

@@ -34,7 +34,6 @@ from . import corpus as corpus_mod
 from . import numtheory, oracle, rootloc
 from .criteria import (
     EXACT,
-    CRITERIA,
     SYMBOLIC,
     Conclusion,
     ConclusionKind,
@@ -45,13 +44,29 @@ from .criteria import (
     dominant_coefficient,
     eisenstein_generalized,
     leading_coeff_criterion,
+    run_criteria,
 )
 from .corpus import gen_exhaustive
 from .poly import Polynomial
 
 ROOT_MARGIN = 1e-6
-_VIOLATION_CAP = 50
+_EXAMPLE_CAP = 50  # examples kept per list; the counts stay exact
 _CHUNK_SIZE = 4096  # polynomials per task sent to a worker in a parallel audit
+
+
+class Findings(list):
+    """The first _EXAMPLE_CAP findings of one kind; `found` counts them all."""
+
+    found = 0
+
+    def add(self, item) -> None:
+        self.found += 1
+        if len(self) < _EXAMPLE_CAP:
+            self.append(item)
+
+    def merge(self, other: "Findings") -> None:
+        self.found += other.found
+        self.extend(other[: _EXAMPLE_CAP - len(self)])
 
 
 @dataclass
@@ -60,14 +75,16 @@ class CriterionStats:
     sound: int = 0
     vacuous: int = 0
     unchecked: int = 0  # oracle unavailable for this item
-    violations: list = field(default_factory=list)
+    stopped: int = 0  # runs stopped by a factorization limit (no conclusion)
+    violations: Findings = field(default_factory=Findings)
 
     def merge(self, other: "CriterionStats") -> None:
         self.fired += other.fired
         self.sound += other.sound
         self.vacuous += other.vacuous
         self.unchecked += other.unchecked
-        self.violations.extend(other.violations)
+        self.stopped += other.stopped
+        self.violations.merge(other.violations)
 
 
 @dataclass
@@ -77,10 +94,10 @@ class AuditResult:
     oracle_skipped: int = 0
     criteria: dict = field(default_factory=dict)
     cor1_checked: int = 0
-    cor1_violations: list = field(default_factory=list)
+    cor1_violations: Findings = field(default_factory=Findings)
     rootloc_checked: int = 0
-    rootloc_violations: list = field(default_factory=list)
-    nonconvergences: list = field(default_factory=list)
+    rootloc_violations: Findings = field(default_factory=Findings)
+    nonconvergences: Findings = field(default_factory=Findings)
 
     def stats(self, name: str) -> CriterionStats:
         if name not in self.criteria:
@@ -94,16 +111,16 @@ class AuditResult:
         for name, stats in other.criteria.items():
             self.stats(name).merge(stats)
         self.cor1_checked += other.cor1_checked
-        self.cor1_violations.extend(other.cor1_violations)
+        self.cor1_violations.merge(other.cor1_violations)
         self.rootloc_checked += other.rootloc_checked
-        self.rootloc_violations.extend(other.rootloc_violations)
-        self.nonconvergences.extend(other.nonconvergences)
+        self.rootloc_violations.merge(other.rootloc_violations)
+        self.nonconvergences.merge(other.nonconvergences)
 
     def violation_count(self) -> int:
         return (
-            sum(len(s.violations) for s in self.criteria.values())
-            + len(self.cor1_violations)
-            + len(self.rootloc_violations)
+            sum(s.violations.found for s in self.criteria.values())
+            + self.cor1_violations.found
+            + self.rootloc_violations.found
         )
 
     def ok(self) -> bool:
@@ -115,21 +132,22 @@ class AuditResult:
         for name in sorted(self.criteria):
             s = self.criteria[name]
             inconclusive = self.total - s.fired
+            stopped = f"  stopped by a limit {s.stopped}" if s.stopped else ""
             lines.append(
                 f"  {name:22s} fired {s.fired:8d}  sound {s.sound:8d} "
                 f"(vacuous {s.vacuous})  no-conclusion {inconclusive:8d}  "
-                f"violations {len(s.violations)}"
+                f"violations {s.violations.found}{stopped}"
             )
         if self.cor1_checked:
             lines.append(
                 f"  unit-divisor dominance subsumption: {self.cor1_checked} checked, "
-                f"{len(self.cor1_violations)} violations"
+                f"{self.cor1_violations.found} violations"
             )
         if self.rootloc_checked:
             lines.append(
                 f"  root-location cross-check: {self.rootloc_checked} certificates, "
-                f"{len(self.rootloc_violations)} contradictions, "
-                f"{len(self.nonconvergences)} non-convergent"
+                f"{self.rootloc_violations.found} contradictions, "
+                f"{self.nonconvergences.found} non-convergent"
             )
         lines.append(f"total violations: {self.violation_count()}")
         return lines
@@ -168,7 +186,9 @@ def audit_one(f: Polynomial, result: AuditResult) -> None:
     result.total += 1
     facts = PolyFacts(f)
     m = facts.degree
-    outcomes = [fn(facts) for fn in CRITERIA.values()]
+    outcomes, stopped = run_criteria(facts)
+    for name, _ in stopped:
+        result.stats(name).stopped += 1
 
     to_check: list[CriterionOutcome] = []
     for outcome in outcomes:
@@ -196,13 +216,16 @@ def audit_one(f: Polynomial, result: AuditResult) -> None:
                 stats = result.stats(outcome.criterion)
                 if conclusion_holds(outcome.conclusion, fact):
                     stats.sound += 1
-                elif len(stats.violations) < _VIOLATION_CAP:
-                    stats.violations.append(
-                        (f.coeffs, outcome.criterion, outcome.conclusion.kind.value,
-                         outcome.conclusion.bound, count)
-                    )
+                else:
+                    stats.violations.add((f.coeffs, outcome.criterion,
+                                          outcome.conclusion.kind.value,
+                                          outcome.conclusion.bound, count))
 
-    j = cor1_best_j(facts)
+    # a limit that stopped a criterion stops its cross-check too: skip it
+    try:
+        j = cor1_best_j(facts)
+    except numtheory.FactorizationLimitError:
+        j = None
     if j is not None:
         result.cor1_checked += 1
         dom = next(o for o in outcomes if o.criterion == "dominant_coefficient")
@@ -212,22 +235,22 @@ def audit_one(f: Polynomial, result: AuditResult) -> None:
         elif dom.conclusion.kind is ConclusionKind.AT_MOST_FACTORS:
             dom_bound = dom.conclusion.bound
         if dom_bound is None or dom_bound > m - j:
-            if len(result.cor1_violations) < _VIOLATION_CAP:
-                result.cor1_violations.append((f.coeffs, j, dom_bound))
+            result.cor1_violations.add((f.coeffs, j, dom_bound))
 
-    worst = max(facts.certified_radius(0, SYMBOLIC), facts.certified_radius(m, SYMBOLIC))
+    try:
+        worst = max(facts.certified_radius(0, SYMBOLIC), facts.certified_radius(m, SYMBOLIC))
+    except numtheory.FactorizationLimitError:
+        worst = 0
     if worst:
         result.rootloc_checked += 1
         try:
             roots = facts.roots()
         except rootloc.NonConvergenceError as exc:
-            if len(result.nonconvergences) < _VIOLATION_CAP:
-                result.nonconvergences.append((f.coeffs, exc.best_residual))
+            result.nonconvergences.add((f.coeffs, exc.best_residual))
         else:
             min_modulus = min(abs(r) for r in roots)
             if min_modulus <= worst * (1.0 - ROOT_MARGIN):
-                if len(result.rootloc_violations) < _VIOLATION_CAP:
-                    result.rootloc_violations.append((f.coeffs, worst, min_modulus))
+                result.rootloc_violations.add((f.coeffs, worst, min_modulus))
 
 
 def _audit_chunk(chunk: list[tuple[int, ...]]) -> AuditResult:
@@ -253,8 +276,9 @@ def audit_corpus(polys: Iterable[Polynomial], jobs: int = 1) -> AuditResult:
     with at most `os.cpu_count()` worker processes, however many jobs are
     asked for.
 
-    Items are pure-function audits, so the merge is deterministic up to the
-    (sorted) violation listings regardless of worker scheduling.
+    Items are pure-function audits, so every count in the merge is
+    deterministic regardless of worker scheduling; which examples the
+    (sorted, capped) listings keep may differ between runs.
     """
     result = AuditResult()
     jobs = min(jobs, os.cpu_count() or 1)

@@ -233,8 +233,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if args.families is None or args.max_degree is not None:
         max_degree = args.max_degree if args.max_degree is not None else 3
         coeff_bound = args.coeff_bound if args.coeff_bound is not None else 3
-        if max_degree < 1 or coeff_bound < 1:
-            raise PolyParseError("invalid bound: need max-degree and coeff-bound >= 1")
         polys = corpus.gen_exhaustive(max_degree, coeff_bound)
         if args.random_count:
             extra = corpus.gen_random(

@@ -169,6 +169,11 @@ def gen_family(name: str, params: dict) -> Polynomial:
     return fn(**params)
 
 
+# Most coefficient tuples (before the gcd filter) an exhaustive corpus may span: about
+# six days of audit at 20,000 polynomials/s, above degree <= 8, |coeff| <= 5 (1.07e9).
+MAX_CORPUS_SIZE = 10**10
+
+
 def gen_exhaustive(max_degree: int, coeff_bound: int) -> Iterator[Polynomial]:
     """All primitive polynomials with nonzero constant term, degree in
     [1, max_degree], coefficients in [-coeff_bound, coeff_bound], one
@@ -176,12 +181,17 @@ def gen_exhaustive(max_degree: int, coeff_bound: int) -> Iterator[Polynomial]:
     Deterministic order: degree ascending, coefficient tuples lexicographic
     with the lowest coefficient varying slowest. Each product tuple already
     holds ints with a positive last entry, so it becomes a Polynomial as it
-    is."""
+    is. Bounds past MAX_CORPUS_SIZE tuples are refused before any is built."""
     if max_degree < 1:
         raise ValueError(f"invalid bound: max degree must be >= 1, got {max_degree}")
     if coeff_bound < 1:
         raise ValueError(f"invalid bound: coefficient bound must be >= 1, got {coeff_bound}")
     bound = coeff_bound
+    # sum over degrees d of 2B (2B+1)^(d-1) B tuples is B ((2B+1)^D - 1);
+    # capping D at 64 keeps the power small and changes no verdict (3^64 > limit)
+    if bound * ((2 * bound + 1) ** min(max_degree, 64) - 1) > MAX_CORPUS_SIZE:
+        raise ValueError(f"invalid bound: degree <= {max_degree}, |coeff| <= {bound} "
+                         f"spans more than {MAX_CORPUS_SIZE} coefficient tuples")
     nonzero = [c for c in range(-bound, bound + 1) if c != 0]
     full = range(-bound, bound + 1)
     lead = range(1, bound + 1)

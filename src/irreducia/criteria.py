@@ -23,7 +23,7 @@ import enum
 import math
 from fractions import Fraction
 from types import MappingProxyType
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import numtheory, oracle, rootloc
 from .oracle import DEFAULT_MAX_DEGREE
@@ -509,6 +509,23 @@ class AnalysisReport(NamedTuple):
     warnings: tuple[str, ...] = ()
 
 
+def run_criteria(
+    facts: PolyFacts, names: Iterable[str] = CRITERIA, mode: CertificateMode = SYMBOLIC
+) -> tuple[list[CriterionOutcome], list[tuple[str, Exception]]]:
+    """Each named criterion's outcome, in order, and (name, error) for each
+    one stopped by a factorization limit or a root iteration that did not
+    converge; a stopped criterion's outcome is NoConclusion."""
+    outcomes: list[CriterionOutcome] = []
+    stopped: list[tuple[str, Exception]] = []
+    for name in names:
+        try:
+            outcomes.append(CRITERIA[name](facts, mode))
+        except (numtheory.FactorizationLimitError, rootloc.NonConvergenceError) as exc:
+            outcomes.append(_NO_CONCLUSIONS[name])
+            stopped.append((name, exc))
+    return outcomes, stopped
+
+
 def conclusion_holds(
     conclusion: Conclusion, result: oracle.FactorizationResult, z_power: int = 0
 ) -> bool:
@@ -553,13 +570,8 @@ def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisR
     if prim.degree == 0:
         warnings.append("primitive part is constant; criteria skipped")
     else:
-        facts = PolyFacts(prim)
-        for name in config.criteria:
-            try:
-                outcomes.append(CRITERIA[name](facts, config.root_mode))
-            except (numtheory.FactorizationLimitError, rootloc.NonConvergenceError) as exc:
-                outcomes.append(_NO_CONCLUSIONS[name])
-                warnings.append(f"{name}: no conclusion: {exc}")
+        outcomes, stopped = run_criteria(PolyFacts(prim), config.criteria, config.root_mode)
+        warnings.extend(f"{name}: no conclusion: {exc}" for name, exc in stopped)
         if prim.degree == 1:
             outcomes.append(
                 CriterionOutcome("degree_one", True, {}, Conclusion.irreducible())

@@ -1,17 +1,18 @@
 """Exact brute-force factorization of integer polynomials at desk scale.
 
 This is the ground truth the criteria are audited against, so it avoids all
-probabilistic machinery: content and z-power extraction, rational-root
-stripping, then Kronecker's method (interpolate candidate factors through
-divisor tuples of the polynomial's values at small integer points and test
-exact divisibility). For a factor of degree e the polynomial is evaluated
-at the first e + 7 points of 0, 1, -1, 2, -2, ..., and the e + 1 points
+probabilistic machinery and shares no root finder with them: content and
+z-power extraction, then Kronecker's method from factor degree 1 up
+(interpolate candidate factors through divisor tuples of the polynomial's
+values at small integer points and test exact divisibility). For degree e
+the polynomial is evaluated at the first e + 7 points of 0, 1, -1, 2, ...;
+a value of 0 at x gives the factor z - x, and otherwise the e + 1 points
 whose values have the fewest divisors become the interpolation nodes. A
 candidate reaches the exact division only if its leading coefficient
 divides the polynomial's and its value at each of the six spare points is
-nonzero and divides the polynomial's value there; both tests are exact,
-since the polynomial has no rational roots by then. Adequate for degree
-<= 8 with coefficients up to 10^8.
+nonzero and divides the polynomial's value there; both tests are exact, as
+every sampled value is nonzero by then. Adequate for degree <= 8 with
+coefficients up to 10^8.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from typing import NamedTuple
 
 from . import numtheory
 from .numtheory import FactorizationLimitError
-from .poly import Z, Polynomial, divides_exactly, is_primitive, normalize, rational_roots
+from .poly import Z, Polynomial, divides_exactly, is_primitive, normalize
+from .poly import rational_roots  # noqa: F401  unused; perfbench's tracer patches it
 
 DEFAULT_MAX_DEGREE = 8
 DEFAULT_COEFF_BOUND = 10**8
@@ -96,31 +98,34 @@ _SPARE_POINTS = 6
 def _kronecker_search(h: Polynomial, budget: _Budget) -> Polynomial | None:
     """Smallest-degree proper factor of h, or None.
 
-    Requires h primitive with positive leading coefficient, no rational
-    roots, and degree >= 2. For each degree e, h is evaluated at the first
-    e + 1 + _SPARE_POINTS sample points, and the e + 1 points whose values
-    have the fewest divisors become the nodes. Candidate factors of degree e
-    are interpolated through divisor tuples of h's values at the nodes;
-    branches die as soon as a Newton divided difference turns non-integral
-    (divided differences of an integer polynomial at integer nodes are
-    integers). A complete candidate g reaches the exact division only if
-    lc(g) divides lc(h) and, at every spare point x, g(x) is nonzero and
-    divides h(x); a true factor passes both tests.
+    Requires h primitive with positive leading coefficient. For each degree
+    e from 1, h is evaluated at the first e + 1 + _SPARE_POINTS sample
+    points; a vanishing value h(x) returns z - x, and otherwise the e + 1
+    points whose values have the fewest divisors become the nodes.
+    Candidate factors of degree e are interpolated through divisor tuples of
+    h's values at the nodes; branches die as soon as a Newton divided
+    difference turns non-integral (divided differences of an integer
+    polynomial at integer nodes are integers). A complete candidate g
+    reaches the exact division only if lc(g) divides lc(h) and, at every
+    spare point x, g(x) is nonzero and divides h(x); a true factor passes
+    both tests, since h(x) is nonzero.
     """
     m = h.degree
     lead = h.leading_coefficient
-    # the pool of sample points, kept across e: values (nonzero, as h has
-    # no rational roots), their divisor counts and, once a point is a node,
+    # the pool of sample points, kept across e: values (nonzero, as a zero
+    # returns at once), their divisor counts and, once a point is a node,
     # its signed divisors
     points: list[int] = []
     values: list[int] = []
     counts: list[int] = []
     signed: dict[int, list[int]] = {}
-    for e in range(2, m // 2 + 1):
+    for e in range(1, m // 2 + 1):
         try:
             for x in _sample_points(e + 1 + _SPARE_POINTS)[len(points):]:
                 points.append(x)
                 values.append(h.evaluate(x))
+                if not values[-1]:
+                    return Polynomial([-x, 1])
                 factors = numtheory.prime_factors(abs(values[-1]))
                 counts.append(math.prod(k + 1 for _, k in factors))
             # fewest divisors first; ties keep the sample order
@@ -180,23 +185,6 @@ def _kronecker_search(h: Polynomial, budget: _Budget) -> Polynomial | None:
     return None
 
 
-def _factor_primitive(h: Polynomial, budget: _Budget) -> dict[Polynomial, int]:
-    """Irreducible factorization of a primitive positive-leading polynomial
-    with no rational roots (degree >= 2 handled; degree <= 1 trivial)."""
-    if h.degree <= 1:
-        return {h: 1} if h.degree == 1 else {}
-    g = _kronecker_search(h, budget)
-    if g is None:
-        return {h: 1}
-    q = divides_exactly(g, h)
-    assert q is not None
-    # g is a factor of least degree, so it is irreducible
-    out = {g: 1}
-    for factor_poly, mult in _factor_primitive(q, budget).items():
-        out[factor_poly] = out.get(factor_poly, 0) + mult
-    return out
-
-
 def factor(f: Polynomial, *, max_degree: int = DEFAULT_MAX_DEGREE) -> FactorizationResult:
     """Complete irreducible factorization over the integers, within
     DEFAULT_COEFF_BOUND and DEFAULT_STEP_BUDGET."""
@@ -213,33 +201,12 @@ def factor(f: Polynomial, *, max_degree: int = DEFAULT_MAX_DEGREE) -> Factorizat
     prim = norm.primitive_part if sign > 0 else -norm.primitive_part
 
     budget = _Budget(DEFAULT_STEP_BUDGET)
-    counts: dict[Polynomial, int] = {}
-    if norm.z_power:
-        counts[Z] = norm.z_power
-
-    # strip degree-1 factors q*z - p from the rational roots
-    rem = prim
-    if rem.degree >= 1:
-        try:
-            roots = rational_roots(rem)
-        except FactorizationLimitError as exc:
-            raise OracleLimitError(f"oracle limit: {exc}") from exc
-        for root in sorted(roots):
-            lin = Polynomial([-root.numerator, root.denominator])
-            while True:
-                q = divides_exactly(lin, rem)
-                if q is None:
-                    break
-                counts[lin] = counts.get(lin, 0) + 1
-                rem = q
-
-    if rem.degree >= 2:
-        for g, mult in _factor_primitive(rem, budget).items():
-            counts[g] = counts.get(g, 0) + mult
-    elif rem.degree == 1:
-        counts[rem] = counts.get(rem, 0) + 1
-    else:
-        assert rem == Polynomial([1]), "primitive residue must be the unit"
+    counts = {Z: norm.z_power} if norm.z_power else {}
+    while prim.degree >= 1:
+        # a factor of least degree is irreducible, and so is prim if it has none
+        g = _kronecker_search(prim, budget) or prim
+        counts[g] = counts.get(g, 0) + 1
+        prim = divides_exactly(g, prim)
 
     ordered = tuple(sorted(counts.items(), key=lambda gm: (gm[0].degree, gm[0].coeffs)))
     return FactorizationResult(content=cont, factors=ordered)
@@ -248,18 +215,6 @@ def factor(f: Polynomial, *, max_degree: int = DEFAULT_MAX_DEGREE) -> Factorizat
 def count_irreducible_factors(f: Polynomial) -> int:
     """Number of irreducible factors with multiplicity (z factors included)."""
     return factor(f).nonconstant_factor_count()
-
-
-def _is_irreducible_fresh(g: Polynomial, budget: _Budget) -> bool:
-    if g.degree < 1:
-        return False
-    if g.degree == 1:
-        return True
-    if g.constant_term == 0:
-        return False  # divisible by z, and degree >= 2
-    if rational_roots(g):
-        return False
-    return _kronecker_search(g, budget) is None
 
 
 def verify(result: FactorizationResult, f: Polynomial) -> bool:
@@ -274,7 +229,7 @@ def verify(result: FactorizationResult, f: Polynomial) -> bool:
                 return False
             if g.leading_coefficient <= 0 or not is_primitive(g):
                 return False
-            if not _is_irreducible_fresh(g, budget):
+            if _kronecker_search(g, budget) is not None:
                 return False
         return True
     except (OracleLimitError, ValueError):

@@ -3,9 +3,11 @@
 import multiprocessing
 import os
 
-from irreducia import audit
-from irreducia.corpus import gen_exhaustive
-from irreducia.criteria import ConclusionKind, dominant_coefficient
+import pytest
+
+from irreducia import audit, criteria, oracle, poly
+from irreducia.corpus import gen_exhaustive, gen_random
+from irreducia.criteria import Conclusion, ConclusionKind, CriterionOutcome, dominant_coefficient
 from irreducia.poly import Polynomial
 
 
@@ -99,3 +101,39 @@ def test_family_audit_reports_oracle_disagreement(monkeypatch):
     checked, violations = audit.audit_family("P1")
     assert checked == 90
     assert violations == [(target.coeffs, "P1", (2, 2, 2, 1))]
+
+
+def test_audit_catches_a_rational_root_scan_that_misses_fractions(monkeypatch):
+    # the oracle finds linear factors without the criteria's root scan, so a
+    # scan that loses every root p/q with q > 1 shows as violations
+    real = poly.rational_roots
+
+    def integer_roots_only(f):
+        return {r for r in real(f) if r.denominator == 1}
+
+    for module in (poly, criteria, oracle):
+        monkeypatch.setattr(module, "rational_roots", integer_roots_only)
+    assert audit.audit_exhaustive(3, 3).violation_count() >= 1
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_violation_count_is_exact_past_the_example_cap(monkeypatch, jobs):
+    def always_irreducible(f, mode=None):
+        return CriterionOutcome("perron_nonmonic", True, {}, Conclusion.irreducible())
+
+    monkeypatch.setitem(criteria.CRITERIA, "perron_nonmonic", always_irreducible)
+    result = audit.audit_exhaustive(4, 3, jobs=jobs)
+    stats = result.criteria["perron_nonmonic"]
+    assert result.total == stats.fired == 7040
+    assert result.violation_count() == stats.fired - stats.sound - stats.unchecked == 1442
+    assert len(stats.violations) == audit._EXAMPLE_CAP
+    assert "violations 1442" in "\n".join(result.summary_lines())
+
+
+def test_factorization_limit_is_no_conclusion_in_the_audit():
+    # 40-digit coefficients: some resist factorization within the limits
+    result = audit.audit_corpus(gen_random(20, 2, 10**40, 1))
+    assert result.total == 20
+    stopped = sum(s.stopped for s in result.criteria.values())
+    assert stopped > 0
+    assert "stopped by a limit" in "\n".join(result.summary_lines())

@@ -166,6 +166,14 @@ class TestExhaustive:
         with pytest.raises(ValueError, match="invalid bound"):
             list(gen_exhaustive(3, 0))
 
+    def test_corpus_too_large_to_build(self):
+        # refused before any range is built; degree <= 8, |c| <= 5 stays allowed
+        with pytest.raises(ValueError, match="invalid bound"):
+            next(gen_exhaustive(5, 10**4))
+        with pytest.raises(ValueError, match="invalid bound"):
+            next(gen_exhaustive(1, 10**30))
+        assert next(gen_exhaustive(8, 5)) == Polynomial([-5, 1])
+
 
 class TestRandom:
     def test_determinism(self):

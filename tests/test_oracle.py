@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from irreducia import oracle
+from irreducia import criteria, numtheory, oracle, poly
 from irreducia.corpus import gen_random
 from irreducia.criteria import AnalyzeConfig, analyze
 from irreducia.oracle import (
@@ -91,6 +91,37 @@ class TestFactor:
         report = analyze(f, AnalyzeConfig(oracle="on"))
         assert time.perf_counter() - start < 5.0
         assert report.oracle_result.factors == ((f, 1),)
+
+
+class TestNoSharedRootFinder:
+    # the audit checks the criteria's rational-root scan against the oracle,
+    # so the oracle must find linear factors on its own
+
+    @pytest.mark.parametrize("f, expected", [
+        (P(1, 2) ** 2 * P(1, 1, 1), ((P(1, 2), 2), (P(1, 1, 1), 1))),
+        (P(-3, 1) * P(2, 3) * P(0, 0, 1), ((P(-3, 1), 1), (P(0, 1), 2), (P(2, 3), 1))),
+        (P(1, 2) ** 4, ((P(1, 2), 4),)),
+    ])
+    def test_factor_and_verify_without_rational_roots(self, monkeypatch, f, expected):
+        def refuse(f):
+            raise AssertionError("rational_roots called")
+
+        for module in (poly, criteria, oracle):
+            monkeypatch.setattr(module, "rational_roots", refuse)
+        result = factor(f)
+        assert result.factors == expected
+        assert result.content == 1
+        assert verify(result, f)
+
+    def test_linear_factor_with_many_divisors_at_both_ends(self):
+        # 73513440 has 768 divisors: a scan of p/q candidates takes about
+        # 0.2 s, the degree-1 Kronecker search a fraction of a millisecond
+        f = P(73513440, 1, 73513440)
+        numtheory._factor_positive.cache_clear()
+        start = time.process_time()
+        result = factor(f)
+        assert time.process_time() - start < 0.05
+        assert result.factors == ((f, 1),)
 
 
 class TestCount:

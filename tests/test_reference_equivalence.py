@@ -434,11 +434,16 @@ def test_rational_root_references_find_roots():
 
 
 def ref_kronecker_search(h, budget):
-    """Kronecker's search with the first e + 1 sample points as nodes, taken
-    in order of their values' divisor counts, and the exact division as the
-    only test of a complete candidate."""
+    """Kronecker's search from degree 1: z - x at the first of the
+    e + 1 + _SPARE_POINTS sample points where h vanishes, else the first
+    e + 1 sample points as nodes, taken in order of their values' divisor
+    counts, and the exact division as the only test of a complete
+    candidate."""
     m = h.degree
-    for e in range(2, m // 2 + 1):
+    for e in range(1, m // 2 + 1):
+        for x in oracle._sample_points(e + 1 + oracle._SPARE_POINTS):
+            if h.evaluate(x) == 0:
+                return Polynomial([-x, 1])
         raw_points = oracle._sample_points(e + 1)
         values = [h.evaluate(x) for x in raw_points]
         try:
