@@ -167,6 +167,15 @@ class PolyFacts:
         return self._low
 
     def has_rational_root(self) -> bool:
+        """Whether f has a rational root, by `poly.rational_roots`.
+
+        Only Weintraub at k0 = 1 and the generalized Eisenstein criterion at
+        j = m-1 ask, and each has then already limited f to "irreducible, or
+        linear times irreducible". Such an f is squarefree, except at degree
+        2, where it may be the square of a linear polynomial (Weintraub at
+        p = 3 on z^2 + 6z + 9). So the squarefree step of `rational_roots`,
+        whose cost grows steeply with the degree, runs here only on such a
+        square, or when the first primes it tries all divide disc(f)."""
         if self._rational_root is None:
             self._rational_root = bool(rational_roots(self.poly))
         return self._rational_root
@@ -261,7 +270,8 @@ def weintraub_check(
     """Eisenstein-style dichotomy from a prime dividing every non-leading
     coefficient: with k0 the lowest index whose coefficient misses p^2, any
     factorization has a factor of degree <= k0. k0 = 0 is irreducibility;
-    k0 = 1 upgrades to irreducibility when there is no rational root."""
+    k0 = 1 upgrades to irreducibility when there is no rational root. p never
+    divides a_m: it divides every other coefficient, and f is primitive."""
     name = "weintraub"
     facts = PolyFacts.of(f)
     c, m = facts.coeffs, facts.degree
@@ -270,8 +280,6 @@ def weintraub_check(
         return _NO_CONCLUSIONS[name]
     candidates = []
     for p, _ in numtheory.prime_factors(lower_gcd):
-        if c[m] % p == 0:
-            continue
         p2 = p * p
         k0 = next((k for k in range(m) if c[k] % p2 != 0), None)
         if k0 is None:

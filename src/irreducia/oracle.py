@@ -95,8 +95,8 @@ def _expand_newton(nodes: list[int], coeffs: list[int]) -> Polynomial:
 _SPARE_POINTS = 6
 
 
-def _kronecker_search(h: Polynomial, budget: _Budget) -> Polynomial | None:
-    """Smallest-degree proper factor of h, or None.
+def _kronecker_search(h: Polynomial, budget: _Budget) -> tuple[Polynomial, Polynomial] | None:
+    """(g, h / g) for a smallest-degree proper factor g of h, or None.
 
     Requires h primitive with positive leading coefficient. For each degree
     e from 1, h is evaluated at the first e + 1 + _SPARE_POINTS sample
@@ -125,7 +125,8 @@ def _kronecker_search(h: Polynomial, budget: _Budget) -> Polynomial | None:
                 points.append(x)
                 values.append(h.evaluate(x))
                 if not values[-1]:
-                    return Polynomial([-x, 1])
+                    g = Polynomial([-x, 1])
+                    return g, divides_exactly(g, h)
                 factors = numtheory.prime_factors(abs(values[-1]))
                 counts.append(math.prod(k + 1 for _, k in factors))
             # fewest divisors first; ties keep the sample order
@@ -180,8 +181,9 @@ def _kronecker_search(h: Polynomial, budget: _Budget) -> Polynomial | None:
                         break
                 else:
                     g = _expand_newton(nodes, coeffs)
-                    if divides_exactly(g, h) is not None:
-                        return g if top > 0 else -g
+                    quotient = divides_exactly(g, h)
+                    if quotient is not None:
+                        return (g, quotient) if top > 0 else (-g, -quotient)
     return None
 
 
@@ -204,9 +206,8 @@ def factor(f: Polynomial, *, max_degree: int = DEFAULT_MAX_DEGREE) -> Factorizat
     counts = {Z: norm.z_power} if norm.z_power else {}
     while prim.degree >= 1:
         # a factor of least degree is irreducible, and so is prim if it has none
-        g = _kronecker_search(prim, budget) or prim
+        g, prim = _kronecker_search(prim, budget) or (prim, Polynomial([1]))
         counts[g] = counts.get(g, 0) + 1
-        prim = divides_exactly(g, prim)
 
     ordered = tuple(sorted(counts.items(), key=lambda gm: (gm[0].degree, gm[0].coeffs)))
     return FactorizationResult(content=cont, factors=ordered)

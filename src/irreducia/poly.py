@@ -6,6 +6,12 @@ the empty tuple. All values are immutable and every operation is pure.
 
 parse_poly reads the text format (a coefficient list or a sparse expression);
 Polynomial.to_sparse_string writes it back.
+
+rational_roots finds every rational root without walking the divisors of
+the end coefficients: it takes the roots mod a small prime, lifts them by
+Newton's iteration, reconstructs the one candidate p/q each lift can stand
+for and checks it exactly (Loos, SIAM J. Comput. 12, 1983). A polynomial
+whose repeated factors defeat every prime is first made squarefree.
 """
 
 from __future__ import annotations
@@ -15,8 +21,6 @@ import operator
 import re
 from fractions import Fraction
 from typing import NamedTuple
-
-from . import numtheory
 
 
 class Polynomial:
@@ -274,43 +278,155 @@ def divides_exactly(g: Polynomial, f: Polynomial) -> Polynomial | None:
     return q if exact else None
 
 
-def _divides(d: int, n: int) -> bool:
-    return n == 0 if d == 0 else n % d == 0
+# Primes tried before a polynomial that shows a multiple root modulo each of
+# them is replaced by its squarefree part; see rational_roots.
+_PRIMES_BEFORE_SQUAREFREE = 6
+
+
+def _value_and_slope(coeffs: tuple[int, ...] | list[int], x: int, mod: int) -> tuple[int, int]:
+    """f(x) and f'(x) modulo mod, by one Horner pass."""
+    value = slope = 0
+    for a in reversed(coeffs):
+        slope = (slope * x + value) % mod
+        value = (value * x + a) % mod
+    return value, slope
+
+
+def _roots_mod(coeffs: tuple[int, ...], ell: int) -> list[int] | None:
+    """The roots of f modulo the prime ell, or None if one of them is a
+    multiple root."""
+    reduced = [a % ell for a in coeffs]
+    roots = []
+    for r in range(ell):
+        value, slope = _value_and_slope(reduced, r, ell)
+        if value == 0:
+            if slope == 0:
+                return None
+            roots.append(r)
+    return roots
+
+
+def _primitive(coeffs: list[int]) -> list[int]:
+    g = math.gcd(*coeffs)
+    return [c // g for c in coeffs] if g > 1 else coeffs
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """lc(b)^k * a mod b for some k >= 0: the remainder up to a constant
+    factor, in integers. Each step scales by lc(b) only while deg >= deg b."""
+    r = list(a)
+    lead, db = b[-1], len(b) - 1
+    while len(r) > db:
+        top, shift = r[-1], len(r) - 1 - db
+        r = [c * lead for c in r]
+        for j, c in enumerate(b):
+            r[shift + j] -= top * c
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _squarefree_part(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """f / gcd(f, f') in exact integers: the same roots, none repeated. The
+    gcd is taken by the primitive remainder sequence (each pseudo-remainder
+    divided by its content). Its coefficients grow with the degree m, and so
+    does its cost, roughly as m^4: on (z+1)^2 h with h random of degree
+    m - 2 and |c| <= 9, 0.04 s at m = 100, 0.6 s at 200 and 11 s at 400."""
+    a = _primitive(list(coeffs))
+    b = _primitive([i * c for i, c in enumerate(coeffs)][1:])
+    while b:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    # a is the gcd, primitive, so it divides f over the integers (Gauss)
+    return divides_exactly(Polynomial(a), Polynomial(coeffs)).coeffs
+
+
+def _next_odd_prime(n: int) -> int:
+    n += 2
+    while any(n % d == 0 for d in range(3, math.isqrt(n) + 1, 2)):
+        n += 2
+    return n
+
+
+def _lift_roots(coeffs: tuple[int, ...], ell: int, residues: list[int]) -> set[Fraction]:
+    """The rational roots of f, given all of its roots mod the prime ell,
+    each of them simple (see rational_roots)."""
+    a0, am = coeffs[0], coeffs[-1]
+    p_bound = abs(a0)
+    bound = 2 * p_bound * abs(am)
+    k = max(1, math.ceil(bound.bit_length() / math.log2(ell)))
+    while ell**k <= bound:
+        k += 1
+    # each Newton step doubles the precision: lift to ell^ceil(k/2), then ell^k
+    moduli = []
+    while k > 1:
+        moduli.insert(0, ell**k)
+        k = (k + 1) // 2
+    mod = moduli[-1] if moduli else ell
+    roots: set[Fraction] = set()
+    for r in residues:
+        for step_mod in moduli:
+            value, slope = _value_and_slope(coeffs, r, step_mod)
+            r = (r - value * pow(slope, -1, step_mod)) % step_mod
+        # half-extended Euclid on (mod, r): r_i = t_i r (mod mod), and the
+        # first r_i <= |a_0| gives the only candidate p/q = r_i / t_i
+        r0, r1, t0, t1 = mod, r, 0, 1
+        while r1 > p_bound:
+            quo = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - quo * r1, t1, t0 - quo * t1
+        p, q = (r1, t1) if t1 > 0 else (-r1, -t1)
+        if not p or a0 % p or am % q:
+            continue
+        # sum a_i p^i q^(m-i) == 0 <=> f(p/q) == 0
+        acc, qk = 0, 1
+        for a in reversed(coeffs):
+            acc = acc * p + a * qk
+            qk *= q
+        if acc == 0:
+            roots.add(Fraction(p, q))
+    return roots
 
 
 def rational_roots(f: Polynomial) -> set[Fraction]:
-    """All rational roots p/q in lowest terms, via the divisor candidate scan
-    (p | constant term, q | leading coefficient) with exact verification.
+    """All rational roots p/q in lowest terms, by l-adic lifting (Loos,
+    "Computing rational zeros of integral polynomials by p-adic expansion",
+    SIAM J. Comput. 12, 1983), each verified exactly.
 
-    A root p/q makes the primitive qz - p divide f over the integers (Gauss's
-    lemma), so q - p divides f(1) and q + p divides f(-1); candidates that
-    fail either test are skipped before f(p/q) is evaluated.
+    A root p/q in lowest terms has p | a_0 and q | a_m. For a prime l that
+    does not divide a_m, q is invertible mod l, so p/q mod l is a root of f
+    mod l: if f has no root mod l, it has no rational root. If every root r
+    mod l is simple (f'(r) != 0 mod l), Newton's iteration lifts each one to
+    the unique root mod l^k above it, for the least k with
+    l^k > 2|a_0 a_m|; the image of a rational root p/q is among them. The
+    half-extended Euclidean algorithm on (l^k, r) then gives the only p/q
+    with |p| <= |a_0| and 0 < q <= |a_m| that is congruent to r, if there is
+    one, and p/q is kept only if sum a_i p^i q^(m-i) == 0. Primes 3, 5, 7,
+    ... are tried in turn, skipping those that divide a_m. A prime fails only
+    when f shows a multiple root mod l; for a squarefree f only the finitely
+    many primes dividing a_m disc(f) fail, so the search is not capped.
+
+    A repeated factor with a root mod every prime (a repeated linear factor,
+    or e.g. ((z^2-2)(z^2-3)(z^2-6))^2) would defeat every prime, so after
+    _PRIMES_BEFORE_SQUAREFREE failed primes f is replaced, once, by its
+    squarefree part f / gcd(f, f'), which has the same roots. That gcd grows
+    steeply with the degree (see _squarefree_part); the criteria ask only
+    about polynomials that are squarefree or of degree 2 (see
+    PolyFacts.has_rational_root), so they reach it only through a run of
+    failing primes.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
     if f.constant_term == 0:
         raise ValueError("rational root scan requires a nonzero constant term")
-    if f.degree == 0:
-        return set()
-    m = f.degree
-    at_one = sum(f.coeffs)
-    at_minus_one = sum(f.coeffs[0::2]) - sum(f.coeffs[1::2])
-    roots: set[Fraction] = set()
-    for q in numtheory.positive_divisors(f.leading_coefficient):
-        qpow = [q**e for e in range(m + 1)]
-        for p_abs in numtheory.positive_divisors(f.constant_term):
-            if math.gcd(p_abs, q) != 1:
-                continue
-            for p in (p_abs, -p_abs):
-                if not (_divides(q - p, at_one) and _divides(q + p, at_minus_one)):
-                    continue
-                # sum a_i p^i q^(m-i) == 0 <=> f(p/q) == 0
-                acc = 0
-                pk = 1
-                for i, a in enumerate(f.coeffs):
-                    if a:
-                        acc += a * pk * qpow[m - i]
-                    pk *= p
-                if acc == 0:
-                    roots.add(Fraction(p, q))
-    return roots
+    coeffs = f.coeffs
+    ell, failed = 1, 0
+    while len(coeffs) > 1:
+        ell = _next_odd_prime(ell)
+        if coeffs[-1] % ell == 0:
+            continue
+        residues = _roots_mod(coeffs, ell)
+        if residues is not None:
+            return _lift_roots(coeffs, ell, residues)
+        failed += 1
+        if failed == _PRIMES_BEFORE_SQUAREFREE:
+            coeffs = _squarefree_part(coeffs)
+    return set()

@@ -315,6 +315,21 @@ def _src_env() -> dict[str, str]:
     return env
 
 
+def test_analyze_power_rich_constant_term_in_seconds():
+    # 10^1000 + z + z^2: eisenstein_generalized at j = m-1 asks for the
+    # rational-root flag, which a divisor scan took about 12 s to settle
+    text = "1" + "0" * 1000 + ",1,1"
+    proc = subprocess.run(
+        [sys.executable, "-m", "irreducia", "analyze", "--oracle", "off", "--poly", text],
+        capture_output=True, text=True, env=_src_env(), timeout=5,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert any(
+        line.split()[:2] == ["eisenstein_generalized", "Irreducible"]
+        for line in proc.stdout.splitlines()
+    )
+
+
 class TestColdImports:
     """`import irreducia` loads no submodule, and each command loads only
     the modules it runs: `factor` never loads the criteria, and nothing on

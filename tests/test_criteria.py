@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from irreducia import numtheory, oracle, rootloc
+from irreducia import criteria, numtheory, oracle, rootloc
 from irreducia.corpus import gen_exhaustive, gen_random
 from irreducia.criteria import (
     AnalyzeConfig,
@@ -70,6 +70,40 @@ class TestWeintraub:
     def test_requires_primitive(self):
         with pytest.raises(ValueError, match="normalize first"):
             weintraub_check(P(2, 4, 2))
+
+    def test_rational_root_flag_needs_no_factorization(self, monkeypatch, fresh_factor_cache):
+        # a_2 = (2^61 - 1)(2^89 - 1) resists rho; k0 = 1 at p = 2 asks for
+        # the rational-root flag, which needs no divisors of a_2
+        def refuse(n, rng, steps):
+            raise AssertionError(f"rho called on {n}")
+
+        monkeypatch.setattr(numtheory, "_pollard_rho", refuse)
+        out = weintraub_check(P(4, 2 * 3**80, (2**61 - 1) * (2**89 - 1)))
+        assert out.witnesses == {"p": 2, "k0": 1}
+        assert out.conclusion.kind is IRR
+
+    def test_k0_one_on_a_square_at_degree_two(self):
+        # (z + 3)^2: p = 3, k0 = 1, and the rational-root flag is asked of a
+        # polynomial that is not squarefree
+        out = weintraub_check(P(9, 6, 1))
+        assert out.witnesses == {"p": 3, "k0": 1}
+        assert out.conclusion == Conclusion.factor_degree(1)
+
+
+def test_rational_root_flag_is_asked_only_of_squarefree_polynomials(monkeypatch):
+    # PolyFacts.has_rational_root: weintraub at k0 = 1 and eisenstein_generalized
+    # at j = m-1 have already limited f to "irreducible, or linear times
+    # irreducible", squarefree beyond degree 2
+    asked = []
+    real = criteria.rational_roots
+    monkeypatch.setattr(criteria, "rational_roots", lambda f: asked.append(f) or real(f))
+    for f in gen_exhaustive(4, 4):
+        facts = PolyFacts(f)
+        weintraub_check(facts)
+        eisenstein_generalized(facts)
+    assert len(asked) > 100
+    for f in asked:
+        assert all(mult == 1 for _, mult in oracle.factor(f).factors), f
 
 
 class TestEisensteinGeneralized:
@@ -492,11 +526,12 @@ class TestAnalyze:
     def test_resisting_coefficient_costs_one_rho_run_per_process(
         self, monkeypatch, fresh_factor_cache
     ):
-        # a_2 = (2^61 - 1)(2^89 - 1) resists rho. dominant_coefficient asks
-        # for its divisors and weintraub (k0 = 1 at p = 2) for a rational
-        # root; both reach the one cache, so rho runs on a_2 once, and a
-        # second analyze reads the failure back without running it again
-        a2 = (2**61 - 1) * (2**89 - 1)
+        # n = (2^61 - 1)(2^89 - 1) resists rho. On n + nz + z^2,
+        # eisenstein_generalized asks for the primes of a_0 = n and weintraub
+        # for those of gcd(a_0, a_1) = n; both reach the one cache, so rho
+        # runs on n once, and a second analyze reads the failure back
+        # without running it again
+        n = (2**61 - 1) * (2**89 - 1)
         calls = []
         rho = numtheory._pollard_rho
 
@@ -505,13 +540,13 @@ class TestAnalyze:
             return rho(n, rng, steps)
 
         monkeypatch.setattr(numtheory, "_pollard_rho", counting)
-        f = P(4, 2 * 3**80, a2)
+        f = P(n, n, 1)
         first = analyze(f, AnalyzeConfig(oracle="off"))
-        assert calls.count(a2) == 1
+        assert calls.count(n) == 1
         second = analyze(f, AnalyzeConfig(oracle="off"))
-        assert calls.count(a2) == 1
+        assert calls.count(n) == 1
         assert [w.split(":")[0] for w in first.warnings] == [
-            "dominant_coefficient", "weintraub"
+            "eisenstein_generalized", "weintraub"
         ]
         assert all("factorization limit" in w for w in first.warnings)
         assert second.warnings == first.warnings

@@ -1,11 +1,13 @@
 """Exact polynomial arithmetic, normalization, rational roots."""
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from irreducia import poly
 from irreducia.corpus import gen_exhaustive
 from irreducia.poly import (
     Polynomial,
@@ -172,6 +174,33 @@ class TestRationalRoots:
     def test_zero_constant_rejected(self):
         with pytest.raises(ValueError):
             rational_roots(Polynomial([0, 1]))
+
+    def test_power_rich_constant_term_is_fast(self):
+        # a scan over p | a_0 walks the 1,002,001 divisors of 10^1000
+        f = Polynomial([10**1000, 1, 1])
+        start = time.perf_counter()
+        assert rational_roots(f) == set()
+        assert time.perf_counter() - start < 0.1
+
+    def test_repeated_factors_with_a_root_mod_every_prime(self, monkeypatch):
+        # one of 2, 3 and 6 is a square mod every odd prime, so the square of
+        # g shows a multiple root mod every prime that can be tried, and only
+        # its squarefree part settles it
+        g = Polynomial([-2, 0, 1]) * Polynomial([-3, 0, 1]) * Polynomial([-6, 0, 1])
+        reductions = []
+        real = poly._squarefree_part
+        monkeypatch.setattr(
+            poly, "_squarefree_part", lambda coeffs: reductions.append(coeffs) or real(coeffs)
+        )
+        assert rational_roots(g * g) == set()
+        assert rational_roots(g * g * Polynomial([3, 2]) ** 2) == {Fraction(-3, 2)}
+        assert len(reductions) == 2
+
+    def test_squarefree_part(self):
+        squarefree = Polynomial([1, 1]) * Polynomial([1, 0, 1]) * Polynomial([-3, 2])
+        f = Polynomial([1, 1]) ** 3 * Polynomial([1, 0, 1]) ** 2 * Polynomial([-3, 2])
+        assert Polynomial(poly._squarefree_part(f.coeffs)) in (squarefree, -squarefree)
+        assert Polynomial(poly._squarefree_part(squarefree.coeffs)) in (squarefree, -squarefree)
 
     def test_completeness_over_candidates(self):
         from irreducia.numtheory import positive_divisors

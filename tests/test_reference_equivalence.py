@@ -11,12 +11,13 @@ give exactly the same results.
 - `numtheory.prime_factors`, which hands a cofactor below 2^64 to
   Miller-Rabin and Pollard rho after trial division to 10^3, against the
   trial-division loop to 10^6 that it replaced.
-- `poly.rational_roots`, which skips candidates p/q unless q - p divides
-  f(1) and q + p divides f(-1), against the unfiltered candidate scan.
+- `poly.rational_roots`, which lifts the roots of f mod a small prime and
+  reconstructs at most one candidate p/q from each, against the scan over
+  every candidate p/q with p | a_0 and q | a_m that it replaced.
 - `oracle.factor`, whose Kronecker search takes its nodes from a wider pool
   of sample points and filters candidates at the spare points, against the
   same factorization with the search that always used the first e + 1
-  sample points.
+  sample points. Both searches return the factor with its cofactor.
 """
 
 import math
@@ -419,8 +420,52 @@ def polys_with_rational_roots(draw):
     return f
 
 
-@settings(max_examples=300, deadline=None)
-@given(polys_with_rational_roots())
+@st.composite
+def polys_with_power_rich_constant_term(draw):
+    """A polynomial whose constant term is +-2^a 3^b 5^c 7^d, up to 10^30
+    with at most 400 divisors, times up to two linear factors qz - p: the
+    divisor scan walks many candidates here, the lifting few."""
+    a0, divisors = 1, 1
+    for p in (2, 3, 5, 7):
+        top = 0
+        while a0 * p ** (top + 1) <= 10**30 and divisors * (top + 2) <= 400:
+            top += 1
+        e = draw(st.integers(0, top))
+        a0, divisors = a0 * p**e, divisors * (e + 1)
+    middle = draw(st.lists(st.integers(-10**4, 10**4), max_size=4))
+    f = Polynomial([draw(st.sampled_from((a0, -a0))), *middle, draw(st.integers(1, 4))])
+    for _ in range(draw(st.integers(0, 2))):
+        f = f * Polynomial([draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 4))])
+    return f
+
+
+@st.composite
+def polys_with_repeated_factors(draw):
+    """A linear and a nonlinear factor with multiplicities up to 3, times a
+    cofactor. A repeated linear factor gives a multiple root mod every
+    prime, so those inputs reach the squarefree step."""
+    linear = Polynomial([draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 5))])
+    coeffs = draw(st.lists(st.integers(-10, 10), min_size=3, max_size=4))
+    coeffs[0] = coeffs[0] or 1
+    coeffs[-1] = coeffs[-1] or 1
+    cofactor = draw(st.lists(st.integers(-10, 10), min_size=1, max_size=3))
+    cofactor[0] = cofactor[0] or 1
+    cofactor[-1] = cofactor[-1] or 1
+    return (
+        linear ** draw(st.integers(0, 3))
+        * Polynomial(coeffs) ** draw(st.integers(1, 3))
+        * Polynomial(cofactor)
+    )
+
+
+@settings(max_examples=450, deadline=None)
+@given(
+    st.one_of(
+        polys_with_rational_roots(),
+        polys_with_power_rich_constant_term(),
+        polys_with_repeated_factors(),
+    )
+)
 def test_rational_roots_match_unfiltered_scan(f):
     assert rational_roots(f) == ref_rational_roots(f)
 
@@ -438,12 +483,12 @@ def ref_kronecker_search(h, budget):
     e + 1 + _SPARE_POINTS sample points where h vanishes, else the first
     e + 1 sample points as nodes, taken in order of their values' divisor
     counts, and the exact division as the only test of a complete
-    candidate."""
+    candidate. Returns the factor and its cofactor h / g."""
     m = h.degree
     for e in range(1, m // 2 + 1):
         for x in oracle._sample_points(e + 1 + oracle._SPARE_POINTS):
             if h.evaluate(x) == 0:
-                return Polynomial([-x, 1])
+                return Polynomial([-x, 1]), divides_exactly(Polynomial([-x, 1]), h)
         raw_points = oracle._sample_points(e + 1)
         values = [h.evaluate(x) for x in raw_points]
         try:
@@ -480,8 +525,9 @@ def ref_kronecker_search(h, budget):
                 if new_trail[-1] == 0:
                     continue
                 g = oracle._expand_newton(nodes, newton + [new_trail[-1]])
-                if g.degree == e and divides_exactly(g, h) is not None:
-                    return g if g.leading_coefficient > 0 else -g
+                quotient = divides_exactly(g, h) if g.degree == e else None
+                if quotient is not None:
+                    return (g, quotient) if g.leading_coefficient > 0 else (-g, -quotient)
     return None
 
 
@@ -513,8 +559,9 @@ def test_reference_kronecker_search_splits_products():
     # the property above would pass vacuously if no search found a factor
     f = Polynomial([1, 1, 1]) * Polynomial([2, 0, 1, 1]) * Polynomial([3, -1, 0, 2])
     budget = oracle._Budget(oracle.DEFAULT_STEP_BUDGET)
-    assert ref_kronecker_search(f, budget) == Polynomial([1, 1, 1])
-    assert oracle._kronecker_search(f, budget) == Polynomial([1, 1, 1])
+    split = (Polynomial([1, 1, 1]), Polynomial([2, 0, 1, 1]) * Polynomial([3, -1, 0, 2]))
+    assert ref_kronecker_search(f, budget) == split
+    assert oracle._kronecker_search(f, budget) == split
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_kronecker_search", ref_kronecker_search)
         expected = oracle.factor(f)
