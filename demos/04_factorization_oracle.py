@@ -5,7 +5,7 @@ extraction.
 Run:  python3 demos/04_factorization_oracle.py
 """
 
-from irreducia import Polynomial, count_irreducible_factors, factor, verify
+from irreducia import Polynomial, factor, verify
 from irreducia.cli import render_factorization
 
 SAMPLES = [
@@ -27,5 +27,5 @@ for f in SAMPLES:
 # count is multiplicative over products, which the audit leans on
 f, g = Polynomial([1, 2, 3]), Polynomial([2, 0, 0, 1])
 print("\ncount(f) + count(g) =",
-      count_irreducible_factors(f) + count_irreducible_factors(g),
-      " count(f*g) =", count_irreducible_factors(f * g))
+      factor(f).nonconstant_factor_count() + factor(g).nonconstant_factor_count(),
+      " count(f*g) =", factor(f * g).nonconstant_factor_count())

@@ -36,7 +36,6 @@ _EXPORTS = {
     "certify_outside_disk": "rootloc",
     "constant_term_criterion": "criteria",
     "content": "poly",
-    "count_irreducible_factors": "oracle",
     "divides_exactly": "poly",
     "divmod_exact": "poly",
     "dominant_coefficient": "criteria",
@@ -61,7 +60,6 @@ _EXPORTS = {
     "positive_divisors": "numtheory",
     "prime_factors": "numtheory",
     "rational_roots": "poly",
-    "smallest_prime_divisor": "numtheory",
     "valuation": "numtheory",
     "verify": "oracle",
     "weintraub_check": "criteria",

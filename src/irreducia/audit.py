@@ -123,9 +123,6 @@ class AuditResult:
             + self.rootloc_violations.found
         )
 
-    def ok(self) -> bool:
-        return self.violation_count() == 0
-
     def summary_lines(self) -> list[str]:
         lines = [f"audited {self.total} polynomials "
                  f"(oracle calls {self.oracle_calls}, skipped {self.oracle_skipped})"]

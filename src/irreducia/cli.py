@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain
 
 from . import oracle
 from .poly import Polynomial, PolyParseError, parse_poly
@@ -182,12 +181,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if args.root_mode == "symbolic"
         else CertificateMode.NUMERIC_HEURISTIC
     )
-    config = criteria.AnalyzeConfig(
-        criteria=names,
-        root_mode=mode,
-        oracle=args.oracle,
-        max_oracle_degree=args.max_oracle_degree,
-    )
+    config = criteria.AnalyzeConfig(criteria=names, root_mode=mode, oracle=args.oracle)
     try:
         report = criteria.analyze(f, config)
     except criteria.SoundnessError as exc:
@@ -230,16 +224,12 @@ def cmd_audit(args: argparse.Namespace) -> int:
             for item in family_violations[:10]:
                 print(f"  violation: {item}")
             violations += len(family_violations)
-    if args.families is None or args.max_degree is not None:
+    if args.families is None or args.max_degree is not None or args.coeff_bound is not None:
         max_degree = args.max_degree if args.max_degree is not None else 3
         coeff_bound = args.coeff_bound if args.coeff_bound is not None else 3
-        polys = corpus.gen_exhaustive(max_degree, coeff_bound)
-        if args.random_count:
-            extra = corpus.gen_random(
-                args.random_count, max_degree, coeff_bound, args.seed
-            )
-            polys = chain(polys, extra)
-        result = audit_mod.audit_corpus(polys, jobs=args.jobs)
+        result = audit_mod.audit_corpus(
+            corpus.gen_exhaustive(max_degree, coeff_bound), jobs=args.jobs
+        )
         print("\n".join(result.summary_lines()))
         violations += result.violation_count()
     return EXIT_OK if violations == 0 else EXIT_VIOLATIONS
@@ -286,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criteria", default="all", help="comma list of criterion names")
     p.add_argument("--root-mode", choices=["symbolic", "numeric"], default="symbolic")
     p.add_argument("--oracle", choices=["on", "off", "auto"], default="auto")
-    p.add_argument("--max-oracle-degree", type=int, default=oracle.DEFAULT_MAX_DEGREE)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("factor", help="exact irreducible factorization")
@@ -299,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--coeff-bound", type=int, default=None)
     p.add_argument("--families", default=None, help="comma list, e.g. P1,P4")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--random-count", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_audit)
 

@@ -89,7 +89,7 @@ def gen_p3(
         abs(a0) > m * biggest,
         f"dominance condition fails: |a0|={abs(a0)} <= m*max = {m * biggest}",
     )
-    q = numtheory.smallest_prime_divisor(a0)
+    q = numtheory.prime_factors(abs(a0))[0][0]
     _check(
         abs(a0) <= q * lead,
         f"size condition fails: |a0/q| = {abs(a0)}/{q} > p^k d = {lead}",
@@ -97,15 +97,6 @@ def gen_p3(
     f = Polynomial([a0] + middle + [sign * lead])
     _check(is_primitive(f), "generated polynomial is not primitive")
     return f
-
-
-def _p4_sides(a: int, b: int, m: int, j: int) -> tuple[int, int]:
-    """Both sides of the dominance inequality for P4, scaled by b^(m-1-j):
-    lhs = (a^j - b^j + 1) b^(m-1-j), rhs = b^(m-j) (a^j - b^j)/(a-b) + 1."""
-    lhs = (a**j - b**j + 1) * b ** (m - 1 - j)
-    geo = sum(a**i * b ** (j - i) for i in range(j))  # == b (a^j - b^j)/(a-b)
-    rhs = geo * b ** (m - 1 - j) + 1
-    return lhs, rhs
 
 
 def gen_p4(
@@ -127,7 +118,11 @@ def gen_p4(
     signs = [int(s) for s in signs]
     _check(len(signs) == j + 1, f"need {j + 1} sign choices, got {len(signs)}")
     _check(all(s in (1, -1) for s in signs), "signs must be +-1")
-    lhs, rhs = _p4_sides(a, b, m, j)
+    # the dominance inequality scaled by b^(m-1-j):
+    # (a^j - b^j + 1) b^(m-1-j) > b^(m-j) (a^j - b^j)/(a-b) + 1
+    lhs = (a**j - b**j + 1) * b ** (m - 1 - j)
+    geo = sum(a**i * b ** (j - i) for i in range(j))  # == b (a^j - b^j)/(a-b)
+    rhs = geo * b ** (m - 1 - j) + 1
     _check(lhs > rhs, f"dominance condition fails: {lhs} <= {rhs}")
     coeffs = [0] * (m + 1)
     coeffs[0] = 1
@@ -136,14 +131,6 @@ def gen_p4(
     coeffs[j] = signs[j - 1] * (a**j - b**j + 1)
     coeffs[m] = signs[j] * b
     return Polynomial(coeffs)
-
-
-def p4_display_forms_agree(a: int, b: int, m: int, j: int) -> bool:
-    """Whether truncating the low sum at i < j-1 (dropping the a^(j-1) b term)
-    changes the pass/fail verdict of the P4 dominance inequality."""
-    lhs, rhs = _p4_sides(a, b, m, j)
-    truncated = rhs - a ** (j - 1) * b * b ** (m - 1 - j)
-    return (lhs > rhs) == (lhs > truncated)
 
 
 # Each family's generator and the names of its parameters.
@@ -201,35 +188,6 @@ def gen_exhaustive(max_degree: int, coeff_bound: int) -> Iterator[Polynomial]:
         for tup in itertools.product(*ranges):
             if gcd(*tup) == 1:
                 yield make(tup)
-
-
-def gen_dominant_second(
-    count: int,
-    max_degree: int = 6,
-    coeff_bound: int = 2,
-    lead_bound: int = 2,
-    seed: int = 0,
-) -> list[Polynomial]:
-    """Seeded random primitive polynomials built to satisfy the non-monic
-    Perron inequality: draw small coefficients, then inflate the
-    second-highest one past 1 + sum_{i<=m-2} |a_i| |a_m|^(m-1-i)."""
-    if count < 1 or max_degree < 2:
-        raise ValueError("need count >= 1 and max_degree >= 2")
-    rng = random.Random(seed)
-    out: list[Polynomial] = []
-    while len(out) < count:
-        m = rng.randint(2, max_degree)
-        low = [rng.randint(-coeff_bound, coeff_bound) for _ in range(m - 1)]
-        if low[0] == 0:
-            continue
-        lead = rng.choice([c for c in range(-lead_bound, lead_bound + 1) if c])
-        rhs = 1 + sum(abs(a) * abs(lead) ** (m - 1 - i) for i, a in enumerate(low))
-        second = rng.choice((1, -1)) * (rhs + rng.randint(1, 3))
-        f = Polynomial(low + [second, lead])
-        if not is_primitive(f):
-            continue
-        out.append(f)
-    return out
 
 
 def gen_random(

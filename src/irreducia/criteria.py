@@ -26,7 +26,6 @@ from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
 from . import numtheory, oracle, rootloc
-from .oracle import DEFAULT_MAX_DEGREE
 from .poly import Polynomial, is_primitive, normalize, rational_roots
 from .rootloc import CertificateMode
 
@@ -99,10 +98,14 @@ def _strongest(name: str, candidates: list[CriterionOutcome]) -> CriterionOutcom
 
 
 def _lower_sum(mags: list[int], j: int, t: int) -> int:
-    """sum_{i<j} |a_i| t^(j-i) by Horner's rule."""
+    """sum_{i<j} |a_i| t^(j-i) by Horner's rule, or a partial sum once it
+    reaches |a_j|: with t >= 1 the sum only grows, and no test can pass
+    from there."""
     acc = 0
     for a in mags[:j]:
         acc = (acc + a) * t
+        if acc >= mags[j]:
+            break
     return acc
 
 
@@ -157,12 +160,13 @@ class PolyFacts:
     @property
     def low(self) -> list[int]:
         """low[j] = sum_{i<j} |a_i| |a_m|^(j-i) for j = 0..m, by Horner's
-        rule in j."""
+        rule in j, capped at max |a_i|: it only grows with j, and every
+        test that reads it fails once low[j] >= |a_j|."""
         if self._low is None:
-            am = self.mags[-1]
+            am, cap = self.mags[-1], max(self.mags)
             low = [0]
             for a in self.mags[:-1]:
-                low.append((low[-1] + a) * am)
+                low.append(min((low[-1] + a) * am, cap))
             self._low = low
         return self._low
 
@@ -210,13 +214,16 @@ class PolyFacts:
         far, or at or above the smallest refused so far (at either end), is
         settled without a certificate. Every radius is an integer >= 1, so
         the symbolic search starts certified at 1, and stops before a_i is
-        factorized when `unit_disk_certified` is false."""
+        factorized when `unit_disk_certified` is false. The symbolic test
+        needs |a_0| > |a_m| d^m, so it starts refused at
+        d = 2^ceil(bitlen(|a_0|) / m), where d^m >= 2^bitlen(|a_0|) > |a_0|."""
         symbolic = mode is SYMBOLIC
         if symbolic and not self.unit_disk_certified:
             return 0
         radii = self.disk_radii(i)
         roots = self.roots() if radii and not symbolic else None
-        bounds = self._bounds.setdefault(mode, [1 if symbolic else 0, math.inf])
+        refused = 1 << -(-self.mags[0].bit_length() // self.degree) if symbolic else math.inf
+        bounds = self._bounds.setdefault(mode, [1 if symbolic else 0, refused])
         for d in sorted((d for _, _, d in radii), reverse=True):
             if d >= bounds[1]:
                 continue
@@ -232,27 +239,29 @@ class PolyFacts:
         """(j, b) with j the largest index and b the smallest positive
         divisor of a_m for which the dominance inequality
 
-            |a_j| b^(m-j) > low[j] b^(m-j) + sum_{i>j} |a_i| b^(m-i)
+            |a_j| - low[j] > sum_{i>j} |a_i| / b^(i-j)
 
-        holds, or None. Divided by b^(m-j), the right side falls as b
-        grows, so j is the first index, falling from m-1, at which it holds
-        for b = |a_m|; one running sum finds it. The divisors of a_m are
-        then scanned at that j only, and only then is a_m factorized."""
+        holds, or None. The right side falls as b grows, so j is the first
+        index, falling from m-1, at which it holds for b = |a_m|. The
+        divisors of a_m are then scanned at that j only, and only then is
+        a_m factorized. The integer on the left exceeds the sum exactly when
+        it exceeds its floor, built without a power of b as t = (|a_i| + t)
+        // b from i = m down to j + 1 (each step keeps the floor exact); for
+        b = |a_m| one running floor serves every j."""
         if self._dominant is False:
             hit = None
             mags, low, m = self.mags, self.low, self.degree
             am = mags[m]
-            high, scale = 0, 1  # sum_{i>j} |a_i| |a_m|^(m-i) and |a_m|^(m-j), kept as j falls
+            high = 0  # floor(sum_{i>j} |a_i| / |a_m|^(i-j)), kept as j falls
             for j in range(m - 1, -1, -1):
-                high += mags[j + 1] * scale
-                scale *= am
+                high = (mags[j + 1] + high) // am
                 excess = mags[j] - low[j]
-                if excess > 0 and excess * scale > high:
+                if excess > high:
                     for b in numtheory.positive_divisors(am):  # ends by b = |a_m| at the latest
-                        rhs = 0
-                        for a in mags[j + 1:]:
-                            rhs = rhs * b + a
-                        if excess * b ** (m - j) > rhs:
+                        t = 0
+                        for a in mags[m:j:-1]:
+                            t = (a + t) // b
+                        if excess > t:
                             hit = (j, b)
                             break
                     break
@@ -398,7 +407,8 @@ def dominant_coefficient(
 
     then at most m - j irreducible factors; j = m-1 gives irreducibility.
     The right side grows with delta, so testing delta = 1/b is exhaustive
-    over [1/b, 1]. Evaluated with both sides scaled by b^(m-j)."""
+    over [1/b, 1]. Evaluated in integers, against the floor of the sum over
+    i > j (see `PolyFacts.dominant`)."""
     name = "dominant_coefficient"
     facts = PolyFacts.of(f)
     m = facts.degree
@@ -436,14 +446,15 @@ def middle_prime_power_check(
     dominating a weighted sum of the others bounds the factor count by m - j.
 
     Writing coeff(z^j) = p^N a_j and coeff(z^(j-1)) = p^s a_(j-1) with p
-    missing both reduced parts, the test (scaled by |a_m|^(m-j)) is
+    missing both reduced parts, the test is
 
         p^N |a_j| > |a_m a_(j-1)| p^(2s)
                     + sum_{i=2..j} |a_m^i a_(j-i)| p^(is)
                     + sum_{i=j+1..m} |a_i| / |a_m|^(i-j).
 
     The first two terms together are sum_{i<j} |coeff(z^i)| t^(j-i) with
-    t = |a_m| p^s, which is low[j] when s = 0 and never less.
+    t = |a_m| p^s, which is low[j] when s = 0 and never less. The last sum
+    is compared by its floor, as in `PolyFacts.dominant`.
     """
     name = "middle_prime_power"
     facts = PolyFacts.of(f)
@@ -451,19 +462,16 @@ def middle_prime_power_check(
     if m < 2:
         return _NO_CONCLUSIONS[name]
     low, am = facts.low, mags[m]
-    high, scale = 0, 1  # sum_{i>j} |a_i| |a_m|^(m-i) and |a_m|^(m-j), kept as j falls
+    high = 0  # floor(sum_{i>j} |a_i| / |a_m|^(i-j)), kept as j falls
     for j in range(m - 1, 0, -1):
-        high += mags[j + 1] * scale
-        scale *= am
-        # excess <= 0 (as when c[j] == 0) fails without the big product,
-        # since high >= |a_m| > 0
-        excess = mags[j] - low[j]
-        if excess <= 0 or c[j - 1] == 0 or excess * scale <= high:
+        high = (mags[j + 1] + high) // am
+        excess = mags[j] - low[j]  # <= 0 when c[j] == 0
+        if excess <= high or c[j - 1] == 0:
             continue  # fails for every prime: their lower sums are >= low[j]
         for p, n_exp in numtheory.prime_factors(mags[j]):
             s_exp = numtheory.valuation(p, c[j - 1])
             lower = low[j] if s_exp == 0 else _lower_sum(mags, j, am * p**s_exp)
-            if (mags[j] - lower) * scale > high:
+            if mags[j] - lower > high:
                 return CriterionOutcome(
                     name,
                     True,
@@ -502,7 +510,6 @@ class AnalyzeConfig(NamedTuple):
     criteria: tuple[str, ...] = tuple(CRITERIA)
     root_mode: CertificateMode = CertificateMode.SYMBOLIC_SUFFICIENT
     oracle: str = "auto"  # on | off | auto
-    max_oracle_degree: int = DEFAULT_MAX_DEGREE  # the field `oracle` hides the module here
 
 
 class AnalysisReport(NamedTuple):
@@ -595,11 +602,10 @@ def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisR
 
     oracle_result = None
     if config.oracle == "on" or (
-        config.oracle == "auto" and f.degree <= config.max_oracle_degree
+        config.oracle == "auto" and f.degree <= oracle.DEFAULT_MAX_DEGREE
     ):
-        max_degree = f.degree if config.oracle == "on" else config.max_oracle_degree
         try:
-            oracle_result = oracle.factor(f, max_degree=max_degree)
+            oracle_result = oracle.factor(f, max_degree=f.degree)
         except oracle.OracleLimitError as exc:
             if config.oracle == "on":
                 raise

@@ -228,13 +228,6 @@ def valuation(p: int, n: int) -> int:
     return e
 
 
-def smallest_prime_divisor(n: int) -> int:
-    """Least prime dividing |n|; requires |n| >= 2."""
-    if abs(n) < 2:
-        raise ValueError(f"no prime divisor: |{n}| < 2")
-    return prime_factors(abs(n))[0][0]
-
-
 def positive_divisors(n: int) -> list[int]:
     """All positive divisors of |n| in increasing order (n nonzero)."""
     divs = [1]

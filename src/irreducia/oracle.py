@@ -213,11 +213,6 @@ def factor(f: Polynomial, *, max_degree: int = DEFAULT_MAX_DEGREE) -> Factorizat
     return FactorizationResult(content=cont, factors=ordered)
 
 
-def count_irreducible_factors(f: Polynomial) -> int:
-    """Number of irreducible factors with multiplicity (z factors included)."""
-    return factor(f).nonconstant_factor_count()
-
-
 def verify(result: FactorizationResult, f: Polynomial) -> bool:
     """Exact recomposition check plus a fresh no-proper-divisor search on
     every listed factor. Returns False on any violation, never raises."""

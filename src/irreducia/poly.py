@@ -55,10 +55,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, i: int) -> int:
-        """Coefficient of z^i (0 beyond the degree)."""
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
     @property
     def leading_coefficient(self) -> int:
         if not self.coeffs:

@@ -52,9 +52,6 @@ class RootLocationCertificate(NamedTuple):
     certified: bool
     detail: dict
 
-    def is_exact(self) -> bool:
-        return self.mode is CertificateMode.SYMBOLIC_SUFFICIENT
-
 
 def certify_outside_disk(
     f: Polynomial,

@@ -12,8 +12,10 @@ from fractions import Fraction
 import pytest
 
 from irreducia import audit, oracle
-from irreducia.corpus import gen_dominant_second, gen_random
+from irreducia.corpus import gen_random
 from irreducia.criteria import ConclusionKind, perron_nonmonic
+
+from generators import gen_dominant_second
 
 JOBS = max(1, min(4, os.cpu_count() or 1))
 
@@ -96,7 +98,7 @@ def test_criterion_5_dominant_second_regression():
         out = perron_nonmonic(f)
         if out.conclusion.kind is not ConclusionKind.IRREDUCIBLE:
             bad.append((f.coeffs, "criterion missed"))
-        elif oracle.count_irreducible_factors(f) != 1:
+        elif oracle.factor(f).nonconstant_factor_count() != 1:
             bad.append((f.coeffs, "oracle disagrees"))
     ok = len(polys) == 200 and not bad
     record("5 dominant-second-coefficient regression (200 seeded)", ok,
@@ -145,7 +147,8 @@ def test_criterion_8_oracle_self_consistency():
             bad.append((f.coeffs, g.coeffs, "verify"))
             continue
         if result.nonconstant_factor_count() != (
-            oracle.count_irreducible_factors(f) + oracle.count_irreducible_factors(g)
+            oracle.factor(f).nonconstant_factor_count()
+            + oracle.factor(g).nonconstant_factor_count()
         ):
             bad.append((f.coeffs, g.coeffs, "multiplicativity"))
     ok = not bad

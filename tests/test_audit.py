@@ -13,7 +13,7 @@ from irreducia.poly import Polynomial
 
 def test_small_exhaustive_audit_is_clean():
     result = audit.audit_exhaustive(3, 3)
-    assert result.ok()
+    assert result.violation_count() == 0
     assert result.total == sum(1 for _ in gen_exhaustive(3, 3))
     assert result.oracle_calls > 0
     assert result.rootloc_checked > 0

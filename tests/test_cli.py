@@ -176,6 +176,29 @@ class TestExitCodes:
         assert not any("did not converge" in w
                        for w in json.loads(capsys.readouterr().out)["warnings"])
 
+    def test_analyze_oracle_limit(self, capsys):
+        # 10^9 + z + z^2 is above the oracle's coefficient bound: auto skips
+        # the oracle and says why, on makes it an input error
+        assert main(["analyze", "--poly", "1000000000,1,1", "--format", "json"]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert "oracle" not in out
+        assert out["warnings"] == ["oracle skipped: oracle limit: coefficient magnitude"]
+        code = main(["analyze", "--poly", "1000000000,1,1", "--oracle", "on"])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: oracle limit: coefficient magnitude\n"
+
+    def test_analyze_constant_primitive_part(self, capsys):
+        assert main(["analyze", "--poly", "6z^2"]) == EXIT_NO_CONCLUSION
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "warning: primitive part is constant; criteria skipped"
+
+    def test_analyze_text_strongest_and_warning(self, capsys):
+        assert main(["analyze", "--poly", "2z^3 - z^2 - 3z"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert "strongest: AtMostFactors(2) via dominant_coefficient" in lines
+        assert lines[-1] == ("warning: input splits as content * z^1 * primitive part; "
+                             "add 1 to any factor-count bound for the original input")
+
     def test_analyze_unknown_criterion(self, capsys):
         assert main(["analyze", "--poly", "z+1", "--criteria", "bogus"]) == EXIT_ERROR
         # the --criteria help does not list the names, so the error does
@@ -233,6 +256,13 @@ class TestExitCodes:
         code = main(["audit", "--max-degree", "2", "--coeff-bound", "2"])
         assert code == EXIT_OK
         assert "total violations: 0" in capsys.readouterr().out
+
+    def test_audit_families_with_coeff_bound_audits_the_corpus(self, capsys):
+        # either bound asks for the corpus audit beside the families
+        assert main(["audit", "--families", "P1", "--coeff-bound", "2"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("family P1: 90 instances, 0 violations")
+        assert f"audited {sum(1 for _ in corpus.gen_exhaustive(3, 2))} polynomials" in out
 
     def test_audit_invalid_bound(self, capsys):
         assert main(["audit", "--max-degree", "0"]) == EXIT_ERROR

@@ -7,7 +7,6 @@ import pytest
 
 from irreducia.corpus import (
     FamilyConditionError,
-    gen_dominant_second,
     gen_exhaustive,
     gen_family,
     gen_p1,
@@ -15,9 +14,20 @@ from irreducia.corpus import (
     gen_p3,
     gen_p4,
     gen_random,
-    p4_display_forms_agree,
 )
 from irreducia.poly import Polynomial, is_primitive
+
+from generators import gen_dominant_second
+
+
+def p4_display_forms_agree(a: int, b: int, m: int, j: int) -> bool:
+    """Whether truncating the low sum at i < j-1 (dropping the a^(j-1) b term)
+    changes the pass/fail verdict of the P4 dominance inequality, both sides
+    scaled by b^(m-1-j)."""
+    lhs = (a**j - b**j + 1) * b ** (m - 1 - j)
+    rhs = sum(a**i * b ** (j - i) for i in range(j)) * b ** (m - 1 - j) + 1
+    truncated = rhs - a ** (j - 1) * b * b ** (m - 1 - j)
+    return (lhs > rhs) == (lhs > truncated)
 
 
 class TestP1:

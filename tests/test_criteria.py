@@ -149,7 +149,7 @@ class TestConstantTerm:
         assert out.conclusion == Conclusion.at_most(2)
         assert out.witnesses == {"p": 5, "k": 2, "j": 2, "d": 2}
         # sound but not tight: the polynomial is actually irreducible
-        assert oracle.count_irreducible_factors(P(50, 5, 1)) == 1
+        assert oracle.factor(P(50, 5, 1)).nonconstant_factor_count() == 1
 
     def test_irreducible_at_j_one(self):
         out = constant_term_criterion(P(75, 1, 1))
@@ -298,7 +298,7 @@ class TestPerronNonmonic:
 
     def test_oracle_agrees(self):
         for f in (P(1, 5, 1), P(3, 10, 2)):
-            assert oracle.count_irreducible_factors(f) == 1
+            assert oracle.factor(f).nonconstant_factor_count() == 1
 
 
 class TestMiddlePrimePower:
@@ -321,12 +321,11 @@ class TestMiddlePrimePower:
         out = middle_prime_power_check(P(1, 25, 1, 1))
         assert out.conclusion == Conclusion.at_most(2)
         assert out.witnesses["j"] == 1
-        assert oracle.count_irreducible_factors(P(1, 25, 1, 1)) <= 2
+        assert oracle.factor(P(1, 25, 1, 1)).nonconstant_factor_count() <= 2
 
     def test_dense_big_coefficients_skip_hopeless_indices(self):
         # at degree 1,000 with 12-digit coefficients almost no index has
-        # |a_j| > low[j]; each such index must be dropped before it is
-        # multiplied by the 12,000-digit |a_m|^(m-j)
+        # |a_j| > low[j]; each such index must be dropped at once
         polys = []
         for seed in range(3):
             rng = random.Random(seed)
@@ -477,6 +476,34 @@ class TestAnalyze:
         report = analyze(f, AnalyzeConfig(oracle="on"))
         assert report.oracle_result is not None
         assert report.oracle_result.nonconstant_factor_count() == 1
+
+    def test_oracle_limit_warns_under_auto_and_raises_under_on(self):
+        f = P(10**9, 1, 1)  # a coefficient above the oracle's bound
+        report = analyze(f)
+        assert report.oracle_result is None
+        assert report.warnings == ("oracle skipped: oracle limit: coefficient magnitude",)
+        with pytest.raises(oracle.OracleLimitError, match="coefficient magnitude"):
+            analyze(f, AnalyzeConfig(oracle="on"))
+
+    def test_constant_primitive_part_skips_criteria(self):
+        report = analyze(P(0, 0, 6))  # 6z^2
+        assert report.outcomes == () and report.strongest is None
+        assert report.warnings[-1] == "primitive part is constant; criteria skipped"
+
+    @pytest.mark.parametrize("coeffs, criterion, conclusion", [
+        # a 4,014-digit a_m: no sum of size |a_m|^(m-j) may be built
+        ([3] + [1] * 999 + [2**13333], "dominant_coefficient", Conclusion.at_most(1000)),
+        # a 4,015-digit a_0: the disk radius 2^13333 is refused without a sum
+        ([3 * 2**13333] + [0] * 999 + [1], "eisenstein_generalized", Conclusion.irreducible()),
+    ])
+    def test_huge_end_coefficient_at_degree_1000_in_under_a_second(
+        self, coeffs, criterion, conclusion
+    ):
+        f = Polynomial(coeffs)
+        start = time.process_time()
+        report = analyze(f, AnalyzeConfig(oracle="off"))
+        assert time.process_time() - start < 1.0
+        assert (report.strongest.criterion, report.strongest.conclusion) == (criterion, conclusion)
 
     def test_degree_one_trivially_irreducible(self):
         report = analyze(P(1, 1))

@@ -13,7 +13,6 @@ from irreducia.numtheory import (
     is_prime,
     positive_divisors,
     prime_factors,
-    smallest_prime_divisor,
     valuation,
 )
 
@@ -112,16 +111,6 @@ def test_valuation_matches_factorization():
         exponents = dict(factorize(n).factors)
         for p in (2, 3, 5, 7, 11):
             assert valuation(p, n) == exponents.get(p, 0)
-
-
-def test_smallest_prime_divisor():
-    assert smallest_prime_divisor(50) == 2
-    assert smallest_prime_divisor(7) == 7
-    assert smallest_prime_divisor(-15) == 3
-    with pytest.raises(ValueError, match="no prime divisor"):
-        smallest_prime_divisor(1)
-    with pytest.raises(ValueError, match="no prime divisor"):
-        smallest_prime_divisor(0)
 
 
 def test_positive_divisors():

@@ -39,8 +39,7 @@ class TestPolynomial:
         assert f.degree == 3
         assert f.leading_coefficient == 1
         assert f.constant_term == 4
-        assert f.coefficient(2) == 0
-        assert f.coefficient(17) == 0
+        assert f.coeffs[2] == 0
 
     def test_rejects_non_integers(self):
         with pytest.raises(TypeError):

@@ -123,7 +123,7 @@ def _ref_disk_outcome(name, p, k, j, d, cert, witnesses=()):
         True,
         {"p": p, "k": k, "j": j, "d": d, **dict(witnesses)},
         Conclusion.at_most(min(k, j)),
-        certificate_mode="exact" if cert.is_exact() else "numeric-conditional",
+        certificate_mode="exact" if cert.mode is SYM else "numeric-conditional",
     )
 
 

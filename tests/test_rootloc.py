@@ -194,7 +194,7 @@ class TestNumericRootsReference:
 class TestNumericCertificate:
     def test_mode_recorded(self):
         cert = certify_outside_disk(Polynomial([5, 1, 1]), 1, NUM)
-        assert cert.mode is NUM and not cert.is_exact()
+        assert cert.mode is NUM
         assert cert.certified
         assert cert.detail["margin"] == pytest.approx(1e-3)
 
