@@ -65,24 +65,34 @@ class PrimePowerDecomposition(NamedTuple):
         return out
 
 
-# Witnesses cover all n < 3,317,044,064,679,887,385,961,981; far beyond the
-# factorization bound used here.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin bases, and (bound, k): below bound the first k bases decide
+# primality. Each bound is psi_k, the least strong pseudoprime to the first k
+# bases, so the table is tight (psi_7 = psi_8, psi_9 = psi_10 = psi_11;
+# Sorenson and Webster 2017). All 13 decide it below psi_13.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUNDS = (
+    (2_047, 1), (1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4),
+    (2_152_302_898_747, 5), (3_474_749_660_383, 6), (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9), (318_665_857_834_031_151_167_461, 12),
+)
+PROVEN_PRIME_BOUND = 3_317_044_064_679_887_385_961_981  # psi_13 = 1287836182261 * 2575672364521
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for the supported integer range."""
+    """Miller-Rabin to as many of the bases 2, ..., 41 as the size of n needs:
+    a proof for n < PROVEN_PRIME_BOUND, a strong probable-prime test above."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    k = next((k for bound, k in _MR_BOUNDS if n < bound), len(_MR_BASES))
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -2,17 +2,26 @@
 
 This is the ground truth the criteria are audited against, so it avoids all
 probabilistic machinery and shares no root finder with them: content and
-z-power extraction, then Kronecker's method from factor degree 1 up
-(interpolate candidate factors through divisor tuples of the polynomial's
-values at small integer points and test exact divisibility). For degree e
-the polynomial is evaluated at the first e + 7 points of 0, 1, -1, 2, ...;
-a value of 0 at x gives the factor z - x, and otherwise the e + 1 points
-whose values have the fewest divisors become the interpolation nodes. A
-candidate reaches the exact division only if its leading coefficient
-divides the polynomial's and its value at each of the six spare points is
-nonzero and divides the polynomial's value there; both tests are exact, as
-every sampled value is nonzero by then. Adequate for degree <= 8 with
-coefficients up to 10^8.
+z-power extraction, then on each primitive part h left a prime-value test
+and, if that proves nothing, Kronecker's method from factor degree 1 up.
+The prime-value test (after Ram Murty, Amer. Math. Monthly 109, 2002) takes
+the least integer R >= 1 with |a_m| R^m > sum_{i<m} |a_i| R^i, so every
+root has modulus < R. If |h(x)| = p * d with p prime and 1 <= d <= n - R at
+some x = +-n, R < n <= R + 10, then h is irreducible: a factor g of positive
+degree has |g(x)| >= prod |x - alpha| > (n - R)^deg g >= n - R, while if
+h = g k and p divides g(x), |k(x)| divides d. `is_prime` is a proof below
+numtheory.PROVEN_PRIME_BOUND (~3.3 * 10^24), and a value at or above it sends
+h to Kronecker's method, which `verify` runs alone as an independent check.
+Kronecker's method interpolates candidate factors through divisor tuples of
+the polynomial's values at small integer points and tests exact
+divisibility. For degree e the polynomial is evaluated at the first e + 7
+points of 0, 1, -1, 2, ...; a value of 0 at x gives the factor z - x, and
+otherwise the e + 1 points whose values have the fewest divisors become the
+interpolation nodes. A candidate reaches the exact division only if its
+leading coefficient divides the polynomial's and its value at each of the
+six spare points is nonzero and divides the polynomial's value there; both
+tests are exact, as every sampled value is nonzero by then. Adequate for
+degree <= 8 with coefficients up to 10^8.
 """
 
 from __future__ import annotations
@@ -187,6 +196,36 @@ def _kronecker_search(h: Polynomial, budget: _Budget) -> tuple[Polynomial, Polyn
     return None
 
 
+def _root_radius(h: Polynomial) -> int:
+    """Least R >= 1 with |a_m| R^m > sum_{i<m} |a_i| R^i, by doubling and bisection."""
+    gap = Polynomial([-abs(c) for c in h.coeffs[:-1]] + [abs(h.leading_coefficient)])
+    hi = 1
+    while gap.evaluate(hi) <= 0:
+        hi *= 2
+    lo = hi // 2  # fails the test, or is 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if gap.evaluate(mid) > 0 else (mid, hi)
+    return hi
+
+
+def _prime_value_certifies(h: Polynomial) -> bool:
+    """Whether a value of h proves it irreducible (the module docstring
+    says how); False means no proof, not that h is reducible."""
+    r = _root_radius(h)
+    # 10 values of n settle all but one of the 2,993 irreducible oracle
+    # inputs of a 60,000-polynomial sample of the deg<=5, |c|<=5 corpus
+    for n in range(r + 1, r + 11):
+        for x in (n, -n):
+            v = abs(h.evaluate(x))
+            if v >= numtheory.PROVEN_PRIME_BOUND:
+                return False  # is_prime is no proof here: leave h to Kronecker
+            for d in range(1, n - r + 1):
+                if v % d == 0 and numtheory.is_prime(v // d):
+                    return True
+    return False
+
+
 def factor(f: Polynomial, *, max_degree: int = DEFAULT_MAX_DEGREE) -> FactorizationResult:
     """Complete irreducible factorization over the integers, within
     DEFAULT_COEFF_BOUND and DEFAULT_STEP_BUDGET."""
@@ -206,7 +245,8 @@ def factor(f: Polynomial, *, max_degree: int = DEFAULT_MAX_DEGREE) -> Factorizat
     counts = {Z: norm.z_power} if norm.z_power else {}
     while prim.degree >= 1:
         # a factor of least degree is irreducible, and so is prim if it has none
-        g, prim = _kronecker_search(prim, budget) or (prim, Polynomial([1]))
+        found = None if _prime_value_certifies(prim) else _kronecker_search(prim, budget)
+        g, prim = found or (prim, Polynomial([1]))
         counts[g] = counts.get(g, 0) + 1
 
     ordered = tuple(sorted(counts.items(), key=lambda gm: (gm[0].degree, gm[0].coeffs)))

@@ -212,6 +212,18 @@ class TestConstantTerm:
         assert out.conclusion.kind is IRR and out.certificate_mode == "exact"
         assert calls == []
 
+    def test_strong_pseudoprime_constant_term_is_no_prime(self):
+        # (z + 399165290221)(z + 798330580441): a_0 is psi_12, which passes
+        # Miller-Rabin to the bases 2..37; as a prime it would make the
+        # polynomial irreducible. The oracle skips it on the coefficient bound.
+        f = P(318665857834031151167461, 1197495870662, 1)
+        report = analyze(f, AnalyzeConfig(oracle="off"))
+        assert [o.criterion for o in report.outcomes if o.conclusion.kind is IRR] == []
+        assert report.strongest.conclusion == Conclusion.at_most(2)
+        out = eisenstein_generalized(f)
+        assert out.conclusion == Conclusion.factor_degree(1)
+        assert out.witnesses["p"] == 399165290221
+
 
 class TestLeadingCoeff:
     def test_irreducible_instance(self):

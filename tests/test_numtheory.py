@@ -1,5 +1,6 @@
 """Prime decompositions, valuations, divisor enumeration."""
 
+import math
 import random
 import time
 
@@ -134,6 +135,32 @@ def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(-2, 50):
         assert is_prime(n) == (n in primes)
+
+
+@pytest.mark.parametrize("n", [
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    399_165_290_221 * 798_330_580_441,  # psi_12, a strong pseudoprime to 2..37
+])
+def test_least_strong_pseudoprimes_to_the_first_bases_are_composite(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_matches_a_sieve():
+    # past the first two bounds of the base table, 2,047 and 1,373,653
+    limit = 1_400_000
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+    assert [n for n in range(limit) if is_prime(n) != sieve[n]] == []
 
 
 def _prime_near(bits, rng):

@@ -1,11 +1,12 @@
-"""Kronecker factorization oracle: factor, count, verify."""
+"""Kronecker factorization oracle: prime-value test, factor, count, verify."""
 
+import random
 import time
 
 import pytest
 
 from irreducia import criteria, numtheory, oracle, poly
-from irreducia.corpus import gen_random
+from irreducia.corpus import gen_exhaustive, gen_random
 from irreducia.criteria import AnalyzeConfig, analyze
 from irreducia.oracle import (
     FactorizationResult,
@@ -13,7 +14,7 @@ from irreducia.oracle import (
     factor,
     verify,
 )
-from irreducia.poly import Polynomial, rational_roots
+from irreducia.poly import Polynomial, is_primitive, rational_roots
 
 
 def P(*coeffs):
@@ -147,6 +148,49 @@ class TestCount:
                     expected += 1
                     rem = q
             assert linear == expected, f
+
+
+def _random_product(rng):
+    """g * k with g, k primitive of degree 1-3 and coefficients in [-30, 30]."""
+    def primitive_factor():
+        while True:
+            degree = rng.randint(1, 3)
+            g = Polynomial([rng.randint(-30, 30) for _ in range(degree)] + [rng.randint(1, 30)])
+            if is_primitive(g):
+                return g
+
+    return primitive_factor() * primitive_factor()
+
+
+class TestPrimeValueCertificate:
+    def test_certifies_no_product(self):
+        rng = random.Random(18)
+        for _ in range(20_000):
+            h = _random_product(rng)
+            assert not oracle._prime_value_certifies(h), h
+
+    def test_cofactor_of_the_prime_may_exceed_one(self):
+        # z^2 + z + 2 is even at every integer; R = 3, and at x = -5 the
+        # value 22 = 2 * 11 has d = 2 <= n - R
+        assert oracle._root_radius(P(2, 1, 1)) == 3
+        assert oracle._prime_value_certifies(P(2, 1, 1))
+
+    def test_factor_agrees_with_kronecker_alone(self, monkeypatch):
+        corpus = list(gen_exhaustive(4, 4))
+        assert len(corpus) == 24_912
+        results = [factor(f) for f in corpus]
+        monkeypatch.setattr(oracle, "_prime_value_certifies", lambda h: False)
+        assert [factor(f) for f in corpus] == results
+
+    def test_verify_runs_kronecker_alone(self, monkeypatch):
+        def refuse(h):
+            raise AssertionError("prime-value test called")
+
+        f = P(4, 4, 0, 1) * P(1, 1)
+        result = factor(f)
+        monkeypatch.setattr(oracle, "_prime_value_certifies", refuse)
+        assert verify(result, f)
+        assert not verify(FactorizationResult(content=1, factors=((f, 1),)), f)
 
 
 class TestVerify:
