@@ -124,13 +124,13 @@ class PolyFacts:
     here. A root iteration that did not converge is remembered, and asking
     again raises the same error. The dominance index and divisor of
     `dominant()`, which both the dominant-coefficient criterion and the
-    audit's unit-divisor check read, are found once, and so are the disk
-    radii at each end and the largest certified among them, which both disk
-    criteria and the audit's root-location check read.
+    audit's unit-divisor check read, are found once, and so is the largest
+    certified disk radius at each end, which both disk criteria and the
+    audit's root-location check read.
     """
 
     __slots__ = ("poly", "coeffs", "degree", "mags", "unit_disk_certified", "_low",
-                 "_dominant", "_rational_root", "_roots", "_radii", "_bounds")
+                 "_dominant", "_rational_root", "_roots", "_bounds")
 
     def __init__(self, f: Polynomial):
         if f.is_zero():
@@ -150,7 +150,6 @@ class PolyFacts:
         self._dominant: tuple[int, int] | None | bool = False  # False: not yet found
         self._rational_root: bool | None = None
         self._roots: list[complex] | rootloc.NonConvergenceError | None = None
-        self._radii: dict = {}
         self._bounds: dict = {}  # per mode: [largest radius certified, smallest refused]
 
     @classmethod
@@ -198,13 +197,9 @@ class PolyFacts:
     def disk_radii(self, i: int) -> list[tuple[int, int, int]]:
         """(p, k, d) for each prime power p^k exactly dividing a_i, i in
         {0, m}, with d = |a_i| / p^k: the radii the disk criteria try. Empty
-        when |a_i| = 1."""
-        radii = self._radii.get(i)
-        if radii is None:
-            a = self.mags[i]
-            radii = [(p, k, a // p**k) for p, k in numtheory.prime_factors(a)]
-            self._radii[i] = radii
-        return radii
+        when |a_i| = 1. Built afresh from numtheory's cached factorization."""
+        a = self.mags[i]
+        return [(p, k, a // p**k) for p, k in numtheory.prime_factors(a)]
 
     def certified_radius(self, i: int, mode: CertificateMode) -> int:
         """The largest disk radius d at a_i, i in {0, m}, at which every root
@@ -572,6 +567,7 @@ def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisR
     if config.oracle not in ("on", "off", "auto"):
         raise ValueError(f"oracle mode must be on/off/auto, got {config.oracle!r}")
 
+    input_text = f.to_sparse_string()  # first: refuses a coefficient too long to write
     norm = normalize(f)
     prim = norm.primitive_part
     warnings: list[str] = []
@@ -622,7 +618,7 @@ def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisR
 
     return AnalysisReport(
         input=f,
-        input_text=f.to_sparse_string(),
+        input_text=input_text,
         content=norm.content,
         z_power=norm.z_power,
         primitive_part=prim,

@@ -74,15 +74,7 @@ class _Budget:
 
 
 def _sample_points(count: int) -> list[int]:
-    # 0, 1, -1, 2, -2, ...
-    pts = [0]
-    k = 1
-    while len(pts) < count:
-        pts.append(k)
-        if len(pts) < count:
-            pts.append(-k)
-        k += 1
-    return pts[:count]
+    return [(k + 1) // 2 * (-1) ** (k + 1) for k in range(count)]  # 0, 1, -1, 2, -2, ...
 
 
 def _expand_newton(nodes: list[int], coeffs: list[int]) -> Polynomial:
@@ -109,49 +101,37 @@ def _kronecker_search(h: Polynomial, budget: _Budget) -> tuple[Polynomial, Polyn
 
     Requires h primitive with positive leading coefficient. For each degree
     e from 1, h is evaluated at the first e + 1 + _SPARE_POINTS sample
-    points; a vanishing value h(x) returns z - x, and otherwise the e + 1
-    points whose values have the fewest divisors become the nodes.
-    Candidate factors of degree e are interpolated through divisor tuples of
-    h's values at the nodes; branches die as soon as a Newton divided
-    difference turns non-integral (divided differences of an integer
-    polynomial at integer nodes are integers). A complete candidate g
-    reaches the exact division only if lc(g) divides lc(h) and, at every
-    spare point x, g(x) is nonzero and divides h(x); a true factor passes
-    both tests, since h(x) is nonzero.
+    points; the first vanishing value h(x) returns z - x, and otherwise the
+    e + 1 points whose values have the fewest divisors become the nodes.
+    Nothing but the budget is kept across degrees: the factorizations of
+    the values come again from numtheory's cache. Candidate factors of
+    degree e are interpolated through divisor tuples of h's values at the
+    nodes; branches die as soon as a Newton divided difference turns
+    non-integral (divided differences of an integer polynomial at integer
+    nodes are integers). A complete candidate g reaches the exact division
+    only if lc(g) divides lc(h) and, at every spare point x, g(x) is
+    nonzero and divides h(x); a true factor passes both tests, since h(x)
+    is nonzero.
     """
     m = h.degree
     lead = h.leading_coefficient
-    # the pool of sample points, kept across e: values (nonzero, as a zero
-    # returns at once), their divisor counts and, once a point is a node,
-    # its signed divisors
-    points: list[int] = []
-    values: list[int] = []
-    counts: list[int] = []
-    signed: dict[int, list[int]] = {}
     for e in range(1, m // 2 + 1):
+        points = _sample_points(e + 1 + _SPARE_POINTS)
+        values = [h.evaluate(x) for x in points]
+        if 0 in values:
+            g = Polynomial([-points[values.index(0)], 1])
+            return g, divides_exactly(g, h)
         try:
-            for x in _sample_points(e + 1 + _SPARE_POINTS)[len(points):]:
-                points.append(x)
-                values.append(h.evaluate(x))
-                if not values[-1]:
-                    g = Polynomial([-x, 1])
-                    return g, divides_exactly(g, h)
-                factors = numtheory.prime_factors(abs(values[-1]))
-                counts.append(math.prod(k + 1 for _, k in factors))
             # fewest divisors first; ties keep the sample order
+            counts = [math.prod(k + 1 for _, k in numtheory.prime_factors(abs(v))) for v in values]
             order = sorted(range(len(points)), key=counts.__getitem__)
-            for i in order[: e + 1]:
-                if i not in signed:
-                    signed[i] = [
-                        d for pos in numtheory.positive_divisors(values[i]) for d in (pos, -pos)
-                    ]
+            divisors = [numtheory.positive_divisors(values[i]) for i in order[: e + 1]]
         except FactorizationLimitError as exc:
             raise OracleLimitError(f"oracle limit: {exc}") from exc
         nodes = [points[i] for i in order[: e + 1]]
-        choices = [signed[i] for i in order[: e + 1]]
         spares = [(points[i], values[i]) for i in order[e + 1:]]
         # +-g both divide, so fix the sign at the first node.
-        choices[0] = [d for d in choices[0] if d > 0]
+        choices = divisors[:1] + [[d for pos in ds for d in (pos, -pos)] for ds in divisors[1:]]
 
         # DFS over divisor tuples with incremental trailing divided
         # differences; trail[k] = [x_{t-k}..x_t]g, so trail[-1] is the

@@ -19,8 +19,12 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple
+
+from .numtheory import is_prime
 
 
 class Polynomial:
@@ -128,21 +132,25 @@ class Polynomial:
         if not self.coeffs:
             return "0"
         parts: list[str] = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                var = "z" if i == 1 else f"z^{i}"
-                body = var if mag == 1 else f"{mag}{var}"
-            if not parts:
-                parts.append(body if sign == "+" else f"-{body}")
-            else:
-                parts.append(f"{sign} {body}")
+        try:
+            for i in range(self.degree, -1, -1):
+                c = self.coeffs[i]
+                if c == 0:
+                    continue
+                sign = "-" if c < 0 else "+"
+                mag = abs(c)
+                if i == 0:
+                    body = str(mag)
+                else:
+                    var = "z" if i == 1 else f"z^{i}"
+                    body = var if mag == 1 else f"{mag}{var}"
+                if not parts:
+                    parts.append(body if sign == "+" else f"-{body}")
+                else:
+                    parts.append(f"{sign} {body}")
+        except ValueError:  # str() refused a coefficient: name it
+            _check_digits(self.coeffs)
+            raise
         return " ".join(parts)
 
     def __repr__(self) -> str:
@@ -170,6 +178,22 @@ def _check_degree(power: int) -> None:
         raise PolyParseError(f"degree {power} above the maximum {MAX_INPUT_DEGREE}")
 
 
+def _refuse_digits(power: int, digits: int) -> None:
+    """PolyParseError past Python's int-to-str digit limit (none if 0 or absent)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit:
+        raise PolyParseError(
+            f"coefficient of z^{power} has {digits} digits, above Python's limit of {limit}"
+        )
+
+
+def _check_digits(coeffs) -> None:
+    """_refuse_digits on each coefficient past 2,000 bits; no limit is below 640 digits."""
+    for power, c in enumerate(coeffs):
+        if c.bit_length() > 2000:
+            _refuse_digits(power, Decimal(abs(c)).adjusted() + 1)  # str() would refuse
+
+
 def parse_poly(text: str) -> Polynomial:
     """Parse either comma-separated lowest-first coefficients ("4,4,0,1") or
     a sparse expression ("z^3 + 4z + 4"); duplicate powers are summed.
@@ -180,6 +204,8 @@ def parse_poly(text: str) -> Polynomial:
     if "," in s:
         tokens = s.split(",")
         _check_degree(len(tokens) - 1)
+        for power, tok in enumerate(tokens):
+            _refuse_digits(power, sum(map(str.isdigit, tok)))
         try:
             return Polynomial(int(tok.strip()) for tok in tokens)
         except ValueError as exc:
@@ -194,16 +220,18 @@ def parse_poly(text: str) -> Polynomial:
         if not match or (not match.group(2) and not match.group(3)):
             raise PolyParseError(f"malformed term {chunk!r} in {text!r}")
         sign = -1 if match.group(1) == "-" else 1
-        coeff = int(match.group(2)) if match.group(2) else 1
         if match.group(3):
             power = int(match.group(4)) if match.group(4) else 1
         else:
             power = 0
         _check_degree(power)
+        _refuse_digits(power, len(match.group(2)))
+        coeff = int(match.group(2)) if match.group(2) else 1
         coeffs[power] = coeffs.get(power, 0) + sign * coeff
     out = [0] * (max(coeffs) + 1)
     for power, value in coeffs.items():
         out[power] = value
+    _check_digits(out)  # a sum of literals may pass the limit
     return Polynomial(out)
 
 
@@ -336,13 +364,6 @@ def _squarefree_part(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     return divides_exactly(Polynomial(a), Polynomial(coeffs)).coeffs
 
 
-def _next_odd_prime(n: int) -> int:
-    n += 2
-    while any(n % d == 0 for d in range(3, math.isqrt(n) + 1, 2)):
-        n += 2
-    return n
-
-
 def _lift_roots(coeffs: tuple[int, ...], ell: int, residues: list[int]) -> set[Fraction]:
     """The rational roots of f, given all of its roots mod the prime ell,
     each of them simple (see rational_roots)."""
@@ -416,8 +437,8 @@ def rational_roots(f: Polynomial) -> set[Fraction]:
     coeffs = f.coeffs
     ell, failed = 1, 0
     while len(coeffs) > 1:
-        ell = _next_odd_prime(ell)
-        if coeffs[-1] % ell == 0:
+        ell += 2
+        if not is_prime(ell) or coeffs[-1] % ell == 0:
             continue
         residues = _roots_mod(coeffs, ell)
         if residues is not None:

@@ -31,6 +31,11 @@ from irreducia.oracle import factor
 from irreducia.poly import MAX_INPUT_DEGREE, Polynomial, PolyParseError, parse_poly
 
 
+needs_int_str_limit = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-string digit limit"
+)
+
+
 class TestParsePoly:
     def test_list_format(self):
         assert parse_poly("4,4,0,1") == Polynomial([4, 4, 0, 1])
@@ -68,6 +73,22 @@ class TestParsePoly:
                      ",".join(["1"] * (top + 2)), "z^1000000000"):
             with pytest.raises(PolyParseError, match="above the maximum"):
                 parse_poly(text)
+
+    @needs_int_str_limit
+    def test_coefficient_above_int_str_limit_rejected(self):
+        limit = sys.get_int_max_str_digits()
+        nines = "9" * limit
+        assert parse_poly(f"{nines}z + 1").coeffs == (1, int(nines))
+        for text, power, digits in (
+            (f"9{nines}z + 1", 1, limit + 1),  # a literal
+            (f"1,2,-9{nines}", 2, limit + 1),
+            (f"{nines}z + {nines}z", 1, limit + 1),  # a sum of literals
+            (f"{nines}z + 1 + {nines}z", 1, limit + 1),
+        ):
+            with pytest.raises(PolyParseError) as info:
+                parse_poly(text)
+            assert str(info.value).startswith(f"coefficient of z^{power} has {digits} digits")
+            assert len(str(info.value)) < 200
 
     @given(st.lists(st.integers(-99, 99), min_size=1, max_size=8))
     def test_render_parse_round_trip(self, coeffs):
@@ -143,6 +164,15 @@ class TestExitCodes:
     def test_analyze_degree_above_maximum(self, capsys):
         assert main(["analyze", "--poly", "z^1000000000"]) == EXIT_ERROR
         assert "above the maximum" in capsys.readouterr().err
+
+    @needs_int_str_limit
+    @pytest.mark.parametrize("form", ["{n}z + 1", "1,{n}"])
+    def test_analyze_coefficient_above_int_str_limit(self, capsys, form):
+        n = "9" * (sys.get_int_max_str_digits() + 1)
+        assert main(["analyze", "--poly", form.format(n=n)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: coefficient of z^1 has {len(n)} digits")
+        assert len(err) < 200 and "Traceback" not in err
 
     def test_analyze_numeric_float_overflow(self, capsys):
         # a_0 / a_m = 10^400 has no float value: the disk criteria that need

@@ -1,6 +1,7 @@
 """Criterion witness searches, conclusions, and the aggregate analysis."""
 
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from irreducia.criteria import (
     perron_nonmonic,
     weintraub_check,
 )
-from irreducia.poly import Polynomial
+from irreducia.poly import Polynomial, parse_poly
 from irreducia.rootloc import CertificateMode
 
 
@@ -395,6 +396,22 @@ class TestInputGuards:
             analyze(P(1, 1), AnalyzeConfig(oracle="maybe"))
 
 
+@pytest.mark.parametrize("text, names, count", [
+    ("-9 + 360z - 1019z^2 + 427z^3 + 248z^4 - 7z^5",
+     ("dominant_coefficient", "middle_prime_power"), 4),
+    ("-21 + 9z - 2z^2 - 8z^3", ("leading_coeff",), 2),
+    ("27 + 9z + 3z^2 - 6z^3 - 2z^4 + 4z^5", ("constant_term",), 3),
+    ("15 - 133z - 79z^2 + 136z^3 + 67z^4 - 3z^5 - 3z^6", ("dominant_coefficient",), 5),
+])
+def test_sharp_bound_witnesses(text, names, count):
+    # each bound is attained: the polynomial has exactly as many factors
+    f = parse_poly(text)
+    assert oracle.factor(f).nonconstant_factor_count() == count
+    facts = PolyFacts(f)
+    for name in names:
+        assert criteria.CRITERIA[name](facts).conclusion == Conclusion.at_most(count)
+
+
 class TestWitnessValidity:
     """Reported witnesses re-verify their defining conditions independently."""
 
@@ -477,6 +494,18 @@ class TestAnalyze:
     def test_oracle_off(self):
         report = analyze(P(4, 4, 0, 1), AnalyzeConfig(oracle="off"))
         assert report.oracle_result is None
+
+    @pytest.mark.skipif(
+        getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300, reason="not the default limit"
+    )
+    def test_coefficient_above_int_str_limit_refused_first(self, monkeypatch):
+        # str() cannot write 10^4400; analyze says so before any criterion runs
+        def refuse(*args):
+            raise AssertionError("a criterion ran")
+
+        monkeypatch.setattr(criteria, "run_criteria", refuse)
+        with pytest.raises(ValueError, match=r"^coefficient of z\^1 has 4401 digits"):
+            analyze(P(1, 10**4400), AnalyzeConfig(oracle="off"))
 
     def test_oracle_auto_skips_large_degree(self):
         f = Polynomial([3] + [0] * 10 + [1])

@@ -85,12 +85,35 @@ class TestFactor:
     def test_degree_8_search_picks_nodes_with_few_divisors(self):
         # this input's values at the first nine sample points have so many
         # divisors that a search with those points as nodes exhausts the
-        # 10^7-step budget (about 45 s); the pool offers points with fewer
+        # 10^7-step budget (about 45 s); the e + 7 points sampled at degree e
+        # offer points with fewer
         f = P(99792000, 43046721, -99999999, 720720, 720720, -67108864, -720720, 67108864, 1)
         start = time.perf_counter()
         report = analyze(f, AnalyzeConfig(oracle="on"))
         assert time.perf_counter() - start < 5.0
         assert report.oracle_result.factors == ((f, 1),)
+
+
+class TestKroneckerSearch:
+    def test_root_after_a_value_that_resists_factorization(self):
+        # h(0) = -3N, and N = (2^61 - 1)(2^89 - 1) is out of rho's reach;
+        # h vanishes at 3, the sixth sample point, so nothing is factorized
+        n = (2**61 - 1) * (2**89 - 1)
+        h = P(-3, 1) * P(n, 0, 1)
+        start = time.perf_counter()
+        found = oracle._kronecker_search(h, oracle._Budget(oracle.DEFAULT_STEP_BUDGET))
+        assert time.perf_counter() - start < 0.5
+        assert found == (P(-3, 1), P(n, 0, 1))
+
+    def test_nodes_are_chosen_afresh_at_each_degree(self):
+        # the two fewest-divisor points among the first eight are 0, 1; among
+        # the first nine, -4 sorts between them, so the degree-2 nodes are
+        # 0, -4, 1 in that order. The step count pins the order: keeping
+        # 0, 1 first and adding -4 last costs 201 steps, not 108
+        h = P(-3, 4, 1) * P(2, 5, 1)
+        budget = oracle._Budget(oracle.DEFAULT_STEP_BUDGET)
+        assert oracle._kronecker_search(h, budget) == (P(-3, 4, 1), P(2, 5, 1))
+        assert oracle.DEFAULT_STEP_BUDGET - budget.remaining == 108
 
 
 class TestNoSharedRootFinder:
