@@ -109,6 +109,9 @@ def _lower_sum(mags: list[int], j: int, t: int) -> int:
     return acc
 
 
+_DOMINANT_TRIAL = 32  # see `PolyFacts.dominant`
+
+
 class PolyFacts:
     """Coefficient facts about one primitive polynomial of degree >= 1 with
     nonzero constant term, shared by every criterion and by the audit's
@@ -238,10 +241,12 @@ class PolyFacts:
 
         holds, or None. The right side falls as b grows, so j is the first
         index, falling from m-1, at which it holds for b = |a_m|. The
-        divisors of a_m are then scanned at that j only, and only then is
-        a_m factorized. The integer on the left exceeds the sum exactly when
-        it exceeds its floor, built without a power of b as t = (|a_i| + t)
-        // b from i = m down to j + 1 (each step keeps the floor exact); for
+        divisors of a_m are then scanned upward at that j only, those up to
+        _DOMINANT_TRIAL by division: b is nearly always one of them, and a_m
+        is factorized only if it is not (so an a_m that resists still gives
+        a small b). The integer on the left exceeds the sum exactly when it
+        exceeds its floor, built without a power of b as t = (|a_i| + t) //
+        b from i = m down to j + 1 (each step keeps the floor exact); for
         b = |a_m| one running floor serves every j."""
         if self._dominant is False:
             hit = None
@@ -252,7 +257,7 @@ class PolyFacts:
                 high = (mags[j + 1] + high) // am
                 excess = mags[j] - low[j]
                 if excess > high:
-                    for b in numtheory.positive_divisors(am):  # ends by b = |a_m| at the latest
+                    for b in numtheory._divisors_upward(am, _DOMINANT_TRIAL):  # to |a_m| at most
                         t = 0
                         for a in mags[m:j:-1]:
                             t = (a + t) // b

@@ -10,8 +10,9 @@ signed PrimePowerDecomposition record. Both read one lru cache,
 It keeps failures too: rho is seeded by n, so under the fixed budget the
 outcome for each n is a function of n alone, and an integer that resists
 costs one rho budget per process, whoever asks for it.
-Trial division strips the small primes: those up to 10^3 while the cofactor
-is below DEFAULT_FACTOR_BOUND, up to 10^6 while it is not. A survivor that
+The primes below 10^3 are stripped after one gcd with their product, which
+names those that divide n; trial division by 6k+-1 then goes on to 10^6
+only while the cofactor is at or above DEFAULT_FACTOR_BOUND. A survivor that
 trial division has not proved prime goes through Miller-Rabin plus Pollard
 rho under an iteration budget (one per cofactor below DEFAULT_FACTOR_BOUND,
 one shared by the larger ones), so every call returns or raises
@@ -27,11 +28,20 @@ from typing import NamedTuple
 
 # Trial-division limits. Below DEFAULT_FACTOR_BOUND, Miller-Rabin and rho
 # finish a cofactor faster than dividing on to 10^6 (a prime near 10^12:
-# 0.2 ms against 55 ms, Python 3.11 on a 2-vCPU VM). Above it the large limit
+# 0.05 ms against 55 ms, Python 3.11 on a 2-vCPU VM). Above it the large limit
 # stays, so that a huge power of a prime above 10^3 (say 1009**1400) is
 # stripped by division, not handed to rho at thousands of digits.
 _SMALL_TRIAL_LIMIT = 10**3
 _TRIAL_LIMIT = 10**6
+
+# The primes below 10^3 and their product: one gcd with it finds which of
+# them divide n (Bernstein, "How to find smooth parts of integers", 2004),
+# and only those are divided out.
+_sieve = bytearray([1]) * _SMALL_TRIAL_LIMIT
+for _p in range(2, 32):
+    _sieve[_p * _p::_p] = bytes(len(_sieve[_p * _p::_p]))
+_SMALL_PRIMES = tuple(p for p in range(2, _SMALL_TRIAL_LIMIT) if _sieve[p])
+_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 
 # Brent iterations (about 0.5 s on a 2 GHz core) for the rho attempts on
 # each cofactor below DEFAULT_FACTOR_BOUND, and for those on all cofactors
@@ -151,14 +161,16 @@ def _factor_positive(n: int) -> tuple[tuple[int, int], ...] | str:
     if n == 1:
         return ()
     powers: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            powers[p] = powers.get(p, 0) + 1
-            n //= p
-    d = 5
-    while d * d <= n and d <= (
-        _SMALL_TRIAL_LIMIT if n < DEFAULT_FACTOR_BOUND else _TRIAL_LIMIT
-    ):
+    g = math.gcd(n, _SMALL_PRIMORIAL)  # the product of the primes below 10^3 dividing n
+    for p in _SMALL_PRIMES:
+        if g == 1:
+            break
+        if g % p == 0:
+            g //= p
+            powers[p] = e = valuation(p, n)
+            n //= p**e
+    d = _SMALL_TRIAL_LIMIT + 1  # the 6k-1 after 997
+    while d * d <= n and d <= _TRIAL_LIMIT and n >= DEFAULT_FACTOR_BOUND:
         for step in (0, 2):  # 6k-1, 6k+1 wheel
             q = d + step
             while n % q == 0:
@@ -236,6 +248,14 @@ def valuation(p: int, n: int) -> int:
         n //= p
         e += 1
     return e
+
+
+def _divisors_upward(n: int, trial: int):
+    """The positive divisors of n >= 1 in increasing order, lazily: those up
+    to `trial` by trial division, and only a caller that reads past them
+    makes n be factorized for the rest."""
+    yield from (b for b in range(1, trial + 1) if n % b == 0)
+    yield from (b for b in positive_divisors(n) if b > trial)
 
 
 def positive_divisors(n: int) -> list[int]:

@@ -178,6 +178,11 @@ def _check_degree(power: int) -> None:
         raise PolyParseError(f"degree {power} above the maximum {MAX_INPUT_DEGREE}")
 
 
+def _excerpt(text: str) -> str:
+    """text for an error message: in full if short, else its start and length."""
+    return repr(text) if len(text) <= 40 else f"{text[:30]!r}... ({len(text)} characters)"
+
+
 def _refuse_digits(power: int, digits: int) -> None:
     """PolyParseError past Python's int-to-str digit limit (none if 0 or absent)."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -208,20 +213,25 @@ def parse_poly(text: str) -> Polynomial:
             _refuse_digits(power, sum(map(str.isdigit, tok)))
         try:
             return Polynomial(int(tok.strip()) for tok in tokens)
-        except ValueError as exc:
-            raise PolyParseError(f"bad coefficient list {text!r}: {exc}") from exc
+        except ValueError:  # int()'s message would repeat the token in full
+            raise PolyParseError(f"bad coefficient list {_excerpt(s)}") from None
     compact = s.replace(" ", "").replace("*", "")
     chunks = _CHUNK.findall(compact)
     if "".join(chunks) != compact:
-        raise PolyParseError(f"malformed polynomial {text!r}")
+        raise PolyParseError(f"malformed polynomial {_excerpt(s)}")
     coeffs: dict[int, int] = {}
     for chunk in chunks:
         match = _TERM.match(chunk)
         if not match or (not match.group(2) and not match.group(3)):
-            raise PolyParseError(f"malformed term {chunk!r} in {text!r}")
+            raise PolyParseError(f"malformed term {_excerpt(chunk)} in {_excerpt(s)}")
         sign = -1 if match.group(1) == "-" else 1
         if match.group(3):
-            power = int(match.group(4)) if match.group(4) else 1
+            digits = (match.group(4) or "1").lstrip("0")
+            if len(digits) > len(str(MAX_INPUT_DEGREE)):  # before int(), which may refuse it
+                raise PolyParseError(
+                    f"degree of {len(digits)} digits above the maximum {MAX_INPUT_DEGREE}"
+                )
+            power = int(digits or "0")
         else:
             power = 0
         _check_degree(power)

@@ -74,6 +74,14 @@ class TestParsePoly:
             with pytest.raises(PolyParseError, match="above the maximum"):
                 parse_poly(text)
 
+    def test_exponent_digits_checked_before_conversion(self):
+        # an exponent past Python's int-to-str digit limit is refused by its
+        # digit count, before int() sees it; leading zeros do not count
+        assert parse_poly(f"z^{MAX_INPUT_DEGREE:0>4301}").degree == MAX_INPUT_DEGREE
+        with pytest.raises(PolyParseError) as info:
+            parse_poly("z^" + "9" * 4301)
+        assert str(info.value) == f"degree of 4301 digits above the maximum {MAX_INPUT_DEGREE}"
+
     @needs_int_str_limit
     def test_coefficient_above_int_str_limit_rejected(self):
         limit = sys.get_int_max_str_digits()
@@ -173,6 +181,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: coefficient of z^1 has {len(n)} digits")
         assert len(err) < 200 and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["9" * 5000 + "x", "1," + "9" * 3000 + "x",
+                                      "z^" + "9" * 4301])
+    def test_analyze_long_bad_input_is_not_echoed(self, capsys, text):
+        assert main(["analyze", "--poly", text]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.encode()) < 200 and "Traceback" not in err
 
     def test_analyze_numeric_float_overflow(self, capsys):
         # a_0 / a_m = 10^400 has no float value: the disk criteria that need

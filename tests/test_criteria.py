@@ -581,14 +581,17 @@ class TestAnalyze:
 
     def test_failed_unit_disk_test_needs_no_factorization(self, monkeypatch, fresh_factor_cache):
         # both ends resist the shortened rho budget, but |a_0| > sum |a_i|
-        # fails, so the disk criteria never factor them and do not warn
+        # fails, so the disk criteria never factor them and do not warn;
+        # dominant_coefficient finds its witness b = 3 by trial division
+        # below a_m's factorization, so only eisenstein_generalized warns
         monkeypatch.setattr(numtheory, "_RHO_STEPS", 1000)
         big = (2**61 - 1) * (2**59 - 55)
         report = analyze(P(big, 5, 5, big + 2), AnalyzeConfig(oracle="off"))
-        assert all(not o.conclusion.fired() for o in report.outcomes)
-        assert [w.split(":")[0] for w in report.warnings] == [
-            "dominant_coefficient", "eisenstein_generalized"
-        ]
+        (fired,) = [o for o in report.outcomes if o.conclusion.fired()]
+        assert fired.criterion == "dominant_coefficient"
+        assert fired.conclusion == Conclusion.at_most(3)
+        assert (fired.witnesses["b"], fired.witnesses["j"]) == (3, 0)
+        assert [w.split(":")[0] for w in report.warnings] == ["eisenstein_generalized"]
         assert all("factorization limit" in w for w in report.warnings)
 
     def test_resisting_coefficient_costs_one_rho_run_per_process(

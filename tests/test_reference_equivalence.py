@@ -8,9 +8,12 @@ give exactly the same results.
   the separate searches over a_0 and over a_m that they replaced, which
   certify every radius in either root mode. Outcomes, witnesses and the
   audit's largest certified radius must agree.
-- `numtheory.prime_factors`, which hands a cofactor below 2^64 to
-  Miller-Rabin and Pollard rho after trial division to 10^3, against the
-  trial-division loop to 10^6 that it replaced.
+- `numtheory.prime_factors`, which strips the primes below 10^3 after one
+  gcd and hands a cofactor below 2^64 to Miller-Rabin and Pollard rho,
+  against the trial-division loop to 10^6 that it replaced.
+- `dominant_coefficient`, which tries the divisors of a_m up to a small
+  bound by division before it factorizes a_m, against a scan of every
+  divisor from the full factorization.
 - `poly.rational_roots`, which lifts the roots of f mod a small prime and
   reconstructs at most one candidate p/q from each, against the scan over
   every candidate p/q with p | a_0 and q | a_m that it replaced.
@@ -388,6 +391,77 @@ def test_factorization_of_prime_power_products(mid_prime_powers, big_primes):
     factors = numtheory.prime_factors(n)
     assert factors == tuple(sorted(expected.items()))
     assert factors == ref_prime_factors(n)
+
+
+# Around the gcd strip of the primes 5..997 and the 6k+-1 wheel from 1001:
+# powers of the primes on either side of 10^3, and integers >= 2^64 whose
+# primes below 10^3 come out before the wheel takes 1009 (with 1009^7 the
+# cofactor stays >= 2^64, so the wheel runs; with 1009^4 it falls below, so
+# rho splits it)
+@pytest.mark.parametrize("n", [
+    997, 997**2, 997**5, 991 * 997, 991**3 * 997**2, 983 * 991 * 997, 1009, 1013,
+    1009**2, 1009 * 1013, 997 * 1009, 997**2 * 1013**3, 5**3 * 7 * 997 * 1009**2,
+    2**70 * 997**3 * 1009**7, 2**40 * 997**2 * 1009**4, 3**45 * 991 * 1013**6,
+    math.prod(numtheory._SMALL_PRIMES), 6 * math.prod(numtheory._SMALL_PRIMES) * 1009,
+])
+def test_factorization_around_small_prime_bound(n):
+    assert numtheory.prime_factors(n) == ref_prime_factors(n)
+
+
+def test_limit_message_names_the_cofactor_after_the_small_primes(monkeypatch):
+    hard = (2**61 - 1) * (2**89 - 1)
+    monkeypatch.setattr(numtheory, "_RHO_STEPS", 1000)
+    numtheory._factor_positive.cache_clear()
+    try:
+        with pytest.raises(numtheory.FactorizationLimitError) as info:
+            numtheory.prime_factors(997 * hard)
+    finally:
+        numtheory._factor_positive.cache_clear()
+    assert str(info.value) == (
+        f"factorization limit reached on {hard}: no factor within 1000 Pollard rho steps"
+    )
+
+
+@st.composite
+def big_leading_polys(draw):
+    """a_m up to 10^12, drawn smooth, prime, or a small number times a large
+    prime, with a_0 up to 10^4 and middle coefficients up to 10^6, so the
+    dominance witness b is found both among the divisors up to 32 that
+    `PolyFacts.dominant` tries by division and among those above, which it
+    reads from the factorization of a_m."""
+    kind = draw(st.sampled_from(("smooth", "prime", "small times prime")))
+    if kind == "smooth":
+        am = 1
+        for p in draw(st.lists(st.sampled_from((2, 3, 5, 7, 11, 13, 31, 37, 997)), max_size=12)):
+            if am * p <= 10**12:
+                am *= p
+    elif kind == "prime":
+        am = _next_prime(draw(st.integers(2, 10**12)))
+    else:
+        am = draw(st.integers(1, 60)) * _next_prime(draw(st.integers(10, 10**10)))
+    m = draw(st.integers(2, 5))
+    middle = draw(st.lists(st.integers(-10**6, 10**6), min_size=m - 1, max_size=m - 1))
+    coeffs = [draw(st.integers(1, 10**4)) * draw(st.sampled_from((1, -1))), *middle, am]
+    g = math.gcd(*coeffs)
+    return Polynomial([c // g for c in coeffs])
+
+
+@settings(max_examples=300, deadline=None)
+@given(big_leading_polys())
+def test_dominant_witness_matches_full_divisor_scan(f):
+    assert dominant_coefficient(f) == ref_dominant_coefficient(f)
+
+
+def test_dominant_witness_on_both_sides_of_the_trial_bound():
+    # the property above would pass vacuously if the witness never lay
+    # above the divisors tried by division: a_2 = 3 * 101 gives b = 3 or
+    # 101, and the prime a_2 = 10^12 + 39 gives b = a_2
+    for coeffs, b in (
+        ([50, 10, 303], 3), ([2, 100, 303], 101), ([1, 10**6, 10**12 + 39], 10**12 + 39)
+    ):
+        f = Polynomial(coeffs)
+        assert dominant_coefficient(f) == ref_dominant_coefficient(f)
+        assert dominant_coefficient(f).witnesses["b"] == b
 
 
 def ref_rational_roots(f):
