@@ -124,12 +124,13 @@ class PolyFacts:
     asks for is never computed: in particular a coefficient is factorized
     only when a witness search reaches it. Factorizations, and the
     factorization limit failures, are kept in `numtheory`'s one cache, not
-    here. A root iteration that did not converge is remembered, and asking
-    again raises the same error. The dominance index and divisor of
-    `dominant()`, which both the dominant-coefficient criterion and the
-    audit's unit-divisor check read, are found once, and so is the largest
-    certified disk radius at each end, which both disk criteria and the
-    audit's root-location check read.
+    here. The numeric roots are found only when a numeric disk radius
+    passes the exact tests of `rootloc.has_root_in_disk`. A root iteration
+    that did not converge is remembered, and asking again raises the same
+    error. The dominance index and divisor of `dominant()`, which both the
+    dominant-coefficient criterion and the audit's unit-divisor check read,
+    are found once, and so is the largest certified disk radius at each end,
+    which both disk criteria and the audit's root-location check read.
     """
 
     __slots__ = ("poly", "coeffs", "degree", "mags", "unit_disk_certified", "_low",
@@ -212,26 +213,37 @@ class PolyFacts:
         far, or at or above the smallest refused so far (at either end), is
         settled without a certificate. Every radius is an integer >= 1, so
         the symbolic search starts certified at 1, and stops before a_i is
-        factorized when `unit_disk_certified` is false. The symbolic test
-        needs |a_0| > |a_m| d^m, so it starts refused at
-        d = 2^ceil(bitlen(|a_0|) / m), where d^m >= 2^bitlen(|a_0|) > |a_0|."""
+        factorized when `unit_disk_certified` is false. Both modes start
+        refused at d = 2^ceil(bitlen(|a_0|) / m), where d^m >= 2^bitlen(|a_0|)
+        > |a_0|: the symbolic test needs |a_0| > |a_m| d^m, and the root
+        moduli multiply to |a_0 / a_m| <= d^m. This bound keeps d^m and
+        f(+-d) small at high degree. Numeric mode refuses a radius that
+        `rootloc.has_root_in_disk` proves holds a root with no roots at all,
+        and runs the root iteration only for a radius that passes it."""
         symbolic = mode is SYMBOLIC
         if symbolic and not self.unit_disk_certified:
             return 0
         radii = self.disk_radii(i)
-        roots = self.roots() if radii and not symbolic else None
-        refused = 1 << -(-self.mags[0].bit_length() // self.degree) if symbolic else math.inf
+        refused = 1 << -(-self.mags[0].bit_length() // self.degree)
         bounds = self._bounds.setdefault(mode, [1 if symbolic else 0, refused])
         for d in sorted((d for _, _, d in radii), reverse=True):
             if d >= bounds[1]:
                 continue
-            if d <= bounds[0] or rootloc.certify_outside_disk(
-                self.poly, d, mode, roots=roots
-            ).certified:
+            if d <= bounds[0] or self._certified(d, mode):
                 bounds[0] = max(bounds[0], d)
                 return d
             bounds[1] = d
         return 0
+
+    def _certified(self, d: int, mode: CertificateMode) -> bool:
+        """Whether the certificate holds at radius d in this mode. Numeric
+        mode asks for the roots only when no exact test proves a root in the
+        disk."""
+        if mode is SYMBOLIC:
+            return rootloc.certify_outside_disk(self.poly, d, mode).certified
+        if rootloc.has_root_in_disk(self.poly, d):
+            return False
+        return rootloc.certify_outside_disk(self.poly, d, mode, roots=self.roots()).certified
 
     def dominant(self) -> tuple[int, int] | None:
         """(j, b) with j the largest index and b the smallest positive

@@ -11,6 +11,14 @@ complete in practice but not a proof, so consumers flag it. Both tests are
 monotone in d: one that holds at d holds at every smaller radius. So
 `criteria.PolyFacts.certified_radius` looks for the largest certified radius
 from the top down and certifies no radius twice.
+
+Two integer facts prove a root inside |z| <= d without finding any roots
+(`has_root_in_disk`): the root moduli multiply to |a_0 / a_m|, so
+|a_m| d^m >= |a_0| leaves the smallest at most d; and a sign change of f on
+[0, d] or [-d, 0] puts a real root there. Numeric mode would refuse such a
+radius too, so `certified_radius` refuses it before any root iteration runs.
+The first fact alone refuses every d >= 2^ceil(bitlen(|a_0|) / m), where
+d^m > |a_0|; that is where the search starts refused in both modes.
 """
 
 from __future__ import annotations
@@ -98,6 +106,23 @@ def certify_outside_disk(
         radius=d, mode=mode, certified=certified,
         detail={"moduli": moduli, "margin": MARGIN},
     )
+
+
+def has_root_in_disk(f: Polynomial, d: int) -> bool:
+    """Whether an exact integer test proves a root of f in |z| <= d, for an
+    integer d >= 1 and a_0 != 0: |a_m| d^m >= |a_0|, or f(0) f(d) <= 0, or
+    f(0) f(-d) <= 0. f(+-d) = E +- O from the even and odd parts, each by
+    Horner's rule in d^2."""
+    c = f.coeffs
+    if abs(c[-1]) * d**f.degree >= abs(c[0]):
+        return True
+    d2, even, odd = d * d, 0, 0
+    for a in reversed(c[0::2]):
+        even = even * d2 + a
+    for a in reversed(c[1::2]):
+        odd = odd * d2 + a
+    odd *= d
+    return c[0] * (even + odd) <= 0 or c[0] * (even - odd) <= 0
 
 
 def numeric_roots(f: Polynomial) -> list[complex]:

@@ -634,8 +634,9 @@ class TestAnalyze:
         assert weintraub_check(P(1, 1, 1)) is not first
 
     def test_numeric_mode_finds_roots_once(self, monkeypatch):
-        # the constant-term criterion certifies radii 15, 10 and 6 of
-        # 30 + z + z^2 + z^3 + 6z^4; one root set answers all three
+        # -11 - 8z + 2z^2: both disk criteria try d = 1, which no exact test
+        # refuses (2 < 11, f(1) = -17, f(-1) = -1), so each needs the roots
+        # (moduli 1.08 and 5.08); one root set answers both
         calls = []
         real = rootloc.numeric_roots
 
@@ -645,13 +646,17 @@ class TestAnalyze:
 
         monkeypatch.setattr(rootloc, "numeric_roots", counting)
         config = AnalyzeConfig(oracle="off", root_mode=CertificateMode.NUMERIC_HEURISTIC)
-        analyze(P(30, 1, 1, 1, 6), config)
-        assert calls == [P(30, 1, 1, 1, 6)]
+        report = analyze(P(-11, -8, 2), config)
+        assert calls == [P(-11, -8, 2)]
+        by_name = {o.criterion: o for o in report.outcomes}
+        for name in ("constant_term", "leading_coeff"):
+            assert by_name[name].witnesses["d"] == 1
+            assert by_name[name].certificate_mode == "numeric-conditional"
 
     def test_nonconvergence_is_no_conclusion(self, monkeypatch):
-        # both disk criteria need numeric certificates of 6 + z + 6z^2, at
-        # radii 3 and 2 each; the iteration is attempted once and each
-        # criterion reports NoConclusion with a warning
+        # both disk criteria need a numeric certificate of -11 - 8z + 2z^2 at
+        # d = 1; the iteration is attempted once and each criterion reports
+        # NoConclusion with a warning
         calls = []
 
         def failing(f, *args, **kwargs):
@@ -660,7 +665,7 @@ class TestAnalyze:
 
         monkeypatch.setattr(rootloc, "numeric_roots", failing)
         report = analyze(
-            P(6, 1, 6), AnalyzeConfig(oracle="off", root_mode=CertificateMode.NUMERIC_HEURISTIC)
+            P(-11, -8, 2), AnalyzeConfig(oracle="off", root_mode=CertificateMode.NUMERIC_HEURISTIC)
         )
         assert len(calls) == 1
         by_name = {o.criterion: o for o in report.outcomes}
@@ -671,6 +676,25 @@ class TestAnalyze:
             f"{name}: no conclusion: root iteration did not converge (best residual 5.000e-01)"
             for name in ("constant_term", "leading_coeff")
         ]
+
+    @pytest.mark.parametrize("coeffs", [(30, 1, 1, 1, 6), (6, 1, 6)])
+    def test_exactly_refused_radii_need_no_roots(self, monkeypatch, coeffs):
+        # every radius of these is refused by an exact test: the radii 15, 10
+        # and 6 of 30 + z + z^2 + z^3 + 6z^4 start refused (d >= 4 =
+        # 2^ceil(bitlen(30) / 4)), and leading_coeff stops at its size
+        # condition 30 > 2 * 6; the radii 3 and 2 of 6 + z + 6z^2 have
+        # 6 d^2 >= 6 at both ends
+        def failing(f, *args, **kwargs):
+            raise AssertionError("no root iteration expected")
+
+        monkeypatch.setattr(rootloc, "numeric_roots", failing)
+        report = analyze(
+            P(*coeffs), AnalyzeConfig(oracle="off", root_mode=CertificateMode.NUMERIC_HEURISTIC)
+        )
+        by_name = {o.criterion: o for o in report.outcomes}
+        for name in ("constant_term", "leading_coeff"):
+            assert by_name[name].conclusion.kind is NONE
+        assert report.warnings == ()
 
     def test_oracle_consistency_predicate(self):
         from irreducia.criteria import conclusion_holds

@@ -8,6 +8,10 @@ give exactly the same results.
   the separate searches over a_0 and over a_m that they replaced, which
   certify every radius in either root mode. Outcomes, witnesses and the
   audit's largest certified radius must agree.
+- The numeric disk-radius search, which refuses without roots every radius
+  that `rootloc.has_root_in_disk` proves holds a root, against a search
+  that certifies every radius from the roots; and each exact refusal
+  against the numeric certificate at that radius.
 - `numtheory.prime_factors`, which strips the primes below 10^3 after one
   gcd and hands a cofactor below 2^64 to Miller-Rabin and Pollard rho,
   against the trial-division loop to 10^6 that it replaced.
@@ -29,7 +33,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from irreducia import audit, numtheory, oracle, rootloc
@@ -222,8 +226,8 @@ _coefficient = st.one_of(st.integers(-6, 6), st.integers(-10**6, 10**6))
 
 
 @st.composite
-def primitive_polys(draw):
-    coeffs = draw(st.lists(_coefficient, min_size=2, max_size=13))
+def primitive_polys(draw, min_size=2, max_size=13):
+    coeffs = draw(st.lists(_coefficient, min_size=min_size, max_size=max_size))
     coeffs[0] = coeffs[0] or 1
     coeffs[-1] = coeffs[-1] or 1
     g = math.gcd(*coeffs)
@@ -267,10 +271,41 @@ def test_facts_criteria_match_direct_sums(f):
         try:
             expected = REFERENCES[name](f, NUM)
         except rootloc.NonConvergenceError:
-            with pytest.raises(rootloc.NonConvergenceError):
-                CRITERIA[name](facts, NUM)
+            # the library asks for the roots only at a radius that no exact
+            # test refuses: it fails too, or refuses every radius without them
+            try:
+                outcome = CRITERIA[name](facts, NUM)
+            except rootloc.NonConvergenceError:
+                continue
+            assert not outcome.conclusion.fired()
         else:
             assert CRITERIA[name](facts, NUM) == expected
+
+
+def ref_numeric_radius(f, i, roots):
+    """The largest radius |a_i| / p^k whose numeric certificate holds, with
+    every radius certified from the roots."""
+    a = abs(f.coeffs[i])
+    radii = [a // p**k for p, k in numtheory.prime_factors(a)]
+    return max((d for d in radii
+                if rootloc.certify_outside_disk(f, d, NUM, roots=roots).certified), default=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(primitive_polys(min_size=3, max_size=17))  # degree 2-16
+def test_exact_refusals_match_numeric_certificates(f):
+    try:
+        roots = rootloc.numeric_roots(f)
+    except rootloc.NonConvergenceError:
+        assume(False)
+    facts = PolyFacts(f)
+    m = f.degree
+    for i in (0, m):
+        assert facts.certified_radius(i, NUM) == ref_numeric_radius(f, i, roots)
+    radii = {d for i in (0, m) for _, _, d in facts.disk_radii(i)} | set(range(1, 9))
+    for d in radii:
+        if rootloc.has_root_in_disk(f, d):
+            assert not rootloc.certify_outside_disk(f, d, NUM, roots=roots).certified
 
 
 def test_references_fire_on_known_instances():
