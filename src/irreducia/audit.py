@@ -6,13 +6,13 @@ Three cross-checks ride along on the same sweep:
                    (bounds that hold for trivial reasons, such as a factor
                    count bound of at least the degree, are tallied as
                    vacuously sound without an oracle call);
-  * cor1        -- wherever the unit-divisor dominance inequality holds, the
-                   dominant-coefficient criterion must reach a bound at least
-                   as strong. `cor1_best_j` and the criterion read the same
-                   index, `PolyFacts.dominant()`, so this no longer tests the
-                   inequality on its own; it catches a criterion outcome that
-                   does not match that index (a missing or weaker bound).
-                   `ref_cor1_best_j` in the tests is the independent form;
+  * cor1        -- wherever the unit-divisor dominance inequality holds at
+                   index j, the dominant-coefficient conclusion must equal
+                   AtMostFactors(m - j). Both read `PolyFacts.dominant()`, so
+                   this no longer tests the inequality on its own; it catches
+                   a conclusion that does not match that index (missing,
+                   weaker or stronger). `ref_cor1_best_j` in the tests is the
+                   independent form;
   * rootloc     -- wherever a symbolic disk certificate fires at a radius the
                    constant/leading witness search tries, every numerically
                    computed root must clear the largest such radius, read
@@ -26,8 +26,8 @@ instance is judged against the oracle by the same `conclusion_holds`.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass, field, fields
+from itertools import islice, product
 from typing import Iterable, Iterator
 
 from . import corpus as corpus_mod
@@ -69,6 +69,16 @@ class Findings(list):
         self.extend(other[: _EXAMPLE_CAP - len(self)])
 
 
+def _merge_fields(into, other) -> None:
+    """Add other's int fields to into's and merge its Findings; no others."""
+    for f in fields(into):
+        mine = getattr(into, f.name)
+        if isinstance(mine, Findings):
+            mine.merge(getattr(other, f.name))
+        elif isinstance(mine, int):
+            setattr(into, f.name, mine + getattr(other, f.name))
+
+
 @dataclass
 class CriterionStats:
     fired: int = 0
@@ -79,12 +89,7 @@ class CriterionStats:
     violations: Findings = field(default_factory=Findings)
 
     def merge(self, other: "CriterionStats") -> None:
-        self.fired += other.fired
-        self.sound += other.sound
-        self.vacuous += other.vacuous
-        self.unchecked += other.unchecked
-        self.stopped += other.stopped
-        self.violations.merge(other.violations)
+        _merge_fields(self, other)
 
 
 @dataclass
@@ -105,16 +110,9 @@ class AuditResult:
         return self.criteria[name]
 
     def merge(self, other: "AuditResult") -> None:
-        self.total += other.total
-        self.oracle_calls += other.oracle_calls
-        self.oracle_skipped += other.oracle_skipped
+        _merge_fields(self, other)
         for name, stats in other.criteria.items():
             self.stats(name).merge(stats)
-        self.cor1_checked += other.cor1_checked
-        self.cor1_violations.merge(other.cor1_violations)
-        self.rootloc_checked += other.rootloc_checked
-        self.rootloc_violations.merge(other.rootloc_violations)
-        self.nonconvergences.merge(other.nonconvergences)
 
     def violation_count(self) -> int:
         return (
@@ -159,7 +157,8 @@ def cor1_best_j(f: Polynomial | PolyFacts) -> int | None:
 
     which is the dominant-coefficient inequality at the single divisor
     b = |a_m|. It holds at some divisor of a_m exactly when it holds at
-    |a_m|, so this is the index of `PolyFacts.dominant()`.
+    |a_m|, so this is the index of `PolyFacts.dominant()`. `audit_one`
+    compares the criterion's conclusion with AtMostFactors(m - j).
     """
     facts = PolyFacts.of(f)
     if facts.degree < 2:
@@ -225,14 +224,9 @@ def audit_one(f: Polynomial, result: AuditResult) -> None:
         j = None
     if j is not None:
         result.cor1_checked += 1
-        dom = next(o for o in outcomes if o.criterion == "dominant_coefficient")
-        dom_bound = None
-        if dom.conclusion.kind is ConclusionKind.IRREDUCIBLE:
-            dom_bound = 1
-        elif dom.conclusion.kind is ConclusionKind.AT_MOST_FACTORS:
-            dom_bound = dom.conclusion.bound
-        if dom_bound is None or dom_bound > m - j:
-            result.cor1_violations.add((f.coeffs, j, dom_bound))
+        dom = next(o.conclusion for o in outcomes if o.criterion == "dominant_coefficient")
+        if dom != Conclusion.at_most(m - j):
+            result.cor1_violations.add((f.coeffs, j, dom.kind.value, dom.bound))
 
     try:
         worst = max(facts.certified_radius(0, SYMBOLIC), facts.certified_radius(m, SYMBOLIC))
@@ -258,13 +252,8 @@ def _audit_chunk(chunk: list[tuple[int, ...]]) -> AuditResult:
 
 
 def _chunks(items: Iterable[Polynomial], size: int) -> Iterator[list[tuple[int, ...]]]:
-    block: list[tuple[int, ...]] = []
-    for f in items:
-        block.append(f.coeffs)
-        if len(block) >= size:
-            yield block
-            block = []
-    if block:
+    it = iter(items)
+    while block := [f.coeffs for f in islice(it, size)]:
         yield block
 
 

@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import oracle
-from .poly import Polynomial, PolyParseError, parse_poly
+from .poly import Polynomial, PolyParseError, _excerpt, parse_poly
 
 SCHEMA = "irreducia/1"
 
@@ -109,6 +109,11 @@ def report_to_json(report: AnalysisReport) -> str:
     return json.dumps(report_to_dict(report), indent=2)
 
 
+def _conclusion_text(conclusion: Conclusion) -> str:
+    kind = conclusion.kind.value
+    return kind if conclusion.bound is None else f"{kind}({conclusion.bound})"
+
+
 def _report_text_lines(report: AnalysisReport) -> list[str]:
     lines = [
         f"input: {report.input_text}  [coeffs {render_coeff_list(report.input)}]",
@@ -117,17 +122,11 @@ def _report_text_lines(report: AnalysisReport) -> list[str]:
     ]
     for o in report.outcomes:
         witness = ", ".join(f"{k}={v}" for k, v in o.witnesses.items())
-        kind = o.conclusion.kind.value
-        if o.conclusion.bound is not None:
-            kind += f"({o.conclusion.bound})"
         mode = "" if o.certificate_mode == "exact" else f"  [{o.certificate_mode}]"
-        lines.append(f"  {o.criterion:22s} {kind:22s} {witness}{mode}")
+        lines.append(f"  {o.criterion:22s} {_conclusion_text(o.conclusion):22s} {witness}{mode}")
     if report.strongest is not None:
         s = report.strongest
-        kind = s.conclusion.kind.value
-        if s.conclusion.bound is not None:
-            kind += f"({s.conclusion.bound})"
-        lines.append(f"strongest: {kind} via {s.criterion}")
+        lines.append(f"strongest: {_conclusion_text(s.conclusion)} via {s.criterion}")
     else:
         lines.append("strongest: NoConclusion")
     if report.oracle_result is not None:
@@ -149,20 +148,14 @@ def _parse_sign(text: str) -> int:
         return 1
     if text in ("-", "-1"):
         return -1
-    raise PolyParseError(f"bad sign {text!r} (use + or -)")
+    raise argparse.ArgumentTypeError(f"bad sign {_excerpt(text)} (use + or -)")
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",")]
-
-
-# gen --family options that argparse leaves as text, by family parameter name
-_GEN_CONVERTERS = {
-    "sign": _parse_sign,
-    "signs": lambda text: [_parse_sign(ch) for ch in text],
-    "tail": _parse_int_list,
-    "middle": _parse_int_list,
-}
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad integer list {_excerpt(text)}") from None
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -212,7 +205,6 @@ def cmd_factor(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     from . import audit as audit_mod  # loaded only here: it pulls in multiprocessing
-    from . import corpus
 
     violations = 0
     if args.families:
@@ -227,9 +219,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if args.families is None or args.max_degree is not None or args.coeff_bound is not None:
         max_degree = args.max_degree if args.max_degree is not None else 3
         coeff_bound = args.coeff_bound if args.coeff_bound is not None else 3
-        result = audit_mod.audit_corpus(
-            corpus.gen_exhaustive(max_degree, coeff_bound), jobs=args.jobs
-        )
+        result = audit_mod.audit_exhaustive(max_degree, coeff_bound, jobs=args.jobs)
         print("\n".join(result.summary_lines()))
         violations += result.violation_count()
     return EXIT_OK if violations == 0 else EXIT_VIOLATIONS
@@ -247,8 +237,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         missing = [key for key in names if key not in given and key != "signs"]
         if missing:  # P4 alone may leave its signs out: they default to all +
             raise PolyParseError(f"family {name} needs --{', --'.join(missing)}")
-        params = {key: _GEN_CONVERTERS.get(key, int)(value) for key, value in given.items()}
-        f = corpus.gen_family(name, params)
+        f = corpus.gen_family(name, given)
         print(render_coeff_list(f))
     elif args.exhaustive:
         for f in corpus.gen_exhaustive(args.max_degree, args.coeff_bound):
@@ -302,10 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--b", type=int, default=None)
     p.add_argument("--a0", type=int, default=None)
-    p.add_argument("--tail", default=None, help="comma list a_1..a_m (P2)")
-    p.add_argument("--middle", default=None, help="comma list a_1..a_(m-1) (P3)")
-    p.add_argument("--sign", default="+")
-    p.add_argument("--signs", default=None,
+    p.add_argument("--tail", type=_parse_int_list, default=None,
+                   help="comma list a_1..a_m (P2)")
+    p.add_argument("--middle", type=_parse_int_list, default=None,
+                   help="comma list a_1..a_(m-1) (P3)")
+    p.add_argument("--sign", type=_parse_sign, default="+")
+    p.add_argument("--signs", type=lambda text: [_parse_sign(ch) for ch in text], default=None,
                    help="P4 sign string; use --signs=-+- for leading '-'")
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--random", action="store_true")

@@ -92,7 +92,7 @@ def _strongest(name: str, candidates: list[CriterionOutcome]) -> CriterionOutcom
     NoConclusion when there are none."""
     if not candidates:
         return _NO_CONCLUSIONS[name]
-    if len(candidates) == 1:
+    if len(candidates) == 1:  # min() would call rank() even on one candidate
         return candidates[0]
     return min(candidates, key=CriterionOutcome.rank)
 
@@ -577,7 +577,8 @@ def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisR
     strongest conclusion, and optionally cross-check against the oracle."""
     if f.is_zero():
         raise ValueError("cannot analyze the zero polynomial")
-    unknown = [name for name in config.criteria if name not in CRITERIA]
+    names = dict.fromkeys(config.criteria)  # a repeated name runs once
+    unknown = [name for name in names if name not in CRITERIA]
     if unknown:
         known = ", ".join(CRITERIA)
         raise ValueError(f"unknown criteria: {', '.join(unknown)} (known: {known})")
@@ -598,7 +599,7 @@ def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisR
     if prim.degree == 0:
         warnings.append("primitive part is constant; criteria skipped")
     else:
-        outcomes, stopped = run_criteria(PolyFacts(prim), config.criteria, config.root_mode)
+        outcomes, stopped = run_criteria(PolyFacts(prim), names, config.root_mode)
         warnings.extend(f"{name}: no conclusion: {exc}" for name, exc in stopped)
         if prim.degree == 1:
             outcomes.append(

@@ -119,8 +119,6 @@ def _pollard_rho(n: int, rng: random.Random, steps: int) -> tuple[int | None, in
     """One Brent-cycle attempt at a nontrivial factor of odd composite n,
     giving up once it has spent `steps` iterations. Returns the factor
     (None on failure) and the iterations spent."""
-    if n % 2 == 0:
-        return 2, 0
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
     m = 128

@@ -86,9 +86,7 @@ class Polynomial:
     def __neg__(self) -> Polynomial:
         return Polynomial([-c for c in self.coeffs])
 
-    def __mul__(self, other) -> Polynomial:
-        if isinstance(other, int):
-            return Polynomial([c * other for c in self.coeffs])
+    def __mul__(self, other: Polynomial) -> Polynomial:
         if self.is_zero() or other.is_zero():
             return Polynomial()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -97,8 +95,6 @@ class Polynomial:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return Polynomial(out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Polynomial:
         if n < 0:
@@ -215,6 +211,8 @@ def parse_poly(text: str) -> Polynomial:
             return Polynomial(int(tok.strip()) for tok in tokens)
         except ValueError:  # int()'s message would repeat the token in full
             raise PolyParseError(f"bad coefficient list {_excerpt(s)}") from None
+    if re.search(r"\d[\s*]+\d", s):  # "z^2*3" or "z^1 0" is not z^23 or z^10
+        raise PolyParseError(f"digits split by a space or '*' in {_excerpt(s)}")
     compact = s.replace(" ", "").replace("*", "")
     chunks = _CHUNK.findall(compact)
     if "".join(chunks) != compact:
@@ -258,7 +256,7 @@ def content(f: Polynomial) -> int:
     """Positive gcd of the coefficients."""
     if f.is_zero():
         raise ValueError("zero polynomial has no content")
-    return math.gcd(*f.coeffs) if len(f.coeffs) > 1 else abs(f.coeffs[0])
+    return math.gcd(*f.coeffs)
 
 
 def is_primitive(f: Polynomial) -> bool:

@@ -33,6 +33,23 @@ def test_parallel_merge_matches_serial():
         assert stats.violations == other.violations
 
 
+def test_merge_of_two_halves_is_the_whole_audit(monkeypatch):
+    # every counter and every finding list: one left out of the merge differs
+    def always_irreducible(f, mode=None):
+        return CriterionOutcome("perron_nonmonic", True, {}, Conclusion.irreducible())
+
+    monkeypatch.setitem(criteria.CRITERIA, "perron_nonmonic", always_irreducible)
+    polys = list(gen_exhaustive(3, 2))
+    whole, first, second = audit.AuditResult(), audit.AuditResult(), audit.AuditResult()
+    for i, f in enumerate(polys):
+        audit.audit_one(f, whole)
+        audit.audit_one(f, first if i < len(polys) // 2 else second)
+    first.merge(second)
+    assert first == whole
+    assert first.summary_lines() == whole.summary_lines()
+    assert whole.violation_count() > 0 and whole.cor1_checked > 0 and whole.rootloc_checked > 0
+
+
 def test_parallel_audit_starts_at_most_one_worker_per_cpu(monkeypatch):
     real_pool = multiprocessing.Pool
     sizes = []

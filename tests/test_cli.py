@@ -56,6 +56,20 @@ class TestParsePoly:
         assert parse_poly("  z ^ 2 ".replace(" ", "")) == parse_poly("z^2")
         assert parse_poly(" 1 , 2 , 3 ") == Polynomial([1, 2, 3])
 
+    def test_spaces_and_stars_between_tokens(self):
+        assert parse_poly("2 z") == Polynomial([0, 2])
+        assert parse_poly("4*z^2") == Polynomial([0, 0, 4])
+        assert parse_poly("z ^ 2") == Polynomial([0, 0, 1])
+        assert parse_poly(" 1 , 2 ") == Polynomial([1, 2])
+
+    @pytest.mark.parametrize("text", ["z^2*3", "2*3", "z^1 0 + 3", "1 2z"])
+    def test_digits_split_by_space_or_star_rejected(self, text):
+        # once spaces and stars were dropped these read as z^23, 23, z^10 + 3
+        # and 12z
+        with pytest.raises(PolyParseError) as info:
+            parse_poly(text)
+        assert str(info.value) == f"digits split by a space or '*' in {text!r}"
+
     def test_empty_rejected(self):
         with pytest.raises(PolyParseError, match="empty"):
             parse_poly("   ")
@@ -169,6 +183,12 @@ class TestExitCodes:
         assert main(["analyze", "--poly", ""]) == EXIT_ERROR
         assert "error" in capsys.readouterr().err
 
+    def test_analyze_split_digits_is_input_error(self, capsys):
+        assert main(["analyze", "--poly", "z^1 0 + 3"]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: digits split by a space or '*' in 'z^1 0 + 3'\n"
+        )
+
     def test_analyze_degree_above_maximum(self, capsys):
         assert main(["analyze", "--poly", "z^1000000000"]) == EXIT_ERROR
         assert "above the maximum" in capsys.readouterr().err
@@ -278,6 +298,16 @@ class TestExitCodes:
         out = json.loads(capsys.readouterr().out)
         assert [o["criterion"] for o in out["outcomes"]] == ["perron_nonmonic"]
 
+    def test_analyze_repeated_criterion_reported_once(self, capsys):
+        argv = ["analyze", "--poly", "z^3+4z+4",
+                "--criteria", "eisenstein_generalized,eisenstein_generalized"]
+        assert main(argv) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.split()[0] == "eisenstein_generalized" for line in lines) == 1
+        assert main([*argv, "--format", "json"]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert [o["criterion"] for o in out["outcomes"]] == ["eisenstein_generalized"]
+
     def test_analyze_soundness_error(self, capsys, monkeypatch):
         # a criterion that calls z^2 - 1 = (z-1)(z+1) irreducible must end
         # in its own exit code, never in a conclusion or an input error
@@ -294,6 +324,20 @@ class TestExitCodes:
     def test_factor_output(self, capsys):
         assert main(["factor", "--poly", "6z^2+5z+1"]) == EXIT_OK
         assert "(2z+1)(3z+1)" in capsys.readouterr().out
+
+    def test_factor_json(self, capsys):
+        assert main(["factor", "--poly", "z^4-1", "--format", "json"]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["schema"] == "irreducia/1"
+        assert out["input"] == {"text": "z^4 - 1", "coeffs": ["-1", "0", "0", "0", "1"]}
+        assert out["oracle"] == {
+            "content": "1",
+            "factors": [
+                {"coeffs": ["-1", "1"], "multiplicity": 1},
+                {"coeffs": ["1", "1"], "multiplicity": 1},
+                {"coeffs": ["1", "0", "1"], "multiplicity": 1},
+            ],
+        }
 
     def test_factor_limit_is_error(self, capsys):
         assert main(["factor", "--poly", "z^9+2", "--max-degree", "8"]) == EXIT_ERROR
@@ -369,6 +413,19 @@ class TestExitCodes:
     def test_gen_family_input_errors(self, capsys, argv, message):
         assert main(["gen", *argv]) == EXIT_ERROR
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--sign", "x", "argument --sign: bad sign 'x' (use + or -)"),
+        ("--signs=-x-", None, "argument --signs: bad sign 'x' (use + or -)"),
+        ("--tail", "3,x", "argument --tail: bad integer list '3,x'"),
+        ("--middle", "", "argument --middle: bad integer list ''"),
+    ])
+    def test_gen_bad_value_is_usage_error(self, capsys, option, value, message):
+        argv = ["gen", "--family", "P1", "--p", "2", "--m", "3", "--n", "2", option]
+        assert main(argv if value is None else [*argv, value]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("usage: irreducia gen")
+        assert err.endswith(f"irreducia gen: error: {message}\n")
 
     def test_gen_exhaustive(self, capsys):
         code = main(["gen", "--exhaustive", "--max-degree", "1", "--coeff-bound", "1"])

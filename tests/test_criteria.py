@@ -677,6 +677,25 @@ class TestAnalyze:
             for name in ("constant_term", "leading_coeff")
         ]
 
+    def test_iteration_cap_is_nonconvergence(self, monkeypatch):
+        # one Aberth sweep leaves -11 - 8z + 2z^2 short of its backward-error
+        # target: the iteration stops at the cap with its worst residual, and
+        # both disk criteria, which need it at d = 1, report NoConclusion
+        monkeypatch.setattr(rootloc, "MAX_ITERATIONS", 1)
+        with pytest.raises(rootloc.NonConvergenceError) as info:
+            rootloc.numeric_roots(P(-11, -8, 2))
+        assert info.value.best_residual == pytest.approx(0.7396, abs=1e-4)
+        report = analyze(
+            P(-11, -8, 2), AnalyzeConfig(oracle="off", root_mode=CertificateMode.NUMERIC_HEURISTIC)
+        )
+        by_name = {o.criterion: o for o in report.outcomes}
+        for name in ("constant_term", "leading_coeff"):
+            assert by_name[name].conclusion.kind is NONE
+        assert list(report.warnings) == [
+            f"{name}: no conclusion: root iteration did not converge (best residual 7.396e-01)"
+            for name in ("constant_term", "leading_coeff")
+        ]
+
     @pytest.mark.parametrize("coeffs", [(30, 1, 1, 1, 6), (6, 1, 6)])
     def test_exactly_refused_radii_need_no_roots(self, monkeypatch, coeffs):
         # every radius of these is refused by an exact test: the radii 15, 10
