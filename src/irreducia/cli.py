@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list a_1..a_(m-1) (P3)")
     p.add_argument("--sign", type=_parse_sign, default="+")
     p.add_argument("--signs", type=lambda text: [_parse_sign(ch) for ch in text], default=None,
-                   help="P4 sign string; use --signs=-+- for leading '-'")
+                   help="P4 sign string, e.g. -+-")
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--random", action="store_true")
     p.add_argument("--count", type=int, default=10)
@@ -309,13 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_poly_values(argv: list[str]) -> list[str]:
-    """Join `--poly -z^2+1` into `--poly=-z^2+1`: argparse would take a
-    separate value with a leading minus for an option."""
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Join `--poly -z^2+1` into `--poly=-z^2+1`, and so for --tail, --middle
+    and --signs: argparse would take a separate value with a leading minus
+    for an option."""
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] == "--poly" and tok.startswith("-") and not tok.startswith("--"):
-            out[-1] = f"--poly={tok}"
+        if (out and out[-1] in ("--poly", "--tail", "--middle", "--signs")
+                and tok.startswith("-") and not tok.startswith("--")):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out
@@ -324,7 +326,7 @@ def _attach_poly_values(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_attach_poly_values(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         if exc.code != 2:
             raise

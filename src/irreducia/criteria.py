@@ -26,7 +26,7 @@ from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
 from . import numtheory, oracle, rootloc
-from .poly import Polynomial, is_primitive, normalize, rational_roots
+from .poly import Polynomial, _check_digits, is_primitive, normalize, rational_roots
 from .rootloc import CertificateMode
 
 
@@ -85,16 +85,6 @@ class CriterionOutcome(NamedTuple):
 
     def rank(self) -> tuple[int, int, str]:
         return (*self.conclusion.rank(), self.criterion)
-
-
-def _strongest(name: str, candidates: list[CriterionOutcome]) -> CriterionOutcome:
-    """The first of the strongest candidates, or the criterion's shared
-    NoConclusion when there are none."""
-    if not candidates:
-        return _NO_CONCLUSIONS[name]
-    if len(candidates) == 1:  # min() would call rank() even on one candidate
-        return candidates[0]
-    return min(candidates, key=CriterionOutcome.rank)
 
 
 def _lower_sum(mags: list[int], j: int, t: int) -> int:
@@ -299,18 +289,19 @@ def weintraub_check(
     lower_gcd = math.gcd(*c[:m])
     if lower_gcd <= 1:
         return _NO_CONCLUSIONS[name]
-    candidates = []
+    best = None  # the witnesses of the smallest k0, the first on a tie
     for p, _ in numtheory.prime_factors(lower_gcd):
         p2 = p * p
         k0 = next((k for k in range(m) if c[k] % p2 != 0), None)
         if k0 is None:
             continue
         if k0 == 0 or (k0 == 1 and not facts.has_rational_root()):
-            conclusion = Conclusion.irreducible()
-        else:
-            conclusion = Conclusion.factor_degree(k0)
-        candidates.append(CriterionOutcome(name, True, {"p": p, "k0": k0}, conclusion))
-    return _strongest(name, candidates)
+            return CriterionOutcome(name, True, {"p": p, "k0": k0}, Conclusion.irreducible())
+        if best is None or k0 < best["k0"]:
+            best = {"p": p, "k0": k0}
+    if best is None:
+        return _NO_CONCLUSIONS[name]
+    return CriterionOutcome(name, True, best, Conclusion.factor_degree(best["k0"]))
 
 
 def eisenstein_generalized(
@@ -323,7 +314,7 @@ def eisenstein_generalized(
     name = "eisenstein_generalized"
     facts = PolyFacts.of(f)
     c, m = facts.coeffs, facts.degree
-    candidates = []
+    best = None  # the witnesses of the largest j, the first on a tie
     for p, k in numtheory.prime_factors(facts.mags[0]):
         pk = p**k
         prefix = 0
@@ -333,12 +324,14 @@ def eisenstein_generalized(
             if c[j] % p == 0 or math.gcd(k, j) != 1:
                 continue
             if j == m or (j == m - 1 and not facts.has_rational_root()):
-                conclusion = Conclusion.irreducible()
-            else:
-                conclusion = Conclusion.factor_degree(m - j)
-            candidates.append(CriterionOutcome(name, True, {"p": p, "k": k, "j": j}, conclusion))
+                return CriterionOutcome(name, True, {"p": p, "k": k, "j": j},
+                                        Conclusion.irreducible())
+            if best is None or j > best["j"]:
+                best = {"p": p, "k": k, "j": j}
             break  # largest admissible j is the strongest for this prime
-    return _strongest(name, candidates)
+    if best is None:
+        return _NO_CONCLUSIONS[name]
+    return CriterionOutcome(name, True, best, Conclusion.factor_degree(m - best["j"]))
 
 
 # ---------------------------------------------------------------------------
@@ -358,23 +351,22 @@ def _disk_criterion(
         return _NO_CONCLUSIONS[name]
     c, m = facts.coeffs, facts.degree
     step = 1 if i == 0 else -1
-    cert_mode = EXACT if mode is SYMBOLIC else NUMERIC_CONDITIONAL
-    candidates = []
+    best = None  # (bound, p, k, j, d) with the smallest bound, the first on a tie
     for p, k, d in facts.disk_radii(i):
         if d > limit:
             continue
         j = next(j for j in range(1, m + 1) if c[i + step * j] % p != 0)
-        witnesses = {"p": p, "k": k, "j": j, "d": d}
-        if q is not None:  # last, as the report's witness order has it
-            witnesses["q"] = q
-        candidates.append(CriterionOutcome(
-            name,
-            True,
-            witnesses,
-            Conclusion.at_most(min(k, j)),
-            certificate_mode=cert_mode,
-        ))
-    return _strongest(name, candidates)
+        bound = min(k, j)
+        if best is None or bound < best[0]:
+            best = (bound, p, k, j, d)
+            if bound == 1:
+                break  # irreducible: no later radius is stronger
+    bound, p, k, j, d = best  # never None: limit is one of the radii
+    witnesses = {"p": p, "k": k, "j": j, "d": d}
+    if q is not None:  # last, as the report's witness order has it
+        witnesses["q"] = q
+    cert_mode = EXACT if mode is SYMBOLIC else NUMERIC_CONDITIONAL
+    return CriterionOutcome(name, True, witnesses, Conclusion.at_most(bound), cert_mode)
 
 
 def constant_term_criterion(
@@ -526,7 +518,6 @@ class AnalyzeConfig(NamedTuple):
 
 class AnalysisReport(NamedTuple):
     input: Polynomial
-    input_text: str
     content: int
     z_power: int
     primitive_part: Polynomial
@@ -534,6 +525,11 @@ class AnalysisReport(NamedTuple):
     strongest: CriterionOutcome | None
     oracle_result: oracle.FactorizationResult | None
     warnings: tuple[str, ...] = ()
+
+    @property
+    def input_text(self) -> str:
+        """The input in sparse form, written on each read."""
+        return self.input.to_sparse_string()
 
 
 def run_criteria(
@@ -574,7 +570,9 @@ def conclusion_holds(
 
 def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisReport:
     """Run every enabled criterion on the primitive part of f, pick the
-    strongest conclusion, and optionally cross-check against the oracle."""
+    strongest conclusion, and optionally cross-check against the oracle. A
+    coefficient too long for str() is refused before any criterion runs; the
+    report holds no text, and its `input_text` is written only when read."""
     if f.is_zero():
         raise ValueError("cannot analyze the zero polynomial")
     names = dict.fromkeys(config.criteria)  # a repeated name runs once
@@ -585,7 +583,7 @@ def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisR
     if config.oracle not in ("on", "off", "auto"):
         raise ValueError(f"oracle mode must be on/off/auto, got {config.oracle!r}")
 
-    input_text = f.to_sparse_string()  # first: refuses a coefficient too long to write
+    _check_digits(f.coeffs)
     norm = normalize(f)
     prim = norm.primitive_part
     warnings: list[str] = []
@@ -608,7 +606,7 @@ def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisR
     outcomes.sort(key=lambda o: o.criterion)
 
     fired = [o for o in outcomes if o.conclusion.fired()]
-    strongest = min(fired, key=lambda o: o.rank()) if fired else None
+    strongest = min(fired, key=CriterionOutcome.rank) if fired else None
     if any(o.certificate_mode == NUMERIC_CONDITIONAL for o in fired):
         warnings.append(
             "some conclusions rely on numeric root location and are not proofs"
@@ -636,7 +634,6 @@ def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisR
 
     return AnalysisReport(
         input=f,
-        input_text=input_text,
         content=norm.content,
         z_power=norm.z_power,
         primitive_part=prim,

@@ -272,8 +272,8 @@ def normalize(f: Polynomial) -> NormalizedInput:
     t = 0
     while f.coeffs[t] == 0:
         t += 1
-    prim = Polynomial([a // c for a in f.coeffs[t:]])
-    return NormalizedInput(content=c, z_power=t, primitive_part=prim)
+    coeffs = f.coeffs[t:] if c == 1 else tuple(a // c for a in f.coeffs[t:])
+    return NormalizedInput(c, t, Polynomial._from_canonical(coeffs))
 
 
 def divmod_exact(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial, bool]:

@@ -427,6 +427,21 @@ class TestExitCodes:
         assert err.startswith("usage: irreducia gen")
         assert err.endswith(f"irreducia gen: error: {message}\n")
 
+    @pytest.mark.parametrize("argv, value", [
+        (["--family", "P2", "--p", "5", "--k", "1", "--d", "1", "--m", "2", "--tail"], "-1,1"),
+        (["--family", "P3", "--p", "5", "--k", "1", "--d", "1", "--m", "3", "--a0", "17",
+          "--middle"], "-1,1"),
+        (["--family", "P4", "--a", "5", "--b", "1", "--m", "3", "--j", "1", "--signs"], "-+"),
+    ])
+    def test_gen_list_value_with_leading_minus(self, capsys, argv, value):
+        # argparse alone takes "-1,1" or "-+" for an option and exits 1
+        assert main(["gen", *argv[:-1], f"{argv[-1]}={value}"]) == EXIT_OK
+        expected = capsys.readouterr().out
+        assert main(["gen", *argv, value]) == EXIT_OK
+        assert capsys.readouterr().out == expected
+        if argv[1] == "P2":
+            assert expected == "5,-1,1\n"
+
     def test_gen_exhaustive(self, capsys):
         code = main(["gen", "--exhaustive", "--max-degree", "1", "--coeff-bound", "1"])
         assert code == EXIT_OK

@@ -6,6 +6,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from irreducia import criteria, numtheory, oracle, rootloc
 from irreducia.corpus import gen_exhaustive, gen_random
@@ -23,7 +25,7 @@ from irreducia.criteria import (
     perron_nonmonic,
     weintraub_check,
 )
-from irreducia.poly import Polynomial, parse_poly
+from irreducia.poly import Polynomial, normalize, parse_poly
 from irreducia.rootloc import CertificateMode
 
 
@@ -336,6 +338,28 @@ class TestMiddlePrimePower:
         assert out.witnesses["j"] == 1
         assert oracle.factor(P(1, 25, 1, 1)).nonconstant_factor_count() <= 2
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_never_beats_dominant_coefficient(self, data):
+        # the middle test at j is the dominance test at j with b = |a_m|
+        # and a lower sum at least low[j], so the dominance search, which
+        # starts at j = m-1, stops at j or above
+        m = data.draw(st.integers(2, 8))
+        coeffs = data.draw(st.lists(st.integers(-20, 20), min_size=m, max_size=m))
+        coeffs.append(data.draw(st.sampled_from((1, -1, 2, -2, 3))))
+        j = data.draw(st.integers(1, m - 1))
+        p = data.draw(st.sampled_from((2, 3, 5, 7)))
+        coeffs[j] = p ** data.draw(st.integers(1, 30)) * data.draw(st.integers(-9, 9))
+        coeffs[0] = coeffs[0] or 1
+        f = normalize(Polynomial(coeffs)).primitive_part
+        assume(f.degree >= 2)
+        middle = middle_prime_power_check(f)
+        assume(middle.conclusion.fired())
+        dominant = dominant_coefficient(f)
+        assert dominant.conclusion.fired()
+        assert f.degree - dominant.witnesses["j"] <= f.degree - middle.witnesses["j"]
+        assert dominant.rank() < middle.rank()
+
     def test_dense_big_coefficients_skip_hopeless_indices(self):
         # at degree 1,000 with 12-digit coefficients almost no index has
         # |a_j| > low[j]; each such index must be dropped at once
@@ -506,6 +530,20 @@ class TestAnalyze:
         monkeypatch.setattr(criteria, "run_criteria", refuse)
         with pytest.raises(ValueError, match=r"^coefficient of z\^1 has 4401 digits"):
             analyze(P(1, 10**4400), AnalyzeConfig(oracle="off"))
+
+    def test_renders_nothing(self, monkeypatch):
+        # 2z^4 + 8z^2 + 8z: content 2 and z^1 split off, then the criteria run
+        f = P(0, 8, 8, 0, 2)
+
+        def refuse(self):
+            raise AssertionError("analyze rendered a polynomial")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(Polynomial, "to_sparse_string", refuse)
+            for mode in CertificateMode:
+                report = analyze(f, AnalyzeConfig(root_mode=mode, oracle="off"))
+        assert report.strongest is not None
+        assert report.input_text == f.to_sparse_string() == "2z^4 + 8z^2 + 8z"
 
     def test_oracle_auto_skips_large_degree(self):
         f = Polynomial([3] + [0] * 10 + [1])

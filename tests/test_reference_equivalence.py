@@ -12,6 +12,11 @@ give exactly the same results.
   that `rootloc.has_root_in_disk` proves holds a root, against a search
   that certifies every radius from the roots; and each exact refusal
   against the numeric certificate at that radius.
+- Weintraub's criterion, the generalized Eisenstein criterion and the disk
+  criteria's shared search, which keep their best witness as plain values
+  and build one outcome, against the forms that built an outcome for every
+  candidate and kept the first of the strongest. Outcomes and the order of
+  their witnesses must agree.
 - `numtheory.prime_factors`, which strips the primes below 10^3 after one
   gcd and hands a cofactor below 2^64 to Miller-Rabin and Pollard rho,
   against the trial-division loop to 10^6 that it replaced.
@@ -36,7 +41,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from irreducia import audit, numtheory, oracle, rootloc
+from irreducia import audit, criteria, numtheory, oracle, rootloc
 from irreducia.corpus import gen_exhaustive, gen_random
 from irreducia.criteria import (
     CRITERIA,
@@ -51,7 +56,7 @@ from irreducia.criteria import (
     middle_prime_power_check,
     perron_nonmonic,
 )
-from irreducia.poly import Polynomial, divides_exactly, rational_roots
+from irreducia.poly import Polynomial, divides_exactly, normalize, rational_roots
 
 SYM = rootloc.CertificateMode.SYMBOLIC_SUFFICIENT
 NUM = rootloc.CertificateMode.NUMERIC_HEURISTIC
@@ -356,6 +361,183 @@ def test_audit_one_certifies_each_radius_once(monkeypatch):
     assert result.rootloc_checked > 0
     assert {mode for _, _, mode in calls} == {SYM, NUM}
     assert max(calls.values()) == 1
+
+
+# ---------------------------------------------------------------------------
+# one outcome per witness search
+
+
+def ref_strongest(name, candidates):
+    """The first of the strongest candidates, or the shared NoConclusion."""
+    if not candidates:
+        return criteria._NO_CONCLUSIONS[name]
+    return min(candidates, key=CriterionOutcome.rank)
+
+
+def ref_weintraub_check(facts):
+    name = "weintraub"
+    c, m = facts.coeffs, facts.degree
+    lower_gcd = math.gcd(*c[:m])
+    if lower_gcd <= 1:
+        return criteria._NO_CONCLUSIONS[name]
+    candidates = []
+    for p, _ in numtheory.prime_factors(lower_gcd):
+        p2 = p * p
+        k0 = next((k for k in range(m) if c[k] % p2 != 0), None)
+        if k0 is None:
+            continue
+        if k0 == 0 or (k0 == 1 and not facts.has_rational_root()):
+            conclusion = Conclusion.irreducible()
+        else:
+            conclusion = Conclusion.factor_degree(k0)
+        candidates.append(CriterionOutcome(name, True, {"p": p, "k0": k0}, conclusion))
+    return ref_strongest(name, candidates)
+
+
+def ref_eisenstein_generalized(facts):
+    name = "eisenstein_generalized"
+    c, m = facts.coeffs, facts.degree
+    candidates = []
+    for p, k in numtheory.prime_factors(facts.mags[0]):
+        pk = p**k
+        prefix = 0
+        while prefix <= m and c[prefix] % pk == 0:
+            prefix += 1
+        for j in range(min(prefix, m), 0, -1):
+            if c[j] % p == 0 or math.gcd(k, j) != 1:
+                continue
+            if j == m or (j == m - 1 and not facts.has_rational_root()):
+                conclusion = Conclusion.irreducible()
+            else:
+                conclusion = Conclusion.factor_degree(m - j)
+            candidates.append(CriterionOutcome(name, True, {"p": p, "k": k, "j": j}, conclusion))
+            break
+    return ref_strongest(name, candidates)
+
+
+def ref_disk_criterion(name, facts, i, mode, q=None):
+    limit = facts.certified_radius(i, mode)
+    if not limit:
+        return criteria._NO_CONCLUSIONS[name]
+    c, m = facts.coeffs, facts.degree
+    step = 1 if i == 0 else -1
+    cert_mode = "exact" if mode is SYM else "numeric-conditional"
+    candidates = []
+    for p, k, d in facts.disk_radii(i):
+        if d > limit:
+            continue
+        j = next(j for j in range(1, m + 1) if c[i + step * j] % p != 0)
+        witnesses = {"p": p, "k": k, "j": j, "d": d}
+        if q is not None:
+            witnesses["q"] = q
+        candidates.append(CriterionOutcome(
+            name, True, witnesses, Conclusion.at_most(min(k, j)), certificate_mode=cert_mode
+        ))
+    return ref_strongest(name, candidates)
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@st.composite
+def prime_power_products(draw, bound):
+    """+-(a product of powers of up to four distinct small primes), at most
+    bound in magnitude."""
+    n = 1
+    for p in draw(st.lists(st.sampled_from(_SMALL_PRIMES), min_size=1, max_size=4, unique=True)):
+        e = draw(st.integers(1, 6))
+        while e and n * p**e > bound:
+            e -= 1
+        n *= p**e
+    return draw(st.sampled_from((1, -1))) * n
+
+
+@st.composite
+def competing_witness_polys(draw):
+    """Degree <= 12 and |c| <= 10^6. a_0 and one middle coefficient are
+    products of several prime powers, or a_0 is a large prime (a large q
+    for the leading-coefficient test). Half the time every coefficient
+    below a_m is a multiple of one shared such product g; otherwise some
+    are, and the rest are small (so a_0 may dominate and the disk tests
+    pass) or products themselves. Many primes then compete in Weintraub's
+    criterion, the generalized Eisenstein criterion and both disk criteria."""
+    m = draw(st.integers(1, 12))
+    g = abs(draw(prime_power_products(10**3)))
+    small = st.integers(-6, 6)
+    if draw(st.booleans()):
+        lower = small.map(lambda t: g * t)
+        products = prime_power_products(10**3).map(lambda a: g * a)
+    else:
+        lower = st.one_of(small, small.map(lambda t: g * t), prime_power_products(10**6))
+        products = st.one_of(prime_power_products(10**6), st.integers(2, 10**6).map(_next_prime))
+    coeffs = [draw(lower) for _ in range(m)]
+    coeffs[0] = draw(products)
+    if m >= 2:
+        coeffs[draw(st.integers(1, m - 1))] = draw(products)
+    coeffs.append(draw(st.one_of(small, prime_power_products(10**6))) or 1)
+    f = normalize(Polynomial(coeffs)).primitive_part
+    assume(f.degree >= 1)
+    return f
+
+
+def _searched(search, *args):
+    """The outcome with its witnesses in order, or the error raised."""
+    try:
+        outcome = search(*args)
+    except rootloc.NonConvergenceError as exc:
+        return type(exc)
+    return outcome, list(outcome.witnesses.items())
+
+
+def _one_outcome_searches(f, mode):
+    """(library, reference) pairs of each search on f, each on its own record."""
+    m = f.degree
+    q = numtheory.prime_factors(abs(f.coeffs[0]))[0][0] if abs(f.coeffs[0]) > 1 else None
+    return [
+        (_searched(criteria.weintraub_check, PolyFacts(f)),
+         _searched(ref_weintraub_check, PolyFacts(f))),
+        (_searched(criteria.eisenstein_generalized, PolyFacts(f)),
+         _searched(ref_eisenstein_generalized, PolyFacts(f))),
+        (_searched(criteria._disk_criterion, "constant_term", PolyFacts(f), 0, mode),
+         _searched(ref_disk_criterion, "constant_term", PolyFacts(f), 0, mode)),
+        (_searched(criteria._disk_criterion, "leading_coeff", PolyFacts(f), m, mode, q),
+         _searched(ref_disk_criterion, "leading_coeff", PolyFacts(f), m, mode, q)),
+    ]
+
+
+@settings(max_examples=500, deadline=None)
+@given(competing_witness_polys(), st.sampled_from((SYM, NUM)))
+def test_one_outcome_searches_match_candidate_lists(f, mode):
+    for library, reference in _one_outcome_searches(f, mode):
+        assert library == reference
+
+
+def test_one_outcome_searches_keep_the_first_strongest():
+    # the property above would pass vacuously if no later candidate ever
+    # beat an earlier one, or if no two candidates tied; each case lists
+    # the candidates in search order, the winner last
+    cases = [
+        # weintraub: k0 = 3 at p = 2, then 2 at p = 3
+        ((36, 36, -12, -6, 5), 0, {"p": 3, "k0": 2}),
+        # weintraub: k0 = 2 at p = 2, then 0 (irreducible) at p = 3
+        ((-12, -12, -6, 5), 0, {"p": 3, "k0": 0}),
+        # weintraub: k0 = 1 at both primes, and a rational root: the first wins
+        ((36, -6, -6, 1), 0, {"p": 2, "k0": 1}),
+        # eisenstein: j = 1 at p = 2, then j = 2 at p = 3 and at p = 5
+        ((30, 15, 2, 1), 1, {"p": 3, "k": 1, "j": 2}),
+        # eisenstein: j = 1 at p = 2, then j = m (irreducible) at p = 3
+        ((30, 15, 0, -1), 1, {"p": 3, "k": 1, "j": 3}),
+        # constant term: d = 3 and d = 2 both give a bound of 1
+        ((6, -1), 2, {"p": 2, "k": 1, "j": 1, "d": 3}),
+        # leading coefficient: bound 3 at d = 9, then 2 at d = 8
+        ((52489, 0, 0, 72), 3, {"p": 3, "k": 2, "j": 3, "d": 8, "q": 52489}),
+        # leading coefficient: bound 2 at d = 3, then 1 at d = 4
+        ((193, 0, 12), 3, {"p": 3, "k": 1, "j": 2, "d": 4, "q": 193}),
+    ]
+    for coeffs, index, witnesses in cases:
+        library, reference = _one_outcome_searches(Polynomial(coeffs), SYM)[index]
+        assert library == reference
+        assert library[1] == list(witnesses.items())
 
 
 def ref_prime_factors(n):
