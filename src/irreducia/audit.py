@@ -34,7 +34,6 @@ from . import corpus as corpus_mod
 from . import numtheory, oracle, rootloc
 from .criteria import (
     EXACT,
-    SYMBOLIC,
     Conclusion,
     ConclusionKind,
     CriterionOutcome,
@@ -229,7 +228,7 @@ def audit_one(f: Polynomial, result: AuditResult) -> None:
             result.cor1_violations.add((f.coeffs, j, dom.kind.value, dom.bound))
 
     try:
-        worst = max(facts.certified_radius(0, SYMBOLIC), facts.certified_radius(m, SYMBOLIC))
+        worst = max(facts.certified_radius(0), facts.certified_radius(m))
     except numtheory.FactorizationLimitError:
         worst = 0
     if worst:
@@ -346,15 +345,11 @@ def p3_grid() -> Iterator[tuple[int, int, int, Polynomial]]:
 
 
 def p4_grid() -> Iterator[tuple[int, int, int, int, Polynomial]]:
-    """(a, b, m, j, polynomial) over a in {3,4,5}, b in {1, a-2} filtered by
-    b < a - b, m in {3,4,5}, 1 <= j <= m-1, all signs positive."""
-    for a in (3, 4, 5):
-        for b in {1, a - 2}:
-            if not b < a - b:
-                continue
-            for m in (3, 4, 5):
-                for j in range(1, m):
-                    yield a, b, m, j, corpus_mod.gen_p4(a, b, m, j)
+    """(a, b, m, j, polynomial) over a in {3,4,5}, b = 1, m in {3,4,5},
+    1 <= j <= m-1, all signs positive."""
+    for a, m in product((3, 4, 5), (3, 4, 5)):
+        for j in range(1, m):
+            yield a, 1, m, j, corpus_mod.gen_p4(a, 1, m, j)
 
 
 # Each family lists its parts: (label, grid, criterion, expect), where

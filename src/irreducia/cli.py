@@ -57,7 +57,7 @@ def _conclusion_to_dict(conclusion: Conclusion) -> dict:
 def _outcome_to_dict(outcome: CriterionOutcome) -> dict:
     return {
         "criterion": outcome.criterion,
-        "applicable": outcome.applicable,
+        "applicable": outcome.conclusion.fired(),
         "witnesses": {k: str(v) for k, v in outcome.witnesses.items()},
         "conclusion": _conclusion_to_dict(outcome.conclusion),
         "certificateMode": outcome.certificate_mode,
@@ -169,11 +169,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         names = tuple(tok.strip() for tok in args.criteria.split(",") if tok.strip())
         if not names:
             raise PolyParseError("empty criteria list")
-    mode = (
-        CertificateMode.SYMBOLIC_SUFFICIENT
-        if args.root_mode == "symbolic"
-        else CertificateMode.NUMERIC_HEURISTIC
-    )
+    mode = CertificateMode(args.root_mode)  # the enum values are the --root-mode choices
     config = criteria.AnalyzeConfig(criteria=names, root_mode=mode, oracle=args.oracle)
     try:
         report = criteria.analyze(f, config)

@@ -1,14 +1,14 @@
 """Irreducibility and factor-count criteria with automatic witness search.
 
-Every criterion has the signature (f, mode): f is a primitive polynomial
-or the PolyFacts record built from one, and mode is the root-location
-certificate mode, which only the two disk criteria read. Each searches the
-finite witness space its hypothesis allows (primes dividing a single
-coefficient, divisors of the leading coefficient, coefficient indices), and
-returns a structured outcome carrying the witnesses found. Every inequality
-is evaluated in exact integer arithmetic; the two disk-based criteria
-additionally consume a root location certificate and propagate whether it
-was exact or numeric.
+Every criterion has the signature criterion(f): f is a primitive
+polynomial, read in symbolic mode, or the PolyFacts record built from one,
+which carries the root-location certificate mode (`PolyFacts(f, mode)`);
+only the two disk criteria read it. Each searches the finite witness space
+its hypothesis allows (primes dividing a single coefficient, divisors of the
+leading coefficient, coefficient indices), and returns a structured outcome
+carrying the witnesses found. Every inequality is evaluated in exact integer
+arithmetic; the two disk-based criteria additionally consume a root location
+certificate and propagate whether it was exact or numeric.
 
 Conclusion kinds:
   Irreducible          -- the polynomial has exactly one irreducible factor.
@@ -78,7 +78,6 @@ SYMBOLIC = CertificateMode.SYMBOLIC_SUFFICIENT  # read per polynomial; faster th
 
 class CriterionOutcome(NamedTuple):
     criterion: str
-    applicable: bool
     witnesses: dict
     conclusion: Conclusion
     certificate_mode: str = EXACT
@@ -105,7 +104,8 @@ _DOMINANT_TRIAL = 32  # see `PolyFacts.dominant`
 class PolyFacts:
     """Coefficient facts about one primitive polynomial of degree >= 1 with
     nonzero constant term, shared by every criterion and by the audit's
-    cross-checks.
+    cross-checks, in one root-location certificate mode (`mode`, symbolic
+    unless asked): the mode the two disk criteria certify in.
 
     The input is validated once on construction, and the exact disk test at
     radius 1, |a_0| > sum_{i>=1} |a_i|, is made there too (one sum): it is
@@ -123,10 +123,10 @@ class PolyFacts:
     which both disk criteria and the audit's root-location check read.
     """
 
-    __slots__ = ("poly", "coeffs", "degree", "mags", "unit_disk_certified", "_low",
+    __slots__ = ("poly", "coeffs", "degree", "mags", "mode", "unit_disk_certified", "_low",
                  "_dominant", "_rational_root", "_roots", "_bounds")
 
-    def __init__(self, f: Polynomial):
+    def __init__(self, f: Polynomial, mode: CertificateMode = SYMBOLIC):
         if f.is_zero():
             raise ValueError("zero polynomial: no criterion applies")
         if not is_primitive(f):
@@ -139,12 +139,13 @@ class PolyFacts:
         self.coeffs = f.coeffs
         self.degree = f.degree
         self.mags = mags = [abs(c) for c in f.coeffs]
+        self.mode = mode
         self.unit_disk_certified = 2 * mags[0] > sum(mags)
         self._low: list[int] | None = None
         self._dominant: tuple[int, int] | None | bool = False  # False: not yet found
         self._rational_root: bool | None = None
         self._roots: list[complex] | rootloc.NonConvergenceError | None = None
-        self._bounds: dict = {}  # per mode: [largest radius certified, smallest refused]
+        self._bounds: list[int] | None = None  # [largest radius certified, smallest refused]
 
     @classmethod
     def of(cls, f: "Polynomial | PolyFacts") -> "PolyFacts":
@@ -195,9 +196,9 @@ class PolyFacts:
         a = self.mags[i]
         return [(p, k, a // p**k) for p, k in numtheory.prime_factors(a)]
 
-    def certified_radius(self, i: int, mode: CertificateMode) -> int:
+    def certified_radius(self, i: int) -> int:
         """The largest disk radius d at a_i, i in {0, m}, at which every root
-        is certified outside |z| <= d in this mode, or 0 if there is none.
+        is certified outside |z| <= d in `mode`, or 0 if there is none.
         Both tests are monotone in d (see `rootloc`), so the radii are tried
         from the largest down, and one at or below the largest certified so
         far, or at or above the smallest refused so far (at either end), is
@@ -210,30 +211,32 @@ class PolyFacts:
         f(+-d) small at high degree. Numeric mode refuses a radius that
         `rootloc.has_root_in_disk` proves holds a root with no roots at all,
         and runs the root iteration only for a radius that passes it."""
-        symbolic = mode is SYMBOLIC
+        symbolic = self.mode is SYMBOLIC
         if symbolic and not self.unit_disk_certified:
             return 0
         radii = self.disk_radii(i)
-        refused = 1 << -(-self.mags[0].bit_length() // self.degree)
-        bounds = self._bounds.setdefault(mode, [1 if symbolic else 0, refused])
+        if self._bounds is None:
+            refused = 1 << -(-self.mags[0].bit_length() // self.degree)
+            self._bounds = [1 if symbolic else 0, refused]
+        bounds = self._bounds
         for d in sorted((d for _, _, d in radii), reverse=True):
             if d >= bounds[1]:
                 continue
-            if d <= bounds[0] or self._certified(d, mode):
+            if d <= bounds[0] or self._certified(d):
                 bounds[0] = max(bounds[0], d)
                 return d
             bounds[1] = d
         return 0
 
-    def _certified(self, d: int, mode: CertificateMode) -> bool:
-        """Whether the certificate holds at radius d in this mode. Numeric
-        mode asks for the roots only when no exact test proves a root in the
+    def _certified(self, d: int) -> bool:
+        """Whether the certificate holds at radius d in `mode`. Numeric mode
+        asks for the roots only when no exact test proves a root in the
         disk."""
-        if mode is SYMBOLIC:
-            return rootloc.certify_outside_disk(self.poly, d, mode).certified
+        if self.mode is SYMBOLIC:
+            return rootloc.certify_outside_disk(self.poly, d, self.mode).certified
         if rootloc.has_root_in_disk(self.poly, d):
             return False
-        return rootloc.certify_outside_disk(self.poly, d, mode, roots=self.roots()).certified
+        return rootloc.certify_outside_disk(self.poly, d, self.mode, roots=self.roots()).certified
 
     def dominant(self) -> tuple[int, int] | None:
         """(j, b) with j the largest index and b the smallest positive
@@ -275,9 +278,7 @@ class PolyFacts:
 # coefficient-divisibility criteria
 
 
-def weintraub_check(
-    f: Polynomial | PolyFacts, mode: CertificateMode = CertificateMode.SYMBOLIC_SUFFICIENT
-) -> CriterionOutcome:
+def weintraub_check(f: Polynomial | PolyFacts) -> CriterionOutcome:
     """Eisenstein-style dichotomy from a prime dividing every non-leading
     coefficient: with k0 the lowest index whose coefficient misses p^2, any
     factorization has a factor of degree <= k0. k0 = 0 is irreducibility;
@@ -296,17 +297,15 @@ def weintraub_check(
         if k0 is None:
             continue
         if k0 == 0 or (k0 == 1 and not facts.has_rational_root()):
-            return CriterionOutcome(name, True, {"p": p, "k0": k0}, Conclusion.irreducible())
+            return CriterionOutcome(name, {"p": p, "k0": k0}, Conclusion.irreducible())
         if best is None or k0 < best["k0"]:
             best = {"p": p, "k0": k0}
     if best is None:
         return _NO_CONCLUSIONS[name]
-    return CriterionOutcome(name, True, best, Conclusion.factor_degree(best["k0"]))
+    return CriterionOutcome(name, best, Conclusion.factor_degree(best["k0"]))
 
 
-def eisenstein_generalized(
-    f: Polynomial | PolyFacts, mode: CertificateMode = CertificateMode.SYMBOLIC_SUFFICIENT
-) -> CriterionOutcome:
+def eisenstein_generalized(f: Polynomial | PolyFacts) -> CriterionOutcome:
     """Prime-power prefix criterion: p^k exactly divides a_0, p^k divides all
     coefficients below index j, p misses a_j, and gcd(k, j) = 1. j = m gives
     irreducibility; j = m-1 does too when no rational root exists; otherwise
@@ -324,29 +323,26 @@ def eisenstein_generalized(
             if c[j] % p == 0 or math.gcd(k, j) != 1:
                 continue
             if j == m or (j == m - 1 and not facts.has_rational_root()):
-                return CriterionOutcome(name, True, {"p": p, "k": k, "j": j},
-                                        Conclusion.irreducible())
+                return CriterionOutcome(name, {"p": p, "k": k, "j": j}, Conclusion.irreducible())
             if best is None or j > best["j"]:
                 best = {"p": p, "k": k, "j": j}
             break  # largest admissible j is the strongest for this prime
     if best is None:
         return _NO_CONCLUSIONS[name]
-    return CriterionOutcome(name, True, best, Conclusion.factor_degree(m - best["j"]))
+    return CriterionOutcome(name, best, Conclusion.factor_degree(m - best["j"]))
 
 
 # ---------------------------------------------------------------------------
 # disk-certificate criteria
 
 
-def _disk_criterion(
-    name: str, facts: PolyFacts, i: int, mode: CertificateMode, q: int | None = None
-) -> CriterionOutcome:
+def _disk_criterion(name: str, facts: PolyFacts, i: int, q: int | None = None) -> CriterionOutcome:
     """The search both disk criteria share, at the end a_i with i in {0, m}:
     each a_i = +-p^k d with every root certified outside |z| <= d gives at
     most min(k, j) irreducible factors, where j counts the steps from i
     toward the other end up to the first coefficient that p misses. The
     certified radii are those up to `PolyFacts.certified_radius`."""
-    limit = facts.certified_radius(i, mode)
+    limit = facts.certified_radius(i)
     if not limit:
         return _NO_CONCLUSIONS[name]
     c, m = facts.coeffs, facts.degree
@@ -365,22 +361,18 @@ def _disk_criterion(
     witnesses = {"p": p, "k": k, "j": j, "d": d}
     if q is not None:  # last, as the report's witness order has it
         witnesses["q"] = q
-    cert_mode = EXACT if mode is SYMBOLIC else NUMERIC_CONDITIONAL
-    return CriterionOutcome(name, True, witnesses, Conclusion.at_most(bound), cert_mode)
+    cert_mode = EXACT if facts.mode is SYMBOLIC else NUMERIC_CONDITIONAL
+    return CriterionOutcome(name, witnesses, Conclusion.at_most(bound), cert_mode)
 
 
-def constant_term_criterion(
-    f: Polynomial | PolyFacts, mode: CertificateMode = CertificateMode.SYMBOLIC_SUFFICIENT
-) -> CriterionOutcome:
+def constant_term_criterion(f: Polynomial | PolyFacts) -> CriterionOutcome:
     """Constant-term decomposition a_0 = +-p^k d with p missing d, all roots
     certified outside |z| <= d, and j the lowest index with p missing a_j:
     at most min(k, j) irreducible factors."""
-    return _disk_criterion("constant_term", PolyFacts.of(f), 0, mode)
+    return _disk_criterion("constant_term", PolyFacts.of(f), 0)
 
 
-def leading_coeff_criterion(
-    f: Polynomial | PolyFacts, mode: CertificateMode = CertificateMode.SYMBOLIC_SUFFICIENT
-) -> CriterionOutcome:
+def leading_coeff_criterion(f: Polynomial | PolyFacts) -> CriterionOutcome:
     """Mirror of the constant-term criterion on a_m = +-p^k d, with the extra
     size condition |a_0 / q| <= |a_m| for q the smallest prime divisor of
     a_0; j is the lowest index with p missing a_{m-j}."""
@@ -389,21 +381,19 @@ def leading_coeff_criterion(
     a0, am = facts.mags[0], facts.mags[-1]
     if am == 1 or a0 == 1:
         return _NO_CONCLUSIONS[name]
-    if mode is SYMBOLIC and not facts.unit_disk_certified:
+    if facts.mode is SYMBOLIC and not facts.unit_disk_certified:
         return _NO_CONCLUSIONS[name]  # before a_0 is factorized for q
     q = numtheory.prime_factors(a0)[0][0]
     if a0 > q * am:  # |a0/q| <= |am| as an exact comparison
         return _NO_CONCLUSIONS[name]
-    return _disk_criterion(name, facts, facts.degree, mode, q)
+    return _disk_criterion(name, facts, facts.degree, q)
 
 
 # ---------------------------------------------------------------------------
 # dominant-coefficient criteria
 
 
-def dominant_coefficient(
-    f: Polynomial | PolyFacts, mode: CertificateMode = CertificateMode.SYMBOLIC_SUFFICIENT
-) -> CriterionOutcome:
+def dominant_coefficient(f: Polynomial | PolyFacts) -> CriterionOutcome:
     """One coefficient dominating the rest forces a root split and hence a
     factor-count bound: if for a positive divisor b of a_m and delta = 1/b
 
@@ -422,14 +412,11 @@ def dominant_coefficient(
     if hit is None:
         return _NO_CONCLUSIONS[name]
     j, b = hit
-    return CriterionOutcome(
-        name, True, {"b": b, "delta": Fraction(1, b), "j": j}, Conclusion.at_most(m - j)
-    )
+    witnesses = {"b": b, "delta": Fraction(1, b), "j": j}
+    return CriterionOutcome(name, witnesses, Conclusion.at_most(m - j))
 
 
-def perron_nonmonic(
-    f: Polynomial | PolyFacts, mode: CertificateMode = CertificateMode.SYMBOLIC_SUFFICIENT
-) -> CriterionOutcome:
+def perron_nonmonic(f: Polynomial | PolyFacts) -> CriterionOutcome:
     """Non-monic Perron test: |a_{m-1}| > 1 + sum_{i<=m-2} |a_i| |a_m|^(m-1-i)
     forces irreducibility (all but one root of the rescaled monic polynomial
     fall inside the unit disk)."""
@@ -439,13 +426,11 @@ def perron_nonmonic(
     if m < 2:
         return _NO_CONCLUSIONS[name]
     if facts.mags[m - 1] > 1 + facts.low[m - 1]:
-        return CriterionOutcome(name, True, {}, Conclusion.irreducible())
+        return CriterionOutcome(name, {}, Conclusion.irreducible())
     return _NO_CONCLUSIONS[name]
 
 
-def middle_prime_power_check(
-    f: Polynomial | PolyFacts, mode: CertificateMode = CertificateMode.SYMBOLIC_SUFFICIENT
-) -> CriterionOutcome:
+def middle_prime_power_check(f: Polynomial | PolyFacts) -> CriterionOutcome:
     """A large prime power p^N inside the coefficient of z^j (1 <= j <= m-1)
     dominating a weighted sum of the others bounds the factor count by m - j.
 
@@ -477,10 +462,7 @@ def middle_prime_power_check(
             lower = low[j] if s_exp == 0 else _lower_sum(mags, j, am * p**s_exp)
             if mags[j] - lower > high:
                 return CriterionOutcome(
-                    name,
-                    True,
-                    {"p": p, "j": j, "N": n_exp, "s": s_exp},
-                    Conclusion.at_most(m - j),
+                    name, {"p": p, "j": j, "N": n_exp, "s": s_exp}, Conclusion.at_most(m - j)
                 )
     return _NO_CONCLUSIONS[name]
 
@@ -499,10 +481,7 @@ CRITERIA = {
 }
 
 _NO_CONCLUSIONS = {
-    name: CriterionOutcome(
-        name, applicable=False, witnesses=MappingProxyType({}), conclusion=Conclusion.none()
-    )
-    for name in CRITERIA
+    name: CriterionOutcome(name, MappingProxyType({}), Conclusion.none()) for name in CRITERIA
 }
 
 
@@ -533,16 +512,17 @@ class AnalysisReport(NamedTuple):
 
 
 def run_criteria(
-    facts: PolyFacts, names: Iterable[str] = CRITERIA, mode: CertificateMode = SYMBOLIC
+    facts: PolyFacts, names: Iterable[str] = CRITERIA
 ) -> tuple[list[CriterionOutcome], list[tuple[str, Exception]]]:
-    """Each named criterion's outcome, in order, and (name, error) for each
-    one stopped by a factorization limit or a root iteration that did not
-    converge; a stopped criterion's outcome is NoConclusion."""
+    """Each named criterion's outcome on facts, in its certificate mode, in
+    order, and (name, error) for each one stopped by a factorization limit
+    or a root iteration that did not converge; a stopped criterion's outcome
+    is NoConclusion."""
     outcomes: list[CriterionOutcome] = []
     stopped: list[tuple[str, Exception]] = []
     for name in names:
         try:
-            outcomes.append(CRITERIA[name](facts, mode))
+            outcomes.append(CRITERIA[name](facts))
         except (numtheory.FactorizationLimitError, rootloc.NonConvergenceError) as exc:
             outcomes.append(_NO_CONCLUSIONS[name])
             stopped.append((name, exc))
@@ -564,7 +544,7 @@ def conclusion_holds(
         if count <= 1:
             return True
         degs = [g.degree for g, _ in result.factors if g.degree >= 1 and g.constant_term != 0]
-        return bool(degs) and min(degs) <= conclusion.bound
+        return min(degs) <= conclusion.bound
     return True
 
 
@@ -597,12 +577,10 @@ def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisR
     if prim.degree == 0:
         warnings.append("primitive part is constant; criteria skipped")
     else:
-        outcomes, stopped = run_criteria(PolyFacts(prim), names, config.root_mode)
+        outcomes, stopped = run_criteria(PolyFacts(prim, config.root_mode), names)
         warnings.extend(f"{name}: no conclusion: {exc}" for name, exc in stopped)
         if prim.degree == 1:
-            outcomes.append(
-                CriterionOutcome("degree_one", True, {}, Conclusion.irreducible())
-            )
+            outcomes.append(CriterionOutcome("degree_one", {}, Conclusion.irreducible()))
     outcomes.sort(key=lambda o: o.criterion)
 
     fired = [o for o in outcomes if o.conclusion.fired()]

@@ -16,7 +16,9 @@ only while the cofactor is at or above DEFAULT_FACTOR_BOUND. A survivor that
 trial division has not proved prime goes through Miller-Rabin plus Pollard
 rho under an iteration budget (one per cofactor below DEFAULT_FACTOR_BOUND,
 one shared by the larger ones), so every call returns or raises
-FactorizationLimitError in bounded time.
+FactorizationLimitError in bounded time. A cofactor at or above
+PROVEN_PRIME_BOUND that passes Miller-Rabin is only a probable prime, so it
+raises FactorizationLimitError too: no verdict rests on an unproven prime.
 """
 
 from __future__ import annotations
@@ -155,7 +157,8 @@ def _pollard_rho(n: int, rng: random.Random, steps: int) -> tuple[int | None, in
 @lru_cache(maxsize=1 << 16)
 def _factor_positive(n: int) -> tuple[tuple[int, int], ...] | str:
     """The (prime, exponent) pairs of n >= 1, ascending by prime, or the
-    limit message when rho runs out of budget."""
+    limit message when rho runs out of budget or a cofactor at or above
+    PROVEN_PRIME_BOUND passes `is_prime`, which proves nothing there."""
     if n == 1:
         return ()
     powers: dict[int, int] = {}
@@ -177,7 +180,7 @@ def _factor_positive(n: int) -> tuple[tuple[int, int], ...] | str:
         d += 6
     if n > 1:
         # no prime below d is left, so a cofactor below d^2 is prime
-        if n < d * d or is_prime(n):
+        if n < d * d or n < PROVEN_PRIME_BOUND and is_prime(n):
             powers[n] = powers.get(n, 0) + 1
         else:
             rng = random.Random(n)
@@ -186,6 +189,9 @@ def _factor_positive(n: int) -> tuple[tuple[int, int], ...] | str:
             while stack:
                 m = stack.pop()
                 if is_prime(m):
+                    if m >= PROVEN_PRIME_BOUND:
+                        return (f"factorization limit reached on {m}: "
+                                "a probable prime, not proven prime")
                     # take its full power out of every cofactor left, so each
                     # distinct prime costs one split
                     e, rest = 1, []

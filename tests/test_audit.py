@@ -35,8 +35,8 @@ def test_parallel_merge_matches_serial():
 
 def test_merge_of_two_halves_is_the_whole_audit(monkeypatch):
     # every counter and every finding list: one left out of the merge differs
-    def always_irreducible(f, mode=None):
-        return CriterionOutcome("perron_nonmonic", True, {}, Conclusion.irreducible())
+    def always_irreducible(f):
+        return CriterionOutcome("perron_nonmonic", {}, Conclusion.irreducible())
 
     monkeypatch.setitem(criteria.CRITERIA, "perron_nonmonic", always_irreducible)
     polys = list(gen_exhaustive(3, 2))
@@ -135,8 +135,8 @@ def test_audit_catches_a_rational_root_scan_that_misses_fractions(monkeypatch):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_violation_count_is_exact_past_the_example_cap(monkeypatch, jobs):
-    def always_irreducible(f, mode=None):
-        return CriterionOutcome("perron_nonmonic", True, {}, Conclusion.irreducible())
+    def always_irreducible(f):
+        return CriterionOutcome("perron_nonmonic", {}, Conclusion.irreducible())
 
     monkeypatch.setitem(criteria.CRITERIA, "perron_nonmonic", always_irreducible)
     result = audit.audit_exhaustive(4, 3, jobs=jobs)

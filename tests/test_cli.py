@@ -29,6 +29,7 @@ from irreducia import corpus, criteria
 from irreducia.criteria import AnalyzeConfig, Conclusion, CriterionOutcome, analyze
 from irreducia.oracle import factor
 from irreducia.poly import MAX_INPUT_DEGREE, Polynomial, PolyParseError, parse_poly
+from irreducia.rootloc import CertificateMode
 
 
 needs_int_str_limit = pytest.mark.skipif(
@@ -141,6 +142,16 @@ class TestReportJson:
             report = analyze(parse_poly(text))
             blob = report_to_json(report)
             assert json.dumps(json.loads(blob), indent=2) == blob
+
+    @pytest.mark.parametrize("mode", ["symbolic", "numeric"])
+    def test_applicable_is_whether_the_conclusion_fired(self, mode):
+        config = AnalyzeConfig(root_mode=CertificateMode(mode), oracle="off")
+        fired = 0
+        for f in [*list(corpus.gen_exhaustive(4, 4))[::40], parse_poly("z^2-4z+4")]:
+            for o in report_to_dict(analyze(f, config))["outcomes"]:
+                assert o["applicable"] is (o["conclusion"]["kind"] != "NoConclusion")
+                fired += o["applicable"]
+        assert fired > 0
 
     def test_no_oracle_key_when_disabled(self):
         report = analyze(parse_poly("z^2+z+1"), AnalyzeConfig(oracle="off"))
@@ -265,6 +276,10 @@ class TestExitCodes:
         assert lines[-1] == ("warning: input splits as content * z^1 * primitive part; "
                              "add 1 to any factor-count bound for the original input")
 
+    def test_analyze_empty_criteria_list(self, capsys):
+        assert main(["analyze", "--poly", "z+1", "--criteria", ","]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: empty criteria list\n"
+
     def test_analyze_unknown_criterion(self, capsys):
         assert main(["analyze", "--poly", "z+1", "--criteria", "bogus"]) == EXIT_ERROR
         # the --criteria help does not list the names, so the error does
@@ -311,8 +326,8 @@ class TestExitCodes:
     def test_analyze_soundness_error(self, capsys, monkeypatch):
         # a criterion that calls z^2 - 1 = (z-1)(z+1) irreducible must end
         # in its own exit code, never in a conclusion or an input error
-        def lying(f, mode=None):
-            return CriterionOutcome("perron_nonmonic", True, {}, Conclusion.irreducible())
+        def lying(f):
+            return CriterionOutcome("perron_nonmonic", {}, Conclusion.irreducible())
 
         monkeypatch.setitem(criteria.CRITERIA, "perron_nonmonic", lying)
         code = main(["analyze", "--poly", "z^2-1", "--oracle", "on"])
@@ -441,6 +456,10 @@ class TestExitCodes:
         assert capsys.readouterr().out == expected
         if argv[1] == "P2":
             assert expected == "5,-1,1\n"
+
+    def test_gen_needs_a_source(self, capsys):
+        assert main(["gen"]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: gen needs --family, --exhaustive, or --random\n"
 
     def test_gen_exhaustive(self, capsys):
         code = main(["gen", "--exhaustive", "--max-degree", "1", "--coeff-bound", "1"])

@@ -192,6 +192,12 @@ class TestRandom:
         assert a == b
         assert gen_random(25, 4, 5, seed=43) != a
 
+    def test_invalid_arguments(self):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            gen_random(0, 4, 5, seed=1)
+        with pytest.raises(ValueError, match="invalid bound"):
+            gen_random(1, 0, 3, 0)
+
     def test_count_and_filters(self):
         polys = gen_random(50, 4, 5, seed=1)
         assert len(polys) == 50

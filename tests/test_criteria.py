@@ -163,7 +163,7 @@ class TestConstantTerm:
         assert constant_term_criterion(P(1, 1, 1)).conclusion.kind is NONE
 
     def test_numeric_mode_flagged(self):
-        out = constant_term_criterion(P(5, 1, 1), CertificateMode.NUMERIC_HEURISTIC)
+        out = constant_term_criterion(PolyFacts(P(5, 1, 1), CertificateMode.NUMERIC_HEURISTIC))
         assert out.conclusion.kind is IRR
         assert out.certificate_mode == "numeric-conditional"
 
@@ -173,7 +173,7 @@ class TestConstantTerm:
         f = P(4, -4, 1)
         assert not PolyFacts(f).unit_disk_certified
         assert constant_term_criterion(f).conclusion.kind is NONE
-        out = constant_term_criterion(f, CertificateMode.NUMERIC_HEURISTIC)
+        out = constant_term_criterion(PolyFacts(f, CertificateMode.NUMERIC_HEURISTIC))
         assert out.conclusion == Conclusion.at_most(2)
         assert out.witnesses == {"p": 2, "k": 2, "j": 2, "d": 1}
         assert out.certificate_mode == "numeric-conditional"
@@ -191,8 +191,7 @@ class TestConstantTerm:
         assert not facts.unit_disk_certified
         assert constant_term_criterion(facts).conclusion.kind is NONE
         assert leading_coeff_criterion(facts).conclusion.kind is NONE
-        assert [facts.certified_radius(i, CertificateMode.SYMBOLIC_SUFFICIENT)
-                for i in (0, 2)] == [0, 0]
+        assert [facts.certified_radius(i) for i in (0, 2)] == [0, 0]
         assert calls == []
         facts = PolyFacts(P(30, 5, 1, 20))  # passes at d = 1: both ends are factored
         assert facts.unit_disk_certified
@@ -374,6 +373,42 @@ class TestMiddlePrimePower:
         assert time.process_time() - start < 0.3
 
 
+@pytest.mark.parametrize("mode", list(CertificateMode))
+def test_criteria_read_the_records_mode(mode):
+    # criterion(PolyFacts(f, mode)) is the outcome analyze reports in that
+    # mode, on every 40th polynomial of the deg<=4, |c|<=4 corpus and on
+    # (z - 2)^2, where only numeric mode certifies d = 1
+    config = AnalyzeConfig(root_mode=mode, oracle="off")
+    numeric = 0
+    for f in [*list(gen_exhaustive(4, 4))[::40], P(4, -4, 1)]:
+        reported = {o.criterion: o for o in analyze(f, config).outcomes}
+        for name, criterion in criteria.CRITERIA.items():
+            try:
+                outcome = criterion(PolyFacts(f, mode))
+            except rootloc.NonConvergenceError:
+                assert not reported[name].conclusion.fired()
+                continue
+            assert outcome == reported[name]
+            numeric += outcome.certificate_mode == criteria.NUMERIC_CONDITIONAL
+    # numeric mode reaches numeric-conditional verdicts; symbolic mode none
+    assert (numeric > 0) == (mode is CertificateMode.NUMERIC_HEURISTIC)
+
+
+def test_probable_prime_constant_term_gives_no_verdict():
+    # a_0 = psi_13 = 1287836182261 * 2575672364521 passes Miller-Rabin to all
+    # 13 bases; the polynomial is the product of z + each factor
+    report = analyze(
+        parse_poly("z^2 + 3863508546782z + 3317044064679887385961981"), AnalyzeConfig(oracle="off")
+    )
+    by_name = {o.criterion: o for o in report.outcomes}
+    assert all(o.conclusion.kind is not IRR for o in report.outcomes)
+    for name in ("constant_term", "eisenstein_generalized"):
+        assert by_name[name].conclusion.kind is NONE
+    assert [w.split(":")[0] for w in report.warnings] == ["constant_term", "eisenstein_generalized"]
+    assert all("a probable prime, not proven prime" in w for w in report.warnings)
+    assert report.strongest.conclusion == Conclusion.at_most(2)  # dominant_coefficient, b = 1
+
+
 class TestInputGuards:
     def test_zero_polynomial_distinct_error(self):
         criteria = (
@@ -418,6 +453,10 @@ class TestInputGuards:
     def test_invalid_oracle_mode(self):
         with pytest.raises(ValueError, match="oracle mode"):
             analyze(P(1, 1), AnalyzeConfig(oracle="maybe"))
+
+    def test_constant_rejected(self):
+        with pytest.raises(ValueError, match="criterion needs degree >= 1"):
+            PolyFacts(P(1))
 
 
 @pytest.mark.parametrize("text, names, count", [
@@ -611,7 +650,7 @@ class TestAnalyze:
         by_name = {o.criterion: o for o in report.outcomes}
         limited = ("constant_term", "eisenstein_generalized")
         for name in limited:
-            assert not by_name[name].applicable
+            assert not by_name[name].conclusion.fired()
             assert by_name[name].conclusion.kind is NONE
         assert [w.split(":")[0] for w in report.warnings] == list(limited)
         assert all("factorization limit" in w for w in report.warnings)
@@ -708,7 +747,7 @@ class TestAnalyze:
         assert len(calls) == 1
         by_name = {o.criterion: o for o in report.outcomes}
         for name in ("constant_term", "leading_coeff"):
-            assert not by_name[name].applicable
+            assert not by_name[name].conclusion.fired()
             assert by_name[name].conclusion.kind is NONE
         assert list(report.warnings) == [
             f"{name}: no conclusion: root iteration did not converge (best residual 5.000e-01)"

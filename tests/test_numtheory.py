@@ -107,6 +107,13 @@ def test_valuation_examples():
     assert valuation(2, -24) == 3
 
 
+def test_valuation_rejects_zero_and_small_bases():
+    with pytest.raises(ValueError, match="valuation of zero"):
+        valuation(2, 0)
+    with pytest.raises(ValueError, match="base must be at least 2"):
+        valuation(1, 4)
+
+
 def test_valuation_matches_factorization():
     for n in list(range(-300, 0)) + list(range(1, 301)):
         exponents = dict(factorize(n).factors)
@@ -186,6 +193,19 @@ def test_large_semiprime_hits_the_rho_budget_quickly():
     with pytest.raises(FactorizationLimitError, match="factorization limit"):
         factorize(n)
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("n", [
+    numtheory.PROVEN_PRIME_BOUND,  # psi_13 = 1287836182261 * 2575672364521
+    2**89 - 1,  # prime, but Miller-Rabin is no proof at its size
+    1073741789 * (2**89 - 1),  # rho splits off the prime below 2^30 first
+])
+def test_probable_prime_cofactor_is_a_limit(n):
+    # at or above psi_13 a cofactor that passes every base is not taken for
+    # a prime, and no rho budget is spent on it
+    with pytest.raises(FactorizationLimitError, match="a probable prime, not proven prime"):
+        prime_factors(n)
+    assert prime_factors(2**61 - 1) == ((2**61 - 1, 1),)  # below psi_13: a proof
 
 
 def test_each_cofactor_below_the_factor_bound_gets_its_own_rho_budget():

@@ -41,6 +41,12 @@ class TestPolynomial:
         assert f.constant_term == 4
         assert f.coeffs[2] == 0
 
+    def test_negative_power_and_zero_leading_coefficient(self):
+        with pytest.raises(ValueError, match="negative power"):
+            Polynomial([1, 1]) ** -1
+        with pytest.raises(ValueError, match="no leading coefficient"):
+            Polynomial().leading_coefficient
+
     def test_rejects_non_integers(self):
         with pytest.raises(TypeError):
             Polynomial([1.5, 2])

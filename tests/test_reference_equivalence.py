@@ -63,7 +63,7 @@ NUM = rootloc.CertificateMode.NUMERIC_HEURISTIC
 
 
 def _no_conclusion(name):
-    return CriterionOutcome(name, applicable=False, witnesses={}, conclusion=Conclusion.none())
+    return CriterionOutcome(name, witnesses={}, conclusion=Conclusion.none())
 
 
 def ref_dominant_coefficient(f):
@@ -82,7 +82,7 @@ def ref_dominant_coefficient(f):
             high = sum(mags[i] * b ** (m - i) for i in range(j + 1, m + 1))
             if mags[j] * scale > low * scale + high:
                 return CriterionOutcome(
-                    name, True, {"b": b, "delta": Fraction(1, b), "j": j},
+                    name, {"b": b, "delta": Fraction(1, b), "j": j},
                     Conclusion.at_most(m - j),
                 )
     return _no_conclusion(name)
@@ -96,7 +96,7 @@ def ref_perron_nonmonic(f):
     am = abs(f.leading_coefficient)
     rhs = 1 + sum(abs(f.coeffs[i]) * am ** (m - 1 - i) for i in range(m - 1))
     if abs(f.coeffs[m - 1]) > rhs:
-        return CriterionOutcome(name, True, {}, Conclusion.irreducible())
+        return CriterionOutcome(name, {}, Conclusion.irreducible())
     return _no_conclusion(name)
 
 
@@ -123,7 +123,7 @@ def ref_middle_prime_power_check(f):
             rhs += high
             if abs(c[j]) * scale > rhs:
                 return CriterionOutcome(
-                    name, True, {"p": p, "j": j, "N": n_exp, "s": s_exp},
+                    name, {"p": p, "j": j, "N": n_exp, "s": s_exp},
                     Conclusion.at_most(m - j),
                 )
     return _no_conclusion(name)
@@ -132,7 +132,6 @@ def ref_middle_prime_power_check(f):
 def _ref_disk_outcome(name, p, k, j, d, cert, witnesses=()):
     return CriterionOutcome(
         name,
-        True,
         {"p": p, "k": k, "j": j, "d": d, **dict(witnesses)},
         Conclusion.at_most(min(k, j)),
         certificate_mode="exact" if cert.mode is SYM else "numeric-conditional",
@@ -201,7 +200,7 @@ def ref_cor1_best_j(f):
 
 def _audit_radius(facts):
     """The radius the audit's root-location check reads."""
-    return max(facts.certified_radius(i, SYM) for i in (0, facts.degree))
+    return max(facts.certified_radius(i) for i in (0, facts.degree))
 
 
 def ref_symbolic_disk_radii(f):
@@ -272,6 +271,7 @@ def test_facts_criteria_match_direct_sums(f):
     assert audit.cor1_best_j(facts) == ref_cor1_best_j(f)
     assert _audit_radius(facts) == max(ref_symbolic_disk_radii(f), default=0)
     # numeric mode: the same search, over every radius the references try
+    facts = PolyFacts(f, NUM)
     for name in ("constant_term", "leading_coeff"):
         try:
             expected = REFERENCES[name](f, NUM)
@@ -279,12 +279,12 @@ def test_facts_criteria_match_direct_sums(f):
             # the library asks for the roots only at a radius that no exact
             # test refuses: it fails too, or refuses every radius without them
             try:
-                outcome = CRITERIA[name](facts, NUM)
+                outcome = CRITERIA[name](facts)
             except rootloc.NonConvergenceError:
                 continue
             assert not outcome.conclusion.fired()
         else:
-            assert CRITERIA[name](facts, NUM) == expected
+            assert CRITERIA[name](facts) == expected
 
 
 def ref_numeric_radius(f, i, roots):
@@ -303,10 +303,10 @@ def test_exact_refusals_match_numeric_certificates(f):
         roots = rootloc.numeric_roots(f)
     except rootloc.NonConvergenceError:
         assume(False)
-    facts = PolyFacts(f)
+    facts = PolyFacts(f, NUM)
     m = f.degree
     for i in (0, m):
-        assert facts.certified_radius(i, NUM) == ref_numeric_radius(f, i, roots)
+        assert facts.certified_radius(i) == ref_numeric_radius(f, i, roots)
     radii = {d for i in (0, m) for _, _, d in facts.disk_radii(i)} | set(range(1, 9))
     for d in radii:
         if rootloc.has_root_in_disk(f, d):
@@ -340,7 +340,7 @@ def test_references_fire_on_known_instances():
     assert not ref_constant_term_criterion(f).conclusion.fired()
     out = ref_constant_term_criterion(f, NUM)
     assert out.witnesses == {"p": 2, "k": 2, "j": 2, "d": 1}
-    assert constant_term_criterion(f, NUM) == out
+    assert constant_term_criterion(PolyFacts(f, NUM)) == out
 
 
 def test_audit_one_certifies_each_radius_once(monkeypatch):
@@ -390,7 +390,7 @@ def ref_weintraub_check(facts):
             conclusion = Conclusion.irreducible()
         else:
             conclusion = Conclusion.factor_degree(k0)
-        candidates.append(CriterionOutcome(name, True, {"p": p, "k0": k0}, conclusion))
+        candidates.append(CriterionOutcome(name, {"p": p, "k0": k0}, conclusion))
     return ref_strongest(name, candidates)
 
 
@@ -410,18 +410,18 @@ def ref_eisenstein_generalized(facts):
                 conclusion = Conclusion.irreducible()
             else:
                 conclusion = Conclusion.factor_degree(m - j)
-            candidates.append(CriterionOutcome(name, True, {"p": p, "k": k, "j": j}, conclusion))
+            candidates.append(CriterionOutcome(name, {"p": p, "k": k, "j": j}, conclusion))
             break
     return ref_strongest(name, candidates)
 
 
-def ref_disk_criterion(name, facts, i, mode, q=None):
-    limit = facts.certified_radius(i, mode)
+def ref_disk_criterion(name, facts, i, q=None):
+    limit = facts.certified_radius(i)
     if not limit:
         return criteria._NO_CONCLUSIONS[name]
     c, m = facts.coeffs, facts.degree
     step = 1 if i == 0 else -1
-    cert_mode = "exact" if mode is SYM else "numeric-conditional"
+    cert_mode = "exact" if facts.mode is SYM else "numeric-conditional"
     candidates = []
     for p, k, d in facts.disk_radii(i):
         if d > limit:
@@ -431,7 +431,7 @@ def ref_disk_criterion(name, facts, i, mode, q=None):
         if q is not None:
             witnesses["q"] = q
         candidates.append(CriterionOutcome(
-            name, True, witnesses, Conclusion.at_most(min(k, j)), certificate_mode=cert_mode
+            name, witnesses, Conclusion.at_most(min(k, j)), certificate_mode=cert_mode
         ))
     return ref_strongest(name, candidates)
 
@@ -498,10 +498,10 @@ def _one_outcome_searches(f, mode):
          _searched(ref_weintraub_check, PolyFacts(f))),
         (_searched(criteria.eisenstein_generalized, PolyFacts(f)),
          _searched(ref_eisenstein_generalized, PolyFacts(f))),
-        (_searched(criteria._disk_criterion, "constant_term", PolyFacts(f), 0, mode),
-         _searched(ref_disk_criterion, "constant_term", PolyFacts(f), 0, mode)),
-        (_searched(criteria._disk_criterion, "leading_coeff", PolyFacts(f), m, mode, q),
-         _searched(ref_disk_criterion, "leading_coeff", PolyFacts(f), m, mode, q)),
+        (_searched(criteria._disk_criterion, "constant_term", PolyFacts(f, mode), 0),
+         _searched(ref_disk_criterion, "constant_term", PolyFacts(f, mode), 0)),
+        (_searched(criteria._disk_criterion, "leading_coeff", PolyFacts(f, mode), m, q),
+         _searched(ref_disk_criterion, "leading_coeff", PolyFacts(f, mode), m, q)),
     ]
 
 

@@ -198,6 +198,11 @@ class TestNumericCertificate:
         assert cert.certified
         assert cert.detail["margin"] == pytest.approx(1e-3)
 
+    def test_constant_has_no_roots(self):
+        cert = certify_outside_disk(Polynomial([5]), 1, NUM)
+        assert cert.certified
+        assert cert.detail["moduli"] == []
+
     def test_margin_blocks_boundary(self):
         # exact moduli 2: not certified for d=2 with a positive margin
         cert = certify_outside_disk(Polynomial([-4, 0, 1]), 2, NUM)
