@@ -158,6 +158,16 @@ def _parse_int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad integer list {_excerpt(text)}") from None
 
 
+def _parse_jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"bad job count {_excerpt(text)} (use an integer >= 1)")
+    return jobs
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     from . import criteria
     from .rootloc import CertificateMode
@@ -273,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--coeff-bound", type=int, default=None)
     p.add_argument("--families", default=None, help="comma list, e.g. P1,P4")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_parse_jobs, default=1)
     p.set_defaults(fn=cmd_audit)
 
     p = sub.add_parser("gen", help="generate family members or corpora")

@@ -26,7 +26,7 @@ from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
 from . import numtheory, oracle, rootloc
-from .poly import Polynomial, _check_digits, is_primitive, normalize, rational_roots
+from .poly import Polynomial, _check_digits, normalize, rational_roots
 from .rootloc import CertificateMode
 
 
@@ -38,27 +38,35 @@ class ConclusionKind(enum.Enum):
 
 
 class Conclusion(NamedTuple):
+    """A criterion's verdict. The constructors hand out shared instances:
+    one each for `irreducible()` and `none()`, and one per bound below
+    _SHARED_BOUNDS for `at_most` and `factor_degree`. A named tuple is
+    immutable, so sharing one is safe, and it compares, hashes and pickles
+    by value as a fresh one does."""
+
     kind: ConclusionKind
     bound: int | None = None
 
     @staticmethod
     def irreducible() -> "Conclusion":
-        return Conclusion(ConclusionKind.IRREDUCIBLE)
+        return _IRREDUCIBLE
 
     @staticmethod
     def at_most(n: int) -> "Conclusion":
-        # a factor-count bound of 1 is irreducibility
-        if n == 1:
-            return Conclusion.irreducible()
+        """At most n factors; a bound of 1 is irreducibility."""
+        if 0 <= n < _SHARED_BOUNDS:
+            return _AT_MOST[n]
         return Conclusion(ConclusionKind.AT_MOST_FACTORS, n)
 
     @staticmethod
     def factor_degree(k: int) -> "Conclusion":
+        if 0 <= k < _SHARED_BOUNDS:
+            return _FACTOR_DEGREE[k]
         return Conclusion(ConclusionKind.FACTOR_DEGREE_BOUND, k)
 
     @staticmethod
     def none() -> "Conclusion":
-        return Conclusion(ConclusionKind.NO_CONCLUSION)
+        return _NONE
 
     def fired(self) -> bool:
         return self.kind is not ConclusionKind.NO_CONCLUSION
@@ -69,6 +77,15 @@ class Conclusion(NamedTuple):
 
 
 _KIND_ORDER = {kind: i for i, kind in enumerate(ConclusionKind)}  # strongest first
+
+_SHARED_BOUNDS = 16  # bounds below this get a prebuilt Conclusion
+_IRREDUCIBLE = Conclusion(ConclusionKind.IRREDUCIBLE)
+_NONE = Conclusion(ConclusionKind.NO_CONCLUSION)
+_AT_MOST = [
+    _IRREDUCIBLE if n == 1 else Conclusion(ConclusionKind.AT_MOST_FACTORS, n)
+    for n in range(_SHARED_BOUNDS)
+]
+_FACTOR_DEGREE = [Conclusion(ConclusionKind.FACTOR_DEGREE_BOUND, k) for k in range(_SHARED_BOUNDS)]
 
 
 EXACT = "exact"
@@ -99,6 +116,7 @@ def _lower_sum(mags: list[int], j: int, t: int) -> int:
 
 
 _DOMINANT_TRIAL = 32  # see `PolyFacts.dominant`
+_DELTAS = tuple(Fraction(1, b) for b in range(1, _DOMINANT_TRIAL + 1))  # _DELTAS[b - 1] = 1/b
 
 
 class PolyFacts:
@@ -127,18 +145,19 @@ class PolyFacts:
                  "_dominant", "_rational_root", "_roots", "_bounds")
 
     def __init__(self, f: Polynomial, mode: CertificateMode = SYMBOLIC):
-        if f.is_zero():
+        coeffs = f.coeffs
+        if not coeffs:
             raise ValueError("zero polynomial: no criterion applies")
-        if not is_primitive(f):
+        if math.gcd(*coeffs) != 1:
             raise ValueError("normalize first: input is not primitive")
-        if f.degree < 1:
+        if len(coeffs) < 2:
             raise ValueError("criterion needs degree >= 1")
-        if f.coeffs[0] == 0:
+        if coeffs[0] == 0:
             raise ValueError("normalize first: constant term is zero")
         self.poly = f
-        self.coeffs = f.coeffs
-        self.degree = f.degree
-        self.mags = mags = [abs(c) for c in f.coeffs]
+        self.coeffs = coeffs
+        self.degree = len(coeffs) - 1
+        self.mags = mags = [abs(c) for c in coeffs]
         self.mode = mode
         self.unit_disk_certified = 2 * mags[0] > sum(mags)
         self._low: list[int] | None = None
@@ -155,12 +174,20 @@ class PolyFacts:
     def low(self) -> list[int]:
         """low[j] = sum_{i<j} |a_i| |a_m|^(j-i) for j = 0..m, by Horner's
         rule in j, capped at max |a_i|: it only grows with j, and every
-        test that reads it fails once low[j] >= |a_j|."""
+        test that reads it fails once low[j] >= |a_j|. Once the running sum
+        reaches the cap, every later entry is the cap, since (cap + a) |a_m|
+        >= cap, so the rest of the list is filled without arithmetic."""
         if self._low is None:
-            am, cap = self.mags[-1], max(self.mags)
+            mags = self.mags
+            am, cap = mags[-1], max(mags)
             low = [0]
-            for a in self.mags[:-1]:
-                low.append(min((low[-1] + a) * am, cap))
+            acc = 0
+            for a in mags[:-1]:
+                acc = (acc + a) * am
+                if acc >= cap:
+                    low += [cap] * (len(mags) - len(low))
+                    break
+                low.append(acc)
             self._low = low
         return self._low
 
@@ -249,10 +276,12 @@ class PolyFacts:
         divisors of a_m are then scanned upward at that j only, those up to
         _DOMINANT_TRIAL by division: b is nearly always one of them, and a_m
         is factorized only if it is not (so an a_m that resists still gives
-        a small b). The integer on the left exceeds the sum exactly when it
-        exceeds its floor, built without a power of b as t = (|a_i| + t) //
-        b from i = m down to j + 1 (each step keeps the floor exact); for
-        b = |a_m| one running floor serves every j."""
+        a small b). When |a_m| <= _DOMINANT_TRIAL the scan is a plain range
+        with the division test inline, and no divisor generator is built.
+        The integer on the left exceeds the sum exactly when it exceeds its
+        floor, built without a power of b as t = (|a_i| + t) // b from i = m
+        down to j + 1 (each step keeps the floor exact); for b = |a_m| one
+        running floor serves every j."""
         if self._dominant is False:
             hit = None
             mags, low, m = self.mags, self.low, self.degree
@@ -262,7 +291,13 @@ class PolyFacts:
                 high = (mags[j + 1] + high) // am
                 excess = mags[j] - low[j]
                 if excess > high:
-                    for b in numtheory._divisors_upward(am, _DOMINANT_TRIAL):  # to |a_m| at most
+                    if am <= _DOMINANT_TRIAL:
+                        divisors = range(1, am + 1)  # filtered by the test below
+                    else:
+                        divisors = numtheory._divisors_upward(am, _DOMINANT_TRIAL)
+                    for b in divisors:  # to |a_m| at most
+                        if am % b:
+                            continue
                         t = 0
                         for a in mags[m:j:-1]:
                             t = (a + t) // b
@@ -412,7 +447,8 @@ def dominant_coefficient(f: Polynomial | PolyFacts) -> CriterionOutcome:
     if hit is None:
         return _NO_CONCLUSIONS[name]
     j, b = hit
-    witnesses = {"b": b, "delta": Fraction(1, b), "j": j}
+    delta = _DELTAS[b - 1] if b <= _DOMINANT_TRIAL else Fraction(1, b)  # immutable, so shared
+    witnesses = {"b": b, "delta": delta, "j": j}
     return CriterionOutcome(name, witnesses, Conclusion.at_most(m - j))
 
 

@@ -50,6 +50,24 @@ def test_merge_of_two_halves_is_the_whole_audit(monkeypatch):
     assert whole.violation_count() > 0 and whole.cor1_checked > 0 and whole.rootloc_checked > 0
 
 
+def test_criteria_are_looked_up_at_each_call(monkeypatch):
+    # a traced run counts criterion calls by wrapping the entries of
+    # CRITERIA; a hot path that bound the criteria early would miss them
+    calls = []
+    original = criteria.CRITERIA["dominant_coefficient"]
+
+    def counting(facts):
+        calls.append(facts)
+        return original(facts)
+
+    monkeypatch.setitem(criteria.CRITERIA, "dominant_coefficient", counting)
+    audit.audit_corpus(gen_random(10, 4, 5, 3))
+    assert len(calls) == 10
+    calls.clear()
+    criteria.analyze(Polynomial([4, 4, 0, 1]), criteria.AnalyzeConfig(oracle="off"))
+    assert len(calls) == 1
+
+
 def test_parallel_audit_starts_at_most_one_worker_per_cpu(monkeypatch):
     real_pool = multiprocessing.Pool
     sizes = []

@@ -373,6 +373,16 @@ class TestExitCodes:
         assert main(["audit", "--max-degree", "0"]) == EXIT_ERROR
         assert "invalid bound" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-3", "x"])
+    def test_audit_bad_job_count_is_usage_error(self, capsys, value):
+        assert main(["audit", "--max-degree", "1", "--coeff-bound", "1", "--jobs", value]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("usage: irreducia audit")
+        assert err.endswith(
+            f"irreducia audit: error: argument --jobs: bad job count '{value}' "
+            "(use an integer >= 1)\n"
+        )
+
     def test_audit_families(self, capsys):
         assert main(["audit", "--families", "P4"]) == EXIT_OK
         assert "family P4" in capsys.readouterr().out

@@ -1,5 +1,7 @@
 """Criterion witness searches, conclusions, and the aggregate analysis."""
 
+import math
+import pickle
 import random
 import sys
 import time
@@ -407,6 +409,52 @@ def test_probable_prime_constant_term_gives_no_verdict():
     assert [w.split(":")[0] for w in report.warnings] == ["constant_term", "eisenstein_generalized"]
     assert all("a probable prime, not proven prime" in w for w in report.warnings)
     assert report.strongest.conclusion == Conclusion.at_most(2)  # dominant_coefficient, b = 1
+
+
+class TestSharedValues:
+    """Conclusions for small bounds are prebuilt and shared, and `low` fills
+    its capped tail without arithmetic; each must equal what it stands for."""
+
+    SIZE = criteria._SHARED_BOUNDS
+
+    def test_prebuilt_conclusions_equal_fresh_tuples(self):
+        for n in range(2 * self.SIZE + 1):
+            fresh = Conclusion(IRR) if n == 1 else Conclusion(AMF, n)
+            shared = Conclusion.at_most(n)
+            assert (shared, shared.kind, shared.bound) == (fresh, fresh.kind, fresh.bound)
+            assert hash(shared) == hash(fresh)
+            fresh = Conclusion(FDB, n)
+            shared = Conclusion.factor_degree(n)
+            assert (shared, shared.kind, shared.bound) == (fresh, fresh.kind, fresh.bound)
+            assert pickle.loads(pickle.dumps(shared)) == fresh
+            assert shared._replace(bound=n + 1) == Conclusion(FDB, n + 1)
+            assert Conclusion.factor_degree(n) == shared  # unchanged by _replace
+
+    def test_at_most_one_is_irreducible(self):
+        assert Conclusion.at_most(1) == Conclusion.irreducible() == Conclusion(IRR)
+        assert Conclusion.none() == Conclusion(NONE)
+
+    @pytest.mark.parametrize("n", [-1, -2, -SIZE + 1, -SIZE, -SIZE - 1, -2 * SIZE])
+    def test_negative_bound_is_never_a_prebuilt_instance(self, n):
+        assert Conclusion.at_most(n) == Conclusion(AMF, n)
+        assert Conclusion.factor_degree(n) == Conclusion(FDB, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_low_is_the_capped_direct_sum(self, data):
+        bound = data.draw(st.sampled_from((1, 5, 10**3, 10**12)))
+        m = data.draw(st.integers(1, 8))
+        nonzero = st.tuples(st.integers(1, bound), st.sampled_from((1, -1))).map(math.prod)
+        am = data.draw(st.one_of(st.sampled_from((1, -1)), nonzero))
+        middle = data.draw(st.lists(st.integers(-bound, bound), min_size=m - 1, max_size=m - 1))
+        coeffs = [data.draw(nonzero), *middle, am]
+        g = math.gcd(*coeffs)
+        mags = [abs(c) // g for c in coeffs]
+        facts = PolyFacts(Polynomial([c // g for c in coeffs]))
+        assert facts.low == [
+            min(sum(mags[i] * mags[m] ** (j - i) for i in range(j)), max(mags))
+            for j in range(m + 1)
+        ]
 
 
 class TestInputGuards:

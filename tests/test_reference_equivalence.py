@@ -672,13 +672,19 @@ def test_dominant_witness_matches_full_divisor_scan(f):
 def test_dominant_witness_on_both_sides_of_the_trial_bound():
     # the property above would pass vacuously if the witness never lay
     # above the divisors tried by division: a_2 = 3 * 101 gives b = 3 or
-    # 101, and the prime a_2 = 10^12 + 39 gives b = a_2
+    # 101, and the prime a_2 = 10^12 + 39 gives b = a_2. At a_2 = 32 the
+    # divisors come from a plain range, at a_2 = 33 and 64 from the divisor
+    # generator; delta = 1/b is shared for b <= 32 and built above it
     for coeffs, b in (
-        ([50, 10, 303], 3), ([2, 100, 303], 101), ([1, 10**6, 10**12 + 39], 10**12 + 39)
+        ([50, 10, 303], 3), ([2, 100, 303], 101), ([1, 10**6, 10**12 + 39], 10**12 + 39),
+        ([1, 100, 3], 1), ([1, 34, 32], 32), ([1, 35, 33], 33), ([1, 104, 64], 2),
     ):
         f = Polynomial(coeffs)
         assert dominant_coefficient(f) == ref_dominant_coefficient(f)
         assert dominant_coefficient(f).witnesses["b"] == b
+        delta = dominant_coefficient(f).witnesses["delta"]
+        assert delta == Fraction(1, b)
+        assert str(delta) == str(Fraction(1, b))
 
 
 def ref_rational_roots(f):
