@@ -4,6 +4,7 @@ Run:  python3 demos/02_criteria_tour.py
 """
 
 from irreducia import (
+    PolyFacts,
     Polynomial,
     analyze,
     constant_term_criterion,
@@ -33,7 +34,7 @@ SHOWCASES = [
 ]
 
 for fn, f, why in SHOWCASES:
-    out = fn(f)
+    out = fn(PolyFacts(f))
     kind = out.conclusion.kind.value
     if out.conclusion.bound is not None:
         kind += f"({out.conclusion.bound})"

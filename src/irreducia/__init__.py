@@ -27,6 +27,7 @@ _EXPORTS = {
     "NonConvergenceError": "rootloc",
     "NormalizedInput": "poly",
     "OracleLimitError": "oracle",
+    "PolyFacts": "criteria",
     "PolyParseError": "poly",
     "Polynomial": "poly",
     "PrimePowerDecomposition": "numtheory",

@@ -33,6 +33,7 @@ from typing import Iterable, Iterator
 from . import corpus as corpus_mod
 from . import numtheory, oracle, rootloc
 from .criteria import (
+    CRITERIA,
     EXACT,
     Conclusion,
     ConclusionKind,
@@ -147,7 +148,7 @@ class AuditResult:
         return lines
 
 
-def cor1_best_j(f: Polynomial | PolyFacts) -> int | None:
+def cor1_best_j(facts: PolyFacts) -> int | None:
     """Largest j for which the dominance inequality with b = |a_m| and
     delta = 1/|a_m| holds (audit predicate for the subsumption check):
 
@@ -156,14 +157,17 @@ def cor1_best_j(f: Polynomial | PolyFacts) -> int | None:
 
     which is the dominant-coefficient inequality at the single divisor
     b = |a_m|. It holds at some divisor of a_m exactly when it holds at
-    |a_m|, so this is the index of `PolyFacts.dominant()`. `audit_one`
+    |a_m|, so this is the index of the record's `dominant()`. `audit_one`
     compares the criterion's conclusion with AtMostFactors(m - j).
     """
-    facts = PolyFacts.of(f)
     if facts.degree < 2:
         return None
     hit = facts.dominant()
     return None if hit is None else hit[0]
+
+
+_NO_CONCLUSION = ConclusionKind.NO_CONCLUSION
+_DOMINANT_INDEX = list(CRITERIA).index("dominant_coefficient")  # run_criteria keeps CRITERIA's order
 
 
 def _is_vacuous(conclusion: Conclusion, degree: int) -> bool:
@@ -182,14 +186,15 @@ def audit_one(f: Polynomial, result: AuditResult) -> None:
     facts = PolyFacts(f)
     m = facts.degree
     outcomes, stopped = run_criteria(facts)
+    criteria = result.criteria
     for name, _ in stopped:
         result.stats(name).stopped += 1
 
     to_check: list[CriterionOutcome] = []
     for outcome in outcomes:
-        if not outcome.conclusion.fired():
+        if outcome.conclusion.kind is _NO_CONCLUSION:
             continue
-        stats = result.stats(outcome.criterion)
+        stats = criteria.get(outcome.criterion) or result.stats(outcome.criterion)
         stats.fired += 1
         if _is_vacuous(outcome.conclusion, m):
             stats.vacuous += 1
@@ -203,12 +208,12 @@ def audit_one(f: Polynomial, result: AuditResult) -> None:
         except oracle.OracleLimitError:
             result.oracle_skipped += 1
             for outcome in to_check:
-                result.stats(outcome.criterion).unchecked += 1
+                criteria[outcome.criterion].unchecked += 1
         else:
             result.oracle_calls += 1
             count = fact.nonconstant_factor_count()
             for outcome in to_check:
-                stats = result.stats(outcome.criterion)
+                stats = criteria[outcome.criterion]
                 if conclusion_holds(outcome.conclusion, fact):
                     stats.sound += 1
                 else:
@@ -223,7 +228,7 @@ def audit_one(f: Polynomial, result: AuditResult) -> None:
         j = None
     if j is not None:
         result.cor1_checked += 1
-        dom = next(o.conclusion for o in outcomes if o.criterion == "dominant_coefficient")
+        dom = outcomes[_DOMINANT_INDEX].conclusion
         if dom != Conclusion.at_most(m - j):
             result.cor1_violations.add((f.coeffs, j, dom.kind.value, dom.bound))
 
@@ -383,7 +388,7 @@ def audit_family(name: str) -> tuple[int, list]:
         for *params, f in grid():
             checked += 1
             conclusion, witnesses = expect(*params)
-            out = criterion(f)
+            out = criterion(PolyFacts(f))
             ok = (
                 out.conclusion == conclusion
                 and witnesses.items() <= out.witnesses.items()

@@ -1,9 +1,9 @@
 """Irreducibility and factor-count criteria with automatic witness search.
 
-Every criterion has the signature criterion(f): f is a primitive
-polynomial, read in symbolic mode, or the PolyFacts record built from one,
-which carries the root-location certificate mode (`PolyFacts(f, mode)`);
-only the two disk criteria read it. Each searches the finite witness space
+Every criterion has the signature criterion(facts): facts is the PolyFacts
+record of a primitive polynomial, `PolyFacts(f)` in symbolic mode or
+`PolyFacts(f, mode)`; the record carries the root-location certificate mode,
+which only the two disk criteria read. Each searches the finite witness space
 its hypothesis allows (primes dividing a single coefficient, divisors of the
 leading coefficient, coefficient indices), and returns a structured outcome
 carrying the witnesses found. Every inequality is evaluated in exact integer
@@ -157,7 +157,7 @@ class PolyFacts:
         self.poly = f
         self.coeffs = coeffs
         self.degree = len(coeffs) - 1
-        self.mags = mags = [abs(c) for c in coeffs]
+        self.mags = mags = list(map(abs, coeffs))
         self.mode = mode
         self.unit_disk_certified = 2 * mags[0] > sum(mags)
         self._low: list[int] | None = None
@@ -165,10 +165,6 @@ class PolyFacts:
         self._rational_root: bool | None = None
         self._roots: list[complex] | rootloc.NonConvergenceError | None = None
         self._bounds: list[int] | None = None  # [largest radius certified, smallest refused]
-
-    @classmethod
-    def of(cls, f: "Polynomial | PolyFacts") -> "PolyFacts":
-        return f if isinstance(f, PolyFacts) else cls(f)
 
     @property
     def low(self) -> list[int]:
@@ -313,14 +309,13 @@ class PolyFacts:
 # coefficient-divisibility criteria
 
 
-def weintraub_check(f: Polynomial | PolyFacts) -> CriterionOutcome:
+def weintraub_check(facts: PolyFacts) -> CriterionOutcome:
     """Eisenstein-style dichotomy from a prime dividing every non-leading
     coefficient: with k0 the lowest index whose coefficient misses p^2, any
     factorization has a factor of degree <= k0. k0 = 0 is irreducibility;
     k0 = 1 upgrades to irreducibility when there is no rational root. p never
     divides a_m: it divides every other coefficient, and f is primitive."""
     name = "weintraub"
-    facts = PolyFacts.of(f)
     c, m = facts.coeffs, facts.degree
     lower_gcd = math.gcd(*c[:m])
     if lower_gcd <= 1:
@@ -340,13 +335,12 @@ def weintraub_check(f: Polynomial | PolyFacts) -> CriterionOutcome:
     return CriterionOutcome(name, best, Conclusion.factor_degree(best["k0"]))
 
 
-def eisenstein_generalized(f: Polynomial | PolyFacts) -> CriterionOutcome:
+def eisenstein_generalized(facts: PolyFacts) -> CriterionOutcome:
     """Prime-power prefix criterion: p^k exactly divides a_0, p^k divides all
     coefficients below index j, p misses a_j, and gcd(k, j) = 1. j = m gives
     irreducibility; j = m-1 does too when no rational root exists; otherwise
     any nontrivial factorization has a factor of degree <= m - j."""
     name = "eisenstein_generalized"
-    facts = PolyFacts.of(f)
     c, m = facts.coeffs, facts.degree
     best = None  # the witnesses of the largest j, the first on a tie
     for p, k in numtheory.prime_factors(facts.mags[0]):
@@ -400,19 +394,18 @@ def _disk_criterion(name: str, facts: PolyFacts, i: int, q: int | None = None) -
     return CriterionOutcome(name, witnesses, Conclusion.at_most(bound), cert_mode)
 
 
-def constant_term_criterion(f: Polynomial | PolyFacts) -> CriterionOutcome:
+def constant_term_criterion(facts: PolyFacts) -> CriterionOutcome:
     """Constant-term decomposition a_0 = +-p^k d with p missing d, all roots
     certified outside |z| <= d, and j the lowest index with p missing a_j:
     at most min(k, j) irreducible factors."""
-    return _disk_criterion("constant_term", PolyFacts.of(f), 0)
+    return _disk_criterion("constant_term", facts, 0)
 
 
-def leading_coeff_criterion(f: Polynomial | PolyFacts) -> CriterionOutcome:
+def leading_coeff_criterion(facts: PolyFacts) -> CriterionOutcome:
     """Mirror of the constant-term criterion on a_m = +-p^k d, with the extra
     size condition |a_0 / q| <= |a_m| for q the smallest prime divisor of
     a_0; j is the lowest index with p missing a_{m-j}."""
     name = "leading_coeff"
-    facts = PolyFacts.of(f)
     a0, am = facts.mags[0], facts.mags[-1]
     if am == 1 or a0 == 1:
         return _NO_CONCLUSIONS[name]
@@ -428,7 +421,7 @@ def leading_coeff_criterion(f: Polynomial | PolyFacts) -> CriterionOutcome:
 # dominant-coefficient criteria
 
 
-def dominant_coefficient(f: Polynomial | PolyFacts) -> CriterionOutcome:
+def dominant_coefficient(facts: PolyFacts) -> CriterionOutcome:
     """One coefficient dominating the rest forces a root split and hence a
     factor-count bound: if for a positive divisor b of a_m and delta = 1/b
 
@@ -439,7 +432,6 @@ def dominant_coefficient(f: Polynomial | PolyFacts) -> CriterionOutcome:
     over [1/b, 1]. Evaluated in integers, against the floor of the sum over
     i > j (see `PolyFacts.dominant`)."""
     name = "dominant_coefficient"
-    facts = PolyFacts.of(f)
     m = facts.degree
     if m < 2:
         return _NO_CONCLUSIONS[name]
@@ -452,12 +444,11 @@ def dominant_coefficient(f: Polynomial | PolyFacts) -> CriterionOutcome:
     return CriterionOutcome(name, witnesses, Conclusion.at_most(m - j))
 
 
-def perron_nonmonic(f: Polynomial | PolyFacts) -> CriterionOutcome:
+def perron_nonmonic(facts: PolyFacts) -> CriterionOutcome:
     """Non-monic Perron test: |a_{m-1}| > 1 + sum_{i<=m-2} |a_i| |a_m|^(m-1-i)
     forces irreducibility (all but one root of the rescaled monic polynomial
     fall inside the unit disk)."""
     name = "perron_nonmonic"
-    facts = PolyFacts.of(f)
     m = facts.degree
     if m < 2:
         return _NO_CONCLUSIONS[name]
@@ -466,7 +457,7 @@ def perron_nonmonic(f: Polynomial | PolyFacts) -> CriterionOutcome:
     return _NO_CONCLUSIONS[name]
 
 
-def middle_prime_power_check(f: Polynomial | PolyFacts) -> CriterionOutcome:
+def middle_prime_power_check(facts: PolyFacts) -> CriterionOutcome:
     """A large prime power p^N inside the coefficient of z^j (1 <= j <= m-1)
     dominating a weighted sum of the others bounds the factor count by m - j.
 
@@ -482,7 +473,6 @@ def middle_prime_power_check(f: Polynomial | PolyFacts) -> CriterionOutcome:
     is compared by its floor, as in `PolyFacts.dominant`.
     """
     name = "middle_prime_power"
-    facts = PolyFacts.of(f)
     c, mags, m = facts.coeffs, facts.mags, facts.degree
     if m < 2:
         return _NO_CONCLUSIONS[name]

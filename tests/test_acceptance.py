@@ -13,7 +13,7 @@ import pytest
 
 from irreducia import audit, oracle
 from irreducia.corpus import gen_random
-from irreducia.criteria import ConclusionKind, perron_nonmonic
+from irreducia.criteria import ConclusionKind, PolyFacts, perron_nonmonic
 
 from generators import gen_dominant_second
 
@@ -95,7 +95,7 @@ def test_criterion_5_dominant_second_regression():
     polys = gen_dominant_second(200, max_degree=6, seed=20260809)
     bad = []
     for f in polys:
-        out = perron_nonmonic(f)
+        out = perron_nonmonic(PolyFacts(f))
         if out.conclusion.kind is not ConclusionKind.IRREDUCIBLE:
             bad.append((f.coeffs, "criterion missed"))
         elif oracle.factor(f).nonconstant_factor_count() != 1:

@@ -7,7 +7,13 @@ import pytest
 
 from irreducia import audit, criteria, oracle, poly
 from irreducia.corpus import gen_exhaustive, gen_random
-from irreducia.criteria import Conclusion, ConclusionKind, CriterionOutcome, dominant_coefficient
+from irreducia.criteria import (
+    Conclusion,
+    ConclusionKind,
+    CriterionOutcome,
+    PolyFacts,
+    dominant_coefficient,
+)
 from irreducia.poly import Polynomial
 
 
@@ -68,6 +74,41 @@ def test_criteria_are_looked_up_at_each_call(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_fresh_no_conclusion_is_not_a_fire(monkeypatch):
+    # a criterion may build its own NoConclusion rather than return the
+    # shared one; the audit must skip it by kind, not by identity
+    fresh = Conclusion(ConclusionKind.NO_CONCLUSION)
+    assert fresh is not Conclusion.none()
+    polys = list(gen_exhaustive(3, 2))
+    monkeypatch.setitem(criteria.CRITERIA, "perron_nonmonic",
+                        lambda facts: CriterionOutcome("perron_nonmonic", {}, Conclusion.none()))
+    shared = audit.audit_corpus(polys)
+    monkeypatch.setitem(criteria.CRITERIA, "perron_nonmonic",
+                        lambda facts: CriterionOutcome("perron_nonmonic", {}, fresh))
+    result = audit.audit_corpus(polys)
+    assert result.criteria.get("perron_nonmonic", audit.CriterionStats()).fired == 0
+    assert result.oracle_calls == shared.oracle_calls > 0  # none made for the fake
+    assert result == shared
+
+
+def test_cor1_reads_the_dominant_coefficient_outcome(monkeypatch):
+    # AtMostFactors(m) is weaker than the real bound m - j wherever j >= 1,
+    # so cor1 must flag it on dominant_coefficient, and only there
+    polys = list(gen_exhaustive(3, 3))
+    found = {}
+    for name in ("dominant_coefficient", "constant_term"):
+        with monkeypatch.context() as patch:
+            patch.setitem(
+                criteria.CRITERIA, name,
+                lambda facts, name=name: CriterionOutcome(name, {}, Conclusion.at_most(facts.degree)),
+            )
+            result = audit.audit_corpus(polys)
+        assert result.cor1_checked > 0
+        found[name] = result.cor1_violations.found
+    assert found["dominant_coefficient"] >= 1
+    assert found["constant_term"] == 0
+
+
 def test_parallel_audit_starts_at_most_one_worker_per_cpu(monkeypatch):
     real_pool = multiprocessing.Pool
     sizes = []
@@ -89,10 +130,10 @@ def test_cor1_predicate_matches_dominant_at_unit_divisor():
     # wherever the predicate fires, the dominant-coefficient criterion must
     # reach at least the same bound (it scans all divisors including |a_m|)
     for f in list(gen_exhaustive(4, 3))[::17]:
-        j = audit.cor1_best_j(f)
+        j = audit.cor1_best_j(PolyFacts(f))
         if j is None:
             continue
-        out = dominant_coefficient(f)
+        out = dominant_coefficient(PolyFacts(f))
         assert out.conclusion.kind in (
             ConclusionKind.IRREDUCIBLE, ConclusionKind.AT_MOST_FACTORS,
         )
@@ -102,8 +143,8 @@ def test_cor1_predicate_matches_dominant_at_unit_divisor():
 
 def test_cor1_instance():
     # 1 + z + 10z^2 + z^3: unit leading coefficient, j = 2 dominates
-    assert audit.cor1_best_j(Polynomial([1, 1, 10, 1])) == 2
-    assert audit.cor1_best_j(Polynomial([1, 1, 1])) is None
+    assert audit.cor1_best_j(PolyFacts(Polynomial([1, 1, 10, 1]))) == 2
+    assert audit.cor1_best_j(PolyFacts(Polynomial([1, 1, 1]))) is None
 
 
 def test_vacuous_classification():

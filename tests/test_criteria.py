@@ -53,28 +53,28 @@ def P(*coeffs):
 
 class TestWeintraub:
     def test_classical_eisenstein_case(self):
-        out = weintraub_check(P(2, 2, 1))
+        out = weintraub_check(PolyFacts(P(2, 2, 1)))
         assert out.conclusion.kind is IRR
         assert out.witnesses == {"p": 2, "k0": 0}
 
     def test_k0_one_without_rational_root(self):
         # p = 2 misses a_1 squared; candidates +-1, +-2, +-4 are not roots
-        out = weintraub_check(P(4, 2, 1))
+        out = weintraub_check(PolyFacts(P(4, 2, 1)))
         assert out.conclusion.kind is IRR
         assert out.witnesses == {"p": 2, "k0": 1}
 
     def test_no_admissible_prime(self):
-        assert weintraub_check(P(-1, 0, 1)).conclusion.kind is NONE
+        assert weintraub_check(PolyFacts(P(-1, 0, 1))).conclusion.kind is NONE
 
     def test_k0_one_with_rational_root_degrades(self):
         # (z + 2)(z^2 + 2): p = 2, k0 = 1, but -2 is a root
         f = P(2, 1) * P(2, 0, 1)
-        out = weintraub_check(f)
+        out = weintraub_check(PolyFacts(f))
         assert out.conclusion == Conclusion.factor_degree(1)
 
     def test_requires_primitive(self):
         with pytest.raises(ValueError, match="normalize first"):
-            weintraub_check(P(2, 4, 2))
+            weintraub_check(PolyFacts(P(2, 4, 2)))
 
     def test_rational_root_flag_needs_no_factorization(self, monkeypatch, fresh_factor_cache):
         # a_2 = (2^61 - 1)(2^89 - 1) resists rho; k0 = 1 at p = 2 asks for
@@ -83,14 +83,14 @@ class TestWeintraub:
             raise AssertionError(f"rho called on {n}")
 
         monkeypatch.setattr(numtheory, "_pollard_rho", refuse)
-        out = weintraub_check(P(4, 2 * 3**80, (2**61 - 1) * (2**89 - 1)))
+        out = weintraub_check(PolyFacts(P(4, 2 * 3**80, (2**61 - 1) * (2**89 - 1))))
         assert out.witnesses == {"p": 2, "k0": 1}
         assert out.conclusion.kind is IRR
 
     def test_k0_one_on_a_square_at_degree_two(self):
         # (z + 3)^2: p = 3, k0 = 1, and the rational-root flag is asked of a
         # polynomial that is not squarefree
-        out = weintraub_check(P(9, 6, 1))
+        out = weintraub_check(PolyFacts(P(9, 6, 1)))
         assert out.witnesses == {"p": 3, "k0": 1}
         assert out.conclusion == Conclusion.factor_degree(1)
 
@@ -113,56 +113,56 @@ def test_rational_root_flag_is_asked_only_of_squarefree_polynomials(monkeypatch)
 
 class TestEisensteinGeneralized:
     def test_geometric_block_family_member(self):
-        out = eisenstein_generalized(P(4, 4, 0, 1))
+        out = eisenstein_generalized(PolyFacts(P(4, 4, 0, 1)))
         assert out.conclusion.kind is IRR
         assert out.witnesses == {"p": 2, "k": 2, "j": 3}
 
     def test_prefix_at_full_degree(self):
-        out = eisenstein_generalized(P(2, 2, 1))
+        out = eisenstein_generalized(PolyFacts(P(2, 2, 1)))
         assert out.conclusion.kind is IRR
         assert out.witnesses == {"p": 2, "k": 1, "j": 2}
 
     def test_witness_scan_exhausts(self):
         # only p = 2 available; 4 does not divide a_1 = 2, so j = 1 needs
         # p missing a_1, which fails; no (p, k, j) satisfies everything
-        assert eisenstein_generalized(P(4, 2, 2, 1)).conclusion.kind is NONE
+        assert eisenstein_generalized(PolyFacts(P(4, 2, 2, 1))).conclusion.kind is NONE
 
     def test_j_below_top_gives_degree_bound(self):
         # p = 2, k = 1, prefix stops at j = 2 (a_2 odd), m = 4
         f = P(2, 2, 1, 2, 1)
-        out = eisenstein_generalized(f)
+        out = eisenstein_generalized(PolyFacts(f))
         assert out.conclusion == Conclusion.factor_degree(2)
         assert out.witnesses == {"p": 2, "k": 1, "j": 2}
 
     def test_coprimality_required(self):
         # p = 2, k = 2 and the only candidate j = 2 share a factor
         f = P(4, 4, 1)  # prefix for 4: a_0, a_1; j = 2 has gcd(2, 2) = 2
-        out = eisenstein_generalized(f)
+        out = eisenstein_generalized(PolyFacts(f))
         assert out.conclusion.kind is NONE
 
 
 class TestConstantTerm:
     def test_irreducible_at_k_one(self):
-        out = constant_term_criterion(P(5, 1, 1))
+        out = constant_term_criterion(PolyFacts(P(5, 1, 1)))
         assert out.conclusion.kind is IRR
         assert out.witnesses == {"p": 5, "k": 1, "j": 1, "d": 1}
         assert out.certificate_mode == "exact"
 
     def test_bound_two(self):
         # p=5: k=2, d=2, certificate 50 > 5*2 + 4, j=2 -> min(2,2)
-        out = constant_term_criterion(P(50, 5, 1))
+        out = constant_term_criterion(PolyFacts(P(50, 5, 1)))
         assert out.conclusion == Conclusion.at_most(2)
         assert out.witnesses == {"p": 5, "k": 2, "j": 2, "d": 2}
         # sound but not tight: the polynomial is actually irreducible
         assert oracle.factor(P(50, 5, 1)).nonconstant_factor_count() == 1
 
     def test_irreducible_at_j_one(self):
-        out = constant_term_criterion(P(75, 1, 1))
+        out = constant_term_criterion(PolyFacts(P(75, 1, 1)))
         assert out.conclusion.kind is IRR
         assert out.witnesses == {"p": 5, "k": 2, "j": 1, "d": 3}
 
     def test_unit_constant_is_no_conclusion(self):
-        assert constant_term_criterion(P(1, 1, 1)).conclusion.kind is NONE
+        assert constant_term_criterion(PolyFacts(P(1, 1, 1))).conclusion.kind is NONE
 
     def test_numeric_mode_flagged(self):
         out = constant_term_criterion(PolyFacts(P(5, 1, 1), CertificateMode.NUMERIC_HEURISTIC))
@@ -174,7 +174,7 @@ class TestConstantTerm:
         # both roots have modulus 2, so numeric mode certifies d = 1
         f = P(4, -4, 1)
         assert not PolyFacts(f).unit_disk_certified
-        assert constant_term_criterion(f).conclusion.kind is NONE
+        assert constant_term_criterion(PolyFacts(f)).conclusion.kind is NONE
         out = constant_term_criterion(PolyFacts(f, CertificateMode.NUMERIC_HEURISTIC))
         assert out.conclusion == Conclusion.at_most(2)
         assert out.witnesses == {"p": 2, "k": 2, "j": 2, "d": 1}
@@ -224,52 +224,52 @@ class TestConstantTerm:
         report = analyze(f, AnalyzeConfig(oracle="off"))
         assert [o.criterion for o in report.outcomes if o.conclusion.kind is IRR] == []
         assert report.strongest.conclusion == Conclusion.at_most(2)
-        out = eisenstein_generalized(f)
+        out = eisenstein_generalized(PolyFacts(f))
         assert out.conclusion == Conclusion.factor_degree(1)
         assert out.witnesses["p"] == 399165290221
 
 
 class TestLeadingCoeff:
     def test_irreducible_instance(self):
-        out = leading_coeff_criterion(P(7, 1, 5))
+        out = leading_coeff_criterion(PolyFacts(P(7, 1, 5)))
         assert out.conclusion.kind is IRR
         assert out.witnesses == {"p": 5, "k": 1, "j": 1, "d": 1, "q": 7}
 
     def test_prime_constant_blocks_nothing(self):
-        out = leading_coeff_criterion(P(11, 1, 5))
+        out = leading_coeff_criterion(PolyFacts(P(11, 1, 5)))
         assert out.conclusion.kind is IRR
 
     def test_unit_leading_is_no_conclusion(self):
-        assert leading_coeff_criterion(P(7, 1, 1)).conclusion.kind is NONE
+        assert leading_coeff_criterion(PolyFacts(P(7, 1, 1))).conclusion.kind is NONE
 
     def test_size_condition_enforced(self):
         # |a_0 / q| = 49/7 = 7 > |a_m| = 5
-        assert leading_coeff_criterion(P(49, 1, 5)).conclusion.kind is NONE
+        assert leading_coeff_criterion(PolyFacts(P(49, 1, 5))).conclusion.kind is NONE
 
 
 class TestDominantCoefficient:
     def test_interior_dominance(self):
-        out = dominant_coefficient(P(1, 3, 9, 1))
+        out = dominant_coefficient(PolyFacts(P(1, 3, 9, 1)))
         assert out.conclusion.kind is IRR
         assert out.witnesses == {"b": 1, "delta": Fraction(1), "j": 2}
 
     def test_classical_shape(self):
-        assert dominant_coefficient(P(1, 1, 10, 1)).conclusion.kind is IRR
+        assert dominant_coefficient(PolyFacts(P(1, 1, 10, 1))).conclusion.kind is IRR
 
     def test_vacuous_j_zero(self):
-        out = dominant_coefficient(P(10, 1, 1))
+        out = dominant_coefficient(PolyFacts(P(10, 1, 1)))
         assert out.conclusion == Conclusion(AMF, 2)
         assert out.witnesses["j"] == 0
 
     def test_divisor_witness_needed(self):
         # 1 + 5z + 4z^2 + 2z^3 at j=1: b=1 fails (5 <= 2+4+2) but b=2
         # shrinks the tail to 4/2 + 2/4 and 5 > 2 + 2 + 1/2
-        out = dominant_coefficient(P(1, 5, 4, 2))
+        out = dominant_coefficient(PolyFacts(P(1, 5, 4, 2)))
         assert out.conclusion == Conclusion.at_most(2)
         assert out.witnesses == {"b": 2, "delta": Fraction(1, 2), "j": 1}
 
     def test_no_dominance(self):
-        assert dominant_coefficient(P(1, 1, 1)).conclusion.kind is NONE
+        assert dominant_coefficient(PolyFacts(P(1, 1, 1))).conclusion.kind is NONE
 
 
 class TestDeltaMonotonicity:
@@ -303,14 +303,14 @@ class TestDeltaMonotonicity:
 
 class TestPerronNonmonic:
     def test_monic_shape(self):
-        assert perron_nonmonic(P(1, 5, 1)).conclusion.kind is IRR
+        assert perron_nonmonic(PolyFacts(P(1, 5, 1))).conclusion.kind is IRR
 
     def test_nonmonic_shape(self):
         # 10 > 1 + |a_0| * |a_m| = 1 + 6
-        assert perron_nonmonic(P(3, 10, 2)).conclusion.kind is IRR
+        assert perron_nonmonic(PolyFacts(P(3, 10, 2))).conclusion.kind is IRR
 
     def test_below_threshold(self):
-        assert perron_nonmonic(P(1, 1, 1)).conclusion.kind is NONE
+        assert perron_nonmonic(PolyFacts(P(1, 1, 1))).conclusion.kind is NONE
 
     def test_oracle_agrees(self):
         for f in (P(1, 5, 1), P(3, 10, 2)):
@@ -319,22 +319,22 @@ class TestPerronNonmonic:
 
 class TestMiddlePrimePower:
     def test_plain_power(self):
-        out = middle_prime_power_check(P(1, 1, 16, 1))
+        out = middle_prime_power_check(PolyFacts(P(1, 1, 16, 1)))
         assert out.conclusion.kind is IRR
         assert out.witnesses == {"p": 2, "j": 2, "N": 4, "s": 0}
 
     def test_shared_prime_in_neighbour(self):
         # s = 1 on the z coefficient: 16 > 4 + 4 + 1
-        out = middle_prime_power_check(P(1, 2, 16, 1))
+        out = middle_prime_power_check(PolyFacts(P(1, 2, 16, 1)))
         assert out.conclusion.kind is IRR
         assert out.witnesses == {"p": 2, "j": 2, "N": 4, "s": 1}
 
     def test_odd_middles_no_conclusion(self):
-        assert middle_prime_power_check(P(1, 3, 5, 1)).conclusion.kind is NONE
+        assert middle_prime_power_check(PolyFacts(P(1, 3, 5, 1))).conclusion.kind is NONE
 
     def test_bound_below_top(self):
         # fires at j = 1 on a cubic: at most 2 factors
-        out = middle_prime_power_check(P(1, 25, 1, 1))
+        out = middle_prime_power_check(PolyFacts(P(1, 25, 1, 1)))
         assert out.conclusion == Conclusion.at_most(2)
         assert out.witnesses["j"] == 1
         assert oracle.factor(P(1, 25, 1, 1)).nonconstant_factor_count() <= 2
@@ -354,9 +354,9 @@ class TestMiddlePrimePower:
         coeffs[0] = coeffs[0] or 1
         f = normalize(Polynomial(coeffs)).primitive_part
         assume(f.degree >= 2)
-        middle = middle_prime_power_check(f)
+        middle = middle_prime_power_check(PolyFacts(f))
         assume(middle.conclusion.fired())
-        dominant = dominant_coefficient(f)
+        dominant = dominant_coefficient(PolyFacts(f))
         assert dominant.conclusion.fired()
         assert f.degree - dominant.witnesses["j"] <= f.degree - middle.witnesses["j"]
         assert dominant.rank() < middle.rank()
@@ -470,7 +470,7 @@ class TestInputGuards:
         )
         for crit in criteria:
             with pytest.raises(ValueError, match="zero polynomial"):
-                crit(Polynomial())
+                crit(PolyFacts(Polynomial()))
 
     def test_non_primitive_rejected_everywhere(self):
         for crit in (
@@ -483,7 +483,7 @@ class TestInputGuards:
             middle_prime_power_check,
         ):
             with pytest.raises(ValueError, match="normalize first"):
-                crit(P(2, 4, 6))
+                crit(PolyFacts(P(2, 4, 6)))
 
     def test_zero_constant_term_rejected_everywhere(self):
         for crit in (
@@ -496,7 +496,7 @@ class TestInputGuards:
             middle_prime_power_check,
         ):
             with pytest.raises(ValueError, match="normalize first: constant term is zero"):
-                crit(P(0, 2, 1))  # z^2 + 2z
+                crit(PolyFacts(P(0, 2, 1)))  # z^2 + 2z
 
     def test_invalid_oracle_mode(self):
         with pytest.raises(ValueError, match="oracle mode"):
@@ -530,7 +530,7 @@ class TestWitnessValidity:
         from irreducia.numtheory import valuation
 
         for f in list(gen_exhaustive(4, 4))[::23]:
-            out = eisenstein_generalized(f)
+            out = eisenstein_generalized(PolyFacts(f))
             if out.conclusion.fired():
                 p, k, j = out.witnesses["p"], out.witnesses["k"], out.witnesses["j"]
                 assert valuation(p, f.constant_term) == k
@@ -539,7 +539,7 @@ class TestWitnessValidity:
                 from math import gcd
                 assert gcd(k, j) == 1
 
-            out = constant_term_criterion(f)
+            out = constant_term_criterion(PolyFacts(f))
             if out.conclusion.fired():
                 p, k, j, d = (out.witnesses[key] for key in ("p", "k", "j", "d"))
                 assert abs(f.constant_term) == p**k * d and d % p != 0
@@ -569,9 +569,9 @@ class TestSymmetryInvariance:
                 [(-1) ** i * c for i, c in enumerate(f.coeffs)]
             )
             for crit in criteria:
-                base = crit(f).conclusion
-                assert crit(flipped).conclusion == base, (f, crit.__name__)
-                assert crit(reflected).conclusion == base, (f, crit.__name__)
+                base = crit(PolyFacts(f)).conclusion
+                assert crit(PolyFacts(flipped)).conclusion == base, (f, crit.__name__)
+                assert crit(PolyFacts(reflected)).conclusion == base, (f, crit.__name__)
 
 
 class TestAnalyze:
@@ -748,15 +748,15 @@ class TestAnalyze:
         assert second.warnings == first.warnings
 
     def test_no_conclusion_is_shared_and_read_only(self):
-        first = perron_nonmonic(P(1, 1, 1))
+        first = perron_nonmonic(PolyFacts(P(1, 1, 1)))
         assert first.conclusion.kind is NONE
-        assert perron_nonmonic(P(2, 1, 3)) is first
+        assert perron_nonmonic(PolyFacts(P(2, 1, 3))) is first
         report = analyze(P(1, 1, 1), AnalyzeConfig(oracle="off"))
         assert next(o for o in report.outcomes if o.criterion == "perron_nonmonic") is first
         assert first.witnesses == {}
         with pytest.raises(TypeError):
             first.witnesses["p"] = 2
-        assert weintraub_check(P(1, 1, 1)) is not first
+        assert weintraub_check(PolyFacts(P(1, 1, 1))) is not first
 
     def test_numeric_mode_finds_roots_once(self, monkeypatch):
         # -11 - 8z + 2z^2: both disk criteria try d = 1, which no exact test

@@ -47,6 +47,7 @@ from irreducia.criteria import (
     CRITERIA,
     AnalyzeConfig,
     Conclusion,
+    ConclusionKind,
     CriterionOutcome,
     PolyFacts,
     analyze,
@@ -266,7 +267,7 @@ def test_facts_criteria_match_direct_sums(f):
     facts = PolyFacts(f)
     for name, reference in REFERENCES.items():
         expected = reference(f)
-        assert CRITERIA[name](f) == expected  # own record
+        assert CRITERIA[name](PolyFacts(f)) == expected  # own record
         assert CRITERIA[name](facts) == expected  # shared record
     assert audit.cor1_best_j(facts) == ref_cor1_best_j(f)
     assert _audit_radius(facts) == max(ref_symbolic_disk_radii(f), default=0)
@@ -316,24 +317,24 @@ def test_exact_refusals_match_numeric_certificates(f):
 def test_references_fire_on_known_instances():
     # the property above would pass vacuously if the references never fired
     assert ref_dominant_coefficient(Polynomial([1, 3, 9, 1])) == dominant_coefficient(
-        Polynomial([1, 3, 9, 1])
+        PolyFacts(Polynomial([1, 3, 9, 1]))
     )
     assert ref_perron_nonmonic(Polynomial([3, 10, 2])).conclusion.fired()
-    assert perron_nonmonic(Polynomial([3, 10, 2])).conclusion.fired()
+    assert perron_nonmonic(PolyFacts(Polynomial([3, 10, 2]))).conclusion.fired()
     mpp = ref_middle_prime_power_check(Polynomial([1, 1, 16, 1]))
     assert mpp.conclusion.fired()
-    assert middle_prime_power_check(Polynomial([1, 1, 16, 1])) == mpp
+    assert middle_prime_power_check(PolyFacts(Polynomial([1, 1, 16, 1]))) == mpp
     # p^s > 1 in the coefficient below: 3 + 4z + 96z^2 + z^3, s = 2 at p = 2
     f = Polynomial([3, 4, 96, 1])
     assert ref_middle_prime_power_check(f).witnesses["s"] == 2
-    assert middle_prime_power_check(f) == ref_middle_prime_power_check(f)
+    assert middle_prime_power_check(PolyFacts(f)) == ref_middle_prime_power_check(f)
     assert ref_cor1_best_j(Polynomial([1, 1, 10, 1])) == 2
     f = Polynomial([24, 1, 1])  # 8 * 3: d = 8 fails, d = 3 is certified
     assert ref_constant_term_criterion(f).witnesses == {"p": 2, "k": 3, "j": 1, "d": 3}
-    assert constant_term_criterion(f) == ref_constant_term_criterion(f)
+    assert constant_term_criterion(PolyFacts(f)) == ref_constant_term_criterion(f)
     f = Polynomial([11, 0, 5])
     assert ref_leading_coeff_criterion(f).witnesses == {"p": 5, "k": 1, "j": 2, "d": 1, "q": 11}
-    assert leading_coeff_criterion(f) == ref_leading_coeff_criterion(f)
+    assert leading_coeff_criterion(PolyFacts(f)) == ref_leading_coeff_criterion(f)
     assert ref_symbolic_disk_radii(Polynomial([24, 1, 1])) == [3]
     assert _audit_radius(PolyFacts(Polynomial([24, 1, 1]))) == 3
     f = Polynomial([4, -4, 1])  # (z - 2)^2: only numeric mode certifies d = 1
@@ -361,6 +362,121 @@ def test_audit_one_certifies_each_radius_once(monkeypatch):
     assert result.rootloc_checked > 0
     assert {mode for _, _, mode in calls} == {SYM, NUM}
     assert max(calls.values()) == 1
+
+
+def ref_audit_one(f, result):
+    """`audit.audit_one` as it was before it read the outcomes by kind, by
+    dict and by index: `fired()`, `AuditResult.stats` and a scan for
+    dominant_coefficient's outcome."""
+    result.total += 1
+    facts = PolyFacts(f)
+    m = facts.degree
+    outcomes, stopped = criteria.run_criteria(facts)
+    for name, _ in stopped:
+        result.stats(name).stopped += 1
+    to_check = []
+    for outcome in outcomes:
+        if not outcome.conclusion.fired():
+            continue
+        stats = result.stats(outcome.criterion)
+        stats.fired += 1
+        if audit._is_vacuous(outcome.conclusion, m):
+            stats.vacuous += 1
+            stats.sound += 1
+        else:
+            to_check.append(outcome)
+    if to_check:
+        try:
+            fact = oracle.factor(f)
+        except oracle.OracleLimitError:
+            result.oracle_skipped += 1
+            for outcome in to_check:
+                result.stats(outcome.criterion).unchecked += 1
+        else:
+            result.oracle_calls += 1
+            count = fact.nonconstant_factor_count()
+            for outcome in to_check:
+                stats = result.stats(outcome.criterion)
+                if criteria.conclusion_holds(outcome.conclusion, fact):
+                    stats.sound += 1
+                else:
+                    stats.violations.add((f.coeffs, outcome.criterion,
+                                          outcome.conclusion.kind.value,
+                                          outcome.conclusion.bound, count))
+    try:
+        j = audit.cor1_best_j(facts)
+    except numtheory.FactorizationLimitError:
+        j = None
+    if j is not None:
+        result.cor1_checked += 1
+        dom = next(o.conclusion for o in outcomes if o.criterion == "dominant_coefficient")
+        if dom != Conclusion.at_most(m - j):
+            result.cor1_violations.add((f.coeffs, j, dom.kind.value, dom.bound))
+    try:
+        worst = max(facts.certified_radius(0), facts.certified_radius(m))
+    except numtheory.FactorizationLimitError:
+        worst = 0
+    if worst:
+        result.rootloc_checked += 1
+        try:
+            roots = facts.roots()
+        except rootloc.NonConvergenceError as exc:
+            result.nonconvergences.add((f.coeffs, exc.best_residual))
+        else:
+            min_modulus = min(abs(r) for r in roots)
+            if min_modulus <= worst * (1.0 - audit.ROOT_MARGIN):
+                result.rootloc_violations.add((f.coeffs, worst, min_modulus))
+
+
+def _audits_agree(polys):
+    result, ref = audit.AuditResult(), audit.AuditResult()
+    for f in polys:
+        audit.audit_one(f, result)
+        ref_audit_one(f, ref)
+    assert result == ref
+    assert result.violation_count() == ref.violation_count()
+    return result
+
+
+_AUDIT_FAKES = {
+    "dominant_coefficient":
+        lambda facts: CriterionOutcome("dominant_coefficient", {}, Conclusion.at_most(facts.degree)),
+    "perron_nonmonic": lambda facts: CriterionOutcome("perron_nonmonic", {}, Conclusion.irreducible()),
+    "weintraub":
+        lambda facts: CriterionOutcome("weintraub", {}, Conclusion(ConclusionKind.NO_CONCLUSION)),
+}
+
+
+@pytest.mark.parametrize("fakes", [{}, _AUDIT_FAKES], ids=["criteria", "fakes"])
+def test_audit_one_matches_reference_classification(monkeypatch, fakes):
+    # the fakes reach the violation lists, cor1's and a fresh NoConclusion;
+    # the 40-digit coefficients reach the factorization limits
+    for name, fake in fakes.items():
+        monkeypatch.setitem(criteria.CRITERIA, name, fake)
+    polys = list(gen_exhaustive(4, 3))[::7] + gen_random(2, 2, 10**40, 1)
+    result = _audits_agree(polys)
+    stopped = sum(s.stopped for s in result.criteria.values())
+    assert result.oracle_calls > 0 and result.rootloc_checked > 0 and stopped > 0
+    if fakes:
+        assert result.cor1_violations.found > 0
+        assert result.criteria["perron_nonmonic"].violations.found > 0
+        assert "weintraub" not in result.criteria
+
+
+@st.composite
+def audit_polys(draw):
+    """Primitive, degree 1-8, |c| <= 10^3, nonzero constant term."""
+    coeffs = draw(st.lists(st.integers(-10**3, 10**3), min_size=2, max_size=9))
+    coeffs[0] = coeffs[0] or 1
+    coeffs[-1] = coeffs[-1] or 1
+    g = math.gcd(*coeffs)
+    return Polynomial([c // g for c in coeffs])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(audit_polys(), min_size=1, max_size=4))
+def test_audit_one_matches_reference_on_random_polys(polys):
+    _audits_agree(polys)
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +782,7 @@ def big_leading_polys(draw):
 @settings(max_examples=300, deadline=None)
 @given(big_leading_polys())
 def test_dominant_witness_matches_full_divisor_scan(f):
-    assert dominant_coefficient(f) == ref_dominant_coefficient(f)
+    assert dominant_coefficient(PolyFacts(f)) == ref_dominant_coefficient(f)
 
 
 def test_dominant_witness_on_both_sides_of_the_trial_bound():
@@ -680,9 +796,9 @@ def test_dominant_witness_on_both_sides_of_the_trial_bound():
         ([1, 100, 3], 1), ([1, 34, 32], 32), ([1, 35, 33], 33), ([1, 104, 64], 2),
     ):
         f = Polynomial(coeffs)
-        assert dominant_coefficient(f) == ref_dominant_coefficient(f)
-        assert dominant_coefficient(f).witnesses["b"] == b
-        delta = dominant_coefficient(f).witnesses["delta"]
+        assert dominant_coefficient(PolyFacts(f)) == ref_dominant_coefficient(f)
+        assert dominant_coefficient(PolyFacts(f)).witnesses["b"] == b
+        delta = dominant_coefficient(PolyFacts(f)).witnesses["delta"]
         assert delta == Fraction(1, b)
         assert str(delta) == str(Fraction(1, b))
 
