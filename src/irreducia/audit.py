@@ -55,9 +55,17 @@ _CHUNK_SIZE = 4096  # polynomials per task sent to a worker in a parallel audit
 
 
 class Findings(list):
-    """The first _EXAMPLE_CAP findings of one kind; `found` counts them all."""
+    """The first _EXAMPLE_CAP findings of one kind; `found` counts them all,
+    and two are equal when their examples and their counts are."""
 
     found = 0
+
+    def __eq__(self, other):
+        if not isinstance(other, Findings):
+            return NotImplemented
+        return self.found == other.found and list.__eq__(self, other)
+
+    __ne__ = object.__ne__  # the negation of __eq__; list's own ignores `found`
 
     def add(self, item) -> None:
         self.found += 1
@@ -160,8 +168,6 @@ def cor1_best_j(facts: PolyFacts) -> int | None:
     |a_m|, so this is the index of the record's `dominant()`. `audit_one`
     compares the criterion's conclusion with AtMostFactors(m - j).
     """
-    if facts.degree < 2:
-        return None
     hit = facts.dominant()
     return None if hit is None else hit[0]
 

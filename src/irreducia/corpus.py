@@ -33,7 +33,7 @@ def gen_p1(p: int, m: int, n: int, sign: int = 1) -> Polynomial:
     unit, and gcd(m-1, m) = 1, so the prime-power prefix criterion applies
     with j = m and certifies irreducibility.
     """
-    _check(numtheory.is_prime(p), f"p must be prime, got {p}")
+    _check(numtheory.is_prime(p), f"p must be a proven prime, got {p}")
     _check(m >= n >= 2, f"need m >= n >= 2, got m={m}, n={n}")
     _check(sign in (1, -1), "sign must be +-1")
     block = p ** (m - 1)
@@ -49,7 +49,7 @@ def gen_p2(
     The dominance condition keeps every zero outside the closed disk
     |z| <= d, so the constant-term criterion applies with this (p, k, d).
     """
-    _check(numtheory.is_prime(p), f"p must be prime, got {p}")
+    _check(numtheory.is_prime(p), f"p must be a proven prime, got {p}")
     _check(k >= 1 and d >= 1, "need k >= 1 and d >= 1")
     _check(m >= 2, f"need m >= 2, got {m}")
     _check(d % p != 0, f"p={p} must not divide d={d}")
@@ -73,7 +73,7 @@ def gen_p3(
     """a_0 + ... + a_(m-1) z^(m-1) +- (p^k d) z^m with a dominant constant
     term and the size condition |a_0 / q| <= p^k d (q = smallest prime
     divisor of a_0), so the leading-coefficient criterion applies."""
-    _check(numtheory.is_prime(p), f"p must be prime, got {p}")
+    _check(numtheory.is_prime(p), f"p must be a proven prime, got {p}")
     _check(k >= 1 and d >= 1, "need k >= 1 and d >= 1")
     _check(m >= 2, f"need m >= 2, got {m}")
     _check(d % p != 0, f"p={p} must not divide d={d}")

@@ -161,7 +161,7 @@ class PolyFacts:
         self.mode = mode
         self.unit_disk_certified = 2 * mags[0] > sum(mags)
         self._low: list[int] | None = None
-        self._dominant: tuple[int, int] | None | bool = False  # False: not yet found
+        self._dominant = False if self.degree > 1 else None  # False: not yet found
         self._rational_root: bool | None = None
         self._roots: list[complex] | rootloc.NonConvergenceError | None = None
         self._bounds: list[int] | None = None  # [largest radius certified, smallest refused]
@@ -267,17 +267,16 @@ class PolyFacts:
 
             |a_j| - low[j] > sum_{i>j} |a_i| / b^(i-j)
 
-        holds, or None. The right side falls as b grows, so j is the first
-        index, falling from m-1, at which it holds for b = |a_m|. The
-        divisors of a_m are then scanned upward at that j only, those up to
-        _DOMINANT_TRIAL by division: b is nearly always one of them, and a_m
-        is factorized only if it is not (so an a_m that resists still gives
-        a small b). When |a_m| <= _DOMINANT_TRIAL the scan is a plain range
-        with the division test inline, and no divisor generator is built.
-        The integer on the left exceeds the sum exactly when it exceeds its
-        floor, built without a power of b as t = (|a_i| + t) // b from i = m
-        down to j + 1 (each step keeps the floor exact); for b = |a_m| one
-        running floor serves every j."""
+        holds, or None (always below degree 2). The right side falls as b
+        grows, so j is the first index, falling from m-1, at which it holds for
+        b = |a_m|. The divisors of a_m are then scanned upward at that j only,
+        those up to _DOMINANT_TRIAL by division: b is nearly always one of
+        them, and a_m is factorized only if it is not (so an a_m that resists
+        still gives a small b). For |a_m| <= _DOMINANT_TRIAL the scan is a
+        plain range, with no divisor generator. The integer on the left exceeds
+        the sum exactly when it exceeds its floor, built without a power of b
+        as t = (|a_i| + t) // b from i = m down to j + 1 (each step keeps the
+        floor exact); for b = |a_m| one running floor serves every j."""
         if self._dominant is False:
             hit = None
             mags, low, m = self.mags, self.low, self.degree
@@ -432,16 +431,13 @@ def dominant_coefficient(facts: PolyFacts) -> CriterionOutcome:
     over [1/b, 1]. Evaluated in integers, against the floor of the sum over
     i > j (see `PolyFacts.dominant`)."""
     name = "dominant_coefficient"
-    m = facts.degree
-    if m < 2:
-        return _NO_CONCLUSIONS[name]
     hit = facts.dominant()
     if hit is None:
         return _NO_CONCLUSIONS[name]
     j, b = hit
     delta = _DELTAS[b - 1] if b <= _DOMINANT_TRIAL else Fraction(1, b)  # immutable, so shared
     witnesses = {"b": b, "delta": delta, "j": j}
-    return CriterionOutcome(name, witnesses, Conclusion.at_most(m - j))
+    return CriterionOutcome(name, witnesses, Conclusion.at_most(facts.degree - j))
 
 
 def perron_nonmonic(facts: PolyFacts) -> CriterionOutcome:
@@ -474,8 +470,6 @@ def middle_prime_power_check(facts: PolyFacts) -> CriterionOutcome:
     """
     name = "middle_prime_power"
     c, mags, m = facts.coeffs, facts.mags, facts.degree
-    if m < 2:
-        return _NO_CONCLUSIONS[name]
     low, am = facts.low, mags[m]
     high = 0  # floor(sum_{i>j} |a_i| / |a_m|^(i-j)), kept as j falls
     for j in range(m - 1, 0, -1):

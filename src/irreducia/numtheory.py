@@ -18,7 +18,9 @@ rho under an iteration budget (one per cofactor below DEFAULT_FACTOR_BOUND,
 one shared by the larger ones), so every call returns or raises
 FactorizationLimitError in bounded time. A cofactor at or above
 PROVEN_PRIME_BOUND that passes Miller-Rabin is only a probable prime, so it
-raises FactorizationLimitError too: no verdict rests on an unproven prime.
+raises FactorizationLimitError too, and `is_prime` is False there, true
+primes included: it says yes only with a proof, and no verdict rests on an
+unproven prime.
 """
 
 from __future__ import annotations
@@ -91,6 +93,11 @@ PROVEN_PRIME_BOUND = 3_317_044_064_679_887_385_961_981  # psi_13 = 1287836182261
 
 
 def is_prime(n: int) -> bool:
+    """Whether n is proven prime: False at or above PROVEN_PRIME_BOUND."""
+    return n < PROVEN_PRIME_BOUND and _passes_miller_rabin(n)
+
+
+def _passes_miller_rabin(n: int) -> bool:
     """Miller-Rabin to as many of the bases 2, ..., 41 as the size of n needs:
     a proof for n < PROVEN_PRIME_BOUND, a strong probable-prime test above."""
     if n < 2:
@@ -158,9 +165,7 @@ def _pollard_rho(n: int, rng: random.Random, steps: int) -> tuple[int | None, in
 def _factor_positive(n: int) -> tuple[tuple[int, int], ...] | str:
     """The (prime, exponent) pairs of n >= 1, ascending by prime, or the
     limit message when rho runs out of budget or a cofactor at or above
-    PROVEN_PRIME_BOUND passes `is_prime`, which proves nothing there."""
-    if n == 1:
-        return ()
+    PROVEN_PRIME_BOUND passes Miller-Rabin, which proves nothing there."""
     powers: dict[int, int] = {}
     g = math.gcd(n, _SMALL_PRIMORIAL)  # the product of the primes below 10^3 dividing n
     for p in _SMALL_PRIMES:
@@ -178,44 +183,39 @@ def _factor_positive(n: int) -> tuple[tuple[int, int], ...] | str:
                 powers[q] = powers.get(q, 0) + 1
                 n //= q
         d += 6
-    if n > 1:
-        # no prime below d is left, so a cofactor below d^2 is prime
-        if n < d * d or n < PROVEN_PRIME_BOUND and is_prime(n):
-            powers[n] = powers.get(n, 0) + 1
-        else:
-            rng = random.Random(n)
-            stack = [n]
-            shared = _RHO_STEPS  # for the splits of cofactors above the bound
-            while stack:
-                m = stack.pop()
-                if is_prime(m):
-                    if m >= PROVEN_PRIME_BOUND:
-                        return (f"factorization limit reached on {m}: "
-                                "a probable prime, not proven prime")
-                    # take its full power out of every cofactor left, so each
-                    # distinct prime costs one split
-                    e, rest = 1, []
-                    for r in stack:
-                        while r % m == 0:
-                            r //= m
-                            e += 1
-                        if r > 1:
-                            rest.append(r)
-                    powers[m], stack = e, rest
-                    continue
-                steps = _RHO_STEPS if m < DEFAULT_FACTOR_BOUND else shared
-                g = None
-                while g is None and steps > 0:
-                    g, spent = _pollard_rho(m, rng, steps)
-                    steps -= spent
-                if m >= DEFAULT_FACTOR_BOUND:
-                    shared = steps
-                if g is None:
-                    return (
-                        f"factorization limit reached on {m}: no factor within "
-                        f"{_RHO_STEPS} Pollard rho steps"
-                    )
-                stack.extend(sorted((g, m // g), reverse=True))  # the smaller first
+    # no prime below d is left, so a cofactor of n below d^2 is prime
+    stack = [n] if n > 1 else []
+    rng = None  # seeded by n on the first split, so a prime n pays no seeding
+    shared = _RHO_STEPS  # for the splits of cofactors above the bound
+    while stack:
+        m = stack.pop()
+        if m < d * d or _passes_miller_rabin(m):
+            if m >= PROVEN_PRIME_BOUND:
+                return (f"factorization limit reached on {m}: "
+                        "a probable prime, not proven prime")
+            # take its full power out of every cofactor left, so each
+            # distinct prime costs one split
+            e, rest = 1, []
+            for r in stack:
+                while r % m == 0:
+                    r //= m
+                    e += 1
+                if r > 1:
+                    rest.append(r)
+            powers[m], stack = e, rest
+            continue
+        rng = rng or random.Random(n)
+        steps = _RHO_STEPS if m < DEFAULT_FACTOR_BOUND else shared
+        g = None
+        while g is None and steps > 0:
+            g, spent = _pollard_rho(m, rng, steps)
+            steps -= spent
+        if m >= DEFAULT_FACTOR_BOUND:
+            shared = steps
+        if g is None:
+            return (f"factorization limit reached on {m}: no factor within "
+                    f"{_RHO_STEPS} Pollard rho steps")
+        stack.extend(sorted((g, m // g), reverse=True))  # the smaller first
     return tuple(sorted(powers.items()))
 
 

@@ -9,9 +9,9 @@ the least integer R >= 1 with |a_m| R^m > sum_{i<m} |a_i| R^i, so every
 root has modulus < R. If |h(x)| = p * d with p prime and 1 <= d <= n - R at
 some x = +-n, R < n <= R + 10, then h is irreducible: a factor g of positive
 degree has |g(x)| >= prod |x - alpha| > (n - R)^deg g >= n - R, while if
-h = g k and p divides g(x), |k(x)| divides d. `is_prime` is a proof below
-numtheory.PROVEN_PRIME_BOUND (~3.3 * 10^24), and a value at or above it sends
-h to Kronecker's method, which `verify` runs alone as an independent check.
+h = g k and p divides g(x), |k(x)| divides d. `numtheory.is_prime` says yes
+only with a proof; without one, h goes to Kronecker's method, which `verify`
+runs alone as an independent check.
 Kronecker's method interpolates candidate factors through divisor tuples of
 the polynomial's values at small integer points and tests exact
 divisibility. For degree e the polynomial is evaluated at the first e + 7
@@ -198,8 +198,6 @@ def _prime_value_certifies(h: Polynomial) -> bool:
     for n in range(r + 1, r + 11):
         for x in (n, -n):
             v = abs(h.evaluate(x))
-            if v >= numtheory.PROVEN_PRIME_BOUND:
-                return False  # is_prime is no proof here: leave h to Kronecker
             for d in range(1, n - r + 1):
                 if v % d == 0 and numtheory.is_prime(v // d):
                     return True

@@ -145,6 +145,24 @@ def test_cor1_instance():
     # 1 + z + 10z^2 + z^3: unit leading coefficient, j = 2 dominates
     assert audit.cor1_best_j(PolyFacts(Polynomial([1, 1, 10, 1]))) == 2
     assert audit.cor1_best_j(PolyFacts(Polynomial([1, 1, 1]))) is None
+    # 7 + z: 7 > 1 passes the inequality at j = 0, but dominance needs
+    # degree >= 2, and the record says so to every reader
+    facts = PolyFacts(Polynomial([7, 1]))
+    assert facts.dominant() is None
+    assert audit.cor1_best_j(facts) is None
+    for criterion in (dominant_coefficient, criteria.middle_prime_power_check):
+        assert criterion(facts).conclusion.kind is ConclusionKind.NO_CONCLUSION
+
+
+def test_results_with_unequal_counts_differ():
+    # the same single kept example, found once and 99 times
+    once, often = audit.AuditResult(), audit.AuditResult()
+    for result in (once, often):
+        result.cor1_violations.add(((1, 1, 10, 1), 2, "AtMostFactors", 3))
+    often.cor1_violations.found = 99
+    assert once.cor1_violations != often.cor1_violations
+    assert once != often
+    assert not once == often
 
 
 def test_vacuous_classification():

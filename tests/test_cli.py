@@ -434,6 +434,9 @@ class TestExitCodes:
          "bad sign 'x'"),
         (["--family", "P1", "--p", "2", "--m", "3"], "family P1 needs --n"),
         (["--family", "P9"], "unknown family 'P9'"),
+        # psi_13 = 1287836182261 * 2575672364521 passes every Miller-Rabin base
+        (["--family", "P1", "--p", "3317044064679887385961981", "--m", "2", "--n", "2"],
+         "p must be a proven prime, got 3317044064679887385961981"),
     ])
     def test_gen_family_input_errors(self, capsys, argv, message):
         assert main(["gen", *argv]) == EXIT_ERROR

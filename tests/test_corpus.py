@@ -48,6 +48,18 @@ class TestP1:
             gen_p1(2, 2, 3)
 
 
+@pytest.mark.parametrize("make", [
+    lambda p: gen_p1(p, 2, 2),
+    lambda p: gen_p2(p, 1, 1, 2, [1, 1]),
+    lambda p: gen_p3(p, 1, 1, 2, 11, [1]),
+], ids=["P1", "P2", "P3"])
+def test_psi13_is_not_taken_for_a_prime(make):
+    # psi_13 = 1287836182261 * 2575672364521 passes Miller-Rabin to every
+    # base is_prime tries, and is composite
+    with pytest.raises(FamilyConditionError, match="p must be a proven prime"):
+        make(3_317_044_064_679_887_385_961_981)
+
+
 class TestP2:
     def test_reference_instance(self):
         assert gen_p2(5, 1, 1, 2, [1, 1]) == Polynomial([5, 1, 1])

@@ -154,9 +154,18 @@ def test_is_prime_small():
     341_550_071_728_321,
     3_825_123_056_546_413_051,
     399_165_290_221 * 798_330_580_441,  # psi_12, a strong pseudoprime to 2..37
+    numtheory.PROVEN_PRIME_BOUND,  # psi_13 = 1287836182261 * 2575672364521, to 2..41
 ])
 def test_least_strong_pseudoprimes_to_the_first_bases_are_composite(n):
     assert not is_prime(n)
+
+
+def test_is_prime_says_yes_only_with_a_proof():
+    # Miller-Rabin proves nothing at or above psi_13, so true primes there
+    # are refused too, until a proof of their primality is implemented
+    assert not is_prime(2**89 - 1)
+    assert not is_prime(2**127 - 1)
+    assert is_prime(2**61 - 1)
 
 
 def test_is_prime_matches_a_sieve():
