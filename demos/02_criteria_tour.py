@@ -35,11 +35,8 @@ SHOWCASES = [
 
 for fn, f, why in SHOWCASES:
     out = fn(PolyFacts(f))
-    kind = out.conclusion.kind.value
-    if out.conclusion.bound is not None:
-        kind += f"({out.conclusion.bound})"
     witnesses = ", ".join(f"{k}={v}" for k, v in out.witnesses.items()) or "-"
-    print(f"{fn.__name__:26s} {str(f):24s} -> {kind:16s} [{witnesses}]")
+    print(f"{fn.__name__:26s} {str(f):24s} -> {str(out.conclusion):16s} [{witnesses}]")
     print(f"{'':26s} {why}")
 
 # analyze() runs everything on the primitive part and keeps the strongest

@@ -21,11 +21,8 @@ for name, params in MEMBERS:
     f = gen_family(name, params)
     report = analyze(f)
     strongest = report.strongest
-    kind = strongest.conclusion.kind.value
-    if strongest.conclusion.bound is not None:
-        kind += f"({strongest.conclusion.bound})"
     print(f"{name}{str(params):48s} -> {f}")
-    print(f"    strongest: {kind} via {strongest.criterion}, "
+    print(f"    strongest: {strongest.conclusion} via {strongest.criterion}, "
           f"oracle count {report.oracle_result.nonconstant_factor_count()}")
 
 # A small audit: every primitive polynomial with degree <= 3 and

@@ -2,8 +2,9 @@
 and count fired / sound / inconclusive outcomes per criterion.
 
 Three cross-checks ride along on the same sweep:
-  * soundness   -- every fired conclusion is compared with the oracle count
-                   (bounds that hold for trivial reasons, such as a factor
+  * soundness   -- every fired conclusion is judged by `Conclusion.holds`
+                   on the oracle's factor degrees (bounds that hold for
+                   trivial reasons, `Conclusion.vacuous`, such as a factor
                    count bound of at least the degree, are tallied as
                    vacuously sound without an oracle call);
   * cor1        -- wherever the unit-divisor dominance inequality holds at
@@ -20,7 +21,7 @@ Three cross-checks ride along on the same sweep:
                    search the disk criteria make.
 
 `audit_family` replays the constructions P1-P4 over fixed grids; each
-instance is judged against the oracle by the same `conclusion_holds`.
+instance is judged against the oracle by the same `Conclusion.holds`.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .criteria import (
     ConclusionKind,
     CriterionOutcome,
     PolyFacts,
-    conclusion_holds,
     constant_term_criterion,
     dominant_coefficient,
     eisenstein_generalized,
@@ -176,16 +176,6 @@ _NO_CONCLUSION = ConclusionKind.NO_CONCLUSION
 _DOMINANT_INDEX = list(CRITERIA).index("dominant_coefficient")  # run_criteria keeps CRITERIA's order
 
 
-def _is_vacuous(conclusion: Conclusion, degree: int) -> bool:
-    """Bounds no factorization can violate: a factor-count bound of at least
-    the degree, or a factor-degree bound at least floor(degree/2)."""
-    if conclusion.kind is ConclusionKind.AT_MOST_FACTORS:
-        return conclusion.bound >= degree
-    if conclusion.kind is ConclusionKind.FACTOR_DEGREE_BOUND:
-        return conclusion.bound >= degree // 2
-    return False
-
-
 def audit_one(f: Polynomial, result: AuditResult) -> None:
     """Audit a single primitive polynomial with nonzero constant term."""
     result.total += 1
@@ -202,7 +192,7 @@ def audit_one(f: Polynomial, result: AuditResult) -> None:
             continue
         stats = criteria.get(outcome.criterion) or result.stats(outcome.criterion)
         stats.fired += 1
-        if _is_vacuous(outcome.conclusion, m):
+        if outcome.conclusion.vacuous(m):
             stats.vacuous += 1
             stats.sound += 1
         else:
@@ -217,15 +207,15 @@ def audit_one(f: Polynomial, result: AuditResult) -> None:
                 criteria[outcome.criterion].unchecked += 1
         else:
             result.oracle_calls += 1
-            count = fact.nonconstant_factor_count()
+            degrees = fact.factor_degrees()
             for outcome in to_check:
                 stats = criteria[outcome.criterion]
-                if conclusion_holds(outcome.conclusion, fact):
+                if outcome.conclusion.holds(degrees):
                     stats.sound += 1
                 else:
                     stats.violations.add((f.coeffs, outcome.criterion,
                                           outcome.conclusion.kind.value,
-                                          outcome.conclusion.bound, count))
+                                          outcome.conclusion.bound, len(degrees)))
 
     # a limit that stopped a criterion stops its cross-check too: skip it
     try:
@@ -304,44 +294,39 @@ def audit_exhaustive(max_degree: int, coeff_bound: int, jobs: int = 1) -> AuditR
 # family grids and their expected conclusions
 
 
+def _members(build, grid: Iterable[tuple]) -> Iterator[tuple]:
+    """(*params, build(*params)) for each params in grid, skipping those
+    whose side conditions the family generator refuses."""
+    for params in grid:
+        try:
+            f = build(*params)
+        except corpus_mod.FamilyConditionError:
+            continue
+        yield (*params, f)
+
+
 def p1_grid() -> Iterator[tuple[int, int, int, int, Polynomial]]:
     """(p, m, n, sign, polynomial) over p in {2,3,5}, 2 <= n <= m <= 6."""
-    for p in (2, 3, 5):
-        for m in range(2, 7):
-            for n in range(2, m + 1):
-                for sign in (1, -1):
-                    yield p, m, n, sign, corpus_mod.gen_p1(p, m, n, sign)
+    return _members(corpus_mod.gen_p1, product((2, 3, 5), range(2, 7), range(2, 7), (1, -1)))
 
 
 def p2_grid_k1() -> Iterator[tuple[int, int, int, tuple[int, ...], int, Polynomial]]:
     """(p, d, m, tail, sign, polynomial) for exponent k = 1 instances over
     p in {3,5,7}, d in {1,2}, m in {2,3,4}, small tails that satisfy the
     dominance side condition."""
-    for p, d, m, sign in product((3, 5, 7), (1, 2), (2, 3, 4), (1, -1)):
-        for tail in product((-1, 0, 1), repeat=m):
-            if tail[-1] == 0:
-                continue
-            try:
-                f = corpus_mod.gen_p2(p, 1, d, m, list(tail), sign)
-            except corpus_mod.FamilyConditionError:
-                continue
-            yield p, d, m, tail, sign, f
+    grid = ((p, d, m, tail, sign)
+            for p, d, m, sign in product((3, 5, 7), (1, 2), (2, 3, 4), (1, -1))
+            for tail in product((-1, 0, 1), repeat=m))
+    return _members(lambda p, d, m, tail, sign: corpus_mod.gen_p2(p, 1, d, m, tail, sign), grid)
 
 
 def p2_grid_k2() -> Iterator[tuple[int, int, tuple[int, ...], Polynomial]]:
     """(p, m, tail, polynomial) for exponent k = 2, d = 1 instances whose
     first coefficient is divisible by p, so the criterion's witness index j
     is at least 2 and the factor bound is exactly min(2, j) = 2."""
-    for p, m in product((3, 5, 7), (2, 3, 4)):
-        for first in (0, p, -p):
-            for rest in product((-1, 0, 1), repeat=m - 1):
-                if rest[-1] == 0:
-                    continue
-                try:
-                    f = corpus_mod.gen_p2(p, 2, 1, m, [first, *rest])
-                except corpus_mod.FamilyConditionError:
-                    continue
-                yield p, m, (first, *rest), f
+    grid = ((p, m, tail) for p, m in product((3, 5, 7), (2, 3, 4))
+            for tail in product((0, p, -p), *[(-1, 0, 1)] * (m - 1)))
+    return _members(lambda p, m, tail: corpus_mod.gen_p2(p, 2, 1, m, tail), grid)
 
 
 def p3_grid() -> Iterator[tuple[int, int, int, Polynomial]]:
@@ -358,9 +343,7 @@ def p3_grid() -> Iterator[tuple[int, int, int, Polynomial]]:
 def p4_grid() -> Iterator[tuple[int, int, int, int, Polynomial]]:
     """(a, b, m, j, polynomial) over a in {3,4,5}, b = 1, m in {3,4,5},
     1 <= j <= m-1, all signs positive."""
-    for a, m in product((3, 4, 5), (3, 4, 5)):
-        for j in range(1, m):
-            yield a, 1, m, j, corpus_mod.gen_p4(a, 1, m, j)
+    return _members(corpus_mod.gen_p4, product((3, 4, 5), (1,), (3, 4, 5), range(1, 5)))
 
 
 # Each family lists its parts: (label, grid, criterion, expect), where
@@ -384,7 +367,7 @@ def audit_family(name: str) -> tuple[int, list]:
     """Check every grid instance of a family: its criterion must reach the
     expected conclusion with the expected witnesses and an exact
     certificate, and the oracle's factorization must support that
-    conclusion (`conclusion_holds`). Returns (instances checked,
+    conclusion (`Conclusion.holds`). Returns (instances checked,
     violations), each violation (coeffs, label, params)."""
     if name not in _FAMILY_CHECKS:
         raise ValueError(f"unknown family {name!r}")
@@ -399,7 +382,7 @@ def audit_family(name: str) -> tuple[int, list]:
                 out.conclusion == conclusion
                 and witnesses.items() <= out.witnesses.items()
                 and out.certificate_mode == EXACT
-                and conclusion_holds(conclusion, oracle.factor(f))
+                and conclusion.holds(oracle.factor(f).factor_degrees())
             )
             if not ok:
                 violations.append((f.coeffs, label, tuple(params)))

@@ -109,11 +109,6 @@ def report_to_json(report: AnalysisReport) -> str:
     return json.dumps(report_to_dict(report), indent=2)
 
 
-def _conclusion_text(conclusion: Conclusion) -> str:
-    kind = conclusion.kind.value
-    return kind if conclusion.bound is None else f"{kind}({conclusion.bound})"
-
-
 def _report_text_lines(report: AnalysisReport) -> list[str]:
     lines = [
         f"input: {report.input_text}  [coeffs {render_coeff_list(report.input)}]",
@@ -123,10 +118,10 @@ def _report_text_lines(report: AnalysisReport) -> list[str]:
     for o in report.outcomes:
         witness = ", ".join(f"{k}={v}" for k, v in o.witnesses.items())
         mode = "" if o.certificate_mode == "exact" else f"  [{o.certificate_mode}]"
-        lines.append(f"  {o.criterion:22s} {_conclusion_text(o.conclusion):22s} {witness}{mode}")
+        lines.append(f"  {o.criterion:22s} {str(o.conclusion):22s} {witness}{mode}")
     if report.strongest is not None:
         s = report.strongest
-        lines.append(f"strongest: {_conclusion_text(s.conclusion)} via {s.criterion}")
+        lines.append(f"strongest: {s.conclusion} via {s.criterion}")
     else:
         lines.append("strongest: NoConclusion")
     if report.oracle_result is not None:
@@ -213,9 +208,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
     from . import audit as audit_mod  # loaded only here: it pulls in multiprocessing
 
     violations = 0
-    if args.families:
-        names = [tok.strip().upper() for tok in args.families.split(",") if tok.strip()]
-        for name in names:
+    if args.families is not None:
+        names = dict.fromkeys(t.strip().upper() for t in args.families.split(",") if t.strip())
+        if not names:
+            raise PolyParseError("empty families list")
+        for name in names:  # a repeated family is audited once
             checked, family_violations = audit_mod.audit_family(name)
             print(f"family {name}: {checked} instances, "
                   f"{len(family_violations)} violations")

@@ -23,7 +23,7 @@ import enum
 import math
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from . import numtheory, oracle, rootloc
 from .poly import Polynomial, _check_digits, normalize, rational_roots
@@ -74,6 +74,34 @@ class Conclusion(NamedTuple):
     def rank(self) -> tuple[int, int]:
         """Sort key: stronger conclusions first."""
         return (_KIND_ORDER[self.kind], self.bound or 0)
+
+    def holds(self, degrees: Sequence[int]) -> bool:
+        """Whether a polynomial whose irreducible factors other than z have
+        these degrees (one entry per factor, counted with multiplicity, in
+        any order) bears the conclusion out."""
+        kind = self.kind
+        if kind is ConclusionKind.IRREDUCIBLE:
+            return len(degrees) == 1
+        if kind is ConclusionKind.AT_MOST_FACTORS:
+            return len(degrees) <= self.bound
+        if kind is ConclusionKind.FACTOR_DEGREE_BOUND:
+            return len(degrees) <= 1 or min(degrees) <= self.bound
+        return True
+
+    def vacuous(self, degree: int) -> bool:
+        """Whether no factorization of a polynomial of this degree can break
+        the conclusion: a factor-count bound of at least the degree, or a
+        factor-degree bound at least floor(degree/2). Irreducible is never
+        vacuous, not even at degree 1, so the audit checks every such claim."""
+        if self.kind is ConclusionKind.AT_MOST_FACTORS:
+            return self.bound >= degree
+        if self.kind is ConclusionKind.FACTOR_DEGREE_BOUND:
+            return self.bound >= degree // 2
+        return False
+
+    def __str__(self) -> str:
+        kind = self.kind.value
+        return kind if self.bound is None else f"{kind}({self.bound})"
 
 
 _KIND_ORDER = {kind: i for i, kind in enumerate(ConclusionKind)}  # strongest first
@@ -137,8 +165,10 @@ class PolyFacts:
     that did not converge is remembered, and asking again raises the same
     error. The dominance index and divisor of `dominant()`, which both the
     dominant-coefficient criterion and the audit's unit-divisor check read,
-    are found once, and so is the largest certified disk radius at each end,
-    which both disk criteria and the audit's root-location check read.
+    are found once. The disk radii are searched again on each call of
+    `certified_radius`, but from one pair shared by both ends, the largest
+    radius certified and the smallest refused so far, so a radius the pair
+    settles needs no second certificate.
     """
 
     __slots__ = ("poly", "coeffs", "degree", "mags", "mode", "unit_disk_certified", "_low",
@@ -549,25 +579,6 @@ def run_criteria(
     return outcomes, stopped
 
 
-def conclusion_holds(
-    conclusion: Conclusion, result: oracle.FactorizationResult, z_power: int = 0
-) -> bool:
-    """Does the oracle factorization of z^z_power times a primitive
-    polynomial support the conclusion reached about that polynomial?"""
-    count = result.nonconstant_factor_count() - z_power
-    kind = conclusion.kind
-    if kind is ConclusionKind.IRREDUCIBLE:
-        return count == 1
-    if kind is ConclusionKind.AT_MOST_FACTORS:
-        return count <= conclusion.bound
-    if kind is ConclusionKind.FACTOR_DEGREE_BOUND:
-        if count <= 1:
-            return True
-        degs = [g.degree for g, _ in result.factors if g.degree >= 1 and g.constant_term != 0]
-        return min(degs) <= conclusion.bound
-    return True
-
-
 def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisReport:
     """Run every enabled criterion on the primitive part of f, pick the
     strongest conclusion, and optionally cross-check against the oracle. A
@@ -621,13 +632,11 @@ def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisR
                 raise
             warnings.append(f"oracle skipped: {exc}")
         if oracle_result is not None and strongest is not None:
-            if not conclusion_holds(strongest.conclusion, oracle_result, norm.z_power):
+            degrees = oracle_result.factor_degrees()  # the primitive part's: z is left out
+            if not strongest.conclusion.holds(degrees):
                 raise SoundnessError(
-                    f"criterion {strongest.criterion} concluded "
-                    f"{strongest.conclusion.kind.value}"
-                    f"({strongest.conclusion.bound}) but the oracle found "
-                    f"{oracle_result.nonconstant_factor_count()} factors "
-                    f"for {f!r}"
+                    f"criterion {strongest.criterion} concluded {strongest.conclusion} "
+                    f"but the oracle found {len(degrees)} factors for {f!r}"
                 )
 
     return AnalysisReport(

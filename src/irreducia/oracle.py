@@ -60,6 +60,13 @@ class FactorizationResult(NamedTuple):
     def nonconstant_factor_count(self) -> int:
         return sum(mult for g, mult in self.factors if g.degree >= 1)
 
+    def factor_degrees(self) -> tuple[int, ...]:
+        """The degree of each irreducible factor other than z, the one with
+        constant term 0, repeated by its multiplicity: what
+        `Conclusion.holds` reads about the input's primitive part."""
+        return tuple(g.degree for g, mult in self.factors
+                     if g.degree >= 1 and g.constant_term != 0 for _ in range(mult))
+
 
 class _Budget:
     __slots__ = ("remaining",)

@@ -168,10 +168,10 @@ def test_results_with_unequal_counts_differ():
 def test_vacuous_classification():
     from irreducia.criteria import Conclusion
 
-    assert audit._is_vacuous(Conclusion.at_most(3), 3)
-    assert not audit._is_vacuous(Conclusion.at_most(2), 3)
-    assert audit._is_vacuous(Conclusion.factor_degree(2), 4)
-    assert not audit._is_vacuous(Conclusion.factor_degree(1), 4)
+    assert Conclusion.at_most(3).vacuous(3)
+    assert not Conclusion.at_most(2).vacuous(3)
+    assert Conclusion.factor_degree(2).vacuous(4)
+    assert not Conclusion.factor_degree(1).vacuous(4)
 
 
 def test_family_audits_clean():

@@ -333,7 +333,10 @@ class TestExitCodes:
         code = main(["analyze", "--poly", "z^2-1", "--oracle", "on"])
         assert code == EXIT_SOUNDNESS
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: soundness: criterion perron_nonmonic")
+        assert captured.err.startswith(
+            "error: soundness: criterion perron_nonmonic concluded Irreducible "
+            "but the oracle found 2 factors for "
+        )
         assert captured.out == ""
 
     def test_factor_output(self, capsys):
@@ -386,6 +389,17 @@ class TestExitCodes:
     def test_audit_families(self, capsys):
         assert main(["audit", "--families", "P4"]) == EXIT_OK
         assert "family P4" in capsys.readouterr().out
+        # a repeated family is audited once, as a repeated criterion runs once
+        assert main(["audit", "--families", "P4,p4, P4"]) == EXIT_OK
+        assert capsys.readouterr().out == "family P4: 27 instances, 0 violations\n"
+
+    @pytest.mark.parametrize("value", [",", "", " , "])
+    def test_audit_empty_families_list(self, capsys, value):
+        # as `analyze --criteria ,`: a usage error, not a clean audit of nothing
+        assert main(["audit", "--families", value]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == "error: empty families list\n"
+        assert captured.out == ""
 
     def test_audit_unknown_family(self, capsys):
         assert main(["audit", "--families", "P9"]) == EXIT_ERROR

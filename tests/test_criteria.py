@@ -430,6 +430,18 @@ class TestSharedValues:
             assert shared._replace(bound=n + 1) == Conclusion(FDB, n + 1)
             assert Conclusion.factor_degree(n) == shared  # unchanged by _replace
 
+    def test_text_forms(self):
+        cases = [(Conclusion.irreducible(), "Irreducible"), (Conclusion.none(), "NoConclusion"),
+                 (Conclusion.at_most(2), "AtMostFactors(2)"),
+                 (Conclusion.at_most(2 * self.SIZE), f"AtMostFactors({2 * self.SIZE})"),
+                 (Conclusion.factor_degree(0), "FactorDegreeBound(0)")]
+        for conclusion, text in cases:
+            assert str(conclusion) == f"{conclusion}" == text
+        # repr stays the named tuple's
+        assert repr(Conclusion.at_most(2)) == (
+            "Conclusion(kind=<ConclusionKind.AT_MOST_FACTORS: 'AtMostFactors'>, bound=2)"
+        )
+
     def test_at_most_one_is_irreducible(self):
         assert Conclusion.at_most(1) == Conclusion.irreducible() == Conclusion(IRR)
         assert Conclusion.none() == Conclusion(NONE)
@@ -841,25 +853,23 @@ class TestAnalyze:
         assert report.warnings == ()
 
     def test_oracle_consistency_predicate(self):
-        from irreducia.criteria import conclusion_holds
-
-        split = oracle.factor(P(-1, 0, 1))  # (z-1)(z+1)
+        split = oracle.factor(P(-1, 0, 1)).factor_degrees()  # (z-1)(z+1)
         irr = Conclusion.irreducible()
         two = Conclusion.at_most(2)
         fdb1 = Conclusion.factor_degree(1)
-        assert not conclusion_holds(irr, split, 0)
-        assert conclusion_holds(two, split, 0)
-        assert conclusion_holds(fdb1, split, 0)  # linear factor witnesses it
+        assert not irr.holds(split)
+        assert two.holds(split)
+        assert fdb1.holds(split)  # linear factor witnesses it
 
-        whole = oracle.factor(P(1, 0, 1) * P(2, 1, 3))  # two quadratics
-        assert not conclusion_holds(fdb1, whole, 0)
+        whole = oracle.factor(P(1, 0, 1) * P(2, 1, 3)).factor_degrees()  # two quadratics
+        assert not fdb1.holds(whole)
 
         # the audit's case: a degree-2 factor within a bound of 2, the z
         # factors of the full input left out of both count and degrees
-        mixed = oracle.factor(P(1, 0, 1) * P(1, 1, 0, 1))  # quadratic * cubic
-        assert conclusion_holds(Conclusion.factor_degree(2), mixed)
-        assert not conclusion_holds(Conclusion.factor_degree(1), mixed)
-        shifted = oracle.factor(P(0, 0, 1, 0, 1) * P(1, 1, 0, 1))
-        assert conclusion_holds(Conclusion.factor_degree(2), shifted, 2)
-        assert not conclusion_holds(Conclusion.factor_degree(1), shifted, 2)
-        assert conclusion_holds(Conclusion.at_most(2), shifted, 2)
+        mixed = oracle.factor(P(1, 0, 1) * P(1, 1, 0, 1)).factor_degrees()  # quadratic * cubic
+        assert Conclusion.factor_degree(2).holds(mixed)
+        assert not Conclusion.factor_degree(1).holds(mixed)
+        shifted = oracle.factor(P(0, 0, 1, 0, 1) * P(1, 1, 0, 1)).factor_degrees()
+        assert Conclusion.factor_degree(2).holds(shifted)
+        assert not Conclusion.factor_degree(1).holds(shifted)
+        assert Conclusion.at_most(2).holds(shifted)

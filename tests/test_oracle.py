@@ -82,6 +82,26 @@ class TestFactor:
         with pytest.raises(ValueError):
             factor(Polynomial())
 
+    def test_factorization_limit_on_a_sample_value(self, monkeypatch):
+        # (z^2 + 1)(z^2 + 2) goes to Kronecker's search, which factors its
+        # value 30 at z = 2; no criterion asks for 30, which is no coefficient
+        real = numtheory.prime_factors
+
+        def resisting(n):
+            if n == 30:
+                raise numtheory.FactorizationLimitError("factorization limit reached on 30")
+            return real(n)
+
+        monkeypatch.setattr(numtheory, "prime_factors", resisting)
+        f = P(2, 0, 3, 0, 1)
+        with pytest.raises(OracleLimitError) as exc:
+            factor(f)
+        assert str(exc.value).startswith("oracle limit: factorization limit")
+        # auto mode skips the oracle with a warning, not an error
+        report = analyze(f, AnalyzeConfig(oracle="auto"))
+        assert report.oracle_result is None
+        assert "oracle skipped: oracle limit: factorization limit reached on 30" in report.warnings
+
     def test_degree_8_search_picks_nodes_with_few_divisors(self):
         # this input's values at the first nine sample points have so many
         # divisors that a search with those points as nodes exhausts the
@@ -152,6 +172,12 @@ class TestCount:
         assert factor(P(-1, 0, 0, 0, 1)).nonconstant_factor_count() == 3  # z^4 - 1
         assert factor(P(4, 4, 0, 1)).nonconstant_factor_count() == 1
         assert factor(P(0, 0, 1) * P(1, 1)).nonconstant_factor_count() == 3  # z, z, z+1
+
+    def test_factor_degrees_leave_out_z_and_the_content(self):
+        result = factor(P(0, 0, 3) * P(1, 1) ** 2 * P(1, 0, 1))  # 3 z^2 (z+1)^2 (z^2+1)
+        assert result.factor_degrees() == (1, 1, 2)
+        assert result.nonconstant_factor_count() == 5
+        assert factor(P(0, 1)).factor_degrees() == ()
 
     def test_linear_factors_match_rational_roots(self):
         for f in gen_random(80, 4, 3, seed=3):

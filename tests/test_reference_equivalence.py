@@ -26,6 +26,9 @@ give exactly the same results.
 - `poly.rational_roots`, which lifts the roots of f mod a small prime and
   reconstructs at most one candidate p/q from each, against the scan over
   every candidate p/q with p | a_0 and q | a_m that it replaced.
+- `Conclusion.holds` and `Conclusion.vacuous`, which read a plain tuple of
+  factor degrees and the degree, against `conclusion_holds` and the audit's
+  `_is_vacuous`, which read the oracle's result and a z-power.
 - `oracle.factor`, whose Kronecker search takes its nodes from a wider pool
   of sample points and filters candidates at the spare points, against the
   same factorization with the search that always used the first e + 1
@@ -364,6 +367,67 @@ def test_audit_one_certifies_each_radius_once(monkeypatch):
     assert max(calls.values()) == 1
 
 
+def ref_conclusion_holds(conclusion, result, z_power=0):
+    """Does the oracle factorization of z^z_power times a primitive
+    polynomial support the conclusion reached about that polynomial?"""
+    count = result.nonconstant_factor_count() - z_power
+    kind = conclusion.kind
+    if kind is ConclusionKind.IRREDUCIBLE:
+        return count == 1
+    if kind is ConclusionKind.AT_MOST_FACTORS:
+        return count <= conclusion.bound
+    if kind is ConclusionKind.FACTOR_DEGREE_BOUND:
+        if count <= 1:
+            return True
+        degs = [g.degree for g, _ in result.factors if g.degree >= 1 and g.constant_term != 0]
+        return min(degs) <= conclusion.bound
+    return True
+
+
+def ref_is_vacuous(conclusion, degree):
+    """Bounds no factorization can violate: a factor-count bound of at least
+    the degree, or a factor-degree bound at least floor(degree/2)."""
+    if conclusion.kind is ConclusionKind.AT_MOST_FACTORS:
+        return conclusion.bound >= degree
+    if conclusion.kind is ConclusionKind.FACTOR_DEGREE_BOUND:
+        return conclusion.bound >= degree // 2
+    return False
+
+
+def _every_conclusion(top):
+    """Each kind, with every bound from 0 to top."""
+    return [Conclusion.irreducible(), Conclusion.none(),
+            *(Conclusion.at_most(n) for n in range(top + 1)),
+            *(Conclusion.factor_degree(k) for k in range(top + 1))]
+
+
+@st.composite
+def products_with_content_and_z_powers(draw):
+    """A product of up to four factors of degree 1-4 (a factor may be z
+    itself), times a content of 1-3 and z^0..z^2."""
+    return Polynomial([0] * draw(st.integers(0, 2)) + [1]) * draw(products_up_to_degree_8())
+
+
+@settings(max_examples=200, deadline=None)
+@given(products_with_content_and_z_powers())
+def test_holds_matches_reference_predicate(f):
+    result = oracle.factor(f, max_degree=f.degree)
+    degrees = result.factor_degrees()
+    z_power = normalize(f).z_power
+    assert len(degrees) == result.nonconstant_factor_count() - z_power
+    for conclusion in _every_conclusion(f.degree + 1):
+        assert conclusion.holds(degrees) == ref_conclusion_holds(conclusion, result, z_power)
+        assert conclusion.holds(sorted(degrees, reverse=True)) == conclusion.holds(degrees)
+
+
+def test_vacuous_matches_reference():
+    for degree in range(1, 9):
+        for conclusion in _every_conclusion(degree + 1):
+            assert conclusion.vacuous(degree) == ref_is_vacuous(conclusion, degree)
+    # weintraub calls 2 + z irreducible, and the audit sends that to the oracle
+    assert not Conclusion.irreducible().vacuous(1)
+
+
 def ref_audit_one(f, result):
     """`audit.audit_one` as it was before it read the outcomes by kind, by
     dict and by index: `fired()`, `AuditResult.stats` and a scan for
@@ -380,7 +444,7 @@ def ref_audit_one(f, result):
             continue
         stats = result.stats(outcome.criterion)
         stats.fired += 1
-        if audit._is_vacuous(outcome.conclusion, m):
+        if ref_is_vacuous(outcome.conclusion, m):
             stats.vacuous += 1
             stats.sound += 1
         else:
@@ -397,7 +461,7 @@ def ref_audit_one(f, result):
             count = fact.nonconstant_factor_count()
             for outcome in to_check:
                 stats = result.stats(outcome.criterion)
-                if criteria.conclusion_holds(outcome.conclusion, fact):
+                if ref_conclusion_holds(outcome.conclusion, fact):
                     stats.sound += 1
                 else:
                     stats.violations.add((f.coeffs, outcome.criterion,
