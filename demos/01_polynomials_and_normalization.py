@@ -9,7 +9,7 @@ from fractions import Fraction
 from irreducia import (
     Polynomial,
     content,
-    divmod_exact,
+    divides_exactly,
     normalize,
     rational_roots,
 )
@@ -25,11 +25,10 @@ print("\n(2z+1)(3z+1) =", g)
 big = Polynomial([10**30, 1]) ** 3
 print("(z + 10^30)^3 constant term has", len(str(big.constant_term)), "digits")
 
-# Division carries an exactness flag instead of rational quotients.
-q, r, exact = divmod_exact(Polynomial([-1, 0, 1]), Polynomial([-1, 1]))
-print("\n(z^2-1) / (z-1) ->", q, " exact:", exact)
-q, r, exact = divmod_exact(Polynomial([1, 0, 1]), Polynomial([-1, 1]))
-print("(z^2+1) / (z-1) ->", q, "remainder", r, " exact:", exact)
+# Division is exact or nothing: divides_exactly(g, f) is f/g when g divides
+# f over the integers, and None otherwise (no rational quotients).
+print("\n(z^2-1) / (z-1) ->", divides_exactly(Polynomial([-1, 1]), Polynomial([-1, 0, 1])))
+print("(z^2+1) / (z-1) ->", divides_exactly(Polynomial([-1, 1]), Polynomial([1, 0, 1])))
 
 # Every criterion works on a primitive polynomial with nonzero constant
 # term; normalize() peels off the content and any power of z.
@@ -41,7 +40,7 @@ print("  z-power      =", n.z_power)
 print("  primitive    =", n.primitive_part)
 print("  content of primitive part:", content(n.primitive_part))
 
-# Rational roots come from the divisor candidate scan, verified exactly.
+# Rational roots come from l-adic lifting, each verified exactly.
 h = Polynomial([1, 5, 6])
 print("\nrational roots of 6z^2+5z+1:", sorted(rational_roots(h)))
 print("evaluate at -1/2:", h.evaluate(Fraction(-1, 2)))

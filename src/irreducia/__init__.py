@@ -38,7 +38,6 @@ _EXPORTS = {
     "constant_term_criterion": "criteria",
     "content": "poly",
     "divides_exactly": "poly",
-    "divmod_exact": "poly",
     "dominant_coefficient": "criteria",
     "eisenstein_generalized": "criteria",
     "factor": "oracle",

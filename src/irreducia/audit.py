@@ -27,6 +27,7 @@ instance is judged against the oracle by the same `Conclusion.holds`.
 from __future__ import annotations
 
 import os
+from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from itertools import islice, product
 from typing import Iterable, Iterator
@@ -96,31 +97,23 @@ class CriterionStats:
     stopped: int = 0  # runs stopped by a factorization limit (no conclusion)
     violations: Findings = field(default_factory=Findings)
 
-    def merge(self, other: "CriterionStats") -> None:
-        _merge_fields(self, other)
-
 
 @dataclass
 class AuditResult:
     total: int = 0
     oracle_calls: int = 0
     oracle_skipped: int = 0
-    criteria: dict = field(default_factory=dict)
+    criteria: dict = field(default_factory=lambda: defaultdict(CriterionStats))
     cor1_checked: int = 0
     cor1_violations: Findings = field(default_factory=Findings)
     rootloc_checked: int = 0
     rootloc_violations: Findings = field(default_factory=Findings)
     nonconvergences: Findings = field(default_factory=Findings)
 
-    def stats(self, name: str) -> CriterionStats:
-        if name not in self.criteria:
-            self.criteria[name] = CriterionStats()
-        return self.criteria[name]
-
     def merge(self, other: "AuditResult") -> None:
         _merge_fields(self, other)
         for name, stats in other.criteria.items():
-            self.stats(name).merge(stats)
+            _merge_fields(self.criteria[name], stats)
 
     def violation_count(self) -> int:
         return (
@@ -184,13 +177,13 @@ def audit_one(f: Polynomial, result: AuditResult) -> None:
     outcomes, stopped = run_criteria(facts)
     criteria = result.criteria
     for name, _ in stopped:
-        result.stats(name).stopped += 1
+        criteria[name].stopped += 1
 
     to_check: list[CriterionOutcome] = []
     for outcome in outcomes:
         if outcome.conclusion.kind is _NO_CONCLUSION:
             continue
-        stats = criteria.get(outcome.criterion) or result.stats(outcome.criterion)
+        stats = criteria[outcome.criterion]
         stats.fired += 1
         if outcome.conclusion.vacuous(m):
             stats.vacuous += 1

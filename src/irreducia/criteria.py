@@ -20,6 +20,7 @@ Conclusion kinds:
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from fractions import Fraction
 from types import MappingProxyType
@@ -39,8 +40,8 @@ class ConclusionKind(enum.Enum):
 
 class Conclusion(NamedTuple):
     """A criterion's verdict. The constructors hand out shared instances:
-    one each for `irreducible()` and `none()`, and one per bound below
-    _SHARED_BOUNDS for `at_most` and `factor_degree`. A named tuple is
+    one each for `irreducible()` and `none()`, and one per bound, kept by
+    `functools.cache`, for `at_most` and `factor_degree`. A named tuple is
     immutable, so sharing one is safe, and it compares, hashes and pickles
     by value as a fresh one does."""
 
@@ -52,16 +53,14 @@ class Conclusion(NamedTuple):
         return _IRREDUCIBLE
 
     @staticmethod
+    @functools.cache  # a criterion's bound is at most the degree
     def at_most(n: int) -> "Conclusion":
         """At most n factors; a bound of 1 is irreducibility."""
-        if 0 <= n < _SHARED_BOUNDS:
-            return _AT_MOST[n]
-        return Conclusion(ConclusionKind.AT_MOST_FACTORS, n)
+        return _IRREDUCIBLE if n == 1 else Conclusion(ConclusionKind.AT_MOST_FACTORS, n)
 
     @staticmethod
+    @functools.cache
     def factor_degree(k: int) -> "Conclusion":
-        if 0 <= k < _SHARED_BOUNDS:
-            return _FACTOR_DEGREE[k]
         return Conclusion(ConclusionKind.FACTOR_DEGREE_BOUND, k)
 
     @staticmethod
@@ -106,14 +105,8 @@ class Conclusion(NamedTuple):
 
 _KIND_ORDER = {kind: i for i, kind in enumerate(ConclusionKind)}  # strongest first
 
-_SHARED_BOUNDS = 16  # bounds below this get a prebuilt Conclusion
 _IRREDUCIBLE = Conclusion(ConclusionKind.IRREDUCIBLE)
 _NONE = Conclusion(ConclusionKind.NO_CONCLUSION)
-_AT_MOST = [
-    _IRREDUCIBLE if n == 1 else Conclusion(ConclusionKind.AT_MOST_FACTORS, n)
-    for n in range(_SHARED_BOUNDS)
-]
-_FACTOR_DEGREE = [Conclusion(ConclusionKind.FACTOR_DEGREE_BOUND, k) for k in range(_SHARED_BOUNDS)]
 
 
 EXACT = "exact"

@@ -276,14 +276,9 @@ def normalize(f: Polynomial) -> NormalizedInput:
     return NormalizedInput(c, t, Polynomial._from_canonical(coeffs))
 
 
-def divmod_exact(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial, bool]:
-    """Integer polynomial division with an exactness flag.
-
-    Returns (q, r, exact) with f = q*g + r always. exact is True precisely
-    when g divides f over the integers; otherwise q and r hold the state
-    where division stopped (the first non-integral quotient step, or the
-    nonzero final remainder).
-    """
+def divides_exactly(g: Polynomial, f: Polynomial) -> Polynomial | None:
+    """Quotient f/g when g divides f over the integers, else None: None at
+    the first non-integral quotient step or on a nonzero final remainder."""
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     rem = list(f.coeffs)
@@ -296,18 +291,11 @@ def divmod_exact(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial, 
             continue
         step, residue = divmod(top, gl)
         if residue:
-            return Polynomial(q), Polynomial(rem), False
+            return None
         q[k] = step
         for j, gc in enumerate(g.coeffs):
             rem[k + j] -= step * gc
-    r = Polynomial(rem)
-    return Polynomial(q), r, r.is_zero()
-
-
-def divides_exactly(g: Polynomial, f: Polynomial) -> Polynomial | None:
-    """Quotient f/g when g divides f over the integers, else None."""
-    q, _, exact = divmod_exact(f, g)
-    return q if exact else None
+    return Polynomial(q) if not any(rem) else None
 
 
 # Primes tried before a polynomial that shows a multiple root modulo each of

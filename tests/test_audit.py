@@ -224,6 +224,33 @@ def test_violation_count_is_exact_past_the_example_cap(monkeypatch, jobs):
     assert "violations 1442" in "\n".join(result.summary_lines())
 
 
+def test_rootloc_cross_check_reports_a_root_inside_the_certified_disk(monkeypatch):
+    # 7 + z: the symbolic certificate holds at d = 1, so a root at 0.5
+    # contradicts it
+    monkeypatch.setattr(criteria.rootloc, "numeric_roots", lambda f: [0.5])
+    result = audit.AuditResult()
+    audit.audit_one(Polynomial([7, 1]), result)
+    assert result.rootloc_checked == 1
+    assert result.rootloc_violations.found == 1
+    assert result.rootloc_violations == [((7, 1), 1, 0.5)]
+    assert result.violation_count() == 1
+
+
+def test_rootloc_cross_check_counts_a_nonconvergence(monkeypatch):
+    def diverging(f):
+        raise criteria.rootloc.NonConvergenceError(1.0)
+
+    monkeypatch.setattr(criteria.rootloc, "numeric_roots", diverging)
+    result = audit.AuditResult()
+    audit.audit_one(Polynomial([7, 1]), result)
+    assert result.nonconvergences.found == 1
+    assert result.violation_count() == 0
+    assert (
+        "  root-location cross-check: 1 certificates, 0 contradictions, 1 non-convergent"
+        in result.summary_lines()
+    )
+
+
 def test_factorization_limit_is_no_conclusion_in_the_audit():
     # 40-digit coefficients: some resist factorization within the limits
     result = audit.audit_corpus(gen_random(20, 2, 10**40, 1))

@@ -19,6 +19,7 @@ from irreducia.cli import (
     EXIT_NO_CONCLUSION,
     EXIT_OK,
     EXIT_SOUNDNESS,
+    EXIT_VIOLATIONS,
     main,
     render_coeff_list,
     render_factorization,
@@ -392,6 +393,17 @@ class TestExitCodes:
         # a repeated family is audited once, as a repeated criterion runs once
         assert main(["audit", "--families", "P4,p4, P4"]) == EXIT_OK
         assert capsys.readouterr().out == "family P4: 27 instances, 0 violations\n"
+
+    def test_audit_families_prints_a_violation(self, capsys, monkeypatch):
+        from irreducia import audit
+
+        found = ((1, 0, 1), "P1", (2, 2, 2, 1))
+        monkeypatch.setattr(audit, "audit_family", lambda name: (90, [found]))
+        assert main(["audit", "--families", "P1"]) == EXIT_VIOLATIONS
+        assert capsys.readouterr().out == (
+            "family P1: 90 instances, 1 violations\n"
+            f"  violation: {found}\n"
+        )
 
     @pytest.mark.parametrize("value", [",", "", " , "])
     def test_audit_empty_families_list(self, capsys, value):

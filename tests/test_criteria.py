@@ -412,10 +412,10 @@ def test_probable_prime_constant_term_gives_no_verdict():
 
 
 class TestSharedValues:
-    """Conclusions for small bounds are prebuilt and shared, and `low` fills
-    its capped tail without arithmetic; each must equal what it stands for."""
+    """Conclusions are shared, one per bound, and `low` fills its capped
+    tail without arithmetic; each must equal what it stands for."""
 
-    SIZE = criteria._SHARED_BOUNDS
+    SIZE = 16  # bounds tried reach 2 * SIZE
 
     def test_prebuilt_conclusions_equal_fresh_tuples(self):
         for n in range(2 * self.SIZE + 1):
@@ -445,6 +445,10 @@ class TestSharedValues:
     def test_at_most_one_is_irreducible(self):
         assert Conclusion.at_most(1) == Conclusion.irreducible() == Conclusion(IRR)
         assert Conclusion.none() == Conclusion(NONE)
+
+    def test_every_bound_is_one_shared_instance(self):
+        assert Conclusion.at_most(40) is Conclusion.at_most(40)
+        assert Conclusion.factor_degree(40) is Conclusion.factor_degree(40)
 
     @pytest.mark.parametrize("n", [-1, -2, -SIZE + 1, -SIZE, -SIZE - 1, -2 * SIZE])
     def test_negative_bound_is_never_a_prebuilt_instance(self, n):

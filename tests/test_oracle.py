@@ -274,6 +274,27 @@ class TestVerify:
         )
         assert not verify(bad, f) or bad.recompose() != f
 
+    @pytest.mark.parametrize("extra", [(P(1), 1), (P(0, 1), 0)])
+    def test_unit_factor_or_zero_multiplicity_rejected(self, extra):
+        # either extra entry leaves the product z^2 - 1 as it was
+        f = P(-1, 0, 1)
+        good = factor(f)
+        bad = good._replace(factors=good.factors + (extra,))
+        assert verify(good, f) and bad.recompose() == f
+        assert not verify(bad, f)
+
+    def test_factorization_limit_is_a_rejection(self, monkeypatch):
+        f = P(2, 0, 3, 0, 1)  # (z^2 + 1)(z^2 + 2)
+        result = factor(f)
+        assert verify(result, f)
+
+        def resisting(n):
+            raise numtheory.FactorizationLimitError(f"factorization limit reached on {n}")
+
+        # Kronecker's search on each factor factors its sample values
+        monkeypatch.setattr(numtheory, "prime_factors", resisting)
+        assert verify(result, f) is False
+
 
 class TestMultiplicativity:
     def test_products(self):

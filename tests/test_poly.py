@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, normalization, rational roots."""
 
+import sys
 import time
 from fractions import Fraction
 
@@ -11,9 +12,9 @@ from irreducia import poly
 from irreducia.corpus import gen_exhaustive
 from irreducia.poly import (
     Polynomial,
+    PolyParseError,
     content,
     divides_exactly,
-    divmod_exact,
     is_primitive,
     normalize,
     rational_roots,
@@ -56,6 +57,14 @@ class TestPolynomial:
         assert Polynomial([-1, 0, 1]).to_sparse_string() == "z^2 - 1"
         assert Polynomial([0, -1]).to_sparse_string() == "-z"
         assert Polynomial().to_sparse_string() == "0"
+
+    @pytest.mark.skipif(
+        not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() <= 5000,
+        reason="no int-to-string digit limit below 5,001 digits",
+    )
+    def test_sparse_string_names_a_coefficient_past_the_digit_limit(self):
+        with pytest.raises(PolyParseError, match=r"^coefficient of z\^0 has 5001 digits"):
+            Polynomial([10**5000, 1]).to_sparse_string()
 
     @given(small_polys, small_polys, st.integers(-5, 5))
     def test_ring_homomorphism_at_points(self, f, g, x):
@@ -129,30 +138,24 @@ class TestMulDiv:
         assert Polynomial([1, 2]) * Polynomial([1, 3]) == Polynomial([1, 5, 6])
 
     def test_divmod_exact_quotient(self):
-        q, r, exact = divmod_exact(Polynomial([-1, 0, 1]), Polynomial([-1, 1]))
-        assert (q, r.is_zero(), exact) == (Polynomial([1, 1]), True, True)
+        assert divides_exactly(Polynomial([-1, 1]), Polynomial([-1, 0, 1])) == Polynomial([1, 1])
 
     def test_divmod_reports_non_divisibility(self):
-        f, g = Polynomial([1, 0, 1]), Polynomial([-1, 1])
-        q, r, exact = divmod_exact(f, g)
-        assert not exact
-        assert q * g + r == f  # partial state still satisfies the identity
+        # (z^2 + 1) / (z - 1): every step is integral, the remainder 2 is not zero
+        assert divides_exactly(Polynomial([-1, 1]), Polynomial([1, 0, 1])) is None
 
     def test_divmod_non_integral_step(self):
-        q, r, exact = divmod_exact(Polynomial([0, 0, 1]), Polynomial([0, 2]))
-        assert not exact
-        assert q * Polynomial([0, 2]) + r == Polynomial([0, 0, 1])
+        # z^2 / 2z: the first quotient step 1/2 is not an integer
+        assert divides_exactly(Polynomial([0, 2]), Polynomial([0, 0, 1])) is None
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            divmod_exact(Polynomial([1]), Polynomial())
+            divides_exactly(Polynomial(), Polynomial([1]))
 
     @given(small_polys, small_polys)
     def test_mul_divmod_round_trip(self, f, g):
         if g.is_zero():
             return
-        q, r, exact = divmod_exact(f * g, g)
-        assert exact and q == f and r.is_zero()
         assert divides_exactly(g, f * g) == f
 
 
@@ -179,6 +182,10 @@ class TestRationalRoots:
     def test_zero_constant_rejected(self):
         with pytest.raises(ValueError):
             rational_roots(Polynomial([0, 1]))
+
+    def test_zero_polynomial_rejected(self):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            rational_roots(Polynomial())
 
     def test_power_rich_constant_term_is_fast(self):
         # a scan over p | a_0 walks the 1,002,001 divisors of 10^1000

@@ -429,20 +429,20 @@ def test_vacuous_matches_reference():
 
 
 def ref_audit_one(f, result):
-    """`audit.audit_one` as it was before it read the outcomes by kind, by
-    dict and by index: `fired()`, `AuditResult.stats` and a scan for
+    """`audit.audit_one` as it was before it read the outcomes by kind and by
+    index: `fired()`, a per-name table lookup and a scan for
     dominant_coefficient's outcome."""
     result.total += 1
     facts = PolyFacts(f)
     m = facts.degree
     outcomes, stopped = criteria.run_criteria(facts)
     for name, _ in stopped:
-        result.stats(name).stopped += 1
+        result.criteria[name].stopped += 1
     to_check = []
     for outcome in outcomes:
         if not outcome.conclusion.fired():
             continue
-        stats = result.stats(outcome.criterion)
+        stats = result.criteria[outcome.criterion]
         stats.fired += 1
         if ref_is_vacuous(outcome.conclusion, m):
             stats.vacuous += 1
@@ -455,12 +455,12 @@ def ref_audit_one(f, result):
         except oracle.OracleLimitError:
             result.oracle_skipped += 1
             for outcome in to_check:
-                result.stats(outcome.criterion).unchecked += 1
+                result.criteria[outcome.criterion].unchecked += 1
         else:
             result.oracle_calls += 1
             count = fact.nonconstant_factor_count()
             for outcome in to_check:
-                stats = result.stats(outcome.criterion)
+                stats = result.criteria[outcome.criterion]
                 if ref_conclusion_holds(outcome.conclusion, fact):
                     stats.sound += 1
                 else:

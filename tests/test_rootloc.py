@@ -50,6 +50,10 @@ class TestSymbolicCertificate:
         with pytest.raises(ValueError):
             certify_outside_disk(Polynomial([5, 1]), 0, SYM)
 
+    def test_rejects_zero_polynomial(self):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            certify_outside_disk(Polynomial(), 1)
+
 
 class TestNumericRoots:
     def test_square_roots_of_one(self):
