@@ -154,7 +154,9 @@ class PolyFacts:
     only when a witness search reaches it. Factorizations, and the
     factorization limit failures, are kept in `numtheory`'s one cache, not
     here. The numeric roots are found only when a numeric disk radius
-    passes the exact tests of `rootloc.has_root_in_disk`. A root iteration
+    passes the exact integer tests of `rootloc.has_root_in_disk` and, up to
+    degree `rootloc.EXACT_MAX_DEGREE`, `rootloc.root_free` finds a root
+    just outside the disk (see `_certified`). A root iteration
     that did not converge is remembered, and asking again raises the same
     error. The dominance index and divisor of `dominant()`, which both the
     dominant-coefficient criterion and the audit's unit-divisor check read,
@@ -256,7 +258,8 @@ class PolyFacts:
         moduli multiply to |a_0 / a_m| <= d^m. This bound keeps d^m and
         f(+-d) small at high degree. Numeric mode refuses a radius that
         `rootloc.has_root_in_disk` proves holds a root with no roots at all,
-        and runs the root iteration only for a radius that passes it."""
+        and up to `rootloc.EXACT_MAX_DEGREE` settles nearly every other
+        radius by `rootloc.root_free` (see `_certified`)."""
         symbolic = self.mode is SYMBOLIC
         if symbolic and not self.unit_disk_certified:
             return 0
@@ -276,13 +279,23 @@ class PolyFacts:
 
     def _certified(self, d: int) -> bool:
         """Whether the certificate holds at radius d in `mode`. Numeric mode
-        asks for the roots only when no exact test proves a root in the
-        disk."""
+        keeps its rule (every root modulus above d (1 + MARGIN)), but up to
+        degree `rootloc.EXACT_MAX_DEGREE` it decides by exact tests: a root
+        in |z| <= d refuses, and no root in |z| <= BAND d certifies, since
+        BAND = 1 + 2 MARGIN. The roots are asked for only when a root lies
+        in d < |z| <= BAND d, or above that degree, where they cost less than
+        the exact tests."""
+        f = self.poly
         if self.mode is SYMBOLIC:
-            return rootloc.certify_outside_disk(self.poly, d, self.mode).certified
-        if rootloc.has_root_in_disk(self.poly, d):
+            return rootloc.certify_outside_disk(f, d, self.mode).certified
+        if rootloc.has_root_in_disk(f, d):
             return False
-        return rootloc.certify_outside_disk(self.poly, d, self.mode, roots=self.roots()).certified
+        if self.degree <= rootloc.EXACT_MAX_DEGREE:
+            if not rootloc.root_free(f, d):
+                return False
+            if rootloc.root_free(f, d * rootloc.BAND):
+                return True
+        return rootloc.certify_outside_disk(f, d, self.mode, roots=self.roots()).certified
 
     def dominant(self) -> tuple[int, int] | None:
         """(j, b) with j the largest index and b the smallest positive

@@ -19,6 +19,14 @@ Two integer facts prove a root inside |z| <= d without finding any roots
 radius too, so `certified_radius` refuses it before any root iteration runs.
 The first fact alone refuses every d >= 2^ceil(bitlen(|a_0|) / m), where
 d^m > |a_0|; that is where the search starts refused in both modes.
+
+The Schur-Cohn test (`root_free`) decides exactly, in integers, whether any
+root lies in |z| <= r. Up to degree EXACT_MAX_DEGREE numeric mode reaches
+its decision with it: a root in |z| <= d refuses d, and no root in
+|z| <= BAND d certifies d, since every modulus then clears d (1 + MARGIN).
+Only a root in d < |z| <= BAND d leaves the decision to the roots. Above
+that degree one root set costs less than the two tests (whose rows grow by
+about 9 bits per degree at r = BAND d), so they are not run.
 """
 
 from __future__ import annotations
@@ -33,6 +41,8 @@ from typing import NamedTuple
 from .poly import Polynomial
 
 MARGIN = 1e-3  # numeric mode: relative gap each root modulus must keep from d
+BAND = 1 + 2 * Fraction(str(MARGIN))  # 501/500: moduli above BAND d clear d (1 + MARGIN) in floats
+EXACT_MAX_DEGREE = 9  # numeric mode runs root_free up to here; above, one root set is cheaper
 MAX_ITERATIONS = 100  # Aberth sweeps over the roots not yet accepted
 START_ANGLE = 0.7  # radians: keeps starting points off the real axis
 
@@ -123,6 +133,33 @@ def has_root_in_disk(f: Polynomial, d: int) -> bool:
         odd = odd * d2 + a
     odd *= d
     return c[0] * (even + odd) <= 0 or c[0] * (even - odd) <= 0
+
+
+def root_free(f: Polynomial, r) -> bool:
+    """Whether no root of f lies in the closed disk |z| <= r, for a positive
+    rational r and a_0 != 0; exact and complete (Schur-Cohn; A. Cohn, Math.
+    Z. 14, 1922). With r = u / v, the roots of h(z) = sum_k a_(m-k) u^(m-k)
+    v^k z^k, the reversal of v^m f(r z), are r / (the roots of f), so f is
+    root-free in the disk exactly when every root of h lies in |z| < 1. If
+    |h_n| <= |h_0|, the root moduli of h multiply to at least 1, so one is
+    at least 1 (at the first step this is the Vieta test of
+    `has_root_in_disk`). Otherwise T h = (h_n h - h_0 h~) / z, with h~ the
+    reversal of h, has degree n - 1 (its top coefficient is h_n^2 - h_0^2),
+    and by Rouche's theorem on |z| = 1 (where |h~| = |h|, and a root of h on
+    the circle is a root of T h) it has all its roots in |z| < 1 exactly
+    when h has. Each row is divided by its content, so the coefficients
+    grow linearly in bits with the degree, not exponentially."""
+    r = Fraction(r)
+    u, v, m = r.numerator, r.denominator, f.degree
+    h = [a * u ** (m - k) * v**k for k, a in enumerate(reversed(f.coeffs))]
+    while len(h) > 1:
+        h0, hn = h[0], h[-1]
+        if abs(hn) <= abs(h0):
+            return False
+        h = [hn * a - h0 * b for a, b in zip(h[1:], h[-2::-1])]
+        g = math.gcd(*h)
+        h = [a // g for a in h]
+    return True
 
 
 def numeric_roots(f: Polynomial) -> list[complex]:

@@ -223,16 +223,19 @@ class TestExitCodes:
         assert len(err.encode()) < 200 and "Traceback" not in err
 
     def test_analyze_numeric_float_overflow(self, capsys):
-        # a_0 / a_m = 10^400 has no float value: the disk criteria that need
-        # roots give no conclusion and say why, with no traceback
+        # a_0 / a_m = 10^400 has no float value, so the root iteration cannot
+        # run; the exact disk tests need none: no root lies within 1.002 d
+        # at d = 2^400 (p = 5), and constant_term certifies it
         code = main(["analyze", "--poly", "1" + "0" * 400 + ",1,1",
                      "--root-mode", "numeric", "--oracle", "off", "--format", "json"])
-        assert code in (EXIT_OK, EXIT_NO_CONCLUSION)
+        assert code == EXIT_OK
         out = json.loads(capsys.readouterr().out)
-        outcomes = {o["criterion"]: o["conclusion"]["kind"] for o in out["outcomes"]}
-        assert outcomes["constant_term"] == "NoConclusion"
-        assert "constant_term: no conclusion: root iteration did not converge " \
-               "(best residual inf)" in out["warnings"]
+        outcome = next(o for o in out["outcomes"] if o["criterion"] == "constant_term")
+        assert outcome["conclusion"]["kind"] == "Irreducible"
+        assert outcome["certificateMode"] == "numeric-conditional"
+        assert {k: outcome["witnesses"][k] for k in ("p", "k", "d")} == {
+            "p": "5", "k": "400", "d": str(2**400)}
+        assert out["warnings"] == ["some conclusions rely on numeric root location and are not proofs"]
 
     def test_analyze_numeric_widely_scaled_quadratic(self, capsys):
         # roots near -10 and 10^10 + 10: the disk criteria read them without

@@ -775,9 +775,9 @@ class TestAnalyze:
         assert weintraub_check(PolyFacts(P(1, 1, 1))) is not first
 
     def test_numeric_mode_finds_roots_once(self, monkeypatch):
-        # -11 - 8z + 2z^2: both disk criteria try d = 1, which no exact test
-        # refuses (2 < 11, f(1) = -17, f(-1) = -1), so each needs the roots
-        # (moduli 1.08 and 5.08); one root set answers both
+        # 1013 + z + 1009z^2: both disk criteria try d = 1, where the exact
+        # tests find no root in |z| <= 1 but one in |z| <= 1.002 (moduli
+        # 1.00198), so each needs the roots; one root set answers both
         calls = []
         real = rootloc.numeric_roots
 
@@ -787,17 +787,17 @@ class TestAnalyze:
 
         monkeypatch.setattr(rootloc, "numeric_roots", counting)
         config = AnalyzeConfig(oracle="off", root_mode=CertificateMode.NUMERIC_HEURISTIC)
-        report = analyze(P(-11, -8, 2), config)
-        assert calls == [P(-11, -8, 2)]
+        report = analyze(P(1013, 1, 1009), config)
+        assert calls == [P(1013, 1, 1009)]
         by_name = {o.criterion: o for o in report.outcomes}
         for name in ("constant_term", "leading_coeff"):
             assert by_name[name].witnesses["d"] == 1
             assert by_name[name].certificate_mode == "numeric-conditional"
 
     def test_nonconvergence_is_no_conclusion(self, monkeypatch):
-        # both disk criteria need a numeric certificate of -11 - 8z + 2z^2 at
-        # d = 1; the iteration is attempted once and each criterion reports
-        # NoConclusion with a warning
+        # both disk criteria need a numeric certificate of 1013 + z + 1009z^2
+        # at d = 1; the iteration is attempted once and each criterion
+        # reports NoConclusion with a warning
         calls = []
 
         def failing(f, *args, **kwargs):
@@ -806,7 +806,7 @@ class TestAnalyze:
 
         monkeypatch.setattr(rootloc, "numeric_roots", failing)
         report = analyze(
-            P(-11, -8, 2), AnalyzeConfig(oracle="off", root_mode=CertificateMode.NUMERIC_HEURISTIC)
+            P(1013, 1, 1009), AnalyzeConfig(oracle="off", root_mode=CertificateMode.NUMERIC_HEURISTIC)
         )
         assert len(calls) == 1
         by_name = {o.criterion: o for o in report.outcomes}
@@ -819,21 +819,22 @@ class TestAnalyze:
         ]
 
     def test_iteration_cap_is_nonconvergence(self, monkeypatch):
-        # one Aberth sweep leaves -11 - 8z + 2z^2 short of its backward-error
-        # target: the iteration stops at the cap with its worst residual, and
-        # both disk criteria, which need it at d = 1, report NoConclusion
+        # one Aberth sweep leaves 1013 + z + 1009z^2 short of its
+        # backward-error target: the iteration stops at the cap with its
+        # worst residual, and both disk criteria, which need it at d = 1,
+        # report NoConclusion
         monkeypatch.setattr(rootloc, "MAX_ITERATIONS", 1)
         with pytest.raises(rootloc.NonConvergenceError) as info:
-            rootloc.numeric_roots(P(-11, -8, 2))
-        assert info.value.best_residual == pytest.approx(0.7396, abs=1e-4)
+            rootloc.numeric_roots(P(1013, 1, 1009))
+        assert info.value.best_residual == pytest.approx(0.7650, abs=1e-4)
         report = analyze(
-            P(-11, -8, 2), AnalyzeConfig(oracle="off", root_mode=CertificateMode.NUMERIC_HEURISTIC)
+            P(1013, 1, 1009), AnalyzeConfig(oracle="off", root_mode=CertificateMode.NUMERIC_HEURISTIC)
         )
         by_name = {o.criterion: o for o in report.outcomes}
         for name in ("constant_term", "leading_coeff"):
             assert by_name[name].conclusion.kind is NONE
         assert list(report.warnings) == [
-            f"{name}: no conclusion: root iteration did not converge (best residual 7.396e-01)"
+            f"{name}: no conclusion: root iteration did not converge (best residual 7.650e-01)"
             for name in ("constant_term", "leading_coeff")
         ]
 
@@ -855,6 +856,33 @@ class TestAnalyze:
         for name in ("constant_term", "leading_coeff"):
             assert by_name[name].conclusion.kind is NONE
         assert report.warnings == ()
+
+    @pytest.mark.parametrize("above", [0, 1])
+    def test_exact_disk_tests_stop_at_the_degree_cap(self, monkeypatch, above):
+        # 1013 + z^m: no exact integer test refuses d = 1, and every root
+        # has modulus 1013^(1/m) > 1.9; up to the cap root_free certifies it
+        # with no roots, above the cap the roots do and root_free never runs
+        calls = []
+
+        def counting(name):
+            real = getattr(rootloc, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("root_free", "numeric_roots"):
+            monkeypatch.setattr(rootloc, name, counting(name))
+        m = rootloc.EXACT_MAX_DEGREE + above
+        report = analyze(
+            P(1013, *[0] * (m - 1), 1),
+            AnalyzeConfig(oracle="off", root_mode=CertificateMode.NUMERIC_HEURISTIC),
+        )
+        assert calls == (["numeric_roots"] if above else ["root_free", "root_free"])
+        outcome = next(o for o in report.outcomes if o.criterion == "constant_term")
+        assert outcome.witnesses["d"] == 1
+        assert outcome.certificate_mode == "numeric-conditional"
 
     def test_oracle_consistency_predicate(self):
         split = oracle.factor(P(-1, 0, 1)).factor_degrees()  # (z-1)(z+1)

@@ -300,8 +300,22 @@ def ref_numeric_radius(f, i, roots):
                 if rootloc.certify_outside_disk(f, d, NUM, roots=roots).certified), default=0)
 
 
+@st.composite
+def band_quadratics(draw):
+    """c z^2 + b z + p d, with p a prime above 250 d and p / (1.004 d) <= c
+    < p / d: a pair of complex roots of modulus sqrt(p d / c) in
+    (d, 1.002 d], just outside the radius d that p gives at a_0, where only
+    the roots decide the numeric certificate."""
+    d = draw(st.integers(1, 6))
+    p = draw(st.sampled_from((2003, 4001, 7919, 10007)))
+    c = draw(st.integers(-(-250 * p // (251 * d)), -(-p // d) - 1))
+    b = draw(st.integers(-3, 3))
+    assume(math.gcd(c, b, p * d) == 1)
+    return Polynomial([p * d, b, c])
+
+
 @settings(max_examples=300, deadline=None)
-@given(primitive_polys(min_size=3, max_size=17))  # degree 2-16
+@given(st.one_of(primitive_polys(min_size=3, max_size=17), band_quadratics()))  # degree 2-16
 def test_exact_refusals_match_numeric_certificates(f):
     try:
         roots = rootloc.numeric_roots(f)
@@ -313,8 +327,14 @@ def test_exact_refusals_match_numeric_certificates(f):
         assert facts.certified_radius(i) == ref_numeric_radius(f, i, roots)
     radii = {d for i in (0, m) for _, _, d in facts.disk_radii(i)} | set(range(1, 9))
     for d in radii:
+        certified = rootloc.certify_outside_disk(f, d, NUM, roots=roots).certified
         if rootloc.has_root_in_disk(f, d):
-            assert not rootloc.certify_outside_disk(f, d, NUM, roots=roots).certified
+            assert not certified
+        if m <= rootloc.EXACT_MAX_DEGREE:
+            if not rootloc.root_free(f, d):
+                assert not certified
+            elif rootloc.root_free(f, d * rootloc.BAND):
+                assert certified
 
 
 def test_references_fire_on_known_instances():
@@ -356,7 +376,10 @@ def test_audit_one_certifies_each_radius_once(monkeypatch):
         return certify(f, d, mode, **kwargs)
 
     monkeypatch.setattr(rootloc, "certify_outside_disk", counting)
+    # 1013 + z + 1009z^2 has roots of modulus 1.00198, where no exact test
+    # settles d = 1, so a numeric certificate is made there
     corpus = list(gen_exhaustive(3, 4))[::5] + gen_random(300, 6, 60, seed=11)
+    corpus.append(Polynomial([1013, 1, 1009]))
     result = audit.AuditResult()
     numeric = AnalyzeConfig(root_mode=NUM, oracle="off")
     for f in corpus:

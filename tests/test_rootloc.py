@@ -9,12 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from irreducia.corpus import gen_exhaustive
-from irreducia.poly import Polynomial
+from irreducia.poly import Polynomial, _squarefree_part
 from irreducia.rootloc import (
     CertificateMode,
     NonConvergenceError,
     certify_outside_disk,
     numeric_roots,
+    root_free,
 )
 
 SYM = CertificateMode.SYMBOLIC_SUFFICIENT
@@ -218,6 +219,40 @@ class TestNumericCertificate:
         f = Polynomial([3 * 2**1100, 2**1100, 5 * 2**1100 + 1])
         assert not certify_outside_disk(f, 2**1100, NUM).certified
         assert certify_outside_disk(f, Fraction(1, 2), NUM).certified
+
+
+class TestRootFree:
+    @pytest.mark.parametrize("coeffs, r, free", [
+        ((1, 0, 1), 1, False),  # roots +-i on the circle
+        ((1, 0, 1), Fraction(99, 100), True),
+        ((4, -4, 1), 2, False),  # (z - 2)^2: a double root on the circle
+        ((4, -4, 1), Fraction(19, 10), True),
+        ((1013, 1, 1009), 1, True),  # moduli 1.00198
+        ((1013, 1, 1009), Fraction(501, 500), False),
+        ((-3, 1), 3, False),
+        ((-3, 1), Fraction(299, 100), True),
+    ])
+    def test_roots_on_and_near_the_circle(self, coeffs, r, free):
+        assert root_free(Polynomial(list(coeffs)), r) is free
+
+    @settings(max_examples=100, deadline=None)
+    @given(_polys_with_nonzero_ends(),
+           st.fractions(min_value=Fraction(1, 20), max_value=60, max_denominator=20))
+    def test_matches_mpmath_moduli(self, f, r):
+        # the exact answer is "the smallest root modulus exceeds r"; the
+        # reference finds the roots of the squarefree part, which are simple
+        # and so good to about 50 digits, and moduli within 10^-20 of r are
+        # ties it cannot settle
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            try:
+                roots = mpmath.polyroots(_squarefree_part(f.coeffs)[::-1], maxsteps=200,
+                                         extraprec=200)
+            except mpmath.libmp.NoConvergence:
+                assume(False)
+            gap = min(abs(z) for z in roots) - mpmath.mpf(r.numerator) / r.denominator
+            assume(abs(gap) > mpmath.mpf(10) ** -20)
+            assert root_free(f, r) is (gap > 0)
 
 
 class TestSymbolicSoundness:
