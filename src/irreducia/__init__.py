@@ -31,7 +31,6 @@ _EXPORTS = {
     "PolyParseError": "poly",
     "Polynomial": "poly",
     "PrimePowerDecomposition": "numtheory",
-    "RootLocationCertificate": "rootloc",
     "SoundnessError": "criteria",
     "analyze": "criteria",
     "certify_outside_disk": "rootloc",

@@ -47,6 +47,10 @@ def render_factorization(result: oracle.FactorizationResult) -> str:
 # JSON report
 
 
+def _input_to_dict(f: Polynomial) -> dict:
+    return {"text": f.to_sparse_string(), "coeffs": [str(c) for c in f.coeffs]}
+
+
 def _conclusion_to_dict(conclusion: Conclusion) -> dict:
     d: dict = {"kind": conclusion.kind.value}
     if conclusion.bound is not None:
@@ -91,10 +95,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
         }
     out: dict = {
         "schema": SCHEMA,
-        "input": {
-            "text": report.input_text,
-            "coeffs": [str(c) for c in report.input.coeffs],
-        },
+        "input": _input_to_dict(report.input),
         "normalization": {"content": str(report.content), "zPower": report.z_power},
         "outcomes": [_outcome_to_dict(o) for o in report.outcomes],
         "strongest": strongest,
@@ -194,7 +195,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = {
             "schema": SCHEMA,
-            "input": {"text": f.to_sparse_string(), "coeffs": [str(c) for c in f.coeffs]},
+            "input": _input_to_dict(f),
             "oracle": _factorization_to_dict(result),
         }
         print(json.dumps(payload, indent=2))

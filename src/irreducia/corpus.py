@@ -26,6 +26,16 @@ def _check(condition: bool, message: str) -> None:
         raise FamilyConditionError(message)
 
 
+def _check_prime_power(p: int, k: int, d: int, m: int, sign: int) -> None:
+    """The side conditions P2 and P3 share: p^k d with p prime, k, d >= 1
+    and p missing d, degree m >= 2, and a sign +-1."""
+    _check(numtheory.is_prime(p), f"p must be a proven prime, got {p}")
+    _check(k >= 1 and d >= 1, "need k >= 1 and d >= 1")
+    _check(m >= 2, f"need m >= 2, got {m}")
+    _check(d % p != 0, f"p={p} must not divide d={d}")
+    _check(sign in (1, -1), "sign must be +-1")
+
+
 def gen_p1(p: int, m: int, n: int, sign: int = 1) -> Polynomial:
     """p^(m-1) * (1 + z + ... + z^(n-1)) +- z^m for a prime p, m >= n >= 2.
 
@@ -49,11 +59,7 @@ def gen_p2(
     The dominance condition keeps every zero outside the closed disk
     |z| <= d, so the constant-term criterion applies with this (p, k, d).
     """
-    _check(numtheory.is_prime(p), f"p must be a proven prime, got {p}")
-    _check(k >= 1 and d >= 1, "need k >= 1 and d >= 1")
-    _check(m >= 2, f"need m >= 2, got {m}")
-    _check(d % p != 0, f"p={p} must not divide d={d}")
-    _check(sign in (1, -1), "sign must be +-1")
+    _check_prime_power(p, k, d, m, sign)
     tail = [int(a) for a in tail]
     _check(len(tail) == m, f"need exactly m={m} tail coefficients, got {len(tail)}")
     _check(tail[-1] != 0, "leading coefficient must be nonzero")
@@ -73,11 +79,7 @@ def gen_p3(
     """a_0 + ... + a_(m-1) z^(m-1) +- (p^k d) z^m with a dominant constant
     term and the size condition |a_0 / q| <= p^k d (q = smallest prime
     divisor of a_0), so the leading-coefficient criterion applies."""
-    _check(numtheory.is_prime(p), f"p must be a proven prime, got {p}")
-    _check(k >= 1 and d >= 1, "need k >= 1 and d >= 1")
-    _check(m >= 2, f"need m >= 2, got {m}")
-    _check(d % p != 0, f"p={p} must not divide d={d}")
-    _check(sign in (1, -1), "sign must be +-1")
+    _check_prime_power(p, k, d, m, sign)
     _check(a0 != 0, "a0 must be nonzero")
     middle = [int(a) for a in middle]
     _check(len(middle) == m - 1, f"need m-1={m - 1} middle coefficients, got {len(middle)}")

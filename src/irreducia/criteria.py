@@ -153,17 +153,16 @@ class PolyFacts:
     asks for is never computed: in particular a coefficient is factorized
     only when a witness search reaches it. Factorizations, and the
     factorization limit failures, are kept in `numtheory`'s one cache, not
-    here. The numeric roots are found only when a numeric disk radius
-    passes the exact integer tests of `rootloc.has_root_in_disk` and, up to
-    degree `rootloc.EXACT_MAX_DEGREE`, `rootloc.root_free` finds a root
-    just outside the disk (see `_certified`). A root iteration
-    that did not converge is remembered, and asking again raises the same
-    error. The dominance index and divisor of `dominant()`, which both the
-    dominant-coefficient criterion and the audit's unit-divisor check read,
-    are found once. The disk radii are searched again on each call of
-    `certified_radius`, but from one pair shared by both ends, the largest
-    radius certified and the smallest refused so far, so a radius the pair
-    settles needs no second certificate.
+    here. The numeric roots are found only when `rootloc.certify_outside_disk`
+    asks for them, once its exact tests have left a radius open; every
+    radius and the audit read the one root set through `roots()`. A root
+    iteration that did not converge is remembered, and asking again raises
+    the same error. The dominance index and divisor of `dominant()`, which
+    both the dominant-coefficient criterion and the audit's unit-divisor
+    check read, are found once. The disk radii are searched again on each
+    call of `certified_radius`, but from one pair shared by both ends, the
+    largest radius certified and the smallest refused so far, so a radius
+    the pair settles needs no second certificate.
     """
 
     __slots__ = ("poly", "coeffs", "degree", "mags", "mode", "unit_disk_certified", "_low",
@@ -256,10 +255,10 @@ class PolyFacts:
         refused at d = 2^ceil(bitlen(|a_0|) / m), where d^m >= 2^bitlen(|a_0|)
         > |a_0|: the symbolic test needs |a_0| > |a_m| d^m, and the root
         moduli multiply to |a_0 / a_m| <= d^m. This bound keeps d^m and
-        f(+-d) small at high degree. Numeric mode refuses a radius that
-        `rootloc.has_root_in_disk` proves holds a root with no roots at all,
-        and up to `rootloc.EXACT_MAX_DEGREE` settles nearly every other
-        radius by `rootloc.root_free` (see `_certified`)."""
+        f(+-d) small at high degree. Each radius left open is decided by
+        `rootloc.certify_outside_disk`, which in numeric mode settles nearly
+        every radius by exact tests and is handed `roots` for the rest, so
+        one root set serves every radius."""
         symbolic = self.mode is SYMBOLIC
         if symbolic and not self.unit_disk_certified:
             return 0
@@ -271,31 +270,12 @@ class PolyFacts:
         for d in sorted((d for _, _, d in radii), reverse=True):
             if d >= bounds[1]:
                 continue
-            if d <= bounds[0] or self._certified(d):
+            if d <= bounds[0] or rootloc.certify_outside_disk(self.poly, d, self.mode,
+                                                              roots=self.roots):
                 bounds[0] = max(bounds[0], d)
                 return d
             bounds[1] = d
         return 0
-
-    def _certified(self, d: int) -> bool:
-        """Whether the certificate holds at radius d in `mode`. Numeric mode
-        keeps its rule (every root modulus above d (1 + MARGIN)), but up to
-        degree `rootloc.EXACT_MAX_DEGREE` it decides by exact tests: a root
-        in |z| <= d refuses, and no root in |z| <= BAND d certifies, since
-        BAND = 1 + 2 MARGIN. The roots are asked for only when a root lies
-        in d < |z| <= BAND d, or above that degree, where they cost less than
-        the exact tests."""
-        f = self.poly
-        if self.mode is SYMBOLIC:
-            return rootloc.certify_outside_disk(f, d, self.mode).certified
-        if rootloc.has_root_in_disk(f, d):
-            return False
-        if self.degree <= rootloc.EXACT_MAX_DEGREE:
-            if not rootloc.root_free(f, d):
-                return False
-            if rootloc.root_free(f, d * rootloc.BAND):
-                return True
-        return rootloc.certify_outside_disk(f, d, self.mode, roots=self.roots()).certified
 
     def dominant(self) -> tuple[int, int] | None:
         """(j, b) with j the largest index and b the smallest positive

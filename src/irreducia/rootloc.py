@@ -1,32 +1,32 @@
 """Root-location certificates: prove all complex zeros avoid a closed disk
 |z| <= d.
 
-Two modes. The symbolic mode checks the sufficient coefficient inequality
-|a_0| > sum_{i>=1} |a_i| d^i in exact arithmetic: on |z| <= d that forces
-|f(z)| >= |a_0| - sum |a_i| d^i > 0, so the disk is root-free. It is sound
-but incomplete. The numeric mode approximates all roots simultaneously
-(Aberth-Ehrlich iteration from the Newton-polygon starts of Bini, Numer.
-Algorithms 13, 1996) and compares moduli against d with a relative margin;
-complete in practice but not a proof, so consumers flag it. Both tests are
-monotone in d: one that holds at d holds at every smaller radius. So
-`criteria.PolyFacts.certified_radius` looks for the largest certified radius
-from the top down and certifies no radius twice.
+`certify_outside_disk(f, d, mode)` owns the whole decision and answers True
+or False. Two modes. The symbolic mode checks the sufficient coefficient
+inequality |a_0| > sum_{i>=1} |a_i| d^i in exact arithmetic: on |z| <= d
+that forces |f(z)| >= |a_0| - sum |a_i| d^i > 0, so the disk is root-free.
+It is sound but incomplete. The numeric mode certifies d when every root
+modulus is above d (1 + MARGIN); complete in practice but not a proof, so
+consumers flag it. Both tests are monotone in d: one that holds at d holds
+at every smaller radius. So `criteria.PolyFacts.certified_radius` looks for
+the largest certified radius from the top down and certifies no radius
+twice.
 
-Two integer facts prove a root inside |z| <= d without finding any roots
-(`has_root_in_disk`): the root moduli multiply to |a_0 / a_m|, so
-|a_m| d^m >= |a_0| leaves the smallest at most d; and a sign change of f on
-[0, d] or [-d, 0] puts a real root there. Numeric mode would refuse such a
-radius too, so `certified_radius` refuses it before any root iteration runs.
-The first fact alone refuses every d >= 2^ceil(bitlen(|a_0|) / m), where
-d^m > |a_0|; that is where the search starts refused in both modes.
-
-The Schur-Cohn test (`root_free`) decides exactly, in integers, whether any
-root lies in |z| <= r. Up to degree EXACT_MAX_DEGREE numeric mode reaches
-its decision with it: a root in |z| <= d refuses d, and no root in
-|z| <= BAND d certifies d, since every modulus then clears d (1 + MARGIN).
-Only a root in d < |z| <= BAND d leaves the decision to the roots. Above
-that degree one root set costs less than the two tests (whose rows grow by
-about 9 bits per degree at r = BAND d), so they are not run.
+Numeric mode reaches most decisions without any roots. Two integer facts
+prove a root inside |z| <= d (`has_root_in_disk`): the root moduli multiply
+to |a_0 / a_m|, so |a_m| d^m >= |a_0| leaves the smallest at most d; and a
+sign change of f on [0, d] or [-d, 0] puts a real root there. Either
+refuses d. The first fact alone refuses every d >= 2^ceil(bitlen(|a_0|) / m),
+where d^m > |a_0|; that is where the search starts refused in both modes.
+Then, up to degree EXACT_MAX_DEGREE, the Schur-Cohn test (`root_free`)
+decides exactly, in integers, whether any root lies in |z| <= r: a root in
+|z| <= d refuses d, and no root in |z| <= BAND d certifies d, since every
+modulus then clears d (1 + MARGIN). Only a root in d < |z| <= BAND d, or a
+degree above the cap, leaves the decision to the roots, which come from an
+Aberth-Ehrlich iteration from the Newton-polygon starts of Bini (Numer.
+Algorithms 13, 1996). Above the cap one root set costs less than the two
+tests (whose rows grow by about 9 bits per degree at r = BAND d), so they
+are not run.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import enum
 import math
 import sys
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable
 
 from .poly import Polynomial
 
@@ -62,67 +62,55 @@ class NonConvergenceError(RuntimeError):
         self.best_residual = best_residual
 
 
-class RootLocationCertificate(NamedTuple):
-    """Outcome of a disk-exclusion check at radius d."""
-
-    radius: Fraction
-    mode: CertificateMode
-    certified: bool
-    detail: dict
-
-
 def certify_outside_disk(
     f: Polynomial,
     d,
     mode: CertificateMode = CertificateMode.SYMBOLIC_SUFFICIENT,
     *,
-    roots: list[complex] | None = None,
-) -> RootLocationCertificate:
-    """Certify that every complex zero of f has modulus greater than d.
+    roots: Callable[[], list[complex]] | None = None,
+) -> bool:
+    """Whether every complex zero of f is certified to have modulus greater
+    than d, a positive rational, in `mode`.
 
-    In numeric mode, roots (all roots of f, from numeric_roots) spares
-    computing them again for each radius."""
+    In numeric mode the roots are asked for only when the exact tests leave
+    the decision open: `roots` is a zero-argument callable that gives all
+    roots of f (by default `numeric_roots(f)`), so a caller can share one
+    root set, or one NonConvergenceError, between radii."""
     if f.is_zero():
         raise ValueError("zero polynomial")
     if f.constant_term == 0:
         raise ValueError("root at origin inside every disk")
-    d = Fraction(d)
+    if type(d) is not int:  # an integer radius stays in integers
+        d = Fraction(d)
+        d = d.numerator if d.denominator == 1 else d
     if d <= 0:
         raise ValueError("disk radius must be positive")
 
     if mode is CertificateMode.SYMBOLIC_SUFFICIENT:
-        lhs = abs(f.constant_term)
-        x = d.numerator if d.denominator == 1 else d  # an integer radius stays in integers
         rhs = 0
-        for a in reversed(f.coeffs[1:]):  # sum_{i>=1} |a_i| x^i by Horner's rule
-            rhs = rhs * x + abs(a)
-        rhs *= x
-        return RootLocationCertificate(
-            radius=d,
-            mode=mode,
-            certified=lhs > rhs,
-            detail={"lhs": lhs, "rhs": rhs},
-        )
+        for a in reversed(f.coeffs[1:]):  # sum_{i>=1} |a_i| d^i by Horner's rule
+            rhs = rhs * d + abs(a)
+        return abs(f.constant_term) > rhs * d
 
     if f.degree == 0:
-        return RootLocationCertificate(radius=d, mode=mode, certified=True,
-                                       detail={"moduli": [], "margin": MARGIN})
-    if roots is None:
-        roots = numeric_roots(f)
-    moduli = sorted(abs(r) for r in roots)
+        return True
+    if has_root_in_disk(f, d):
+        return False
+    if f.degree <= EXACT_MAX_DEGREE:
+        if not root_free(f, d):
+            return False
+        if root_free(f, d * BAND):
+            return True
+    moduli = map(abs, numeric_roots(f) if roots is None else roots())
     # a radius beyond the float range exceeds every root modulus
-    certified = d <= sys.float_info.max and moduli[0] > float(d) * (1.0 + MARGIN)
-    return RootLocationCertificate(
-        radius=d, mode=mode, certified=certified,
-        detail={"moduli": moduli, "margin": MARGIN},
-    )
+    return d <= sys.float_info.max and min(moduli) > float(d) * (1.0 + MARGIN)
 
 
-def has_root_in_disk(f: Polynomial, d: int) -> bool:
-    """Whether an exact integer test proves a root of f in |z| <= d, for an
-    integer d >= 1 and a_0 != 0: |a_m| d^m >= |a_0|, or f(0) f(d) <= 0, or
-    f(0) f(-d) <= 0. f(+-d) = E +- O from the even and odd parts, each by
-    Horner's rule in d^2."""
+def has_root_in_disk(f: Polynomial, d) -> bool:
+    """Whether an exact test proves a root of f in |z| <= d, for a positive
+    rational d (an int or a Fraction) and a_0 != 0: |a_m| d^m >= |a_0|, or
+    f(0) f(d) <= 0, or f(0) f(-d) <= 0. f(+-d) = E +- O from the even and
+    odd parts, each by Horner's rule in d^2."""
     c = f.coeffs
     if abs(c[-1]) * d**f.degree >= abs(c[0]):
         return True

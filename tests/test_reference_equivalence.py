@@ -8,10 +8,11 @@ give exactly the same results.
   the separate searches over a_0 and over a_m that they replaced, which
   certify every radius in either root mode. Outcomes, witnesses and the
   audit's largest certified radius must agree.
-- The numeric disk-radius search, which refuses without roots every radius
-  that `rootloc.has_root_in_disk` proves holds a root, against a search
-  that certifies every radius from the roots; and each exact refusal
-  against the numeric certificate at that radius.
+- The numeric disk-radius search, whose certificate refuses without roots
+  every radius that `rootloc.has_root_in_disk` proves holds a root, against
+  a search that applies the numeric rule to the roots at every radius; and
+  the numeric certificate, and each exact test, at every radius against
+  that rule.
 - Weintraub's criterion, the generalized Eisenstein criterion and the disk
   criteria's shared search, which keep their best witness as plain values
   and build one outcome, against the forms that built an outcome for every
@@ -37,6 +38,7 @@ give exactly the same results.
 
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -133,12 +135,12 @@ def ref_middle_prime_power_check(f):
     return _no_conclusion(name)
 
 
-def _ref_disk_outcome(name, p, k, j, d, cert, witnesses=()):
+def _ref_disk_outcome(name, p, k, j, d, mode, witnesses=()):
     return CriterionOutcome(
         name,
         {"p": p, "k": k, "j": j, "d": d, **dict(witnesses)},
         Conclusion.at_most(min(k, j)),
-        certificate_mode="exact" if cert.mode is SYM else "numeric-conditional",
+        certificate_mode="exact" if mode is SYM else "numeric-conditional",
     )
 
 
@@ -151,11 +153,10 @@ def ref_constant_term_criterion(f, mode=SYM):
     best = None
     for p, k in numtheory.factorize(a0).factors:
         d = abs(a0) // p**k
-        cert = rootloc.certify_outside_disk(f, d, mode)
-        if not cert.certified:
+        if not rootloc.certify_outside_disk(f, d, mode):
             continue
         j = next(j for j in range(1, m + 1) if c[j] % p != 0)
-        candidate = _ref_disk_outcome(name, p, k, j, d, cert)
+        candidate = _ref_disk_outcome(name, p, k, j, d, mode)
         if best is None or candidate.rank() < best.rank():
             best = candidate
     return best if best is not None else _no_conclusion(name)
@@ -173,11 +174,10 @@ def ref_leading_coeff_criterion(f, mode=SYM):
     best = None
     for p, k in numtheory.factorize(am).factors:
         d = abs(am) // p**k
-        cert = rootloc.certify_outside_disk(f, d, mode)
-        if not cert.certified:
+        if not rootloc.certify_outside_disk(f, d, mode):
             continue
         j = next(j for j in range(1, m + 1) if c[m - j] % p != 0)
-        candidate = _ref_disk_outcome(name, p, k, j, d, cert, {"q": q})
+        candidate = _ref_disk_outcome(name, p, k, j, d, mode, {"q": q})
         if best is None or candidate.rank() < best.rank():
             best = candidate
     return best if best is not None else _no_conclusion(name)
@@ -214,8 +214,7 @@ def ref_symbolic_disk_radii(f):
             continue
         for p, _ in numtheory.factorize(source).factors:
             d = abs(source) // p ** numtheory.valuation(p, source)
-            cert = rootloc.certify_outside_disk(f, d, SYM)
-            if cert.certified:
+            if rootloc.certify_outside_disk(f, d, SYM):
                 radii.append(d)
     return radii
 
@@ -291,13 +290,18 @@ def test_facts_criteria_match_direct_sums(f):
             assert CRITERIA[name](facts) == expected
 
 
+def ref_numeric_certified(d, roots):
+    """The numeric rule read off the roots alone: every root modulus above
+    d (1 + MARGIN), for a radius d within the float range."""
+    return d <= sys.float_info.max and min(map(abs, roots)) > float(d) * (1 + rootloc.MARGIN)
+
+
 def ref_numeric_radius(f, i, roots):
     """The largest radius |a_i| / p^k whose numeric certificate holds, with
-    every radius certified from the roots."""
+    every radius decided from the roots."""
     a = abs(f.coeffs[i])
     radii = [a // p**k for p, k in numtheory.prime_factors(a)]
-    return max((d for d in radii
-                if rootloc.certify_outside_disk(f, d, NUM, roots=roots).certified), default=0)
+    return max((d for d in radii if ref_numeric_certified(d, roots)), default=0)
 
 
 @st.composite
@@ -327,7 +331,8 @@ def test_exact_refusals_match_numeric_certificates(f):
         assert facts.certified_radius(i) == ref_numeric_radius(f, i, roots)
     radii = {d for i in (0, m) for _, _, d in facts.disk_radii(i)} | set(range(1, 9))
     for d in radii:
-        certified = rootloc.certify_outside_disk(f, d, NUM, roots=roots).certified
+        certified = ref_numeric_certified(d, roots)
+        assert rootloc.certify_outside_disk(f, d, NUM, roots=lambda: roots) is certified
         if rootloc.has_root_in_disk(f, d):
             assert not certified
         if m <= rootloc.EXACT_MAX_DEGREE:

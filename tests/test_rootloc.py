@@ -24,24 +24,19 @@ NUM = CertificateMode.NUMERIC_HEURISTIC
 
 class TestSymbolicCertificate:
     def test_certified_instance(self):
-        cert = certify_outside_disk(Polynomial([5, 1, 1]), 1, SYM)
-        assert cert.certified  # 5 > 1 + 1
-        assert cert.detail == {"lhs": 5, "rhs": 2}
+        assert certify_outside_disk(Polynomial([5, 1, 1]), 1, SYM) is True  # 5 > 1 + 1
 
     def test_boundary_root_not_certified(self):
         # roots of z^2 - 4 sit exactly on |z| = 2, and 4 > 4 fails
-        cert = certify_outside_disk(Polynomial([-4, 0, 1]), 2, SYM)
-        assert not cert.certified
+        assert certify_outside_disk(Polynomial([-4, 0, 1]), 2, SYM) is False
 
     def test_small_radius_reduces_to_constant(self):
-        cert = certify_outside_disk(Polynomial([1, 9, 9, 9]), Fraction(1, 100), SYM)
-        assert cert.certified
-        assert cert.radius == Fraction(1, 100)
+        assert certify_outside_disk(Polynomial([1, 9, 9, 9]), Fraction(1, 100), SYM) is True
 
     def test_rational_radius_exactness(self):
         # 3 > 2*(3/2) = 3 must fail on exact arithmetic
-        assert not certify_outside_disk(Polynomial([3, 2]), Fraction(3, 2), SYM).certified
-        assert certify_outside_disk(Polynomial([4, 2]), Fraction(3, 2), SYM).certified
+        assert certify_outside_disk(Polynomial([3, 2]), Fraction(3, 2), SYM) is False
+        assert certify_outside_disk(Polynomial([4, 2]), Fraction(3, 2), SYM) is True
 
     def test_rejects_root_at_origin(self):
         with pytest.raises(ValueError, match="origin"):
@@ -198,27 +193,51 @@ class TestNumericRootsReference:
 
 class TestNumericCertificate:
     def test_mode_recorded(self):
-        cert = certify_outside_disk(Polynomial([5, 1, 1]), 1, NUM)
-        assert cert.mode is NUM
-        assert cert.certified
-        assert cert.detail["margin"] == pytest.approx(1e-3)
+        assert certify_outside_disk(Polynomial([5, 1, 1]), 1, NUM) is True
 
     def test_constant_has_no_roots(self):
-        cert = certify_outside_disk(Polynomial([5]), 1, NUM)
-        assert cert.certified
-        assert cert.detail["moduli"] == []
+        assert certify_outside_disk(Polynomial([5]), 1, NUM) is True
 
     def test_margin_blocks_boundary(self):
         # exact moduli 2: not certified for d=2 with a positive margin
-        cert = certify_outside_disk(Polynomial([-4, 0, 1]), 2, NUM)
-        assert not cert.certified
+        assert certify_outside_disk(Polynomial([-4, 0, 1]), 2, NUM) is False
 
     def test_radius_beyond_float_range_is_refused(self):
         # 3*2^1100 + 2^1100 z + (5*2^1100 + 1) z^2 has roots of modulus
         # about 0.77 and the disk radius 2^1100 at p = 3
         f = Polynomial([3 * 2**1100, 2**1100, 5 * 2**1100 + 1])
-        assert not certify_outside_disk(f, 2**1100, NUM).certified
-        assert certify_outside_disk(f, Fraction(1, 2), NUM).certified
+        assert certify_outside_disk(f, 2**1100, NUM) is False
+        assert certify_outside_disk(f, Fraction(1, 2), NUM) is True
+
+    def test_roots_beyond_the_float_range_are_not_needed(self):
+        # a_0 / a_m = 10^400 has no float value, so no root iteration runs;
+        # the exact tests certify d = 2^400 (the radius p = 5 gives at a_0),
+        # where the roots have modulus about 10^200
+        assert certify_outside_disk(Polynomial([10**400, 1, 1]), 2**400, NUM) is True
+
+    @pytest.mark.parametrize("coeffs, d, certified", [
+        ((5, 1, 1), 1, True),  # moduli sqrt(5): no root within 1.002
+        ((10, 11, 11, 1), 2, False),  # (z^2 + z + 1)(z + 10): roots of modulus 1
+        ((3, 2), Fraction(3, 2), False),  # a rational radius: the root -3/2 is on it
+        ((4, 2), Fraction(3, 2), True),
+    ])
+    def test_exact_tests_settle_without_roots(self, coeffs, d, certified):
+        def roots():
+            raise AssertionError("roots asked for")
+
+        assert certify_outside_disk(Polynomial(list(coeffs)), d, NUM, roots=roots) is certified
+
+    def test_roots_asked_for_once_in_the_band(self):
+        # moduli 1.00198: no exact test settles d = 1, so the roots decide
+        f = Polynomial([1013, 1, 1009])
+        calls = []
+
+        def roots():
+            calls.append(f)
+            return numeric_roots(f)
+
+        assert certify_outside_disk(f, 1, NUM, roots=roots) is True
+        assert calls == [f]
 
 
 class TestRootFree:
@@ -261,7 +280,7 @@ class TestSymbolicSoundness:
         checked = 0
         for f in list(gen_exhaustive(4, 4))[::7]:
             for d in (1, 2):
-                if certify_outside_disk(f, d, SYM).certified:
+                if certify_outside_disk(f, d, SYM):
                     checked += 1
                     assert min(abs(r) for r in numeric_roots(f)) > d * (1 - 1e-9)
         assert checked > 25
