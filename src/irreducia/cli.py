@@ -16,9 +16,13 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from . import oracle
 from .poly import Polynomial, PolyParseError, _excerpt, parse_poly
+
+if TYPE_CHECKING:  # `factor` must not load the criteria
+    from .criteria import AnalysisReport, Conclusion, CriterionOutcome
 
 SCHEMA = "irreducia/1"
 

@@ -14,7 +14,7 @@ import random
 from typing import Iterator, Sequence
 
 from . import numtheory
-from .poly import Polynomial, is_primitive
+from .poly import Polynomial, _check_degree, _refuse_digits, is_primitive
 
 
 class FamilyConditionError(ValueError):
@@ -26,14 +26,21 @@ def _check(condition: bool, message: str) -> None:
         raise FamilyConditionError(message)
 
 
-def _check_prime_power(p: int, k: int, d: int, m: int, sign: int) -> None:
+def _check_size(m: int, power: int, base: int, exponent: int, factor: int = 1) -> None:
+    """parse_poly's limits on m and on factor * base^exponent (at z^power), before it is built."""
+    _check_degree(m)
+    _refuse_digits(power, int(exponent * math.log10(base) + math.log10(factor)) + 1)
+
+
+def _check_prime_power(p: int, k: int, d: int, m: int, sign: int, power: int) -> None:
     """The side conditions P2 and P3 share: p^k d with p prime, k, d >= 1
-    and p missing d, degree m >= 2, and a sign +-1."""
+    and p missing d, degree m >= 2, a sign +-1, and _check_size on p^k d."""
     _check(numtheory.is_prime(p), f"p must be a proven prime, got {p}")
     _check(k >= 1 and d >= 1, "need k >= 1 and d >= 1")
     _check(m >= 2, f"need m >= 2, got {m}")
     _check(d % p != 0, f"p={p} must not divide d={d}")
     _check(sign in (1, -1), "sign must be +-1")
+    _check_size(m, power, p, k, d)
 
 
 def gen_p1(p: int, m: int, n: int, sign: int = 1) -> Polynomial:
@@ -46,6 +53,7 @@ def gen_p1(p: int, m: int, n: int, sign: int = 1) -> Polynomial:
     _check(numtheory.is_prime(p), f"p must be a proven prime, got {p}")
     _check(m >= n >= 2, f"need m >= n >= 2, got m={m}, n={n}")
     _check(sign in (1, -1), "sign must be +-1")
+    _check_size(m, 0, p, m - 1)
     block = p ** (m - 1)
     coeffs = [block] * n + [0] * (m - n) + [sign]
     return Polynomial(coeffs)
@@ -59,7 +67,7 @@ def gen_p2(
     The dominance condition keeps every zero outside the closed disk
     |z| <= d, so the constant-term criterion applies with this (p, k, d).
     """
-    _check_prime_power(p, k, d, m, sign)
+    _check_prime_power(p, k, d, m, sign, 0)
     tail = [int(a) for a in tail]
     _check(len(tail) == m, f"need exactly m={m} tail coefficients, got {len(tail)}")
     _check(tail[-1] != 0, "leading coefficient must be nonzero")
@@ -79,7 +87,7 @@ def gen_p3(
     """a_0 + ... + a_(m-1) z^(m-1) +- (p^k d) z^m with a dominant constant
     term and the size condition |a_0 / q| <= p^k d (q = smallest prime
     divisor of a_0), so the leading-coefficient criterion applies."""
-    _check_prime_power(p, k, d, m, sign)
+    _check_prime_power(p, k, d, m, sign, m)
     _check(a0 != 0, "a0 must be nonzero")
     middle = [int(a) for a in middle]
     _check(len(middle) == m - 1, f"need m-1={m - 1} middle coefficients, got {len(middle)}")
@@ -114,6 +122,7 @@ def gen_p4(
     _check(m >= 3, f"need m >= 3, got {m}")
     _check(1 <= j <= m - 1, f"need 1 <= j <= m-1, got j={j}")
     _check(a >= 1 and b >= 1, "need a, b >= 1")
+    _check_size(m, j, a, j)
     _check(b < a - b, f"need b < a - b, got b={b}, a-b={a - b}")
     if signs is None:
         signs = [1] * (j + 1)
@@ -123,7 +132,7 @@ def gen_p4(
     # the dominance inequality scaled by b^(m-1-j):
     # (a^j - b^j + 1) b^(m-1-j) > b^(m-j) (a^j - b^j)/(a-b) + 1
     lhs = (a**j - b**j + 1) * b ** (m - 1 - j)
-    geo = sum(a**i * b ** (j - i) for i in range(j))  # == b (a^j - b^j)/(a-b)
+    geo = b * (a**j - b**j) // (a - b)  # == sum_{i<j} a^i b^(j-i), exactly
     rhs = geo * b ** (m - 1 - j) + 1
     _check(lhs > rhs, f"dominance condition fails: {lhs} <= {rhs}")
     coeffs = [0] * (m + 1)

@@ -153,16 +153,15 @@ class PolyFacts:
     asks for is never computed: in particular a coefficient is factorized
     only when a witness search reaches it. Factorizations, and the
     factorization limit failures, are kept in `numtheory`'s one cache, not
-    here. The numeric roots are found only when `rootloc.certify_outside_disk`
-    asks for them, once its exact tests have left a radius open; every
-    radius and the audit read the one root set through `roots()`. A root
-    iteration that did not converge is remembered, and asking again raises
-    the same error. The dominance index and divisor of `dominant()`, which
-    both the dominant-coefficient criterion and the audit's unit-divisor
-    check read, are found once. The disk radii are searched again on each
-    call of `certified_radius`, but from one pair shared by both ends, the
-    largest radius certified and the smallest refused so far, so a radius
-    the pair settles needs no second certificate.
+    here. `roots()` finds the numeric roots once, for the audit and for
+    `rootloc.certify_outside_disk` above its degree cap; a root iteration
+    that did not converge is remembered, and asking again raises it again.
+    The dominance index and divisor of `dominant()`, which both the
+    dominant-coefficient criterion and the audit's unit-divisor check read,
+    are found once. The disk radii are searched again on each call of
+    `certified_radius`, but from one pair shared by both ends, the largest
+    radius certified and the smallest refused so far, so a radius the pair
+    settles needs no second certificate.
     """
 
     __slots__ = ("poly", "coeffs", "degree", "mags", "mode", "unit_disk_certified", "_low",
@@ -255,10 +254,8 @@ class PolyFacts:
         refused at d = 2^ceil(bitlen(|a_0|) / m), where d^m >= 2^bitlen(|a_0|)
         > |a_0|: the symbolic test needs |a_0| > |a_m| d^m, and the root
         moduli multiply to |a_0 / a_m| <= d^m. This bound keeps d^m and
-        f(+-d) small at high degree. Each radius left open is decided by
-        `rootloc.certify_outside_disk`, which in numeric mode settles nearly
-        every radius by exact tests and is handed `roots` for the rest, so
-        one root set serves every radius."""
+        f(+-d) small at high degree. `rootloc.certify_outside_disk` decides
+        each radius left open, from the one shared `roots()` above its cap."""
         symbolic = self.mode is SYMBOLIC
         if symbolic and not self.unit_disk_certified:
             return 0

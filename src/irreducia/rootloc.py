@@ -6,27 +6,18 @@ or False. Two modes. The symbolic mode checks the sufficient coefficient
 inequality |a_0| > sum_{i>=1} |a_i| d^i in exact arithmetic: on |z| <= d
 that forces |f(z)| >= |a_0| - sum |a_i| d^i > 0, so the disk is root-free.
 It is sound but incomplete. The numeric mode certifies d when every root
-modulus is above d (1 + MARGIN); complete in practice but not a proof, so
-consumers flag it. Both tests are monotone in d: one that holds at d holds
-at every smaller radius. So `criteria.PolyFacts.certified_radius` looks for
-the largest certified radius from the top down and certifies no radius
-twice.
+modulus is above d (1 + MARGIN), and consumers flag it as not a proof. Both
+tests are monotone in d: one that holds at d holds at every smaller radius.
 
-Numeric mode reaches most decisions without any roots. Two integer facts
-prove a root inside |z| <= d (`has_root_in_disk`): the root moduli multiply
-to |a_0 / a_m|, so |a_m| d^m >= |a_0| leaves the smallest at most d; and a
-sign change of f on [0, d] or [-d, 0] puts a real root there. Either
-refuses d. The first fact alone refuses every d >= 2^ceil(bitlen(|a_0|) / m),
-where d^m > |a_0|; that is where the search starts refused in both modes.
-Then, up to degree EXACT_MAX_DEGREE, the Schur-Cohn test (`root_free`)
-decides exactly, in integers, whether any root lies in |z| <= r: a root in
-|z| <= d refuses d, and no root in |z| <= BAND d certifies d, since every
-modulus then clears d (1 + MARGIN). Only a root in d < |z| <= BAND d, or a
-degree above the cap, leaves the decision to the roots, which come from an
-Aberth-Ehrlich iteration from the Newton-polygon starts of Bini (Numer.
-Algorithms 13, 1996). Above the cap one root set costs less than the two
-tests (whose rows grow by about 9 bits per degree at r = BAND d), so they
-are not run.
+Numeric mode first refuses d by `has_root_in_disk`, on two integer facts:
+the root moduli multiply to |a_0 / a_m|, so |a_m| d^m >= |a_0| leaves the
+smallest at most d; and a sign change of f on [0, d] or [-d, 0] puts a real
+root there. Up to degree EXACT_MAX_DEGREE the Schur-Cohn test (`root_free`)
+then decides the rule exactly, with no roots: no root lies in |z| <= SCALE
+d. Above the cap the roots decide, from an Aberth-Ehrlich iteration from
+Bini's Newton-polygon starts (Numer. Algorithms 13, 1996); there one root
+set costs less than `root_free`, whose rows grow by about 10 bits per
+degree at SCALE d.
 """
 
 from __future__ import annotations
@@ -41,7 +32,7 @@ from typing import Callable
 from .poly import Polynomial
 
 MARGIN = 1e-3  # numeric mode: relative gap each root modulus must keep from d
-BAND = 1 + 2 * Fraction(str(MARGIN))  # 501/500: moduli above BAND d clear d (1 + MARGIN) in floats
+SCALE = 1 + Fraction(str(MARGIN))  # 1001/1000: no root in |z| <= SCALE d is the numeric rule
 EXACT_MAX_DEGREE = 9  # numeric mode runs root_free up to here; above, one root set is cheaper
 MAX_ITERATIONS = 100  # Aberth sweeps over the roots not yet accepted
 START_ANGLE = 0.7  # radians: keeps starting points off the real axis
@@ -72,10 +63,10 @@ def certify_outside_disk(
     """Whether every complex zero of f is certified to have modulus greater
     than d, a positive rational, in `mode`.
 
-    In numeric mode the roots are asked for only when the exact tests leave
-    the decision open: `roots` is a zero-argument callable that gives all
-    roots of f (by default `numeric_roots(f)`), so a caller can share one
-    root set, or one NonConvergenceError, between radii."""
+    In numeric mode `roots`, a zero-argument callable that gives all roots
+    of f (by default `numeric_roots(f)`), is called only above the degree
+    cap, so a caller can share one root set, or one NonConvergenceError,
+    between radii."""
     if f.is_zero():
         raise ValueError("zero polynomial")
     if f.constant_term == 0:
@@ -97,10 +88,8 @@ def certify_outside_disk(
     if has_root_in_disk(f, d):
         return False
     if f.degree <= EXACT_MAX_DEGREE:
-        if not root_free(f, d):
-            return False
-        if root_free(f, d * BAND):
-            return True
+        # at d, root_free refuses most radii left open, at less cost than at SCALE d
+        return root_free(f, d) and root_free(f, d * SCALE)
     moduli = map(abs, numeric_roots(f) if roots is None else roots())
     # a radius beyond the float range exceeds every root modulus
     return d <= sys.float_info.max and min(moduli) > float(d) * (1.0 + MARGIN)

@@ -224,7 +224,7 @@ class TestExitCodes:
 
     def test_analyze_numeric_float_overflow(self, capsys):
         # a_0 / a_m = 10^400 has no float value, so the root iteration cannot
-        # run; the exact disk tests need none: no root lies within 1.002 d
+        # run; the exact disk tests need none: no root lies within 1.001 d
         # at d = 2^400 (p = 5), and constant_term certifies it
         code = main(["analyze", "--poly", "1" + "0" * 400 + ",1,1",
                      "--root-mode", "numeric", "--oracle", "off", "--format", "json"])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import pytest
 
@@ -15,7 +16,7 @@ from irreducia.corpus import (
     gen_p4,
     gen_random,
 )
-from irreducia.poly import Polynomial, is_primitive
+from irreducia.poly import MAX_INPUT_DEGREE, Polynomial, PolyParseError, is_primitive
 
 from generators import gen_dominant_second
 
@@ -58,6 +59,36 @@ def test_psi13_is_not_taken_for_a_prime(make):
     # base is_prime tries, and is composite
     with pytest.raises(FamilyConditionError, match="p must be a proven prime"):
         make(3_317_044_064_679_887_385_961_981)
+
+
+# each family at a degree one above the parser's maximum; P2 and P3 are
+# refused before their coefficient lists are counted
+@pytest.mark.parametrize("make", [
+    lambda m: gen_p1(3, m, 2),
+    lambda m: gen_p2(5, 1, 1, m, [1]),
+    lambda m: gen_p3(5, 1, 1, m, 11, [1]),
+    lambda m: gen_p4(3, 1, m, 2),
+], ids=["P1", "P2", "P3", "P4"])
+def test_degree_above_the_input_maximum_is_refused(make):
+    with pytest.raises(PolyParseError, match=f"^degree {MAX_INPUT_DEGREE + 1} above"):
+        make(MAX_INPUT_DEGREE + 1)
+
+
+# p = 2^61 - 1 has 19 digits: p^999 has 18,343 and p^300 has 5,509, so
+# each of these coefficients is past the limit, and is refused unbuilt
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() <= 5000,
+    reason="no int-to-string digit limit below 5,001 digits",
+)
+@pytest.mark.parametrize("make, power", [
+    (lambda p: gen_p1(p, 1000, 2), 0),
+    (lambda p: gen_p2(p, 300, 1, 2, [1, 1]), 0),
+    (lambda p: gen_p3(p, 300, 1, 2, 11, [1]), 2),
+    (lambda p: gen_p4(p, 1, 1000, 300), 300),
+], ids=["P1", "P2", "P3", "P4"])
+def test_coefficient_past_the_digit_limit_is_refused(make, power):
+    with pytest.raises(PolyParseError, match=rf"^coefficient of z\^{power} has \d+ digits"):
+        make(2**61 - 1)
 
 
 class TestP2:

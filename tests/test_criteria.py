@@ -6,6 +6,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -775,9 +776,9 @@ class TestAnalyze:
         assert weintraub_check(PolyFacts(P(1, 1, 1))) is not first
 
     def test_numeric_mode_finds_roots_once(self, monkeypatch):
-        # 1013 + z + 1009z^2: both disk criteria try d = 1, where the exact
-        # tests find no root in |z| <= 1 but one in |z| <= 1.002 (moduli
-        # 1.00198), so each needs the roots; one root set answers both
+        # 1109 + z + 1009z^10: both disk criteria try d = 1, which no integer
+        # test refuses; above the degree cap each needs the roots (least
+        # modulus 1.0094), and one root set answers both
         calls = []
         real = rootloc.numeric_roots
 
@@ -787,17 +788,18 @@ class TestAnalyze:
 
         monkeypatch.setattr(rootloc, "numeric_roots", counting)
         config = AnalyzeConfig(oracle="off", root_mode=CertificateMode.NUMERIC_HEURISTIC)
-        report = analyze(P(1013, 1, 1009), config)
-        assert calls == [P(1013, 1, 1009)]
+        f = P(1109, 1, *[0] * 8, 1009)
+        report = analyze(f, config)
+        assert calls == [f]
         by_name = {o.criterion: o for o in report.outcomes}
         for name in ("constant_term", "leading_coeff"):
             assert by_name[name].witnesses["d"] == 1
             assert by_name[name].certificate_mode == "numeric-conditional"
 
     def test_nonconvergence_is_no_conclusion(self, monkeypatch):
-        # both disk criteria need a numeric certificate of 1013 + z + 1009z^2
-        # at d = 1; the iteration is attempted once and each criterion
-        # reports NoConclusion with a warning
+        # both disk criteria need a numeric certificate of 1013 + z + 1009z^10
+        # at d = 1, above the degree cap; the iteration is attempted once and
+        # each criterion reports NoConclusion with a warning
         calls = []
 
         def failing(f, *args, **kwargs):
@@ -806,7 +808,8 @@ class TestAnalyze:
 
         monkeypatch.setattr(rootloc, "numeric_roots", failing)
         report = analyze(
-            P(1013, 1, 1009), AnalyzeConfig(oracle="off", root_mode=CertificateMode.NUMERIC_HEURISTIC)
+            P(1013, 1, *[0] * 8, 1009),
+            AnalyzeConfig(oracle="off", root_mode=CertificateMode.NUMERIC_HEURISTIC),
         )
         assert len(calls) == 1
         by_name = {o.criterion: o for o in report.outcomes}
@@ -819,22 +822,23 @@ class TestAnalyze:
         ]
 
     def test_iteration_cap_is_nonconvergence(self, monkeypatch):
-        # one Aberth sweep leaves 1013 + z + 1009z^2 short of its
+        # one Aberth sweep leaves 1013 + z + 1009z^10 short of its
         # backward-error target: the iteration stops at the cap with its
         # worst residual, and both disk criteria, which need it at d = 1,
         # report NoConclusion
         monkeypatch.setattr(rootloc, "MAX_ITERATIONS", 1)
         with pytest.raises(rootloc.NonConvergenceError) as info:
-            rootloc.numeric_roots(P(1013, 1, 1009))
-        assert info.value.best_residual == pytest.approx(0.7650, abs=1e-4)
+            rootloc.numeric_roots(P(1013, 1, *[0] * 8, 1009))
+        assert info.value.best_residual == pytest.approx(0.9365, abs=1e-4)
         report = analyze(
-            P(1013, 1, 1009), AnalyzeConfig(oracle="off", root_mode=CertificateMode.NUMERIC_HEURISTIC)
+            P(1013, 1, *[0] * 8, 1009),
+            AnalyzeConfig(oracle="off", root_mode=CertificateMode.NUMERIC_HEURISTIC),
         )
         by_name = {o.criterion: o for o in report.outcomes}
         for name in ("constant_term", "leading_coeff"):
             assert by_name[name].conclusion.kind is NONE
         assert list(report.warnings) == [
-            f"{name}: no conclusion: root iteration did not converge (best residual 7.650e-01)"
+            f"{name}: no conclusion: root iteration did not converge (best residual 9.365e-01)"
             for name in ("constant_term", "leading_coeff")
         ]
 
@@ -856,6 +860,31 @@ class TestAnalyze:
         for name in ("constant_term", "leading_coeff"):
             assert by_name[name].conclusion.kind is NONE
         assert report.warnings == ()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(-10**6, 10**6), min_size=2,
+                 max_size=rootloc.EXACT_MAX_DEGREE + 1).filter(lambda c: c[-1]),
+        # p + b z + c z^m with c just below p: roots of modulus near 1, at the
+        # radius d = 1 that the prime p gives at a_0
+        st.builds(lambda p, b, m, gap: [p, b, *[0] * (m - 2), p - gap],
+                  st.sampled_from((1009, 1013, 1109, 2003, 10007)), st.integers(-3, 3),
+                  st.integers(2, rootloc.EXACT_MAX_DEGREE), st.integers(1, 40)),
+    ))
+    def test_numeric_mode_needs_no_roots_below_the_degree_cap(self, coeffs):
+        # up to the cap root_free decides every radius exactly: a run whose
+        # root iteration always fails reports what the real one reports
+        config = AnalyzeConfig(oracle="off", root_mode=CertificateMode.NUMERIC_HEURISTIC)
+        f = P(*coeffs)
+        expected = analyze(f, config)
+
+        def failing(g, *args, **kwargs):
+            raise rootloc.NonConvergenceError(math.inf)
+
+        with mock.patch.object(rootloc, "numeric_roots", failing):
+            report = analyze(f, config)
+        assert not any("did not converge" in w for w in report.warnings)
+        assert report == expected
 
     @pytest.mark.parametrize("above", [0, 1])
     def test_exact_disk_tests_stop_at_the_degree_cap(self, monkeypatch, above):

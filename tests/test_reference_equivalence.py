@@ -9,10 +9,10 @@ give exactly the same results.
   certify every radius in either root mode. Outcomes, witnesses and the
   audit's largest certified radius must agree.
 - The numeric disk-radius search, whose certificate refuses without roots
-  every radius that `rootloc.has_root_in_disk` proves holds a root, against
+  every radius that `rootloc.has_root_in_disk` proves holds a root, and up
+  to `rootloc.EXACT_MAX_DEGREE` decides every radius without roots, against
   a search that applies the numeric rule to the roots at every radius; and
-  the numeric certificate, and each exact test, at every radius against
-  that rule.
+  the numeric certificate at every radius against that rule.
 - Weintraub's criterion, the generalized Eisenstein criterion and the disk
   criteria's shared search, which keep their best witness as plain values
   and build one outcome, against the forms that built an outcome for every
@@ -308,8 +308,8 @@ def ref_numeric_radius(f, i, roots):
 def band_quadratics(draw):
     """c z^2 + b z + p d, with p a prime above 250 d and p / (1.004 d) <= c
     < p / d: a pair of complex roots of modulus sqrt(p d / c) in
-    (d, 1.002 d], just outside the radius d that p gives at a_0, where only
-    the roots decide the numeric certificate."""
+    (d, 1.002 d], just outside the radius d that p gives at a_0, on either
+    side of the margin d (1 + MARGIN) that the numeric certificate needs."""
     d = draw(st.integers(1, 6))
     p = draw(st.sampled_from((2003, 4001, 7919, 10007)))
     c = draw(st.integers(-(-250 * p // (251 * d)), -(-p // d) - 1))
@@ -330,16 +330,17 @@ def test_exact_refusals_match_numeric_certificates(f):
     for i in (0, m):
         assert facts.certified_radius(i) == ref_numeric_radius(f, i, roots)
     radii = {d for i in (0, m) for _, _, d in facts.disk_radii(i)} | set(range(1, 9))
+
+    def no_roots():
+        raise AssertionError("roots asked for below the degree cap")
+
     for d in radii:
         certified = ref_numeric_certified(d, roots)
         assert rootloc.certify_outside_disk(f, d, NUM, roots=lambda: roots) is certified
         if rootloc.has_root_in_disk(f, d):
             assert not certified
         if m <= rootloc.EXACT_MAX_DEGREE:
-            if not rootloc.root_free(f, d):
-                assert not certified
-            elif rootloc.root_free(f, d * rootloc.BAND):
-                assert certified
+            assert rootloc.certify_outside_disk(f, d, NUM, roots=no_roots) is certified
 
 
 def test_references_fire_on_known_instances():
@@ -381,8 +382,8 @@ def test_audit_one_certifies_each_radius_once(monkeypatch):
         return certify(f, d, mode, **kwargs)
 
     monkeypatch.setattr(rootloc, "certify_outside_disk", counting)
-    # 1013 + z + 1009z^2 has roots of modulus 1.00198, where no exact test
-    # settles d = 1, so a numeric certificate is made there
+    # 1013 + z + 1009z^2 has roots of modulus 1.00198, where no integer test
+    # refuses d = 1, so a numeric certificate is made there
     corpus = list(gen_exhaustive(3, 4))[::5] + gen_random(300, 6, 60, seed=11)
     corpus.append(Polynomial([1013, 1, 1009]))
     result = audit.AuditResult()

@@ -216,10 +216,13 @@ class TestNumericCertificate:
         assert certify_outside_disk(Polynomial([10**400, 1, 1]), 2**400, NUM) is True
 
     @pytest.mark.parametrize("coeffs, d, certified", [
-        ((5, 1, 1), 1, True),  # moduli sqrt(5): no root within 1.002
+        ((5, 1, 1), 1, True),  # moduli sqrt(5): no root within 1.001
         ((10, 11, 11, 1), 2, False),  # (z^2 + z + 1)(z + 10): roots of modulus 1
         ((3, 2), Fraction(3, 2), False),  # a rational radius: the root -3/2 is on it
         ((4, 2), Fraction(3, 2), True),
+        ((1013, 1, 1009), 1, True),  # moduli 1.00198, above 1.001 by less than 0.1%
+        ((-1001, 1000), 1, False),  # the root 1.001 is on the margin: refused
+        ((-1002, 1000), 1, True),
     ])
     def test_exact_tests_settle_without_roots(self, coeffs, d, certified):
         def roots():
@@ -228,16 +231,18 @@ class TestNumericCertificate:
         assert certify_outside_disk(Polynomial(list(coeffs)), d, NUM, roots=roots) is certified
 
     def test_roots_asked_for_once_in_the_band(self):
-        # moduli 1.00198: no exact test settles d = 1, so the roots decide
-        f = Polynomial([1013, 1, 1009])
-        calls = []
+        # above the degree cap the roots decide d = 1, which no integer test
+        # settles: least moduli 1.0094 (certified) and 1.0003 (refused)
+        for a0, certified in ((1109, True), (1013, False)):
+            f = Polynomial([a0, 1, *[0] * 8, 1009])
+            calls = []
 
-        def roots():
-            calls.append(f)
-            return numeric_roots(f)
+            def roots():
+                calls.append(f)
+                return numeric_roots(f)
 
-        assert certify_outside_disk(f, 1, NUM, roots=roots) is True
-        assert calls == [f]
+            assert certify_outside_disk(f, 1, NUM, roots=roots) is certified
+            assert calls == [f]
 
 
 class TestRootFree:
