@@ -241,9 +241,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
         if name not in corpus.FAMILIES:
             raise PolyParseError(f"unknown family {args.family!r}")
         _, names = corpus.FAMILIES[name]
-        given = {key: getattr(args, key) for key in names if getattr(args, key) is not None}
-        missing = [key for key in names if key not in given and key != "signs"]
-        if missing:  # P4 alone may leave its signs out: they default to all +
+        options = {key for _, keys in corpus.FAMILIES.values() for key in keys}
+        given = {key: getattr(args, key) for key in options if getattr(args, key) is not None}
+        missing = [key for key in names if key not in given and key not in ("sign", "signs")]
+        if missing:  # the signs may be left out: they default to all +
             raise PolyParseError(f"family {name} needs --{', --'.join(missing)}")
         f = corpus.gen_family(name, given)
         print(render_coeff_list(f))
@@ -303,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list a_1..a_m (P2)")
     p.add_argument("--middle", type=_parse_int_list, default=None,
                    help="comma list a_1..a_(m-1) (P3)")
-    p.add_argument("--sign", type=_parse_sign, default="+")
+    p.add_argument("--sign", type=_parse_sign, default=None)
     p.add_argument("--signs", type=lambda text: [_parse_sign(ch) for ch in text], default=None,
                    help="P4 sign string, e.g. -+-")
     p.add_argument("--exhaustive", action="store_true")

@@ -1,9 +1,9 @@
 """Generators for the built-in polynomial families P1-P4 and for the
 exhaustive and seeded-random audit corpora.
 
-Family generation is strict: every side condition is re-checked in exact
-arithmetic and a violated condition raises FamilyConditionError naming it,
-never a silently wrong polynomial.
+Family generation is strict: each side condition is checked exactly, and a
+failed one raises FamilyConditionError naming it. No check builds a power past
+|a_0| d: P2 and P3 share one dominance test, and P4's follows from b < a - b.
 """
 
 from __future__ import annotations
@@ -43,6 +43,18 @@ def _check_prime_power(p: int, k: int, d: int, m: int, sign: int, power: int) ->
     _check_size(m, power, p, k, d)
 
 
+def _check_dominance(coeffs: list[int], d: int) -> None:
+    """P2's and P3's |a_0| > m |a_i| d^i for i = 1..m; no power past |a_0| d is built."""
+    a0, m, power = abs(coeffs[0]), len(coeffs) - 1, 1
+    for i, a in enumerate(coeffs[1:], start=1):
+        power *= d
+        if power >= a0:  # then the z^m term fails, as a_m != 0
+            i = m
+        elif m * abs(a) * power < a0:
+            continue
+        raise FamilyConditionError(f"dominance condition fails at z^{i}: |a_0| <= m |a_{i}| d^{i}")
+
+
 def gen_p1(p: int, m: int, n: int, sign: int = 1) -> Polynomial:
     """p^(m-1) * (1 + z + ... + z^(n-1)) +- z^m for a prime p, m >= n >= 2.
 
@@ -71,12 +83,9 @@ def gen_p2(
     tail = [int(a) for a in tail]
     _check(len(tail) == m, f"need exactly m={m} tail coefficients, got {len(tail)}")
     _check(tail[-1] != 0, "leading coefficient must be nonzero")
-    biggest = max(abs(a) * d ** (i - 1) for i, a in enumerate(tail, start=1))
-    _check(
-        p**k > m * biggest,
-        f"dominance condition fails: p^k={p**k} <= m*max = {m * biggest}",
-    )
-    f = Polynomial([sign * p**k * d] + tail)
+    coeffs = [sign * p**k * d] + tail
+    _check_dominance(coeffs, d)
+    f = Polynomial(coeffs)
     _check(is_primitive(f), "generated polynomial is not primitive")
     return f
 
@@ -92,19 +101,14 @@ def gen_p3(
     middle = [int(a) for a in middle]
     _check(len(middle) == m - 1, f"need m-1={m - 1} middle coefficients, got {len(middle)}")
     lead = p**k * d
-    candidates = [abs(a) * d**i for i, a in enumerate(middle, start=1)]
-    candidates.append(p**k * d ** (m + 1))
-    biggest = max(candidates)
-    _check(
-        abs(a0) > m * biggest,
-        f"dominance condition fails: |a0|={abs(a0)} <= m*max = {m * biggest}",
-    )
+    coeffs = [a0] + middle + [sign * lead]
+    _check_dominance(coeffs, d)
     q = numtheory.prime_factors(abs(a0))[0][0]
     _check(
         abs(a0) <= q * lead,
         f"size condition fails: |a0/q| = {abs(a0)}/{q} > p^k d = {lead}",
     )
-    f = Polynomial([a0] + middle + [sign * lead])
+    f = Polynomial(coeffs)
     _check(is_primitive(f), "generated polynomial is not primitive")
     return f
 
@@ -117,6 +121,8 @@ def gen_p4(
 
     The z^j coefficient dominates, so the dominant-coefficient criterion
     fires with divisor b and delta = 1/b, bounding the factor count by m - j.
+    b < a - b implies its inequality: (a^j - b^j + 1) - sum_{i<j} a^i b^(j-i)
+    = (a^j - b^j)(a - 2b)/(a - b) + 1 >= 2.
     signs, when given, lists the j+1 sign choices for powers 1..j and m.
     """
     _check(m >= 3, f"need m >= 3, got {m}")
@@ -129,12 +135,6 @@ def gen_p4(
     signs = [int(s) for s in signs]
     _check(len(signs) == j + 1, f"need {j + 1} sign choices, got {len(signs)}")
     _check(all(s in (1, -1) for s in signs), "signs must be +-1")
-    # the dominance inequality scaled by b^(m-1-j):
-    # (a^j - b^j + 1) b^(m-1-j) > b^(m-j) (a^j - b^j)/(a-b) + 1
-    lhs = (a**j - b**j + 1) * b ** (m - 1 - j)
-    geo = b * (a**j - b**j) // (a - b)  # == sum_{i<j} a^i b^(j-i), exactly
-    rhs = geo * b ** (m - 1 - j) + 1
-    _check(lhs > rhs, f"dominance condition fails: {lhs} <= {rhs}")
     coeffs = [0] * (m + 1)
     coeffs[0] = 1
     for i in range(1, j):
@@ -156,14 +156,10 @@ FAMILIES = {
 def gen_family(name: str, params: dict) -> Polynomial:
     """Build a member of family `name` from its parameters, validating all
     conditions."""
-    if name not in FAMILIES:
-        raise FamilyConditionError(f"unknown family {name!r}")
+    _check(name in FAMILIES, f"unknown family {name!r}")
     fn, names = FAMILIES[name]
     unknown = set(params) - set(names)
-    if unknown:
-        raise FamilyConditionError(
-            f"unknown parameters for {name}: {', '.join(sorted(unknown))}"
-        )
+    _check(not unknown, f"unknown parameters for {name}: {', '.join(sorted(unknown))}")
     return fn(**params)
 
 

@@ -431,6 +431,17 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert capsys.readouterr().out.strip() == "4,4,0,1"
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["--family", "P1", "--p", "2", "--m", "3", "--n", "2"], "4,4,0,1"),
+        (["--family", "P2", "--p", "5", "--k", "1", "--d", "1", "--m", "2", "--tail", "1,1"],
+         "5,1,1"),
+        (["--family", "P3", "--p", "5", "--k", "1", "--d", "1", "--m", "2", "--a0", "11",
+          "--middle", "1"], "11,1,5"),
+    ], ids=["P1", "P2", "P3"])
+    def test_gen_family_sign_defaults_to_plus(self, capsys, argv, expected):
+        assert main(["gen", *argv]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == expected
+
     def test_gen_family_violation(self, capsys):
         code = main(["gen", "--family", "P2", "--p", "5", "--k", "1", "--d", "1",
                      "--m", "2", "--tail", "3,1"])
@@ -466,6 +477,11 @@ class TestExitCodes:
         # psi_13 = 1287836182261 * 2575672364521 passes every Miller-Rabin base
         (["--family", "P1", "--p", "3317044064679887385961981", "--m", "2", "--n", "2"],
          "p must be a proven prime, got 3317044064679887385961981"),
+        # a family option the family does not take is refused, not dropped
+        (["--family", "P1", "--p", "3", "--m", "3", "--n", "2", "--k", "5"],
+         "unknown parameters for P1: k"),
+        (["--family", "P4", "--a", "5", "--b", "1", "--m", "4", "--j", "2", "--sign", "-"],
+         "unknown parameters for P4: sign"),
     ])
     def test_gen_family_input_errors(self, capsys, argv, message):
         assert main(["gen", *argv]) == EXIT_ERROR

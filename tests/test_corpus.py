@@ -3,8 +3,11 @@
 import itertools
 import math
 import sys
+import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from irreducia.corpus import (
     FamilyConditionError,
@@ -21,12 +24,19 @@ from irreducia.poly import MAX_INPUT_DEGREE, Polynomial, PolyParseError, is_prim
 from generators import gen_dominant_second
 
 
+def p4_display_sides(a: int, b: int, m: int, j: int) -> tuple[int, int]:
+    """Both sides of the P4 dominance inequality as displayed, scaled by
+    b^(m-1-j): (a^j - b^j + 1) b^(m-1-j) and sum_{i<j} a^i b^(j-i) b^(m-1-j) + 1."""
+    lhs = (a**j - b**j + 1) * b ** (m - 1 - j)
+    rhs = sum(a**i * b ** (j - i) for i in range(j)) * b ** (m - 1 - j) + 1
+    return lhs, rhs
+
+
 def p4_display_forms_agree(a: int, b: int, m: int, j: int) -> bool:
     """Whether truncating the low sum at i < j-1 (dropping the a^(j-1) b term)
     changes the pass/fail verdict of the P4 dominance inequality, both sides
     scaled by b^(m-1-j)."""
-    lhs = (a**j - b**j + 1) * b ** (m - 1 - j)
-    rhs = sum(a**i * b ** (j - i) for i in range(j)) * b ** (m - 1 - j) + 1
+    lhs, rhs = p4_display_sides(a, b, m, j)
     truncated = rhs - a ** (j - 1) * b * b ** (m - 1 - j)
     return (lhs > rhs) == (lhs > truncated)
 
@@ -89,6 +99,75 @@ def test_degree_above_the_input_maximum_is_refused(make):
 def test_coefficient_past_the_digit_limit_is_refused(make, power):
     with pytest.raises(PolyParseError, match=rf"^coefficient of z\^{power} has \d+ digits"):
         make(2**61 - 1)
+
+
+# the dominance tests keep one running power of d and stop once it reaches
+# |a_0|, and P4's inequality is implied by b < a - b, so none of these builds
+# d^1000 or b^998
+@pytest.mark.parametrize("make, refused", [
+    (lambda: gen_p2(3, 1, 10**4000 + 1, 1000, [1] * 1000), True),
+    (lambda: gen_p3(3, 1, 10**2000 + 1, 1000, 10**4000 + 1, [1] * 999), True),
+    (lambda: gen_p4(10**4000 + 7, 10**3999, 1000, 1), False),
+], ids=["P2", "P3", "P4"])
+def test_big_parameters_are_decided_at_once(make, refused):
+    start = time.perf_counter()
+    if refused:
+        with pytest.raises(FamilyConditionError, match="^dominance condition fails"):
+            make()
+    else:
+        assert make().degree == 1000
+    assert time.perf_counter() - start < 2.0
+
+
+coefficient = st.integers(-3, 3)
+
+
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 3), st.integers(1, 4),
+       st.sampled_from((1, -1)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_p2_dominance_is_the_full_power_inequality(p, k, d, sign, data):
+    assume(d % p != 0)
+    m = data.draw(st.integers(2, 5))
+    tail = data.draw(st.lists(coefficient, min_size=m, max_size=m).filter(lambda t: t[-1]))
+    holds = p**k > m * max(abs(a) * d ** (i - 1) for i, a in enumerate(tail, start=1))
+    try:
+        f = gen_p2(p, k, d, m, tail, sign)
+    except FamilyConditionError as exc:  # a refusal for primitivity comes after dominance
+        assert str(exc).startswith("dominance condition fails") == (not holds)
+    else:
+        assert holds and f.coeffs == (sign * p**k * d, *tail)
+
+
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 3), st.integers(1, 4),
+       st.sampled_from((1, -1)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_p3_dominance_is_the_full_power_inequality(p, k, d, sign, data):
+    assume(d % p != 0)
+    m = data.draw(st.integers(2, 5))
+    middle = data.draw(st.lists(coefficient, min_size=m - 1, max_size=m - 1))
+    biggest = max([abs(a) * d**i for i, a in enumerate(middle, start=1)] + [p**k * d ** (m + 1)])
+    # a_0 within 3 of the threshold m * biggest (>= 4), with either sign
+    a0 = data.draw(st.sampled_from((1, -1))) * (m * biggest + data.draw(coefficient))
+    holds = abs(a0) > m * biggest
+    try:
+        f = gen_p3(p, k, d, m, a0, middle, sign)
+    except FamilyConditionError as exc:  # the size and primitivity tests come after it
+        assert str(exc).startswith("dominance condition fails") == (not holds)
+    else:
+        assert holds and f.coeffs == (a0, *middle, sign * p**k * d)
+
+
+@given(st.integers(1, 10**30), st.integers(1, 10**30), st.integers(3, 8), st.data())
+@settings(max_examples=300, deadline=None)
+def test_p4_accepts_only_where_the_display_inequality_holds(a, b, m, data):
+    j = data.draw(st.integers(1, m - 1))
+    try:
+        gen_p4(a, b, m, j)
+    except FamilyConditionError as exc:
+        assert str(exc).startswith("need b < a - b") and b >= a - b
+    else:
+        lhs, rhs = p4_display_sides(a, b, m, j)
+        assert lhs > rhs
 
 
 class TestP2:
