@@ -14,31 +14,35 @@ import random
 from typing import Iterator, Sequence
 
 from . import numtheory
-from .poly import Polynomial, _check_degree, _refuse_digits, is_primitive
+from .poly import Polynomial, PolyParseError, _check_degree, _int_text, _refuse_digits, is_primitive
 
 
 class FamilyConditionError(ValueError):
     """A family parameter set violates one of its side conditions."""
 
 
-def _check(condition: bool, message: str) -> None:
+def _check(condition: bool, message: str, *values) -> None:
+    """FamilyConditionError unless condition holds; only then is the message
+    formatted, with an int past Python's digit limit named by its digit count."""
     if not condition:
-        raise FamilyConditionError(message)
+        raise FamilyConditionError(message.format(*map(_int_text, values)))
 
 
 def _check_size(m: int, power: int, base: int, exponent: int, factor: int = 1) -> None:
     """parse_poly's limits on m and on factor * base^exponent (at z^power), before it is built."""
     _check_degree(m)
+    if exponent.bit_length() > 1000:  # past the float range; 2^exponent has > 10^300 digits
+        raise PolyParseError(f"coefficient of z^{power} has more than 10^300 digits")
     _refuse_digits(power, int(exponent * math.log10(base) + math.log10(factor)) + 1)
 
 
 def _check_prime_power(p: int, k: int, d: int, m: int, sign: int, power: int) -> None:
     """The side conditions P2 and P3 share: p^k d with p prime, k, d >= 1
     and p missing d, degree m >= 2, a sign +-1, and _check_size on p^k d."""
-    _check(numtheory.is_prime(p), f"p must be a proven prime, got {p}")
+    _check(numtheory.is_prime(p), "p must be a proven prime, got {}", p)
     _check(k >= 1 and d >= 1, "need k >= 1 and d >= 1")
-    _check(m >= 2, f"need m >= 2, got {m}")
-    _check(d % p != 0, f"p={p} must not divide d={d}")
+    _check(m >= 2, "need m >= 2, got {}", m)
+    _check(d % p != 0, "p={} must not divide d={}", p, d)
     _check(sign in (1, -1), "sign must be +-1")
     _check_size(m, power, p, k, d)
 
@@ -62,8 +66,8 @@ def gen_p1(p: int, m: int, n: int, sign: int = 1) -> Polynomial:
     unit, and gcd(m-1, m) = 1, so the prime-power prefix criterion applies
     with j = m and certifies irreducibility.
     """
-    _check(numtheory.is_prime(p), f"p must be a proven prime, got {p}")
-    _check(m >= n >= 2, f"need m >= n >= 2, got m={m}, n={n}")
+    _check(numtheory.is_prime(p), "p must be a proven prime, got {}", p)
+    _check(m >= n >= 2, "need m >= n >= 2, got m={}, n={}", m, n)
     _check(sign in (1, -1), "sign must be +-1")
     _check_size(m, 0, p, m - 1)
     block = p ** (m - 1)
@@ -81,7 +85,7 @@ def gen_p2(
     """
     _check_prime_power(p, k, d, m, sign, 0)
     tail = [int(a) for a in tail]
-    _check(len(tail) == m, f"need exactly m={m} tail coefficients, got {len(tail)}")
+    _check(len(tail) == m, "need exactly m={} tail coefficients, got {}", m, len(tail))
     _check(tail[-1] != 0, "leading coefficient must be nonzero")
     coeffs = [sign * p**k * d] + tail
     _check_dominance(coeffs, d)
@@ -99,15 +103,13 @@ def gen_p3(
     _check_prime_power(p, k, d, m, sign, m)
     _check(a0 != 0, "a0 must be nonzero")
     middle = [int(a) for a in middle]
-    _check(len(middle) == m - 1, f"need m-1={m - 1} middle coefficients, got {len(middle)}")
+    _check(len(middle) == m - 1, "need m-1={} middle coefficients, got {}", m - 1, len(middle))
     lead = p**k * d
     coeffs = [a0] + middle + [sign * lead]
     _check_dominance(coeffs, d)
     q = numtheory.prime_factors(abs(a0))[0][0]
-    _check(
-        abs(a0) <= q * lead,
-        f"size condition fails: |a0/q| = {abs(a0)}/{q} > p^k d = {lead}",
-    )
+    _check(abs(a0) <= q * lead, "size condition fails: |a0/q| = {}/{} > p^k d = {}",
+           abs(a0), q, lead)
     f = Polynomial(coeffs)
     _check(is_primitive(f), "generated polynomial is not primitive")
     return f
@@ -125,15 +127,15 @@ def gen_p4(
     = (a^j - b^j)(a - 2b)/(a - b) + 1 >= 2.
     signs, when given, lists the j+1 sign choices for powers 1..j and m.
     """
-    _check(m >= 3, f"need m >= 3, got {m}")
-    _check(1 <= j <= m - 1, f"need 1 <= j <= m-1, got j={j}")
+    _check(m >= 3, "need m >= 3, got {}", m)
+    _check(1 <= j <= m - 1, "need 1 <= j <= m-1, got j={}", j)
     _check(a >= 1 and b >= 1, "need a, b >= 1")
     _check_size(m, j, a, j)
-    _check(b < a - b, f"need b < a - b, got b={b}, a-b={a - b}")
+    _check(b < a - b, "need b < a - b, got b={}, a-b={}", b, a - b)
     if signs is None:
         signs = [1] * (j + 1)
     signs = [int(s) for s in signs]
-    _check(len(signs) == j + 1, f"need {j + 1} sign choices, got {len(signs)}")
+    _check(len(signs) == j + 1, "need {} sign choices, got {}", j + 1, len(signs))
     _check(all(s in (1, -1) for s in signs), "signs must be +-1")
     coeffs = [0] * (m + 1)
     coeffs[0] = 1
@@ -156,10 +158,10 @@ FAMILIES = {
 def gen_family(name: str, params: dict) -> Polynomial:
     """Build a member of family `name` from its parameters, validating all
     conditions."""
-    _check(name in FAMILIES, f"unknown family {name!r}")
+    _check(name in FAMILIES, "unknown family {!r}", name)
     fn, names = FAMILIES[name]
     unknown = set(params) - set(names)
-    _check(not unknown, f"unknown parameters for {name}: {', '.join(sorted(unknown))}")
+    _check(not unknown, "unknown parameters for {}: {}", name, ", ".join(sorted(unknown)))
     return fn(**params)
 
 

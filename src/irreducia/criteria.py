@@ -187,7 +187,7 @@ class PolyFacts:
         self._dominant = False if self.degree > 1 else None  # False: not yet found
         self._rational_root: bool | None = None
         self._roots: list[complex] | rootloc.NonConvergenceError | None = None
-        self._bounds: list[int] | None = None  # [largest radius certified, smallest refused]
+        self._bounds = [1 if mode is SYMBOLIC else 0, math.inf]  # largest certified, least refused
 
     @property
     def low(self) -> list[int]:
@@ -250,21 +250,14 @@ class PolyFacts:
         far, or at or above the smallest refused so far (at either end), is
         settled without a certificate. Every radius is an integer >= 1, so
         the symbolic search starts certified at 1, and stops before a_i is
-        factorized when `unit_disk_certified` is false. Both modes start
-        refused at d = 2^ceil(bitlen(|a_0|) / m), where d^m >= 2^bitlen(|a_0|)
-        > |a_0|: the symbolic test needs |a_0| > |a_m| d^m, and the root
-        moduli multiply to |a_0 / a_m| <= d^m. This bound keeps d^m and
-        f(+-d) small at high degree. `rootloc.certify_outside_disk` decides
-        each radius left open, from the one shared `roots()` above its cap."""
-        symbolic = self.mode is SYMBOLIC
-        if symbolic and not self.unit_disk_certified:
+        factorized when `unit_disk_certified` is false. Each radius left open
+        is decided by `rootloc.certify_outside_disk`, from the one shared
+        `roots()` above its cap; it refuses a radius too large for the root
+        product |a_0 / a_m| by bit lengths alone, in either mode."""
+        if self.mode is SYMBOLIC and not self.unit_disk_certified:
             return 0
-        radii = self.disk_radii(i)
-        if self._bounds is None:
-            refused = 1 << -(-self.mags[0].bit_length() // self.degree)
-            self._bounds = [1 if symbolic else 0, refused]
         bounds = self._bounds
-        for d in sorted((d for _, _, d in radii), reverse=True):
+        for d in sorted((d for _, _, d in self.disk_radii(i)), reverse=True):
             if d >= bounds[1]:
                 continue
             if d <= bounds[0] or rootloc.certify_outside_disk(self.poly, d, self.mode,
@@ -357,17 +350,15 @@ def eisenstein_generalized(facts: PolyFacts) -> CriterionOutcome:
     best = None  # the witnesses of the largest j, the first on a tie
     for p, k in numtheory.prime_factors(facts.mags[0]):
         pk = p**k
-        prefix = 0
-        while prefix <= m and c[prefix] % pk == 0:
-            prefix += 1
-        for j in range(min(prefix, m), 0, -1):
-            if c[j] % p == 0 or math.gcd(k, j) != 1:
-                continue
-            if j == m or (j == m - 1 and not facts.has_rational_root()):
-                return CriterionOutcome(name, {"p": p, "k": k, "j": j}, Conclusion.irreducible())
-            if best is None or j > best["j"]:
-                best = {"p": p, "k": k, "j": j}
-            break  # largest admissible j is the strongest for this prime
+        j = 1  # p^k divides a_0; f is primitive, so it misses some a_j with j <= m
+        while c[j] % pk == 0:
+            j += 1
+        if c[j] % p == 0 or math.gcd(k, j) != 1:
+            continue  # p divides every a_i below j, so no other j can pass
+        if j == m or (j == m - 1 and not facts.has_rational_root()):
+            return CriterionOutcome(name, {"p": p, "k": k, "j": j}, Conclusion.irreducible())
+        if best is None or j > best["j"]:
+            best = {"p": p, "k": k, "j": j}
     if best is None:
         return _NO_CONCLUSIONS[name]
     return CriterionOutcome(name, best, Conclusion.factor_degree(m - best["j"]))
@@ -564,7 +555,7 @@ def run_criteria(
 
 def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisReport:
     """Run every enabled criterion on the primitive part of f, pick the
-    strongest conclusion, and optionally cross-check against the oracle. A
+    strongest conclusion, and optionally judge every fired one by the oracle. A
     coefficient too long for str() is refused before any criterion runs; the
     report holds no text, and its `input_text` is written only when read."""
     if f.is_zero():
@@ -614,13 +605,14 @@ def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisR
             if config.oracle == "on":
                 raise
             warnings.append(f"oracle skipped: {exc}")
-        if oracle_result is not None and strongest is not None:
+        if oracle_result is not None:
             degrees = oracle_result.factor_degrees()  # the primitive part's: z is left out
-            if not strongest.conclusion.holds(degrees):
-                raise SoundnessError(
-                    f"criterion {strongest.criterion} concluded {strongest.conclusion} "
-                    f"but the oracle found {len(degrees)} factors for {f!r}"
-                )
+            for o in fired:
+                if not o.conclusion.holds(degrees):
+                    raise SoundnessError(
+                        f"criterion {o.criterion} concluded {o.conclusion} "
+                        f"but the oracle found {len(degrees)} factors for {f!r}"
+                    )
 
     return AnalysisReport(
         input=f,

@@ -171,7 +171,15 @@ _CHUNK = re.compile(r"[+-]?[^+-]+")
 
 def _check_degree(power: int) -> None:
     if power > MAX_INPUT_DEGREE:
-        raise PolyParseError(f"degree {power} above the maximum {MAX_INPUT_DEGREE}")
+        raise PolyParseError(f"degree {_int_text(power)} above the maximum {MAX_INPUT_DEGREE}")
+
+
+def _int_text(n) -> str:
+    """str(n), or an int's digit count where str() would refuse it."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"{'-' if n < 0 else ''}<{Decimal(abs(n)).adjusted() + 1} digits>"
 
 
 def _excerpt(text: str) -> str:

@@ -9,15 +9,15 @@ It is sound but incomplete. The numeric mode certifies d when every root
 modulus is above d (1 + MARGIN), and consumers flag it as not a proof. Both
 tests are monotone in d: one that holds at d holds at every smaller radius.
 
-Numeric mode first refuses d by `has_root_in_disk`, on two integer facts:
-the root moduli multiply to |a_0 / a_m|, so |a_m| d^m >= |a_0| leaves the
-smallest at most d; and a sign change of f on [0, d] or [-d, 0] puts a real
-root there. Up to degree EXACT_MAX_DEGREE the Schur-Cohn test (`root_free`)
-then decides the rule exactly, with no roots: no root lies in |z| <= SCALE
-d. Above the cap the roots decide, from an Aberth-Ehrlich iteration from
-Bini's Newton-polygon starts (Numer. Algorithms 13, 1996); there one root
-set costs less than `root_free`, whose rows grow by about 10 bits per
-degree at SCALE d.
+In both modes `has_root_in_disk` first refuses d by exact tests that prove
+a root in the disk, so none fires where the symbolic inequality holds; it
+refuses a d too large for the root product |a_0 / a_m| by bit lengths alone.
+In numeric mode, up to degree EXACT_MAX_DEGREE, the Schur-Cohn test
+(`root_free`) then decides the rule exactly, with no roots: no root lies in
+|z| <= SCALE d. Above the cap the roots decide, from an Aberth-Ehrlich
+iteration from Bini's Newton-polygon starts (Numer. Algorithms 13, 1996);
+there one root set costs less than `root_free`, whose rows grow by about 10
+bits per degree at SCALE d.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def certify_outside_disk(
     roots: Callable[[], list[complex]] | None = None,
 ) -> bool:
     """Whether every complex zero of f is certified to have modulus greater
-    than d, a positive rational, in `mode`.
+    than d, a positive rational, in `mode`, after `has_root_in_disk`.
 
     In numeric mode `roots`, a zero-argument callable that gives all roots
     of f (by default `numeric_roots(f)`), is called only above the degree
@@ -77,16 +77,13 @@ def certify_outside_disk(
     if d <= 0:
         raise ValueError("disk radius must be positive")
 
-    if mode is CertificateMode.SYMBOLIC_SUFFICIENT:
-        rhs = 0
-        for a in reversed(f.coeffs[1:]):  # sum_{i>=1} |a_i| d^i by Horner's rule
-            rhs = rhs * d + abs(a)
-        return abs(f.constant_term) > rhs * d
-
     if f.degree == 0:
         return True
     if has_root_in_disk(f, d):
         return False
+    if mode is CertificateMode.SYMBOLIC_SUFFICIENT:  # |a_0| > sum_{i>=1} |a_i| d^i
+        return 2 * abs(f.constant_term) > Polynomial(map(abs, f.coeffs)).evaluate(d)
+
     if f.degree <= EXACT_MAX_DEGREE:
         # at d, root_free refuses most radii left open, at less cost than at SCALE d
         return root_free(f, d) and root_free(f, d * SCALE)
@@ -98,18 +95,16 @@ def certify_outside_disk(
 def has_root_in_disk(f: Polynomial, d) -> bool:
     """Whether an exact test proves a root of f in |z| <= d, for a positive
     rational d (an int or a Fraction) and a_0 != 0: |a_m| d^m >= |a_0|, or
-    f(0) f(d) <= 0, or f(0) f(-d) <= 0. f(+-d) = E +- O from the even and
-    odd parts, each by Horner's rule in d^2."""
-    c = f.coeffs
-    if abs(c[-1]) * d**f.degree >= abs(c[0]):
+    f(0) f(d) <= 0, or f(0) f(-d) <= 0. The first is tried from bit lengths
+    before d^m is built: 2^lo <= d and lo m >= bitlen(|a_0|) give d^m >
+    |a_0|. So an integer radius that reaches d^m and f(+-d) has d^m <
+    2^(bitlen(|a_0|) + m)."""
+    c, m, a0 = f.coeffs, f.degree, abs(f.constant_term)
+    u, v = d.numerator, d.denominator  # an int is its own numerator, over 1
+    lo = u.bit_length() - 1 - (v.bit_length() if v > 1 else 0)  # 2^lo <= d
+    if lo * m >= a0.bit_length() or abs(c[-1]) * d**m >= a0:
         return True
-    d2, even, odd = d * d, 0, 0
-    for a in reversed(c[0::2]):
-        even = even * d2 + a
-    for a in reversed(c[1::2]):
-        odd = odd * d2 + a
-    odd *= d
-    return c[0] * (even + odd) <= 0 or c[0] * (even - odd) <= 0
+    return c[0] * f.evaluate(d) <= 0 or c[0] * f.evaluate(-d) <= 0
 
 
 def root_free(f: Polynomial, r) -> bool:

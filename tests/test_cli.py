@@ -555,6 +555,17 @@ def test_analyze_power_rich_constant_term_in_seconds():
     )
 
 
+def test_gen_exponent_past_the_float_range_is_an_input_error():
+    # k = 10^400: the digit estimate k log10(p) has no float value
+    proc = subprocess.run(
+        [sys.executable, "-m", "irreducia", "gen", "--family", "P2", "--p", "3",
+         "--k", str(10**400), "--d", "1", "--m", "2", "--tail", "1,1"],
+        capture_output=True, text=True, env=_src_env(), timeout=10,
+    )
+    assert proc.returncode == EXIT_ERROR
+    assert proc.stderr == "error: coefficient of z^0 has more than 10^300 digits\n"
+
+
 class TestColdImports:
     """`import irreducia` loads no submodule, and each command loads only
     the modules it runs: `factor` never loads the criteria, and nothing on

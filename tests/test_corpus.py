@@ -84,12 +84,15 @@ def test_degree_above_the_input_maximum_is_refused(make):
         make(MAX_INPUT_DEGREE + 1)
 
 
-# p = 2^61 - 1 has 19 digits: p^999 has 18,343 and p^300 has 5,509, so
-# each of these coefficients is past the limit, and is refused unbuilt
-@pytest.mark.skipif(
+needs_digit_limit = pytest.mark.skipif(
     not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() <= 5000,
     reason="no int-to-string digit limit below 5,001 digits",
 )
+
+
+# p = 2^61 - 1 has 19 digits: p^999 has 18,343 and p^300 has 5,509, so
+# each of these coefficients is past the limit, and is refused unbuilt
+@needs_digit_limit
 @pytest.mark.parametrize("make, power", [
     (lambda p: gen_p1(p, 1000, 2), 0),
     (lambda p: gen_p2(p, 300, 1, 2, [1, 1]), 0),
@@ -117,6 +120,37 @@ def test_big_parameters_are_decided_at_once(make, refused):
     else:
         assert make().degree == 1000
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: gen_p1(3, 10**5000, 2), PolyParseError),  # m past the digit limit
+    (lambda: gen_p1(10**5000 + 1, 2, 2), FamilyConditionError),  # not a prime
+    (lambda: gen_p2(3, 1, 3 * 10**5000 + 3, 2, [1, 1]), FamilyConditionError),  # p | d
+    (lambda: gen_p4(3, 10**5000, 3, 1), FamilyConditionError),  # b >= a - b
+    (lambda: gen_p4(10**5000, 1, 10**5000, 1), PolyParseError),  # m past the digit limit
+    # an exponent past the float range: the digit estimate would overflow
+    (lambda: gen_p2(3, 10**400, 1, 2, [1, 1]), PolyParseError),
+    (lambda: gen_p3(3, 10**400, 1, 2, 5, [1]), PolyParseError),
+], ids=["P1-m", "P1-p", "P2-d", "P4-b", "P4-m", "P2-k", "P3-k"])
+def test_oversized_parameters_are_refused_at_once(make, error):
+    start = time.process_time()
+    with pytest.raises(error):
+        make()
+    assert time.process_time() - start < 1.0
+
+
+@needs_digit_limit
+def test_oversized_parameter_is_named_by_its_digit_count():
+    with pytest.raises(FamilyConditionError, match=r"^p=3 must not divide d=<5001 digits>$"):
+        gen_p2(3, 1, 3 * 10**5000 + 3, 2, [1, 1])
+    with pytest.raises(FamilyConditionError, match=r"^need b < a - b, got b=<5001 digits>, "
+                                                   r"a-b=-<5000 digits>$"):
+        gen_p4(3, 10**5000, 3, 1)
+    with pytest.raises(PolyParseError, match=r"^degree <5001 digits> above the maximum"):
+        gen_p1(3, 10**5000, 2)
+    # in the limit, the numbers are written in full
+    with pytest.raises(FamilyConditionError, match=r"^p=3 must not divide d=6$"):
+        gen_p2(3, 1, 6, 2, [1, 1])
 
 
 coefficient = st.integers(-3, 3)

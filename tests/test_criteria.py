@@ -668,6 +668,22 @@ class TestAnalyze:
         with pytest.raises(oracle.OracleLimitError, match="coefficient magnitude"):
             analyze(f, AnalyzeConfig(oracle="on"))
 
+    def test_oracle_judges_every_fired_outcome(self, monkeypatch):
+        # (z^2 + 1)(z^2 + 2) has no linear factor: a true AtMostFactors(2) is
+        # the strongest outcome, and the false FactorDegreeBound(1) below it
+        # must still be judged
+        def fake(name, conclusion):
+            return lambda facts: criteria.CriterionOutcome(name, {}, conclusion)
+
+        monkeypatch.setitem(criteria.CRITERIA, "constant_term",
+                            fake("constant_term", Conclusion.at_most(2)))
+        monkeypatch.setitem(criteria.CRITERIA, "weintraub",
+                            fake("weintraub", Conclusion.factor_degree(1)))
+        config = AnalyzeConfig(criteria=("constant_term", "weintraub"), oracle="on")
+        with pytest.raises(criteria.SoundnessError, match="^criterion weintraub concluded "
+                                                          r"FactorDegreeBound\(1\)"):
+            analyze(P(2, 0, 3, 0, 1), config)
+
     def test_constant_primitive_part_skips_criteria(self):
         report = analyze(P(0, 0, 6))  # 6z^2
         assert report.outcomes == () and report.strongest is None
@@ -844,11 +860,11 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("coeffs", [(30, 1, 1, 1, 6), (6, 1, 6)])
     def test_exactly_refused_radii_need_no_roots(self, monkeypatch, coeffs):
-        # every radius of these is refused by an exact test: the radii 15, 10
-        # and 6 of 30 + z + z^2 + z^3 + 6z^4 start refused (d >= 4 =
-        # 2^ceil(bitlen(30) / 4)), and leading_coeff stops at its size
-        # condition 30 > 2 * 6; the radii 3 and 2 of 6 + z + 6z^2 have
-        # 6 d^2 >= 6 at both ends
+        # every radius of these is refused by an exact test: rootloc refuses
+        # the radii 15, 10 and 6 of 30 + z + z^2 + z^3 + 6z^4 by size (each
+        # is at least 4 = 2^2, and 2 * 4 >= bitlen(30)), and leading_coeff
+        # stops at its size condition 30 > 2 * 6; the radii 3 and 2 of
+        # 6 + z + 6z^2 have 6 d^2 >= 6 at both ends
         def failing(f, *args, **kwargs):
             raise AssertionError("no root iteration expected")
 

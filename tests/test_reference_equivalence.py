@@ -13,6 +13,11 @@ give exactly the same results.
   to `rootloc.EXACT_MAX_DEGREE` decides every radius without roots, against
   a search that applies the numeric rule to the roots at every radius; and
   the numeric certificate at every radius against that rule.
+- `rootloc.certify_outside_disk` in both modes and `has_root_in_disk`,
+  which refuse a radius too large for the root product by bit lengths
+  before any power of d, against the forms that ran the symbolic Horner
+  test alone and, in numeric mode, built d^m in full and f(+-d) from the
+  even and odd parts.
 - Weintraub's criterion, the generalized Eisenstein criterion and the disk
   criteria's shared search, which keep their best witness as plain values
   and build one outcome, against the forms that built an outcome for every
@@ -341,6 +346,85 @@ def test_exact_refusals_match_numeric_certificates(f):
             assert not certified
         if m <= rootloc.EXACT_MAX_DEGREE:
             assert rootloc.certify_outside_disk(f, d, NUM, roots=no_roots) is certified
+
+
+def ref_has_root_in_disk(f, d):
+    """|a_m| d^m >= |a_0| with d^m built in full, or a sign change of f on
+    [0, d] or [-d, 0], with f(+-d) = E +- O from the even and odd parts."""
+    c = f.coeffs
+    if abs(c[-1]) * d**f.degree >= abs(c[0]):
+        return True
+    d2, even, odd = d * d, 0, 0
+    for a in reversed(c[0::2]):
+        even = even * d2 + a
+    for a in reversed(c[1::2]):
+        odd = odd * d2 + a
+    odd *= d
+    return c[0] * (even + odd) <= 0 or c[0] * (even - odd) <= 0
+
+
+def ref_certify_outside_disk(f, d, mode, roots):
+    """The symbolic Horner test alone, or the numeric rule after the exact
+    refusals of `ref_has_root_in_disk`."""
+    if mode is SYM:
+        rhs = 0
+        for a in reversed(f.coeffs[1:]):
+            rhs = rhs * d + abs(a)
+        return abs(f.constant_term) > rhs * d
+    if f.degree == 0:
+        return True
+    if ref_has_root_in_disk(f, d):
+        return False
+    if f.degree <= rootloc.EXACT_MAX_DEGREE:
+        return rootloc.root_free(f, d) and rootloc.root_free(f, d * rootloc.SCALE)
+    return ref_numeric_certified(d, roots())
+
+
+@st.composite
+def polys_and_radii_near_the_size_bound(draw):
+    """Degree 1-16 with |a_i| up to 10^30, and a radius within 2 of
+    2^ceil(bitlen(|a_0|) / m), where the bit-length refusal starts for an
+    integer radius, or a rational radius u / v below about that size."""
+    m = draw(st.integers(1, 16))
+    big = st.integers(-10**30, 10**30)
+    coeffs = draw(st.lists(st.one_of(st.integers(-6, 6), big), min_size=m + 1, max_size=m + 1))
+    coeffs[0] = coeffs[0] or draw(big.filter(bool))
+    coeffs[-1] = coeffs[-1] or 1
+    f = Polynomial(coeffs)
+    start = 1 << -(-abs(coeffs[0]).bit_length() // m)
+    if draw(st.booleans()):
+        d = max(1, start + draw(st.integers(-2, 2)))
+    else:
+        v = draw(st.integers(2, 1000))
+        d = Fraction(draw(st.integers(1, (start + 2) * v)), v)
+    return f, d
+
+
+def _answer(decide):
+    """decide(), or the type of the error it raised."""
+    try:
+        return decide()
+    except rootloc.NonConvergenceError as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(polys_and_radii_near_the_size_bound())
+def test_size_refusals_match_full_power_certificates(case):
+    f, d = case
+    assert rootloc.has_root_in_disk(f, d) is ref_has_root_in_disk(f, d)
+    found = []
+
+    def roots():  # one root set, or one error, shared by both sides
+        if not found:
+            found.append(_answer(lambda: rootloc.numeric_roots(f)))
+        if found[0] is rootloc.NonConvergenceError:
+            raise rootloc.NonConvergenceError(math.inf)
+        return found[0]
+
+    for mode in (SYM, NUM):
+        assert _answer(lambda: rootloc.certify_outside_disk(f, d, mode, roots=roots)) == (
+            _answer(lambda: ref_certify_outside_disk(f, d, mode, roots)))
 
 
 def test_references_fire_on_known_instances():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,17 @@ class TestSymbolicCertificate:
     def test_rejects_zero_polynomial(self):
         with pytest.raises(ValueError, match="zero polynomial"):
             certify_outside_disk(Polynomial(), 1)
+
+
+@pytest.mark.parametrize("mode", [SYM, NUM])
+def test_radius_too_large_for_the_root_product_is_refused_at_once(mode):
+    # 3*2^13333 + z + ... + z^1000 at d = 3^8000: d^1000, f(+-d) and the
+    # symbolic sum would each have about 12.7 million bits; bit lengths alone
+    # refuse d, as (bitlen(3^8000) - 1) * 1000 >= bitlen(3*2^13333)
+    f = Polynomial([3 * 2**13333] + [1] * 1000)
+    start = time.process_time()
+    assert certify_outside_disk(f, 3**8000, mode) is False
+    assert time.process_time() - start < 1.0
 
 
 class TestNumericRoots:
