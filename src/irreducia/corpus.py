@@ -107,7 +107,7 @@ def gen_p3(
     lead = p**k * d
     coeffs = [a0] + middle + [sign * lead]
     _check_dominance(coeffs, d)
-    q = numtheory.prime_factors(abs(a0))[0][0]
+    q = numtheory.least_prime_factor(abs(a0))
     _check(abs(a0) <= q * lead, "size condition fails: |a0/q| = {}/{} > p^k d = {}",
            abs(a0), q, lead)
     f = Polynomial(coeffs)

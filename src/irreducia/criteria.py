@@ -211,17 +211,23 @@ class PolyFacts:
         return self._low
 
     def has_rational_root(self) -> bool:
-        """Whether f has a rational root, by `poly.rational_roots`.
+        """Whether f has a rational root: at degree 2, whether the
+        discriminant a_1^2 - 4 a_0 a_2 is a square (0 included), by one
+        `math.isqrt`; above it, by `poly.rational_roots`.
 
         Only Weintraub at k0 = 1 and the generalized Eisenstein criterion at
         j = m-1 ask, and each has then already limited f to "irreducible, or
-        linear times irreducible". Such an f is squarefree, except at degree
-        2, where it may be the square of a linear polynomial (Weintraub at
-        p = 3 on z^2 + 6z + 9). So the squarefree step of `rational_roots`,
-        whose cost grows steeply with the degree, runs here only on such a
-        square, or when the first primes it tries all divide disc(f)."""
+        linear times irreducible", which above degree 2 is squarefree. So the
+        squarefree step of `rational_roots`, whose cost grows steeply with
+        the degree, runs here only when the first primes it tries all divide
+        disc(f)."""
         if self._rational_root is None:
-            self._rational_root = bool(rational_roots(self.poly))
+            c = self.coeffs
+            if self.degree == 2:
+                disc = c[1] * c[1] - 4 * c[0] * c[2]
+                self._rational_root = disc >= 0 and math.isqrt(disc) ** 2 == disc
+            else:
+                self._rational_root = bool(rational_roots(self.poly))
         return self._rational_root
 
     def roots(self) -> list[complex]:
@@ -276,12 +282,13 @@ class PolyFacts:
         holds, or None (always below degree 2). The right side falls as b
         grows, so j is the first index, falling from m-1, at which it holds for
         b = |a_m|. The divisors of a_m are then scanned upward at that j only,
-        those up to _DOMINANT_TRIAL by division: b is nearly always one of
-        them, and a_m is factorized only if it is not (so an a_m that resists
-        still gives a small b). For |a_m| <= _DOMINANT_TRIAL the scan is a
-        plain range, with no divisor generator. The integer on the left exceeds
-        the sum exactly when it exceeds its floor, built without a power of b
-        as t = (|a_i| + t) // b from i = m down to j + 1 (each step keeps the
+        those up to _DOMINANT_TRIAL by division and those up to 10^3 from the
+        primes below 10^3 that divide a_m: b is nearly always one of them,
+        and a_m is factorized only if it is not (so an a_m that resists still
+        gives b <= 10^3). For |a_m| <= _DOMINANT_TRIAL the scan is a plain
+        range, with no divisor generator. The integer on the left exceeds the
+        sum exactly when it exceeds its floor, built without a power of b as
+        t = (|a_i| + t) // b from i = m down to j + 1 (each step keeps the
         floor exact); for b = |a_m| one running floor serves every j."""
         if self._dominant is False:
             hit = None
@@ -347,8 +354,13 @@ def eisenstein_generalized(facts: PolyFacts) -> CriterionOutcome:
     any nontrivial factorization has a factor of degree <= m - j."""
     name = "eisenstein_generalized"
     c, m = facts.coeffs, facts.degree
+    # of the primes missing a_1 (j = 1) only the least can be the witness, so
+    # those above 10^3 are read only if one divides a_1 or all below 10^3 do
+    factors, rest = numtheory.small_prime_factors(facts.mags[0])
+    if rest > 1 and (math.gcd(rest, c[1]) > 1 or all(c[1] % p == 0 for p, _ in factors)):
+        factors = numtheory.prime_factors(facts.mags[0])
     best = None  # the witnesses of the largest j, the first on a tie
-    for p, k in numtheory.prime_factors(facts.mags[0]):
+    for p, k in factors:
         pk = p**k
         j = 1  # p^k divides a_0; f is primitive, so it misses some a_j with j <= m
         while c[j] % pk == 0:
@@ -414,7 +426,7 @@ def leading_coeff_criterion(facts: PolyFacts) -> CriterionOutcome:
         return _NO_CONCLUSIONS[name]
     if facts.mode is SYMBOLIC and not facts.unit_disk_certified:
         return _NO_CONCLUSIONS[name]  # before a_0 is factorized for q
-    q = numtheory.prime_factors(a0)[0][0]
+    q = numtheory.least_prime_factor(a0)
     if a0 > q * am:  # |a0/q| <= |am| as an exact comparison
         return _NO_CONCLUSIONS[name]
     return _disk_criterion(name, facts, facts.degree, q)

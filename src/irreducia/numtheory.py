@@ -10,12 +10,15 @@ signed PrimePowerDecomposition record. Both read one lru cache,
 It keeps failures too: rho is seeded by n, so under the fixed budget the
 outcome for each n is a function of n alone, and an integer that resists
 costs one rho budget per process, whoever asks for it.
-The primes below 10^3 are stripped after one gcd with their product, which
-names those that divide n; trial division by 6k+-1 then goes on to 10^6
-only while the cofactor is at or above DEFAULT_FACTOR_BOUND. A survivor that
-trial division has not proved prime goes through Miller-Rabin plus Pollard
-rho under an iteration budget (one per cofactor below DEFAULT_FACTOR_BOUND,
-one shared by the larger ones), so every call returns or raises
+It holds two stages, so one `cache_clear` empties both. The first,
+`small_prime_factors(n)`, is one gcd with the product of the primes below
+10^3: those dividing n, with exponents, and the cofactor they leave; it never
+raises, and a search the primes below 10^3 can settle reads it alone. The
+second stage builds on it: trial division by 6k+-1 goes on to 10^6 only while
+the cofactor is at or above DEFAULT_FACTOR_BOUND. A survivor that trial
+division has not proved prime goes through Miller-Rabin plus Pollard rho
+under an iteration budget (one per cofactor below DEFAULT_FACTOR_BOUND, one
+shared by the larger ones), so every call returns or raises
 FactorizationLimitError in bounded time. A cofactor at or above
 PROVEN_PRIME_BOUND that passes Miller-Rabin is only a probable prime, so it
 raises FactorizationLimitError too, and `is_prime` is False there, true
@@ -47,12 +50,14 @@ for _p in range(2, 32):
 _SMALL_PRIMES = tuple(p for p in range(2, _SMALL_TRIAL_LIMIT) if _sieve[p])
 _SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 
-# Brent iterations (about 0.5 s on a 2 GHz core) for the rho attempts on
-# each cofactor below DEFAULT_FACTOR_BOUND, and for those on all cofactors
-# at or above it together. Splitting a composite below the bound takes
-# about 1.25 * sqrt(p) <= 10^5 iterations for its smaller prime p < 2^32,
-# whatever the trial-division limit left to rho; a larger composite may run
-# out and raise.
+# Brent iterations for the rho attempts on each cofactor below
+# DEFAULT_FACTOR_BOUND, and for those on all cofactors at or above it
+# together. One budget spent on a 121- to 150-bit composite that resists
+# takes 0.6-0.8 s of process time (Python 3.11.7, 2-vCPU VM), more on a
+# longer one. Splitting a composite below the bound takes about
+# 1.25 * sqrt(p) <= 10^5 iterations for its smaller prime p < 2^32, whatever
+# the trial-division limit left to rho; a larger composite may run out and
+# raise.
 _RHO_STEPS = 1 << 20
 
 # Integers below this bound factor well within the rho budget; past it a
@@ -147,7 +152,7 @@ def _pollard_rho(n: int, rng: random.Random, steps: int) -> tuple[int | None, in
             batch = min(m, r - k)
             for _ in range(batch):
                 y = (y * y + c) % n
-                q = q * abs(x - y) % n
+                q = q * (x - y) % n  # gcd(-q, n) = gcd(q, n): no abs needed
             g = math.gcd(q, n)
             spent += batch
             k += m
@@ -157,24 +162,30 @@ def _pollard_rho(n: int, rng: random.Random, steps: int) -> tuple[int | None, in
         g = 1
         while g == 1:
             ys = (ys * ys + c) % n
-            g = math.gcd(abs(x - ys), n)
+            g = math.gcd(x - ys, n)
     return (g if g != n else None), spent
 
 
 @lru_cache(maxsize=1 << 16)
-def _factor_positive(n: int) -> tuple[tuple[int, int], ...] | str:
+def _factor_positive(n: int, full: bool = True):
     """The (prime, exponent) pairs of n >= 1, ascending by prime, or the
     limit message when rho runs out of budget or a cofactor at or above
-    PROVEN_PRIME_BOUND passes Miller-Rabin, which proves nothing there."""
-    powers: dict[int, int] = {}
-    g = math.gcd(n, _SMALL_PRIMORIAL)  # the product of the primes below 10^3 dividing n
-    for p in _SMALL_PRIMES:
-        if g == 1:
-            break
-        if g % p == 0:
-            g //= p
-            powers[p] = e = valuation(p, n)
-            n //= p**e
+    PROVEN_PRIME_BOUND passes Miller-Rabin, which proves nothing there.
+    With full=False, the first stage only: the pairs of the primes below
+    10^3 and the cofactor they leave, whose primes are all above 10^3."""
+    if not full:
+        small = []
+        g = math.gcd(n, _SMALL_PRIMORIAL)  # the product of the primes below 10^3 dividing n
+        for p in _SMALL_PRIMES:
+            if g == 1:
+                break
+            if g % p == 0:
+                g //= p
+                small.append((p, e := valuation(p, n)))
+                n //= p**e
+        return tuple(small), n
+    small, n = _factor_positive(n, False)
+    powers = dict(small)
     d = _SMALL_TRIAL_LIMIT + 1  # the 6k-1 after 997
     while d * d <= n and d <= _TRIAL_LIMIT and n >= DEFAULT_FACTOR_BOUND:
         for step in (0, 2):  # 6k-1, 6k+1 wheel
@@ -232,6 +243,18 @@ def prime_factors(n: int) -> tuple[tuple[int, int], ...]:
     return found
 
 
+def small_prime_factors(n: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The first stage of `prime_factors(n)` for n >= 1: the (prime,
+    exponent) pairs of the primes below 10^3 that divide n, ascending, and
+    the cofactor they leave. Cached with it; never raises."""
+    return _factor_positive(n, False)
+
+
+def least_prime_factor(n: int) -> int:
+    """The least prime dividing n >= 2, from the first stage when it has one."""
+    return (_factor_positive(n, False)[0] or prime_factors(n))[0][0]
+
+
 def factorize(n: int) -> PrimePowerDecomposition:
     """Complete prime factorization of a nonzero integer."""
     if n == 0:
@@ -256,10 +279,18 @@ def valuation(p: int, n: int) -> int:
 
 def _divisors_upward(n: int, trial: int):
     """The positive divisors of n >= 1 in increasing order, lazily: those up
-    to `trial` by trial division, and only a caller that reads past them
-    makes n be factorized for the rest."""
+    to `trial` by trial division, those up to 10^3 from the first stage (their
+    primes are all below 10^3), and only a caller that reads past them makes
+    n be factorized for the rest."""
     yield from (b for b in range(1, trial + 1) if n % b == 0)
-    yield from (b for b in positive_divisors(n) if b > trial)
+    divs = [1]
+    for p, e in _factor_positive(n, False)[0]:
+        block = divs
+        for _ in range(e):
+            block = [b * p for b in block if b * p <= _SMALL_TRIAL_LIMIT]
+            divs = divs + block
+    yield from sorted(b for b in divs if b > trial)
+    yield from (b for b in positive_divisors(n) if b > _SMALL_TRIAL_LIMIT)
 
 
 def positive_divisors(n: int) -> list[int]:

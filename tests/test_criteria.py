@@ -200,9 +200,11 @@ class TestConstantTerm:
         assert facts.unit_disk_certified
         constant_term_criterion(facts)
         leading_coeff_criterion(facts)
-        # 30 is asked for its radii and again for q; the cache factors it once
-        assert sorted(calls) == [20, 30, 30]
-        assert fresh_factor_cache.cache_info().misses == 2
+        # 30 is asked for its radii; q = 2 comes from its first stage, which
+        # that full factorization cached, so each end is factored once: one
+        # cache entry for each first stage and one for each full factorization
+        assert sorted(calls) == [20, 30]
+        assert fresh_factor_cache.cache_info().misses == 4
 
     def test_unit_radius_needs_no_certificate(self, monkeypatch):
         # 3 + 2z^3 passes the exact test at d = 1, the only radius at either
@@ -779,6 +781,29 @@ class TestAnalyze:
         ]
         assert all("factorization limit" in w for w in first.warnings)
         assert second.warnings == first.warnings
+
+    def test_small_witnesses_leave_a_resisting_cofactor_alone(self, fresh_factor_cache):
+        # a_0 = 6N with N = (2^61 - 1)(2^60 + 33), which resists rho. Only
+        # constant_term needs all of a_0's primes: eisenstein_generalized's
+        # witness is 2, the least prime of a_0 missing a_1, and N shares no
+        # prime with a_1; leading_coeff's q is 2, the least prime of a_0
+        big = (2**61 - 1) * (2**60 + 33)
+        cases = [
+            (P(6 * big, 5, 3, 1, 1), "eisenstein_generalized",
+             Conclusion.factor_degree(3), {"p": 2, "k": 1, "j": 1}),
+            (P(6 * big, 1, 2**123), "leading_coeff",
+             Conclusion.irreducible(), {"p": 2, "k": 123, "j": 1, "d": 1, "q": 2}),
+        ]
+        for f, name, conclusion, witnesses in cases:
+            report = analyze(f, AnalyzeConfig(oracle="off"))
+            out = next(o for o in report.outcomes if o.criterion == name)
+            assert (out.conclusion, out.witnesses) == (conclusion, witnesses)
+            assert [w.split(":")[0] for w in report.warnings] == ["constant_term"]
+        # N divides a_1, so a prime of N could be the witness: a_0 is read
+        # in full, and the limit stands
+        report = analyze(P(6 * big, 5 * big, 3, 7 * big, 2), AnalyzeConfig(oracle="off"))
+        assert [w.split(":")[0] for w in report.warnings] == ["eisenstein_generalized"]
+        assert all("factorization limit" in w for w in report.warnings)
 
     def test_no_conclusion_is_shared_and_read_only(self):
         first = perron_nonmonic(PolyFacts(P(1, 1, 1)))

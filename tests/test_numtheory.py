@@ -236,3 +236,34 @@ def test_each_prime_above_the_factor_bound_costs_one_rho_split(e):
     start = time.perf_counter()
     assert factorize(p ** (2 * e) * q**e).factors == ((q, e), (p, 2 * e))
     assert time.perf_counter() - start < 5.0
+
+
+def test_first_stage_shares_the_factorization_cache():
+    # the primes below 10^3 and their cofactor are one entry of the cache
+    # that holds the full factorizations, so one cache_clear empties both
+    n = 2**5 * 997 * 1009 * 1013
+    numtheory._factor_positive.cache_clear()
+    assert numtheory.small_prime_factors(n) == (((2, 5), (997, 1)), 1009 * 1013)
+    assert numtheory._factor_positive.cache_info().currsize == 1
+    assert prime_factors(n) == ((2, 5), (997, 1), (1009, 1), (1013, 1))
+    assert numtheory._factor_positive.cache_info()[:2] == (1, 2)  # hits, misses
+    numtheory._factor_positive.cache_clear()
+    assert numtheory._factor_positive.cache_info().currsize == 0
+
+
+def test_first_stage_leaves_the_cofactor_whole(monkeypatch):
+    # no rho, no Miller-Rabin: the first stage answers for a cofactor that
+    # resists, or that is a probable prime at or above PROVEN_PRIME_BOUND
+    big = (2**61 - 1) * (2**60 + 33)  # resists rho
+    numtheory._factor_positive.cache_clear()
+    monkeypatch.setattr(numtheory, "_pollard_rho", None)  # any call would fail
+    monkeypatch.setattr(numtheory, "_passes_miller_rabin", None)
+    assert numtheory.small_prime_factors(997 * big) == (((997, 1),), big)
+    assert numtheory.small_prime_factors(big) == ((), big)
+    assert numtheory.small_prime_factors(2**200 * 3) == (((2, 200), (3, 1)), 1)
+    assert numtheory.small_prime_factors(1) == ((), 1)
+    assert numtheory.least_prime_factor(997 * big) == 997
+    monkeypatch.undo()
+    # with no prime below 10^3, the least prime needs the full factorization
+    assert numtheory.least_prime_factor(1013 * 1009**2) == 1009
+    numtheory._factor_positive.cache_clear()

@@ -27,8 +27,17 @@ give exactly the same results.
   gcd and hands a cofactor below 2^64 to Miller-Rabin and Pollard rho,
   against the trial-division loop to 10^6 that it replaced.
 - `dominant_coefficient`, which tries the divisors of a_m up to a small
-  bound by division before it factorizes a_m, against a scan of every
-  divisor from the full factorization.
+  bound by division and those up to 10^3 from the primes below 10^3 before
+  it factorizes a_m, against a scan of every divisor from the full
+  factorization.
+- `eisenstein_generalized` and `leading_coeff`, which read the cofactor of
+  a_0 above 10^3 only when it can change the witness or q, against the
+  searches over the full factorization of a_0, on coefficients built from
+  primes on both sides of 10^3.
+- `numtheory._pollard_rho`, which multiplies by x - y without `abs`,
+  against the form with `abs`: the same factor and the same steps spent.
+- The rational-root flag of a quadratic, read from its discriminant,
+  against `poly.rational_roots`.
 - `poly.rational_roots`, which lifts the roots of f mod a small prime and
   reconstructs at most one candidate p/q from each, against the scan over
   every candidate p/q with p | a_0 and q | a_m that it replaced.
@@ -679,7 +688,7 @@ def ref_weintraub_check(facts):
         k0 = next((k for k in range(m) if c[k] % p2 != 0), None)
         if k0 is None:
             continue
-        if k0 == 0 or (k0 == 1 and not facts.has_rational_root()):
+        if k0 == 0 or (k0 == 1 and not rational_roots(facts.poly)):
             conclusion = Conclusion.irreducible()
         else:
             conclusion = Conclusion.factor_degree(k0)
@@ -699,7 +708,7 @@ def ref_eisenstein_generalized(facts):
         for j in range(min(prefix, m), 0, -1):
             if c[j] % p == 0 or math.gcd(k, j) != 1:
                 continue
-            if j == m or (j == m - 1 and not facts.has_rational_root()):
+            if j == m or (j == m - 1 and not rational_roots(facts.poly)):
                 conclusion = Conclusion.irreducible()
             else:
                 conclusion = Conclusion.factor_degree(m - j)
@@ -880,6 +889,9 @@ def _next_prime(n):
 # where raising is allowed)
 _mid_prime_power = st.tuples(st.integers(10**3, 10**6).map(_next_prime), st.integers(1, 3))
 _big_prime = st.integers(2**32 - 2**20, 2**32 + 2**20).map(_next_prime)
+# primes above 10^3: a product of two is a composite cofactor that rho
+# splits at once
+_cofactor_prime = st.integers(10**3, 10**5).map(_next_prime)
 
 
 @settings(max_examples=300, deadline=None)
@@ -918,6 +930,53 @@ def test_factorization_around_small_prime_bound(n):
     assert numtheory.prime_factors(n) == ref_prime_factors(n)
 
 
+def ref_pollard_rho(n, rng, steps):
+    """`numtheory._pollard_rho` as it was, with abs(x - y) in both gcds."""
+    y = rng.randrange(1, n)
+    c = rng.randrange(1, n)
+    m = 128
+    g = r = q = 1
+    x = ys = y
+    spent = 0
+    while g == 1:
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        spent += r
+        k = 0
+        while k < r and g == 1:
+            if spent >= steps:
+                return None, spent
+            ys = y
+            batch = min(m, r - k)
+            for _ in range(batch):
+                y = (y * y + c) % n
+                q = q * abs(x - y) % n
+            g = math.gcd(q, n)
+            spent += batch
+            k += m
+        r *= 2
+    if g == n:
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = math.gcd(abs(x - ys), n)
+    return (g if g != n else None), spent
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(3, 10**6).map(_next_prime), min_size=2, max_size=3),
+    st.integers(0, 2**32),
+    st.integers(1, 5000),
+)
+def test_pollard_rho_matches_the_abs_form(primes, seed, steps):
+    # same factor and same steps spent, found or not, from the same rng
+    n = math.prod(primes)
+    found = numtheory._pollard_rho(n, random.Random(seed), steps)
+    assert found == ref_pollard_rho(n, random.Random(seed), steps)
+
+
 def test_limit_message_names_the_cofactor_after_the_small_primes(monkeypatch):
     hard = (2**61 - 1) * (2**89 - 1)
     monkeypatch.setattr(numtheory, "_RHO_STEPS", 1000)
@@ -934,12 +993,14 @@ def test_limit_message_names_the_cofactor_after_the_small_primes(monkeypatch):
 
 @st.composite
 def big_leading_polys(draw):
-    """a_m up to 10^12, drawn smooth, prime, or a small number times a large
-    prime, with a_0 up to 10^4 and middle coefficients up to 10^6, so the
-    dominance witness b is found both among the divisors up to 32 that
-    `PolyFacts.dominant` tries by division and among those above, which it
-    reads from the factorization of a_m."""
-    kind = draw(st.sampled_from(("smooth", "prime", "small times prime")))
+    """a_m up to 10^13, drawn smooth, prime, or a number below 10^3 times a
+    large prime or times a composite of two primes above 10^3, with a_0 up
+    to 10^4 and middle coefficients up to 10^6, so the dominance witness b
+    is found in the plain range up to 32, among the divisors up to 10^3
+    that `PolyFacts.dominant` reads from the primes below 10^3, and among
+    those above, which it reads from the factorization of a_m."""
+    kinds = ("smooth", "prime", "small times prime", "small times composite")
+    kind = draw(st.sampled_from(kinds))
     if kind == "smooth":
         am = 1
         for p in draw(st.lists(st.sampled_from((2, 3, 5, 7, 11, 13, 31, 37, 997)), max_size=12)):
@@ -947,8 +1008,11 @@ def big_leading_polys(draw):
                 am *= p
     elif kind == "prime":
         am = _next_prime(draw(st.integers(2, 10**12)))
-    else:
+    elif kind == "small times prime":
         am = draw(st.integers(1, 60)) * _next_prime(draw(st.integers(10, 10**10)))
+    else:
+        cofactor = math.prod(draw(st.lists(_cofactor_prime, min_size=2, max_size=2)))
+        am = draw(st.integers(1, 999)) * cofactor
     m = draw(st.integers(2, 5))
     middle = draw(st.lists(st.integers(-10**6, 10**6), min_size=m - 1, max_size=m - 1))
     coeffs = [draw(st.integers(1, 10**4)) * draw(st.sampled_from((1, -1))), *middle, am]
@@ -964,12 +1028,15 @@ def test_dominant_witness_matches_full_divisor_scan(f):
 
 def test_dominant_witness_on_both_sides_of_the_trial_bound():
     # the property above would pass vacuously if the witness never lay
-    # above the divisors tried by division: a_2 = 3 * 101 gives b = 3 or
-    # 101, and the prime a_2 = 10^12 + 39 gives b = a_2. At a_2 = 32 the
-    # divisors come from a plain range, at a_2 = 33 and 64 from the divisor
-    # generator; delta = 1/b is shared for b <= 32 and built above it
+    # past the plain range or past 10^3: a_2 = 3 * 101 gives b = 3 or 101
+    # (from the primes below 10^3), a_2 = 3 * 1009 gives b = 1009 and the
+    # prime a_2 = 10^12 + 39 gives b = a_2 (both from the factorization of
+    # a_2). At a_2 = 32 the divisors come from a plain range, at a_2 = 33 and
+    # 64 from the divisor generator; delta = 1/b is shared for b <= 32 and
+    # built above it
     for coeffs, b in (
-        ([50, 10, 303], 3), ([2, 100, 303], 101), ([1, 10**6, 10**12 + 39], 10**12 + 39),
+        ([50, 10, 303], 3), ([2, 100, 303], 101), ([2, 1000, 3027], 1009),
+        ([1, 10**6, 10**12 + 39], 10**12 + 39),
         ([1, 100, 3], 1), ([1, 34, 32], 32), ([1, 35, 33], 33), ([1, 104, 64], 2),
     ):
         f = Polynomial(coeffs)
@@ -978,6 +1045,82 @@ def test_dominant_witness_on_both_sides_of_the_trial_bound():
         delta = dominant_coefficient(PolyFacts(f)).witnesses["delta"]
         assert delta == Fraction(1, b)
         assert str(delta) == str(Fraction(1, b))
+
+
+@st.composite
+def split_coefficient(draw):
+    """The primes below 10^3 (none to three), the product of their powers,
+    and the primes above 10^3 (none to two; two make a composite cofactor)
+    of one coefficient."""
+    primes = draw(st.lists(st.sampled_from(numtheory._SMALL_PRIMES), max_size=3, unique=True))
+    smooth = math.prod(p ** draw(st.integers(1, 3)) for p in primes)
+    return primes, smooth, draw(st.lists(_cofactor_prime, max_size=2))
+
+
+@st.composite
+def split_coefficient_polys(draw):
+    """Degree 1-6, with a_0, a_1 and a_m products of primes below and above
+    10^3 and small middle coefficients. A quarter of the a_0 have no prime
+    below 10^3. a_1 is a product of its own, or a multiple of a_0's
+    cofactor, of one prime of it, of every prime of a_0 below 10^3, or of
+    a_0, or small. a_m is a product of its own, or a small multiple of
+    a_0's cofactor, so that |a_0 / q| <= |a_m| can hold. So the generalized
+    Eisenstein search meets every case in which the cofactor can or cannot
+    change its witness, and q comes from either side of 10^3."""
+    m = draw(st.integers(1, 6))
+    primes, smooth, big = draw(split_coefficient())
+    if draw(st.integers(0, 3)) == 0:
+        primes, smooth = [], 1
+    rest = math.prod(big)
+    a0 = draw(st.sampled_from((1, -1))) * smooth * rest
+    t = draw(st.integers(-6, 6))
+    _, smooth1, big1 = draw(split_coefficient())
+    a1 = draw(st.sampled_from((
+        smooth1 * math.prod(big1), rest * t, big[0] * t if big else t,
+        math.prod(primes) * t, a0 * t, t,
+    )))
+    _, smooth_m, big_m = draw(split_coefficient())
+    am = draw(st.sampled_from((smooth_m * math.prod(big_m), draw(st.integers(1, 12)) * rest)))
+    if m == 1:
+        coeffs = [a0, a1 or am]
+    else:
+        coeffs = [a0, a1, *[draw(st.integers(-6, 6)) for _ in range(m - 2)], am]
+    f = normalize(Polynomial(coeffs)).primitive_part
+    assume(f.degree == m)
+    return f
+
+
+@settings(max_examples=400, deadline=None)
+@given(split_coefficient_polys(), st.sampled_from((SYM, NUM)))
+def test_first_stage_witnesses_match_full_factorizations(f, mode):
+    assert (_searched(criteria.eisenstein_generalized, PolyFacts(f, mode))
+            == _searched(ref_eisenstein_generalized, PolyFacts(f, mode)))
+    assert (_searched(leading_coeff_criterion, PolyFacts(f, mode))
+            == _searched(ref_leading_coeff_criterion, f, mode))
+
+
+def test_first_stage_witness_cases():
+    # the property above would pass vacuously if the cofactor never could
+    # change the witness, or always could; q = 1009 has no prime of a_0
+    # below 10^3 to come from
+    cases = [
+        # 2 misses a_1: the least such prime, whatever the cofactor 1009 holds
+        ((2 * 1009, 3, 1), {"p": 2, "k": 1, "j": 1}),
+        # 2 misses a_1 = 3 * 1009 (j = 1), but 1009 divides it: j = 2 wins
+        ((2 * 1009, 3 * 1009, 1, 1), {"p": 1009, "k": 1, "j": 2}),
+        # 2 divides a_1 = 2 but 2^2 does not (no witness): 1009 is the least
+        # prime missing a_1
+        ((4 * 1009, 2, 0, 1), {"p": 1009, "k": 1, "j": 1}),
+    ]
+    for coeffs, witnesses in cases:
+        f = Polynomial(coeffs)
+        out = criteria.eisenstein_generalized(PolyFacts(f))
+        assert out == ref_eisenstein_generalized(PolyFacts(f))
+        assert out.witnesses == witnesses
+    f = Polynomial([1009 * 1013, 1, 0, 0, 1013])
+    out = leading_coeff_criterion(PolyFacts(f))
+    assert out == ref_leading_coeff_criterion(f)
+    assert out.witnesses["q"] == 1009
 
 
 def ref_rational_roots(f):
@@ -1066,6 +1209,37 @@ def test_rational_root_references_find_roots():
     expected = {Fraction(1), Fraction(-1), Fraction(-3, 2)}
     assert ref_rational_roots(f) == expected
     assert rational_roots(f) == expected
+
+
+@st.composite
+def quadratics(draw):
+    """Primitive quadratics: random ones (disc < 0 or not a square, mostly),
+    products of two linear factors, and squares of one (disc = 0)."""
+    kind = draw(st.sampled_from(("random", "product", "square")))
+    nonzero = st.integers(-10**6, 10**6).filter(bool)
+    if kind == "random":
+        coeffs = [draw(nonzero), draw(st.integers(-10**6, 10**6)), draw(nonzero)]
+    else:
+        linear = st.tuples(st.integers(1, 10**4), st.integers(-10**4, 10**4).filter(bool))
+        (a, b) = draw(linear)
+        (c, d) = (a, b) if kind == "square" else draw(linear)
+        coeffs = [b * d, a * d + b * c, a * c]  # (az + b)(cz + d)
+    return normalize(Polynomial(coeffs)).primitive_part
+
+
+@settings(max_examples=400, deadline=None)
+@given(quadratics())
+def test_quadratic_rational_root_flag_matches_rational_roots(f):
+    assert PolyFacts(f).has_rational_root() is bool(rational_roots(f))
+
+
+def test_quadratic_rational_root_flag_examples():
+    # a square (disc = 0), disc < 0, a nonzero square disc, and a non-square
+    for coeffs, flag in (((9, 6, 1), True), ((1, 1, 1), False), ((2, -3, 1), True),
+                         ((-2, 0, 1), False)):
+        f = Polynomial(coeffs)
+        assert PolyFacts(f).has_rational_root() is flag
+        assert bool(rational_roots(f)) is flag
 
 
 def ref_kronecker_search(h, budget):
