@@ -565,20 +565,36 @@ def run_criteria(
     return outcomes, stopped
 
 
-def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisReport:
-    """Run every enabled criterion on the primitive part of f, pick the
-    strongest conclusion, and optionally judge every fired one by the oracle. A
-    coefficient too long for str() is refused before any criterion runs; the
-    report holds no text, and its `input_text` is written only when read."""
-    if f.is_zero():
-        raise ValueError("cannot analyze the zero polynomial")
-    names = dict.fromkeys(config.criteria)  # a repeated name runs once
+@functools.lru_cache(maxsize=64)
+def _checked(names: Iterable[str], oracle_mode: str) -> tuple[tuple[str, ...], bool, int]:
+    """`analyze`'s checks of a config, kept per valid config: the names once
+    each in the order given, whether that order is the report's (sorted by
+    name), and where `degree_one` goes in the sorted order."""
+    names = tuple(dict.fromkeys(names))  # a repeated name runs once
     unknown = [name for name in names if name not in CRITERIA]
     if unknown:
         known = ", ".join(CRITERIA)
         raise ValueError(f"unknown criteria: {', '.join(unknown)} (known: {known})")
-    if config.oracle not in ("on", "off", "auto"):
-        raise ValueError(f"oracle mode must be on/off/auto, got {config.oracle!r}")
+    if oracle_mode not in ("on", "off", "auto"):
+        raise ValueError(f"oracle mode must be on/off/auto, got {oracle_mode!r}")
+    return names, list(names) == sorted(names), sum(name < "degree_one" for name in names)
+
+
+def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisReport:
+    """Run every enabled criterion on the primitive part of f, pick the
+    strongest conclusion, and optionally judge every fired one by the oracle.
+    The config is checked once per distinct config (on every call if its
+    criteria are unhashable, a list say). The criteria run in the order
+    given, a repeated name once, and so do the warnings of those stopped by
+    a limit; the outcomes are reported sorted by name. A coefficient too long
+    for str() is refused before any criterion runs; the report holds no text,
+    and its `input_text` is written only when read."""
+    if f.is_zero():
+        raise ValueError("cannot analyze the zero polynomial")
+    try:
+        names, in_order, one_at = _checked(config.criteria, config.oracle)
+    except TypeError:  # unhashable: checked without the cache
+        names, in_order, one_at = _checked.__wrapped__(config.criteria, config.oracle)
 
     _check_digits(f.coeffs)
     norm = normalize(f)
@@ -597,15 +613,21 @@ def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisR
         outcomes, stopped = run_criteria(PolyFacts(prim, config.root_mode), names)
         warnings.extend(f"{name}: no conclusion: {exc}" for name, exc in stopped)
         if prim.degree == 1:
-            outcomes.append(CriterionOutcome("degree_one", {}, Conclusion.irreducible()))
-    outcomes.sort(key=lambda o: o.criterion)
+            outcomes.insert(one_at, CriterionOutcome("degree_one", {}, Conclusion.irreducible()))
+        if not in_order:
+            outcomes.sort(key=lambda o: o.criterion)
 
-    fired = [o for o in outcomes if o.conclusion.fired()]
-    strongest = min(fired, key=CriterionOutcome.rank) if fired else None
-    if any(o.certificate_mode == NUMERIC_CONDITIONAL for o in fired):
-        warnings.append(
-            "some conclusions rely on numeric root location and are not proofs"
-        )
+    fired, strongest, numeric = [], None, False
+    for o in outcomes:  # in report order, so the first of equal ranks is kept
+        if o.conclusion is _NONE or not o.conclusion.fired():  # the shared one, at no call
+            continue
+        fired.append(o)
+        rank = o.rank()
+        if strongest is None or rank < best:
+            strongest, best = o, rank
+        numeric = numeric or o.certificate_mode == NUMERIC_CONDITIONAL
+    if numeric:
+        warnings.append("some conclusions rely on numeric root location and are not proofs")
 
     oracle_result = None
     if config.oracle == "on" or (
@@ -626,13 +648,5 @@ def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisR
                         f"but the oracle found {len(degrees)} factors for {f!r}"
                     )
 
-    return AnalysisReport(
-        input=f,
-        content=norm.content,
-        z_power=norm.z_power,
-        primitive_part=prim,
-        outcomes=tuple(outcomes),
-        strongest=strongest,
-        oracle_result=oracle_result,
-        warnings=tuple(warnings),
-    )
+    return AnalysisReport(f, norm.content, norm.z_power, prim, tuple(outcomes), strongest,
+                          oracle_result, tuple(warnings))

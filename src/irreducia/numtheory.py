@@ -52,8 +52,8 @@ _SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 
 # Brent iterations for the rho attempts on each cofactor below
 # DEFAULT_FACTOR_BOUND, and for those on all cofactors at or above it
-# together. One budget spent on a 121- to 150-bit composite that resists
-# takes 0.6-0.8 s of process time (Python 3.11.7, 2-vCPU VM), more on a
+# together. One budget spent on a 122- to 150-bit composite that resists
+# takes about 0.5 s of process time (Python 3.11.7, 2-vCPU VM), more on a
 # longer one. Splitting a composite below the bound takes about
 # 1.25 * sqrt(p) <= 10^5 iterations for its smaller prime p < 2^32, whatever
 # the trial-division limit left to rho; a larger composite may run out and
@@ -131,7 +131,8 @@ def _passes_miller_rabin(n: int) -> bool:
 
 def _pollard_rho(n: int, rng: random.Random, steps: int) -> tuple[int | None, int]:
     """One Brent-cycle attempt at a nontrivial factor of odd composite n,
-    giving up once it has spent `steps` iterations. Returns the factor
+    giving up once it has spent `steps` iterations: the walk ahead and each
+    batch stop at the budget, so it never spends more. Returns the factor
     (None on failure) and the iterations spent."""
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
@@ -141,15 +142,16 @@ def _pollard_rho(n: int, rng: random.Random, steps: int) -> tuple[int | None, in
     spent = 0
     while g == 1:
         x = y
-        for _ in range(r):
+        walk = min(r, steps - spent)
+        for _ in range(walk):
             y = (y * y + c) % n
-        spent += r
+        spent += walk
         k = 0
         while k < r and g == 1:
             if spent >= steps:
                 return None, spent
             ys = y
-            batch = min(m, r - k)
+            batch = min(m, r - k, steps - spent)
             for _ in range(batch):
                 y = (y * y + c) % n
                 q = q * (x - y) % n  # gcd(-q, n) = gcd(q, n): no abs needed

@@ -621,6 +621,54 @@ class TestAnalyze:
         with pytest.raises(ValueError, match="unknown criteria"):
             analyze(P(1, 1), AnalyzeConfig(criteria=("nope",)))
 
+    @pytest.mark.parametrize("config, message", [
+        (AnalyzeConfig(criteria=("weintraub", "nope")), "unknown criteria: nope "),
+        (AnalyzeConfig(oracle="maybe"), "oracle mode must be on/off/auto, got 'maybe'"),
+    ])
+    def test_invalid_config_raises_on_every_call(self, config, message):
+        # the checks of a config run once per config, but an invalid one is
+        # never kept as checked
+        for _ in range(2):
+            with pytest.raises(ValueError) as info:
+                analyze(P(1, 1), config)
+            assert str(info.value).startswith(message)
+
+    def test_criteria_list_reports_as_the_tuple(self):
+        names = ["weintraub", "constant_term", "weintraub", "dominant_coefficient"]
+        f = P(6, 4, 0, 2, 1)
+        for mode in CertificateMode:
+            expected = analyze(f, AnalyzeConfig(criteria=tuple(names), root_mode=mode))
+            for _ in range(2):  # a list cannot be kept, so it is checked on each call
+                assert analyze(f, AnalyzeConfig(criteria=names, root_mode=mode)) == expected
+        assert [o.criterion for o in expected.outcomes] == sorted(set(names))
+
+    def test_repeated_name_runs_its_criterion_once(self, monkeypatch):
+        calls = []
+        original = criteria.CRITERIA["perron_nonmonic"]
+
+        def counting(facts):
+            calls.append(facts)
+            return original(facts)
+
+        monkeypatch.setitem(criteria.CRITERIA, "perron_nonmonic", counting)
+        config = AnalyzeConfig(criteria=("perron_nonmonic", "weintraub", "perron_nonmonic"),
+                               oracle="off")
+        for expected in (1, 2):  # the second call reads the checked config back
+            report = analyze(P(1, 5, 1), config)
+            assert len(calls) == expected
+        assert [o.criterion for o in report.outcomes] == ["perron_nonmonic", "weintraub"]
+
+    def test_criteria_run_in_the_given_order_and_report_sorted(self):
+        # both criteria stop on a_0 = psi_13, a probable prime; the warnings
+        # follow the order given, the outcomes the names' order
+        f = parse_poly("z^2 + 3863508546782z + 3317044064679887385961981")
+        config = AnalyzeConfig(criteria=("eisenstein_generalized", "constant_term"), oracle="off")
+        report = analyze(f, config)
+        assert [w.split(":")[0] for w in report.warnings] == [
+            "eisenstein_generalized", "constant_term"
+        ]
+        assert [o.criterion for o in report.outcomes] == ["constant_term", "eisenstein_generalized"]
+
     def test_oracle_off(self):
         report = analyze(P(4, 4, 0, 1), AnalyzeConfig(oracle="off"))
         assert report.oracle_result is None

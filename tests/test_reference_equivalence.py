@@ -38,6 +38,11 @@ give exactly the same results.
   against the form with `abs`: the same factor and the same steps spent.
 - The rational-root flag of a quadratic, read from its discriminant,
   against `poly.rational_roots`.
+- `criteria.analyze`, which checks a config once per distinct config, runs
+  the criteria in the order given, sorts the outcomes only when that order
+  is not the report's, and reads them in one pass, against the form that
+  checked the config, sorted and read the outcomes three times on every
+  call. Every field of the report must agree, in order.
 - `poly.rational_roots`, which lifts the roots of f mod a small prime and
   reconstructs at most one candidate p/q from each, against the scan over
   every candidate p/q with p | a_0 and q | a_m that it replaced.
@@ -76,7 +81,7 @@ from irreducia.criteria import (
     middle_prime_power_check,
     perron_nonmonic,
 )
-from irreducia.poly import Polynomial, divides_exactly, normalize, rational_roots
+from irreducia.poly import Polynomial, _check_digits, divides_exactly, normalize, rational_roots
 
 SYM = rootloc.CertificateMode.SYMBOLIC_SUFFICIENT
 NUM = rootloc.CertificateMode.NUMERIC_HEURISTIC
@@ -931,7 +936,8 @@ def test_factorization_around_small_prime_bound(n):
 
 
 def ref_pollard_rho(n, rng, steps):
-    """`numtheory._pollard_rho` as it was, with abs(x - y) in both gcds."""
+    """`numtheory._pollard_rho` as it was, with abs(x - y) in both gcds, and
+    with its budget check on the walk ahead and on the last batch."""
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
     m = 128
@@ -940,15 +946,16 @@ def ref_pollard_rho(n, rng, steps):
     spent = 0
     while g == 1:
         x = y
-        for _ in range(r):
+        walk = min(r, steps - spent)
+        for _ in range(walk):
             y = (y * y + c) % n
-        spent += r
+        spent += walk
         k = 0
         while k < r and g == 1:
             if spent >= steps:
                 return None, spent
             ys = y
-            batch = min(m, r - k)
+            batch = min(m, r - k, steps - spent)
             for _ in range(batch):
                 y = (y * y + c) % n
                 q = q * abs(x - y) % n
@@ -975,6 +982,17 @@ def test_pollard_rho_matches_the_abs_form(primes, seed, steps):
     n = math.prod(primes)
     found = numtheory._pollard_rho(n, random.Random(seed), steps)
     assert found == ref_pollard_rho(n, random.Random(seed), steps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(((2**31 - 1) * (2**61 - 1), (2**61 - 1) * (2**60 + 33))),
+       st.integers(0, 2**32), st.integers(1, 5000))
+def test_pollard_rho_spends_at_most_its_budget(n, seed, steps):
+    # products whose smaller prime needs far more than 5,000 steps: nearly
+    # every attempt runs out, at a budget that may end inside a walk or a batch
+    factor, spent = numtheory._pollard_rho(n, random.Random(seed), steps)
+    assert factor is None or n % factor == 0 and 1 < factor < n
+    assert spent <= steps
 
 
 def test_limit_message_names_the_cofactor_after_the_small_primes(monkeypatch):
@@ -1240,6 +1258,145 @@ def test_quadratic_rational_root_flag_examples():
         f = Polynomial(coeffs)
         assert PolyFacts(f).has_rational_root() is flag
         assert bool(rational_roots(f)) is flag
+
+
+def ref_analyze(f, config=AnalyzeConfig()):
+    """`criteria.analyze` as it was: the config checked on every call, the
+    outcomes sorted and then read three times, and the report built by
+    keyword."""
+    if f.is_zero():
+        raise ValueError("cannot analyze the zero polynomial")
+    names = dict.fromkeys(config.criteria)
+    unknown = [name for name in names if name not in CRITERIA]
+    if unknown:
+        known = ", ".join(CRITERIA)
+        raise ValueError(f"unknown criteria: {', '.join(unknown)} (known: {known})")
+    if config.oracle not in ("on", "off", "auto"):
+        raise ValueError(f"oracle mode must be on/off/auto, got {config.oracle!r}")
+
+    _check_digits(f.coeffs)
+    norm = normalize(f)
+    prim = norm.primitive_part
+    warnings = []
+    if norm.z_power:
+        warnings.append(
+            f"input splits as content * z^{norm.z_power} * primitive part; "
+            f"add {norm.z_power} to any factor-count bound for the original input"
+        )
+    outcomes = []
+    if prim.degree == 0:
+        warnings.append("primitive part is constant; criteria skipped")
+    else:
+        outcomes, stopped = criteria.run_criteria(PolyFacts(prim, config.root_mode), names)
+        warnings.extend(f"{name}: no conclusion: {exc}" for name, exc in stopped)
+        if prim.degree == 1:
+            outcomes.append(CriterionOutcome("degree_one", {}, Conclusion.irreducible()))
+    outcomes.sort(key=lambda o: o.criterion)
+
+    fired = [o for o in outcomes if o.conclusion.fired()]
+    strongest = min(fired, key=CriterionOutcome.rank) if fired else None
+    if any(o.certificate_mode == criteria.NUMERIC_CONDITIONAL for o in fired):
+        warnings.append("some conclusions rely on numeric root location and are not proofs")
+
+    oracle_result = None
+    if config.oracle == "on" or (config.oracle == "auto" and f.degree <= oracle.DEFAULT_MAX_DEGREE):
+        try:
+            oracle_result = oracle.factor(f, max_degree=f.degree)
+        except oracle.OracleLimitError as exc:
+            if config.oracle == "on":
+                raise
+            warnings.append(f"oracle skipped: {exc}")
+        if oracle_result is not None:
+            degrees = oracle_result.factor_degrees()
+            for o in fired:
+                if not o.conclusion.holds(degrees):
+                    raise criteria.SoundnessError(
+                        f"criterion {o.criterion} concluded {o.conclusion} "
+                        f"but the oracle found {len(degrees)} factors for {f!r}"
+                    )
+
+    return criteria.AnalysisReport(
+        input=f,
+        content=norm.content,
+        z_power=norm.z_power,
+        primitive_part=prim,
+        outcomes=tuple(outcomes),
+        strongest=strongest,
+        oracle_result=oracle_result,
+        warnings=tuple(warnings),
+    )
+
+
+PSI13 = numtheory.PROVEN_PRIME_BOUND  # a probable prime to every base: a factorization limit
+
+
+@st.composite
+def analyze_polys(draw, max_degree=12, bound=10**12):
+    """Content times a power of z times a polynomial of degree 0 to
+    max_degree in all, with coefficients up to bound; or one whose a_0 is
+    psi_13 (a limit for constant_term and eisenstein_generalized), and a_1
+    too (for weintraub), so stopped criteria give warnings."""
+    z_power = draw(st.integers(0, 3))
+    size = draw(st.integers(1, max_degree + 1 - z_power))
+    coeffs = draw(st.lists(st.integers(-bound, bound), min_size=size, max_size=size))
+    if draw(st.integers(0, 9)) == 0:
+        coeffs = [PSI13, draw(st.sampled_from((1, 3863508546782, PSI13))), 1]
+    coeffs[-1] = coeffs[-1] or 1
+    content = draw(st.sampled_from((1, 1, 2, 6, 10**6 + 3)))
+    return Polynomial([0] * z_power + [content * a for a in coeffs])
+
+
+@st.composite
+def analyze_configs(draw, oracle_mode="off"):
+    """Every criterion in the report's order, or shuffled, or a list drawn
+    from them: a subset, in any order, with repeats."""
+    names = draw(st.one_of(
+        st.just(tuple(CRITERIA)),
+        st.permutations(tuple(CRITERIA)).map(tuple),
+        st.lists(st.sampled_from(tuple(CRITERIA)), max_size=10).map(tuple),
+    ))
+    return AnalyzeConfig(names, draw(st.sampled_from((SYM, NUM))), oracle_mode)
+
+
+def _analyzed(analyze_fn, f, config):
+    try:
+        return analyze_fn(f, config)
+    except (ValueError, criteria.SoundnessError, oracle.OracleLimitError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_analysis(f, config):
+    got, expected = _analyzed(analyze, f, config), _analyzed(ref_analyze, f, config)
+    if not isinstance(expected, criteria.AnalysisReport):
+        assert got == expected
+        return
+    for field in criteria.AnalysisReport._fields:  # outcomes, strongest, warnings in order
+        assert getattr(got, field) == getattr(expected, field), field
+
+
+@settings(max_examples=400, deadline=None)
+@given(analyze_polys(), analyze_configs())
+def test_analyze_matches_reference(f, config):
+    _assert_same_analysis(f, config)
+
+
+@settings(max_examples=150, deadline=None)
+@given(analyze_polys(max_degree=6, bound=5), analyze_configs("on"))
+def test_analyze_with_oracle_matches_reference(f, config):
+    _assert_same_analysis(f, config)
+
+
+def test_analyze_reference_inputs_reach_every_branch():
+    # the properties above would miss the warnings order if no drawn input
+    # stopped a criterion, and degree_one's place if none had degree 1
+    config = AnalyzeConfig(("weintraub", "eisenstein_generalized"), SYM, "off")
+    report = ref_analyze(Polynomial([0, PSI13, PSI13, 1]), config)
+    assert report.warnings[0].startswith("input splits as content * z^1")
+    assert [w.split(":")[0] for w in report.warnings[1:]] == ["weintraub", "eisenstein_generalized"]
+    assert analyze(Polynomial([0, PSI13, PSI13, 1]), config) == report
+    report = ref_analyze(Polynomial([6, 4]), AnalyzeConfig(tuple(reversed(CRITERIA)), NUM, "on"))
+    assert "degree_one" in [o.criterion for o in report.outcomes]
+    assert analyze(Polynomial([6, 4]), AnalyzeConfig(tuple(reversed(CRITERIA)), NUM, "on")) == report
 
 
 def ref_kronecker_search(h, budget):
