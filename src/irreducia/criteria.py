@@ -566,7 +566,7 @@ def run_criteria(
 
 
 @functools.lru_cache(maxsize=64)
-def _checked(names: Iterable[str], oracle_mode: str) -> tuple[tuple[str, ...], bool, int]:
+def _checked(names: tuple[str, ...], oracle_mode: str) -> tuple[tuple[str, ...], bool, int]:
     """`analyze`'s checks of a config, kept per valid config: the names once
     each in the order given, whether that order is the report's (sorted by
     name), and where `degree_one` goes in the sorted order."""
@@ -583,18 +583,14 @@ def _checked(names: Iterable[str], oracle_mode: str) -> tuple[tuple[str, ...], b
 def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisReport:
     """Run every enabled criterion on the primitive part of f, pick the
     strongest conclusion, and optionally judge every fired one by the oracle.
-    The config is checked once per distinct config (on every call if its
-    criteria are unhashable, a list say). The criteria run in the order
-    given, a repeated name once, and so do the warnings of those stopped by
-    a limit; the outcomes are reported sorted by name. A coefficient too long
-    for str() is refused before any criterion runs; the report holds no text,
-    and its `input_text` is written only when read."""
+    The config is checked once per distinct config. The criteria run in the
+    order given, a repeated name once, and so do the warnings of those
+    stopped by a limit; the outcomes are reported sorted by name. A
+    coefficient too long for str() is refused before any criterion runs; the
+    report holds no text, and its `input_text` is written only when read."""
     if f.is_zero():
         raise ValueError("cannot analyze the zero polynomial")
-    try:
-        names, in_order, one_at = _checked(config.criteria, config.oracle)
-    except TypeError:  # unhashable: checked without the cache
-        names, in_order, one_at = _checked.__wrapped__(config.criteria, config.oracle)
+    names, in_order, one_at = _checked(tuple(config.criteria), config.oracle)
 
     _check_digits(f.coeffs)
     norm = normalize(f)

@@ -638,7 +638,7 @@ class TestAnalyze:
         f = P(6, 4, 0, 2, 1)
         for mode in CertificateMode:
             expected = analyze(f, AnalyzeConfig(criteria=tuple(names), root_mode=mode))
-            for _ in range(2):  # a list cannot be kept, so it is checked on each call
+            for _ in range(2):  # a list is kept as the tuple of its names
                 assert analyze(f, AnalyzeConfig(criteria=names, root_mode=mode)) == expected
         assert [o.criterion for o in expected.outcomes] == sorted(set(names))
 

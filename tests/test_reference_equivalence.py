@@ -1399,6 +1399,18 @@ def test_analyze_reference_inputs_reach_every_branch():
     assert analyze(Polynomial([6, 4]), AnalyzeConfig(tuple(reversed(CRITERIA)), NUM, "on")) == report
 
 
+def test_one_shot_criteria_iterator_matches_reference_on_every_call():
+    # the config is kept by the names it holds, not by the object: a
+    # consumed iterator holds none on its second call, as it did before
+    f = Polynomial([6, 4, 0, 2, 1])
+    names = ("weintraub", "constant_term", "weintraub")
+    got_config = AnalyzeConfig(iter(names), SYM, "off")
+    ref_config = AnalyzeConfig(iter(names), SYM, "off")
+    for _ in range(2):
+        assert analyze(f, got_config) == ref_analyze(f, ref_config)
+    assert analyze(f, got_config).outcomes == ()
+
+
 def ref_kronecker_search(h, budget):
     """Kronecker's search from degree 1: z - x at the first of the
     e + 1 + _SPARE_POINTS sample points where h vanishes, else the first
