@@ -199,23 +199,22 @@ def gen_exhaustive(max_degree: int, coeff_bound: int) -> Iterator[Polynomial]:
                 yield make(tup)
 
 
-def gen_random(
-    count: int, max_degree: int, coeff_bound: int, seed: int
-) -> list[Polynomial]:
+def gen_random(count: int, max_degree: int, coeff_bound: int, seed: int) -> Iterator[Polynomial]:
     """Seeded random primitive polynomials with nonzero constant and leading
-    coefficients (rejection sampling; identical seed, identical list)."""
+    coefficients, yielded as drawn (rejection sampling; identical seed,
+    identical sequence). The bounds are checked at the call."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if max_degree < 1 or coeff_bound < 1:
         raise ValueError("invalid bound")
-    rng = random.Random(seed)
-    out: list[Polynomial] = []
-    while len(out) < count:
+    _check_degree(max_degree)
+    return _draw_random(count, max_degree, coeff_bound, random.Random(seed))
+
+
+def _draw_random(count: int, max_degree: int, bound: int, rng: random.Random) -> Iterator[Polynomial]:
+    while count:
         degree = rng.randint(1, max_degree)
-        coeffs = [rng.randint(-coeff_bound, coeff_bound) for _ in range(degree + 1)]
-        if coeffs[0] == 0 or coeffs[-1] == 0:
-            continue
-        if math.gcd(*coeffs) != 1:
-            continue
-        out.append(Polynomial(coeffs))
-    return out
+        coeffs = [rng.randint(-bound, bound) for _ in range(degree + 1)]
+        if coeffs[0] and coeffs[-1] and math.gcd(*coeffs) == 1:
+            count -= 1
+            yield Polynomial(coeffs)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from fractions import Fraction
 from types import MappingProxyType
@@ -281,15 +282,15 @@ class PolyFacts:
 
         holds, or None (always below degree 2). The right side falls as b
         grows, so j is the first index, falling from m-1, at which it holds for
-        b = |a_m|. The divisors of a_m are then scanned upward at that j only,
-        those up to _DOMINANT_TRIAL by division and those up to 10^3 from the
-        primes below 10^3 that divide a_m: b is nearly always one of them,
-        and a_m is factorized only if it is not (so an a_m that resists still
-        gives b <= 10^3). For |a_m| <= _DOMINANT_TRIAL the scan is a plain
-        range, with no divisor generator. The integer on the left exceeds the
-        sum exactly when it exceeds its floor, built without a power of b as
-        t = (|a_i| + t) // b from i = m down to j + 1 (each step keeps the
-        floor exact); for b = |a_m| one running floor serves every j."""
+        b = |a_m|. The divisors of a_m are then scanned upward at that j only:
+        one range scan, up to min(|a_m|, _DOMINANT_TRIAL), serves every a_m,
+        and above it come those up to 10^3 from the primes below 10^3 that
+        divide a_m. b is nearly always one of them, and a_m is factorized only
+        if it is not (so an a_m that resists still gives b <= 10^3). The
+        integer on the left exceeds the sum exactly when it exceeds its floor,
+        built without a power of b as t = (|a_i| + t) // b from i = m down to
+        j + 1 (each step keeps the floor exact); for b = |a_m| one running
+        floor serves every j."""
         if self._dominant is False:
             hit = None
             mags, low, m = self.mags, self.low, self.degree
@@ -301,8 +302,9 @@ class PolyFacts:
                 if excess > high:
                     if am <= _DOMINANT_TRIAL:
                         divisors = range(1, am + 1)  # filtered by the test below
-                    else:
-                        divisors = numtheory._divisors_upward(am, _DOMINANT_TRIAL)
+                    else:  # the same range, then the divisors above it
+                        divisors = itertools.chain(range(1, _DOMINANT_TRIAL + 1),
+                                                   numtheory._divisors_above(am, _DOMINANT_TRIAL))
                     for b in divisors:  # to |a_m| at most
                         if am % b:
                             continue

@@ -95,6 +95,7 @@ _MR_BOUNDS = (
     (3_825_123_056_546_413_051, 9), (318_665_857_834_031_151_167_461, 12),
 )
 PROVEN_PRIME_BOUND = 3_317_044_064_679_887_385_961_981  # psi_13 = 1287836182261 * 2575672364521
+_MR_BASE_PRODUCT = math.prod(_MR_BASES)
 
 
 def is_prime(n: int) -> bool:
@@ -107,9 +108,8 @@ def _passes_miller_rabin(n: int) -> bool:
     a proof for n < PROVEN_PRIME_BOUND, a strong probable-prime test above."""
     if n < 2:
         return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
+    if math.gcd(n, _MR_BASE_PRODUCT) > 1:  # a base divides n
+        return n in _MR_BASES
     k = next((k for bound, k in _MR_BOUNDS if n < bound), len(_MR_BASES))
     d = n - 1
     r = 0
@@ -279,12 +279,11 @@ def valuation(p: int, n: int) -> int:
     return e
 
 
-def _divisors_upward(n: int, trial: int):
-    """The positive divisors of n >= 1 in increasing order, lazily: those up
-    to `trial` by trial division, those up to 10^3 from the first stage (their
-    primes are all below 10^3), and only a caller that reads past them makes
-    n be factorized for the rest."""
-    yield from (b for b in range(1, trial + 1) if n % b == 0)
+def _divisors_above(n: int, trial: int):
+    """The positive divisors of n >= 1 above `trial` in increasing order,
+    lazily: those up to 10^3 from the first stage (their primes are all
+    below 10^3), and only a caller that reads past them makes n be
+    factorized for the rest. A caller scans those up to `trial` itself."""
     divs = [1]
     for p, e in _factor_positive(n, False)[0]:
         block = divs

@@ -85,8 +85,7 @@ def certify_outside_disk(
         return 2 * abs(f.constant_term) > Polynomial(map(abs, f.coeffs)).evaluate(d)
 
     if f.degree <= EXACT_MAX_DEGREE:
-        # at d, root_free refuses most radii left open, at less cost than at SCALE d
-        return root_free(f, d) and root_free(f, d * SCALE)
+        return root_free(f, d * SCALE)
     moduli = map(abs, numeric_roots(f) if roots is None else roots())
     # a radius beyond the float range exceeds every root modulus
     return d <= sys.float_info.max and min(moduli) > float(d) * (1.0 + MARGIN)

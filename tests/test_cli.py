@@ -515,6 +515,13 @@ class TestExitCodes:
         if argv[1] == "P2":
             assert expected == "5,-1,1\n"
 
+    def test_gen_random_degree_above_the_input_maximum(self, capsys):
+        argv = ["gen", "--random", "--max-degree", str(MAX_INPUT_DEGREE + 1)]
+        assert main(argv) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: degree {MAX_INPUT_DEGREE + 1} above the maximum {MAX_INPUT_DEGREE}\n"
+
     def test_gen_needs_a_source(self, capsys):
         assert main(["gen"]) == EXIT_ERROR
         assert capsys.readouterr().err == "error: gen needs --family, --exhaustive, or --random\n"

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import sys
 import time
 
@@ -341,12 +342,44 @@ class TestExhaustive:
         assert next(gen_exhaustive(8, 5)) == Polynomial([-5, 1])
 
 
+def ref_gen_random(count, max_degree, coeff_bound, seed):
+    """`gen_random` as it was: the whole list, built before it is returned."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        degree = rng.randint(1, max_degree)
+        coeffs = [rng.randint(-coeff_bound, coeff_bound) for _ in range(degree + 1)]
+        if coeffs[0] == 0 or coeffs[-1] == 0:
+            continue
+        if math.gcd(*coeffs) != 1:
+            continue
+        out.append(Polynomial(coeffs))
+    return out
+
+
 class TestRandom:
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_same_sequence_as_the_list_it_replaced(self, seed):
+        assert list(gen_random(400, 6, 4, seed)) == ref_gen_random(400, 6, 4, seed)
+
+    def test_yields_before_drawing_the_rest(self):
+        # the first of 10^12 polynomials comes at once, with no list built
+        start = time.perf_counter()
+        first = next(iter(gen_random(10**12, 3, 3, 0)))
+        assert time.perf_counter() - start < 1
+        assert first == ref_gen_random(1, 3, 3, 0)[0]
+
+    def test_degree_above_the_input_maximum(self):
+        # refused at the call with the parser's message, as the families are
+        with pytest.raises(PolyParseError, match=f"degree {MAX_INPUT_DEGREE + 1} above the maximum"):
+            gen_random(1, MAX_INPUT_DEGREE + 1, 1, 0)
+        assert next(gen_random(1, MAX_INPUT_DEGREE, 1, 0)).degree <= MAX_INPUT_DEGREE
+
     def test_determinism(self):
-        a = gen_random(25, 4, 5, seed=42)
-        b = gen_random(25, 4, 5, seed=42)
+        a = list(gen_random(25, 4, 5, seed=42))
+        b = list(gen_random(25, 4, 5, seed=42))
         assert a == b
-        assert gen_random(25, 4, 5, seed=43) != a
+        assert list(gen_random(25, 4, 5, seed=43)) != a
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError, match="count must be >= 1"):
@@ -355,7 +388,7 @@ class TestRandom:
             gen_random(1, 0, 3, 0)
 
     def test_count_and_filters(self):
-        polys = gen_random(50, 4, 5, seed=1)
+        polys = list(gen_random(50, 4, 5, seed=1))
         assert len(polys) == 50
         for f in polys:
             assert is_primitive(f)

@@ -26,10 +26,15 @@ give exactly the same results.
 - `numtheory.prime_factors`, which strips the primes below 10^3 after one
   gcd and hands a cofactor below 2^64 to Miller-Rabin and Pollard rho,
   against the trial-division loop to 10^6 that it replaced.
-- `dominant_coefficient`, which tries the divisors of a_m up to a small
-  bound by division and those up to 10^3 from the primes below 10^3 before
-  it factorizes a_m, against a scan of every divisor from the full
-  factorization.
+- `dominant_coefficient`, which tries the divisors of a_m up to 32 in one
+  range scan and those up to 10^3 from the primes below 10^3 before it
+  factorizes a_m, against a scan of every divisor from the full
+  factorization; and `numtheory._divisors_above`, which yields only the
+  divisors past that range, against the full divisor list.
+- `numtheory._passes_miller_rabin`, which screens its 13 bases with one gcd
+  against their product, against the loop that trial-divided by each.
+- The numeric certificate below `rootloc.EXACT_MAX_DEGREE`, which asks
+  Schur-Cohn once, at SCALE d, against the form that asked at d first.
 - `eisenstein_generalized` and `leading_coeff`, which read the cofactor of
   a_0 above 10^3 only when it can change the witness or q, against the
   searches over the full factorization of a_0, on coefficients built from
@@ -60,9 +65,10 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from irreducia import audit, criteria, numtheory, oracle, rootloc
@@ -379,7 +385,8 @@ def ref_has_root_in_disk(f, d):
 
 def ref_certify_outside_disk(f, d, mode, roots):
     """The symbolic Horner test alone, or the numeric rule after the exact
-    refusals of `ref_has_root_in_disk`."""
+    refusals of `ref_has_root_in_disk`; below the degree cap, Schur-Cohn at
+    d and then at SCALE d."""
     if mode is SYM:
         rhs = 0
         for a in reversed(f.coeffs[1:]):
@@ -441,6 +448,51 @@ def test_size_refusals_match_full_power_certificates(case):
             _answer(lambda: ref_certify_outside_disk(f, d, mode, roots)))
 
 
+@st.composite
+def polys_with_a_root_past_the_radius(draw):
+    """Degree 1-9 with coefficients drawn up to 10^6 and an integer or
+    rational radius d; half of them are such a polynomial times the factor
+    1000 k v z - (1000 k + j) u for d = u / v and 1 <= j <= k, a root in
+    (d, SCALE d], which Schur-Cohn at d misses and at SCALE d finds."""
+    d = Fraction(draw(st.one_of(st.integers(1, 50), st.fractions(Fraction(1, 100), 50, max_denominator=100))))
+    m = draw(st.integers(1, 9))
+    small = st.integers(-10**6, 10**6)
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 3))
+        j = draw(st.integers(1, k))
+        near = Polynomial([-(1000 * k + j) * d.numerator, 1000 * k * d.denominator])
+        rest = Polynomial([draw(small.filter(bool)) for _ in range(m)])  # degree m - 1
+        f = near * rest
+    else:
+        f = Polynomial([draw(small.filter(bool))] + draw(st.lists(small, min_size=m - 1, max_size=m - 1))
+                       + [draw(small.filter(bool))])
+    return f, d.numerator if d.denominator == 1 else d
+
+
+@settings(max_examples=400, deadline=None)
+@given(polys_with_a_root_past_the_radius())
+def test_numeric_certificate_below_the_cap_matches_two_schur_cohn_calls(case):
+    f, d = case
+
+    def no_roots():
+        raise AssertionError("roots asked for below the degree cap")
+
+    assert rootloc.certify_outside_disk(f, d, NUM, roots=no_roots) is (
+        ref_certify_outside_disk(f, d, NUM, no_roots))
+
+
+def test_a_root_past_the_radius_is_not_certified():
+    # the property above would pass vacuously if no input had a root in
+    # (d, SCALE d] left open by the exact refusals: (1000z - 1001)(z^2 + 4)
+    # at d = 1, and (2000z - 1001)(z + 4) at d = 1/2
+    for coeffs, d in (([-4004, 4000, -1001, 1000], 1), ([-4004, 6999, 2000], Fraction(1, 2))):
+        f = Polynomial(coeffs)
+        assert not rootloc.has_root_in_disk(f, d)
+        assert rootloc.root_free(f, d)
+        assert not rootloc.root_free(f, d * rootloc.SCALE)
+        assert rootloc.certify_outside_disk(f, d, NUM) is False
+
+
 def test_references_fire_on_known_instances():
     # the property above would pass vacuously if the references never fired
     assert ref_dominant_coefficient(Polynomial([1, 3, 9, 1])) == dominant_coefficient(
@@ -482,7 +534,7 @@ def test_audit_one_certifies_each_radius_once(monkeypatch):
     monkeypatch.setattr(rootloc, "certify_outside_disk", counting)
     # 1013 + z + 1009z^2 has roots of modulus 1.00198, where no integer test
     # refuses d = 1, so a numeric certificate is made there
-    corpus = list(gen_exhaustive(3, 4))[::5] + gen_random(300, 6, 60, seed=11)
+    corpus = list(gen_exhaustive(3, 4))[::5] + list(gen_random(300, 6, 60, seed=11))
     corpus.append(Polynomial([1013, 1, 1009]))
     result = audit.AuditResult()
     numeric = AnalyzeConfig(root_mode=NUM, oracle="off")
@@ -644,7 +696,7 @@ def test_audit_one_matches_reference_classification(monkeypatch, fakes):
     # the 40-digit coefficients reach the factorization limits
     for name, fake in fakes.items():
         monkeypatch.setitem(criteria.CRITERIA, name, fake)
-    polys = list(gen_exhaustive(4, 3))[::7] + gen_random(2, 2, 10**40, 1)
+    polys = list(gen_exhaustive(4, 3))[::7] + list(gen_random(2, 2, 10**40, 1))
     result = _audits_agree(polys)
     stopped = sum(s.stopped for s in result.criteria.values())
     assert result.oracle_calls > 0 and result.rootloc_checked > 0 and stopped > 0
@@ -935,6 +987,54 @@ def test_factorization_around_small_prime_bound(n):
     assert numtheory.prime_factors(n) == ref_prime_factors(n)
 
 
+def ref_passes_miller_rabin(n):
+    """`numtheory._passes_miller_rabin` as it was, trial-dividing n by each
+    base in turn before the rounds."""
+    if n < 2:
+        return False
+    for p in numtheory._MR_BASES:
+        if n % p == 0:
+            return n == p
+    k = next((k for bound, k in numtheory._MR_BOUNDS if n < bound), len(numtheory._MR_BASES))
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in numtheory._MR_BASES[:k]:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_miller_rabin_gcd_screen_matches_trial_division_on_every_small_n():
+    ns = range(2 * 10**5 + 1)
+    assert list(map(numtheory._passes_miller_rabin, ns)) == list(map(ref_passes_miller_rabin, ns))
+
+
+_mr_base = st.sampled_from(numtheory._MR_BASES)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.integers(0, 2**90),
+    _mr_base,
+    st.tuples(_mr_base, st.integers(2, 2**80)).map(math.prod),  # base multiples
+    st.tuples(_mr_base, _mr_base).map(math.prod),
+    st.tuples(_mr_base, st.integers(2, 2**60).map(_next_prime)).map(math.prod),
+))
+def test_miller_rabin_gcd_screen_matches_trial_division(n):
+    # a base is prime, and any other n that a base divides is composite
+    assert numtheory._passes_miller_rabin(n) is ref_passes_miller_rabin(n)
+
+
 def ref_pollard_rho(n, rng, steps):
     """`numtheory._pollard_rho` as it was, with abs(x - y) in both gcds, and
     with its budget check on the walk ahead and on the last batch."""
@@ -1012,14 +1112,19 @@ def test_limit_message_names_the_cofactor_after_the_small_primes(monkeypatch):
 @st.composite
 def big_leading_polys(draw):
     """a_m up to 10^13, drawn smooth, prime, or a number below 10^3 times a
-    large prime or times a composite of two primes above 10^3, with a_0 up
-    to 10^4 and middle coefficients up to 10^6, so the dominance witness b
-    is found in the plain range up to 32, among the divisors up to 10^3
-    that `PolyFacts.dominant` reads from the primes below 10^3, and among
-    those above, which it reads from the factorization of a_m."""
-    kinds = ("smooth", "prime", "small times prime", "small times composite")
+    large prime or times a composite of two primes above 10^3, or one next
+    to the range bound 32 (31, 32, 33, 64, 2 * 997, or a prime below 32
+    times a prime above 10^3), with a_0 up to 10^4 and middle coefficients
+    up to 10^6, so the dominance witness b is found in the range up to 32,
+    among the divisors up to 10^3 that `PolyFacts.dominant` reads from the
+    primes below 10^3, and among those above, which it reads from the
+    factorization of a_m."""
+    kinds = ("smooth", "prime", "small times prime", "small times composite", "edge")
     kind = draw(st.sampled_from(kinds))
-    if kind == "smooth":
+    if kind == "edge":
+        big = _next_prime(draw(st.integers(10**3, 10**6)))
+        am = draw(st.sampled_from((31, 32, 33, 64, 2 * 997, draw(st.sampled_from((2, 3, 31))) * big)))
+    elif kind == "smooth":
         am = 1
         for p in draw(st.lists(st.sampled_from((2, 3, 5, 7, 11, 13, 31, 37, 997)), max_size=12)):
             if am * p <= 10**12:
@@ -1032,30 +1137,62 @@ def big_leading_polys(draw):
         cofactor = math.prod(draw(st.lists(_cofactor_prime, min_size=2, max_size=2)))
         am = draw(st.integers(1, 999)) * cofactor
     m = draw(st.integers(2, 5))
-    middle = draw(st.lists(st.integers(-10**6, 10**6), min_size=m - 1, max_size=m - 1))
-    coeffs = [draw(st.integers(1, 10**4)) * draw(st.sampled_from((1, -1))), *middle, am]
+    if kind == "edge":  # a_1 just below b a_0, for b the divisor of a_m on either side of
+        # 32 nearest it, makes b the witness at j = 0 when a_2, ..., a_(m-1) are small
+        divisors = numtheory.positive_divisors(am)
+        b = draw(st.sampled_from([b for b in divisors if b <= 32][-1:] + [b for b in divisors if b > 32][:1]))
+        a0 = draw(st.integers(1, 3))
+        a1 = (b * a0 + draw(st.integers(-2, 1))) * draw(st.sampled_from((1, -1)))
+        below = [a0, a1, *draw(st.lists(st.integers(-3, 3), min_size=m - 2, max_size=m - 2))]
+    else:
+        middle = draw(st.lists(st.integers(-10**6, 10**6), min_size=m - 1, max_size=m - 1))
+        below = [draw(st.integers(1, 10**4)), *middle]
+    coeffs = [below[0] * draw(st.sampled_from((1, -1))), *below[1:], am]
     g = math.gcd(*coeffs)
     return Polynomial([c // g for c in coeffs])
 
 
 @settings(max_examples=300, deadline=None)
 @given(big_leading_polys())
+@example(Polynomial([1, 12, 64]))  # b = 32, the last of the range
+@example(Polynomial([1, 1, 2 * 997]))  # b = 997, the first past the range
 def test_dominant_witness_matches_full_divisor_scan(f):
-    assert dominant_coefficient(PolyFacts(f)) == ref_dominant_coefficient(f)
+    read, divisors_above = [], numtheory._divisors_above
+
+    def recorded(n, trial):  # what the scan reads past the range
+        for b in divisors_above(n, trial):
+            read.append(b)
+            yield b
+
+    with mock.patch.object(numtheory, "_divisors_above", recorded):
+        outcome = dominant_coefficient(PolyFacts(f))
+    assert outcome == ref_dominant_coefficient(f)
+    # the range scans 1..32 once: the divisors past it start above 32
+    assert read == sorted(set(read)) and all(b > 32 for b in read)
+
+
+@settings(max_examples=200, deadline=None)
+@given(big_leading_polys(), st.sampled_from((1, 31, 32, 33, 999, 1000)))
+def test_divisors_above_the_range_match_the_full_divisor_list(f, trial):
+    am = abs(f.leading_coefficient)
+    assert list(numtheory._divisors_above(am, trial)) == [
+        b for b in numtheory.positive_divisors(am) if b > trial]
 
 
 def test_dominant_witness_on_both_sides_of_the_trial_bound():
     # the property above would pass vacuously if the witness never lay
-    # past the plain range or past 10^3: a_2 = 3 * 101 gives b = 3 or 101
-    # (from the primes below 10^3), a_2 = 3 * 1009 gives b = 1009 and the
-    # prime a_2 = 10^12 + 39 gives b = a_2 (both from the factorization of
-    # a_2). At a_2 = 32 the divisors come from a plain range, at a_2 = 33 and
-    # 64 from the divisor generator; delta = 1/b is shared for b <= 32 and
+    # past the range or past 10^3: a_2 = 3 * 101 gives b = 3 or 101 (from
+    # the primes below 10^3), a_2 = 3 * 1009 gives b = 1009 and the prime
+    # a_2 = 10^12 + 39 gives b = a_2 (both from the factorization of a_2).
+    # At a_2 = 32 the divisors come from the range alone, at a_2 = 33, 64 and
+    # 2 * 997 from the range and then the divisor generator (which at 64
+    # must not skip the witness 32); delta = 1/b is shared for b <= 32 and
     # built above it
     for coeffs, b in (
         ([50, 10, 303], 3), ([2, 100, 303], 101), ([2, 1000, 3027], 1009),
         ([1, 10**6, 10**12 + 39], 10**12 + 39),
         ([1, 100, 3], 1), ([1, 34, 32], 32), ([1, 35, 33], 33), ([1, 104, 64], 2),
+        ([1, 12, 64], 32), ([1, 1, 2 * 997], 997), ([1, 995, 2 * 997], 2 * 997),
     ):
         f = Polynomial(coeffs)
         assert dominant_coefficient(PolyFacts(f)) == ref_dominant_coefficient(f)
