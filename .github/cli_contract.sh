@@ -124,6 +124,12 @@ grep -E "^  leading_coeff +Irreducible +p=2, k=123, j=1, d=1, q=2$" "$tmp/reach-
 if grep "eisenstein_generalized: no conclusion" "$tmp/reach-leading.txt"; then exit 1; fi
 # 10^1000 + z + z^2: the rational-root flag walks no divisors of a_0
 timeout 10 $IRREDUCIA analyze --oracle off --poly "1$(printf '0%.0s' $(seq 1000)),1,1"
+# degree 400 with 3, 5, ..., 17 dividing a_0 and a_1: z = 0 is a double root
+# mod each of the first six primes, and weintraub's rational-root flag, asked
+# of a squarefree f, must not fall back on the squarefree part (12 s)
+crafted=$(python -c "import random; r = random.Random(1); print(','.join(map(str, [1021020, 510510] + [2 * r.randint(1, 4) for _ in range(2, 400)] + [1])))")
+timeout 10 $IRREDUCIA analyze --poly "$crafted" > "$tmp/crafted.txt"
+grep -E "^  weintraub +Irreducible +p=2, k0=1$" "$tmp/crafted.txt"
 # degree 1,000 with a 4,014-digit a_m, and with a 4,015-digit a_0 over z^1000:
 # no sum of size |a_m|^(m-j) is built, and the radius 2^13333 is refused unsummed
 big=$(python -c "print(2**13333)")

@@ -8,12 +8,12 @@ Three cross-checks ride along on the same sweep:
                    count bound of at least the degree, are tallied as
                    vacuously sound without an oracle call);
   * cor1        -- wherever the unit-divisor dominance inequality holds at
-                   index j, the dominant-coefficient conclusion must equal
-                   AtMostFactors(m - j). Both read `PolyFacts.dominant()`, so
-                   this no longer tests the inequality on its own; it catches
-                   a conclusion that does not match that index (missing,
-                   weaker or stronger). `ref_cor1_best_j` in the tests is the
-                   independent form;
+                   its one index j, the dominant-coefficient conclusion
+                   must equal AtMostFactors(m - j), unless a factorization
+                   limit stopped that criterion. Both read
+                   `PolyFacts.dominant()`, so this catches a conclusion that
+                   does not match that index (missing, weaker or stronger).
+                   `ref_cor1_best_j` in the tests is the independent form;
   * rootloc     -- wherever a symbolic disk certificate fires at a radius the
                    constant/leading witness search tries, every numerically
                    computed root must clear the largest such radius, read
@@ -150,7 +150,7 @@ class AuditResult:
 
 
 def cor1_best_j(facts: PolyFacts) -> int | None:
-    """Largest j for which the dominance inequality with b = |a_m| and
+    """The one j for which the dominance inequality with b = |a_m| and
     delta = 1/|a_m| holds (audit predicate for the subsumption check):
 
         |a_j| > |a_{j+1}/a_m| + sum_{i<j} |a_i||a_m|^(j-i)
@@ -210,12 +210,9 @@ def audit_one(f: Polynomial, result: AuditResult) -> None:
                                           outcome.conclusion.kind.value,
                                           outcome.conclusion.bound, len(degrees)))
 
-    # a limit that stopped a criterion stops its cross-check too: skip it
-    try:
-        j = cor1_best_j(facts)
-    except numtheory.FactorizationLimitError:
-        j = None
-    if j is not None:
+    # a limit that stopped the criterion's divisor walk skips its cross-check
+    j = cor1_best_j(facts)
+    if j is not None and all(name != "dominant_coefficient" for name, _ in stopped):
         result.cor1_checked += 1
         dom = outcomes[_DOMINANT_INDEX].conclusion
         if dom != Conclusion.at_most(m - j):

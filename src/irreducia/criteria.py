@@ -28,7 +28,7 @@ from types import MappingProxyType
 from typing import Iterable, NamedTuple, Sequence
 
 from . import numtheory, oracle, rootloc
-from .poly import Polynomial, _check_digits, normalize, rational_roots
+from .poly import Polynomial, _check_digits, _rational_roots, normalize
 from .rootloc import CertificateMode
 
 
@@ -157,9 +157,9 @@ class PolyFacts:
     here. `roots()` finds the numeric roots once, for the audit and for
     `rootloc.certify_outside_disk` above its degree cap; a root iteration
     that did not converge is remembered, and asking again raises it again.
-    The dominance index and divisor of `dominant()`, which both the
-    dominant-coefficient criterion and the audit's unit-divisor check read,
-    are found once. The disk radii are searched again on each call of
+    The one dominance index of `dominant()`, which the dominant-coefficient
+    and middle-prime-power criteria and the audit's unit-divisor check read,
+    is found once. The disk radii are searched again on each call of
     `certified_radius`, but from one pair shared by both ends, the largest
     radius certified and the smallest refused so far, so a radius the pair
     settles needs no second certificate.
@@ -214,21 +214,22 @@ class PolyFacts:
     def has_rational_root(self) -> bool:
         """Whether f has a rational root: at degree 2, whether the
         discriminant a_1^2 - 4 a_0 a_2 is a square (0 included), by one
-        `math.isqrt`; above it, by `poly.rational_roots`.
+        `math.isqrt`; above it, by `poly.rational_roots`'s search.
 
         Only Weintraub at k0 = 1 and the generalized Eisenstein criterion at
         j = m-1 ask, and each has then already limited f to "irreducible, or
-        linear times irreducible", which above degree 2 is squarefree. So the
-        squarefree step of `rational_roots`, whose cost grows steeply with
-        the degree, runs here only when the first primes it tries all divide
-        disc(f)."""
+        linear times irreducible", which above degree 2 is squarefree. Such
+        an f fails only at the odd primes dividing disc(f), fewer than the
+        patience given, as |disc(f)| <= m^m (sum a_i^2)^(m-1) (Mahler): the
+        costly squarefree step is left for an f that is not squarefree."""
         if self._rational_root is None:
-            c = self.coeffs
-            if self.degree == 2:
+            c, m = self.coeffs, self.degree
+            if m == 2:
                 disc = c[1] * c[1] - 4 * c[0] * c[2]
                 self._rational_root = disc >= 0 and math.isqrt(disc) ** 2 == disc
             else:
-                self._rational_root = bool(rational_roots(self.poly))
+                patience = m * (m.bit_length() + sum(a * a for a in c).bit_length())
+                self._rational_root = bool(_rational_roots(c, patience))
         return self._rational_root
 
     def roots(self) -> list[complex]:
@@ -275,47 +276,27 @@ class PolyFacts:
         return 0
 
     def dominant(self) -> tuple[int, int] | None:
-        """(j, b) with j the largest index and b the smallest positive
-        divisor of a_m for which the dominance inequality
+        """(j, high) for the one index j at which the dominance inequality
+        |a_j| - low[j] > sum_{i>j} |a_i| / |a_m|^(i-j) holds, with high the
+        floor of that sum, or None (always below degree 2). The integer on
+        the left exceeds the sum exactly when it exceeds its floor, and one
+        running floor t = (|a_i| + t) // |a_m| serves every j, falling from
+        m-1. Nothing is factorized and nothing raises.
 
-            |a_j| - low[j] > sum_{i>j} |a_i| / b^(i-j)
-
-        holds, or None (always below degree 2). The right side falls as b
-        grows, so j is the first index, falling from m-1, at which it holds for
-        b = |a_m|. The divisors of a_m are then scanned upward at that j only:
-        one range scan, up to min(|a_m|, _DOMINANT_TRIAL), serves every a_m,
-        and above it come those up to 10^3 from the primes below 10^3 that
-        divide a_m. b is nearly always one of them, and a_m is factorized only
-        if it is not (so an a_m that resists still gives b <= 10^3). The
-        integer on the left exceeds the sum exactly when it exceeds its floor,
-        built without a power of b as t = (|a_i| + t) // b from i = m down to
-        j + 1 (each step keeps the floor exact); for b = |a_m| one running
-        floor serves every j."""
+        No second index j < j' passes: low[j'] < |a_j'| puts low[j'] below
+        its cap, so |a_j'| > |a_j| |a_m|^(j'-j); that term of the sum gives
+        high(j) >= |a_j|, and j fails. At a divisor b < |a_m| the sum only
+        grows, so the dominant-coefficient and middle-prime-power criteria
+        can fire at this j alone."""
         if self._dominant is False:
-            hit = None
-            mags, low, m = self.mags, self.low, self.degree
-            am = mags[m]
+            mags, low, am = self.mags, self.low, self.mags[-1]
             high = 0  # floor(sum_{i>j} |a_i| / |a_m|^(i-j)), kept as j falls
-            for j in range(m - 1, -1, -1):
+            self._dominant = None
+            for j in range(self.degree - 1, -1, -1):
                 high = (mags[j + 1] + high) // am
-                excess = mags[j] - low[j]
-                if excess > high:
-                    if am <= _DOMINANT_TRIAL:
-                        divisors = range(1, am + 1)  # filtered by the test below
-                    else:  # the same range, then the divisors above it
-                        divisors = itertools.chain(range(1, _DOMINANT_TRIAL + 1),
-                                                   numtheory._divisors_above(am, _DOMINANT_TRIAL))
-                    for b in divisors:  # to |a_m| at most
-                        if am % b:
-                            continue
-                        t = 0
-                        for a in mags[m:j:-1]:
-                            t = (a + t) // b
-                        if excess > t:
-                            hit = (j, b)
-                            break
+                if mags[j] - low[j] > high:
+                    self._dominant = (j, high)
                     break
-            self._dominant = hit
         return self._dominant
 
 
@@ -446,16 +427,30 @@ def dominant_coefficient(facts: PolyFacts) -> CriterionOutcome:
 
     then at most m - j irreducible factors; j = m-1 gives irreducibility.
     The right side grows with delta, so testing delta = 1/b is exhaustive
-    over [1/b, 1]. Evaluated in integers, against the floor of the sum over
-    i > j (see `PolyFacts.dominant`)."""
+    over [1/b, 1], and j can only be `PolyFacts.dominant`'s one index. The
+    divisors of a_m are scanned upward there: one range scan up to
+    _DOMINANT_TRIAL, then those up to 10^3 from the primes below 10^3, and
+    a_m is factorized only past them (so an a_m that resists still gives
+    b <= 10^3). Each b is tested against the floor of the sum over i > j."""
     name = "dominant_coefficient"
     hit = facts.dominant()
     if hit is None:
         return _NO_CONCLUSIONS[name]
-    j, b = hit
+    j = hit[0]
+    mags, m = facts.mags, facts.degree
+    am, excess = mags[m], mags[j] - facts.low[j]
+    divisors = itertools.chain(range(1, min(am, _DOMINANT_TRIAL) + 1),  # filtered below
+                               numtheory._divisors_above(am, _DOMINANT_TRIAL))
+    for b in divisors:  # b = |a_m| passes, so the scan ends there at the latest
+        if am % b:
+            continue
+        t = 0
+        for a in mags[m:j:-1]:
+            t = (a + t) // b
+        if excess > t:
+            break
     delta = _DELTAS[b - 1] if b <= _DOMINANT_TRIAL else Fraction(1, b)  # immutable, so shared
-    witnesses = {"b": b, "delta": delta, "j": j}
-    return CriterionOutcome(name, witnesses, Conclusion.at_most(facts.degree - j))
+    return CriterionOutcome(name, {"b": b, "delta": delta, "j": j}, Conclusion.at_most(m - j))
 
 
 def perron_nonmonic(facts: PolyFacts) -> CriterionOutcome:
@@ -484,24 +479,25 @@ def middle_prime_power_check(facts: PolyFacts) -> CriterionOutcome:
 
     The first two terms together are sum_{i<j} |coeff(z^i)| t^(j-i) with
     t = |a_m| p^s, which is low[j] when s = 0 and never less. The last sum
-    is compared by its floor, as in `PolyFacts.dominant`.
+    is compared by its floor, `high` of `PolyFacts.dominant`. Every prime's
+    test is then at least as hard as the dominance test at b = |a_m|, so
+    only `dominant()`'s one index can pass, where the bound m - j is the
+    dominant-coefficient criterion's.
     """
     name = "middle_prime_power"
-    c, mags, m = facts.coeffs, facts.mags, facts.degree
-    low, am = facts.low, mags[m]
-    high = 0  # floor(sum_{i>j} |a_i| / |a_m|^(i-j)), kept as j falls
-    for j in range(m - 1, 0, -1):
-        high = (mags[j + 1] + high) // am
-        excess = mags[j] - low[j]  # <= 0 when c[j] == 0
-        if excess <= high or c[j - 1] == 0:
-            continue  # fails for every prime: their lower sums are >= low[j]
-        for p, n_exp in numtheory.prime_factors(mags[j]):
-            s_exp = numtheory.valuation(p, c[j - 1])
-            lower = low[j] if s_exp == 0 else _lower_sum(mags, j, am * p**s_exp)
-            if mags[j] - lower > high:
-                return CriterionOutcome(
-                    name, {"p": p, "j": j, "N": n_exp, "s": s_exp}, Conclusion.at_most(m - j)
-                )
+    hit = facts.dominant()
+    c = facts.coeffs
+    if hit is None or hit[0] == 0 or c[hit[0] - 1] == 0:
+        return _NO_CONCLUSIONS[name]
+    j, high = hit
+    mags, m = facts.mags, facts.degree
+    for p, n_exp in numtheory.prime_factors(mags[j]):
+        s_exp = numtheory.valuation(p, c[j - 1])
+        lower = facts.low[j] if s_exp == 0 else _lower_sum(mags, j, mags[m] * p**s_exp)
+        if mags[j] - lower > high:
+            return CriterionOutcome(
+                name, {"p": p, "j": j, "N": n_exp, "s": s_exp}, Conclusion.at_most(m - j)
+            )
     return _NO_CONCLUSIONS[name]
 
 
@@ -568,10 +564,10 @@ def run_criteria(
 
 
 @functools.lru_cache(maxsize=64)
-def _checked(names: tuple[str, ...], oracle_mode: str) -> tuple[tuple[str, ...], bool, int]:
+def _checked(names: tuple[str, ...], oracle_mode: str) -> tuple[tuple[str, ...], bool]:
     """`analyze`'s checks of a config, kept per valid config: the names once
-    each in the order given, whether that order is the report's (sorted by
-    name), and where `degree_one` goes in the sorted order."""
+    each in the order given, and whether that order is the report's (sorted
+    by name)."""
     names = tuple(dict.fromkeys(names))  # a repeated name runs once
     unknown = [name for name in names if name not in CRITERIA]
     if unknown:
@@ -579,7 +575,7 @@ def _checked(names: tuple[str, ...], oracle_mode: str) -> tuple[tuple[str, ...],
         raise ValueError(f"unknown criteria: {', '.join(unknown)} (known: {known})")
     if oracle_mode not in ("on", "off", "auto"):
         raise ValueError(f"oracle mode must be on/off/auto, got {oracle_mode!r}")
-    return names, list(names) == sorted(names), sum(name < "degree_one" for name in names)
+    return names, list(names) == sorted(names)
 
 
 def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisReport:
@@ -592,7 +588,7 @@ def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisR
     report holds no text, and its `input_text` is written only when read."""
     if f.is_zero():
         raise ValueError("cannot analyze the zero polynomial")
-    names, in_order, one_at = _checked(tuple(config.criteria), config.oracle)
+    names, in_order = _checked(tuple(config.criteria), config.oracle)
 
     _check_digits(f.coeffs)
     norm = normalize(f)
@@ -611,8 +607,8 @@ def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisR
         outcomes, stopped = run_criteria(PolyFacts(prim, config.root_mode), names)
         warnings.extend(f"{name}: no conclusion: {exc}" for name, exc in stopped)
         if prim.degree == 1:
-            outcomes.insert(one_at, CriterionOutcome("degree_one", {}, Conclusion.irreducible()))
-        if not in_order:
+            outcomes.append(CriterionOutcome("degree_one", {}, Conclusion.irreducible()))
+        if not in_order or prim.degree == 1:
             outcomes.sort(key=lambda o: o.criterion)
 
     fired, strongest, numeric = [], None, False

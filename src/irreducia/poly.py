@@ -430,15 +430,19 @@ def rational_roots(f: Polynomial) -> set[Fraction]:
     _PRIMES_BEFORE_SQUAREFREE failed primes f is replaced, once, by its
     squarefree part f / gcd(f, f'), which has the same roots. That gcd grows
     steeply with the degree (see _squarefree_part); the criteria ask only
-    about polynomials that are squarefree or of degree 2 (see
-    PolyFacts.has_rational_root), so they reach it only through a run of
-    failing primes.
+    about squarefree polynomials (see PolyFacts.has_rational_root), so they
+    call _rational_roots with a patience that no squarefree f exhausts.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
     if f.constant_term == 0:
         raise ValueError("rational root scan requires a nonzero constant term")
-    coeffs = f.coeffs
+    return _rational_roots(f.coeffs, _PRIMES_BEFORE_SQUAREFREE)
+
+
+def _rational_roots(coeffs: tuple[int, ...], patience: int) -> set[Fraction]:
+    """rational_roots of a polynomial with nonzero constant term, which is
+    replaced by its squarefree part once `patience` primes have failed."""
     ell, failed = 1, 0
     while len(coeffs) > 1:
         ell += 2
@@ -448,6 +452,6 @@ def rational_roots(f: Polynomial) -> set[Fraction]:
         if residues is not None:
             return _lift_roots(coeffs, ell, residues)
         failed += 1
-        if failed == _PRIMES_BEFORE_SQUAREFREE:
+        if failed == patience:
             coeffs = _squarefree_part(coeffs)
     return set()

@@ -200,13 +200,14 @@ def test_family_audit_reports_oracle_disagreement(monkeypatch):
 def test_audit_catches_a_rational_root_scan_that_misses_fractions(monkeypatch):
     # the oracle finds linear factors without the criteria's root scan, so a
     # scan that loses every root p/q with q > 1 shows as violations
-    real = poly.rational_roots
+    real = poly._rational_roots
 
-    def integer_roots_only(f):
-        return {r for r in real(f) if r.denominator == 1}
+    def integer_roots_only(coeffs, patience):
+        return {r for r in real(coeffs, patience) if r.denominator == 1}
 
-    for module in (poly, criteria, oracle):
-        monkeypatch.setattr(module, "rational_roots", integer_roots_only)
+    # poly.rational_roots, and oracle's import of it, call poly's copy
+    for module in (poly, criteria):
+        monkeypatch.setattr(module, "_rational_roots", integer_roots_only)
     assert audit.audit_exhaustive(3, 3).violation_count() >= 1
 
 

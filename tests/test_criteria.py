@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from irreducia import criteria, numtheory, oracle, rootloc
+from irreducia import criteria, numtheory, oracle, poly, rootloc
 from irreducia.corpus import gen_exhaustive, gen_random
 from irreducia.criteria import (
     AnalyzeConfig,
@@ -99,16 +99,20 @@ class TestWeintraub:
 def test_rational_root_flag_is_asked_only_of_squarefree_polynomials(monkeypatch):
     # PolyFacts.has_rational_root: weintraub at k0 = 1 and eisenstein_generalized
     # at j = m-1 have already limited f to "irreducible, or linear times
-    # irreducible", squarefree beyond degree 2
+    # irreducible", squarefree beyond degree 2, so the search it makes skips
+    # the squarefree step
     asked = []
-    real = criteria.rational_roots
-    monkeypatch.setattr(criteria, "rational_roots", lambda f: asked.append(f) or real(f))
+    real = criteria._rational_roots
+    monkeypatch.setattr(criteria, "_rational_roots",
+                        lambda coeffs, patience: asked.append(coeffs) or real(coeffs, patience))
+    monkeypatch.setattr(poly, "_squarefree_part", lambda coeffs: pytest.fail("squarefree step"))
     for f in gen_exhaustive(4, 4):
         facts = PolyFacts(f)
         weintraub_check(facts)
         eisenstein_generalized(facts)
     assert len(asked) > 100
-    for f in asked:
+    for coeffs in asked:
+        f = Polynomial(coeffs)
         assert all(mult == 1 for _, mult in oracle.factor(f).factors), f
 
 
@@ -753,6 +757,19 @@ class TestAnalyze:
         report = analyze(f, AnalyzeConfig(oracle="off"))
         assert time.process_time() - start < 1.0
         assert (report.strongest.criterion, report.strongest.conclusion) == (criterion, conclusion)
+
+    def test_rational_root_flag_skips_the_squarefree_step_at_degree_400(self):
+        # 3..17 divide a_0 and a_1, so z = 0 is a double root modulo each of
+        # the first six primes; weintraub at k0 = 1 asks for the flag of a
+        # squarefree f, and its squarefree part alone once took 11 s of CPU time
+        rng = random.Random(1)
+        f = Polynomial([1021020, 510510, *(2 * rng.randint(1, 4) for _ in range(2, 400)), 1])
+        start = time.process_time()
+        report = analyze(f, AnalyzeConfig(oracle="off"))
+        assert time.process_time() - start < 1.0
+        weintraub = next(o for o in report.outcomes if o.criterion == "weintraub")
+        assert (weintraub.conclusion, weintraub.witnesses) == (Conclusion.irreducible(),
+                                                               {"p": 2, "k0": 1})
 
     def test_degree_one_trivially_irreducible(self):
         report = analyze(P(1, 1))

@@ -146,11 +146,13 @@ class TestNoSharedRootFinder:
         (P(1, 2) ** 4, ((P(1, 2), 4),)),
     ])
     def test_factor_and_verify_without_rational_roots(self, monkeypatch, f, expected):
-        def refuse(f):
+        def refuse(*args):
             raise AssertionError("rational_roots called")
 
-        for module in (poly, criteria, oracle):
+        for module in (poly, oracle):
             monkeypatch.setattr(module, "rational_roots", refuse)
+        for module in (poly, criteria):  # the search rational_roots and the criteria share
+            monkeypatch.setattr(module, "_rational_roots", refuse)
         result = factor(f)
         assert result.factors == expected
         assert result.content == 1

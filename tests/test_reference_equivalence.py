@@ -31,6 +31,11 @@ give exactly the same results.
   factorizes a_m, against a scan of every divisor from the full
   factorization; and `numtheory._divisors_above`, which yields only the
   divisors past that range, against the full divisor list.
+- `PolyFacts.dominant`, which stops at the first index that passes, against
+  a scan of every index in exact rationals: at most one passes. The
+  dominance criteria, which read that one index, against the divisor walk
+  `dominant()` made and the middle-prime-power scan over every j that they
+  replaced.
 - `numtheory._passes_miller_rabin`, which screens its 13 bases with one gcd
   against their product, against the loop that trial-divided by each.
 - The numeric certificate below `rootloc.EXACT_MAX_DEGREE`, which asks
@@ -60,6 +65,7 @@ give exactly the same results.
   sample points. Both searches return the factor with its cofactor.
 """
 
+import itertools
 import math
 import random
 import sys
@@ -646,11 +652,8 @@ def ref_audit_one(f, result):
                     stats.violations.add((f.coeffs, outcome.criterion,
                                           outcome.conclusion.kind.value,
                                           outcome.conclusion.bound, count))
-    try:
-        j = audit.cor1_best_j(facts)
-    except numtheory.FactorizationLimitError:
-        j = None
-    if j is not None:
+    j = audit.cor1_best_j(facts)
+    if j is not None and "dominant_coefficient" not in dict(stopped):
         result.cor1_checked += 1
         dom = next(o.conclusion for o in outcomes if o.criterion == "dominant_coefficient")
         if dom != Conclusion.at_most(m - j):
@@ -1202,6 +1205,123 @@ def test_dominant_witness_on_both_sides_of_the_trial_bound():
         assert str(delta) == str(Fraction(1, b))
 
 
+def ref_dominance_indices(f):
+    """Every j at which |a_j| > sum_{i<j} |a_i| |a_m|^(j-i) + sum_{i>j}
+    |a_i| / |a_m|^(i-j), in exact rationals, each with the floor of the sum
+    over i > j."""
+    mags = [abs(c) for c in f.coeffs]
+    m, am = f.degree, mags[-1]
+    hits = []
+    for j in range(m):
+        upper = sum(Fraction(mags[i], am ** (i - j)) for i in range(j + 1, m + 1))
+        if mags[j] > sum(mags[i] * am ** (j - i) for i in range(j)) + upper:
+            hits.append((j, math.floor(upper)))
+    return hits
+
+
+def ref_dominant_walk(facts):
+    """`PolyFacts.dominant` as it was when it walked the divisors of a_m
+    itself: (j, b) for the passing index and the least passing divisor."""
+    mags, low, m = facts.mags, facts.low, facts.degree
+    if m < 2:
+        return None
+    am = mags[m]
+    high = 0
+    for j in range(m - 1, -1, -1):
+        high = (mags[j + 1] + high) // am
+        excess = mags[j] - low[j]
+        if excess > high:
+            if am <= criteria._DOMINANT_TRIAL:
+                divisors = range(1, am + 1)
+            else:
+                divisors = itertools.chain(range(1, criteria._DOMINANT_TRIAL + 1),
+                                           numtheory._divisors_above(am, criteria._DOMINANT_TRIAL))
+            for b in divisors:
+                if am % b:
+                    continue
+                t = 0
+                for a in mags[m:j:-1]:
+                    t = (a + t) // b
+                if excess > t:
+                    return j, b
+    return None
+
+
+def ref_middle_prime_power_scan(facts):
+    """`middle_prime_power_check` as it was when it kept its own floor of the
+    sum over i > j and tried every j from m-1 down."""
+    name = "middle_prime_power"
+    c, mags, m = facts.coeffs, facts.mags, facts.degree
+    low, am = facts.low, mags[m]
+    high = 0
+    for j in range(m - 1, 0, -1):
+        high = (mags[j + 1] + high) // am
+        if mags[j] - low[j] <= high or c[j - 1] == 0:
+            continue
+        for p, n_exp in numtheory.prime_factors(mags[j]):
+            s_exp = numtheory.valuation(p, c[j - 1])
+            lower = low[j] if s_exp == 0 else criteria._lower_sum(mags, j, am * p**s_exp)
+            if mags[j] - lower > high:
+                return CriterionOutcome(name, {"p": p, "j": j, "N": n_exp, "s": s_exp},
+                                        Conclusion.at_most(m - j))
+    return _no_conclusion(name)
+
+
+@st.composite
+def dominated_polys(draw):
+    """One coefficient a_j, often a prime power, far above the small others,
+    sometimes with a second large one, and a_m on either side of the range
+    bound 32, so both dominance criteria fire and the divisor walk finds b
+    in the range and past it."""
+    m = draw(st.integers(1, 8))
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=m + 1, max_size=m + 1))
+    big = st.one_of(st.integers(1, 10**6),
+                    st.builds(pow, st.sampled_from((2, 3, 5, 7)), st.integers(1, 40)))
+    for j in draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=2)):
+        coeffs[j] = draw(big) * draw(st.sampled_from((1, -1)))
+    coeffs[0] = coeffs[0] or 1
+    coeffs[m] = draw(st.sampled_from((1, 2, 3, 6, 31, 32, 33, 64, 210, 2 * 997, 10**12 + 39)))
+    g = math.gcd(*coeffs)
+    return Polynomial([c // g for c in coeffs])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(dominated_polys(), primitive_polys(), big_leading_polys()))
+@example(Polynomial([1, 1, 10, 1]))
+def test_at_most_one_index_dominates(f):
+    hits = ref_dominance_indices(f)
+    assert len(hits) <= 1
+    assert PolyFacts(f).dominant() == (hits[0] if hits and f.degree >= 2 else None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(dominated_polys(), big_leading_polys()))
+@example(Polynomial([1, 66, 64]))  # middle_prime_power fires with |a_m| > 32, and b = 64
+@example(Polynomial([1, 4, 64, 1]))  # middle_prime_power fires with s = 2
+@example(Polynomial([2, 6, 1, 1]))  # p = 2 ties (6 - 2 * 2 = high = 2), so p = 3 fires
+def test_dominance_witnesses_match_the_scans_they_replaced(f):
+    facts = PolyFacts(f)
+    walk = ref_dominant_walk(PolyFacts(f))
+    outcome = dominant_coefficient(facts)
+    assert outcome.conclusion.fired() is (walk is not None)
+    if walk is not None:
+        assert (outcome.witnesses["j"], outcome.witnesses["b"]) == walk
+    assert middle_prime_power_check(facts) == ref_middle_prime_power_scan(PolyFacts(f))
+
+
+def test_dominance_scans_reach_both_sides_of_the_trial_bound():
+    # the properties above would pass vacuously if middle_prime_power never
+    # fired, or the divisor walk never went past the range, at either |a_m|
+    for coeffs, p, j, b in (([1, 66, 64], 2, 1, 64), ([1, 64, 33], 2, 1, 3),
+                            ([1, 1, 16, 3], 2, 2, 1)):
+        facts = PolyFacts(Polynomial(coeffs))
+        middle = ref_middle_prime_power_scan(facts)
+        assert (middle.witnesses["p"], middle.witnesses["j"]) == (p, j)
+        assert middle_prime_power_check(facts) == middle
+        assert ref_dominant_walk(facts) == (j, b)
+        assert dominant_coefficient(facts).witnesses["b"] == b
+
+
 @st.composite
 def split_coefficient(draw):
     """The primes below 10^3 (none to three), the product of their powers,
@@ -1393,6 +1513,17 @@ def test_quadratic_rational_root_flag_examples():
     for coeffs, flag in (((9, 6, 1), True), ((1, 1, 1), False), ((2, -3, 1), True),
                          ((-2, 0, 1), False)):
         f = Polynomial(coeffs)
+        assert PolyFacts(f).has_rational_root() is flag
+        assert bool(rational_roots(f)) is flag
+
+
+def test_rational_root_flag_ends_on_a_repeated_factor():
+    # the criteria ask only of squarefree polynomials, so the flag's search
+    # takes the squarefree step only past a patience no squarefree f uses up;
+    # a repeated factor with a root mod every prime still gets there
+    h = Polynomial([-2, 0, 1]) * Polynomial([-3, 0, 1]) * Polynomial([-6, 0, 1])
+    for f, flag in ((Polynomial([1, 1]) ** 2 * Polynomial([3, 0, 1]), True),
+                    (h * h, False), (h * h * Polynomial([1, 3]), True)):
         assert PolyFacts(f).has_rational_root() is flag
         assert bool(rational_roots(f)) is flag
 
