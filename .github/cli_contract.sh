@@ -111,6 +111,11 @@ python -c "import irreducia as i; print(i.certify_outside_disk(i.Polynomial([10*
 $IRREDUCIA analyze --oracle off --poly "1427247692705959880439315947500961989719490561z^2+295617658828691846632166420412766595202z+4" > "$tmp/limit.txt"
 grep "dominant_coefficient: no conclusion: factorization limit" "$tmp/limit.txt"
 grep -E "^  weintraub +Irreducible" "$tmp/limit.txt"
+# dominant_coefficient's least passing divisor b of a_m: a_m = 30 reads its
+# divisors from the table of those of 1..32; a_m = 60, above the table,
+# finds those up to 32 by trial division before walking on
+$IRREDUCIA analyze --oracle off --poly=-9,-271,-4,30 | grep -E "^  dominant_coefficient +AtMostFactors\(2\) +b=10, delta=1/10, j=1$"
+$IRREDUCIA analyze --oracle off --poly=-2,127,4,60 | grep -E "^  dominant_coefficient +AtMostFactors\(2\) +b=4, delta=1/4, j=1$"
 # a_0 = 6N with N = (2^61-1)(2^60+33), which resists rho: the generalized
 # Eisenstein witness p = 2 and leading_coeff's q = 2 come from the primes of
 # a_0 below 10^3, so neither search factors N, and eisenstein_generalized

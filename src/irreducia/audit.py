@@ -166,6 +166,7 @@ def cor1_best_j(facts: PolyFacts) -> int | None:
 
 
 _NO_CONCLUSION = ConclusionKind.NO_CONCLUSION
+_NONE = Conclusion.none()
 _DOMINANT_INDEX = list(CRITERIA).index("dominant_coefficient")  # run_criteria keeps CRITERIA's order
 
 
@@ -181,11 +182,12 @@ def audit_one(f: Polynomial, result: AuditResult) -> None:
 
     to_check: list[CriterionOutcome] = []
     for outcome in outcomes:
-        if outcome.conclusion.kind is _NO_CONCLUSION:
+        conclusion = outcome.conclusion
+        if conclusion is _NONE or conclusion.kind is _NO_CONCLUSION:  # the shared one first
             continue
         stats = criteria[outcome.criterion]
         stats.fired += 1
-        if outcome.conclusion.vacuous(m):
+        if conclusion.vacuous(m):
             stats.vacuous += 1
             stats.sound += 1
         else:
@@ -212,14 +214,15 @@ def audit_one(f: Polynomial, result: AuditResult) -> None:
 
     # a limit that stopped the criterion's divisor walk skips its cross-check
     j = cor1_best_j(facts)
-    if j is not None and all(name != "dominant_coefficient" for name, _ in stopped):
+    if j is not None and (not stopped or "dominant_coefficient" not in dict(stopped)):
         result.cor1_checked += 1
         dom = outcomes[_DOMINANT_INDEX].conclusion
         if dom != Conclusion.at_most(m - j):
             result.cor1_violations.add((f.coeffs, j, dom.kind.value, dom.bound))
 
-    try:
-        worst = max(facts.certified_radius(0), facts.certified_radius(m))
+    try:  # symbolic mode certifies no radius, at either end, without the unit disk
+        worst = facts.unit_disk_certified and max(facts.certified_radius(0),
+                                                  facts.certified_radius(m))
     except numtheory.FactorizationLimitError:
         worst = 0
     if worst:

@@ -57,34 +57,35 @@ class Conclusion(NamedTuple):
     @functools.cache  # a criterion's bound is at most the degree
     def at_most(n: int) -> "Conclusion":
         """At most n factors; a bound of 1 is irreducibility."""
-        return _IRREDUCIBLE if n == 1 else Conclusion(ConclusionKind.AT_MOST_FACTORS, n)
+        return _IRREDUCIBLE if n == 1 else Conclusion(_AT_MOST_FACTORS, n)
 
     @staticmethod
     @functools.cache
     def factor_degree(k: int) -> "Conclusion":
-        return Conclusion(ConclusionKind.FACTOR_DEGREE_BOUND, k)
+        return Conclusion(_FACTOR_DEGREE_BOUND, k)
 
     @staticmethod
     def none() -> "Conclusion":
         return _NONE
 
     def fired(self) -> bool:
-        return self.kind is not ConclusionKind.NO_CONCLUSION
+        return self.kind is not _NO_CONCLUSION
 
     def rank(self) -> tuple[int, int]:
-        """Sort key: stronger conclusions first."""
-        return (_KIND_ORDER[self.kind], self.bound or 0)
+        """Sort key: stronger conclusions first, by kind in definition order
+        (found by identity in a tuple: no enum member is hashed), then bound."""
+        return (_KINDS.index(self.kind), self.bound or 0)
 
     def holds(self, degrees: Sequence[int]) -> bool:
         """Whether a polynomial whose irreducible factors other than z have
         these degrees (one entry per factor, counted with multiplicity, in
         any order) bears the conclusion out."""
         kind = self.kind
-        if kind is ConclusionKind.IRREDUCIBLE:
+        if kind is _IRREDUCIBLE_KIND:
             return len(degrees) == 1
-        if kind is ConclusionKind.AT_MOST_FACTORS:
+        if kind is _AT_MOST_FACTORS:
             return len(degrees) <= self.bound
-        if kind is ConclusionKind.FACTOR_DEGREE_BOUND:
+        if kind is _FACTOR_DEGREE_BOUND:
             return len(degrees) <= 1 or min(degrees) <= self.bound
         return True
 
@@ -93,9 +94,9 @@ class Conclusion(NamedTuple):
         the conclusion: a factor-count bound of at least the degree, or a
         factor-degree bound at least floor(degree/2). Irreducible is never
         vacuous, not even at degree 1, so the audit checks every such claim."""
-        if self.kind is ConclusionKind.AT_MOST_FACTORS:
+        if self.kind is _AT_MOST_FACTORS:
             return self.bound >= degree
-        if self.kind is ConclusionKind.FACTOR_DEGREE_BOUND:
+        if self.kind is _FACTOR_DEGREE_BOUND:
             return self.bound >= degree // 2
         return False
 
@@ -104,10 +105,12 @@ class Conclusion(NamedTuple):
         return kind if self.bound is None else f"{kind}({self.bound})"
 
 
-_KIND_ORDER = {kind: i for i, kind in enumerate(ConclusionKind)}  # strongest first
+# module names for the members read per outcome: a class attribute read costs more
+_KINDS = tuple(ConclusionKind)  # strongest first
+_IRREDUCIBLE_KIND, _AT_MOST_FACTORS, _FACTOR_DEGREE_BOUND, _NO_CONCLUSION = _KINDS
 
-_IRREDUCIBLE = Conclusion(ConclusionKind.IRREDUCIBLE)
-_NONE = Conclusion(ConclusionKind.NO_CONCLUSION)
+_IRREDUCIBLE = Conclusion(_IRREDUCIBLE_KIND)
+_NONE = Conclusion(_NO_CONCLUSION)
 
 
 EXACT = "exact"
@@ -137,8 +140,10 @@ def _lower_sum(mags: list[int], j: int, t: int) -> int:
     return acc
 
 
-_DOMINANT_TRIAL = 32  # see `PolyFacts.dominant`
+_DOMINANT_TRIAL = 32  # see `dominant_coefficient`
 _DELTAS = tuple(Fraction(1, b) for b in range(1, _DOMINANT_TRIAL + 1))  # _DELTAS[b - 1] = 1/b
+_SMALL_DIVISORS = tuple(tuple(b for b in range(1, n + 1) if n % b == 0)  # [n]: n's, ascending
+                        for n in range(_DOMINANT_TRIAL + 1))
 
 
 class PolyFacts:
@@ -428,10 +433,11 @@ def dominant_coefficient(facts: PolyFacts) -> CriterionOutcome:
     then at most m - j irreducible factors; j = m-1 gives irreducibility.
     The right side grows with delta, so testing delta = 1/b is exhaustive
     over [1/b, 1], and j can only be `PolyFacts.dominant`'s one index. The
-    divisors of a_m are scanned upward there: one range scan up to
-    _DOMINANT_TRIAL, then those up to 10^3 from the primes below 10^3, and
-    a_m is factorized only past them (so an a_m that resists still gives
-    b <= 10^3). Each b is tested against the floor of the sum over i > j."""
+    divisors of a_m are scanned upward there: all from one table built at
+    import when |a_m| <= _DOMINANT_TRIAL (32); else those up to 32 by trial
+    division, then those up to 10^3 from the primes below 10^3, and a_m is
+    factorized only past them (so an a_m that resists still gives b <= 10^3).
+    Each b is tested against the floor of the sum over i > j."""
     name = "dominant_coefficient"
     hit = facts.dominant()
     if hit is None:
@@ -439,11 +445,12 @@ def dominant_coefficient(facts: PolyFacts) -> CriterionOutcome:
     j = hit[0]
     mags, m = facts.mags, facts.degree
     am, excess = mags[m], mags[j] - facts.low[j]
-    divisors = itertools.chain(range(1, min(am, _DOMINANT_TRIAL) + 1),  # filtered below
-                               numtheory._divisors_above(am, _DOMINANT_TRIAL))
+    if am <= _DOMINANT_TRIAL:
+        divisors = _SMALL_DIVISORS[am]
+    else:
+        divisors = itertools.chain([b for b in range(1, _DOMINANT_TRIAL + 1) if am % b == 0],
+                                   numtheory._divisors_above(am, _DOMINANT_TRIAL))
     for b in divisors:  # b = |a_m| passes, so the scan ends there at the latest
-        if am % b:
-            continue
         t = 0
         for a in mags[m:j:-1]:
             t = (a + t) // b

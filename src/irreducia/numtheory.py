@@ -174,17 +174,22 @@ def _factor_positive(n: int, full: bool = True):
     limit message when rho runs out of budget or a cofactor at or above
     PROVEN_PRIME_BOUND passes Miller-Rabin, which proves nothing there.
     With full=False, the first stage only: the pairs of the primes below
-    10^3 and the cofactor they leave, whose primes are all above 10^3."""
+    10^3 and the cofactor they leave, whose primes are all above 10^3. The
+    walk over g = gcd(n, primorial) stops once p^2 > g: g is squarefree with
+    no prime below p left, so it is then 1 or one prime, the largest."""
     if not full:
         small = []
         g = math.gcd(n, _SMALL_PRIMORIAL)  # the product of the primes below 10^3 dividing n
         for p in _SMALL_PRIMES:
-            if g == 1:
+            if p * p > g:
                 break
             if g % p == 0:
                 g //= p
                 small.append((p, e := valuation(p, n)))
                 n //= p**e
+        if g > 1:
+            small.append((g, e := valuation(g, n)))
+            n //= g**e
         return tuple(small), n
     small, n = _factor_positive(n, False)
     powers = dict(small)

@@ -159,6 +159,7 @@ Z = Polynomial([0, 1])
 # sized by the highest power named, so this caps the memory one input can ask
 # for; symbolic analyze with the oracle off stays well under a second here.
 MAX_INPUT_DEGREE = 1000
+_BIG = 1 << 2000  # the least magnitude of over 2,000 bits; see _check_digits
 
 
 class PolyParseError(ValueError):
@@ -197,7 +198,10 @@ def _refuse_digits(power: int, digits: int) -> None:
 
 
 def _check_digits(coeffs) -> None:
-    """_refuse_digits on each coefficient past 2,000 bits; no limit is below 640 digits."""
+    """_refuse_digits on each coefficient past 2,000 bits; no limit is below 640
+    digits. coeffs is not empty; none is read alone when max and min are in bounds."""
+    if -_BIG < min(coeffs) and max(coeffs) < _BIG:
+        return
     for power, c in enumerate(coeffs):
         if c.bit_length() > 2000:
             _refuse_digits(power, Decimal(abs(c)).adjusted() + 1)  # str() would refuse
@@ -273,14 +277,18 @@ def is_primitive(f: Polynomial) -> bool:
 
 def normalize(f: Polynomial) -> NormalizedInput:
     """Split off content and z-power so criteria see a primitive polynomial
-    with nonzero constant term."""
-    if f.is_zero():
+    with nonzero constant term. An f that is already one (content 1, a_0 != 0)
+    is returned itself as its primitive part; a Polynomial is immutable."""
+    coeffs = f.coeffs
+    if not coeffs:
         raise ValueError("cannot normalize the zero polynomial")
-    c = content(f)
+    c = math.gcd(*coeffs)
+    if c == 1 and coeffs[0]:
+        return NormalizedInput(1, 0, f)
     t = 0
-    while f.coeffs[t] == 0:
+    while coeffs[t] == 0:
         t += 1
-    coeffs = f.coeffs[t:] if c == 1 else tuple(a // c for a in f.coeffs[t:])
+    coeffs = coeffs[t:] if c == 1 else tuple(a // c for a in coeffs[t:])
     return NormalizedInput(c, t, Polynomial._from_canonical(coeffs))
 
 

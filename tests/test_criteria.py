@@ -279,6 +279,55 @@ class TestDominantCoefficient:
         assert dominant_coefficient(PolyFacts(P(1, 1, 1))).conclusion.kind is NONE
 
 
+def _divisors_by_trial(n):
+    return [b for b in range(1, n + 1) if n % b == 0]
+
+
+def test_small_divisor_table_is_trial_division():
+    table = criteria._SMALL_DIVISORS
+    assert len(table) == criteria._DOMINANT_TRIAL + 1
+    for n in range(1, criteria._DOMINANT_TRIAL + 1):
+        assert list(table[n]) == _divisors_by_trial(n)
+
+
+@st.composite
+def dominance_polys(draw):
+    """Degree 2-6, |a_m| from 1 to 120 (on both sides of the table's 32)
+    or up to 5,000, and one coefficient often large enough to dominate."""
+    m = draw(st.integers(2, 6))
+    am = draw(st.one_of(st.integers(1, 120), st.integers(1, 5000)))
+    coeffs = draw(st.lists(st.integers(-12, 12), min_size=m, max_size=m))
+    coeffs.append(am * draw(st.sampled_from((1, -1))))
+    j = draw(st.integers(0, m - 1))
+    coeffs[j] = draw(st.integers(-10**6, 10**6))
+    assume(coeffs[0] != 0)
+    g = math.gcd(*coeffs)
+    return Polynomial([c // g for c in coeffs])
+
+
+@settings(max_examples=400, deadline=None)
+@given(dominance_polys())
+def test_dominant_coefficient_takes_the_least_passing_divisor(f):
+    # the witness b is the least divisor of |a_m|, found by trial division,
+    # at which |a_j| exceeds the exact sums on both sides of j
+    c, m = [abs(a) for a in f.coeffs], f.degree
+
+    def passes(j, b):
+        low = sum(c[i] * c[m] ** (j - i) for i in range(j))
+        high = sum(Fraction(c[i], b ** (i - j)) for i in range(j + 1, m + 1))
+        return c[j] > low + high
+
+    divisors = _divisors_by_trial(c[m])
+    out = dominant_coefficient(PolyFacts(f))
+    if not out.conclusion.fired():
+        assert not any(passes(j, b) for j in range(m) for b in divisors)
+        return
+    j, b = out.witnesses["j"], out.witnesses["b"]
+    assert out.conclusion == Conclusion.at_most(m - j)
+    assert out.witnesses["delta"] == Fraction(1, b)
+    assert b == next(d for d in divisors if passes(j, d))
+
+
 class TestDeltaMonotonicity:
     def test_smallest_delta_is_weakest_test(self):
         # the dominance right side grows with delta, so firing anywhere on a
@@ -461,6 +510,46 @@ class TestSharedValues:
     def test_negative_bound_is_never_a_prebuilt_instance(self, n):
         assert Conclusion.at_most(n) == Conclusion(AMF, n)
         assert Conclusion.factor_degree(n) == Conclusion(FDB, n)
+
+    def grid(self):
+        """Every shared conclusion with a bound up to 12."""
+        return ([Conclusion.irreducible(), Conclusion.none()]
+                + [Conclusion.at_most(n) for n in range(13)]
+                + [Conclusion.factor_degree(k) for k in range(13)])
+
+    def test_rank_orders_by_kind_then_bound(self):
+        kinds = list(ConclusionKind)  # definition order: the strongest first
+        grid = self.grid()
+        by_rank = sorted(grid, key=Conclusion.rank)
+        assert by_rank == sorted(grid, key=lambda c: (kinds.index(c.kind), c.bound or 0))
+        assert [c.kind for c in by_rank[:2]] == [IRR, IRR]  # irreducible() and at_most(1)
+        assert by_rank[-1] == Conclusion.none()
+
+    def test_fired_vacuous_and_holds_match_their_definitions(self):
+        def partitions(n, top=None):
+            """The factor degrees a degree-n polynomial can split into."""
+            if n == 0:
+                yield []
+            for d in range(min(n, top or n), 0, -1):
+                for rest in partitions(n - d, d):
+                    yield [d, *rest]
+
+        defined = {  # a conclusion's claim on the factor degrees
+            IRR: lambda c, ds: len(ds) == 1,
+            AMF: lambda c, ds: len(ds) <= c.bound,
+            FDB: lambda c, ds: len(ds) <= 1 or min(ds) <= c.bound,
+            NONE: lambda c, ds: True,
+        }
+        for c in self.grid():
+            assert c.fired() is (c.kind is not NONE)
+            for degree in range(1, 9):
+                splits = list(partitions(degree))
+                for ds in splits:
+                    assert c.holds(ds) is defined[c.kind](c, ds)
+                    assert c.holds(ds[::-1]) is c.holds(ds)
+                # vacuous: no split breaks it; never for Irreducible or NoConclusion
+                unbreakable = c.kind in (AMF, FDB) and all(defined[c.kind](c, ds) for ds in splits)
+                assert c.vacuous(degree) is unbreakable, (c, degree)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

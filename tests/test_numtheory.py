@@ -267,3 +267,50 @@ def test_first_stage_leaves_the_cofactor_whole(monkeypatch):
     # with no prime below 10^3, the least prime needs the full factorization
     assert numtheory.least_prime_factor(1013 * 1009**2) == 1009
     numtheory._factor_positive.cache_clear()
+
+
+def _first_stage_by_trial(n):
+    """The primes below 10^3 of n with exponents, and the cofactor, by
+    dividing by each of them in turn."""
+    pairs = []
+    for p in numtheory._SMALL_PRIMES:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            pairs.append((p, e))
+    return tuple(pairs), n
+
+
+def test_first_stage_matches_trial_division_up_to_2e5():
+    # the walk over the gcd's primes stops once p^2 exceeds what is left of
+    # it; the uncached function is called, so the shared cache is untouched
+    first_stage = numtheory._factor_positive.__wrapped__
+    spf = list(range(200_001))  # least prime factor, by sieve
+    for p in range(2, 448):
+        if spf[p] == p:
+            for q in range(p * p, 200_001, p):
+                if spf[q] == q:
+                    spf[q] = p
+    for n in range(1, 200_001):
+        pairs, rest, r = [], 1, n
+        while r > 1:
+            p, e = spf[r], 0
+            while r % p == 0:
+                r //= p
+                e += 1
+            if p < 1000:
+                pairs.append((p, e))
+            else:
+                rest *= p**e
+        assert first_stage(n, False) == (tuple(pairs), rest), n
+
+
+@pytest.mark.parametrize("n", [2 * 997, 991 * 997, 3**4 * 983**2, (2**61 - 1) * 997,
+                               997**3, 2 * 3 * 5 * 7 * 991, 31 * 37, 31**2 * 37,
+                               (2**61 - 1) * (2**60 + 33) * 2**7 * 983])
+def test_first_stage_around_the_square_root_of_the_gcd(n):
+    # primes of the gcd on both sides of its square root: the last one left
+    # after the walk stops is taken whole, with its exponent
+    assert numtheory._factor_positive.__wrapped__(n, False) == _first_stage_by_trial(n)

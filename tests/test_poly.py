@@ -96,6 +96,26 @@ class TestContentNormalize:
         n = normalize(Polynomial([50, 5, 1]))
         assert (n.content, n.z_power) == (1, 0)
 
+    def test_normalize_returns_a_normalized_input_itself(self):
+        for coeffs in ([4, 4, 0, 1], [3, 1, -2], [-1], [5, 0, 0, -7]):
+            f = Polynomial(coeffs)
+            n = normalize(f)
+            assert (n.content, n.z_power) == (1, 0)
+            assert n.primitive_part is f
+
+    @pytest.mark.parametrize("coeffs, content_, z_power, prim", [
+        ([6, 4, 2], 2, 0, [3, 2, 1]),  # content > 1
+        ([0, 0, 3, 1], 1, 2, [3, 1]),  # a power of z
+        ([0, 6, 0, -4], 2, 1, [3, 0, -2]),  # both, with a negative leading coefficient
+        ([-4, 2, -6], 2, 0, [-2, 1, -3]),
+        ([0, -5], 5, 1, [-1]),
+    ])
+    def test_normalize_splits_off_content_and_z_power(self, coeffs, content_, z_power, prim):
+        f = Polynomial(coeffs)
+        n = normalize(f)
+        assert (n.content, n.z_power, n.primitive_part) == (content_, z_power, Polynomial(prim))
+        assert n.primitive_part is not f
+
     def test_normalize_zero_rejected(self):
         with pytest.raises(ValueError):
             normalize(Polynomial())
