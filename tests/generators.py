@@ -2,7 +2,15 @@
 
 import random
 
+from irreducia.numtheory import is_prime
 from irreducia.poly import Polynomial, is_primitive
+
+
+def next_prime(n: int) -> int:
+    """The least proven prime at or above n."""
+    while not is_prime(n):
+        n += 1
+    return n
 
 
 def gen_dominant_second(

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from irreducia import audit, criteria, oracle, poly
+from irreducia import audit, criteria, numtheory, oracle, poly
 from irreducia.corpus import gen_exhaustive, gen_random
 from irreducia.criteria import (
     Conclusion,
@@ -252,10 +252,54 @@ def test_rootloc_cross_check_counts_a_nonconvergence(monkeypatch):
     )
 
 
-def test_factorization_limit_is_no_conclusion_in_the_audit():
-    # 40-digit coefficients: some resist factorization within the limits
-    result = audit.audit_corpus(gen_random(20, 2, 10**40, 1))
+def test_factorization_limit_is_no_conclusion_in_the_audit(monkeypatch):
+    # 40-digit coefficients: some resist factorization within the limits,
+    # here cut to 1,000 rho steps after trial division to 10^4, so each
+    # costs little; the cache is emptied before and after, so no failure
+    # leaks to other tests
+    monkeypatch.setattr(numtheory, "_RHO_STEPS", 1000)
+    monkeypatch.setattr(numtheory, "_TRIAL_LIMIT", 10**4)
+    numtheory._factor_positive.cache_clear()
+    try:
+        result = audit.audit_corpus(gen_random(20, 2, 10**40, 1))
+    finally:
+        numtheory._factor_positive.cache_clear()
     assert result.total == 20
     stopped = sum(s.stopped for s in result.criteria.values())
     assert stopped > 0
     assert "stopped by a limit" in "\n".join(result.summary_lines())
+
+
+_AUDIT_FAKES = {
+    "dominant_coefficient":
+        lambda facts: CriterionOutcome("dominant_coefficient", {}, Conclusion.at_most(facts.degree)),
+    "perron_nonmonic": lambda facts: CriterionOutcome("perron_nonmonic", {}, Conclusion.irreducible()),
+    "weintraub":
+        lambda facts: CriterionOutcome("weintraub", {}, Conclusion(ConclusionKind.NO_CONCLUSION)),
+}
+
+
+def test_audit_one_counts_what_fake_criteria_reach(monkeypatch):
+    # the fakes reach what no real criterion does: violations the oracle
+    # finds, cor1's violations, and a fresh NoConclusion, which is no firing;
+    # the 40-digit coefficients reach a factorization limit and the oracle's
+    # coefficient limit, so the outcomes that fired on them go unchecked
+    for name, fake in _AUDIT_FAKES.items():
+        monkeypatch.setitem(criteria.CRITERIA, name, fake)
+    result = audit.AuditResult()
+    for f in list(gen_exhaustive(4, 3))[::7] + list(gen_random(2, 2, 10**40, 1)):
+        audit.audit_one(f, result)
+    counts = {name: (s.fired, s.sound, s.vacuous, s.unchecked, s.stopped, s.violations.found)
+              for name, s in result.criteria.items()}
+    assert counts == {  # fired, sound, vacuous, unchecked, stopped, violations
+        "constant_term": (4, 4, 0, 0, 1, 0),
+        "dominant_coefficient": (1008, 1008, 1006, 0, 0, 0),
+        "eisenstein_generalized": (665, 663, 535, 2, 0, 0),
+        "leading_coeff": (1, 1, 0, 0, 0, 0),
+        "middle_prime_power": (8, 8, 0, 0, 0, 0),
+        "perron_nonmonic": (1008, 795, 0, 2, 0, 211),
+    }
+    assert (result.total, result.oracle_calls, result.oracle_skipped) == (1008, 1006, 2)
+    assert (result.cor1_checked, result.cor1_violations.found) == (491, 10)
+    assert (result.rootloc_checked, result.rootloc_violations.found, result.nonconvergences.found) == (4, 0, 0)
+    assert result.violation_count() == 221

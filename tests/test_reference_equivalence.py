@@ -1,71 +1,38 @@
-"""Library routines against slower reference implementations that must
-give exactly the same results.
+"""Library routines against slower references that restate the
+mathematics and must give exactly the same results. Whether a change moved
+any output at all is decided by the golden outcome file
+(`tests/test_golden.py`); the references here check what it is right for
+an output to be, on input streams drawn far wider than the golden set.
 
 - The criteria and audit predicates that read a shared PolyFacts record,
   against direct sums that recompute every sum, power and factorization
-  from the polynomial for each (j, b) or (j, p) pair; the library keeps
-  running sums and memoised facts instead; the two disk criteria against
-  the separate searches over a_0 and over a_m that they replaced, which
+  from the polynomial for each (j, b) or (j, p) pair; the disk criteria
   certify every radius in either root mode. Outcomes, witnesses and the
-  audit's largest certified radius must agree.
+  audit's largest certified radius must agree. The dominance witness b
+  must be the least divisor of |a_m| that passes, with the divisors past
+  the range up to 32 read once, in order.
 - The numeric disk-radius search, whose certificate refuses without roots
   every radius that `rootloc.has_root_in_disk` proves holds a root, and up
   to `rootloc.EXACT_MAX_DEGREE` decides every radius without roots, against
-  a search that applies the numeric rule to the roots at every radius; and
-  the numeric certificate at every radius against that rule.
+  a search that applies the numeric rule to the roots at every radius.
 - `rootloc.certify_outside_disk` in both modes and `has_root_in_disk`,
-  which refuse a radius too large for the root product by bit lengths
-  before any power of d, against the forms that ran the symbolic Horner
-  test alone and, in numeric mode, built d^m in full and f(+-d) from the
-  even and odd parts.
+  which refuse a radius too large for the root product by bit lengths,
+  against the forms that build every power in full.
 - Weintraub's criterion, the generalized Eisenstein criterion and the disk
-  criteria's shared search, which keep their best witness as plain values
-  and build one outcome, against the forms that built an outcome for every
-  candidate and kept the first of the strongest. Outcomes and the order of
-  their witnesses must agree.
-- `numtheory.prime_factors`, which strips the primes below 10^3 after one
-  gcd and hands a cofactor below 2^64 to Miller-Rabin and Pollard rho,
-  against the trial-division loop to 10^6 that it replaced.
-- `dominant_coefficient`, which tries the divisors of a_m up to 32 in one
-  range scan and those up to 10^3 from the primes below 10^3 before it
-  factorizes a_m, against a scan of every divisor from the full
-  factorization; and `numtheory._divisors_above`, which yields only the
-  divisors past that range, against the full divisor list.
-- `PolyFacts.dominant`, which stops at the first index that passes, against
-  a scan of every index in exact rationals: at most one passes. The
-  dominance criteria, which read that one index, against the divisor walk
-  `dominant()` made and the middle-prime-power scan over every j that they
-  replaced.
-- `numtheory._passes_miller_rabin`, which screens its 13 bases with one gcd
-  against their product, against the loop that trial-divided by each.
-- The numeric certificate below `rootloc.EXACT_MAX_DEGREE`, which asks
-  Schur-Cohn once, at SCALE d, against the form that asked at d first.
-- `eisenstein_generalized` and `leading_coeff`, which read the cofactor of
-  a_0 above 10^3 only when it can change the witness or q, against the
-  searches over the full factorization of a_0, on coefficients built from
-  primes on both sides of 10^3.
-- `numtheory._pollard_rho`, which multiplies by x - y without `abs`,
-  against the form with `abs`: the same factor and the same steps spent.
-- The rational-root flag of a quadratic, read from its discriminant,
-  against `poly.rational_roots`.
-- `criteria.analyze`, which checks a config once per distinct config, runs
-  the criteria in the order given, sorts the outcomes only when that order
-  is not the report's, and reads them in one pass, against the form that
-  checked the config, sorted and read the outcomes three times on every
-  call. Every field of the report must agree, in order.
-- `poly.rational_roots`, which lifts the roots of f mod a small prime and
-  reconstructs at most one candidate p/q from each, against the scan over
-  every candidate p/q with p | a_0 and q | a_m that it replaced.
-- `Conclusion.holds` and `Conclusion.vacuous`, which read a plain tuple of
-  factor degrees and the degree, against `conclusion_holds` and the audit's
-  `_is_vacuous`, which read the oracle's result and a z-power.
-- `oracle.factor`, whose Kronecker search takes its nodes from a wider pool
-  of sample points and filters candidates at the spare points, against the
-  same factorization with the search that always used the first e + 1
-  sample points. Both searches return the factor with its cofactor.
+  criteria's shared search, which keep their best witness as plain values,
+  against lists of every candidate witness, of which the first of the
+  strongest wins; and `eisenstein_generalized` and `leading_coeff`, which
+  read the cofactor of a_0 above 10^3 only when it can change the witness
+  or q, against searches over the full factorization of a_0.
+- `numtheory.prime_factors` against trial division to 10^6;
+  `numtheory._divisors_above` against the full divisor list; and
+  `PolyFacts.dominant` against a scan of every index in exact rationals,
+  of which at most one passes. Pollard rho spends at most its budget,
+  and its factor and steps spent match recorded values.
+- `poly.rational_roots` against the scan over every candidate p/q with
+  p | a_0 and q | a_m, and the rational-root flag against it.
 """
 
-import itertools
 import math
 import random
 import sys
@@ -77,13 +44,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from irreducia import audit, criteria, numtheory, oracle, rootloc
+from irreducia import audit, criteria, numtheory, rootloc
 from irreducia.corpus import gen_exhaustive, gen_random
 from irreducia.criteria import (
     CRITERIA,
     AnalyzeConfig,
     Conclusion,
-    ConclusionKind,
     CriterionOutcome,
     PolyFacts,
     analyze,
@@ -93,7 +59,9 @@ from irreducia.criteria import (
     middle_prime_power_check,
     perron_nonmonic,
 )
-from irreducia.poly import Polynomial, _check_digits, divides_exactly, normalize, rational_roots
+from irreducia.poly import Polynomial, normalize, rational_roots
+
+from generators import next_prime
 
 SYM = rootloc.CertificateMode.SYMBOLIC_SUFFICIENT
 NUM = rootloc.CertificateMode.NUMERIC_HEURISTIC
@@ -149,7 +117,7 @@ def ref_middle_prime_power_check(f):
             continue
         scale = am ** (m - j)
         high = sum(abs(c[i]) * am ** (m - i) for i in range(j + 1, m + 1))
-        for p, _ in numtheory.factorize(c[j]).factors:
+        for p, _ in numtheory.prime_factors(abs(c[j])):
             n_exp = numtheory.valuation(p, c[j])
             s_exp = numtheory.valuation(p, c[j - 1])
             reduced_prev = abs(c[j - 1]) // p**s_exp
@@ -182,7 +150,7 @@ def ref_constant_term_criterion(f, mode=SYM):
     if abs(a0) == 1:
         return _no_conclusion(name)
     best = None
-    for p, k in numtheory.factorize(a0).factors:
+    for p, k in numtheory.prime_factors(abs(a0)):
         d = abs(a0) // p**k
         if not rootloc.certify_outside_disk(f, d, mode):
             continue
@@ -199,11 +167,11 @@ def ref_leading_coeff_criterion(f, mode=SYM):
     a0, am = c[0], c[m]
     if abs(am) == 1 or abs(a0) == 1:
         return _no_conclusion(name)
-    q = numtheory.factorize(a0).factors[0][0]
+    q = numtheory.prime_factors(abs(a0))[0][0]
     if abs(a0) > q * abs(am):
         return _no_conclusion(name)
     best = None
-    for p, k in numtheory.factorize(am).factors:
+    for p, k in numtheory.prime_factors(abs(am)):
         d = abs(am) // p**k
         if not rootloc.certify_outside_disk(f, d, mode):
             continue
@@ -243,7 +211,7 @@ def ref_symbolic_disk_radii(f):
     for source in (f.constant_term, f.leading_coefficient):
         if abs(source) < 2:
             continue
-        for p, _ in numtheory.factorize(source).factors:
+        for p, _ in numtheory.prime_factors(abs(source)):
             d = abs(source) // p ** numtheory.valuation(p, source)
             if rootloc.certify_outside_disk(f, d, SYM):
                 radii.append(d)
@@ -454,43 +422,11 @@ def test_size_refusals_match_full_power_certificates(case):
             _answer(lambda: ref_certify_outside_disk(f, d, mode, roots)))
 
 
-@st.composite
-def polys_with_a_root_past_the_radius(draw):
-    """Degree 1-9 with coefficients drawn up to 10^6 and an integer or
-    rational radius d; half of them are such a polynomial times the factor
-    1000 k v z - (1000 k + j) u for d = u / v and 1 <= j <= k, a root in
-    (d, SCALE d], which Schur-Cohn at d misses and at SCALE d finds."""
-    d = Fraction(draw(st.one_of(st.integers(1, 50), st.fractions(Fraction(1, 100), 50, max_denominator=100))))
-    m = draw(st.integers(1, 9))
-    small = st.integers(-10**6, 10**6)
-    if draw(st.booleans()):
-        k = draw(st.integers(1, 3))
-        j = draw(st.integers(1, k))
-        near = Polynomial([-(1000 * k + j) * d.numerator, 1000 * k * d.denominator])
-        rest = Polynomial([draw(small.filter(bool)) for _ in range(m)])  # degree m - 1
-        f = near * rest
-    else:
-        f = Polynomial([draw(small.filter(bool))] + draw(st.lists(small, min_size=m - 1, max_size=m - 1))
-                       + [draw(small.filter(bool))])
-    return f, d.numerator if d.denominator == 1 else d
-
-
-@settings(max_examples=400, deadline=None)
-@given(polys_with_a_root_past_the_radius())
-def test_numeric_certificate_below_the_cap_matches_two_schur_cohn_calls(case):
-    f, d = case
-
-    def no_roots():
-        raise AssertionError("roots asked for below the degree cap")
-
-    assert rootloc.certify_outside_disk(f, d, NUM, roots=no_roots) is (
-        ref_certify_outside_disk(f, d, NUM, no_roots))
-
-
 def test_a_root_past_the_radius_is_not_certified():
-    # the property above would pass vacuously if no input had a root in
-    # (d, SCALE d] left open by the exact refusals: (1000z - 1001)(z^2 + 4)
-    # at d = 1, and (2000z - 1001)(z + 4) at d = 1/2
+    # a root in (d, SCALE d] that the exact refusals leave open:
+    # (1000z - 1001)(z^2 + 4) at d = 1, and (2000z - 1001)(z + 4) at d = 1/2.
+    # Schur-Cohn finds no root in |z| <= d and one in |z| <= SCALE d, which
+    # is what the numeric rule asks about, so d is refused without roots
     for coeffs, d in (([-4004, 4000, -1001, 1000], 1), ([-4004, 6999, 2000], Fraction(1, 2))):
         f = Polynomial(coeffs)
         assert not rootloc.has_root_in_disk(f, d)
@@ -500,7 +436,8 @@ def test_a_root_past_the_radius_is_not_certified():
 
 
 def test_references_fire_on_known_instances():
-    # the property above would pass vacuously if the references never fired
+    # the properties against these references would pass vacuously if the
+    # references never fired
     assert ref_dominant_coefficient(Polynomial([1, 3, 9, 1])) == dominant_coefficient(
         PolyFacts(Polynomial([1, 3, 9, 1]))
     )
@@ -552,177 +489,16 @@ def test_audit_one_certifies_each_radius_once(monkeypatch):
     assert max(calls.values()) == 1
 
 
-def ref_conclusion_holds(conclusion, result, z_power=0):
-    """Does the oracle factorization of z^z_power times a primitive
-    polynomial support the conclusion reached about that polynomial?"""
-    count = result.nonconstant_factor_count() - z_power
-    kind = conclusion.kind
-    if kind is ConclusionKind.IRREDUCIBLE:
-        return count == 1
-    if kind is ConclusionKind.AT_MOST_FACTORS:
-        return count <= conclusion.bound
-    if kind is ConclusionKind.FACTOR_DEGREE_BOUND:
-        if count <= 1:
-            return True
-        degs = [g.degree for g, _ in result.factors if g.degree >= 1 and g.constant_term != 0]
-        return min(degs) <= conclusion.bound
-    return True
-
-
-def ref_is_vacuous(conclusion, degree):
-    """Bounds no factorization can violate: a factor-count bound of at least
-    the degree, or a factor-degree bound at least floor(degree/2)."""
-    if conclusion.kind is ConclusionKind.AT_MOST_FACTORS:
-        return conclusion.bound >= degree
-    if conclusion.kind is ConclusionKind.FACTOR_DEGREE_BOUND:
-        return conclusion.bound >= degree // 2
-    return False
-
-
-def _every_conclusion(top):
-    """Each kind, with every bound from 0 to top."""
-    return [Conclusion.irreducible(), Conclusion.none(),
-            *(Conclusion.at_most(n) for n in range(top + 1)),
-            *(Conclusion.factor_degree(k) for k in range(top + 1))]
-
-
-@st.composite
-def products_with_content_and_z_powers(draw):
-    """A product of up to four factors of degree 1-4 (a factor may be z
-    itself), times a content of 1-3 and z^0..z^2."""
-    return Polynomial([0] * draw(st.integers(0, 2)) + [1]) * draw(products_up_to_degree_8())
-
-
-@settings(max_examples=200, deadline=None)
-@given(products_with_content_and_z_powers())
-def test_holds_matches_reference_predicate(f):
-    result = oracle.factor(f, max_degree=f.degree)
-    degrees = result.factor_degrees()
-    z_power = normalize(f).z_power
-    assert len(degrees) == result.nonconstant_factor_count() - z_power
-    for conclusion in _every_conclusion(f.degree + 1):
-        assert conclusion.holds(degrees) == ref_conclusion_holds(conclusion, result, z_power)
-        assert conclusion.holds(sorted(degrees, reverse=True)) == conclusion.holds(degrees)
-
-
-def test_vacuous_matches_reference():
-    for degree in range(1, 9):
-        for conclusion in _every_conclusion(degree + 1):
-            assert conclusion.vacuous(degree) == ref_is_vacuous(conclusion, degree)
-    # weintraub calls 2 + z irreducible, and the audit sends that to the oracle
-    assert not Conclusion.irreducible().vacuous(1)
-
-
-def ref_audit_one(f, result):
-    """`audit.audit_one` as it was before it read the outcomes by kind and by
-    index: `fired()`, a per-name table lookup and a scan for
-    dominant_coefficient's outcome."""
-    result.total += 1
-    facts = PolyFacts(f)
-    m = facts.degree
-    outcomes, stopped = criteria.run_criteria(facts)
-    for name, _ in stopped:
-        result.criteria[name].stopped += 1
-    to_check = []
-    for outcome in outcomes:
-        if not outcome.conclusion.fired():
-            continue
-        stats = result.criteria[outcome.criterion]
-        stats.fired += 1
-        if ref_is_vacuous(outcome.conclusion, m):
-            stats.vacuous += 1
-            stats.sound += 1
-        else:
-            to_check.append(outcome)
-    if to_check:
-        try:
-            fact = oracle.factor(f)
-        except oracle.OracleLimitError:
-            result.oracle_skipped += 1
-            for outcome in to_check:
-                result.criteria[outcome.criterion].unchecked += 1
-        else:
-            result.oracle_calls += 1
-            count = fact.nonconstant_factor_count()
-            for outcome in to_check:
-                stats = result.criteria[outcome.criterion]
-                if ref_conclusion_holds(outcome.conclusion, fact):
-                    stats.sound += 1
-                else:
-                    stats.violations.add((f.coeffs, outcome.criterion,
-                                          outcome.conclusion.kind.value,
-                                          outcome.conclusion.bound, count))
-    j = audit.cor1_best_j(facts)
-    if j is not None and "dominant_coefficient" not in dict(stopped):
-        result.cor1_checked += 1
-        dom = next(o.conclusion for o in outcomes if o.criterion == "dominant_coefficient")
-        if dom != Conclusion.at_most(m - j):
-            result.cor1_violations.add((f.coeffs, j, dom.kind.value, dom.bound))
-    try:
-        worst = max(facts.certified_radius(0), facts.certified_radius(m))
-    except numtheory.FactorizationLimitError:
-        worst = 0
-    if worst:
-        result.rootloc_checked += 1
-        try:
-            roots = facts.roots()
-        except rootloc.NonConvergenceError as exc:
-            result.nonconvergences.add((f.coeffs, exc.best_residual))
-        else:
-            min_modulus = min(abs(r) for r in roots)
-            if min_modulus <= worst * (1.0 - audit.ROOT_MARGIN):
-                result.rootloc_violations.add((f.coeffs, worst, min_modulus))
-
-
-def _audits_agree(polys):
-    result, ref = audit.AuditResult(), audit.AuditResult()
-    for f in polys:
-        audit.audit_one(f, result)
-        ref_audit_one(f, ref)
-    assert result == ref
-    assert result.violation_count() == ref.violation_count()
-    return result
-
-
-_AUDIT_FAKES = {
-    "dominant_coefficient":
-        lambda facts: CriterionOutcome("dominant_coefficient", {}, Conclusion.at_most(facts.degree)),
-    "perron_nonmonic": lambda facts: CriterionOutcome("perron_nonmonic", {}, Conclusion.irreducible()),
-    "weintraub":
-        lambda facts: CriterionOutcome("weintraub", {}, Conclusion(ConclusionKind.NO_CONCLUSION)),
-}
-
-
-@pytest.mark.parametrize("fakes", [{}, _AUDIT_FAKES], ids=["criteria", "fakes"])
-def test_audit_one_matches_reference_classification(monkeypatch, fakes):
-    # the fakes reach the violation lists, cor1's and a fresh NoConclusion;
-    # the 40-digit coefficients reach the factorization limits
-    for name, fake in fakes.items():
-        monkeypatch.setitem(criteria.CRITERIA, name, fake)
-    polys = list(gen_exhaustive(4, 3))[::7] + list(gen_random(2, 2, 10**40, 1))
-    result = _audits_agree(polys)
-    stopped = sum(s.stopped for s in result.criteria.values())
-    assert result.oracle_calls > 0 and result.rootloc_checked > 0 and stopped > 0
-    if fakes:
-        assert result.cor1_violations.found > 0
-        assert result.criteria["perron_nonmonic"].violations.found > 0
-        assert "weintraub" not in result.criteria
-
-
-@st.composite
-def audit_polys(draw):
-    """Primitive, degree 1-8, |c| <= 10^3, nonzero constant term."""
-    coeffs = draw(st.lists(st.integers(-10**3, 10**3), min_size=2, max_size=9))
-    coeffs[0] = coeffs[0] or 1
-    coeffs[-1] = coeffs[-1] or 1
-    g = math.gcd(*coeffs)
-    return Polynomial([c // g for c in coeffs])
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(audit_polys(), min_size=1, max_size=4))
-def test_audit_one_matches_reference_on_random_polys(polys):
-    _audits_agree(polys)
+def test_one_shot_criteria_iterator_matches_reference_on_every_call():
+    # the config is kept by the names it holds, not by the object: a
+    # consumed iterator holds none on its second call, so each call matches
+    # a config of the tuple of the names it still holds
+    f = Polynomial([6, 4, 0, 2, 1])
+    names = ("weintraub", "constant_term", "weintraub")
+    one_shot = AnalyzeConfig(iter(names), SYM, "off")
+    for held in (names, ()):
+        assert analyze(f, one_shot) == analyze(f, AnalyzeConfig(held, SYM, "off"))
+    assert analyze(f, one_shot).outcomes == ()
 
 
 # ---------------------------------------------------------------------------
@@ -831,7 +607,7 @@ def competing_witness_polys(draw):
         products = prime_power_products(10**3).map(lambda a: g * a)
     else:
         lower = st.one_of(small, small.map(lambda t: g * t), prime_power_products(10**6))
-        products = st.one_of(prime_power_products(10**6), st.integers(2, 10**6).map(_next_prime))
+        products = st.one_of(prime_power_products(10**6), st.integers(2, 10**6).map(next_prime))
     coeffs = [draw(lower) for _ in range(m)]
     coeffs[0] = draw(products)
     if m >= 2:
@@ -937,21 +713,15 @@ def ref_prime_factors(n):
     return tuple(sorted(powers.items()))
 
 
-def _next_prime(n):
-    while not numtheory.is_prime(n):
-        n += 1
-    return n
-
-
 # prime powers that trial division to 10^3 leaves to rho: primes between
 # 10^3 and 10^6, and at most two primes near 2^32, the hardest factors of a
 # composite below 2^64 (more of those may exhaust the rho budget above 2^64,
 # where raising is allowed)
-_mid_prime_power = st.tuples(st.integers(10**3, 10**6).map(_next_prime), st.integers(1, 3))
-_big_prime = st.integers(2**32 - 2**20, 2**32 + 2**20).map(_next_prime)
+_mid_prime_power = st.tuples(st.integers(10**3, 10**6).map(next_prime), st.integers(1, 3))
+_big_prime = st.integers(2**32 - 2**20, 2**32 + 2**20).map(next_prime)
 # primes above 10^3: a product of two is a composite cofactor that rho
 # splits at once
-_cofactor_prime = st.integers(10**3, 10**5).map(_next_prime)
+_cofactor_prime = st.integers(10**3, 10**5).map(next_prime)
 
 
 @settings(max_examples=300, deadline=None)
@@ -990,103 +760,6 @@ def test_factorization_around_small_prime_bound(n):
     assert numtheory.prime_factors(n) == ref_prime_factors(n)
 
 
-def ref_passes_miller_rabin(n):
-    """`numtheory._passes_miller_rabin` as it was, trial-dividing n by each
-    base in turn before the rounds."""
-    if n < 2:
-        return False
-    for p in numtheory._MR_BASES:
-        if n % p == 0:
-            return n == p
-    k = next((k for bound, k in numtheory._MR_BOUNDS if n < bound), len(numtheory._MR_BASES))
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in numtheory._MR_BASES[:k]:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def test_miller_rabin_gcd_screen_matches_trial_division_on_every_small_n():
-    ns = range(2 * 10**5 + 1)
-    assert list(map(numtheory._passes_miller_rabin, ns)) == list(map(ref_passes_miller_rabin, ns))
-
-
-_mr_base = st.sampled_from(numtheory._MR_BASES)
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.one_of(
-    st.integers(0, 2**90),
-    _mr_base,
-    st.tuples(_mr_base, st.integers(2, 2**80)).map(math.prod),  # base multiples
-    st.tuples(_mr_base, _mr_base).map(math.prod),
-    st.tuples(_mr_base, st.integers(2, 2**60).map(_next_prime)).map(math.prod),
-))
-def test_miller_rabin_gcd_screen_matches_trial_division(n):
-    # a base is prime, and any other n that a base divides is composite
-    assert numtheory._passes_miller_rabin(n) is ref_passes_miller_rabin(n)
-
-
-def ref_pollard_rho(n, rng, steps):
-    """`numtheory._pollard_rho` as it was, with abs(x - y) in both gcds, and
-    with its budget check on the walk ahead and on the last batch."""
-    y = rng.randrange(1, n)
-    c = rng.randrange(1, n)
-    m = 128
-    g = r = q = 1
-    x = ys = y
-    spent = 0
-    while g == 1:
-        x = y
-        walk = min(r, steps - spent)
-        for _ in range(walk):
-            y = (y * y + c) % n
-        spent += walk
-        k = 0
-        while k < r and g == 1:
-            if spent >= steps:
-                return None, spent
-            ys = y
-            batch = min(m, r - k, steps - spent)
-            for _ in range(batch):
-                y = (y * y + c) % n
-                q = q * abs(x - y) % n
-            g = math.gcd(q, n)
-            spent += batch
-            k += m
-        r *= 2
-    if g == n:
-        g = 1
-        while g == 1:
-            ys = (ys * ys + c) % n
-            g = math.gcd(abs(x - ys), n)
-    return (g if g != n else None), spent
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.integers(3, 10**6).map(_next_prime), min_size=2, max_size=3),
-    st.integers(0, 2**32),
-    st.integers(1, 5000),
-)
-def test_pollard_rho_matches_the_abs_form(primes, seed, steps):
-    # same factor and same steps spent, found or not, from the same rng
-    n = math.prod(primes)
-    found = numtheory._pollard_rho(n, random.Random(seed), steps)
-    assert found == ref_pollard_rho(n, random.Random(seed), steps)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(((2**31 - 1) * (2**61 - 1), (2**61 - 1) * (2**60 + 33))),
        st.integers(0, 2**32), st.integers(1, 5000))
@@ -1096,6 +769,18 @@ def test_pollard_rho_spends_at_most_its_budget(n, seed, steps):
     factor, spent = numtheory._pollard_rho(n, random.Random(seed), steps)
     assert factor is None or n % factor == 0 and 1 < factor < n
     assert spent <= steps
+
+
+@pytest.mark.parametrize("n, seed, steps, found", [
+    (1000003 * 1000033, 0, 10**6, (1000033, 3326)),
+    (1000003 * 1000033, 1, 10**6, (1000003, 894)),
+    (10007 * 1000003, 0, 500, (10007, 500)),  # found in the batch the budget cut short
+    ((2**31 - 1) * 4294967311, 1, 10**6, (2**31 - 1, 103678)),
+])
+def test_pollard_rho_factor_and_steps_are_recorded(n, seed, steps, found):
+    # what a budget charges: the steps spent, a function of n, the seed and
+    # the budget, recorded for Brent's walk with its gcd every 128 steps
+    assert numtheory._pollard_rho(n, random.Random(seed), steps) == found
 
 
 def test_limit_message_names_the_cofactor_after_the_small_primes(monkeypatch):
@@ -1125,7 +810,7 @@ def big_leading_polys(draw):
     kinds = ("smooth", "prime", "small times prime", "small times composite", "edge")
     kind = draw(st.sampled_from(kinds))
     if kind == "edge":
-        big = _next_prime(draw(st.integers(10**3, 10**6)))
+        big = next_prime(draw(st.integers(10**3, 10**6)))
         am = draw(st.sampled_from((31, 32, 33, 64, 2 * 997, draw(st.sampled_from((2, 3, 31))) * big)))
     elif kind == "smooth":
         am = 1
@@ -1133,9 +818,9 @@ def big_leading_polys(draw):
             if am * p <= 10**12:
                 am *= p
     elif kind == "prime":
-        am = _next_prime(draw(st.integers(2, 10**12)))
+        am = next_prime(draw(st.integers(2, 10**12)))
     elif kind == "small times prime":
-        am = draw(st.integers(1, 60)) * _next_prime(draw(st.integers(10, 10**10)))
+        am = draw(st.integers(1, 60)) * next_prime(draw(st.integers(10, 10**10)))
     else:
         cofactor = math.prod(draw(st.lists(_cofactor_prime, min_size=2, max_size=2)))
         am = draw(st.integers(1, 999)) * cofactor
@@ -1155,54 +840,12 @@ def big_leading_polys(draw):
     return Polynomial([c // g for c in coeffs])
 
 
-@settings(max_examples=300, deadline=None)
-@given(big_leading_polys())
-@example(Polynomial([1, 12, 64]))  # b = 32, the last of the range
-@example(Polynomial([1, 1, 2 * 997]))  # b = 997, the first past the range
-def test_dominant_witness_matches_full_divisor_scan(f):
-    read, divisors_above = [], numtheory._divisors_above
-
-    def recorded(n, trial):  # what the scan reads past the range
-        for b in divisors_above(n, trial):
-            read.append(b)
-            yield b
-
-    with mock.patch.object(numtheory, "_divisors_above", recorded):
-        outcome = dominant_coefficient(PolyFacts(f))
-    assert outcome == ref_dominant_coefficient(f)
-    # the range scans 1..32 once: the divisors past it start above 32
-    assert read == sorted(set(read)) and all(b > 32 for b in read)
-
-
 @settings(max_examples=200, deadline=None)
 @given(big_leading_polys(), st.sampled_from((1, 31, 32, 33, 999, 1000)))
 def test_divisors_above_the_range_match_the_full_divisor_list(f, trial):
     am = abs(f.leading_coefficient)
     assert list(numtheory._divisors_above(am, trial)) == [
         b for b in numtheory.positive_divisors(am) if b > trial]
-
-
-def test_dominant_witness_on_both_sides_of_the_trial_bound():
-    # the property above would pass vacuously if the witness never lay
-    # past the range or past 10^3: a_2 = 3 * 101 gives b = 3 or 101 (from
-    # the primes below 10^3), a_2 = 3 * 1009 gives b = 1009 and the prime
-    # a_2 = 10^12 + 39 gives b = a_2 (both from the factorization of a_2).
-    # At a_2 = 32 the divisors come from the range alone, at a_2 = 33, 64 and
-    # 2 * 997 from the range and then the divisor generator (which at 64
-    # must not skip the witness 32); delta = 1/b is shared for b <= 32 and
-    # built above it
-    for coeffs, b in (
-        ([50, 10, 303], 3), ([2, 100, 303], 101), ([2, 1000, 3027], 1009),
-        ([1, 10**6, 10**12 + 39], 10**12 + 39),
-        ([1, 100, 3], 1), ([1, 34, 32], 32), ([1, 35, 33], 33), ([1, 104, 64], 2),
-        ([1, 12, 64], 32), ([1, 1, 2 * 997], 997), ([1, 995, 2 * 997], 2 * 997),
-    ):
-        f = Polynomial(coeffs)
-        assert dominant_coefficient(PolyFacts(f)) == ref_dominant_coefficient(f)
-        assert dominant_coefficient(PolyFacts(f)).witnesses["b"] == b
-        delta = dominant_coefficient(PolyFacts(f)).witnesses["delta"]
-        assert delta == Fraction(1, b)
-        assert str(delta) == str(Fraction(1, b))
 
 
 def ref_dominance_indices(f):
@@ -1217,54 +860,6 @@ def ref_dominance_indices(f):
         if mags[j] > sum(mags[i] * am ** (j - i) for i in range(j)) + upper:
             hits.append((j, math.floor(upper)))
     return hits
-
-
-def ref_dominant_walk(facts):
-    """`PolyFacts.dominant` as it was when it walked the divisors of a_m
-    itself: (j, b) for the passing index and the least passing divisor."""
-    mags, low, m = facts.mags, facts.low, facts.degree
-    if m < 2:
-        return None
-    am = mags[m]
-    high = 0
-    for j in range(m - 1, -1, -1):
-        high = (mags[j + 1] + high) // am
-        excess = mags[j] - low[j]
-        if excess > high:
-            if am <= criteria._DOMINANT_TRIAL:
-                divisors = range(1, am + 1)
-            else:
-                divisors = itertools.chain(range(1, criteria._DOMINANT_TRIAL + 1),
-                                           numtheory._divisors_above(am, criteria._DOMINANT_TRIAL))
-            for b in divisors:
-                if am % b:
-                    continue
-                t = 0
-                for a in mags[m:j:-1]:
-                    t = (a + t) // b
-                if excess > t:
-                    return j, b
-    return None
-
-
-def ref_middle_prime_power_scan(facts):
-    """`middle_prime_power_check` as it was when it kept its own floor of the
-    sum over i > j and tried every j from m-1 down."""
-    name = "middle_prime_power"
-    c, mags, m = facts.coeffs, facts.mags, facts.degree
-    low, am = facts.low, mags[m]
-    high = 0
-    for j in range(m - 1, 0, -1):
-        high = (mags[j + 1] + high) // am
-        if mags[j] - low[j] <= high or c[j - 1] == 0:
-            continue
-        for p, n_exp in numtheory.prime_factors(mags[j]):
-            s_exp = numtheory.valuation(p, c[j - 1])
-            lower = low[j] if s_exp == 0 else criteria._lower_sum(mags, j, am * p**s_exp)
-            if mags[j] - lower > high:
-                return CriterionOutcome(name, {"p": p, "j": j, "N": n_exp, "s": s_exp},
-                                        Conclusion.at_most(m - j))
-    return _no_conclusion(name)
 
 
 @st.composite
@@ -1294,32 +889,87 @@ def test_at_most_one_index_dominates(f):
     assert PolyFacts(f).dominant() == (hits[0] if hits and f.degree >= 2 else None)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(primitive_polys(), dominant_constant_polys(), big_leading_polys(),
+                 dominated_polys()))
+@example(Polynomial([1, 12, 64]))  # b = 32, the last of the range
+@example(Polynomial([1, 1, 2 * 997]))  # b = 997, the first past the range
+def test_dominant_witness_matches_full_divisor_scan(f):
+    # b is the least divisor of |a_m| that passes, with delta = 1/b shared
+    # or built
+    read, divisors_above = [], numtheory._divisors_above
+
+    def recorded(n, trial):  # what the scan reads past the range
+        for b in divisors_above(n, trial):
+            read.append(b)
+            yield b
+
+    with mock.patch.object(numtheory, "_divisors_above", recorded):
+        outcome = dominant_coefficient(PolyFacts(f))
+    expected = ref_dominant_coefficient(f)
+    assert outcome == expected
+    if expected.conclusion.fired():
+        assert str(outcome.witnesses["delta"]) == str(expected.witnesses["delta"])
+    # the range scans 1..32 once: the divisors past it start above 32
+    assert read == sorted(set(read)) and all(b > 32 for b in read)
+
+
+def test_dominant_witness_on_both_sides_of_the_trial_bound():
+    # the property above would pass vacuously if the witness never lay
+    # past the range or past 10^3: a_2 = 3 * 101 gives b = 3 or 101 (from
+    # the primes below 10^3), a_2 = 3 * 1009 gives b = 1009 and the prime
+    # a_2 = 10^12 + 39 gives b = a_2 (both from the factorization of a_2).
+    # At a_2 = 32 the divisors come from the range alone, at a_2 = 33, 64 and
+    # 2 * 997 from the range and then the divisor generator (which at 64
+    # must not skip the witness 32); delta = 1/b is shared for b <= 32 and
+    # built above it
+    for coeffs, b in (
+        ([50, 10, 303], 3), ([2, 100, 303], 101), ([2, 1000, 3027], 1009),
+        ([1, 10**6, 10**12 + 39], 10**12 + 39),
+        ([1, 100, 3], 1), ([1, 34, 32], 32), ([1, 35, 33], 33), ([1, 104, 64], 2),
+        ([1, 12, 64], 32), ([1, 1, 2 * 997], 997), ([1, 995, 2 * 997], 2 * 997),
+    ):
+        f = Polynomial(coeffs)
+        outcome = dominant_coefficient(PolyFacts(f))
+        assert outcome == ref_dominant_coefficient(f)
+        assert outcome.witnesses["b"] == b
+        assert outcome.witnesses["delta"] == Fraction(1, b)
+        assert str(outcome.witnesses["delta"]) == str(Fraction(1, b))
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(dominated_polys(), big_leading_polys()))
 @example(Polynomial([1, 66, 64]))  # middle_prime_power fires with |a_m| > 32, and b = 64
 @example(Polynomial([1, 4, 64, 1]))  # middle_prime_power fires with s = 2
 @example(Polynomial([2, 6, 1, 1]))  # p = 2 ties (6 - 2 * 2 = high = 2), so p = 3 fires
 def test_dominance_witnesses_match_the_scans_they_replaced(f):
+    # both dominance criteria read the one index PolyFacts.dominant finds;
+    # the scans of every j, every divisor of |a_m| and every prime of |a_j|
+    # in exact rationals must give the same outcomes, and middle_prime_power
+    # fires only at the index where dominant_coefficient does
     facts = PolyFacts(f)
-    walk = ref_dominant_walk(PolyFacts(f))
-    outcome = dominant_coefficient(facts)
-    assert outcome.conclusion.fired() is (walk is not None)
-    if walk is not None:
-        assert (outcome.witnesses["j"], outcome.witnesses["b"]) == walk
-    assert middle_prime_power_check(facts) == ref_middle_prime_power_scan(PolyFacts(f))
+    middle = middle_prime_power_check(facts)
+    assert middle == ref_middle_prime_power_check(f)
+    dominant = dominant_coefficient(facts)
+    assert dominant == ref_dominant_coefficient(f)
+    if middle.conclusion.fired():
+        assert dominant.conclusion.fired()
+        assert middle.witnesses["j"] == dominant.witnesses["j"]
 
 
 def test_dominance_scans_reach_both_sides_of_the_trial_bound():
-    # the properties above would pass vacuously if middle_prime_power never
+    # the property above would pass vacuously if middle_prime_power never
     # fired, or the divisor walk never went past the range, at either |a_m|
     for coeffs, p, j, b in (([1, 66, 64], 2, 1, 64), ([1, 64, 33], 2, 1, 3),
                             ([1, 1, 16, 3], 2, 2, 1)):
-        facts = PolyFacts(Polynomial(coeffs))
-        middle = ref_middle_prime_power_scan(facts)
+        f = Polynomial(coeffs)
+        facts = PolyFacts(f)
+        middle = ref_middle_prime_power_check(f)
         assert (middle.witnesses["p"], middle.witnesses["j"]) == (p, j)
         assert middle_prime_power_check(facts) == middle
-        assert ref_dominant_walk(facts) == (j, b)
-        assert dominant_coefficient(facts).witnesses["b"] == b
+        expected = ref_dominant_coefficient(f)
+        assert (expected.witnesses["j"], expected.witnesses["b"]) == (j, b)
+        assert dominant_coefficient(facts) == expected
 
 
 @st.composite
@@ -1526,247 +1176,3 @@ def test_rational_root_flag_ends_on_a_repeated_factor():
                     (h * h, False), (h * h * Polynomial([1, 3]), True)):
         assert PolyFacts(f).has_rational_root() is flag
         assert bool(rational_roots(f)) is flag
-
-
-def ref_analyze(f, config=AnalyzeConfig()):
-    """`criteria.analyze` as it was: the config checked on every call, the
-    outcomes sorted and then read three times, and the report built by
-    keyword."""
-    if f.is_zero():
-        raise ValueError("cannot analyze the zero polynomial")
-    names = dict.fromkeys(config.criteria)
-    unknown = [name for name in names if name not in CRITERIA]
-    if unknown:
-        known = ", ".join(CRITERIA)
-        raise ValueError(f"unknown criteria: {', '.join(unknown)} (known: {known})")
-    if config.oracle not in ("on", "off", "auto"):
-        raise ValueError(f"oracle mode must be on/off/auto, got {config.oracle!r}")
-
-    _check_digits(f.coeffs)
-    norm = normalize(f)
-    prim = norm.primitive_part
-    warnings = []
-    if norm.z_power:
-        warnings.append(
-            f"input splits as content * z^{norm.z_power} * primitive part; "
-            f"add {norm.z_power} to any factor-count bound for the original input"
-        )
-    outcomes = []
-    if prim.degree == 0:
-        warnings.append("primitive part is constant; criteria skipped")
-    else:
-        outcomes, stopped = criteria.run_criteria(PolyFacts(prim, config.root_mode), names)
-        warnings.extend(f"{name}: no conclusion: {exc}" for name, exc in stopped)
-        if prim.degree == 1:
-            outcomes.append(CriterionOutcome("degree_one", {}, Conclusion.irreducible()))
-    outcomes.sort(key=lambda o: o.criterion)
-
-    fired = [o for o in outcomes if o.conclusion.fired()]
-    strongest = min(fired, key=CriterionOutcome.rank) if fired else None
-    if any(o.certificate_mode == criteria.NUMERIC_CONDITIONAL for o in fired):
-        warnings.append("some conclusions rely on numeric root location and are not proofs")
-
-    oracle_result = None
-    if config.oracle == "on" or (config.oracle == "auto" and f.degree <= oracle.DEFAULT_MAX_DEGREE):
-        try:
-            oracle_result = oracle.factor(f, max_degree=f.degree)
-        except oracle.OracleLimitError as exc:
-            if config.oracle == "on":
-                raise
-            warnings.append(f"oracle skipped: {exc}")
-        if oracle_result is not None:
-            degrees = oracle_result.factor_degrees()
-            for o in fired:
-                if not o.conclusion.holds(degrees):
-                    raise criteria.SoundnessError(
-                        f"criterion {o.criterion} concluded {o.conclusion} "
-                        f"but the oracle found {len(degrees)} factors for {f!r}"
-                    )
-
-    return criteria.AnalysisReport(
-        input=f,
-        content=norm.content,
-        z_power=norm.z_power,
-        primitive_part=prim,
-        outcomes=tuple(outcomes),
-        strongest=strongest,
-        oracle_result=oracle_result,
-        warnings=tuple(warnings),
-    )
-
-
-PSI13 = numtheory.PROVEN_PRIME_BOUND  # a probable prime to every base: a factorization limit
-
-
-@st.composite
-def analyze_polys(draw, max_degree=12, bound=10**12):
-    """Content times a power of z times a polynomial of degree 0 to
-    max_degree in all, with coefficients up to bound; or one whose a_0 is
-    psi_13 (a limit for constant_term and eisenstein_generalized), and a_1
-    too (for weintraub), so stopped criteria give warnings."""
-    z_power = draw(st.integers(0, 3))
-    size = draw(st.integers(1, max_degree + 1 - z_power))
-    coeffs = draw(st.lists(st.integers(-bound, bound), min_size=size, max_size=size))
-    if draw(st.integers(0, 9)) == 0:
-        coeffs = [PSI13, draw(st.sampled_from((1, 3863508546782, PSI13))), 1]
-    coeffs[-1] = coeffs[-1] or 1
-    content = draw(st.sampled_from((1, 1, 2, 6, 10**6 + 3)))
-    return Polynomial([0] * z_power + [content * a for a in coeffs])
-
-
-@st.composite
-def analyze_configs(draw, oracle_mode="off"):
-    """Every criterion in the report's order, or shuffled, or a list drawn
-    from them: a subset, in any order, with repeats."""
-    names = draw(st.one_of(
-        st.just(tuple(CRITERIA)),
-        st.permutations(tuple(CRITERIA)).map(tuple),
-        st.lists(st.sampled_from(tuple(CRITERIA)), max_size=10).map(tuple),
-    ))
-    return AnalyzeConfig(names, draw(st.sampled_from((SYM, NUM))), oracle_mode)
-
-
-def _analyzed(analyze_fn, f, config):
-    try:
-        return analyze_fn(f, config)
-    except (ValueError, criteria.SoundnessError, oracle.OracleLimitError) as exc:
-        return type(exc), str(exc)
-
-
-def _assert_same_analysis(f, config):
-    got, expected = _analyzed(analyze, f, config), _analyzed(ref_analyze, f, config)
-    if not isinstance(expected, criteria.AnalysisReport):
-        assert got == expected
-        return
-    for field in criteria.AnalysisReport._fields:  # outcomes, strongest, warnings in order
-        assert getattr(got, field) == getattr(expected, field), field
-
-
-@settings(max_examples=400, deadline=None)
-@given(analyze_polys(), analyze_configs())
-def test_analyze_matches_reference(f, config):
-    _assert_same_analysis(f, config)
-
-
-@settings(max_examples=150, deadline=None)
-@given(analyze_polys(max_degree=6, bound=5), analyze_configs("on"))
-def test_analyze_with_oracle_matches_reference(f, config):
-    _assert_same_analysis(f, config)
-
-
-def test_analyze_reference_inputs_reach_every_branch():
-    # the properties above would miss the warnings order if no drawn input
-    # stopped a criterion, and degree_one's place if none had degree 1
-    config = AnalyzeConfig(("weintraub", "eisenstein_generalized"), SYM, "off")
-    report = ref_analyze(Polynomial([0, PSI13, PSI13, 1]), config)
-    assert report.warnings[0].startswith("input splits as content * z^1")
-    assert [w.split(":")[0] for w in report.warnings[1:]] == ["weintraub", "eisenstein_generalized"]
-    assert analyze(Polynomial([0, PSI13, PSI13, 1]), config) == report
-    report = ref_analyze(Polynomial([6, 4]), AnalyzeConfig(tuple(reversed(CRITERIA)), NUM, "on"))
-    assert "degree_one" in [o.criterion for o in report.outcomes]
-    assert analyze(Polynomial([6, 4]), AnalyzeConfig(tuple(reversed(CRITERIA)), NUM, "on")) == report
-
-
-def test_one_shot_criteria_iterator_matches_reference_on_every_call():
-    # the config is kept by the names it holds, not by the object: a
-    # consumed iterator holds none on its second call, as it did before
-    f = Polynomial([6, 4, 0, 2, 1])
-    names = ("weintraub", "constant_term", "weintraub")
-    got_config = AnalyzeConfig(iter(names), SYM, "off")
-    ref_config = AnalyzeConfig(iter(names), SYM, "off")
-    for _ in range(2):
-        assert analyze(f, got_config) == ref_analyze(f, ref_config)
-    assert analyze(f, got_config).outcomes == ()
-
-
-def ref_kronecker_search(h, budget):
-    """Kronecker's search from degree 1: z - x at the first of the
-    e + 1 + _SPARE_POINTS sample points where h vanishes, else the first
-    e + 1 sample points as nodes, taken in order of their values' divisor
-    counts, and the exact division as the only test of a complete
-    candidate. Returns the factor and its cofactor h / g."""
-    m = h.degree
-    for e in range(1, m // 2 + 1):
-        for x in oracle._sample_points(e + 1 + oracle._SPARE_POINTS):
-            if h.evaluate(x) == 0:
-                return Polynomial([-x, 1]), divides_exactly(Polynomial([-x, 1]), h)
-        raw_points = oracle._sample_points(e + 1)
-        values = [h.evaluate(x) for x in raw_points]
-        try:
-            choice_lists = [
-                [d for pos in numtheory.positive_divisors(v) for d in (pos, -pos)]
-                for v in values
-            ]
-        except numtheory.FactorizationLimitError as exc:
-            raise oracle.OracleLimitError(f"oracle limit: {exc}") from exc
-        order = sorted(range(e + 1), key=lambda i: len(choice_lists[i]))
-        nodes = [raw_points[i] for i in order]
-        choices = [choice_lists[i] for i in order]
-        choices[0] = [d for d in choices[0] if d > 0]
-        stack = [(0, [], [])]
-        while stack:
-            depth, trail, newton = stack.pop()
-            for d in choices[depth]:
-                budget.spend()
-                new_trail = [d]
-                ok = True
-                for k in range(1, depth + 1):
-                    step, rem = divmod(
-                        new_trail[k - 1] - trail[k - 1], nodes[depth] - nodes[depth - k]
-                    )
-                    if rem:
-                        ok = False
-                        break
-                    new_trail.append(step)
-                if not ok:
-                    continue
-                if depth < e:
-                    stack.append((depth + 1, new_trail, newton + [new_trail[-1]]))
-                    continue
-                if new_trail[-1] == 0:
-                    continue
-                g = oracle._expand_newton(nodes, newton + [new_trail[-1]])
-                quotient = divides_exactly(g, h) if g.degree == e else None
-                if quotient is not None:
-                    return (g, quotient) if g.leading_coefficient > 0 else (-g, -quotient)
-    return None
-
-
-@st.composite
-def products_up_to_degree_8(draw):
-    """Up to four factors of degree 1-4 with |c| <= 5, total degree 2-8."""
-    f = Polynomial([draw(st.integers(1, 3)) * draw(st.sampled_from((1, -1)))])
-    for _ in range(draw(st.integers(1, 4))):
-        room = 8 - f.degree
-        if room < 1:
-            break
-        k = draw(st.integers(1, min(4, room)))
-        coeffs = draw(st.lists(st.integers(-5, 5), min_size=k + 1, max_size=k + 1))
-        coeffs[-1] = coeffs[-1] or 1
-        f = f * Polynomial(coeffs)
-    return f
-
-
-@settings(max_examples=150, deadline=None)
-@given(products_up_to_degree_8())
-def test_factor_matches_reference_kronecker_search(f):
-    expected = oracle.factor(f)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_kronecker_search", ref_kronecker_search)
-        assert oracle.factor(f) == expected
-
-
-def test_reference_kronecker_search_splits_products():
-    # the property above would pass vacuously if no search found a factor
-    f = Polynomial([1, 1, 1]) * Polynomial([2, 0, 1, 1]) * Polynomial([3, -1, 0, 2])
-    budget = oracle._Budget(oracle.DEFAULT_STEP_BUDGET)
-    split = (Polynomial([1, 1, 1]), Polynomial([2, 0, 1, 1]) * Polynomial([3, -1, 0, 2]))
-    assert ref_kronecker_search(f, budget) == split
-    assert oracle._kronecker_search(f, budget) == split
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_kronecker_search", ref_kronecker_search)
-        expected = oracle.factor(f)
-    assert [g for g, _ in expected.factors] == [
-        Polynomial([1, 1, 1]), Polynomial([2, 0, 1, 1]), Polynomial([3, -1, 0, 2])
-    ]
-    assert oracle.factor(f) == expected
