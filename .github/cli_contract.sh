@@ -67,6 +67,20 @@ timeout 10 $IRREDUCIA gen --family P4 --a "$(python -c "print(10**4000 + 7)")" -
 status=0
 $IRREDUCIA gen --family P1 --p 3 --m 3 --n 2 --k 5 || status=$?
 test "$status" -eq 1
+# a required family option left out is refused by gen_family itself, so the
+# command line and the library give one error, and neither a TypeError
+status=0
+$IRREDUCIA gen --family P1 --p 2 --m 3 2> "$tmp/missing.txt" || status=$?
+test "$status" -eq 1
+grep -Fx "error: family P1 needs --n" "$tmp/missing.txt"
+if grep Traceback "$tmp/missing.txt"; then exit 1; fi
+python -c "
+import irreducia
+try:
+    irreducia.gen_family('P1', {'p': 2, 'm': 3})
+except irreducia.FamilyConditionError as exc:
+    print(type(exc).__name__, exc)
+" | grep -Fx "FamilyConditionError family P1 needs --n"
 # a corpus too large to build is refused at once as an input error
 status=0
 timeout 10 $IRREDUCIA gen --exhaustive --max-degree 1 --coeff-bound 1000000000000 || status=$?

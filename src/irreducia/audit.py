@@ -128,11 +128,12 @@ class AuditResult:
         for name in sorted(self.criteria):
             s = self.criteria[name]
             inconclusive = self.total - s.fired
+            unchecked = f"  unchecked {s.unchecked}" if s.unchecked else ""
             stopped = f"  stopped by a limit {s.stopped}" if s.stopped else ""
             lines.append(
                 f"  {name:22s} fired {s.fired:8d}  sound {s.sound:8d} "
                 f"(vacuous {s.vacuous})  no-conclusion {inconclusive:8d}  "
-                f"violations {s.violations.found}{stopped}"
+                f"violations {s.violations.found}{unchecked}{stopped}"
             )
         if self.cor1_checked:
             lines.append(

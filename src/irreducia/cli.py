@@ -236,27 +236,18 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     from . import corpus
 
-    if args.family:
-        name = args.family.upper()
-        if name not in corpus.FAMILIES:
-            raise PolyParseError(f"unknown family {args.family!r}")
-        _, names = corpus.FAMILIES[name]
+    if args.family:  # every family option given; gen_family refuses the wrong ones
         options = {key for _, keys in corpus.FAMILIES.values() for key in keys}
         given = {key: getattr(args, key) for key in options if getattr(args, key) is not None}
-        missing = [key for key in names if key not in given and key not in ("sign", "signs")]
-        if missing:  # the signs may be left out: they default to all +
-            raise PolyParseError(f"family {name} needs --{', --'.join(missing)}")
-        f = corpus.gen_family(name, given)
-        print(render_coeff_list(f))
+        polys = [corpus.gen_family(args.family.upper(), given)]
     elif args.exhaustive:
-        for f in corpus.gen_exhaustive(args.max_degree, args.coeff_bound):
-            print(render_coeff_list(f))
+        polys = corpus.gen_exhaustive(args.max_degree, args.coeff_bound)
     elif args.random:
-        for f in corpus.gen_random(args.count, args.max_degree, args.coeff_bound,
-                                   args.seed):
-            print(render_coeff_list(f))
+        polys = corpus.gen_random(args.count, args.max_degree, args.coeff_bound, args.seed)
     else:
         raise PolyParseError("gen needs --family, --exhaustive, or --random")
+    for f in polys:
+        print(render_coeff_list(f))
     return EXIT_OK
 
 

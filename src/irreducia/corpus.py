@@ -8,6 +8,7 @@ failed one raises FamilyConditionError naming it. No check builds a power past
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import random
@@ -157,9 +158,12 @@ FAMILIES = {
 
 def gen_family(name: str, params: dict) -> Polynomial:
     """Build a member of family `name` from its parameters, validating all
-    conditions."""
+    conditions; those its generator gives no default (all but the signs) are required."""
     _check(name in FAMILIES, "unknown family {!r}", name)
     fn, names = FAMILIES[name]
+    missing = [key for key, param in inspect.signature(fn).parameters.items()
+               if param.default is param.empty and key not in params]
+    _check(not missing, "family {} needs --{}", name, ", --".join(missing))
     unknown = set(params) - set(names)
     _check(not unknown, "unknown parameters for {}: {}", name, ", ".join(sorted(unknown)))
     return fn(**params)

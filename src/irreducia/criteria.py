@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, NamedTuple, Sequence
 
 from . import numtheory, oracle, rootloc
-from .poly import Polynomial, _check_digits, _rational_roots, normalize
+from .poly import Polynomial, _check_digits, _has_rational_root, normalize
 from .rootloc import CertificateMode
 
 
@@ -140,10 +139,7 @@ def _lower_sum(mags: list[int], j: int, t: int) -> int:
     return acc
 
 
-_DOMINANT_TRIAL = 32  # see `dominant_coefficient`
-_DELTAS = tuple(Fraction(1, b) for b in range(1, _DOMINANT_TRIAL + 1))  # _DELTAS[b - 1] = 1/b
-_SMALL_DIVISORS = tuple(tuple(b for b in range(1, n + 1) if n % b == 0)  # [n]: n's, ascending
-                        for n in range(_DOMINANT_TRIAL + 1))
+_delta = functools.lru_cache(maxsize=1 << 10)(lambda b: Fraction(1, b))  # immutable, so shared
 
 
 class PolyFacts:
@@ -217,24 +213,12 @@ class PolyFacts:
         return self._low
 
     def has_rational_root(self) -> bool:
-        """Whether f has a rational root: at degree 2, whether the
-        discriminant a_1^2 - 4 a_0 a_2 is a square (0 included), by one
-        `math.isqrt`; above it, by `poly.rational_roots`'s search.
-
-        Only Weintraub at k0 = 1 and the generalized Eisenstein criterion at
-        j = m-1 ask, and each has then already limited f to "irreducible, or
-        linear times irreducible", which above degree 2 is squarefree. Such
-        an f fails only at the odd primes dividing disc(f), fewer than the
-        patience given, as |disc(f)| <= m^m (sum a_i^2)^(m-1) (Mahler): the
-        costly squarefree step is left for an f that is not squarefree."""
+        """Whether f has a rational root, by `poly._has_rational_root`, fast
+        for a squarefree f. Only Weintraub at k0 = 1 and the generalized
+        Eisenstein criterion at j = m-1 ask, and each has then limited f to
+        "irreducible, or linear times irreducible", squarefree above degree 2."""
         if self._rational_root is None:
-            c, m = self.coeffs, self.degree
-            if m == 2:
-                disc = c[1] * c[1] - 4 * c[0] * c[2]
-                self._rational_root = disc >= 0 and math.isqrt(disc) ** 2 == disc
-            else:
-                patience = m * (m.bit_length() + sum(a * a for a in c).bit_length())
-                self._rational_root = bool(_rational_roots(c, patience))
+            self._rational_root = _has_rational_root(self.coeffs)
         return self._rational_root
 
     def roots(self) -> list[complex]:
@@ -433,31 +417,24 @@ def dominant_coefficient(facts: PolyFacts) -> CriterionOutcome:
     then at most m - j irreducible factors; j = m-1 gives irreducibility.
     The right side grows with delta, so testing delta = 1/b is exhaustive
     over [1/b, 1], and j can only be `PolyFacts.dominant`'s one index. The
-    divisors of a_m are scanned upward there: all from one table built at
-    import when |a_m| <= _DOMINANT_TRIAL (32); else those up to 32 by trial
-    division, then those up to 10^3 from the primes below 10^3, and a_m is
-    factorized only past them (so an a_m that resists still gives b <= 10^3).
-    Each b is tested against the floor of the sum over i > j."""
+    divisors b of a_m come upward from `numtheory`'s walk, which factorizes
+    a_m only past 10^3 (so an a_m that resists rho still gives every b up to
+    10^3), and the least that passes is the witness. Each b is tested
+    against the floor of the sum over i > j."""
     name = "dominant_coefficient"
     hit = facts.dominant()
     if hit is None:
         return _NO_CONCLUSIONS[name]
     j = hit[0]
     mags, m = facts.mags, facts.degree
-    am, excess = mags[m], mags[j] - facts.low[j]
-    if am <= _DOMINANT_TRIAL:
-        divisors = _SMALL_DIVISORS[am]
-    else:
-        divisors = itertools.chain([b for b in range(1, _DOMINANT_TRIAL + 1) if am % b == 0],
-                                   numtheory._divisors_above(am, _DOMINANT_TRIAL))
-    for b in divisors:  # b = |a_m| passes, so the scan ends there at the latest
+    excess = mags[j] - facts.low[j]
+    for b in numtheory._ascending_divisors(mags[m]):  # b = |a_m| passes, so the walk ends there
         t = 0
         for a in mags[m:j:-1]:
             t = (a + t) // b
         if excess > t:
             break
-    delta = _DELTAS[b - 1] if b <= _DOMINANT_TRIAL else Fraction(1, b)  # immutable, so shared
-    return CriterionOutcome(name, {"b": b, "delta": delta, "j": j}, Conclusion.at_most(m - j))
+    return CriterionOutcome(name, {"b": b, "delta": _delta(b), "j": j}, Conclusion.at_most(m - j))
 
 
 def perron_nonmonic(facts: PolyFacts) -> CriterionOutcome:

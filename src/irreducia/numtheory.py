@@ -23,7 +23,8 @@ FactorizationLimitError in bounded time. A cofactor at or above
 PROVEN_PRIME_BOUND that passes Miller-Rabin is only a probable prime, so it
 raises FactorizationLimitError too, and `is_prime` is False there, true
 primes included: it says yes only with a proof, and no verdict rests on an
-unproven prime.
+unproven prime. `positive_divisors(n)` lists n's divisors; `_ascending_divisors(n)`
+walks them upward for a caller that stops early, factorizing n only past 10^3.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ for _p in range(2, 32):
     _sieve[_p * _p::_p] = bytes(len(_sieve[_p * _p::_p]))
 _SMALL_PRIMES = tuple(p for p in range(2, _SMALL_TRIAL_LIMIT) if _sieve[p])
 _SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
+
+_TABLE_TOP = 32  # _SMALL_DIVISORS[n] holds n's divisors, ascending: a walk up to it is one lookup
+_SMALL_DIVISORS = tuple(tuple(b for b in range(1, n + 1) if n % b == 0)
+                        for n in range(_TABLE_TOP + 1))
 
 # Brent iterations for the rho attempts on each cofactor below
 # DEFAULT_FACTOR_BOUND, and for those on all cofactors at or above it
@@ -284,28 +289,35 @@ def valuation(p: int, n: int) -> int:
     return e
 
 
-def _divisors_above(n: int, trial: int):
-    """The positive divisors of n >= 1 above `trial` in increasing order,
-    lazily: those up to 10^3 from the first stage (their primes are all
-    below 10^3), and only a caller that reads past them makes n be
-    factorized for the rest. A caller scans those up to `trial` itself."""
+def _ascending_divisors(n: int):
+    """The positive divisors of n >= 1, ascending and lazily, for a caller
+    that stops early: one tuple from the table for n <= 32; above it those
+    up to 32 by trial division, then those up to 10^3 from the first stage,
+    and n is factorized only for a caller that reads past 10^3 (so an n that
+    resists rho yields those up to 10^3 before FactorizationLimitError)."""
+    return _SMALL_DIVISORS[n] if n <= _TABLE_TOP else _divisors_past_table(n)
+
+
+def _divisors_past_table(n: int):
+    yield from (b for b in range(1, _TABLE_TOP + 1) if n % b == 0)
+    small = _divisors_up_to(_factor_positive(n, False)[0], _SMALL_TRIAL_LIMIT)
+    yield from sorted(b for b in small if b > _TABLE_TOP)
+    yield from (b for b in positive_divisors(n) if b > _SMALL_TRIAL_LIMIT)
+
+
+def _divisors_up_to(pairs, cap: int) -> list[int]:
+    """The divisors up to cap of the product of p^e over the (prime,
+    exponent) pairs, unsorted."""
     divs = [1]
-    for p, e in _factor_positive(n, False)[0]:
+    for p, e in pairs:
         block = divs
         for _ in range(e):
-            block = [b * p for b in block if b * p <= _SMALL_TRIAL_LIMIT]
+            block = [q for b in block if (q := b * p) <= cap]
             divs = divs + block
-    yield from sorted(b for b in divs if b > trial)
-    yield from (b for b in positive_divisors(n) if b > _SMALL_TRIAL_LIMIT)
+    return divs
 
 
 def positive_divisors(n: int) -> list[int]:
     """All positive divisors of |n| in increasing order (n nonzero)."""
-    divs = [1]
-    for p, e in prime_factors(abs(n)):
-        pk = 1
-        block = list(divs)
-        for _ in range(e):
-            pk *= p
-            divs.extend(d * pk for d in block)
-    return sorted(divs)
+    n = abs(n)
+    return sorted(_divisors_up_to(prime_factors(n), n))

@@ -437,15 +437,27 @@ def rational_roots(f: Polynomial) -> set[Fraction]:
     or e.g. ((z^2-2)(z^2-3)(z^2-6))^2) would defeat every prime, so after
     _PRIMES_BEFORE_SQUAREFREE failed primes f is replaced, once, by its
     squarefree part f / gcd(f, f'), which has the same roots. That gcd grows
-    steeply with the degree (see _squarefree_part); the criteria ask only
-    about squarefree polynomials (see PolyFacts.has_rational_root), so they
-    call _rational_roots with a patience that no squarefree f exhausts.
+    steeply with the degree (see _squarefree_part); _has_rational_root waits longer.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
     if f.constant_term == 0:
         raise ValueError("rational root scan requires a nonzero constant term")
     return _rational_roots(f.coeffs, _PRIMES_BEFORE_SQUAREFREE)
+
+
+def _has_rational_root(coeffs: tuple[int, ...]) -> bool:
+    """Whether f, given by its coefficients (a_0 != 0), has a rational root:
+    at degree 2, whether a_1^2 - 4 a_0 a_2 is a square (0 included); else by
+    _rational_roots, whose patience no squarefree f exhausts, as it fails only
+    at the odd primes of disc(f), |disc(f)| <= m^m (sum a_i^2)^(m-1) (Mahler).
+    So it is right for every f, and fast for a squarefree one."""
+    m = len(coeffs) - 1
+    if m == 2:
+        disc = coeffs[1] * coeffs[1] - 4 * coeffs[0] * coeffs[2]
+        return disc >= 0 and math.isqrt(disc) ** 2 == disc
+    patience = m * (m.bit_length() + sum(a * a for a in coeffs).bit_length())
+    return bool(_rational_roots(coeffs, patience))
 
 
 def _rational_roots(coeffs: tuple[int, ...], patience: int) -> set[Fraction]:

@@ -72,6 +72,8 @@ def certify_outside_disk(
     if f.constant_term == 0:
         raise ValueError("root at origin inside every disk")
     if type(d) is not int:  # an integer radius stays in integers
+        if d in (math.inf, -math.inf):  # Fraction would raise OverflowError
+            raise ValueError("disk radius must be finite")
         d = Fraction(d)
         d = d.numerator if d.denominator == 1 else d
     if d <= 0:

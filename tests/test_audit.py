@@ -205,9 +205,8 @@ def test_audit_catches_a_rational_root_scan_that_misses_fractions(monkeypatch):
     def integer_roots_only(coeffs, patience):
         return {r for r in real(coeffs, patience) if r.denominator == 1}
 
-    # poly.rational_roots, and oracle's import of it, call poly's copy
-    for module in (poly, criteria):
-        monkeypatch.setattr(module, "_rational_roots", integer_roots_only)
+    # poly.rational_roots, oracle's import of it and the criteria's flag call poly's copy
+    monkeypatch.setattr(poly, "_rational_roots", integer_roots_only)
     assert audit.audit_exhaustive(3, 3).violation_count() >= 1
 
 
@@ -303,3 +302,9 @@ def test_audit_one_counts_what_fake_criteria_reach(monkeypatch):
     assert (result.cor1_checked, result.cor1_violations.found) == (491, 10)
     assert (result.rootloc_checked, result.rootloc_violations.found, result.nonconvergences.found) == (4, 0, 0)
     assert result.violation_count() == 221
+    # an outcome the oracle could not judge is counted in the summary, as a stopped run is
+    summary = result.summary_lines()
+    assert [line.split()[0] for line in summary if "unchecked" in line] == [
+        "eisenstein_generalized", "perron_nonmonic"]
+    assert any(line.endswith("violations 0  unchecked 2") for line in summary)
+    assert any(line.endswith("violations 211  unchecked 2") for line in summary)

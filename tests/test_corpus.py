@@ -279,6 +279,25 @@ class TestGenFamily:
         with pytest.raises(FamilyConditionError, match="unknown parameters"):
             gen_family("P1", {"p": 2, "m": 3, "n": 2, "weird": 1})
 
+    @pytest.mark.parametrize("name, params, signs", [
+        ("P1", {"p": 2, "m": 3, "n": 2}, {"sign": 1}),
+        ("P2", {"p": 5, "k": 1, "d": 1, "m": 2, "tail": [1, 1]}, {"sign": 1}),
+        ("P3", {"p": 5, "k": 1, "d": 1, "m": 2, "a0": 11, "middle": [1]}, {"sign": 1}),
+        ("P4", {"a": 5, "b": 1, "m": 4, "j": 2}, {"signs": [1, 1, 1]}),
+    ])
+    def test_missing_parameter(self, name, params, signs):
+        # every parameter but the signs is required, as the generator's
+        # signature says; a missing one is the family's error, not a TypeError
+        for key in params:
+            with pytest.raises(FamilyConditionError, match=f"^family {name} needs --{key}$"):
+                gen_family(name, {k: v for k, v in params.items() if k != key})
+        # the signs left out are all +
+        assert gen_family(name, params) == gen_family(name, {**params, **signs})
+
+    def test_missing_parameters_are_named_in_signature_order(self):
+        with pytest.raises(FamilyConditionError, match="^family P3 needs --d, --a0$"):
+            gen_family("P3", {"middle": [1], "p": 5, "k": 1, "m": 2})
+
 
 class TestExhaustive:
     def test_degree_one_unit_bound(self):

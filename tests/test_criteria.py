@@ -102,8 +102,8 @@ def test_rational_root_flag_is_asked_only_of_squarefree_polynomials(monkeypatch)
     # irreducible", squarefree beyond degree 2, so the search it makes skips
     # the squarefree step
     asked = []
-    real = criteria._rational_roots
-    monkeypatch.setattr(criteria, "_rational_roots",
+    real = poly._rational_roots
+    monkeypatch.setattr(poly, "_rational_roots",
                         lambda coeffs, patience: asked.append(coeffs) or real(coeffs, patience))
     monkeypatch.setattr(poly, "_squarefree_part", lambda coeffs: pytest.fail("squarefree step"))
     for f in gen_exhaustive(4, 4):
@@ -284,9 +284,9 @@ def _divisors_by_trial(n):
 
 
 def test_small_divisor_table_is_trial_division():
-    table = criteria._SMALL_DIVISORS
-    assert len(table) == criteria._DOMINANT_TRIAL + 1
-    for n in range(1, criteria._DOMINANT_TRIAL + 1):
+    table = numtheory._SMALL_DIVISORS
+    assert len(table) == numtheory._TABLE_TOP + 1
+    for n in range(1, numtheory._TABLE_TOP + 1):
         assert list(table[n]) == _divisors_by_trial(n)
 
 

@@ -314,3 +314,29 @@ def test_first_stage_around_the_square_root_of_the_gcd(n):
     # primes of the gcd on both sides of its square root: the last one left
     # after the walk stops is taken whole, with its exponent
     assert numtheory._factor_positive.__wrapped__(n, False) == _first_stage_by_trial(n)
+
+
+def test_divisor_walk_matches_positive_divisors():
+    # the table up to 32 (so 31, 32), trial division to 32 and the first
+    # stage to 10^3 above it (33, 64, 2 * 997), then the full factorization
+    # (991 * 997, the prime 10^12 + 39): every divisor once, ascending
+    for n in [*range(1, 2 * 10**4 + 1), 991 * 997, 10**12 + 39]:
+        assert list(numtheory._ascending_divisors(n)) == positive_divisors(n), n
+    assert numtheory._ascending_divisors(32) is numtheory._SMALL_DIVISORS[32]  # one lookup
+
+
+def test_divisor_walk_reaches_a_thousand_before_a_factorization_limit(monkeypatch):
+    # 6 (2^61 - 1)(2^89 - 1) resists rho: its divisors up to 10^3 come from
+    # trial division and the first stage, and only the next one needs the
+    # factorization; the budget is cut and the cache emptied before and
+    # after, so the failure costs little and leaks to no other test
+    monkeypatch.setattr(numtheory, "_RHO_STEPS", 1000)
+    monkeypatch.setattr(numtheory, "_TRIAL_LIMIT", 10**4)
+    numtheory._factor_positive.cache_clear()
+    try:
+        walk = iter(numtheory._ascending_divisors(6 * (2**61 - 1) * (2**89 - 1)))
+        assert [next(walk) for _ in range(4)] == [1, 2, 3, 6]
+        with pytest.raises(FactorizationLimitError):
+            next(walk)
+    finally:
+        numtheory._factor_positive.cache_clear()

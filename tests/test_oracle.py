@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from irreducia import criteria, numtheory, oracle, poly
+from irreducia import numtheory, oracle, poly
 from irreducia.corpus import gen_exhaustive, gen_random
 from irreducia.criteria import AnalyzeConfig, analyze
 from irreducia.oracle import (
@@ -151,8 +151,8 @@ class TestNoSharedRootFinder:
 
         for module in (poly, oracle):
             monkeypatch.setattr(module, "rational_roots", refuse)
-        for module in (poly, criteria):  # the search rational_roots and the criteria share
-            monkeypatch.setattr(module, "_rational_roots", refuse)
+        for name in ("_rational_roots", "_has_rational_root"):  # the search and the criteria's flag
+            monkeypatch.setattr(poly, name, refuse)
         result = factor(f)
         assert result.factors == expected
         assert result.content == 1

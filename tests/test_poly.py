@@ -246,3 +246,34 @@ class TestRationalRoots:
             }
             expected = {r for r in candidates if naive_eval(f, r) == 0}
             assert rational_roots(f) == expected
+
+
+class TestRationalRootFlag:
+    def test_matches_rational_roots_on_quadratics(self):
+        # the discriminant test: no root, two roots, and a square (disc = 0)
+        quadratics = [f for f in gen_exhaustive(2, 6) if f.degree == 2]
+        quadratics += [Polynomial([1, 1]) ** 2, Polynomial([3, 2]) ** 2 * Polynomial([-1]),
+                       Polynomial([-9, 0, 4])]
+        for f in quadratics:
+            assert poly._has_rational_root(f.coeffs) is bool(rational_roots(f)), f
+
+    def test_ends_on_a_cubic_with_a_repeated_factor(self, monkeypatch):
+        # (z + 1)^2 (2z + 3) has a double root mod every prime, so only its
+        # squarefree part settles it, once the patience is spent
+        f = Polynomial([1, 1]) ** 2 * Polynomial([3, 2])
+        reductions = []
+        real = poly._squarefree_part
+        monkeypatch.setattr(
+            poly, "_squarefree_part", lambda coeffs: reductions.append(coeffs) or real(coeffs)
+        )
+        assert poly._has_rational_root(f.coeffs) is bool(rational_roots(f)) is True
+        assert len(reductions) == 2
+
+    def test_takes_no_squarefree_step_on_a_squarefree_cubic(self, monkeypatch):
+        # 3..17 divide a_0 and a_1, so z = 0 is a multiple root modulo each
+        # of the first six primes; a squarefree f must not reach the costly
+        # squarefree step, as rational_roots does after six failed primes
+        f = Polynomial([1021020, 510510, 0, 1])
+        expected = bool(rational_roots(f))
+        monkeypatch.setattr(poly, "_squarefree_part", lambda coeffs: pytest.fail("squarefree step"))
+        assert poly._has_rational_root(f.coeffs) is expected is False

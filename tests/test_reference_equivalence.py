@@ -9,8 +9,8 @@ an output to be, on input streams drawn far wider than the golden set.
   from the polynomial for each (j, b) or (j, p) pair; the disk criteria
   certify every radius in either root mode. Outcomes, witnesses and the
   audit's largest certified radius must agree. The dominance witness b
-  must be the least divisor of |a_m| that passes, with the divisors past
-  the range up to 32 read once, in order.
+  must be the least divisor of |a_m| that passes, with the divisors
+  read once each, in increasing order.
 - The numeric disk-radius search, whose certificate refuses without roots
   every radius that `rootloc.has_root_in_disk` proves holds a root, and up
   to `rootloc.EXACT_MAX_DEGREE` decides every radius without roots, against
@@ -25,7 +25,7 @@ an output to be, on input streams drawn far wider than the golden set.
   read the cofactor of a_0 above 10^3 only when it can change the witness
   or q, against searches over the full factorization of a_0.
 - `numtheory.prime_factors` against trial division to 10^6;
-  `numtheory._divisors_above` against the full divisor list; and
+  `numtheory._ascending_divisors` against the full divisor list; and
   `PolyFacts.dominant` against a scan of every index in exact rationals,
   of which at most one passes. Pollard rho spends at most its budget,
   and its factor and steps spent match recorded values.
@@ -844,8 +844,9 @@ def big_leading_polys(draw):
 @given(big_leading_polys(), st.sampled_from((1, 31, 32, 33, 999, 1000)))
 def test_divisors_above_the_range_match_the_full_divisor_list(f, trial):
     am = abs(f.leading_coefficient)
-    assert list(numtheory._divisors_above(am, trial)) == [
-        b for b in numtheory.positive_divisors(am) if b > trial]
+    walk, full = list(numtheory._ascending_divisors(am)), numtheory.positive_divisors(am)
+    assert walk == full
+    assert [b for b in walk if b > trial] == [b for b in full if b > trial]
 
 
 def ref_dominance_indices(f):
@@ -895,23 +896,23 @@ def test_at_most_one_index_dominates(f):
 @example(Polynomial([1, 12, 64]))  # b = 32, the last of the range
 @example(Polynomial([1, 1, 2 * 997]))  # b = 997, the first past the range
 def test_dominant_witness_matches_full_divisor_scan(f):
-    # b is the least divisor of |a_m| that passes, with delta = 1/b shared
-    # or built
-    read, divisors_above = [], numtheory._divisors_above
+    # b is the least divisor of |a_m| that passes, with delta = 1/b
+    read, walk = [], numtheory._ascending_divisors
 
-    def recorded(n, trial):  # what the scan reads past the range
-        for b in divisors_above(n, trial):
+    def recorded(n):  # what the scan reads of the walk
+        for b in walk(n):
             read.append(b)
             yield b
 
-    with mock.patch.object(numtheory, "_divisors_above", recorded):
+    with mock.patch.object(numtheory, "_ascending_divisors", recorded):
         outcome = dominant_coefficient(PolyFacts(f))
     expected = ref_dominant_coefficient(f)
     assert outcome == expected
     if expected.conclusion.fired():
         assert str(outcome.witnesses["delta"]) == str(expected.witnesses["delta"])
-    # the range scans 1..32 once: the divisors past it start above 32
-    assert read == sorted(set(read)) and all(b > 32 for b in read)
+    # the walk reads each divisor once, in increasing order, and skips none
+    assert read == sorted(set(read))
+    assert read == numtheory.positive_divisors(f.leading_coefficient)[:len(read)]
 
 
 def test_dominant_witness_on_both_sides_of_the_trial_bound():
@@ -919,10 +920,9 @@ def test_dominant_witness_on_both_sides_of_the_trial_bound():
     # past the range or past 10^3: a_2 = 3 * 101 gives b = 3 or 101 (from
     # the primes below 10^3), a_2 = 3 * 1009 gives b = 1009 and the prime
     # a_2 = 10^12 + 39 gives b = a_2 (both from the factorization of a_2).
-    # At a_2 = 32 the divisors come from the range alone, at a_2 = 33, 64 and
-    # 2 * 997 from the range and then the divisor generator (which at 64
-    # must not skip the witness 32); delta = 1/b is shared for b <= 32 and
-    # built above it
+    # At a_2 = 32 the divisors come from the table alone, at a_2 = 33, 64 and
+    # 2 * 997 from trial division to 32 and then the first stage (which at 64
+    # must not skip the witness 32); delta = 1/b comes from one bounded cache
     for coeffs, b in (
         ([50, 10, 303], 3), ([2, 100, 303], 101), ([2, 1000, 3027], 1009),
         ([1, 10**6, 10**12 + 39], 10**12 + 39),

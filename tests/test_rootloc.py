@@ -47,6 +47,15 @@ class TestSymbolicCertificate:
         with pytest.raises(ValueError):
             certify_outside_disk(Polynomial([5, 1]), 0, SYM)
 
+    @pytest.mark.parametrize("mode", [SYM, NUM])
+    def test_rejects_infinite_and_nan_radius(self, mode):
+        # Fraction(inf) raises OverflowError; the radius is refused first
+        for d in (math.inf, -math.inf):
+            with pytest.raises(ValueError, match="disk radius must be finite"):
+                certify_outside_disk(Polynomial([5, 1]), d, mode)
+        with pytest.raises(ValueError):
+            certify_outside_disk(Polynomial([5, 1]), math.nan, mode)
+
     def test_rejects_zero_polynomial(self):
         with pytest.raises(ValueError, match="zero polynomial"):
             certify_outside_disk(Polynomial(), 1)
