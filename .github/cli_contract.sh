@@ -101,6 +101,20 @@ $IRREDUCIA analyze --poly "z^2-4z+4" --oracle off || status=$?
 test "$status" -eq 3
 $IRREDUCIA analyze --poly "z^2-4z+4" --oracle off --root-mode numeric --format json > "$tmp/disk.json"
 grep numeric-conditional "$tmp/disk.json"
+# a root mode is the CertificateMode member or its value: the value "symbolic"
+# certifies 98 + z + 6z^2 exactly, and a name that is neither is refused
+python -c "
+import irreducia as i
+report = i.analyze(i.parse_poly('98,1,6'), i.AnalyzeConfig(root_mode='symbolic', oracle='off'))
+print(next(o.certificate_mode for o in report.outcomes if o.criterion == 'constant_term'))
+" | grep -Fx exact
+python -c "
+import irreducia as i
+try:
+    i.analyze(i.parse_poly('98,1,6'), i.AnalyzeConfig(root_mode='bogus'))
+except ValueError as exc:
+    print(type(exc).__name__)
+" | grep -Fx ValueError
 # widely scaled coefficients: a_0 is prime, so the one radius is d = 1, and
 # the exact Schur-Cohn tests find no root within 1.001 (the roots are near 10
 # and 10^10), so numeric mode certifies it with no root iteration

@@ -21,7 +21,9 @@ Three cross-checks ride along on the same sweep:
                    search the disk criteria make.
 
 `audit_family` replays the constructions P1-P4 over fixed grids; each
-instance is judged against the oracle by the same `Conclusion.holds`.
+instance is judged against the oracle by the same `Conclusion.holds`. Its
+criteria are named by their `CRITERIA` keys and read from that registry at
+each call, as `run_criteria` reads them, so a patched entry is seen by both.
 """
 
 from __future__ import annotations
@@ -34,19 +36,8 @@ from typing import Iterable, Iterator
 
 from . import corpus as corpus_mod
 from . import numtheory, oracle, rootloc
-from .criteria import (
-    CRITERIA,
-    EXACT,
-    Conclusion,
-    ConclusionKind,
-    CriterionOutcome,
-    PolyFacts,
-    constant_term_criterion,
-    dominant_coefficient,
-    eisenstein_generalized,
-    leading_coeff_criterion,
-    run_criteria,
-)
+from .criteria import (CRITERIA, EXACT, Conclusion, ConclusionKind, CriterionOutcome, PolyFacts,
+                       run_criteria)
 from .corpus import gen_exhaustive
 from .poly import Polynomial
 
@@ -341,18 +332,16 @@ def p4_grid() -> Iterator[tuple[int, int, int, int, Polynomial]]:
 
 
 # Each family lists its parts: (label, grid, criterion, expect), where
-# expect(*params) gives the conclusion the construction guarantees and the
-# witnesses the criterion must report for the grid instance with those params.
+# criterion is a CRITERIA key and expect(*params) gives the conclusion the
+# construction guarantees and the witnesses the criterion must report for the
+# grid instance with those params.
 _FAMILY_CHECKS = {
-    "P1": [("P1", p1_grid, eisenstein_generalized,
+    "P1": [("P1", p1_grid, "eisenstein_generalized",
             lambda p, m, n, sign: (Conclusion.irreducible(), {"p": p, "k": m - 1, "j": m}))],
-    "P2": [("P2 k=1", p2_grid_k1, constant_term_criterion,
-            lambda *_: (Conclusion.irreducible(), {})),
-           ("P2 k=2", p2_grid_k2, constant_term_criterion,
-            lambda *_: (Conclusion.at_most(2), {}))],
-    "P3": [("P3", p3_grid, leading_coeff_criterion,
-            lambda *_: (Conclusion.irreducible(), {}))],
-    "P4": [("P4", p4_grid, dominant_coefficient,
+    "P2": [("P2 k=1", p2_grid_k1, "constant_term", lambda *_: (Conclusion.irreducible(), {})),
+           ("P2 k=2", p2_grid_k2, "constant_term", lambda *_: (Conclusion.at_most(2), {}))],
+    "P3": [("P3", p3_grid, "leading_coeff", lambda *_: (Conclusion.irreducible(), {}))],
+    "P4": [("P4", p4_grid, "dominant_coefficient",
             lambda a, b, m, j: (Conclusion.at_most(m - j), {"j": j}))],
 }
 
@@ -371,7 +360,7 @@ def audit_family(name: str) -> tuple[int, list]:
         for *params, f in grid():
             checked += 1
             conclusion, witnesses = expect(*params)
-            out = criterion(PolyFacts(f))
+            out = CRITERIA[criterion](PolyFacts(f))
             ok = (
                 out.conclusion == conclusion
                 and witnesses.items() <= out.witnesses.items()

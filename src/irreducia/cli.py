@@ -170,7 +170,6 @@ def _parse_jobs(text: str) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     from . import criteria
-    from .rootloc import CertificateMode
 
     f = parse_poly(args.poly)
     if args.criteria == "all":
@@ -179,8 +178,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         names = tuple(tok.strip() for tok in args.criteria.split(",") if tok.strip())
         if not names:
             raise PolyParseError("empty criteria list")
-    mode = CertificateMode(args.root_mode)  # the enum values are the --root-mode choices
-    config = criteria.AnalyzeConfig(criteria=names, root_mode=mode, oracle=args.oracle)
+    config = criteria.AnalyzeConfig(criteria=names, root_mode=args.root_mode, oracle=args.oracle)
     try:
         report = criteria.analyze(f, config)
     except criteria.SoundnessError as exc:
@@ -234,10 +232,12 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    import inspect  # corpus loads it already
+
     from . import corpus
 
     if args.family:  # every family option given; gen_family refuses the wrong ones
-        options = {key for _, keys in corpus.FAMILIES.values() for key in keys}
+        options = {key for fn in corpus.FAMILIES.values() for key in inspect.signature(fn).parameters}
         given = {key: getattr(args, key) for key in options if getattr(args, key) is not None}
         polys = [corpus.gen_family(args.family.upper(), given)]
     elif args.exhaustive:

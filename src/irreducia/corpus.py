@@ -147,26 +147,22 @@ def gen_p4(
     return Polynomial(coeffs)
 
 
-# Each family's generator and the names of its parameters.
-FAMILIES = {
-    "P1": (gen_p1, ("p", "m", "n", "sign")),
-    "P2": (gen_p2, ("p", "k", "d", "m", "tail", "sign")),
-    "P3": (gen_p3, ("p", "k", "d", "m", "a0", "middle", "sign")),
-    "P4": (gen_p4, ("a", "b", "m", "j", "signs")),
-}
+# Each family's generator; its signature names the family's parameters.
+FAMILIES = {"P1": gen_p1, "P2": gen_p2, "P3": gen_p3, "P4": gen_p4}
 
 
 def gen_family(name: str, params: dict) -> Polynomial:
     """Build a member of family `name` from its parameters, validating all
-    conditions; those its generator gives no default (all but the signs) are required."""
+    conditions. The generator's signature names the parameters: one it lacks
+    is refused, and those it gives no default (all but the signs) are required."""
     _check(name in FAMILIES, "unknown family {!r}", name)
-    fn, names = FAMILIES[name]
-    missing = [key for key, param in inspect.signature(fn).parameters.items()
+    parameters = inspect.signature(FAMILIES[name]).parameters
+    missing = [key for key, param in parameters.items()
                if param.default is param.empty and key not in params]
     _check(not missing, "family {} needs --{}", name, ", --".join(missing))
-    unknown = set(params) - set(names)
+    unknown = params.keys() - parameters.keys()
     _check(not unknown, "unknown parameters for {}: {}", name, ", ".join(sorted(unknown)))
-    return fn(**params)
+    return FAMILIES[name](**params)
 
 
 # Most coefficient tuples (before the gcd filter) an exhaustive corpus may span: about

@@ -146,7 +146,8 @@ class PolyFacts:
     """Coefficient facts about one primitive polynomial of degree >= 1 with
     nonzero constant term, shared by every criterion and by the audit's
     cross-checks, in one root-location certificate mode (`mode`, symbolic
-    unless asked): the mode the two disk criteria certify in.
+    unless asked, a `CertificateMode` or its value; anything else raises
+    ValueError): the mode the two disk criteria certify in.
 
     The input is validated once on construction, and the exact disk test at
     radius 1, |a_0| > sum_{i>=1} |a_i|, is made there too (one sum): it is
@@ -183,7 +184,7 @@ class PolyFacts:
         self.coeffs = coeffs
         self.degree = len(coeffs) - 1
         self.mags = mags = list(map(abs, coeffs))
-        self.mode = mode
+        self.mode = mode = mode if type(mode) is CertificateMode else CertificateMode(mode)
         self.unit_disk_certified = 2 * mags[0] > sum(mags)
         self._low: list[int] | None = None
         self._dominant = False if self.degree > 1 else None  # False: not yet found
@@ -509,7 +510,7 @@ class SoundnessError(RuntimeError):
 
 class AnalyzeConfig(NamedTuple):
     criteria: tuple[str, ...] = tuple(CRITERIA)
-    root_mode: CertificateMode = CertificateMode.SYMBOLIC_SUFFICIENT
+    root_mode: CertificateMode | str = CertificateMode.SYMBOLIC_SUFFICIENT  # or its value
     oracle: str = "auto"  # on | off | auto
 
 
@@ -548,10 +549,13 @@ def run_criteria(
 
 
 @functools.lru_cache(maxsize=64)
-def _checked(names: tuple[str, ...], oracle_mode: str) -> tuple[tuple[str, ...], bool]:
+def _checked(names: tuple[str, ...] | str, oracle_mode: str,
+             root_mode: CertificateMode | str) -> tuple[tuple[str, ...], bool, CertificateMode]:
     """`analyze`'s checks of a config, kept per valid config: the names once
-    each in the order given, and whether that order is the report's (sorted
-    by name)."""
+    each in the order given, whether that order is the report's (sorted by
+    name), and the root mode resolved by `CertificateMode`."""
+    if isinstance(names, str):  # tuple() would read it letter by letter
+        raise ValueError(f"criteria must be a sequence of names, not the string {names!r}")
     names = tuple(dict.fromkeys(names))  # a repeated name runs once
     unknown = [name for name in names if name not in CRITERIA]
     if unknown:
@@ -559,7 +563,7 @@ def _checked(names: tuple[str, ...], oracle_mode: str) -> tuple[tuple[str, ...],
         raise ValueError(f"unknown criteria: {', '.join(unknown)} (known: {known})")
     if oracle_mode not in ("on", "off", "auto"):
         raise ValueError(f"oracle mode must be on/off/auto, got {oracle_mode!r}")
-    return names, list(names) == sorted(names)
+    return names, list(names) == sorted(names), CertificateMode(root_mode)
 
 
 def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisReport:
@@ -572,7 +576,9 @@ def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisR
     report holds no text, and its `input_text` is written only when read."""
     if f.is_zero():
         raise ValueError("cannot analyze the zero polynomial")
-    names, in_order = _checked(tuple(config.criteria), config.oracle)
+    names = config.criteria
+    names, in_order, mode = _checked(names if isinstance(names, str) else tuple(names),
+                                     config.oracle, config.root_mode)
 
     _check_digits(f.coeffs)
     norm = normalize(f)
@@ -588,7 +594,7 @@ def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisR
     if prim.degree == 0:
         warnings.append("primitive part is constant; criteria skipped")
     else:
-        outcomes, stopped = run_criteria(PolyFacts(prim, config.root_mode), names)
+        outcomes, stopped = run_criteria(PolyFacts(prim, mode), names)
         warnings.extend(f"{name}: no conclusion: {exc}" for name, exc in stopped)
         if prim.degree == 1:
             outcomes.append(CriterionOutcome("degree_one", {}, Conclusion.irreducible()))

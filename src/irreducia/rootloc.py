@@ -2,12 +2,13 @@
 |z| <= d.
 
 `certify_outside_disk(f, d, mode)` owns the whole decision and answers True
-or False. Two modes. The symbolic mode checks the sufficient coefficient
-inequality |a_0| > sum_{i>=1} |a_i| d^i in exact arithmetic: on |z| <= d
-that forces |f(z)| >= |a_0| - sum |a_i| d^i > 0, so the disk is root-free.
-It is sound but incomplete. The numeric mode certifies d when every root
-modulus is above d (1 + MARGIN), and consumers flag it as not a proof. Both
-tests are monotone in d: one that holds at d holds at every smaller radius.
+or False. Two modes, each the `CertificateMode` member or its value. The
+symbolic mode checks the sufficient coefficient inequality |a_0| >
+sum_{i>=1} |a_i| d^i in exact arithmetic: on |z| <= d that forces |f(z)|
+>= |a_0| - sum |a_i| d^i > 0, so the disk is root-free. It is sound but
+incomplete. The numeric mode certifies d when every root modulus is above
+d (1 + MARGIN), and consumers flag it as not a proof. Both tests are
+monotone in d: one that holds at d holds at every smaller radius.
 
 In both modes `has_root_in_disk` first refuses d by exact tests that prove
 a root in the disk, so none fires where the symbolic inequality holds; it
@@ -61,12 +62,15 @@ def certify_outside_disk(
     roots: Callable[[], list[complex]] | None = None,
 ) -> bool:
     """Whether every complex zero of f is certified to have modulus greater
-    than d, a positive rational, in `mode`, after `has_root_in_disk`.
+    than d, a positive rational, in `mode` (a `CertificateMode` or its value;
+    anything else raises ValueError), after `has_root_in_disk`.
 
     In numeric mode `roots`, a zero-argument callable that gives all roots
     of f (by default `numeric_roots(f)`), is called only above the degree
     cap, so a caller can share one root set, or one NonConvergenceError,
     between radii."""
+    if type(mode) is not CertificateMode:  # its value; anything else raises ValueError
+        mode = CertificateMode(mode)
     if f.is_zero():
         raise ValueError("zero polynomial")
     if f.constant_term == 0:
@@ -109,19 +113,21 @@ def has_root_in_disk(f: Polynomial, d) -> bool:
 
 
 def root_free(f: Polynomial, r) -> bool:
-    """Whether no root of f lies in the closed disk |z| <= r, for a positive
-    rational r and a_0 != 0; exact and complete (Schur-Cohn; A. Cohn, Math.
-    Z. 14, 1922). With r = u / v, the roots of h(z) = sum_k a_(m-k) u^(m-k)
-    v^k z^k, the reversal of v^m f(r z), are r / (the roots of f), so f is
-    root-free in the disk exactly when every root of h lies in |z| < 1. If
-    |h_n| <= |h_0|, the root moduli of h multiply to at least 1, so one is
-    at least 1 (at the first step this is the Vieta test of
-    `has_root_in_disk`). Otherwise T h = (h_n h - h_0 h~) / z, with h~ the
-    reversal of h, has degree n - 1 (its top coefficient is h_n^2 - h_0^2),
-    and by Rouche's theorem on |z| = 1 (where |h~| = |h|, and a root of h on
-    the circle is a root of T h) it has all its roots in |z| < 1 exactly
-    when h has. Each row is divided by its content, so the coefficients
-    grow linearly in bits with the degree, not exponentially."""
+    """Whether no root of f lies in the closed disk |z| <= r, for a finite
+    rational r >= 0 (else ValueError) and a_0 != 0; exact and complete
+    (Schur-Cohn; A. Cohn, Math. Z. 14, 1922). With r = u / v, the roots of
+    h(z) = sum_k a_(m-k) u^(m-k) v^k z^k, the reversal of v^m f(r z), are
+    r / (the roots of f), so f is root-free in the disk exactly when every
+    root of h lies in |z| < 1. If |h_n| <= |h_0|, the root moduli of h
+    multiply to at least 1, so one is at least 1 (at the first step this is
+    the Vieta test of `has_root_in_disk`). Otherwise T h = (h_n h - h_0 h~)
+    / z, with h~ the reversal of h, has degree n - 1 (its top coefficient is
+    h_n^2 - h_0^2), and by Rouche's theorem on |z| = 1 (where |h~| = |h|,
+    and a root of h on the circle is a root of T h) it has all its roots in
+    |z| < 1 exactly when h has. Each row is divided by its content, so the
+    coefficients grow linearly in bits with the degree, not exponentially."""
+    if not 0 <= r < math.inf:  # a negative r would answer for |r|; Fraction(inf) overflows
+        raise ValueError("disk radius must be finite and at least 0")
     r = Fraction(r)
     u, v, m = r.numerator, r.denominator, f.degree
     h = [a * u ** (m - k) * v**k for k, a in enumerate(reversed(f.coeffs))]

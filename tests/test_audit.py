@@ -197,6 +197,14 @@ def test_family_audit_reports_oracle_disagreement(monkeypatch):
     assert violations == [(target.coeffs, "P1", (2, 2, 2, 1))]
 
 
+def test_family_audit_reads_its_criterion_from_the_registry(monkeypatch):
+    # as run_criteria does, so a patched CRITERIA entry is what it calls
+    monkeypatch.setitem(criteria.CRITERIA, "eisenstein_generalized",
+                        lambda facts: CriterionOutcome("eisenstein_generalized", {}, Conclusion.none()))
+    checked, violations = audit.audit_family("P1")
+    assert checked == len(violations) == 90
+
+
 def test_audit_catches_a_rational_root_scan_that_misses_fractions(monkeypatch):
     # the oracle finds linear factors without the criteria's root scan, so a
     # scan that loses every root p/q with q > 1 shows as violations

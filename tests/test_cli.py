@@ -154,6 +154,20 @@ class TestReportJson:
                 fired += o["applicable"]
         assert fired > 0
 
+    @pytest.mark.parametrize("mode", list(CertificateMode))
+    def test_a_mode_given_as_its_value_reports_as_the_member(self, mode):
+        # 98 + z + 6z^2: constant_term certifies d = 1 in either mode, so the
+        # symbolic value read as numeric mode would label it numeric-conditional
+        f = parse_poly("98,1,6")
+        member = report_to_json(analyze(f, AnalyzeConfig(root_mode=mode)))
+        assert report_to_json(analyze(f, AnalyzeConfig(root_mode=mode.value))) == member
+        assert ("numeric-conditional" in member) is (mode is CertificateMode.NUMERIC_HEURISTIC)
+        # the corpus of test_criteria_read_the_records_mode
+        for f in [*list(corpus.gen_exhaustive(4, 4))[::40], parse_poly("z^2-4z+4")]:
+            member = report_to_json(analyze(f, AnalyzeConfig(root_mode=mode, oracle="off")))
+            config = AnalyzeConfig(root_mode=mode.value, oracle="off")
+            assert report_to_json(analyze(f, config)) == member
+
     def test_no_oracle_key_when_disabled(self):
         report = analyze(parse_poly("z^2+z+1"), AnalyzeConfig(oracle="off"))
         assert "oracle" not in report_to_dict(report)

@@ -1,5 +1,6 @@
 """Family generators and audit corpora."""
 
+import inspect
 import itertools
 import math
 import random
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from irreducia.corpus import (
+    FAMILIES,
     FamilyConditionError,
     gen_exhaustive,
     gen_family,
@@ -293,6 +295,19 @@ class TestGenFamily:
                 gen_family(name, {k: v for k, v in params.items() if k != key})
         # the signs left out are all +
         assert gen_family(name, params) == gen_family(name, {**params, **signs})
+
+    @pytest.mark.parametrize("name, params", [
+        ("P1", {"p": 2, "m": 3, "n": 2, "sign": -1}),
+        ("P2", {"p": 5, "k": 1, "d": 1, "m": 2, "tail": [1, 1], "sign": -1}),
+        ("P3", {"p": 5, "k": 1, "d": 1, "m": 2, "a0": 11, "middle": [1], "sign": -1}),
+        ("P4", {"a": 5, "b": 1, "m": 4, "j": 2, "signs": [-1, 1, -1]}),
+    ])
+    def test_every_parameter_in_the_signature_is_accepted(self, name, params):
+        # FAMILIES maps a name to its generator, whose signature is the
+        # family's parameter list
+        generator = FAMILIES[name]
+        assert list(params) == list(inspect.signature(generator).parameters)
+        assert gen_family(name, params) == generator(**params)
 
     def test_missing_parameters_are_named_in_signature_order(self):
         with pytest.raises(FamilyConditionError, match="^family P3 needs --d, --a0$"):

@@ -452,6 +452,21 @@ def test_criteria_read_the_records_mode(mode):
     assert (numeric > 0) == (mode is CertificateMode.NUMERIC_HEURISTIC)
 
 
+@pytest.mark.parametrize("mode", list(CertificateMode))
+def test_a_records_mode_given_as_its_value_is_the_member(mode):
+    # (z - 2)^2: only numeric mode certifies d = 1, so a value read as the
+    # other mode moves the radius
+    facts = PolyFacts(P(4, -4, 1), mode.value)
+    assert facts.mode is mode
+    numeric = mode is CertificateMode.NUMERIC_HEURISTIC
+    assert facts.certified_radius(0) == PolyFacts(P(4, -4, 1), mode).certified_radius(0) == numeric
+
+
+def test_an_unknown_mode_is_refused_by_the_record():
+    with pytest.raises(ValueError, match="'bogus' is not a valid CertificateMode"):
+        PolyFacts(P(98, 1, 6), "bogus")
+
+
 def test_probable_prime_constant_term_gives_no_verdict():
     # a_0 = psi_13 = 1287836182261 * 2575672364521 passes Miller-Rabin to all
     # 13 bases; the polynomial is the product of z + each factor
@@ -717,6 +732,9 @@ class TestAnalyze:
     @pytest.mark.parametrize("config, message", [
         (AnalyzeConfig(criteria=("weintraub", "nope")), "unknown criteria: nope "),
         (AnalyzeConfig(oracle="maybe"), "oracle mode must be on/off/auto, got 'maybe'"),
+        # a bare string is refused whole, not read letter by letter
+        (AnalyzeConfig(criteria="weintraub"),
+         "criteria must be a sequence of names, not the string 'weintraub'"),
     ])
     def test_invalid_config_raises_on_every_call(self, config, message):
         # the checks of a config run once per config, but an invalid one is
@@ -725,6 +743,14 @@ class TestAnalyze:
             with pytest.raises(ValueError) as info:
                 analyze(P(1, 1), config)
             assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("f", [P(5), P(98, 1, 6)])
+    def test_unknown_root_mode_is_refused_on_every_call(self, f):
+        # the config check refuses it, so a constant input, which builds no
+        # PolyFacts record, is refused too
+        for _ in range(2):
+            with pytest.raises(ValueError, match="'bogus' is not a valid CertificateMode"):
+                analyze(f, AnalyzeConfig(root_mode="bogus"))
 
     def test_criteria_list_reports_as_the_tuple(self):
         names = ["weintraub", "constant_term", "weintraub", "dominant_coefficient"]

@@ -62,6 +62,18 @@ class TestSymbolicCertificate:
 
 
 @pytest.mark.parametrize("mode", [SYM, NUM])
+def test_a_mode_given_as_its_value_is_the_member(mode):
+    # (z - 2)^2 at d = 1: only numeric mode certifies it
+    f = Polynomial([4, -4, 1])
+    assert certify_outside_disk(f, 1, mode.value) is certify_outside_disk(f, 1, mode) is (mode is NUM)
+
+
+def test_an_unknown_mode_is_refused():
+    with pytest.raises(ValueError, match="'bogus' is not a valid CertificateMode"):
+        certify_outside_disk(Polynomial([5, 1, 1]), 1, "bogus")
+
+
+@pytest.mark.parametrize("mode", [SYM, NUM])
 def test_radius_too_large_for_the_root_product_is_refused_at_once(mode):
     # 3*2^13333 + z + ... + z^1000 at d = 3^8000: d^1000, f(+-d) and the
     # symbolic sum would each have about 12.7 million bits; bit lengths alone
@@ -279,6 +291,15 @@ class TestRootFree:
     ])
     def test_roots_on_and_near_the_circle(self, coeffs, r, free):
         assert root_free(Polynomial(list(coeffs)), r) is free
+
+    def test_refuses_a_negative_or_non_finite_radius(self):
+        # the disk |z| <= -3 is empty, but |z| <= 3 holds the roots of modulus
+        # sqrt(7); Fraction(inf) would raise OverflowError
+        f = Polynomial([7, 1, 1])
+        for r in (-3, Fraction(-1, 2), math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="^disk radius must be finite and at least 0$"):
+                root_free(f, r)
+        assert root_free(f, 0) is True  # the disk {0}, and a_0 != 0
 
     @settings(max_examples=100, deadline=None)
     @given(_polys_with_nonzero_ends(),
