@@ -344,7 +344,3 @@ def main(argv: list[str] | None = None) -> int:
     except (PolyParseError, ValueError, oracle.OracleLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

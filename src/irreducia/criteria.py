@@ -560,10 +560,23 @@ def _checked(names: tuple[str, ...] | str, oracle_mode: str,
     unknown = [name for name in names if name not in CRITERIA]
     if unknown:
         known = ", ".join(CRITERIA)
-        raise ValueError(f"unknown criteria: {', '.join(unknown)} (known: {known})")
+        raise ValueError(f"unknown criteria: {', '.join(map(str, unknown))} (known: {known})")
     if oracle_mode not in ("on", "off", "auto"):
         raise ValueError(f"oracle mode must be on/off/auto, got {oracle_mode!r}")
     return names, list(names) == sorted(names), CertificateMode(root_mode)
+
+
+def _unkeyable(config: AnalyzeConfig) -> str:
+    """The refusal of a config whose fields cannot key `_checked`: an
+    unhashable oracle or root mode, or criteria that are no sequence of
+    hashable names."""
+    for value, field in ((config.oracle, "oracle mode must be on/off/auto"),
+                         (config.root_mode, "root mode must be a CertificateMode or its value")):
+        try:
+            hash(value)
+        except TypeError:
+            return f"{field}, got {value!r}"
+    return f"criteria must be a sequence of names, got {config.criteria!r}"
 
 
 def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisReport:
@@ -577,8 +590,11 @@ def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisR
     if f.is_zero():
         raise ValueError("cannot analyze the zero polynomial")
     names = config.criteria
-    names, in_order, mode = _checked(names if isinstance(names, str) else tuple(names),
-                                     config.oracle, config.root_mode)
+    try:
+        names, in_order, mode = _checked(names if isinstance(names, str) else tuple(names),
+                                         config.oracle, config.root_mode)
+    except TypeError:  # raised only by tuple() or by hashing the key: the check never ran
+        raise ValueError(_unkeyable(config)) from None
 
     _check_digits(f.coeffs)
     norm = normalize(f)

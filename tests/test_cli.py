@@ -4,6 +4,7 @@ import importlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -190,6 +191,8 @@ class TestExitCodes:
         assert main(["analyze", "--poly", "z^3+4z+4", "--format", "json"]) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert out["strongest"]["conclusion"]["kind"] == "Irreducible"
+        assert main(["analyze", "--poly", "z^3+4z+4"]) == EXIT_OK
+        assert "strongest: Irreducible via eisenstein_generalized" in capsys.readouterr().out.splitlines()
 
     def test_analyze_inconclusive(self, capsys):
         assert main(["analyze", "--poly", "z^4-1"]) == EXIT_NO_CONCLUSION
@@ -294,6 +297,57 @@ class TestExitCodes:
         assert lines[-1] == ("warning: input splits as content * z^1 * primitive part; "
                              "add 1 to any factor-count bound for the original input")
 
+    @pytest.mark.parametrize("argv, code, lines, absent", [
+        # (z - 2)^2: the exact disk test fails at d = 1, numeric mode certifies d = 1
+        (["--poly", "z^2-4z+4"], EXIT_NO_CONCLUSION, ["strongest: NoConclusion"], []),
+        (["--poly", "z^2-4z+4", "--root-mode", "numeric", "--format", "json"], EXIT_OK,
+         [r' *"certificateMode": "numeric-conditional"'], []),
+        # a_0 is prime, so the one radius is d = 1, and the exact Schur-Cohn
+        # tests find no root within 1.001 (the roots are near 10 and 10^10):
+        # numeric mode certifies it with no root iteration
+        (["--poly", "z^2-10000000000z+100000000003", "--root-mode", "numeric"], EXIT_OK,
+         [r"  constant_term +Irreducible +p=100000000003, k=1, j=1, d=1  \[numeric-conditional\]"],
+         ["did not converge"]),
+        # a_2 = (2^61-1)(2^89-1) resists rho: dominant_coefficient, which
+        # needs its divisors, says so; weintraub's rational-root flag does not
+        (["--poly", "1427247692705959880439315947500961989719490561z^2"
+                    "+295617658828691846632166420412766595202z+4"], EXIT_OK,
+         [r"  weintraub +Irreducible +p=2, k0=1",
+          r"warning: dominant_coefficient: no conclusion: factorization limit reached on "
+          r"1427247692705959880439315947500961989719490561: no factor within \d+ Pollard rho steps"], []),
+        # dominant_coefficient's least passing divisor b of a_m: a_m = 30 reads
+        # its divisors from the table of those of 1..32; a_m = 60, above the
+        # table, finds those up to 32 by trial division before walking on
+        (["--poly=-9,-271,-4,30"], EXIT_OK,
+         [r"  dominant_coefficient +AtMostFactors\(2\) +b=10, delta=1/10, j=1"], []),
+        (["--poly=-2,127,4,60"], EXIT_OK,
+         [r"  dominant_coefficient +AtMostFactors\(2\) +b=4, delta=1/4, j=1"], []),
+        # both criteria stop on a_0 = psi_13, a probable prime; the warnings
+        # keep the order given
+        (["--criteria", "eisenstein_generalized,constant_term",
+          "--poly", "z^2 + 3863508546782z + 3317044064679887385961981"], EXIT_NO_CONCLUSION,
+         ["warning: eisenstein_generalized: no conclusion: .*",
+          "warning: constant_term: no conclusion: .*"], []),
+        # degree 1,000 with a 4,014-digit a_m, and with a 4,015-digit a_0 over
+        # z^1000: rootloc refuses the radius 2^13333 by its bit length, and the
+        # exact Schur-Cohn tests, far above rootloc.EXACT_MAX_DEGREE, do not run
+        (["--root-mode", "numeric", "--poly", "3," + "1," * 999 + str(2**13333)], EXIT_OK,
+         [r"strongest: AtMostFactors\(1000\) via dominant_coefficient"], []),
+        (["--root-mode", "numeric", "--poly", str(3 * 2**13333) + ",0" * 999 + ",1"], EXIT_OK,
+         ["strongest: Irreducible via eisenstein_generalized"], []),
+    ], ids=["double root", "double root numeric", "widely scaled", "rho limit", "b from the table",
+            "b past the table", "warnings in the order given", "huge a_m numeric", "huge a_0 numeric"])
+    def test_analyze_text_report(self, capsys, argv, code, lines, absent):
+        start = time.perf_counter()
+        assert main(["analyze", "--oracle", "off", *argv]) == code
+        assert time.perf_counter() - start < 10.0
+        out = capsys.readouterr().out
+        rest = iter(out.splitlines())
+        for pattern in lines:  # each matches a whole line, after the previous one's
+            assert any(re.fullmatch(pattern, line) for line in rest), pattern
+        for text in absent:
+            assert text not in out
+
     def test_analyze_empty_criteria_list(self, capsys):
         assert main(["analyze", "--poly", "z+1", "--criteria", ","]) == EXIT_ERROR
         assert capsys.readouterr().err == "error: empty criteria list\n"
@@ -340,6 +394,15 @@ class TestExitCodes:
         assert main([*argv, "--format", "json"]) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert [o["criterion"] for o in out["outcomes"]] == ["eisenstein_generalized"]
+        # the criteria run in the order given, but the report is sorted by
+        # name: the seven names reversed print the bytes `all` prints
+        for mode in ("symbolic", "numeric"):
+            argv = ["analyze", "--oracle", "off", "--format", "json", "--root-mode", mode,
+                    "--poly", "30,1,1,1,6", "--criteria"]
+            assert main([*argv, "all"]) == EXIT_OK
+            expected = capsys.readouterr().out
+            assert main([*argv, ",".join(reversed(criteria.CRITERIA))]) == EXIT_OK
+            assert capsys.readouterr().out == expected
 
     def test_analyze_soundness_error(self, capsys, monkeypatch):
         # a criterion that calls z^2 - 1 = (z-1)(z+1) irreducible must end
@@ -358,8 +421,12 @@ class TestExitCodes:
         assert captured.out == ""
 
     def test_factor_output(self, capsys):
-        assert main(["factor", "--poly", "6z^2+5z+1"]) == EXIT_OK
-        assert "(2z+1)(3z+1)" in capsys.readouterr().out
+        # linear factors come from the oracle's own Kronecker search, not a root scan
+        for text, lines in (("6z^2+5z+1", ["(2z+1)(3z+1)", "irreducible factors: 2"]),
+                            ("z^4-1", ["(z-1)(z+1)(z^2+1)", "irreducible factors: 3"]),
+                            ("16z^4+32z^3+24z^2+8z+1", ["(2z+1)^4", "irreducible factors: 4"])):
+            assert main(["factor", "--poly", text]) == EXIT_OK
+            assert capsys.readouterr().out.splitlines() == lines
 
     def test_factor_json(self, capsys):
         assert main(["factor", "--poly", "z^4-1", "--format", "json"]) == EXIT_OK
@@ -475,6 +542,9 @@ class TestExitCodes:
          "P4", {"a": 5, "b": 1, "m": 4, "j": 2}),
         (["--family", "P4", "--a", "5", "--b", "1", "--m", "4", "--j", "2", "--signs=-+-"],
          "P4", {"a": 5, "b": 1, "m": 4, "j": 2, "signs": [-1, 1, -1]}),
+        # b < a - b implies P4's dominance inequality, so no b^998 is built
+        (["--family", "P4", "--a", str(10**4000 + 7), "--b", str(10**3999), "--m", "1000", "--j", "1"],
+         "P4", {"a": 10**4000 + 7, "b": 10**3999, "m": 1000, "j": 1}),
     ])
     def test_gen_family_matches_corpus(self, capsys, argv, name, params):
         assert main(["gen", *argv]) == EXIT_OK
@@ -496,10 +566,27 @@ class TestExitCodes:
          "unknown parameters for P1: k"),
         (["--family", "P4", "--a", "5", "--b", "1", "--m", "4", "--j", "2", "--sign", "-"],
          "unknown parameters for P4: sign"),
+        # a degree above the input maximum is refused before its power is built
+        (["--family", "P1", "--p", "3", "--m", "30000000", "--n", "2"],
+         "degree 30000000 above the maximum 1000"),
+        # the P2 dominance test stops once its running power of d reaches
+        # |a_0|, so no d^1000 is built
+        (["--family", "P2", "--p", "3", "--k", "1", "--d", str(10**4000 + 1), "--m", "1000",
+          "--tail", ",".join(["1"] * 1000)],
+         "dominance condition fails at z^1: |a_0| <= m |a_1| d^1"),
+        # a corpus too large to build is refused at once
+        (["--exhaustive", "--max-degree", "1", "--coeff-bound", "1000000000000"],
+         "invalid bound: degree <= 1, |coeff| <= 1000000000000 spans more than 10000000000 "
+         "coefficient tuples"),
     ])
     def test_gen_family_input_errors(self, capsys, argv, message):
+        start = time.perf_counter()
         assert main(["gen", *argv]) == EXIT_ERROR
-        assert message in capsys.readouterr().err
+        assert time.perf_counter() - start < 10.0
+        err = capsys.readouterr().err
+        assert message in err
+        # the whole of stderr, unless argparse refused the value with its usage
+        assert err.startswith("usage: irreducia gen") or err == f"error: {message}\n"
 
     @pytest.mark.parametrize("option, value, message", [
         ("--sign", "x", "argument --sign: bad sign 'x' (use + or -)"),
@@ -635,6 +722,11 @@ class TestLazyExports:
 
     def test_names_are_their_submodules_objects(self):
         assert sorted(irreducia.__all__) == sorted(irreducia._EXPORTS)
+        # among them the criteria, the record they take, and each entry point
+        assert {fn.__name__ for fn in criteria.CRITERIA.values()} | {
+            "AnalyzeConfig", "CertificateMode", "FamilyConditionError", "PolyFacts", "Polynomial",
+            "analyze", "certify_outside_disk", "factor", "gen_family", "parse_poly",
+        } <= set(irreducia.__all__)
         for name, module in irreducia._EXPORTS.items():
             assert module in self.SUBMODULES
             source = importlib.import_module(f"irreducia.{module}")
@@ -667,14 +759,19 @@ class TestLazyExports:
 
 
 def test_closed_pipe_exits_without_traceback():
-    # the reader takes one line and closes the pipe, as `| head -1` does
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "irreducia", "gen", "--exhaustive",
-         "--max-degree", "4", "--coeff-bound", "4"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(),
-    )
-    assert proc.stdout.readline() == b"-4,1\n"
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=60)
-    assert proc.returncode == EXIT_ERROR
-    assert b"Traceback" not in err
+    # the reader takes one line and closes the pipe, as `| head -1` does;
+    # gen --random prints each polynomial as it is drawn, so even a count of
+    # 10^8 prints its first line at once
+    for args, first in ((["--exhaustive", "--max-degree", "4", "--coeff-bound", "4"], rb"-4,1\n"),
+                        (["--random", "--count", "100000000"], rb"-?\d+(,-?\d+)*\n")):
+        start = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "irreducia", "gen", *args],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(),
+        )
+        assert re.fullmatch(first, proc.stdout.readline())
+        assert time.perf_counter() - start < 10.0
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == EXIT_ERROR
+        assert b"Traceback" not in err

@@ -735,6 +735,15 @@ class TestAnalyze:
         # a bare string is refused whole, not read letter by letter
         (AnalyzeConfig(criteria="weintraub"),
          "criteria must be a sequence of names, not the string 'weintraub'"),
+        # a field that cannot key the config cache, or a name that is no string
+        (AnalyzeConfig(root_mode=["symbolic"]),
+         "root mode must be a CertificateMode or its value, got ['symbolic']"),
+        (AnalyzeConfig(oracle=["off"]), "oracle mode must be on/off/auto, got ['off']"),
+        (AnalyzeConfig(criteria=[["weintraub"]]),
+         "criteria must be a sequence of names, got [['weintraub']]"),
+        (AnalyzeConfig(criteria=[1]), "unknown criteria: 1 (known: "),
+        (AnalyzeConfig(criteria=[None]), "unknown criteria: None (known: "),
+        (AnalyzeConfig(criteria=5), "criteria must be a sequence of names, got 5"),
     ])
     def test_invalid_config_raises_on_every_call(self, config, message):
         # the checks of a config run once per config, but an invalid one is
@@ -975,7 +984,9 @@ class TestAnalyze:
              Conclusion.irreducible(), {"p": 2, "k": 123, "j": 1, "d": 1, "q": 2}),
         ]
         for f, name, conclusion, witnesses in cases:
+            start = time.perf_counter()
             report = analyze(f, AnalyzeConfig(oracle="off"))
+            assert time.perf_counter() - start < 10.0
             out = next(o for o in report.outcomes if o.criterion == name)
             assert (out.conclusion, out.witnesses) == (conclusion, witnesses)
             assert [w.split(":")[0] for w in report.warnings] == ["constant_term"]
