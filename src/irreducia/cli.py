@@ -83,6 +83,8 @@ def _factorization_to_dict(result: oracle.FactorizationResult) -> dict:
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
+    from .criteria import EXACT, Conclusion  # loaded by analyze; factor loads no criteria
+
     if report.strongest is not None:
         strongest = {
             "criterion": report.strongest.criterion,
@@ -93,9 +95,9 @@ def report_to_dict(report: AnalysisReport) -> dict:
     else:
         strongest = {
             "criterion": None,
-            "conclusion": {"kind": "NoConclusion"},
+            "conclusion": _conclusion_to_dict(Conclusion.none()),
             "witnesses": {},
-            "certificateMode": "exact",
+            "certificateMode": EXACT,
         }
     out: dict = {
         "schema": SCHEMA,
@@ -115,6 +117,8 @@ def report_to_json(report: AnalysisReport) -> str:
 
 
 def _report_text_lines(report: AnalysisReport) -> list[str]:
+    from .criteria import EXACT, Conclusion  # as in report_to_dict
+
     lines = [
         f"input: {report.input_text}  [coeffs {render_coeff_list(report.input)}]",
         f"normalization: content {report.content}, zPower {report.z_power}, "
@@ -122,13 +126,13 @@ def _report_text_lines(report: AnalysisReport) -> list[str]:
     ]
     for o in report.outcomes:
         witness = ", ".join(f"{k}={v}" for k, v in o.witnesses.items())
-        mode = "" if o.certificate_mode == "exact" else f"  [{o.certificate_mode}]"
+        mode = "" if o.certificate_mode == EXACT else f"  [{o.certificate_mode}]"
         lines.append(f"  {o.criterion:22s} {str(o.conclusion):22s} {witness}{mode}")
     if report.strongest is not None:
         s = report.strongest
         lines.append(f"strongest: {s.conclusion} via {s.criterion}")
     else:
-        lines.append("strongest: NoConclusion")
+        lines.append(f"strongest: {Conclusion.none()}")
     if report.oracle_result is not None:
         lines.append(
             f"oracle: {render_factorization(report.oracle_result)} "

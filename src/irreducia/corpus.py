@@ -170,6 +170,14 @@ def gen_family(name: str, params: dict) -> Polynomial:
 MAX_CORPUS_SIZE = 10**10
 
 
+def _check_bounds(max_degree: int, coeff_bound: int) -> None:
+    """ValueError naming a max degree or a coefficient bound below 1."""
+    if max_degree < 1:
+        raise ValueError(f"invalid bound: max degree must be >= 1, got {max_degree}")
+    if coeff_bound < 1:
+        raise ValueError(f"invalid bound: coefficient bound must be >= 1, got {coeff_bound}")
+
+
 def gen_exhaustive(max_degree: int, coeff_bound: int) -> Iterator[Polynomial]:
     """All primitive polynomials with nonzero constant term, degree in
     [1, max_degree], coefficients in [-coeff_bound, coeff_bound], one
@@ -178,10 +186,7 @@ def gen_exhaustive(max_degree: int, coeff_bound: int) -> Iterator[Polynomial]:
     with the lowest coefficient varying slowest. Each product tuple already
     holds ints with a positive last entry, so it becomes a Polynomial as it
     is. Bounds past MAX_CORPUS_SIZE tuples are refused before any is built."""
-    if max_degree < 1:
-        raise ValueError(f"invalid bound: max degree must be >= 1, got {max_degree}")
-    if coeff_bound < 1:
-        raise ValueError(f"invalid bound: coefficient bound must be >= 1, got {coeff_bound}")
+    _check_bounds(max_degree, coeff_bound)
     bound = coeff_bound
     # sum over degrees d of 2B (2B+1)^(d-1) B tuples is B ((2B+1)^D - 1);
     # capping D at 64 keeps the power small and changes no verdict (3^64 > limit)
@@ -205,8 +210,7 @@ def gen_random(count: int, max_degree: int, coeff_bound: int, seed: int) -> Iter
     identical sequence). The bounds are checked at the call."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if max_degree < 1 or coeff_bound < 1:
-        raise ValueError("invalid bound")
+    _check_bounds(max_degree, coeff_bound)
     _check_degree(max_degree)
     return _draw_random(count, max_degree, coeff_bound, random.Random(seed))
 

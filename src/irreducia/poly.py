@@ -11,7 +11,8 @@ rational_roots finds every rational root without walking the divisors of
 the end coefficients: it takes the roots mod a small prime, lifts them by
 Newton's iteration, reconstructs the one candidate p/q each lift can stand
 for and checks it exactly (Loos, SIAM J. Comput. 12, 1983). A polynomial
-whose repeated factors defeat every prime is first made squarefree.
+whose repeated factors defeat every prime is first made squarefree, once a
+check modulo one large prime finds it is not.
 """
 
 from __future__ import annotations
@@ -314,9 +315,10 @@ def divides_exactly(g: Polynomial, f: Polynomial) -> Polynomial | None:
     return Polynomial(q) if not any(rem) else None
 
 
-# Primes tried before a polynomial that shows a multiple root modulo each of
-# them is replaced by its squarefree part; see rational_roots.
+# Failed primes after which a polynomial is checked for squarefreeness, and
+# the prime it is checked modulo (2^61 - 1); see rational_roots.
 _PRIMES_BEFORE_SQUAREFREE = 6
+_SQUAREFREE_PRIME = 2**61 - 1
 
 
 def _value_and_slope(coeffs: tuple[int, ...] | list[int], x: int, mod: int) -> tuple[int, int]:
@@ -359,6 +361,30 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
             r[shift + j] -= top * c
         while r and r[-1] == 0:
             r.pop()
+    return r
+
+
+def _squarefree_mod(coeffs: tuple[int, ...]) -> bool:
+    """Whether P = _SQUAREFREE_PRIME does not divide a_m and gcd(f, f') is
+    constant modulo P, for f of degree >= 1; if so, f is squarefree. A
+    square factor g^2 of f makes g divide f and f', and P does not divide
+    lc(g), whose square divides a_m, so g keeps its degree mod P and divides
+    the gcd there. Each pseudo-remainder, reduced mod P, is a unit times the
+    remainder mod P, as P does not divide the leading coefficient it was
+    taken by."""
+    if coeffs[-1] % _SQUAREFREE_PRIME == 0:
+        return False
+    a, b = _reduced(coeffs), _reduced([i * c for i, c in enumerate(coeffs)][1:])
+    while len(b) > 1:
+        a, b = b, _reduced(_pseudo_remainder(a, b))
+    return len(b) == 1
+
+
+def _reduced(coeffs) -> list[int]:
+    """coeffs modulo _SQUAREFREE_PRIME, without leading zeros."""
+    r = [c % _SQUAREFREE_PRIME for c in coeffs]
+    while r and r[-1] == 0:
+        r.pop()
     return r
 
 
@@ -434,35 +460,34 @@ def rational_roots(f: Polynomial) -> set[Fraction]:
     many primes dividing a_m disc(f) fail, so the search is not capped.
 
     A repeated factor with a root mod every prime (a repeated linear factor,
-    or e.g. ((z^2-2)(z^2-3)(z^2-6))^2) would defeat every prime, so after
-    _PRIMES_BEFORE_SQUAREFREE failed primes f is replaced, once, by its
-    squarefree part f / gcd(f, f'), which has the same roots. That gcd grows
-    steeply with the degree (see _squarefree_part); _has_rational_root waits longer.
+    or e.g. ((z^2-2)(z^2-3)(z^2-6))^2) would defeat every prime. So after
+    _PRIMES_BEFORE_SQUAREFREE failed primes f is checked once by
+    _squarefree_mod, a gcd of coefficients below 2^61. If that proves f
+    squarefree, the search goes on with no limit; otherwise f is replaced by
+    its squarefree part f / gcd(f, f'), which has the same roots, but whose
+    gcd grows steeply with the degree (see _squarefree_part).
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
     if f.constant_term == 0:
         raise ValueError("rational root scan requires a nonzero constant term")
-    return _rational_roots(f.coeffs, _PRIMES_BEFORE_SQUAREFREE)
+    return _rational_roots(f.coeffs)
 
 
 def _has_rational_root(coeffs: tuple[int, ...]) -> bool:
     """Whether f, given by its coefficients (a_0 != 0), has a rational root:
-    at degree 2, whether a_1^2 - 4 a_0 a_2 is a square (0 included); else by
-    _rational_roots, whose patience no squarefree f exhausts, as it fails only
-    at the odd primes of disc(f), |disc(f)| <= m^m (sum a_i^2)^(m-1) (Mahler).
-    So it is right for every f, and fast for a squarefree one."""
-    m = len(coeffs) - 1
-    if m == 2:
+    at degree 2, whether a_1^2 - 4 a_0 a_2 is a square (0 included); else
+    whether _rational_roots finds one, as rational_roots does."""
+    if len(coeffs) == 3:
         disc = coeffs[1] * coeffs[1] - 4 * coeffs[0] * coeffs[2]
         return disc >= 0 and math.isqrt(disc) ** 2 == disc
-    patience = m * (m.bit_length() + sum(a * a for a in coeffs).bit_length())
-    return bool(_rational_roots(coeffs, patience))
+    return bool(_rational_roots(coeffs))
 
 
-def _rational_roots(coeffs: tuple[int, ...], patience: int) -> set[Fraction]:
+def _rational_roots(coeffs: tuple[int, ...]) -> set[Fraction]:
     """rational_roots of a polynomial with nonzero constant term, which is
-    replaced by its squarefree part once `patience` primes have failed."""
+    replaced by its squarefree part, once _PRIMES_BEFORE_SQUAREFREE primes
+    have failed, unless _squarefree_mod proves it squarefree then."""
     ell, failed = 1, 0
     while len(coeffs) > 1:
         ell += 2
@@ -472,6 +497,6 @@ def _rational_roots(coeffs: tuple[int, ...], patience: int) -> set[Fraction]:
         if residues is not None:
             return _lift_roots(coeffs, ell, residues)
         failed += 1
-        if failed == patience:
+        if failed == _PRIMES_BEFORE_SQUAREFREE and not _squarefree_mod(coeffs):
             coeffs = _squarefree_part(coeffs)
     return set()

@@ -15,10 +15,13 @@ a root in the disk, so none fires where the symbolic inequality holds; it
 refuses a d too large for the root product |a_0 / a_m| by bit lengths alone.
 In numeric mode, up to degree EXACT_MAX_DEGREE, the Schur-Cohn test
 (`root_free`) then decides the rule exactly, with no roots: no root lies in
-|z| <= SCALE d. Above the cap the roots decide, from an Aberth-Ehrlich
-iteration from Bini's Newton-polygon starts (Numer. Algorithms 13, 1996);
-there one root set costs less than `root_free`, whose rows grow by about 10
-bits per degree at SCALE d.
+|z| <= SCALE d. Above the cap the symbolic inequality at SCALE d, which
+proves that rule, is tried first; then the roots decide, from an
+Aberth-Ehrlich iteration from Bini's Newton-polygon starts (Numer.
+Algorithms 13, 1996); there one root set costs less than `root_free`, whose
+rows grow by about 10 bits per degree at SCALE d.
+
+The three disk tests read f and the radius through one check, `_radius`.
 """
 
 from __future__ import annotations
@@ -71,40 +74,59 @@ def certify_outside_disk(
     between radii."""
     if type(mode) is not CertificateMode:  # its value; anything else raises ValueError
         mode = CertificateMode(mode)
-    if f.is_zero():
-        raise ValueError("zero polynomial")
+    d = _radius(f, d)
+    if not d:
+        raise ValueError("disk radius must be positive")
     if f.constant_term == 0:
         raise ValueError("root at origin inside every disk")
-    if type(d) is not int:  # an integer radius stays in integers
-        if d in (math.inf, -math.inf):  # Fraction would raise OverflowError
-            raise ValueError("disk radius must be finite")
-        d = Fraction(d)
-        d = d.numerator if d.denominator == 1 else d
-    if d <= 0:
-        raise ValueError("disk radius must be positive")
 
-    if f.degree == 0:
-        return True
     if has_root_in_disk(f, d):
         return False
-    if mode is CertificateMode.SYMBOLIC_SUFFICIENT:  # |a_0| > sum_{i>=1} |a_i| d^i
-        return 2 * abs(f.constant_term) > Polynomial(map(abs, f.coeffs)).evaluate(d)
+    if mode is CertificateMode.SYMBOLIC_SUFFICIENT:
+        return _dominates(f, d)
 
     if f.degree <= EXACT_MAX_DEGREE:
         return root_free(f, d * SCALE)
+    if _dominates(f, d * SCALE):
+        return True
     moduli = map(abs, numeric_roots(f) if roots is None else roots())
     # a radius beyond the float range exceeds every root modulus
     return d <= sys.float_info.max and min(moduli) > float(d) * (1.0 + MARGIN)
 
 
+def _radius(f: Polynomial, r) -> int | Fraction:
+    """r as an int if it is one, else as a Fraction, once f is known not to be
+    the zero polynomial and r to be finite and at least 0 (else ValueError)."""
+    if f.is_zero():
+        raise ValueError("zero polynomial")
+    if type(r) is not int:  # an integer radius stays in integers
+        try:
+            r = Fraction(r)
+        except (ValueError, OverflowError):  # a NaN; an infinity
+            raise ValueError("disk radius must be finite and at least 0") from None
+        r = r.numerator if r.denominator == 1 else r
+    if r < 0:  # a test would answer for |r|, where the disk is empty
+        raise ValueError("disk radius must be finite and at least 0")
+    return r
+
+
+def _dominates(f: Polynomial, r) -> bool:
+    """|a_0| > sum_{i>=1} |a_i| r^i: on |z| <= r it forces |f(z)| >= |a_0| -
+    sum |a_i| r^i > 0, so no root lies in the disk."""
+    return 2 * abs(f.constant_term) > Polynomial(map(abs, f.coeffs)).evaluate(r)
+
+
 def has_root_in_disk(f: Polynomial, d) -> bool:
-    """Whether an exact test proves a root of f in |z| <= d, for a positive
-    rational d (an int or a Fraction) and a_0 != 0: |a_m| d^m >= |a_0|, or
-    f(0) f(d) <= 0, or f(0) f(-d) <= 0. The first is tried from bit lengths
-    before d^m is built: 2^lo <= d and lo m >= bitlen(|a_0|) give d^m >
-    |a_0|. So an integer radius that reaches d^m and f(+-d) has d^m <
-    2^(bitlen(|a_0|) + m)."""
+    """Whether an exact test proves a root of f in the closed disk |z| <= d,
+    for a nonzero f and a finite rational d >= 0 (else ValueError): f has
+    degree >= 1, and |a_m| d^m >= |a_0|, or f(0) f(d) <= 0, or f(0) f(-d)
+    <= 0. The first is tried from bit lengths before d^m is built: 2^lo <= d
+    and lo m >= bitlen(|a_0|) give d^m > |a_0|. So an integer radius that
+    reaches d^m and f(+-d) has d^m < 2^(bitlen(|a_0|) + m)."""
+    d = _radius(f, d)
     c, m, a0 = f.coeffs, f.degree, abs(f.constant_term)
+    if m == 0:  # a nonzero constant has no root
+        return False
     u, v = d.numerator, d.denominator  # an int is its own numerator, over 1
     lo = u.bit_length() - 1 - (v.bit_length() if v > 1 else 0)  # 2^lo <= d
     if lo * m >= a0.bit_length() or abs(c[-1]) * d**m >= a0:
@@ -113,9 +135,9 @@ def has_root_in_disk(f: Polynomial, d) -> bool:
 
 
 def root_free(f: Polynomial, r) -> bool:
-    """Whether no root of f lies in the closed disk |z| <= r, for a finite
-    rational r >= 0 (else ValueError) and a_0 != 0; exact and complete
-    (Schur-Cohn; A. Cohn, Math. Z. 14, 1922). With r = u / v, the roots of
+    """Whether no root of f lies in the closed disk |z| <= r, for a nonzero
+    f, a finite rational r >= 0 (else ValueError) and a_0 != 0; exact and
+    complete (Schur-Cohn; A. Cohn, Math. Z. 14, 1922). With r = u / v, the roots of
     h(z) = sum_k a_(m-k) u^(m-k) v^k z^k, the reversal of v^m f(r z), are
     r / (the roots of f), so f is root-free in the disk exactly when every
     root of h lies in |z| < 1. If |h_n| <= |h_0|, the root moduli of h
@@ -126,9 +148,7 @@ def root_free(f: Polynomial, r) -> bool:
     and a root of h on the circle is a root of T h) it has all its roots in
     |z| < 1 exactly when h has. Each row is divided by its content, so the
     coefficients grow linearly in bits with the degree, not exponentially."""
-    if not 0 <= r < math.inf:  # a negative r would answer for |r|; Fraction(inf) overflows
-        raise ValueError("disk radius must be finite and at least 0")
-    r = Fraction(r)
+    r = _radius(f, r)
     u, v, m = r.numerator, r.denominator, f.degree
     h = [a * u ** (m - k) * v**k for k, a in enumerate(reversed(f.coeffs))]
     while len(h) > 1:

@@ -210,8 +210,8 @@ def test_audit_catches_a_rational_root_scan_that_misses_fractions(monkeypatch):
     # scan that loses every root p/q with q > 1 shows as violations
     real = poly._rational_roots
 
-    def integer_roots_only(coeffs, patience):
-        return {r for r in real(coeffs, patience) if r.denominator == 1}
+    def integer_roots_only(coeffs):
+        return {r for r in real(coeffs) if r.denominator == 1}
 
     # poly.rational_roots, oracle's import of it and the criteria's flag call poly's copy
     monkeypatch.setattr(poly, "_rational_roots", integer_roots_only)

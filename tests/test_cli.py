@@ -330,11 +330,15 @@ class TestExitCodes:
           "warning: constant_term: no conclusion: .*"], []),
         # degree 1,000 with a 4,014-digit a_m, and with a 4,015-digit a_0 over
         # z^1000: rootloc refuses the radius 2^13333 by its bit length, and the
-        # exact Schur-Cohn tests, far above rootloc.EXACT_MAX_DEGREE, do not run
+        # exact Schur-Cohn tests, far above rootloc.EXACT_MAX_DEGREE, do not run;
+        # the inequality at 1.001 d certifies d = 3, where no root iteration
+        # could run on a_0 past the float range
         (["--root-mode", "numeric", "--poly", "3," + "1," * 999 + str(2**13333)], EXIT_OK,
          [r"strongest: AtMostFactors\(1000\) via dominant_coefficient"], []),
         (["--root-mode", "numeric", "--poly", str(3 * 2**13333) + ",0" * 999 + ",1"], EXIT_OK,
-         ["strongest: Irreducible via eisenstein_generalized"], []),
+         [r"  constant_term +AtMostFactors\(1000\) +p=2, k=13333, j=1000, d=3  "
+          r"\[numeric-conditional\]",
+          "strongest: Irreducible via eisenstein_generalized"], ["did not converge"]),
     ], ids=["double root", "double root numeric", "widely scaled", "rho limit", "b from the table",
             "b past the table", "warnings in the order given", "huge a_m numeric", "huge a_0 numeric"])
     def test_analyze_text_report(self, capsys, argv, code, lines, absent):

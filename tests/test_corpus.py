@@ -418,8 +418,11 @@ class TestRandom:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError, match="count must be >= 1"):
             gen_random(0, 4, 5, seed=1)
-        with pytest.raises(ValueError, match="invalid bound"):
+        with pytest.raises(ValueError, match="^invalid bound: max degree must be >= 1, got 0$"):
             gen_random(1, 0, 3, 0)
+        with pytest.raises(ValueError, match="^invalid bound: coefficient bound must be >= 1, "
+                                             "got -2$"):
+            gen_random(1, 3, -2, 0)
 
     def test_count_and_filters(self):
         polys = list(gen_random(50, 4, 5, seed=1))

@@ -104,7 +104,7 @@ def test_rational_root_flag_is_asked_only_of_squarefree_polynomials(monkeypatch)
     asked = []
     real = poly._rational_roots
     monkeypatch.setattr(poly, "_rational_roots",
-                        lambda coeffs, patience: asked.append(coeffs) or real(coeffs, patience))
+                        lambda coeffs: asked.append(coeffs) or real(coeffs))
     monkeypatch.setattr(poly, "_squarefree_part", lambda coeffs: pytest.fail("squarefree step"))
     for f in gen_exhaustive(4, 4):
         facts = PolyFacts(f)
@@ -1008,9 +1008,10 @@ class TestAnalyze:
         assert weintraub_check(PolyFacts(P(1, 1, 1))) is not first
 
     def test_numeric_mode_finds_roots_once(self, monkeypatch):
-        # 1109 + z + 1009z^10: both disk criteria try d = 1, which no integer
-        # test refuses; above the degree cap each needs the roots (least
-        # modulus 1.0094), and one root set answers both
+        # 1109 + 100z^5 + 1009z^10: both disk criteria try d = 1, which no
+        # exact test settles (the inequality at 1.001 fails by the middle
+        # coefficient); above the degree cap each needs the roots (least
+        # modulus 1.0095), and one root set answers both
         calls = []
         real = rootloc.numeric_roots
 
@@ -1020,7 +1021,7 @@ class TestAnalyze:
 
         monkeypatch.setattr(rootloc, "numeric_roots", counting)
         config = AnalyzeConfig(oracle="off", root_mode=CertificateMode.NUMERIC_HEURISTIC)
-        f = P(1109, 1, *[0] * 8, 1009)
+        f = P(1109, *[0] * 4, 100, *[0] * 4, 1009)
         report = analyze(f, config)
         assert calls == [f]
         by_name = {o.criterion: o for o in report.outcomes}
@@ -1120,10 +1121,11 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("above", [0, 1])
     def test_exact_disk_tests_stop_at_the_degree_cap(self, monkeypatch, above):
-        # 1013 + z^m: no exact integer test refuses d = 1, and every root
-        # has modulus 1013^(1/m) > 1.9; up to the cap one root_free call
-        # certifies it with no roots, above the cap the roots do and root_free
-        # never runs
+        # (z - 2)^m: constant_term tries d = 1, which no exact test settles
+        # above the cap (the inequality at 1.001 fails by the middle
+        # coefficients), and every root has modulus 2; up to the cap one
+        # root_free call certifies it with no roots, above the cap the roots
+        # do and root_free never runs
         calls = []
 
         def counting(name):
@@ -1138,7 +1140,7 @@ class TestAnalyze:
             monkeypatch.setattr(rootloc, name, counting(name))
         m = rootloc.EXACT_MAX_DEGREE + above
         report = analyze(
-            P(1013, *[0] * (m - 1), 1),
+            P(-2, 1) ** m,
             AnalyzeConfig(oracle="off", root_mode=CertificateMode.NUMERIC_HEURISTIC),
         )
         assert calls == (["numeric_roots"] if above else ["root_free"])

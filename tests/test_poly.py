@@ -1,15 +1,17 @@
 """Exact polynomial arithmetic, normalization, rational roots."""
 
+import random
 import sys
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from irreducia import poly
 from irreducia.corpus import gen_exhaustive
+from irreducia.criteria import PolyFacts
 from irreducia.poly import (
     Polynomial,
     PolyParseError,
@@ -27,6 +29,7 @@ def naive_eval(f, x):
 
 
 small_polys = st.lists(st.integers(-9, 9), min_size=0, max_size=7).map(Polynomial)
+P = poly._SQUAREFREE_PRIME  # the prime of the modular squarefree check
 
 
 class TestPolynomial:
@@ -228,6 +231,29 @@ class TestRationalRoots:
         assert rational_roots(g * g * Polynomial([3, 2]) ** 2) == {Fraction(-3, 2)}
         assert len(reductions) == 2
 
+    def test_squarefree_degree_400_is_fast(self):
+        # 3..17 divide a_0 and a_1, so z = 0 is a double root modulo each of
+        # the first six primes; the modular check then proves f squarefree,
+        # and the exact squarefree part, seconds at this degree, is not taken
+        rng = random.Random(1)
+        f = Polynomial([1021020, 510510, *(2 * rng.randint(1, 4) for _ in range(2, 400)), 1])
+        start = time.process_time()
+        assert rational_roots(f) == set()
+        assert time.process_time() - start < 0.5
+
+    @pytest.mark.parametrize("f, roots", [
+        # P = 2^61 - 1 divides a_m, so the modular check cannot speak, and
+        # (Pz + 1) has a double root mod every other prime
+        (Polynomial([1, P]) ** 2, {Fraction(-1, P)}),
+        (Polynomial([1, P]) ** 2 * Polynomial([-2, 1]), {Fraction(-1, P), Fraction(2)}),
+        (Polynomial([1, P]) ** 2 * Polynomial([-3, 2]) ** 2 * Polynomial([1, 0, 1]),
+         {Fraction(-1, P), Fraction(3, 2)}),
+        (Polynomial([1, 2 * P]) * Polynomial([-3, 0, 1]) ** 2, {Fraction(-1, 2 * P)}),
+    ])
+    def test_leading_coefficient_divisible_by_the_check_prime(self, f, roots):
+        assert rational_roots(f) == roots
+        assert PolyFacts(f).has_rational_root() is True
+
     def test_squarefree_part(self):
         squarefree = Polynomial([1, 1]) * Polynomial([1, 0, 1]) * Polynomial([-3, 2])
         f = Polynomial([1, 1]) ** 3 * Polynomial([1, 0, 1]) ** 2 * Polynomial([-3, 2])
@@ -248,6 +274,41 @@ class TestRationalRoots:
             assert rational_roots(f) == expected
 
 
+_factors = st.lists(st.integers(-9, 9), min_size=2, max_size=4).filter(lambda c: c[-1])
+
+
+@st.composite
+def _squarefree_mod_inputs(draw):
+    """g^2 h, with g and h of degree >= 1: as drawn, with P times the leading
+    coefficient of g or of h, or with g a constant modulo P."""
+    g, h = Polynomial(draw(_factors)), Polynomial(draw(_factors))
+    kind = draw(st.sampled_from(("plain", "g", "h", "g constant mod P")))
+    if kind == "g":
+        g = Polynomial([*g.coeffs[:-1], P * g.coeffs[-1]])
+    elif kind == "h":
+        h = Polynomial([*h.coeffs[:-1], P * h.coeffs[-1]])
+    elif kind == "g constant mod P":
+        g = Polynomial([g.coeffs[0] or 1, *(P * c for c in g.coeffs[1:])])
+    return g * g * h
+
+
+class TestSquarefreeCheck:
+    @given(st.one_of(_factors.map(Polynomial), _squarefree_mod_inputs()))
+    @example(Polynomial([1, P]) ** 2 * Polynomial([-2, 1]))  # (Pz + 1)^2 is 1 mod P
+    @example(Polynomial([3, 2]) ** 2 * Polynomial([1, 0, 1]))
+    def test_never_calls_a_square_factor_squarefree(self, f):
+        squarefree = len(poly._squarefree_part(f.coeffs)) == len(f.coeffs)
+        if poly._squarefree_mod(f.coeffs):
+            assert squarefree, f
+        if f.leading_coefficient % P == 0:
+            assert not poly._squarefree_mod(f.coeffs)
+
+    def test_proves_these_squarefree(self):
+        for f in (Polynomial([1, 1]), Polynomial([1021020, 510510, 0, 1]),
+                  Polynomial([-2, 0, 1]) * Polynomial([-3, 0, 1]) * Polynomial([-6, 0, 1])):
+            assert poly._squarefree_mod(f.coeffs) is True
+
+
 class TestRationalRootFlag:
     def test_matches_rational_roots_on_quadratics(self):
         # the discriminant test: no root, two roots, and a square (disc = 0)
@@ -259,7 +320,7 @@ class TestRationalRootFlag:
 
     def test_ends_on_a_cubic_with_a_repeated_factor(self, monkeypatch):
         # (z + 1)^2 (2z + 3) has a double root mod every prime, so only its
-        # squarefree part settles it, once the patience is spent
+        # squarefree part settles it, once the modular check has failed
         f = Polynomial([1, 1]) ** 2 * Polynomial([3, 2])
         reductions = []
         real = poly._squarefree_part
@@ -271,9 +332,21 @@ class TestRationalRootFlag:
 
     def test_takes_no_squarefree_step_on_a_squarefree_cubic(self, monkeypatch):
         # 3..17 divide a_0 and a_1, so z = 0 is a multiple root modulo each
-        # of the first six primes; a squarefree f must not reach the costly
-        # squarefree step, as rational_roots does after six failed primes
+        # of the first six primes; the modular check then proves f
+        # squarefree, so neither scan reaches the costly squarefree step
         f = Polynomial([1021020, 510510, 0, 1])
-        expected = bool(rational_roots(f))
         monkeypatch.setattr(poly, "_squarefree_part", lambda coeffs: pytest.fail("squarefree step"))
-        assert poly._has_rational_root(f.coeffs) is expected is False
+        assert poly._has_rational_root(f.coeffs) is bool(rational_roots(f)) is False
+
+    @pytest.mark.parametrize("m", [40, 80])
+    def test_a_repeated_linear_factor_is_fast(self, m):
+        # (z + 1)^2 h, h random: a double root mod every prime, so the
+        # modular check must find the square factor at once
+        rng = random.Random(3)
+        h = [rng.randint(-9, 9) for _ in range(m - 1)]
+        h[0], h[-1] = h[0] or 1, h[-1] or 1
+        f = Polynomial([1, 1]) ** 2 * Polynomial(h)
+        start = time.process_time()
+        assert PolyFacts(f).has_rational_root() is True
+        assert time.process_time() - start < 0.5
+        assert Fraction(-1) in rational_roots(f)

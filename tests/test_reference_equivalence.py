@@ -1168,9 +1168,9 @@ def test_quadratic_rational_root_flag_examples():
 
 
 def test_rational_root_flag_ends_on_a_repeated_factor():
-    # the criteria ask only of squarefree polynomials, so the flag's search
-    # takes the squarefree step only past a patience no squarefree f uses up;
-    # a repeated factor with a root mod every prime still gets there
+    # the flag's search takes the squarefree step only when the modular
+    # check finds a square factor, which no squarefree f shows; a repeated
+    # factor with a root mod every prime still gets there
     h = Polynomial([-2, 0, 1]) * Polynomial([-3, 0, 1]) * Polynomial([-6, 0, 1])
     for f, flag in ((Polynomial([1, 1]) ** 2 * Polynomial([3, 0, 1]), True),
                     (h * h, False), (h * h * Polynomial([1, 3]), True)):

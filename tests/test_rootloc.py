@@ -3,6 +3,7 @@
 import math
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from irreducia.rootloc import (
     CertificateMode,
     NonConvergenceError,
     certify_outside_disk,
+    has_root_in_disk,
     numeric_roots,
     root_free,
 )
@@ -82,6 +84,43 @@ def test_radius_too_large_for_the_root_product_is_refused_at_once(mode):
     start = time.process_time()
     assert certify_outside_disk(f, 3**8000, mode) is False
     assert time.process_time() - start < 1.0
+
+
+@pytest.mark.parametrize("test", [
+    has_root_in_disk,
+    root_free,
+    lambda f, d: certify_outside_disk(f, d, SYM),
+    lambda f, d: certify_outside_disk(f, d, NUM),
+], ids=["has_root_in_disk", "root_free", "certify symbolic", "certify numeric"])
+@pytest.mark.parametrize("coeffs, r, message", [
+    ((7, 1, 1), -3, "disk radius must be finite and at least 0"),  # |z| <= -3 is empty
+    ((7, 1, 1), Fraction(-1, 2), "disk radius must be finite and at least 0"),
+    ((7, 1, 1), -0.5, "disk radius must be finite and at least 0"),
+    ((7, 1, 1), math.inf, "disk radius must be finite and at least 0"),
+    ((7, 1, 1), -math.inf, "disk radius must be finite and at least 0"),
+    ((7, 1, 1), math.nan, "disk radius must be finite and at least 0"),
+    ((7, 1, 1), Decimal("NaN"), "disk radius must be finite and at least 0"),
+    ((), 1, "zero polynomial"),  # it vanishes everywhere, so no disk is root-free
+    ((), math.inf, "zero polynomial"),
+], ids=["negative int", "negative Fraction", "negative float", "inf", "-inf", "nan",
+        "Decimal nan", "zero polynomial", "zero polynomial, inf"])
+def test_every_disk_test_refuses_the_same_inputs(test, coeffs, r, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        test(Polynomial(list(coeffs)), r)
+
+
+@pytest.mark.parametrize("r, found", [
+    (Fraction(3, 2), False), (1.5, False), (3, True), (3.0, True), (0, False), (0.0, False),
+])
+def test_has_root_in_disk_reads_a_float_radius_as_its_fraction(r, found):
+    # 7 + z + z^2 has roots of modulus sqrt(7) = 2.65; at 3, 3^2 >= 7
+    assert has_root_in_disk(Polynomial([7, 1, 1]), r) is found
+
+
+def test_a_constant_has_no_root_in_any_disk():
+    for r in (0, Fraction(1, 2), 1, 10**100):
+        assert has_root_in_disk(Polynomial([5]), r) is False
+        assert root_free(Polynomial([5]), r) is True
 
 
 class TestNumericRoots:
@@ -256,6 +295,11 @@ class TestNumericCertificate:
         ((1013, 1, 1009), 1, True),  # moduli 1.00198, above 1.001 by less than 0.1%
         ((-1001, 1000), 1, False),  # the root 1.001 is on the margin: refused
         ((-1002, 1000), 1, True),
+        # above the degree cap, |a_0| > sum_{i>=1} |a_i| (1.001 d)^i proves
+        # the rule: least modulus 1.0094, and 1109 > 1.001 + 1009 * 1.001^10
+        ((1109, 1, *[0] * 8, 1009), 1, True),
+        # 2^13333 is past the float range, so no root iteration could run
+        ((3 * 2**13333, *[0] * 999, 1), 3, True),
     ])
     def test_exact_tests_settle_without_roots(self, coeffs, d, certified):
         def roots():
@@ -264,10 +308,13 @@ class TestNumericCertificate:
         assert certify_outside_disk(Polynomial(list(coeffs)), d, NUM, roots=roots) is certified
 
     def test_roots_asked_for_once_in_the_band(self):
-        # above the degree cap the roots decide d = 1, which no integer test
-        # settles: least moduli 1.0094 (certified) and 1.0003 (refused)
-        for a0, certified in ((1109, True), (1013, False)):
-            f = Polynomial([a0, 1, *[0] * 8, 1009])
+        # above the degree cap the roots decide d = 1, which no exact test
+        # settles: least moduli 2 (certified; (z - 2)^10 fails the
+        # inequality at 1.001 by its middle coefficients), 1.0003 and 1.0007
+        # (refused; 2 + z^1000 passes the inequality at d = 1 itself)
+        for f, certified in ((Polynomial([-2, 1]) ** 10, True),
+                             (Polynomial([1013, 1, *[0] * 8, 1009]), False),
+                             (Polynomial([2, *[0] * 999, 1]), False)):
             calls = []
 
             def roots():
