@@ -83,28 +83,20 @@ def _factorization_to_dict(result: oracle.FactorizationResult) -> dict:
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
-    from .criteria import EXACT, Conclusion  # loaded by analyze; factor loads no criteria
+    from .criteria import NO_STRONGEST  # loaded by analyze; factor loads no criteria
 
-    if report.strongest is not None:
-        strongest = {
-            "criterion": report.strongest.criterion,
-            "conclusion": _conclusion_to_dict(report.strongest.conclusion),
-            "witnesses": {k: str(v) for k, v in report.strongest.witnesses.items()},
-            "certificateMode": report.strongest.certificate_mode,
-        }
-    else:
-        strongest = {
-            "criterion": None,
-            "conclusion": _conclusion_to_dict(Conclusion.none()),
-            "witnesses": {},
-            "certificateMode": EXACT,
-        }
+    s = report.strongest or NO_STRONGEST
     out: dict = {
         "schema": SCHEMA,
         "input": _input_to_dict(report.input),
         "normalization": {"content": str(report.content), "zPower": report.z_power},
         "outcomes": [_outcome_to_dict(o) for o in report.outcomes],
-        "strongest": strongest,
+        "strongest": {
+            "criterion": s.criterion,
+            "conclusion": _conclusion_to_dict(s.conclusion),
+            "witnesses": {k: str(v) for k, v in s.witnesses.items()},
+            "certificateMode": s.certificate_mode,
+        },
     }
     if report.oracle_result is not None:
         out["oracle"] = _factorization_to_dict(report.oracle_result)
@@ -117,7 +109,7 @@ def report_to_json(report: AnalysisReport) -> str:
 
 
 def _report_text_lines(report: AnalysisReport) -> list[str]:
-    from .criteria import EXACT, Conclusion  # as in report_to_dict
+    from .criteria import EXACT, NO_STRONGEST  # as in report_to_dict
 
     lines = [
         f"input: {report.input_text}  [coeffs {render_coeff_list(report.input)}]",
@@ -128,11 +120,8 @@ def _report_text_lines(report: AnalysisReport) -> list[str]:
         witness = ", ".join(f"{k}={v}" for k, v in o.witnesses.items())
         mode = "" if o.certificate_mode == EXACT else f"  [{o.certificate_mode}]"
         lines.append(f"  {o.criterion:22s} {str(o.conclusion):22s} {witness}{mode}")
-    if report.strongest is not None:
-        s = report.strongest
-        lines.append(f"strongest: {s.conclusion} via {s.criterion}")
-    else:
-        lines.append(f"strongest: {Conclusion.none()}")
+    s = report.strongest or NO_STRONGEST
+    lines.append(f"strongest: {s.conclusion}" + (f" via {s.criterion}" if s.criterion else ""))
     if report.oracle_result is not None:
         lines.append(
             f"oracle: {render_factorization(report.oracle_result)} "

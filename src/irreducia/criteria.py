@@ -502,16 +502,52 @@ CRITERIA = {
 _NO_CONCLUSIONS = {
     name: CriterionOutcome(name, MappingProxyType({}), Conclusion.none()) for name in CRITERIA
 }
+# what the CLI reports as strongest when no criterion concludes
+NO_STRONGEST = CriterionOutcome(None, MappingProxyType({}), _NONE)
 
 
 class SoundnessError(RuntimeError):
     """A criterion conclusion contradicted the factorization oracle."""
 
 
-class AnalyzeConfig(NamedTuple):
-    criteria: tuple[str, ...] = tuple(CRITERIA)
-    root_mode: CertificateMode | str = CertificateMode.SYMBOLIC_SUFFICIENT  # or its value
-    oracle: str = "auto"  # on | off | auto
+class _AnalyzeFields(NamedTuple):
+    criteria: tuple[str, ...]
+    root_mode: CertificateMode
+    oracle: str
+
+
+class AnalyzeConfig(_AnalyzeFields):
+    """Which criteria `analyze` runs, the root mode the disk criteria certify
+    in, and whether the oracle judges them (on | off | auto). A config is
+    checked when it is built, and again by `_replace` and by unpickling:
+    `criteria` becomes the tuple of its distinct names in the order given,
+    and `root_mode` its `CertificateMode` member. A bare string, something
+    that is no sequence of names, an unknown name or oracle mode, or a root
+    mode that is no member or value raises ValueError."""
+
+    __slots__ = ()
+
+    def __new__(cls, criteria: Iterable[str] = tuple(CRITERIA),
+                root_mode: CertificateMode | str = SYMBOLIC,
+                oracle: str = "auto") -> "AnalyzeConfig":
+        if isinstance(criteria, str):  # tuple() would read it letter by letter
+            raise ValueError(f"criteria must be a sequence of names, not the string {criteria!r}")
+        try:
+            names = tuple(dict.fromkeys(criteria))  # a repeated name runs once
+        except TypeError:  # no iterable, or an unhashable name
+            raise ValueError(f"criteria must be a sequence of names, got {criteria!r}") from None
+        unknown = [name for name in names if name not in CRITERIA]
+        if unknown:
+            known = ", ".join(CRITERIA)
+            raise ValueError(f"unknown criteria: {', '.join(map(str, unknown))} (known: {known})")
+        if oracle not in ("on", "off", "auto"):
+            raise ValueError(f"oracle mode must be on/off/auto, got {oracle!r}")
+        return super().__new__(cls, names, CertificateMode(root_mode), oracle)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "AnalyzeConfig":
+        """As the base `_make`, which `_replace` calls, but through `__new__`."""
+        return cls(*iterable)
 
 
 class AnalysisReport(NamedTuple):
@@ -548,54 +584,16 @@ def run_criteria(
     return outcomes, stopped
 
 
-@functools.lru_cache(maxsize=64)
-def _checked(names: tuple[str, ...] | str, oracle_mode: str,
-             root_mode: CertificateMode | str) -> tuple[tuple[str, ...], bool, CertificateMode]:
-    """`analyze`'s checks of a config, kept per valid config: the names once
-    each in the order given, whether that order is the report's (sorted by
-    name), and the root mode resolved by `CertificateMode`."""
-    if isinstance(names, str):  # tuple() would read it letter by letter
-        raise ValueError(f"criteria must be a sequence of names, not the string {names!r}")
-    names = tuple(dict.fromkeys(names))  # a repeated name runs once
-    unknown = [name for name in names if name not in CRITERIA]
-    if unknown:
-        known = ", ".join(CRITERIA)
-        raise ValueError(f"unknown criteria: {', '.join(map(str, unknown))} (known: {known})")
-    if oracle_mode not in ("on", "off", "auto"):
-        raise ValueError(f"oracle mode must be on/off/auto, got {oracle_mode!r}")
-    return names, list(names) == sorted(names), CertificateMode(root_mode)
-
-
-def _unkeyable(config: AnalyzeConfig) -> str:
-    """The refusal of a config whose fields cannot key `_checked`: an
-    unhashable oracle or root mode, or criteria that are no sequence of
-    hashable names."""
-    for value, field in ((config.oracle, "oracle mode must be on/off/auto"),
-                         (config.root_mode, "root mode must be a CertificateMode or its value")):
-        try:
-            hash(value)
-        except TypeError:
-            return f"{field}, got {value!r}"
-    return f"criteria must be a sequence of names, got {config.criteria!r}"
-
-
 def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisReport:
     """Run every enabled criterion on the primitive part of f, pick the
     strongest conclusion, and optionally judge every fired one by the oracle.
-    The config is checked once per distinct config. The criteria run in the
-    order given, a repeated name once, and so do the warnings of those
-    stopped by a limit; the outcomes are reported sorted by name. A
-    coefficient too long for str() is refused before any criterion runs; the
-    report holds no text, and its `input_text` is written only when read."""
+    The config was checked when it was built. The criteria run in its order,
+    and so do the warnings of those stopped by a limit; the outcomes are
+    reported sorted by name. A coefficient too long for str() is refused
+    before any criterion runs; the report holds no text, and its
+    `input_text` is written only when read."""
     if f.is_zero():
         raise ValueError("cannot analyze the zero polynomial")
-    names = config.criteria
-    try:
-        names, in_order, mode = _checked(names if isinstance(names, str) else tuple(names),
-                                         config.oracle, config.root_mode)
-    except TypeError:  # raised only by tuple() or by hashing the key: the check never ran
-        raise ValueError(_unkeyable(config)) from None
-
     _check_digits(f.coeffs)
     norm = normalize(f)
     prim = norm.primitive_part
@@ -610,12 +608,11 @@ def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisR
     if prim.degree == 0:
         warnings.append("primitive part is constant; criteria skipped")
     else:
-        outcomes, stopped = run_criteria(PolyFacts(prim, mode), names)
+        outcomes, stopped = run_criteria(PolyFacts(prim, config.root_mode), config.criteria)
         warnings.extend(f"{name}: no conclusion: {exc}" for name, exc in stopped)
         if prim.degree == 1:
             outcomes.append(CriterionOutcome("degree_one", {}, Conclusion.irreducible()))
-        if not in_order or prim.degree == 1:
-            outcomes.sort(key=lambda o: o.criterion)
+        outcomes.sort(key=lambda o: o.criterion)
 
     fired, strongest, numeric = [], None, False
     for o in outcomes:  # in report order, so the first of equal ranks is kept

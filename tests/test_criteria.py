@@ -730,33 +730,32 @@ class TestAnalyze:
             analyze(P(1, 1), AnalyzeConfig(criteria=("nope",)))
 
     @pytest.mark.parametrize("config, message", [
-        (AnalyzeConfig(criteria=("weintraub", "nope")), "unknown criteria: nope "),
-        (AnalyzeConfig(oracle="maybe"), "oracle mode must be on/off/auto, got 'maybe'"),
+        ({"criteria": ("weintraub", "nope")}, "unknown criteria: nope "),
+        ({"oracle": "maybe"}, "oracle mode must be on/off/auto, got 'maybe'"),
         # a bare string is refused whole, not read letter by letter
-        (AnalyzeConfig(criteria="weintraub"),
+        ({"criteria": "weintraub"},
          "criteria must be a sequence of names, not the string 'weintraub'"),
-        # a field that cannot key the config cache, or a name that is no string
-        (AnalyzeConfig(root_mode=["symbolic"]),
-         "root mode must be a CertificateMode or its value, got ['symbolic']"),
-        (AnalyzeConfig(oracle=["off"]), "oracle mode must be on/off/auto, got ['off']"),
-        (AnalyzeConfig(criteria=[["weintraub"]]),
+        # an unhashable field, or a name that is no string
+        ({"root_mode": ["symbolic"]}, "['symbolic'] is not a valid CertificateMode"),
+        ({"oracle": ["off"]}, "oracle mode must be on/off/auto, got ['off']"),
+        ({"criteria": [["weintraub"]]},
          "criteria must be a sequence of names, got [['weintraub']]"),
-        (AnalyzeConfig(criteria=[1]), "unknown criteria: 1 (known: "),
-        (AnalyzeConfig(criteria=[None]), "unknown criteria: None (known: "),
-        (AnalyzeConfig(criteria=5), "criteria must be a sequence of names, got 5"),
+        ({"criteria": [1]}, "unknown criteria: 1 (known: "),
+        ({"criteria": [None]}, "unknown criteria: None (known: "),
+        ({"criteria": 5}, "criteria must be a sequence of names, got 5"),
     ])
     def test_invalid_config_raises_on_every_call(self, config, message):
-        # the checks of a config run once per config, but an invalid one is
-        # never kept as checked
-        for _ in range(2):
+        # refused when built, and when a valid config is changed to it
+        for build in (lambda: AnalyzeConfig(**config),
+                      lambda: AnalyzeConfig()._replace(**config)):
             with pytest.raises(ValueError) as info:
-                analyze(P(1, 1), config)
+                build()
             assert str(info.value).startswith(message)
 
     @pytest.mark.parametrize("f", [P(5), P(98, 1, 6)])
     def test_unknown_root_mode_is_refused_on_every_call(self, f):
-        # the config check refuses it, so a constant input, which builds no
-        # PolyFacts record, is refused too
+        # the config refuses it when built, so a constant input, which
+        # builds no PolyFacts record, is refused too
         for _ in range(2):
             with pytest.raises(ValueError, match="'bogus' is not a valid CertificateMode"):
                 analyze(f, AnalyzeConfig(root_mode="bogus"))
@@ -770,6 +769,28 @@ class TestAnalyze:
                 assert analyze(f, AnalyzeConfig(criteria=names, root_mode=mode)) == expected
         assert [o.criterion for o in expected.outcomes] == sorted(set(names))
 
+    @settings(max_examples=60, deadline=None)
+    @given(names=st.lists(st.sampled_from(tuple(criteria.CRITERIA)), max_size=10),
+           form=st.sampled_from([tuple, list, iter, lambda names: (name for name in names)]),
+           mode=st.sampled_from(CertificateMode), by_value=st.booleans(),
+           f=st.sampled_from([P(6, 4, 0, 2, 1), P(4, 4, 0, 1), P(1013, 1, 1009), P(2, 3, 5, 7)]))
+    def test_any_names_in_any_form_report_as_their_distinct_tuple(self, names, form, mode,
+                                                                  by_value, f):
+        distinct = tuple(dict.fromkeys(names))
+        expected = analyze(f, AnalyzeConfig(distinct, mode, "off"))
+        assert [o.criterion for o in expected.outcomes] == sorted(distinct)
+        config = AnalyzeConfig(form(names), mode.value if by_value else mode, "off")
+        assert config == (distinct, mode, "off")
+        for _ in range(2):  # an iterator or generator is read once, when the config is built
+            assert analyze(f, config) == expected
+        clone = pickle.loads(pickle.dumps(config))
+        assert type(clone) is AnalyzeConfig and clone == config
+        assert analyze(f, clone) == expected
+        for change in ({"criteria": (*names, "nope")}, {"criteria": "weintraub"},
+                       {"root_mode": "bogus"}, {"oracle": "maybe"}):
+            with pytest.raises(ValueError):
+                config._replace(**change)
+
     def test_repeated_name_runs_its_criterion_once(self, monkeypatch):
         calls = []
         original = criteria.CRITERIA["perron_nonmonic"]
@@ -781,7 +802,7 @@ class TestAnalyze:
         monkeypatch.setitem(criteria.CRITERIA, "perron_nonmonic", counting)
         config = AnalyzeConfig(criteria=("perron_nonmonic", "weintraub", "perron_nonmonic"),
                                oracle="off")
-        for expected in (1, 2):  # the second call reads the checked config back
+        for expected in (1, 2):  # once on every call
             report = analyze(P(1, 5, 1), config)
             assert len(calls) == expected
         assert [o.criterion for o in report.outcomes] == ["perron_nonmonic", "weintraub"]
