@@ -10,6 +10,11 @@ carrying the witnesses found. Every inequality is evaluated in exact integer
 arithmetic; the two disk-based criteria additionally consume a root location
 certificate and propagate whether it was exact or numeric.
 
+Outcomes are shared: each search gets its fired outcome from one builder per
+criterion, an `lru_cache` of `_SHARED_OUTCOMES` entries keyed on every value
+the outcome holds, so equal witnesses give one object. Outcomes that hold no
+witness are module constants.
+
 Conclusion kinds:
   Irreducible          -- the polynomial has exactly one irreducible factor.
   AtMostFactors(n)     -- at most n irreducible integer factors.
@@ -24,7 +29,8 @@ import functools
 import math
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import numtheory, oracle, rootloc
 from .poly import Polynomial, _check_digits, _has_rational_root, normalize
@@ -118,13 +124,34 @@ SYMBOLIC = CertificateMode.SYMBOLIC_SUFFICIENT  # read per polynomial; faster th
 
 
 class CriterionOutcome(NamedTuple):
+    """A criterion's result. `witnesses` is a read-only mapping, in report
+    order, on every outcome the criteria and `analyze` build, so one outcome
+    can be shared; pickling and copying write it as a plain dict and read it
+    back read-only."""
+
     criterion: str
-    witnesses: dict
+    witnesses: Mapping[str, object]
     conclusion: Conclusion
     certificate_mode: str = EXACT
 
     def rank(self) -> tuple[int, int, str]:
         return (*self.conclusion.rank(), self.criterion)
+
+    def __reduce__(self):
+        # a mappingproxy neither pickles nor deep-copies
+        return _outcome, (self.criterion, dict(self.witnesses), self.conclusion,
+                          self.certificate_mode)
+
+
+def _outcome(criterion: str | None, witnesses: dict, conclusion: Conclusion,
+             certificate_mode: str = EXACT) -> CriterionOutcome:
+    """An outcome holding a read-only view of `witnesses`."""
+    return CriterionOutcome(criterion, MappingProxyType(witnesses), conclusion, certificate_mode)
+
+
+# the most outcomes each builder keeps: witnesses come from coefficients of any size
+_SHARED_OUTCOMES = 1 << 10
+_shared = functools.lru_cache(maxsize=_SHARED_OUTCOMES)
 
 
 def _lower_sum(mags: list[int], j: int, t: int) -> int:
@@ -137,9 +164,6 @@ def _lower_sum(mags: list[int], j: int, t: int) -> int:
         if acc >= mags[j]:
             break
     return acc
-
-
-_delta = functools.lru_cache(maxsize=1 << 10)(lambda b: Fraction(1, b))  # immutable, so shared
 
 
 class PolyFacts:
@@ -305,19 +329,25 @@ def weintraub_check(facts: PolyFacts) -> CriterionOutcome:
     lower_gcd = math.gcd(*c[:m])
     if lower_gcd <= 1:
         return _NO_CONCLUSIONS[name]
-    best = None  # the witnesses of the smallest k0, the first on a tie
+    best = None  # (p, k0) with the smallest k0, the first on a tie
     for p, _ in numtheory.prime_factors(lower_gcd):
         p2 = p * p
         k0 = next((k for k in range(m) if c[k] % p2 != 0), None)
         if k0 is None:
             continue
         if k0 == 0 or (k0 == 1 and not facts.has_rational_root()):
-            return CriterionOutcome(name, {"p": p, "k0": k0}, Conclusion.irreducible())
-        if best is None or k0 < best["k0"]:
-            best = {"p": p, "k0": k0}
+            return _weintraub_fired(p, k0, True)
+        if best is None or k0 < best[1]:
+            best = (p, k0)
     if best is None:
         return _NO_CONCLUSIONS[name]
-    return CriterionOutcome(name, best, Conclusion.factor_degree(best["k0"]))
+    return _weintraub_fired(*best, False)
+
+
+@_shared
+def _weintraub_fired(p: int, k0: int, irreducible: bool) -> CriterionOutcome:
+    return _outcome("weintraub", {"p": p, "k0": k0},
+                    _IRREDUCIBLE if irreducible else Conclusion.factor_degree(k0))
 
 
 def eisenstein_generalized(facts: PolyFacts) -> CriterionOutcome:
@@ -332,7 +362,7 @@ def eisenstein_generalized(facts: PolyFacts) -> CriterionOutcome:
     factors, rest = numtheory.small_prime_factors(facts.mags[0])
     if rest > 1 and (math.gcd(rest, c[1]) > 1 or all(c[1] % p == 0 for p, _ in factors)):
         factors = numtheory.prime_factors(facts.mags[0])
-    best = None  # the witnesses of the largest j, the first on a tie
+    best = None  # (p, k, j) with the largest j, the first on a tie
     for p, k in factors:
         pk = p**k
         j = 1  # p^k divides a_0; f is primitive, so it misses some a_j with j <= m
@@ -341,12 +371,19 @@ def eisenstein_generalized(facts: PolyFacts) -> CriterionOutcome:
         if c[j] % p == 0 or math.gcd(k, j) != 1:
             continue  # p divides every a_i below j, so no other j can pass
         if j == m or (j == m - 1 and not facts.has_rational_root()):
-            return CriterionOutcome(name, {"p": p, "k": k, "j": j}, Conclusion.irreducible())
-        if best is None or j > best["j"]:
-            best = {"p": p, "k": k, "j": j}
+            return _eisenstein_fired(p, k, j, None)
+        if best is None or j > best[2]:
+            best = (p, k, j)
     if best is None:
         return _NO_CONCLUSIONS[name]
-    return CriterionOutcome(name, best, Conclusion.factor_degree(m - best["j"]))
+    return _eisenstein_fired(*best, m - best[2])
+
+
+@_shared
+def _eisenstein_fired(p: int, k: int, j: int, bound: int | None) -> CriterionOutcome:
+    """The outcome with factor-degree bound `bound`, or Irreducible for None."""
+    return _outcome("eisenstein_generalized", {"p": p, "k": k, "j": j},
+                    _IRREDUCIBLE if bound is None else Conclusion.factor_degree(bound))
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +411,18 @@ def _disk_criterion(name: str, facts: PolyFacts, i: int, q: int | None = None) -
             best = (bound, p, k, j, d)
             if bound == 1:
                 break  # irreducible: no later radius is stronger
-    bound, p, k, j, d = best  # never None: limit is one of the radii
+    _, p, k, j, d = best  # never None: limit is one of the radii
+    cert_mode = EXACT if facts.mode is SYMBOLIC else NUMERIC_CONDITIONAL
+    return _disk_fired(name, p, k, j, d, q, cert_mode)
+
+
+@_shared
+def _disk_fired(name: str, p: int, k: int, j: int, d: int, q: int | None,
+                cert_mode: str) -> CriterionOutcome:
     witnesses = {"p": p, "k": k, "j": j, "d": d}
     if q is not None:  # last, as the report's witness order has it
         witnesses["q"] = q
-    cert_mode = EXACT if facts.mode is SYMBOLIC else NUMERIC_CONDITIONAL
-    return CriterionOutcome(name, witnesses, Conclusion.at_most(bound), cert_mode)
+    return _outcome(name, witnesses, Conclusion.at_most(min(k, j)), cert_mode)
 
 
 def constant_term_criterion(facts: PolyFacts) -> CriterionOutcome:
@@ -435,7 +478,13 @@ def dominant_coefficient(facts: PolyFacts) -> CriterionOutcome:
             t = (a + t) // b
         if excess > t:
             break
-    return CriterionOutcome(name, {"b": b, "delta": _delta(b), "j": j}, Conclusion.at_most(m - j))
+    return _dominant_fired(b, j, m - j)
+
+
+@_shared
+def _dominant_fired(b: int, j: int, bound: int) -> CriterionOutcome:
+    return _outcome("dominant_coefficient", {"b": b, "delta": Fraction(1, b), "j": j},
+                    Conclusion.at_most(bound))
 
 
 def perron_nonmonic(facts: PolyFacts) -> CriterionOutcome:
@@ -447,8 +496,11 @@ def perron_nonmonic(facts: PolyFacts) -> CriterionOutcome:
     if m < 2:
         return _NO_CONCLUSIONS[name]
     if facts.mags[m - 1] > 1 + facts.low[m - 1]:
-        return CriterionOutcome(name, {}, Conclusion.irreducible())
+        return _PERRON_FIRED
     return _NO_CONCLUSIONS[name]
+
+
+_PERRON_FIRED = _outcome("perron_nonmonic", {}, _IRREDUCIBLE)
 
 
 def middle_prime_power_check(facts: PolyFacts) -> CriterionOutcome:
@@ -480,10 +532,14 @@ def middle_prime_power_check(facts: PolyFacts) -> CriterionOutcome:
         s_exp = numtheory.valuation(p, c[j - 1])
         lower = facts.low[j] if s_exp == 0 else _lower_sum(mags, j, mags[m] * p**s_exp)
         if mags[j] - lower > high:
-            return CriterionOutcome(
-                name, {"p": p, "j": j, "N": n_exp, "s": s_exp}, Conclusion.at_most(m - j)
-            )
+            return _middle_fired(p, j, n_exp, s_exp, m - j)
     return _NO_CONCLUSIONS[name]
+
+
+@_shared
+def _middle_fired(p: int, j: int, n_exp: int, s_exp: int, bound: int) -> CriterionOutcome:
+    return _outcome("middle_prime_power", {"p": p, "j": j, "N": n_exp, "s": s_exp},
+                    Conclusion.at_most(bound))
 
 
 # ---------------------------------------------------------------------------
@@ -499,11 +555,11 @@ CRITERIA = {
     "weintraub": weintraub_check,
 }
 
-_NO_CONCLUSIONS = {
-    name: CriterionOutcome(name, MappingProxyType({}), Conclusion.none()) for name in CRITERIA
-}
+_NO_CONCLUSIONS = {name: _outcome(name, {}, _NONE) for name in CRITERIA}
 # what the CLI reports as strongest when no criterion concludes
-NO_STRONGEST = CriterionOutcome(None, MappingProxyType({}), _NONE)
+NO_STRONGEST = _outcome(None, {}, _NONE)
+_DEGREE_ONE = _outcome("degree_one", {}, _IRREDUCIBLE)
+_BY_NAME = itemgetter(0)  # an outcome's criterion
 
 
 class SoundnessError(RuntimeError):
@@ -611,15 +667,16 @@ def analyze(f: Polynomial, config: AnalyzeConfig = AnalyzeConfig()) -> AnalysisR
         outcomes, stopped = run_criteria(PolyFacts(prim, config.root_mode), config.criteria)
         warnings.extend(f"{name}: no conclusion: {exc}" for name, exc in stopped)
         if prim.degree == 1:
-            outcomes.append(CriterionOutcome("degree_one", {}, Conclusion.irreducible()))
-        outcomes.sort(key=lambda o: o.criterion)
+            outcomes.append(_DEGREE_ONE)
+        outcomes.sort(key=_BY_NAME)
 
     fired, strongest, numeric = [], None, False
-    for o in outcomes:  # in report order, so the first of equal ranks is kept
-        if o.conclusion is _NONE or not o.conclusion.fired():  # the shared one, at no call
+    for o in outcomes:  # by name, so the first of equal conclusions is the rank's tie-break
+        conclusion = o.conclusion
+        if conclusion is _NONE or not conclusion.fired():  # the shared one, at no call
             continue
         fired.append(o)
-        rank = o.rank()
+        rank = conclusion.rank()
         if strongest is None or rank < best:
             strongest, best = o, rank
         numeric = numeric or o.certificate_mode == NUMERIC_CONDITIONAL

@@ -1,6 +1,8 @@
 """Criterion witness searches, conclusions, and the aggregate analysis."""
 
+import copy
 import math
+import multiprocessing
 import pickle
 import random
 import sys
@@ -583,6 +585,127 @@ class TestSharedValues:
             for j in range(m + 1)
         ]
 
+
+# the witness names each criterion reports, in the report's order
+WITNESS_ORDER = {
+    "constant_term": ["p", "k", "j", "d"],
+    "degree_one": [],
+    "dominant_coefficient": ["b", "delta", "j"],
+    "eisenstein_generalized": ["p", "k", "j"],
+    "leading_coeff": ["p", "k", "j", "d", "q"],
+    "middle_prime_power": ["p", "j", "N", "s"],
+    "perron_nonmonic": [],
+    "weintraub": ["p", "k0"],
+}
+# the outcome builders, each an lru_cache keyed on what its outcome holds
+BUILDERS = ("_weintraub_fired", "_eisenstein_fired", "_disk_fired", "_dominant_fired",
+            "_middle_fired")
+
+
+def _fresh(outcome):
+    """The same outcome built with a plain dict of witnesses."""
+    return criteria.CriterionOutcome(outcome.criterion, dict(outcome.witnesses),
+                                     outcome.conclusion, outcome.certificate_mode)
+
+
+class TestSharedOutcomes:
+    """Fired outcomes come from bounded caches: equal witnesses give one
+    shared, read-only outcome, and every value the outcome holds is in the
+    key, so inputs with the same witnesses but another conclusion or
+    certificate mode get their own."""
+
+    def corpus_outcomes(self):
+        for f in gen_exhaustive(3, 3):
+            for mode in CertificateMode:
+                yield from criteria.run_criteria(PolyFacts(f, mode))[0]
+        for f in (P(1, 1), P(2, 3)):
+            yield from analyze(f, AnalyzeConfig(oracle="off")).outcomes
+
+    def test_equal_witnesses_give_one_read_only_outcome_in_report_order(self):
+        first = {}
+        fired, shared = set(), set()
+        for o in self.corpus_outcomes():
+            assert o == _fresh(o)
+            assert list(o.witnesses) == (WITNESS_ORDER[o.criterion] if o.conclusion.fired() else [])
+            with pytest.raises(TypeError):
+                o.witnesses["p"] = 0
+            key = (o.criterion, tuple(o.witnesses.items()), o.conclusion, o.certificate_mode)
+            if key in first:
+                assert first[key] is o
+            if o.conclusion.fired():
+                (shared if key in first else fired).add(o.criterion)
+            first[key] = o
+        assert fired == shared == set(WITNESS_ORDER)  # each fires, and again with equal witnesses
+
+    def test_the_certificate_mode_is_in_the_disk_key(self):
+        # z^2 + z + 3 is certified outside |z| <= 1 in either mode, by the
+        # same witnesses; each mode is asked twice, so a stale entry shows
+        f = P(3, 1, 1)
+        for mode, cert in [("symbolic", "exact"), ("numeric", "numeric-conditional")] * 2:
+            out = constant_term_criterion(PolyFacts(f, mode))
+            assert dict(out.witnesses) == {"p": 3, "k": 1, "j": 1, "d": 1}
+            assert (out.conclusion, out.certificate_mode) == (Conclusion.irreducible(), cert)
+
+    def test_the_irreducible_flag_is_in_the_weintraub_key(self):
+        # p = 2, k0 = 1 in both: z^3 + 2z + 4 has no rational root,
+        # (z + 2)(z^2 + 2) has -2
+        cases = [(P(4, 2, 0, 1), Conclusion.irreducible()),
+                 (P(4, 2, 2, 1), Conclusion.factor_degree(1))] * 2
+        for f, conclusion in cases:
+            out = weintraub_check(PolyFacts(f))
+            assert (dict(out.witnesses), out.conclusion) == ({"p": 2, "k0": 1}, conclusion)
+
+    def test_the_bound_is_in_the_eisenstein_key(self):
+        # p = 2, k = 1, j = 1 at degrees 3 and 4: factor degree at most m - 1
+        for f, bound in [(P(2, 1, 0, 1), 2), (P(2, 1, 0, 0, 1), 3)] * 2:
+            out = eisenstein_generalized(PolyFacts(f))
+            assert dict(out.witnesses) == {"p": 2, "k": 1, "j": 1}
+            assert out.conclusion == Conclusion.factor_degree(bound)
+
+    def test_caches_stay_within_their_bound(self, fresh_factor_cache):
+        # one distinct witness per prime p > 10^6 in each builder
+        bound = criteria._SHARED_OUTCOMES
+        primes = []
+        n = 10**6
+        while len(primes) < bound + 64:
+            n += 1
+            if numtheory.is_prime(n):
+                primes.append(n)
+        builders = [getattr(criteria, name) for name in BUILDERS]
+        misses = [b.cache_info().misses for b in builders]
+        for p in primes:
+            for f in (P(p, p, 1), P(p, 1, 1), P(1, 2 * p, p), P(1, p, 1)):
+                criteria.run_criteria(PolyFacts(f))
+        for builder, before in zip(builders, misses):
+            info = builder.cache_info()
+            assert info.maxsize == bound
+            assert info.misses - before > bound, builder  # the inputs did press the bound
+            assert info.currsize <= bound, builder
+
+    def test_outcomes_pickle_and_copy_read_only(self):
+        report = analyze(P(4, 4, 0, 1))  # eisenstein_generalized fires, the rest do not
+        assert report.strongest.conclusion.fired()
+        assert any(not o.conclusion.fired() for o in report.outcomes)
+        pairs = [(report, copy.copy(report)), (report, copy.deepcopy(report))]
+        pairs += [(report, pickle.loads(pickle.dumps(report, proto))) for proto in range(2, 6)]
+        for o in (*report.outcomes, criteria.NO_STRONGEST):
+            pairs += [(o, pickle.loads(pickle.dumps(o, proto))) for proto in range(6)]
+            pairs.append((o, copy.deepcopy(o)))
+        for original, copied in pairs:
+            assert copied == original
+            if isinstance(original, criteria.AnalysisReport):
+                assert copied.strongest == original.strongest
+                pairs += zip(original.outcomes, copied.outcomes)
+                continue
+            assert list(copied.witnesses.items()) == list(original.witnesses.items())
+            with pytest.raises(TypeError):
+                copied.witnesses["p"] = 0
+
+    def test_reports_come_back_from_worker_processes(self):
+        polys = [P(4, 4, 0, 1), P(3, 1, 1), P(1, 1), P(1, 2 * 1000003, 1000003)]
+        with multiprocessing.get_context("spawn").Pool(2) as pool:
+            reports = pool.map_async(analyze, polys).get(timeout=60)
+        assert reports == [analyze(f) for f in polys]
 
 class TestInputGuards:
     def test_zero_polynomial_distinct_error(self):

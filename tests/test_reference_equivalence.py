@@ -922,7 +922,8 @@ def test_dominant_witness_on_both_sides_of_the_trial_bound():
     # a_2 = 10^12 + 39 gives b = a_2 (both from the factorization of a_2).
     # At a_2 = 32 the divisors come from the table alone, at a_2 = 33, 64 and
     # 2 * 997 from trial division to 32 and then the first stage (which at 64
-    # must not skip the witness 32); delta = 1/b comes from one bounded cache
+    # must not skip the witness 32); the outcome, delta = 1/b included, comes
+    # from one bounded cache
     for coeffs, b in (
         ([50, 10, 303], 3), ([2, 100, 303], 101), ([2, 1000, 3027], 1009),
         ([1, 10**6, 10**12 + 39], 10**12 + 39),
