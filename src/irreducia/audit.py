@@ -1,6 +1,13 @@
 """Corpus audits: run every criterion against the exact factorization oracle
 and count fired / sound / inconclusive outcomes per criterion.
 
+`audit_corpus` audits each polynomial it is given on its own.
+`audit_exhaustive` audits `gen_exhaustive`'s corpus one sign class at a
+time: the members share their |a_i|, so in symbolic mode the criteria, which
+read only sizes and divisibility, run once for the class, and a class whose
+run read the rational-root flag is audited member by member. The oracle and
+the root iteration still run on every member that needs them.
+
 Three cross-checks ride along on the same sweep:
   * soundness   -- every fired conclusion is judged by `Conclusion.holds`
                    on the oracle's factor degrees (bounds that hold for
@@ -11,7 +18,7 @@ Three cross-checks ride along on the same sweep:
                    its one index j, the dominant-coefficient conclusion
                    must equal AtMostFactors(m - j), unless a factorization
                    limit stopped that criterion. Both read
-                   `PolyFacts.dominant()`, so this catches a conclusion that
+                   `PolyFacts.dominant`, so this catches a conclusion that
                    does not match that index (missing, weaker or stronger).
                    `ref_cor1_best_j` in the tests is the independent form;
   * rootloc     -- wherever a symbolic disk certificate fires at a radius the
@@ -32,18 +39,18 @@ import os
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from itertools import islice, product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from . import corpus as corpus_mod
 from . import numtheory, oracle, rootloc
 from .criteria import (CRITERIA, EXACT, Conclusion, ConclusionKind, CriterionOutcome, PolyFacts,
                        run_criteria)
-from .corpus import gen_exhaustive
 from .poly import Polynomial
 
 ROOT_MARGIN = 1e-6
 _EXAMPLE_CAP = 50  # examples kept per list; the counts stay exact
 _CHUNK_SIZE = 4096  # polynomials per task sent to a worker in a parallel audit
+_CLASSES_PER_TASK = 256  # sign classes per task: about 5,000 polynomials at degree <= 5
 
 
 class Findings(list):
@@ -150,10 +157,10 @@ def cor1_best_j(facts: PolyFacts) -> int | None:
 
     which is the dominant-coefficient inequality at the single divisor
     b = |a_m|. It holds at some divisor of a_m exactly when it holds at
-    |a_m|, so this is the index of the record's `dominant()`. `audit_one`
+    |a_m|, so this is the index of the record's `dominant`. `audit_one`
     compares the criterion's conclusion with AtMostFactors(m - j).
     """
-    hit = facts.dominant()
+    hit = facts.dominant
     return None if hit is None else hit[0]
 
 
@@ -162,15 +169,32 @@ _NONE = Conclusion.none()
 _DOMINANT_INDEX = list(CRITERIA).index("dominant_coefficient")  # run_criteria keeps CRITERIA's order
 
 
-def audit_one(f: Polynomial, result: AuditResult) -> None:
-    """Audit a single primitive polynomial with nonzero constant term."""
-    result.total += 1
+def audit_one(f: Polynomial, result: AuditResult,
+              members: Sequence[Polynomial] | None = None) -> None:
+    """Audit a single primitive polynomial with nonzero constant term, or,
+    given `members`, the sign class f stands for: f with nonnegative
+    coefficients, and members every polynomial of the class
+    (`corpus.sign_class`). In symbolic mode the criteria read only the |a_i|
+    and the divisibility of the a_i, save the rational-root flag, so they run
+    once for the class and their tallies count every member. A class whose
+    run read the flag is audited member by member instead. The oracle and
+    the root iteration read the signs, so they run on each member that needs
+    them, and a finding names the member."""
     facts = PolyFacts(f)
-    m = facts.degree
     outcomes, stopped = run_criteria(facts)
+    if members is None:
+        n = 1
+    elif facts.asked_rational_root:
+        for g in members:
+            audit_one(g, result)
+        return
+    else:
+        n = len(members)
+    result.total += n
+    m = facts.degree
     criteria = result.criteria
     for name, _ in stopped:
-        criteria[name].stopped += 1
+        criteria[name].stopped += n
 
     to_check: list[CriterionOutcome] = []
     for outcome in outcomes:
@@ -178,39 +202,41 @@ def audit_one(f: Polynomial, result: AuditResult) -> None:
         if conclusion is _NONE or conclusion.kind is _NO_CONCLUSION:  # the shared one first
             continue
         stats = criteria[outcome.criterion]
-        stats.fired += 1
+        stats.fired += n
         if conclusion.vacuous(m):
-            stats.vacuous += 1
-            stats.sound += 1
+            stats.vacuous += n
+            stats.sound += n
         else:
             to_check.append(outcome)
 
     if to_check:
-        try:
-            fact = oracle.factor(f)
-        except oracle.OracleLimitError:
-            result.oracle_skipped += 1
-            for outcome in to_check:
-                criteria[outcome.criterion].unchecked += 1
-        else:
-            result.oracle_calls += 1
-            degrees = fact.factor_degrees()
-            for outcome in to_check:
-                stats = criteria[outcome.criterion]
-                if outcome.conclusion.holds(degrees):
-                    stats.sound += 1
-                else:
-                    stats.violations.add((f.coeffs, outcome.criterion,
-                                          outcome.conclusion.kind.value,
-                                          outcome.conclusion.bound, len(degrees)))
+        for g in members or (f,):
+            try:
+                fact = oracle.factor(g)
+            except oracle.OracleLimitError:
+                result.oracle_skipped += 1
+                for outcome in to_check:
+                    criteria[outcome.criterion].unchecked += 1
+            else:
+                result.oracle_calls += 1
+                degrees = fact.factor_degrees()
+                for outcome in to_check:
+                    stats = criteria[outcome.criterion]
+                    if outcome.conclusion.holds(degrees):
+                        stats.sound += 1
+                    else:
+                        stats.violations.add((g.coeffs, outcome.criterion,
+                                              outcome.conclusion.kind.value,
+                                              outcome.conclusion.bound, len(degrees)))
 
     # a limit that stopped the criterion's divisor walk skips its cross-check
     j = cor1_best_j(facts)
     if j is not None and (not stopped or "dominant_coefficient" not in dict(stopped)):
-        result.cor1_checked += 1
+        result.cor1_checked += n
         dom = outcomes[_DOMINANT_INDEX].conclusion
         if dom != Conclusion.at_most(m - j):
-            result.cor1_violations.add((f.coeffs, j, dom.kind.value, dom.bound))
+            for g in members or (f,):
+                result.cor1_violations.add((g.coeffs, j, dom.kind.value, dom.bound))
 
     try:  # symbolic mode certifies no radius, at either end, without the unit disk
         worst = facts.unit_disk_certified and max(facts.certified_radius(0),
@@ -218,49 +244,53 @@ def audit_one(f: Polynomial, result: AuditResult) -> None:
     except numtheory.FactorizationLimitError:
         worst = 0
     if worst:
-        result.rootloc_checked += 1
-        try:
-            roots = facts.roots()
-        except rootloc.NonConvergenceError as exc:
-            result.nonconvergences.add((f.coeffs, exc.best_residual))
-        else:
-            min_modulus = min(abs(r) for r in roots)
-            if min_modulus <= worst * (1.0 - ROOT_MARGIN):
-                result.rootloc_violations.add((f.coeffs, worst, min_modulus))
+        result.rootloc_checked += n
+        for g in members or (f,):
+            try:
+                roots = rootloc.numeric_roots(g)
+            except rootloc.NonConvergenceError as exc:
+                result.nonconvergences.add((g.coeffs, exc.best_residual))
+            else:
+                min_modulus = min(abs(r) for r in roots)
+                if min_modulus <= worst * (1.0 - ROOT_MARGIN):
+                    result.rootloc_violations.add((g.coeffs, worst, min_modulus))
 
 
-def _audit_chunk(chunk: list[tuple[int, ...]]) -> AuditResult:
+def _audit_polys(polys: Iterable[Polynomial]) -> AuditResult:
     result = AuditResult()
-    for coeffs in chunk:
-        audit_one(Polynomial(coeffs), result)
+    for f in polys:
+        audit_one(f, result)
     return result
 
 
-def _chunks(items: Iterable[Polynomial], size: int) -> Iterator[list[tuple[int, ...]]]:
-    it = iter(items)
-    while block := [f.coeffs for f in islice(it, size)]:
-        yield block
+def _audit_classes(classes: Iterable[tuple[int, ...]]) -> AuditResult:
+    """Audit the sign class of each magnitude tuple; a worker builds the members."""
+    result = AuditResult()
+    make, sign_class = Polynomial._from_canonical, corpus_mod.sign_class
+    for mags in classes:
+        audit_one(make(mags), result, sign_class(mags))
+    return result
 
 
-def audit_corpus(polys: Iterable[Polynomial], jobs: int = 1) -> AuditResult:
-    """Audit an iterable of primitive polynomials, optionally in parallel
-    with at most `os.cpu_count()` worker processes, however many jobs are
-    asked for.
+def _audit(audit_items, items: Iterable, jobs: int, block: int) -> AuditResult:
+    """audit_items(items), or the merge of it over blocks of `block` items in
+    at most `os.cpu_count()` worker processes, however many jobs are asked
+    for; then each list of examples is sorted.
 
     Items are pure-function audits, so every count in the merge is
     deterministic regardless of worker scheduling; which examples the
-    (sorted, capped) listings keep may differ between runs.
-    """
-    result = AuditResult()
+    (sorted, capped) listings keep may differ between runs."""
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
-        for f in polys:
-            audit_one(f, result)
+        result = audit_items(items)
     else:
         import multiprocessing  # only a parallel audit needs it
 
+        result = AuditResult()
+        it = iter(items)
         with multiprocessing.Pool(jobs) as pool:
-            for partial in pool.imap_unordered(_audit_chunk, _chunks(polys, _CHUNK_SIZE)):
+            blocks = iter(lambda: list(islice(it, block)), [])
+            for partial in pool.imap_unordered(audit_items, blocks):
                 result.merge(partial)
     for stats in result.criteria.values():
         stats.violations.sort()
@@ -270,9 +300,20 @@ def audit_corpus(polys: Iterable[Polynomial], jobs: int = 1) -> AuditResult:
     return result
 
 
+def audit_corpus(polys: Iterable[Polynomial], jobs: int = 1) -> AuditResult:
+    """Audit an iterable of primitive polynomials one by one, with `jobs`
+    worker processes at most (see `_audit`)."""
+    return _audit(_audit_polys, polys, jobs, _CHUNK_SIZE)
+
+
 def audit_exhaustive(max_degree: int, coeff_bound: int, jobs: int = 1) -> AuditResult:
-    """Audit the full sign-deduplicated primitive corpus."""
-    return audit_corpus(gen_exhaustive(max_degree, coeff_bound), jobs=jobs)
+    """Audit `gen_exhaustive`'s corpus one sign class at a time
+    (`corpus.gen_sign_classes`), with jobs as `audit_corpus` has them. Every
+    count equals `audit_corpus(gen_exhaustive(...))`'s; past `_EXAMPLE_CAP`
+    findings of one kind, the examples kept are the first in class order.
+    An oversized corpus is refused before any worker starts."""
+    classes = corpus_mod.gen_sign_classes(max_degree, coeff_bound)
+    return _audit(_audit_classes, classes, jobs, _CLASSES_PER_TASK)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Generators for the built-in polynomial families P1-P4 and for the
-exhaustive and seeded-random audit corpora.
+exhaustive and seeded-random audit corpora. The exhaustive corpus comes one
+polynomial at a time (`gen_exhaustive`) or one sign class at a time
+(`gen_sign_classes`, `sign_class`): the polynomials that share |a_0|, ...,
+|a_m|, with a_m > 0.
 
 Family generation is strict: each side condition is checked exactly, and a
 failed one raises FamilyConditionError naming it. No check builds a power past
@@ -178,6 +181,17 @@ def _check_bounds(max_degree: int, coeff_bound: int) -> None:
         raise ValueError(f"invalid bound: coefficient bound must be >= 1, got {coeff_bound}")
 
 
+def _check_corpus(max_degree: int, coeff_bound: int) -> None:
+    """_check_bounds, then ValueError for a corpus past MAX_CORPUS_SIZE tuples."""
+    _check_bounds(max_degree, coeff_bound)
+    bound = coeff_bound
+    # sum over degrees d of 2B (2B+1)^(d-1) B tuples is B ((2B+1)^D - 1);
+    # capping D at 64 keeps the power small and changes no verdict (3^64 > limit)
+    if bound * ((2 * bound + 1) ** min(max_degree, 64) - 1) > MAX_CORPUS_SIZE:
+        raise ValueError(f"invalid bound: degree <= {max_degree}, |coeff| <= {bound} "
+                         f"spans more than {MAX_CORPUS_SIZE} coefficient tuples")
+
+
 def gen_exhaustive(max_degree: int, coeff_bound: int) -> Iterator[Polynomial]:
     """All primitive polynomials with nonzero constant term, degree in
     [1, max_degree], coefficients in [-coeff_bound, coeff_bound], one
@@ -186,13 +200,8 @@ def gen_exhaustive(max_degree: int, coeff_bound: int) -> Iterator[Polynomial]:
     with the lowest coefficient varying slowest. Each product tuple already
     holds ints with a positive last entry, so it becomes a Polynomial as it
     is. Bounds past MAX_CORPUS_SIZE tuples are refused before any is built."""
-    _check_bounds(max_degree, coeff_bound)
+    _check_corpus(max_degree, coeff_bound)
     bound = coeff_bound
-    # sum over degrees d of 2B (2B+1)^(d-1) B tuples is B ((2B+1)^D - 1);
-    # capping D at 64 keeps the power small and changes no verdict (3^64 > limit)
-    if bound * ((2 * bound + 1) ** min(max_degree, 64) - 1) > MAX_CORPUS_SIZE:
-        raise ValueError(f"invalid bound: degree <= {max_degree}, |coeff| <= {bound} "
-                         f"spans more than {MAX_CORPUS_SIZE} coefficient tuples")
     nonzero = [c for c in range(-bound, bound + 1) if c != 0]
     full = range(-bound, bound + 1)
     lead = range(1, bound + 1)
@@ -202,6 +211,29 @@ def gen_exhaustive(max_degree: int, coeff_bound: int) -> Iterator[Polynomial]:
         for tup in itertools.product(*ranges):
             if gcd(*tup) == 1:
                 yield make(tup)
+
+
+def gen_sign_classes(max_degree: int, coeff_bound: int) -> Iterator[tuple[int, ...]]:
+    """The sign classes of `gen_exhaustive`'s corpus, each once: every
+    magnitude tuple (|a_0|, ..., |a_m|) with |a_0|, |a_m| >= 1 and gcd 1, by
+    degree ascending, then lexicographically. `sign_class` lists a class's
+    members. The bounds are checked at the call, as `gen_exhaustive` checks
+    them, so an oversized corpus is refused before any tuple is built."""
+    _check_corpus(max_degree, coeff_bound)
+    nonzero, full = range(1, coeff_bound + 1), range(coeff_bound + 1)
+    return (tup for degree in range(1, max_degree + 1)
+            for tup in itertools.product(nonzero, *[full] * (degree - 1), nonzero)
+            if math.gcd(*tup) == 1)
+
+
+def sign_class(mags: tuple[int, ...]) -> list[Polynomial]:
+    """The members of `gen_exhaustive`'s corpus with these magnitudes, the
+    last one positive: one per choice of sign of each nonzero coefficient
+    below the leading one, in `gen_exhaustive`'s order."""
+    choices = [(-a, a) if a else (0,) for a in mags[:-1]]
+    choices.append(mags[-1:])
+    make = Polynomial._from_canonical
+    return [make(tup) for tup in itertools.product(*choices)]
 
 
 def gen_random(count: int, max_degree: int, coeff_bound: int, seed: int) -> Iterator[Polynomial]:

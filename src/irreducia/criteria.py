@@ -173,26 +173,47 @@ class PolyFacts:
     unless asked, a `CertificateMode` or its value; anything else raises
     ValueError): the mode the two disk criteria certify in.
 
-    The input is validated once on construction, and the exact disk test at
-    radius 1, |a_0| > sum_{i>=1} |a_i|, is made there too (one sum): it is
-    the symbolic certificate at d = 1, where `certified_radius` starts.
-    Everything else is worked out on first use and kept, so a fact no caller
-    asks for is never computed: in particular a coefficient is factorized
-    only when a witness search reaches it. Factorizations, and the
-    factorization limit failures, are kept in `numtheory`'s one cache, not
-    here. `roots()` finds the numeric roots once, for the audit and for
-    `rootloc.certify_outside_disk` above its degree cap; a root iteration
-    that did not converge is remembered, and asking again raises it again.
-    The one dominance index of `dominant()`, which the dominant-coefficient
-    and middle-prime-power criteria and the audit's unit-divisor check read,
-    is found once. The disk radii are searched again on each call of
-    `certified_radius`, but from one pair shared by both ends, the largest
-    radius certified and the smallest refused so far, so a radius the pair
-    settles needs no second certificate.
+    The input is validated once on construction, and the facts every run of
+    the criteria reads are worked out there too, from the sizes |a_i| alone:
+
+    * `unit_disk_certified`: the exact disk test at radius 1, |a_0| >
+      sum_{i>=1} |a_i| (one sum), the symbolic certificate at d = 1, where
+      `certified_radius` starts;
+    * `low`: low[j] = sum_{i<j} |a_i| |a_m|^(j-i) for j = 0..m, by Horner's
+      rule in j, capped at max |a_i|. It only grows with j, and every test
+      that reads it fails once low[j] >= |a_j|; once the running sum reaches
+      the cap, every later entry is the cap, since (cap + a) |a_m| >= cap,
+      so the rest of the list is filled without arithmetic;
+    * `dominant`: (j, high) for the one index j at which the dominance
+      inequality |a_j| - low[j] > sum_{i>j} |a_i| / |a_m|^(i-j) holds, with
+      high the floor of that sum, or None (always below degree 2). The
+      integer on the left exceeds the sum exactly when it exceeds its
+      floor, and one running floor t = (|a_i| + t) // |a_m| serves every j,
+      falling from m-1. No second index j < j' passes: low[j'] < |a_j'|
+      puts low[j'] below its cap, so |a_j'| > |a_j| |a_m|^(j'-j); that term
+      of the sum gives high(j) >= |a_j|, and j fails. At a divisor b < |a_m|
+      the sum only grows, so the dominant-coefficient and middle-prime-power
+      criteria, and the audit's unit-divisor check, can fire at this j alone.
+
+    Nothing there is factorized and nothing raises. Everything else is
+    worked out on first use and kept, so a fact no caller asks for is never
+    computed: in particular a coefficient is factorized only when a witness
+    search reaches it. Factorizations, and the factorization limit failures,
+    are kept in `numtheory`'s one cache, not here. In symbolic mode
+    `has_rational_root()` is the one fact that reads the signs of the
+    coefficients, not only their sizes and divisibility, and
+    `asked_rational_root` says whether a caller read it. `roots()` finds the
+    numeric roots once, for `rootloc.certify_outside_disk` above its degree
+    cap; a root iteration that did not converge is remembered, and asking
+    again raises it again.
+    The disk radii are searched again on each call of `certified_radius`,
+    but from one pair shared by both ends, the largest radius certified and
+    the smallest refused so far, so a radius the pair settles needs no
+    second certificate.
     """
 
-    __slots__ = ("poly", "coeffs", "degree", "mags", "mode", "unit_disk_certified", "_low",
-                 "_dominant", "_rational_root", "_roots", "_bounds")
+    __slots__ = ("poly", "coeffs", "degree", "mags", "mode", "unit_disk_certified", "low",
+                 "dominant", "_rational_root", "_roots", "_bounds")
 
     def __init__(self, f: Polynomial, mode: CertificateMode = SYMBOLIC):
         coeffs = f.coeffs
@@ -206,36 +227,30 @@ class PolyFacts:
             raise ValueError("normalize first: constant term is zero")
         self.poly = f
         self.coeffs = coeffs
-        self.degree = len(coeffs) - 1
+        self.degree = m = len(coeffs) - 1
         self.mags = mags = list(map(abs, coeffs))
         self.mode = mode = mode if type(mode) is CertificateMode else CertificateMode(mode)
         self.unit_disk_certified = 2 * mags[0] > sum(mags)
-        self._low: list[int] | None = None
-        self._dominant = False if self.degree > 1 else None  # False: not yet found
+        am, cap = mags[m], max(mags)
+        self.low = low = [0]
+        acc = 0
+        for a in mags[:m]:
+            acc = (acc + a) * am
+            if acc >= cap:
+                low += [cap] * (m + 1 - len(low))
+                break
+            low.append(acc)
+        dominant = None
+        high = 0  # floor(sum_{i>j} |a_i| / |a_m|^(i-j)), kept as j falls
+        for j in range(m - 1, -1, -1) if m > 1 else ():
+            high = (mags[j + 1] + high) // am
+            if mags[j] - low[j] > high:
+                dominant = (j, high)
+                break
+        self.dominant = dominant
         self._rational_root: bool | None = None
         self._roots: list[complex] | rootloc.NonConvergenceError | None = None
-        self._bounds = [1 if mode is SYMBOLIC else 0, math.inf]  # largest certified, least refused
-
-    @property
-    def low(self) -> list[int]:
-        """low[j] = sum_{i<j} |a_i| |a_m|^(j-i) for j = 0..m, by Horner's
-        rule in j, capped at max |a_i|: it only grows with j, and every
-        test that reads it fails once low[j] >= |a_j|. Once the running sum
-        reaches the cap, every later entry is the cap, since (cap + a) |a_m|
-        >= cap, so the rest of the list is filled without arithmetic."""
-        if self._low is None:
-            mags = self.mags
-            am, cap = mags[-1], max(mags)
-            low = [0]
-            acc = 0
-            for a in mags[:-1]:
-                acc = (acc + a) * am
-                if acc >= cap:
-                    low += [cap] * (len(mags) - len(low))
-                    break
-                low.append(acc)
-            self._low = low
-        return self._low
+        self._bounds: list | None = None  # made by the first `certified_radius` call
 
     def has_rational_root(self) -> bool:
         """Whether f has a rational root, by `poly._has_rational_root`, fast
@@ -245,6 +260,13 @@ class PolyFacts:
         if self._rational_root is None:
             self._rational_root = _has_rational_root(self.coeffs)
         return self._rational_root
+
+    @property
+    def asked_rational_root(self) -> bool:
+        """Whether `has_rational_root()` was read, the one fact that depends
+        on the signs of the coefficients: where it was not, the criteria
+        concluded alike for every polynomial with these |a_i| (symbolic mode)."""
+        return self._rational_root is not None
 
     def roots(self) -> list[complex]:
         """All complex roots from one numeric root iteration."""
@@ -279,6 +301,8 @@ class PolyFacts:
         if self.mode is SYMBOLIC and not self.unit_disk_certified:
             return 0
         bounds = self._bounds
+        if bounds is None:  # the largest radius certified so far, and the least refused
+            bounds = self._bounds = [1 if self.mode is SYMBOLIC else 0, math.inf]
         for d in sorted((d for _, _, d in self.disk_radii(i)), reverse=True):
             if d >= bounds[1]:
                 continue
@@ -288,30 +312,6 @@ class PolyFacts:
                 return d
             bounds[1] = d
         return 0
-
-    def dominant(self) -> tuple[int, int] | None:
-        """(j, high) for the one index j at which the dominance inequality
-        |a_j| - low[j] > sum_{i>j} |a_i| / |a_m|^(i-j) holds, with high the
-        floor of that sum, or None (always below degree 2). The integer on
-        the left exceeds the sum exactly when it exceeds its floor, and one
-        running floor t = (|a_i| + t) // |a_m| serves every j, falling from
-        m-1. Nothing is factorized and nothing raises.
-
-        No second index j < j' passes: low[j'] < |a_j'| puts low[j'] below
-        its cap, so |a_j'| > |a_j| |a_m|^(j'-j); that term of the sum gives
-        high(j) >= |a_j|, and j fails. At a divisor b < |a_m| the sum only
-        grows, so the dominant-coefficient and middle-prime-power criteria
-        can fire at this j alone."""
-        if self._dominant is False:
-            mags, low, am = self.mags, self.low, self.mags[-1]
-            high = 0  # floor(sum_{i>j} |a_i| / |a_m|^(i-j)), kept as j falls
-            self._dominant = None
-            for j in range(self.degree - 1, -1, -1):
-                high = (mags[j + 1] + high) // am
-                if mags[j] - low[j] > high:
-                    self._dominant = (j, high)
-                    break
-        return self._dominant
 
 
 # ---------------------------------------------------------------------------
@@ -463,16 +463,20 @@ def dominant_coefficient(facts: PolyFacts) -> CriterionOutcome:
     over [1/b, 1], and j can only be `PolyFacts.dominant`'s one index. The
     divisors b of a_m come upward from `numtheory`'s walk, which factorizes
     a_m only past 10^3 (so an a_m that resists rho still gives every b up to
-    10^3), and the least that passes is the witness. Each b is tested
-    against the floor of the sum over i > j."""
+    10^3), and the least that passes is the witness. Each b below |a_m| is
+    tested against the floor of the sum over i > j; b = |a_m| is where
+    `dominant` found j, so the walk ends there with no test."""
     name = "dominant_coefficient"
-    hit = facts.dominant()
+    hit = facts.dominant
     if hit is None:
         return _NO_CONCLUSIONS[name]
     j = hit[0]
     mags, m = facts.mags, facts.degree
+    am = mags[m]
     excess = mags[j] - facts.low[j]
-    for b in numtheory._ascending_divisors(mags[m]):  # b = |a_m| passes, so the walk ends there
+    for b in numtheory._ascending_divisors(am):
+        if b == am:
+            break
         t = 0
         for a in mags[m:j:-1]:
             t = (a + t) // b
@@ -518,11 +522,11 @@ def middle_prime_power_check(facts: PolyFacts) -> CriterionOutcome:
     t = |a_m| p^s, which is low[j] when s = 0 and never less. The last sum
     is compared by its floor, `high` of `PolyFacts.dominant`. Every prime's
     test is then at least as hard as the dominance test at b = |a_m|, so
-    only `dominant()`'s one index can pass, where the bound m - j is the
+    only `dominant`'s one index can pass, where the bound m - j is the
     dominant-coefficient criterion's.
     """
     name = "middle_prime_power"
-    hit = facts.dominant()
+    hit = facts.dominant
     c = facts.coeffs
     if hit is None or hit[0] == 0 or c[hit[0] - 1] == 0:
         return _NO_CONCLUSIONS[name]

@@ -50,6 +50,11 @@ class Polynomial:
         f.coeffs = coeffs
         return f
 
+    def __reduce__(self):
+        # pickle and copy by value, at every protocol: __slots__ without
+        # __getstate__ pickles only at protocol 2 and up
+        return Polynomial, (self.coeffs,)
+
     # -- basic structure ----------------------------------------------------
 
     @property

@@ -148,7 +148,7 @@ def test_cor1_instance():
     # 7 + z: 7 > 1 passes the inequality at j = 0, but dominance needs
     # degree >= 2, and the record says so to every reader
     facts = PolyFacts(Polynomial([7, 1]))
-    assert facts.dominant() is None
+    assert facts.dominant is None
     assert audit.cor1_best_j(facts) is None
     for criterion in (dominant_coefficient, criteria.middle_prime_power_check):
         assert criterion(facts).conclusion.kind is ConclusionKind.NO_CONCLUSION

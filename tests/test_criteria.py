@@ -585,6 +585,43 @@ class TestSharedValues:
             for j in range(m + 1)
         ]
 
+    @staticmethod
+    def assert_constructor_facts_are_their_definitions(f):
+        # low: the capped direct sum; dominant: (j, floor of the upper sum)
+        # at the one index where the dominance inequality holds in exact
+        # rationals, found by trying every j, and None below degree 2
+        mags, m = [abs(c) for c in f.coeffs], f.degree
+        facts = PolyFacts(f)
+        assert facts.low == [min(sum(mags[i] * mags[m] ** (j - i) for i in range(j)), max(mags))
+                             for j in range(m + 1)]
+        hits = []
+        for j in range(m):
+            upper = sum(Fraction(mags[i], mags[m] ** (i - j)) for i in range(j + 1, m + 1))
+            if mags[j] > sum(mags[i] * mags[m] ** (j - i) for i in range(j)) + upper:
+                hits.append((j, math.floor(upper)))
+        assert len(hits) <= 1
+        assert facts.dominant == (hits[0] if hits and m >= 2 else None)
+
+    @pytest.mark.parametrize("coeffs", [
+        (7, 1), (-3, 5), (10**30, -1), (1, 10**30),  # degree 1: no index dominates
+        (1, 1, 10, 1), (1, -3, 1), (2, 0, 0, 1), (1, 1, 1, 1, 1), (5, 0, -1),  # |a_m| = 1
+        (3, 10**30 + 1, 7, 10**30 - 1), (10**30 + 7, -(10**29), 10**15, 2),
+        (1, 2 * 10**30, 3, 10**30 + 3), (10**30, 1, 10**30 - 1, 10**30 + 1),
+    ])
+    def test_constructor_facts_on_edge_inputs(self, coeffs):
+        self.assert_constructor_facts_are_their_definitions(Polynomial(coeffs))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_constructor_facts_are_their_definitions(self, data):
+        bound = data.draw(st.sampled_from((1, 6, 10**6, 10**30)))
+        m = data.draw(st.integers(1, 8))
+        coeffs = data.draw(st.lists(st.integers(-bound, bound), min_size=m + 1, max_size=m + 1))
+        coeffs[0] = coeffs[0] or 1
+        coeffs[m] = data.draw(st.sampled_from((coeffs[m] or 1, 1, -1)))
+        g = math.gcd(*coeffs)
+        self.assert_constructor_facts_are_their_definitions(Polynomial([c // g for c in coeffs]))
+
 
 # the witness names each criterion reports, in the report's order
 WITNESS_ORDER = {

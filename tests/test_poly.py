@@ -1,5 +1,7 @@
 """Exact polynomial arithmetic, normalization, rational roots."""
 
+import copy
+import pickle
 import random
 import sys
 import time
@@ -54,6 +56,23 @@ class TestPolynomial:
     def test_rejects_non_integers(self):
         with pytest.raises(TypeError):
             Polynomial([1.5, 2])
+
+    def test_pickles_and_copies_at_every_protocol(self):
+        # a class with __slots__ pickles at protocols 0 and 1 only through its
+        # own __reduce__, and reports and factorizations hold polynomials
+        from irreducia.criteria import analyze
+        from irreducia.oracle import factor
+
+        values = [Polynomial([4, 4, 0, 1]), Polynomial(), Polynomial([-(10**40), 3]),
+                  factor(Polynomial([-4, 0, 1]) * Polynomial([1, 1, 1])),
+                  analyze(Polynomial([4, 4, 0, 1])), analyze(Polynomial([0, 6, 4])),
+                  analyze(Polynomial([6, 4, 0, 2, 1]))]
+        for value in values:
+            copies = [pickle.loads(pickle.dumps(value, proto))
+                      for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for copied in (*copies, copy.copy(value), copy.deepcopy(value)):
+                assert copied == value
+                assert type(copied) is type(value)
 
     def test_sparse_string(self):
         assert Polynomial([4, 4, 0, 1]).to_sparse_string() == "z^3 + 4z + 4"

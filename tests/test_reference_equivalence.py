@@ -887,7 +887,7 @@ def dominated_polys(draw):
 def test_at_most_one_index_dominates(f):
     hits = ref_dominance_indices(f)
     assert len(hits) <= 1
-    assert PolyFacts(f).dominant() == (hits[0] if hits and f.degree >= 2 else None)
+    assert PolyFacts(f).dominant == (hits[0] if hits and f.degree >= 2 else None)
 
 
 @settings(max_examples=300, deadline=None)
