@@ -199,9 +199,13 @@ def gen_exhaustive(max_degree: int, coeff_bound: int) -> Iterator[Polynomial]:
     Deterministic order: degree ascending, coefficient tuples lexicographic
     with the lowest coefficient varying slowest. Each product tuple already
     holds ints with a positive last entry, so it becomes a Polynomial as it
-    is. Bounds past MAX_CORPUS_SIZE tuples are refused before any is built."""
+    is. The bounds are checked at the call, so bounds past MAX_CORPUS_SIZE
+    tuples are refused before any is built or any worker is started."""
     _check_corpus(max_degree, coeff_bound)
-    bound = coeff_bound
+    return _enumerate_exhaustive(max_degree, coeff_bound)
+
+
+def _enumerate_exhaustive(max_degree: int, bound: int) -> Iterator[Polynomial]:
     nonzero = [c for c in range(-bound, bound + 1) if c != 0]
     full = range(-bound, bound + 1)
     lead = range(1, bound + 1)

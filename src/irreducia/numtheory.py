@@ -7,18 +7,20 @@ from the factorization of a single coefficient, so inputs stay at desk scale.
 what the criteria and `positive_divisors` read; `factorize` wraps it in a
 signed PrimePowerDecomposition record. Both read one lru cache,
 `_factor_positive`, which is the only memo of factorizations in the package.
-It keeps failures too: rho is seeded by n, so under the fixed budget the
-outcome for each n is a function of n alone, and an integer that resists
-costs one rho budget per process, whoever asks for it.
+It keeps failures too: each rho attempt starts from fixed values, so under
+the fixed budget the outcome for each n is a function of n alone, and an
+integer that resists costs one rho budget per process, whoever asks for it.
 It holds two stages, so one `cache_clear` empties both. The first,
 `small_prime_factors(n)`, is one gcd with the product of the primes below
 10^3: those dividing n, with exponents, and the cofactor they leave; it never
 raises, and a search the primes below 10^3 can settle reads it alone. The
 second stage builds on it: trial division by 6k+-1 goes on to 10^6 only while
 the cofactor is at or above DEFAULT_FACTOR_BOUND. A survivor that trial
-division has not proved prime goes through Miller-Rabin plus Pollard rho
-under an iteration budget (one per cofactor below DEFAULT_FACTOR_BOUND, one
-shared by the larger ones), so every call returns or raises
+division has not proved prime goes through Miller-Rabin; a composite one
+is split by one gcd with the product of the primes in (10^3, 10^4) when
+that gives a proper divisor, and by Pollard rho otherwise, under an
+iteration budget (one per cofactor below DEFAULT_FACTOR_BOUND, one shared
+by the larger ones), so every call returns or raises
 FactorizationLimitError in bounded time. A cofactor at or above
 PROVEN_PRIME_BOUND that passes Miller-Rabin is only a probable prime, so it
 raises FactorizationLimitError too, and `is_prime` is False there, true
@@ -30,8 +32,7 @@ walks them upward for a caller that stops early, factorizing n only past 10^3.
 from __future__ import annotations
 
 import math
-import random
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 # Trial-division limits. Below DEFAULT_FACTOR_BOUND, Miller-Rabin and rho
@@ -50,6 +51,25 @@ for _p in range(2, 32):
     _sieve[_p * _p::_p] = bytes(len(_sieve[_p * _p::_p]))
 _SMALL_PRIMES = tuple(p for p in range(2, _SMALL_TRIAL_LIMIT) if _sieve[p])
 _SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
+
+# One more gcd, with the product of the primes in (10^3, 10^4), splits off
+# those the 6k+-1 wheel has not reached before rho runs on a composite
+# cofactor: 4 us on a 40-bit one, where a rho attempt takes about 15 us
+# (Python 3.11 on a 2-vCPU VM). A wider range costs more per gcd: 14 us up
+# to 2^15, 43 us up to 10^5.
+_MID_LIMIT = 10**4
+
+
+@cache
+def _mid_primorial() -> int:
+    """The product of the primes in (10^3, 10^4), built on first use: at
+    import it would cost every process about 0.3 ms, and a call on small
+    coefficients never needs it. An odd number in the range is prime when no prime below 10^2
+    divides it."""
+    sieve = bytearray([1]) * _MID_LIMIT
+    for p in _SMALL_PRIMES[:25]:  # the primes below 10^2
+        sieve[p * p::p] = bytes(len(sieve[p * p::p]))
+    return math.prod(p for p in range(_SMALL_TRIAL_LIMIT + 1, _MID_LIMIT, 2) if sieve[p])
 
 _TABLE_TOP = 32  # _SMALL_DIVISORS[n] holds n's divisors, ascending: a walk up to it is one lookup
 _SMALL_DIVISORS = tuple(tuple(b for b in range(1, n + 1) if n % b == 0)
@@ -134,13 +154,13 @@ def _passes_miller_rabin(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int, rng: random.Random, steps: int) -> tuple[int | None, int]:
+def _pollard_rho(n: int, start: tuple[int, int], steps: int) -> tuple[int | None, int]:
     """One Brent-cycle attempt at a nontrivial factor of odd composite n,
-    giving up once it has spent `steps` iterations: the walk ahead and each
-    batch stop at the budget, so it never spends more. Returns the factor
-    (None on failure) and the iterations spent."""
-    y = rng.randrange(1, n)
-    c = rng.randrange(1, n)
+    walking y -> y^2 + c mod n from start = (y, c), giving up once it has
+    spent `steps` iterations: the walk ahead and each batch stop at the
+    budget, so it never spends more. Returns the factor (None on failure)
+    and the iterations spent."""
+    y, c = start
     m = 128
     g = r = q = 1
     x = ys = y
@@ -208,7 +228,6 @@ def _factor_positive(n: int, full: bool = True):
         d += 6
     # no prime below d is left, so a cofactor of n below d^2 is prime
     stack = [n] if n > 1 else []
-    rng = None  # seeded by n on the first split, so a prime n pays no seeding
     shared = _RHO_STEPS  # for the splits of cofactors above the bound
     while stack:
         m = stack.pop()
@@ -227,17 +246,21 @@ def _factor_positive(n: int, full: bool = True):
                     rest.append(r)
             powers[m], stack = e, rest
             continue
-        rng = rng or random.Random(n)
-        steps = _RHO_STEPS if m < DEFAULT_FACTOR_BOUND else shared
-        g = None
-        while g is None and steps > 0:
-            g, spent = _pollard_rho(m, rng, steps)
-            steps -= spent
-        if m >= DEFAULT_FACTOR_BOUND:
-            shared = steps
-        if g is None:
-            return (f"factorization limit reached on {m}: no factor within "
-                    f"{_RHO_STEPS} Pollard rho steps")
+        # one gcd takes the primes in (10^3, 10^4) the wheel left; rho runs
+        # only when they are none or all of m's primes
+        g = math.gcd(m, _mid_primorial()) if d < _MID_LIMIT else 1
+        if g == 1 or g == m:
+            steps = _RHO_STEPS if m < DEFAULT_FACTOR_BOUND else shared
+            g, c = None, 0
+            while g is None and steps > 0:
+                c += 1  # attempt c walks from y = 2 with this c: n alone fixes the outcome
+                g, spent = _pollard_rho(m, (2, c), steps)
+                steps -= spent
+            if m >= DEFAULT_FACTOR_BOUND:
+                shared = steps
+            if g is None:
+                return (f"factorization limit reached on {m}: no factor within "
+                        f"{_RHO_STEPS} Pollard rho steps")
         stack.extend(sorted((g, m // g), reverse=True))  # the smaller first
     return tuple(sorted(powers.items()))
 

@@ -3,8 +3,8 @@ PASS/FAIL line (run with -s to see them live).
 
 The exhaustive sweep (degree <= 5, coefficients in [-5, 5], primitive,
 nonzero constant term, one representative per global sign) backs criteria
-1, 6 and 7 and runs once per session: 5.5-6.9 s at 2 jobs on a 2-core VM
-(Python 3.11), and about 9 s for the whole file.
+1, 6 and 7 and runs once per session, one sign class at a time: 0.6-0.7 s at
+2 jobs on a 2-core VM (Python 3.11), and about 1.3 s for the whole file.
 """
 
 import os

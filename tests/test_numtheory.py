@@ -1,8 +1,12 @@
 """Prime decompositions, valuations, divisor enumeration."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -236,6 +240,81 @@ def test_each_prime_above_the_factor_bound_costs_one_rho_split(e):
     start = time.perf_counter()
     assert factorize(p ** (2 * e) * q**e).factors == ((q, e), (p, 2 * e))
     assert time.perf_counter() - start < 5.0
+
+
+@pytest.fixture
+def rho_calls(monkeypatch):
+    """Each call of _pollard_rho as (n, start, result), with the
+    factorization cache emptied before and after the test."""
+    calls, rho = [], numtheory._pollard_rho
+
+    def recording(n, start, steps):
+        calls.append((n, start, found := rho(n, start, steps)))
+        return found
+
+    monkeypatch.setattr(numtheory, "_pollard_rho", recording)
+    numtheory._factor_positive.cache_clear()
+    yield calls
+    numtheory._factor_positive.cache_clear()
+
+
+@pytest.mark.parametrize("n, factors", [
+    (1009 * 1000003, ((1009, 1), (1000003, 1))),
+    (9973**2 * 1000003, ((9973, 2), (1000003, 1))),
+    (1009**2 * 1013, ((1009, 2), (1013, 1))),  # the gcd 1009 * 1013 leaves 1009
+    (1013 * 4294967311, ((1013, 1), (4294967311, 1))),
+])
+def test_primes_in_the_gcd_range_split_a_cofactor_without_rho(rho_calls, n, factors):
+    # one gcd with the product of the primes in (10^3, 10^4) gives a proper
+    # divisor of the cofactor, so rho never runs
+    assert prime_factors(n) == factors
+    assert rho_calls == []
+
+
+def test_a_cofactor_of_primes_in_the_gcd_range_alone_goes_to_rho(rho_calls):
+    # the gcd gives the whole cofactor, which says nothing, so rho splits it;
+    # with a prime below 10^4 to find, each split is one attempt of at most
+    # one batch of 128 steps
+    assert prime_factors(1009 * 1013 * 9973) == ((1009, 1), (1013, 1), (9973, 1))
+    assert rho_calls == [(1009 * 1013 * 9973, (2, 1), (1013, 62)),
+                         (1009 * 9973, (2, 1), (1009, 126))]
+
+
+@pytest.mark.parametrize("n, attempts", [
+    (10007 * 1000003, [((2, 1), (10007, 126))]),
+    # the first walk meets both primes in the same batch, so a second one runs
+    (10007 * 10099, [((2, 1), (None, 126)), ((2, 2), (10007, 254))]),
+])
+def test_a_least_prime_above_the_gcd_range_reaches_rho_from_fixed_starts(rho_calls, n, attempts):
+    # attempt c walks from y = 2 with constant c, so the outcome is a function of n
+    assert prime_factors(n) == ((10007, 1), (n // 10007, 1))
+    assert rho_calls == [(n, *attempt) for attempt in attempts]
+
+
+def test_a_resisting_integer_spends_one_budget_then_reads_the_cache(monkeypatch, rho_calls):
+    # the second request reads the failure back: the two together spend one
+    # shortened budget, in attempts c = 1, 2, ..., on the whole integer
+    monkeypatch.setattr(numtheory, "_RHO_STEPS", 1000)
+    hard = (2**61 - 1) * (2**89 - 1)
+    for _ in range(2):
+        with pytest.raises(FactorizationLimitError, match="no factor within 1000"):
+            prime_factors(hard)
+    assert {n for n, _, _ in rho_calls} == {hard}
+    assert sum(spent for _, _, (_, spent) in rho_calls) == 1000
+    assert [start for _, start, _ in rho_calls] == [(2, c) for c in range(1, len(rho_calls) + 1)]
+
+
+def test_the_gcd_range_product_is_built_on_first_use():
+    # an import pays nothing for it; the first cofactor that needs it builds it
+    code = ("from irreducia import numtheory as nt; "
+            "print(nt._mid_primorial.cache_info().currsize, end=' '); "
+            "nt.prime_factors(1009 * 1000003); "
+            "print(nt._mid_primorial.cache_info().currsize)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "0 1\n"), proc.stderr
 
 
 def test_first_stage_shares_the_factorization_cache():

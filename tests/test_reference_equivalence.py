@@ -708,7 +708,8 @@ def ref_prime_factors(n):
                     continue
                 g = None
                 while g is None:
-                    g, _ = numtheory._pollard_rho(m, rng, numtheory._RHO_STEPS)
+                    start = (rng.randrange(1, m), rng.randrange(1, m))
+                    g, _ = numtheory._pollard_rho(m, start, numtheory._RHO_STEPS)
                 stack.extend((g, m // g))
     return tuple(sorted(powers.items()))
 
@@ -766,7 +767,8 @@ def test_factorization_around_small_prime_bound(n):
 def test_pollard_rho_spends_at_most_its_budget(n, seed, steps):
     # products whose smaller prime needs far more than 5,000 steps: nearly
     # every attempt runs out, at a budget that may end inside a walk or a batch
-    factor, spent = numtheory._pollard_rho(n, random.Random(seed), steps)
+    rng = random.Random(seed)
+    factor, spent = numtheory._pollard_rho(n, (rng.randrange(1, n), rng.randrange(1, n)), steps)
     assert factor is None or n % factor == 0 and 1 < factor < n
     assert spent <= steps
 
@@ -780,7 +782,8 @@ def test_pollard_rho_spends_at_most_its_budget(n, seed, steps):
 def test_pollard_rho_factor_and_steps_are_recorded(n, seed, steps, found):
     # what a budget charges: the steps spent, a function of n, the seed and
     # the budget, recorded for Brent's walk with its gcd every 128 steps
-    assert numtheory._pollard_rho(n, random.Random(seed), steps) == found
+    rng = random.Random(seed)
+    assert numtheory._pollard_rho(n, (rng.randrange(1, n), rng.randrange(1, n)), steps) == found
 
 
 def test_limit_message_names_the_cofactor_after_the_small_primes(monkeypatch):

@@ -100,6 +100,20 @@ def test_an_oversized_corpus_is_refused_before_anything_is_built(monkeypatch):
     assert next(gen_sign_classes(8, 5)) == (1, 1)
 
 
+def test_gen_exhaustive_refuses_bad_bounds_at_the_call(monkeypatch):
+    # the bounds are checked before the stream is returned, so a refused
+    # corpus raises where it is asked for, before audit_corpus starts a worker
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", unreachable)
+    for degree, bound in ((0, 5), (5, 10**4)):
+        with pytest.raises(ValueError, match="invalid bound"):
+            gen_exhaustive(degree, bound)
+        with pytest.raises(ValueError, match="invalid bound"):
+            audit.audit_corpus(gen_exhaustive(degree, bound), jobs=2)
+
+
 def _flat(record) -> dict:
     """A record's int fields, and each Findings' total."""
     counts = {}
